@@ -438,7 +438,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_in_flight=args.max_in_flight,
             workers=args.workers,
             checkpoint_dir=args.checkpoint_dir,
-            cache_entries=args.cache_entries,
             journal_path=args.journal,
             recover=args.recover,
             default_deadline_s=args.deadline_s,
@@ -614,20 +613,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8642,
                          help="listen port (0 picks an ephemeral one)")
     p_serve.add_argument("--window-ms", type=float, default=10.0,
-                         help="coalescing window in milliseconds; 0 "
+                         help="coalescing window in milliseconds while a "
+                              "wave lane is idle (with all lanes busy a "
+                              "wave keeps filling until one frees); 0 "
                               "disables fusion (one launch per job)")
     p_serve.add_argument("--max-wave-warps", type=int, default=4096,
-                         help="flush a wave early past this warp estimate")
+                         help="seal a wave early past this warp estimate")
     p_serve.add_argument("--max-in-flight", type=int, default=256,
                          help="admission budget; submits past it get 429")
     p_serve.add_argument("--workers", type=int, default=1,
-                         help="> 1 runs waves on a process pool so "
-                              "independent waves overlap")
+                         help="wave lanes; > 1 runs waves on a process "
+                              "pool so independent waves overlap")
     p_serve.add_argument("--checkpoint-dir", default=None,
                          help="persist finished jobs here and resume "
                               "identical resubmissions from checkpoints")
-    p_serve.add_argument("--cache-entries", type=int, default=256,
-                         help="bound of each worker's prepare cache")
     p_serve.add_argument("--journal", default=None, metavar="PATH",
                          help="crash-safe job journal (WAL): submits are "
                               "durably logged before their 202")

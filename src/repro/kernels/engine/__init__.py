@@ -62,7 +62,6 @@ from repro.kernels.engine.prepare import (
     BatchPreparer,
     FlattenedBin,
     PrepareCache,
-    PrepareCacheScope,
     concat_batches,
     run_length_sorted,
     segmented_arange,
@@ -130,7 +129,6 @@ __all__ = [
     "BatchPreparer",
     "FlattenedBin",
     "PrepareCache",
-    "PrepareCacheScope",
     "concat_batches",
     "run_length_sorted",
     "segmented_arange",

@@ -620,17 +620,14 @@ def run_schedule_coalesced(
     jobs: list[list[Contig]],
     k_schedule: tuple[int, ...] = (21, 33, 55, 77),
     parallel_scale: float = 1.0,
-    prep_caches: list | None = None,
     fingerprints: list[str] | None = None,
 ) -> list[CoalescedJobResult]:
     """Run N jobs' k-schedules as fused multi-tenant launch waves.
 
     Results (outputs, profiles, overflow sets, traces, sanitizer
     verdicts) are byte-identical to ``kernel.run_schedule(job, ...)``
-    run per job. ``prep_caches`` optionally supplies one prepare cache
-    per job (e.g. :meth:`PrepareCache.scoped` views of a store shared
-    across service requests); the default is a fresh solo-equivalent
-    cache per job. ``fingerprints`` optionally names each job (the
+    run per job; each job gets a fresh :class:`PrepareCache`, as a solo
+    run would. ``fingerprints`` optionally names each job (the
     serve tier passes request fingerprints) so a seeded
     :class:`~repro.resilience.FaultInjector` on the kernel can attribute
     wave-scoped faults per job; an injector whose plan contains kinds
@@ -641,8 +638,6 @@ def run_schedule_coalesced(
     for j, contigs in enumerate(jobs):
         if not contigs:
             raise KernelError(f"coalesced job {j} has no contigs")
-    if prep_caches is not None and len(prep_caches) != len(jobs):
-        raise KernelError("prep_caches must align with jobs")
     if kernel.fault_injector is not None:
         _validate_coalesced_injector(kernel.fault_injector, len(jobs),
                                      fingerprints)
@@ -655,12 +650,8 @@ def run_schedule_coalesced(
         raise KernelError(
             f"parallel_scale must be in (0, 1], got {parallel_scale}")
 
-    states = [
-        _JobState(contigs,
-                  prep_caches[j] if prep_caches is not None else PrepareCache(),
-                  k_schedule[0])
-        for j, contigs in enumerate(jobs)
-    ]
+    states = [_JobState(contigs, PrepareCache(), k_schedule[0])
+              for contigs in jobs]
 
     # What the per-job replay buses will want decides which evidence the
     # fused run must record (and therefore emit): probe with a throwaway

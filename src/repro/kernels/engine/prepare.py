@@ -223,8 +223,8 @@ class FlattenedBin:
 
 #: Default entry bound for :class:`PrepareCache`. Generous relative to a
 #: single k-schedule (which touches ``bins x ends`` entries, typically a
-#: handful) so in-run reuse never thrashes, while keeping a long-lived
-#: serving process from growing without limit.
+#: handful) so in-run reuse never thrashes, while bounding what one
+#: run holds at a time.
 DEFAULT_PREPARE_CACHE_ENTRIES = 128
 
 
@@ -238,17 +238,15 @@ class PrepareCache:
     The cache is a bounded LRU: a ``get`` refreshes recency, a ``put``
     past ``maxsize`` entries evicts the least-recently-used one, and
     ``hits`` / ``misses`` / ``evictions`` counters are surfaced in
-    profiles as the ``prep_cache_*`` fields. Long-lived processes (the
-    coalescing service) share one store across requests through
-    :meth:`scoped` views, which namespace keys per tenant dataset and
-    keep tenant-local hit/miss counts.
+    profiles as the ``prep_cache_*`` fields. A cache belongs to one
+    job's k-schedule: the coalescing service builds a fresh one per job
+    per wave, so a re-run of the same job reports the same counters.
     """
 
     def __init__(self, maxsize: int = DEFAULT_PREPARE_CACHE_ENTRIES) -> None:
         if maxsize < 1:
             raise KernelError("PrepareCache maxsize must be >= 1")
         self._flat: OrderedDict = OrderedDict()
-        self._scopes: dict = {}
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
@@ -264,14 +262,6 @@ class PrepareCache:
     def put(self, bin_: Bin, end: End, flat: FlattenedBin) -> None:
         self._put(self.key(bin_, end), flat)
 
-    def scoped(self, scope) -> "PrepareCacheScope":
-        """A tenant view whose keys are namespaced by ``scope``."""
-        view = self._scopes.get(scope)
-        if view is None:
-            view = PrepareCacheScope(self, scope)
-            self._scopes[scope] = view
-        return view
-
     def _get(self, key: tuple) -> FlattenedBin | None:
         flat = self._flat.get(key)
         if flat is None:
@@ -286,46 +276,11 @@ class PrepareCache:
             self._flat.move_to_end(key)
         self._flat[key] = flat
         while len(self._flat) > self.maxsize:
-            old_key, _ = self._flat.popitem(last=False)
+            self._flat.popitem(last=False)
             self.evictions += 1
-            owner = self._scopes.get(old_key[0])
-            if owner is not None:
-                owner.evictions += 1
 
     def __len__(self) -> int:
         return len(self._flat)
-
-
-class PrepareCacheScope:
-    """One tenant's view of a shared :class:`PrepareCache`.
-
-    Keys gain a ``scope`` prefix (e.g. the job's dataset fingerprint),
-    so tenants whose bins carry identical contig-index tuples but
-    different underlying reads never collide, while repeat submissions
-    of the same dataset hit the flatten cache warm. Hit/miss counters
-    are scope-local (they feed the owning job's profile); ``evictions``
-    counts this scope's entries evicted by store pressure, whichever
-    tenant caused it. Quacks like :class:`PrepareCache` for
-    :meth:`BatchPreparer.prepare`.
-    """
-
-    def __init__(self, store: PrepareCache, scope) -> None:
-        self.store = store
-        self.scope = scope
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, bin_: Bin, end: End) -> FlattenedBin | None:
-        flat = self.store._get((self.scope, *PrepareCache.key(bin_, end)))
-        if flat is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return flat
-
-    def put(self, bin_: Bin, end: End, flat: FlattenedBin) -> None:
-        self.store._put((self.scope, *PrepareCache.key(bin_, end)), flat)
 
 
 class BatchPreparer:

@@ -1,8 +1,9 @@
 """The async coalescing assembly service (DESIGN.md decision #15).
 
 Many small local-assembly requests fuse into one megabatch launch wave:
-jobs landing within a configurable window — or until a warps-per-wave
-high-water mark — are concatenated into a single multi-tenant launch
+jobs landing within a configurable window — and, while every wave lane
+is busy, until one frees or a warps-per-wave high-water mark is hit —
+are concatenated into a single multi-tenant launch
 per execution configuration, run through the vectorized engine once via
 :func:`repro.kernels.engine.run_schedule_coalesced`, and scattered back
 per job with byte-exact provenance (profiles, overflow sets, sanitizer
@@ -48,7 +49,7 @@ from repro.serve.supervisor import (
     WaveDeadlineError,
     WaveSupervisor,
 )
-from repro.serve.worker import configure_worker, run_wave
+from repro.serve.worker import run_wave
 
 __all__ = [
     "AdmissionControl",
@@ -73,7 +74,6 @@ __all__ = [
     "ProtocolError",
     "WaveDeadlineError",
     "WaveSupervisor",
-    "configure_worker",
     "job_fingerprint",
     "parse_job_request",
     "run_wave",

@@ -14,8 +14,12 @@ The request path is fully async (stdlib ``asyncio.start_server`` plus a
 minimal HTTP parser — no third-party dependencies); assembly itself runs
 in an executor so the event loop keeps accepting and coalescing during a
 wave. ``workers <= 1`` uses a dedicated single-thread executor (one
-wave at a time, cache shared in-process); ``workers > 1`` uses a
-process pool so independent waves overlap across cores.
+wave at a time); ``workers > 1`` uses a process pool so independent
+waves overlap across cores. Either way the batcher counts one **lane**
+per worker and launches a wave only into a free one, so jobs arriving
+while the lanes are busy fill the next wave instead of queueing as solo
+waves inside the executor; a wave holds its lane for the supervised
+compute only and persists its results after handing the lane back.
 
 Every wave runs under the :class:`~repro.serve.supervisor.WaveSupervisor`
 fault boundary: per-job deadlines, seeded backoff+jitter retries for
@@ -77,12 +81,7 @@ from repro.serve.supervisor import (
     LoadShedder,
     WaveSupervisor,
 )
-from repro.serve.worker import (
-    DEFAULT_CACHE_ENTRIES,
-    configure_worker,
-    prep_cache,
-    run_wave,
-)
+from repro.serve.worker import run_wave
 from repro.simt.device import device_by_name
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -115,12 +114,13 @@ class AssemblyService:
     """A long-lived coalescing assembly server over one event loop.
 
     Args:
-        window_s: coalescing window; 0 disables fusion (solo waves).
-        max_wave_warps: high-water mark flushing a bucket early.
+        window_s: coalescing window with a lane idle; 0 disables fusion
+            (solo waves).
+        max_wave_warps: high-water mark sealing a bucket early.
         max_in_flight: admission budget (submits past it get 429).
-        workers: > 1 runs waves on a process pool; otherwise a thread.
+        workers: wave lanes; > 1 runs them on a process pool, otherwise
+            one thread.
         checkpoint_dir: enables per-job checkpoint/resume when set.
-        cache_entries: bound of each worker's shared prepare cache.
         journal_path: enables the crash-safe job journal when set.
         recover: replay the journal on start, re-seating acknowledged
             jobs (requires ``journal_path``).
@@ -139,7 +139,6 @@ class AssemblyService:
                  max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
                  workers: int = 1,
                  checkpoint_dir: str | None = None,
-                 cache_entries: int = DEFAULT_CACHE_ENTRIES,
                  journal_path: str | None = None,
                  recover: bool = False,
                  default_deadline_s: float = DEFAULT_DEADLINE_S,
@@ -169,9 +168,9 @@ class AssemblyService:
             self._dispatch, window_s=window_s,
             max_wave_warps=max_wave_warps,
             window_scale=lambda: self.shedder.window_scale(
-                self.admission.in_flight))
+                self.admission.in_flight),
+            lanes=workers)
         self.workers = workers
-        self.cache_entries = cache_entries
         self.checkpoint_dir = checkpoint_dir
         self.journal_path = journal_path
         self.journal_fsync = journal_fsync
@@ -192,6 +191,8 @@ class AssemblyService:
         self.recovered_finished = 0
         self.recovered_pending = 0
         self.recovery_torn = 0
+        self.prep_cache_hits = 0
+        self.prep_cache_misses = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -200,16 +201,13 @@ class AssemblyService:
         """Bind and serve; returns the actual port (0 picks one)."""
         loop = asyncio.get_running_loop()
         if self.workers > 1:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=configure_worker,
-                initargs=(self.cache_entries,))
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         else:
             # A dedicated single-thread lane, NOT the default executor:
             # waves must run one at a time (the documented workers=1
             # semantics, and what the coalescing benchmark relies on for
             # a fair one-launch-per-job baseline), while checkpoint I/O
             # keeps the default executor to itself.
-            configure_worker(self.cache_entries)
             self._pool = ThreadPoolExecutor(max_workers=1,
                                             thread_name_prefix="wave")
         if self.checkpoint_dir is not None:
@@ -279,12 +277,13 @@ class AssemblyService:
         """Drain, journal the final state, close the server.
 
         New submits are refused with 503 the moment draining starts.
-        The drain (flush armed buckets + await in-flight waves) is
-        bounded by ``drain_timeout_s`` (falling back to the constructor
-        default; ``None`` drains without bound). Returns ``True`` when
+        The drain (launch every pending bucket as lanes free + await
+        in-flight waves) is bounded by ``drain_timeout_s`` (falling back
+        to the constructor default; ``None`` drains without bound). Returns ``True`` when
         the drain completed, ``False`` when the bound expired with work
-        still in flight — which the journal records, so a later
-        ``--recover`` re-dispatches the abandoned jobs.
+        still in flight or still waiting for a lane — which the journal
+        records, so a later ``--recover`` re-dispatches the abandoned
+        jobs.
         """
         self._draining = True
         timeout = (drain_timeout_s if drain_timeout_s is not None
@@ -385,32 +384,45 @@ class AssemblyService:
                                    status="done", resumed=True)
         return True
 
-    async def _dispatch(self, key: tuple, jobs: list[JobSpec]) -> None:
-        """Batcher callback: supervise one wave, scatter results back."""
+    def _dispatch(self, key: tuple, jobs: list[JobSpec]) -> None:
+        """Batcher callback, one lane held: run the wave as a task."""
+        if self._pool is None:
+            # stopped on an expired drain: there is no executor left to
+            # run on, and the journal keeps these jobs for --recover
+            return
         task = asyncio.get_running_loop().create_task(
             self._run_wave(key, jobs))
         self._wave_tasks.add(task)
         task.add_done_callback(self._wave_tasks.discard)
 
     async def _run_wave(self, key: tuple, jobs: list[JobSpec]) -> None:
-        for spec in jobs:
-            self._jobs[spec.job_id].status = JobStatus.RUNNING
-        await self._journal_append("dispatch",
-                                   job_ids=[s.job_id for s in jobs])
+        """Supervise one wave in its lane, then scatter results back."""
         try:
+            for spec in jobs:
+                self._jobs[spec.job_id].status = JobStatus.RUNNING
+            await self._journal_append("dispatch",
+                                       job_ids=[s.job_id for s in jobs])
             payloads = await self.supervisor.run(key, jobs)
         except asyncio.CancelledError:
             raise
         except Exception as exc:
             # the supervisor absorbs wave failures; this is the backstop
-            # for bugs in the supervision path itself
+            # for bugs in the supervision path itself (and for a failed
+            # dispatch-journal write, which fails the wave's jobs)
             payloads = [{"ok": False, "error": str(exc),
                          "error_type": type(exc).__name__}
                         for _ in jobs]
+        finally:
+            # the lane goes back before the per-job persistence below:
+            # the next wave computes while this one checkpoints
+            self.batcher.release_lane()
         for spec, payload in zip(jobs, payloads):
             record = self._jobs[spec.job_id]
             record.payload = payload
             if payload.get("ok"):
+                profile = payload["result"]["profile"]
+                self.prep_cache_hits += profile["prep_cache_hits"]
+                self.prep_cache_misses += profile["prep_cache_misses"]
                 await self._save_checkpoint(record)
                 self._finish(record, JobStatus.DONE)
             else:
@@ -438,8 +450,7 @@ class AssemblyService:
         if self.workers <= 1:
             return  # a thread lane survives worker exceptions
         old, self._pool = self._pool, ProcessPoolExecutor(
-            max_workers=self.workers, initializer=configure_worker,
-            initargs=(self.cache_entries,))
+            max_workers=self.workers)
         if old is not None:
             old.shutdown(wait=False, cancel_futures=True)
 
@@ -560,16 +571,16 @@ class AssemblyService:
         return 404, {"error": f"no route for {method} {path}"}
 
     def stats(self) -> dict:
-        cache = prep_cache()
         open_keys = self.supervisor.breaker.open_keys()
         body = {
             "admission": self.admission.stats(),
             "batcher": self.batcher.stats(),
             "jobs": {"completed": self.completed, "failed": self.failed,
                      "resumed": self.resumed, "known": len(self._jobs)},
-            "prep_cache": {"hits": cache.hits, "misses": cache.misses,
-                           "evictions": cache.evictions,
-                           "entries": len(cache)},
+            # summed over computed jobs' profiles (each job's cache is
+            # private to its wave; there is no store to read)
+            "prep_cache": {"hits": self.prep_cache_hits,
+                           "misses": self.prep_cache_misses},
             "workers": self.workers,
             "supervisor": self.supervisor.stats(),
             "shed": self.shedder.stats(self.admission.in_flight, open_keys),

@@ -29,7 +29,8 @@ a cooldown passes and a half-open probe wave is allowed to re-coalesce.
 
 **LoadShedder** converts in-flight depth into backpressure: past a
 configurable depth the batcher's coalescing window shrinks linearly to
-zero (deep backlogs flush immediately instead of queueing further), and
+zero (a bucket then ripens at once and launches into the first free
+lane; with every lane busy it keeps fusing until one frees), and
 while any breaker is open the admission budget is halved (degraded
 capacity should refuse early, not accept work it will run slowly).
 """
@@ -143,11 +144,13 @@ class CircuitBreaker:
 class LoadShedder:
     """Depth-proportional backpressure for the batcher and admission.
 
-    ``window_scale`` multiplies the batcher's coalescing window: 1.0 up
-    to ``shed_start`` of the in-flight budget, then linearly down to 0.0
-    at the full budget (a saturated service flushes immediately — fusing
-    is for throughput, and a deep backlog already has waves' worth of
-    jobs per flush without waiting out a window). ``admission_budget``
+    ``window_scale`` multiplies the batcher's coalescing window — how
+    long a bucket waits for company while a lane sits idle: 1.0 up to
+    ``shed_start`` of the in-flight budget, then linearly down to 0.0
+    at the full budget. A fully shed window does not mean solo waves:
+    it only drops the idle-lane wait, and under a deep backlog the
+    lanes are busy, so buckets go on absorbing jobs until one frees.
+    ``admission_budget``
     halves while any circuit breaker is open: degraded capacity refuses
     work up front instead of queueing it behind solo launches.
     """
@@ -263,9 +266,10 @@ class WaveSupervisor:
                     raise InjectedCrashError(
                         f"injected worker crash mid-wave ({len(jobs)} jobs)")
                 # WAVE_STALL: the wave hangs for delay_s. Model the hang
-                # here (the real lane stays free, so chaos runs stay
-                # fast and deterministic); past the deadline it
-                # surfaces exactly like a genuine timeout.
+                # here, off the executor (chaos runs stay deterministic)
+                # but with the wave's lane held, as a genuinely stuck
+                # wave would hold it; past the deadline it surfaces
+                # exactly like a genuine timeout.
                 await asyncio.sleep(min(spec.delay_s, deadline))
                 if spec.delay_s >= deadline:
                     raise WaveDeadlineError(

@@ -2,17 +2,17 @@
 
 One wave — N jobs sharing a coalescing key — runs here, off the event
 loop, via :func:`repro.kernels.engine.run_schedule_coalesced`. The
-module keeps a **process-global** bounded LRU
-:class:`~repro.kernels.engine.PrepareCache`, shared across every wave a
-worker executes; each job sees it through a
-:meth:`~repro.kernels.engine.PrepareCache.scoped` view keyed by the
-job's fingerprint, so repeat submissions of the same dataset hit warm
-flattens while distinct tenants can never collide on cache keys.
+module holds **no state between waves**: every job gets a fresh
+:class:`~repro.kernels.engine.PrepareCache` for its own k-schedule,
+exactly as a solo ``run_schedule`` would, so running the same wave
+twice (a retry, a bisection half, a ``--recover`` re-dispatch) yields
+the same payloads — the invariant the supervisor's re-runs rest on —
+and a long-lived server retains nothing per request.
 
 Everything crossing the executor boundary is plain JSON-able data
 (waves in, payload dicts out), so the same function serves both the
 in-thread executor (``workers <= 1``) and a ``ProcessPoolExecutor``
-(waves pickled to worker processes, which each grow their own cache).
+(waves pickled to worker processes).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.core.extension import PRODUCTION_POLICY
 from repro.errors import ReproError
 from repro.kernels import backend_for_device, create_backend
-from repro.kernels.engine import PrepareCache, run_schedule_coalesced
+from repro.kernels.engine import run_schedule_coalesced
 from repro.serve.protocol import (
     JobOptions,
     error_to_payload,
@@ -28,27 +28,6 @@ from repro.serve.protocol import (
     result_to_payload,
 )
 from repro.simt.device import device_by_name
-
-DEFAULT_CACHE_ENTRIES = 256
-
-_PREP_CACHE: PrepareCache | None = None
-
-
-def configure_worker(cache_entries: int = DEFAULT_CACHE_ENTRIES) -> None:
-    """(Re)initialize the process-global prepare cache.
-
-    Called once per worker process (the pool initializer) and by tests;
-    idempotent across waves — reconfiguring drops the warm cache.
-    """
-    global _PREP_CACHE
-    _PREP_CACHE = PrepareCache(maxsize=cache_entries)
-
-
-def prep_cache() -> PrepareCache:
-    global _PREP_CACHE
-    if _PREP_CACHE is None:
-        configure_worker()
-    return _PREP_CACHE
 
 
 def _build_kernel(options: JobOptions):
@@ -81,10 +60,8 @@ def run_wave(wave: dict) -> list[dict]:
         raise ReproError("run_wave needs at least one job")
     kernel = _build_kernel(options)
     contigs = [parse_contigs(j["dat"], j["job_id"]) for j in jobs]
-    store = prep_cache()
-    caches = [store.scoped(j["fingerprint"]) for j in jobs]
     outcomes = run_schedule_coalesced(
-        kernel, contigs, options.k_schedule, prep_caches=caches,
+        kernel, contigs, options.k_schedule,
         fingerprints=[j["fingerprint"] for j in jobs])
     payloads: list[dict] = []
     for outcome in outcomes:
@@ -97,5 +74,4 @@ def run_wave(wave: dict) -> list[dict]:
     return payloads
 
 
-__all__ = ["DEFAULT_CACHE_ENTRIES", "configure_worker", "prep_cache",
-           "run_wave"]
+__all__ = ["run_wave"]

@@ -22,11 +22,7 @@ from repro.core.extension import PRODUCTION_POLICY
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.simulate import ErrorProfile, ScenarioSpec, simulate_batch
 from repro.kernels import CudaLocalAssemblyKernel, HipLocalAssemblyKernel
-from repro.kernels.engine import (
-    BatchPreparer,
-    PrepareCache,
-    run_schedule_coalesced,
-)
+from repro.kernels.engine import BatchPreparer, run_schedule_coalesced
 from repro.resilience.checkpoint import profile_to_dict
 from repro.simt.device import A100, MI250X
 
@@ -286,29 +282,3 @@ class TestCoalesceValidation:
         fused = run_schedule_coalesced(kern, jobs, (21, 33),
                                        fingerprints=["fpA", "fpB"])
         assert all(c.error is None for c in fused)
-
-    def test_rejects_misaligned_prep_caches(self):
-        kern = CudaLocalAssemblyKernel(A100)
-        with pytest.raises(KernelError, match="prep_caches"):
-            run_schedule_coalesced(kern, _jobs((1, 2)), (21, 33),
-                                   prep_caches=[PrepareCache()])
-
-    def test_shared_scoped_caches(self):
-        """Scoped views of one shared store: per-job counters still
-        reflect each job's own reuse; results stay solo-identical."""
-        jobs = _jobs((8, 9))
-        kern = CudaLocalAssemblyKernel(A100, overflow_policy="drop-contig")
-        store = PrepareCache(maxsize=64)
-        scopes = [store.scoped(f"job{i}") for i in range(len(jobs))]
-        fused = run_schedule_coalesced(kern, jobs, (21, 33),
-                                       prep_caches=scopes)
-        solo = []
-        for job in jobs:
-            k2 = CudaLocalAssemblyKernel(A100, overflow_policy="drop-contig")
-            solo.append(k2.run_schedule(job, (21, 33)))
-        for s, c in zip(solo, fused):
-            assert c.result.right == s.right
-            assert c.result.left == s.left
-            # distinct scopes share no keys, so counters match solo too
-            assert (profile_to_dict(c.result.profile)
-                    == profile_to_dict(s.profile))

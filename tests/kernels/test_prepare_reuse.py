@@ -250,36 +250,6 @@ class TestPrepareCacheLRU:
         with pytest.raises(KernelError, match="maxsize"):
             PrepareCache(maxsize=0)
 
-    def test_scoped_views_isolate_and_attribute(self):
-        store = PrepareCache(maxsize=2)
-        t1, t2 = store.scoped("t1"), store.scoped("t2")
-        assert store.scoped("t1") is t1         # stable per scope
-        key = lambda: None
-        t1.store._put(("t1", "x"), self._flat(1))
-        # same logical key under another scope is a distinct entry
-        assert store._get(("t2", "x")) is None
-        # pressure from t2 evicts t1's LRU entry, attributed to t1
-        t2.store._put(("t2", "x"), self._flat(2))
-        t2.store._put(("t2", "y"), self._flat(3))
-        assert t1.evictions == 1
-        assert t2.evictions == 0
-        assert store.evictions == 1
-
-    def test_scope_local_hit_miss_counters(self):
-        from repro.kernels.engine import BatchPreparer
-
-        contigs = _contigs(n=3, seed=12)
-        bins = bin_contigs(contigs, 21)
-        prep = BatchPreparer()
-        store = PrepareCache()
-        s1, s2 = store.scoped("j1"), store.scoped("j2")
-        prep.prepare(contigs, bins[0], End.RIGHT, 21, cache=s1)
-        prep.prepare(contigs, bins[0], End.RIGHT, 33, cache=s1)  # warm hit
-        prep.prepare(contigs, bins[0], End.RIGHT, 21, cache=s2)  # own miss
-        assert (s1.hits, s1.misses) == (1, 1)
-        assert (s2.hits, s2.misses) == (0, 1)
-        assert (store.hits, store.misses) == (1, 2)
-
     def test_schedule_profile_exposes_cache_counters(self):
         contigs = _forky_contigs(seed=8)
         kern = CudaLocalAssemblyKernel(A100)

@@ -8,9 +8,11 @@ import pytest
 
 from repro.core.extension import PRODUCTION_POLICY
 from repro.genomics.io import dumps_dat, loads_dat
-from repro.kernels import CudaLocalAssemblyKernel
-from repro.serve import AssemblyService
-from repro.serve.worker import configure_worker, run_wave
+from repro.kernels import CudaLocalAssemblyKernel, backend_for_device
+from repro.resilience import FaultKind, FaultPlan, FaultSpec
+from repro.resilience.checkpoint import result_to_dict
+from repro.serve import AssemblyService, JobJournal
+from repro.serve.worker import run_wave
 from repro.simt.device import A100
 
 
@@ -64,6 +66,160 @@ async def poll_done(port, job_id, timeout=30.0):
         if asyncio.get_running_loop().time() > deadline:
             raise AssertionError(f"job {job_id} never finished: {body}")
         await asyncio.sleep(0.01)
+
+
+def solo_result(dat: str, k_schedule) -> dict:
+    """What the worker's kernel returns for this job run on its own."""
+    kernel = backend_for_device(A100, policy=PRODUCTION_POLICY,
+                                overflow_policy="drop-contig")
+    result = kernel.run_schedule(loads_dat(dat), tuple(k_schedule))
+    return json.loads(json.dumps(result_to_dict(result)))
+
+
+def stall_first_wave(delay_s: float) -> FaultPlan:
+    """The first wave launched hangs (lane held) for ``delay_s``."""
+    return FaultPlan(faults=(FaultSpec(FaultKind.WAVE_STALL,
+                                       delay_s=delay_s),))
+
+
+async def submit_ok(port, dat, k_schedule=(21,)) -> str:
+    status, body = await request(port, "POST", "/v1/jobs",
+                                 {"dat": dat, "k_schedule": list(k_schedule)})
+    assert status == 202, body
+    return body["job_id"]
+
+
+class TestLaneAwareWaves:
+    def test_jobs_behind_a_busy_lane_fuse_into_one_wave(self):
+        dats = [make_dat(n_contigs=1 + s % 3, seed=20 + s) for s in range(11)]
+
+        async def scenario():
+            service = AssemblyService(window_s=0.01,
+                                      fault_plan=stall_first_wave(0.5))
+            port = await service.start()
+            try:
+                ids = [await submit_ok(port, dats[0], (21, 33))]
+                await asyncio.sleep(0.1)  # its wave now holds the lane
+                for dat in dats[1:]:      # each far beyond the 10 ms window
+                    ids.append(await submit_ok(port, dat, (21, 33)))
+                    await asyncio.sleep(0.02)
+                _, waiting = await request(port, "GET", "/v1/stats")
+                payloads = []
+                for job_id in ids:
+                    assert (await poll_done(port, job_id))["status"] == "done"
+                    payloads.append((await request(
+                        port, "GET", f"/v1/jobs/{job_id}/result"))[1])
+                _, stats = await request(port, "GET", "/v1/stats")
+                return waiting, payloads, stats
+            finally:
+                await service.stop()
+
+        waiting, payloads, stats = asyncio.run(scenario())
+        assert waiting["batcher"]["pending_jobs"] == 10
+        assert waiting["batcher"]["ready_waves"] == 1
+        assert waiting["batcher"]["lanes_busy"] == 1
+        assert stats["batcher"]["waves"] == 2
+        assert stats["batcher"]["biggest_wave"] == 10
+        assert stats["batcher"]["lanes_busy"] == 0
+        for dat, payload in zip(dats, payloads):
+            assert payload["result"] == solo_result(dat, (21, 33))
+        profiles = [p["result"]["profile"] for p in payloads]
+        assert stats["prep_cache"] == {
+            "hits": sum(p["prep_cache_hits"] for p in profiles),
+            "misses": sum(p["prep_cache_misses"] for p in profiles)}
+
+    def test_stop_drains_a_bucket_waiting_for_the_lane(self, tmp_path):
+        journal = str(tmp_path / "jobs.wal")
+
+        async def scenario():
+            service = AssemblyService(window_s=0.01, journal_path=journal,
+                                      journal_fsync=False,
+                                      fault_plan=stall_first_wave(0.4))
+            port = await service.start()
+            ids = [await submit_ok(port, make_dat(n_contigs=1, seed=30))]
+            await asyncio.sleep(0.1)
+            for seed in (31, 32, 33):
+                ids.append(await submit_ok(
+                    port, make_dat(n_contigs=1, seed=seed)))
+            drained = await service.stop()
+            return drained, [service._jobs[i].status.value for i in ids]
+
+        drained, statuses = asyncio.run(scenario())
+        assert drained is True
+        assert statuses == ["done"] * 4
+        state = JobJournal.replay(journal)
+        assert state.clean_shutdown and state.pending() == []
+
+    def test_expired_drain_leaves_waiting_jobs_journaled_then_recovered(
+            self, tmp_path):
+        journal = str(tmp_path / "jobs.wal")
+        dats = [make_dat(n_contigs=1, seed=40 + i) for i in range(5)]
+
+        async def abandon():
+            service = AssemblyService(window_s=0.01, journal_path=journal,
+                                      journal_fsync=False,
+                                      fault_plan=stall_first_wave(30.0))
+            port = await service.start()
+            ids = [await submit_ok(port, dats[0])]
+            await asyncio.sleep(0.1)  # stalled: the lane never frees
+            for dat in dats[1:]:
+                ids.append(await submit_ok(port, dat))
+            return ids, await service.stop(drain_timeout_s=0.2)
+
+        ids, drained = asyncio.run(abandon())
+        assert drained is False
+        state = JobJournal.replay(journal)
+        assert sorted(j["job_id"] for j in state.pending()) == sorted(ids)
+
+        async def recover():
+            service = AssemblyService(window_s=0.01, journal_path=journal,
+                                      journal_fsync=False, recover=True)
+            port = await service.start()
+            try:
+                for job_id in ids:
+                    body = await poll_done(port, job_id)
+                    assert body["status"] == "done" and body["recovered"]
+                _, stats = await request(port, "GET", "/v1/stats")
+                return stats
+            finally:
+                await service.stop()
+
+        stats = asyncio.run(recover())
+        assert stats["journal"]["recovered_pending"] == len(ids)
+        assert stats["batcher"]["jobs_waved"] == len(ids)
+        assert JobJournal.replay(journal).pending() == []
+
+    def test_two_workers_run_at_most_two_waves_at_once(self):
+        dats = [make_dat(n_contigs=1, seed=50 + i) for i in range(6)]
+
+        async def scenario():
+            service = AssemblyService(window_s=0, workers=2)
+            running = peak = 0
+            supervised = service.supervisor.run
+
+            async def counted(key, jobs):
+                nonlocal running, peak
+                running += 1
+                peak = max(peak, running, service.batcher.lanes_busy)
+                try:
+                    return await supervised(key, jobs)
+                finally:
+                    running -= 1
+
+            service.supervisor.run = counted
+            port = await service.start()
+            try:
+                ids = await asyncio.gather(*[submit_ok(port, dat)
+                                             for dat in dats])
+                for job_id in ids:
+                    assert (await poll_done(port, job_id))["status"] == "done"
+                return peak, service.batcher.stats()
+            finally:
+                await service.stop()
+
+        peak, stats = asyncio.run(scenario())
+        assert peak == 2
+        assert stats["waves"] == 6 and stats["lanes_busy"] == 0
 
 
 class TestServiceEndToEnd:
@@ -182,14 +338,12 @@ class TestServiceEndToEnd:
         assert stats["admission"]["rejected"] == 24
 
     def test_draining_service_refuses_submits_with_503(self):
-        from repro.resilience import FaultKind, FaultPlan, FaultSpec
-
         dat = make_dat(n_contigs=1, seed=9)
 
         async def scenario():
             # an injected stall keeps the wave in flight while we drain
-            service = AssemblyService(window_s=0.01, fault_plan=FaultPlan(
-                faults=(FaultSpec(FaultKind.WAVE_STALL, delay_s=0.5),)))
+            service = AssemblyService(window_s=0.01,
+                                      fault_plan=stall_first_wave(0.5))
             port = await service.start()
             _, first = await request(port, "POST", "/v1/jobs",
                                      {"dat": dat, "k_schedule": [21]})
@@ -207,11 +361,9 @@ class TestServiceEndToEnd:
         assert service._jobs[first["job_id"]].status.value == "done"
 
     def test_bounded_drain_gives_up_on_a_stuck_wave(self):
-        from repro.resilience import FaultKind, FaultPlan, FaultSpec
-
         async def scenario():
-            service = AssemblyService(window_s=0.01, fault_plan=FaultPlan(
-                faults=(FaultSpec(FaultKind.WAVE_STALL, delay_s=30.0),)))
+            service = AssemblyService(window_s=0.01,
+                                      fault_plan=stall_first_wave(30.0))
             port = await service.start()
             _, body = await request(
                 port, "POST", "/v1/jobs",
@@ -249,19 +401,28 @@ class TestServiceEndToEnd:
 
 
 class TestRunWave:
+    WAVE = {
+        "options": {"device": "A100", "backend": "auto",
+                    "k_schedule": [21, 33],
+                    "overflow_policy": "drop-contig"},
+        "jobs": [{"job_id": f"j{i}", "dat": make_dat(seed=i),
+                  "fingerprint": f"fp{i}"} for i in (1, 2)],
+    }
+
     def test_run_wave_scatters_payloads_per_job(self):
-        configure_worker(cache_entries=16)
-        wave = {
-            "options": {"device": "A100", "backend": "auto",
-                        "k_schedule": [21, 33],
-                        "overflow_policy": "drop-contig"},
-            "jobs": [{"job_id": f"j{i}", "dat": make_dat(seed=i),
-                      "fingerprint": f"fp{i}"} for i in (1, 2)],
-        }
-        payloads = run_wave(wave)
+        payloads = run_wave(self.WAVE)
         assert len(payloads) == 2
         assert all(p["ok"] for p in payloads)
         assert payloads[0]["result"]["right"] != payloads[1]["result"]["right"]
+
+    def test_rerunning_a_wave_is_byte_identical_and_equals_solo(self):
+        """A retry, a bisection half or a re-dispatch must reproduce the
+        first run's payloads (the worker keeps nothing between waves)."""
+        first, again = run_wave(self.WAVE), run_wave(self.WAVE)
+        assert json.dumps(first, sort_keys=True) == \
+            json.dumps(again, sort_keys=True)
+        for job, payload in zip(self.WAVE["jobs"], again):
+            assert payload["result"] == solo_result(job["dat"], (21, 33))
 
     def test_run_wave_rejects_empty_wave(self):
         from repro.errors import ReproError
