@@ -152,8 +152,9 @@ def murmur2_batch(keys: np.ndarray, seed: int = 0) -> np.ndarray:
     """Vectorized MurmurHash2 over a ``(n, length)`` uint8 key matrix.
 
     Returns a ``uint32`` array of ``n`` digests, each identical to
-    ``murmur2(keys[i], seed)``. The word loop runs ``length // 4 + 1``
-    vectorized passes; there is no per-key Python loop.
+    ``murmur2(keys[i], seed)``. The word mix is one pass over all words;
+    only the two-op fold into ``h`` loops per word. There is no per-key
+    Python loop.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint8)
     if keys.ndim != 2:
@@ -164,24 +165,15 @@ def murmur2_batch(keys: np.ndarray, seed: int = 0) -> np.ndarray:
     with np.errstate(over="ignore"):
         nwords = length // 4
         if nwords:
-            words = (
-                keys[:, : nwords * 4]
-                .reshape(n, nwords, 4)
-                .astype(np.uint32)
-            )
-            # little-endian word assembly
-            w = (
-                words[:, :, 0]
-                | (words[:, :, 1] << np.uint32(8))
-                | (words[:, :, 2] << np.uint32(16))
-                | (words[:, :, 3] << np.uint32(24))
-            )
+            # little-endian word assembly is a reinterpretation of the
+            # key bytes, and the word mix does not depend on ``h``: it
+            # runs once over the whole (n, nwords) matrix
+            k = np.ascontiguousarray(keys[:, : nwords * 4]).view("<u4") * m
+            k ^= k >> np.uint32(MURMUR_R)
+            k *= m
             for j in range(nwords):
-                k = w[:, j] * m
-                k ^= k >> np.uint32(MURMUR_R)
-                k *= m
                 h *= m
-                h ^= k
+                h ^= k[:, j]
         tail = length - nwords * 4
         i = nwords * 4
         if tail == 3:

@@ -10,19 +10,27 @@ decision is warp-local), so the per-warp behaviour of a fused launch is
 what this module exploits:
 
 1. **Execute fused**: per k, every active job is planned with the
-   kernel's own launch policy (per-job binning is preserved); segments
-   that share an extension direction are concatenated with
+   kernel's own launch policy (per-job binning is preserved) and *all*
+   resulting segments — every bin, both extension directions, every
+   tenant — are concatenated with
    :func:`~repro.kernels.engine.prepare.concat_batches` and run through
-   construct + walk **once**, with ``defer_overflow`` always on and the
-   phases' attribution events enabled.
-2. **Record**: a single recorder subscriber turns the attribution
-   events (:class:`~repro.kernels.engine.events.WaveWarps` /
-   :class:`~repro.kernels.engine.events.ProbeWarps` /
-   :class:`~repro.kernels.engine.events.WalkStepWarps`) into per-segment
-   count vectors — and, when tracing or sanitizing, splits the slot /
-   write / read / barrier evidence per segment, rebased to each job's
-   local warp and slot numbering (a subtraction, because every segment
-   owns contiguous warp and slot ranges).
+   construct + walk **once**: one lockstep program per k, with
+   ``defer_overflow`` always on. Inside the launch the phases only
+   *log*: they append references to the per-iteration arrays they
+   already hold to the list the driver installs as their ``log``
+   (entry layout: :data:`~repro.kernels.engine.events.LOG_WAVE`);
+   nothing is counted in the probe loops. When tracing or sanitizing, a recorder
+   subscriber additionally locates each segment's share of the slot /
+   write / read / barrier evidence; replay slices it and rebases it to
+   the job's local warp and slot numbering (a subtraction, because
+   every segment owns contiguous warp and slot ranges).
+2. **Attribute after the fact**: once per launch, one vectorized pass
+   (:meth:`_LaunchRecord.attribute`: a single ``searchsorted`` of the
+   log's concatenated warps against the segment boundaries, then
+   ``bincount`` over ``segment x entry`` keys) turns the log into
+   per-segment count columns, stored sparsely — only the (segment,
+   entry) pairs in which the segment had lanes, i.e. exactly the events
+   its solo run emits. The log itself is cleared at launch end.
 3. **Replay per job**: each job's solo event stream is re-emitted, in
    solo launch order, through the kernel's own instrumentation stack
    (:meth:`LocalAssemblyKernel._build_bus`), so profiles, traffic,
@@ -63,32 +71,29 @@ from repro.genomics.dna import decode_matrix, reverse_complement_matrix
 from repro.hashing.opcount import hash_intops
 from repro.kernels.engine.backend import KernelRunResult
 from repro.kernels.engine.events import (
+    LOG_INSERT_ITER,
+    LOG_LOOKUP_ITER,
+    LOG_WALK_STEP,
+    LOG_WAVE,
     BarrierSync,
     ContigDropped,
     ContigRetried,
     EventBus,
     LaunchDone,
     LaunchStarted,
-    ProbeIteration,
-    ProbeWarps,
     SlotAccess,
     SlotRead,
     SlotWrite,
-    WalkStep,
-    WalkStepWarps,
-    WaveExecuted,
-    WaveWarps,
+    counted_events,
 )
 from repro.kernels.engine.prepare import (
     Batch,
     PrepareCache,
     concat_batches,
-    run_length_sorted,
     subset_batch,
 )
 from repro.kernels.engine.schedule import (
     MISSING_CODE,
-    LaunchConfig,
     LaunchPlan,
     SideArrays,
     merge_k_side,
@@ -124,141 +129,123 @@ class CoalescedJobResult:
 # ----------------------------------------------------------------------
 
 
-class _LaunchRecord:
-    """Everything one fused launch recorded, shared by its segments."""
+_NO_LANES = np.empty(0, dtype=np.int64)
 
-    __slots__ = ("warp_base", "slot_base", "tokens")
+#: Log-entry kind of recorded evidence (after the phases' count kinds).
+_LOG_EVIDENCE = LOG_WALK_STEP + 1
+_EVIDENCE_ENTRY = (_LOG_EVIDENCE, _NO_LANES, None, None, None, None)
+
+
+class _LaunchRecord:
+    """One fused launch, attributed: what every segment's solo run emits.
+
+    ``rows`` / ``counts`` are CSR-like over segments: segment ``s`` owns
+    columns ``ptr[s]:ptr[s + 1]``, one per log entry in which it had
+    lanes, in emission order. ``rows`` is the entry's log position,
+    ``kinds[rows]`` its kind, and the six ``counts`` rows are the
+    tallies :func:`~repro.kernels.engine.events.counted_events` takes:
+    lanes, distinct warps, ``m0`` / ``m1`` / ``m2`` / ``idx``. ``evidence``
+    maps the log position of an array-carrying event to ``(event,
+    split)``: segment ``s`` owns elements ``split[s]:split[s + 1]``.
+    """
+
+    __slots__ = ("warp_base", "slot_base", "log", "kinds", "ptr", "rows",
+                 "counts", "evidence")
 
     def __init__(self, warp_base: np.ndarray, slot_base: np.ndarray) -> None:
         self.warp_base = warp_base      # (n_segs + 1) fused warp offsets
         self.slot_base = slot_base      # (n_segs + 1) fused slot offsets
-        self.tokens: list[tuple] = []   # ordered per-event decompositions
+        self.log: list = []             # the phases' attribution log
+        self.evidence: dict[int, tuple] = {}
+        # a launch that logged nothing (no insertions, no valid seed)
+        self.kinds = self.rows = np.empty(0, dtype=np.int64)
+        self.ptr = np.zeros(warp_base.size, dtype=np.int64)
+        self.counts = np.empty((6, 0), dtype=np.int64)
+
+    def attribute(self) -> None:
+        """Reduce the finished launch's log to per-segment counts; clear it.
+
+        One ``searchsorted`` places every logged lane in its segment;
+        every count is then a ``bincount`` over ``segment * n_entries +
+        entry`` keys, masked by the logged column. Distinct warps are
+        run starts (every entry's ``warps`` is non-decreasing).
+        """
+        log = self.log
+        if not log:
+            return
+        n_seg, n_tok = self.warp_base.size - 1, len(log)
+        sizes = np.fromiter((e[1].size for e in log), dtype=np.int64,
+                            count=n_tok)
+        starts = np.cumsum(sizes) - sizes
+        warps = np.concatenate([e[1] for e in log])
+        key = np.searchsorted(self.warp_base, warps, side="right") - 1
+        key *= n_tok
+        key += np.repeat(np.arange(n_tok), sizes)
+        first = np.ones(warps.size, dtype=bool)
+        np.not_equal(warps[1:], warps[:-1], out=first[1:])
+        first[starts[sizes > 0]] = True
+        absent = np.zeros(int(sizes.max()), dtype=bool)
+
+        def tally(select: np.ndarray) -> np.ndarray:
+            return np.bincount(key[select], minlength=n_seg * n_tok)
+
+        def column(j: int) -> np.ndarray:
+            return np.concatenate([e[j] if e[j] is not None
+                                   else absent[:e[1].size] for e in log])
+
+        lanes = np.bincount(key, minlength=n_seg * n_tok)
+        for pos, (_, split) in self.evidence.items():
+            lanes[pos::n_tok] = np.diff(split)
+        picked = np.concatenate([_NO_LANES] + [
+            e[5] + st for e, st in zip(log, starts.tolist())
+            if e[5] is not None])
+        present = np.nonzero(lanes)[0]
+        self.counts = np.stack([
+            lanes[present], tally(first)[present],
+            tally(column(2))[present], tally(column(3))[present],
+            tally(column(4))[present], tally(picked)[present]])
+        self.kinds = np.fromiter((e[0] for e in log), dtype=np.int64,
+                                 count=n_tok)
+        self.ptr = np.searchsorted(present, np.arange(n_seg + 1) * n_tok)
+        self.rows = present % n_tok
+        # in place: the phases hold the same list until the next launch
+        log.clear()
 
 
-class _FusionRecorder:
-    """Subscriber decomposing a fused launch's events per segment.
+class _EvidenceRecorder:
+    """Subscriber placing a fused launch's array evidence per segment.
 
-    Count-bearing events become per-segment count vectors (bincounts
-    over the warp-sorted attribution arrays, via ``searchsorted``
-    against the segment warp boundaries); evidence events carrying
-    arrays (slot traces, sanitizer writes/reads/barriers) are pre-split
-    and *rebased* to segment-local warp/slot numbering at record time,
-    so replay is pure indexing. Which evidence classes are recorded
+    Slot traces and sanitizer writes / reads / barriers are split per
+    segment at record time (a binary search against the segment
+    boundaries; replay slices and rebases) and take a placeholder
+    position in the launch's attribution log, which keeps them ordered
+    among the counted events. Which evidence classes are recorded
     follows what the per-job replay buses will want (``handled_events``
     is built accordingly — the phases' ``bus.wants`` gating then skips
     unrecorded evidence in the fused run too).
     """
 
-    def __init__(self, want_slots: bool, want_writes: bool,
-                 want_reads: bool, want_sync: bool) -> None:
-        handled = [WaveWarps, ProbeWarps, WalkStepWarps]
-        if want_slots:
-            handled.append(SlotAccess)
-        if want_writes:
-            handled.append(SlotWrite)
-        if want_reads:
-            handled.append(SlotRead)
-        if want_sync:
-            handled.append(BarrierSync)
-        self.handled_events = tuple(handled)
-        self._rec: _LaunchRecord | None = None
-
-    def begin_launch(self, warp_base: np.ndarray,
-                     tables: WarpHashTables) -> None:
-        self._rec = _LaunchRecord(warp_base, tables.offsets[warp_base])
-
-    def end_launch(self) -> _LaunchRecord:
-        rec, self._rec = self._rec, None
-        assert rec is not None
-        return rec
-
-    # -- per-segment decompositions ------------------------------------
-
-    def _counts(self, warps: np.ndarray) -> np.ndarray:
-        """Per-segment element counts of a warp-sorted array."""
-        return np.diff(np.searchsorted(warps, self._rec.warp_base))
-
-    def _distinct(self, warps: np.ndarray) -> np.ndarray:
-        """Per-segment distinct-warp counts of a warp-sorted array."""
-        uniq = run_length_sorted(warps)[0]
-        return np.diff(np.searchsorted(uniq, self._rec.warp_base))
-
-    def _split_slots(self, slots: np.ndarray) -> list[np.ndarray]:
-        """Per-segment rebased slices of a warp-grouped slot array.
-
-        The array is not globally sorted (slots within one warp's region
-        arrive in probe order), but every segment boundary *partitions*
-        it — all earlier elements are below the boundary slot, all later
-        ones at or above — so per-boundary binary search is exact.
-        """
-        rec = self._rec
-        ptr = np.searchsorted(slots, rec.slot_base)
-        return [slots[ptr[s]:ptr[s + 1]] - rec.slot_base[s]
-                for s in range(rec.warp_base.size - 1)]
-
-    def _split_by_warps(self, warps: np.ndarray, slots: np.ndarray,
-                        lanes: np.ndarray | None) -> list[tuple]:
-        rec = self._rec
-        ptr = np.searchsorted(warps, rec.warp_base)
-        out = []
-        for s in range(rec.warp_base.size - 1):
-            sl = slice(ptr[s], ptr[s + 1])
-            out.append((slots[sl] - rec.slot_base[s],
-                        warps[sl] - rec.warp_base[s],
-                        lanes[sl] if lanes is not None else None))
-        return out
-
-    def _split_barrier(self, event: BarrierSync) -> list[tuple]:
-        rec = self._rec
-        ptr = np.searchsorted(event.warps, rec.warp_base)
-        out = []
-        for s in range(rec.warp_base.size - 1):
-            sl = slice(ptr[s], ptr[s + 1])
-            out.append((event.warps[sl] - rec.warp_base[s],
-                        event.mask_lanes[sl], event.active_lanes[sl]))
-        return out
+    def __init__(self, probe_bus: EventBus) -> None:
+        self.handled_events = tuple(
+            cls for cls in (SlotAccess, SlotWrite, SlotRead, BarrierSync)
+            if probe_bus.wants(cls))
+        #: The launch in flight; the driver sets it before each launch.
+        self.launch: _LaunchRecord
 
     def handle(self, event, bus) -> None:
-        rec = self._rec
-        if rec is None:
+        launch = self.launch
+        if isinstance(event, SlotAccess):
+            # Not globally sorted (slots within one warp's region arrive
+            # in probe order), but every segment boundary *partitions*
+            # the array — all earlier elements are below the boundary
+            # slot, all later ones at or above — so the search is exact.
+            split = np.searchsorted(event.slots, launch.slot_base)
+        elif isinstance(event, (SlotWrite, SlotRead, BarrierSync)):
+            split = np.searchsorted(event.warps, launch.warp_base)
+        else:
             return
-        t = type(event)
-        tokens = rec.tokens
-        if t is ProbeWarps:
-            if event.phase == "construct":
-                tokens.append(("citer",
-                               self._counts(event.pending_warps),
-                               self._distinct(event.pending_warps),
-                               self._counts(event.compare_warps),
-                               self._counts(event.cas_warps),
-                               self._counts(event.matched_warps),
-                               self._counts(event.claimed_warps),
-                               self._counts(event.merged_warps)))
-            else:
-                tokens.append(("witer",
-                               self._counts(event.pending_warps),
-                               self._counts(event.compare_warps)))
-        elif t is WaveWarps:
-            tokens.append(("wave", self._counts(event.lane_warps),
-                           self._distinct(event.lane_warps)))
-        elif t is WalkStepWarps:
-            tokens.append(("wstep", self._counts(event.walker_warps),
-                           self._counts(event.vote_read_warps),
-                           self._counts(event.commit_warps)))
-        elif t is SlotAccess:
-            tokens.append(("slots", event.kind,
-                           self._split_slots(event.slots)))
-        elif t is SlotWrite:
-            tokens.append(("swrite", event.phase, event.kind, event.atomic,
-                           self._split_by_warps(event.warps, event.slots,
-                                                event.lanes)))
-        elif t is SlotRead:
-            tokens.append(("sread", event.phase, event.kind,
-                           self._split_by_warps(event.warps, event.slots,
-                                                None)))
-        elif t is BarrierSync:
-            tokens.append(("barrier", event.phase,
-                           self._split_barrier(event)))
+        launch.evidence[len(launch.log)] = (event, split)
+        launch.log.append(_EVIDENCE_ENTRY)
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +258,7 @@ class _AttemptRecord:
     """One segment's share of one fused launch (one overflow attempt)."""
 
     sub: Batch                      # the segment's batch for this attempt
-    launch: _LaunchRecord           # shared token log of the fused launch
+    launch: _LaunchRecord           # the attributed fused launch (shared)
     pos: int                        # this segment's index in the launch
     context: LaunchStarted          # the segment's solo launch context
     base_codes: np.ndarray          # wres slices for the solo scatter
@@ -350,26 +337,40 @@ def _segment_context(sub: Batch, k: int, ops: int,
     )
 
 
+def _launch(subs: list[Batch], k: int, construct, walker, bus: EventBus,
+            recorder: _EvidenceRecorder) -> tuple:
+    """One lockstep program over ``subs``: ``(launch, cres, wres)``.
+
+    The fused batch and its tables — the bulk of a wave's memory — die
+    with this frame, before the log is reduced.
+    """
+    fused, warp_base = concat_batches(subs)
+    tables = WarpHashTables(fused.capacities, k)
+    launch = _LaunchRecord(warp_base, tables.offsets[warp_base])
+    construct.log = walker.log = launch.log
+    recorder.launch = launch
+    return (launch, construct.run(fused, tables, bus),
+            walker.run(fused, tables, bus))
+
+
 def _run_fused_group(kernel, group: list[_Segment], k: int, ops: int,
                      construct, walker, bus: EventBus,
-                     recorder: _FusionRecorder, with_contig_ids: bool) -> None:
+                     recorder: _EvidenceRecorder,
+                     with_contig_ids: bool) -> None:
     """Run one fused launch (plus grow-retry re-launches) over ``group``.
 
     Every launch fuses only the still-retrying segments; each segment's
-    per-attempt record (token log share, result slices, failures) lands
-    in ``segment.records`` for the replay pass.
+    per-attempt record (its share of the attributed launch, result
+    slices, failures) lands in ``segment.records`` for the replay pass.
     """
     grow = kernel.overflow_policy is OverflowPolicy.GROW_RETRY
     live = list(range(len(group)))
     attempt = 0
     while True:
-        subs = [group[i].sub for i in live]
-        fused, warp_base = concat_batches(subs)
-        tables = WarpHashTables(fused.capacities, k)
-        recorder.begin_launch(warp_base, tables)
-        cres = construct.run(fused, tables, bus)
-        wres = walker.run(fused, tables, bus)
-        launch = recorder.end_launch()
+        launch, cres, wres = _launch([group[i].sub for i in live], k,
+                                     construct, walker, bus, recorder)
+        launch.attribute()
+        warp_base = launch.warp_base
         failed_global = sorted(set(cres.overflowed) | set(wres.overflowed))
         any_failed = False
         retry_live: list[int] = []
@@ -413,76 +414,57 @@ def _run_fused_group(kernel, group: list[_Segment], k: int, ops: int,
 
 
 def _replay_attempt(rec: _AttemptRecord, bus: EventBus) -> LaunchDone:
-    """Re-emit one segment's solo event stream from the fused token log.
+    """Re-emit one segment's solo event stream from the attributed launch.
 
-    Emits ``LaunchStarted``, the segment's share of every token (skipped
-    when the share is empty — exactly the condition under which the solo
-    loops would not have emitted the event), and returns the per-segment
-    ``LaunchDone`` for the caller to emit after any scatter bookkeeping.
+    Emits ``LaunchStarted`` and one event per log entry in which the
+    segment had lanes (exactly the condition under which the solo loops
+    emit it), and returns the per-segment ``LaunchDone`` for the caller
+    to emit after any scatter bookkeeping.
     """
-    s = rec.pos
+    launch, s = rec.launch, rec.pos
     bus.emit(rec.context)
-    waves = citers = wsteps = witers = 0
-    for tok in rec.launch.tokens:
-        kind = tok[0]
-        if kind == "citer":
-            lanes = int(tok[1][s])
-            if lanes:
-                bus.emit(ProbeIteration(
-                    phase="construct", lanes=lanes, warps=int(tok[2][s]),
-                    key_compares=int(tok[3][s]), cas_attempts=int(tok[4][s]),
-                    votes_matched=int(tok[5][s]),
-                    votes_claimed=int(tok[6][s]),
-                    votes_merged=int(tok[7][s])))
-                citers += 1
-        elif kind == "wave":
-            lanes = int(tok[1][s])
-            if lanes:
-                bus.emit(WaveExecuted(lanes=lanes, warps=int(tok[2][s])))
-                waves += 1
-        elif kind == "witer":
-            lanes = int(tok[1][s])
-            if lanes:
-                bus.emit(ProbeIteration(phase="walk", lanes=lanes,
-                                        warps=lanes,
-                                        key_compares=int(tok[2][s])))
-                witers += 1
-        elif kind == "wstep":
-            walkers = int(tok[1][s])
-            if walkers:
-                bus.emit(WalkStep(walkers=walkers,
-                                  vote_reads=int(tok[2][s]),
-                                  bases_committed=int(tok[3][s])))
-                wsteps += 1
-        elif kind == "slots":
-            chunk = tok[2][s]
-            if chunk.size:
-                bus.emit(SlotAccess(slots=chunk, kind=tok[1]))
-        elif kind == "swrite":
-            slots_s, warps_s, lanes_s = tok[4][s]
-            if warps_s.size:
-                bus.emit(SlotWrite(phase=tok[1], kind=tok[2], slots=slots_s,
-                                   warps=warps_s, lanes=lanes_s,
-                                   atomic=tok[3]))
-        elif kind == "sread":
-            slots_s, warps_s, _ = tok[3][s]
-            if warps_s.size:
-                bus.emit(SlotRead(phase=tok[1], kind=tok[2], slots=slots_s,
-                                  warps=warps_s))
-        elif kind == "barrier":
-            warps_s, mask_s, active_s = tok[2][s]
-            if warps_s.size:
-                bus.emit(BarrierSync(phase=tok[1], warps=warps_s,
-                                     mask_lanes=mask_s,
-                                     active_lanes=active_s))
+    mine = slice(launch.ptr[s], launch.ptr[s + 1])
+    rows = launch.rows[mine]
+    kinds = launch.kinds[rows]
+    counted = counted_events(kinds.tolist(),
+                             *launch.counts[:, mine].tolist())
+    for row, count_event in zip(rows.tolist(), counted):
+        if count_event is not None:
+            bus.emit(count_event)
+        else:
+            event, split = launch.evidence[row]
+            own = slice(split[s], split[s + 1])
+            warp_lo, slot_lo = launch.warp_base[s], launch.slot_base[s]
+            if isinstance(event, SlotAccess):
+                bus.emit(SlotAccess(slots=event.slots[own] - slot_lo,
+                                    kind=event.kind))
+            elif isinstance(event, SlotWrite):
+                bus.emit(SlotWrite(
+                    phase=event.phase, kind=event.kind,
+                    slots=event.slots[own] - slot_lo,
+                    warps=event.warps[own] - warp_lo,
+                    lanes=(event.lanes[own] if event.lanes is not None
+                           else None),
+                    atomic=event.atomic))
+            elif isinstance(event, SlotRead):
+                bus.emit(SlotRead(phase=event.phase, kind=event.kind,
+                                  slots=event.slots[own] - slot_lo,
+                                  warps=event.warps[own] - warp_lo))
+            else:
+                bus.emit(BarrierSync(phase=event.phase,
+                                     warps=event.warps[own] - warp_lo,
+                                     mask_lanes=event.mask_lanes[own],
+                                     active_lanes=event.active_lanes[own]))
     # The max_walk_len cutoff step runs without emitting a WalkStep
     # (the solo loop breaks first) but still counts as a walk step; any
     # MAX_LEN terminal in this attempt's slice proves the segment had
     # walkers alive at the cutoff.
-    if bool((rec.state_codes == _MAX_LEN_CODE).any()):
-        wsteps += 1
-    return LaunchDone(waves=waves, construct_iterations=citers,
-                      walk_steps=wsteps, walk_iterations=witers)
+    per_kind = np.bincount(kinds, minlength=_LOG_EVIDENCE + 1).tolist()
+    cutoff = bool((rec.state_codes == _MAX_LEN_CODE).any())
+    return LaunchDone(waves=per_kind[LOG_WAVE],
+                      construct_iterations=per_kind[LOG_INSERT_ITER],
+                      walk_steps=per_kind[LOG_WALK_STEP] + cutoff,
+                      walk_iterations=per_kind[LOG_LOOKUP_ITER])
 
 
 def _solo_overflow_error(rec: _AttemptRecord, k: int) -> HashTableFullError:
@@ -511,7 +493,7 @@ def _replay_job_k(kernel, state: _JobState, k: int,
 
     Mirrors ``LocalAssemblyKernel.run`` (launch loop, scatter, overflow
     bookkeeping) and the ``run_schedule`` accumulation around it, but
-    fed from the fused token logs instead of executing phases.
+    fed from the attributed fused launches instead of executing phases.
     """
     profile = KernelProfile(warp_size=kernel.warp_size)
     profile.walk_issue_width = (1 if kernel.lane_parallel_walks
@@ -655,27 +637,20 @@ def run_schedule_coalesced(
 
     # What the per-job replay buses will want decides which evidence the
     # fused run must record (and therefore emit): probe with a throwaway
-    # instrumentation stack built exactly like the replay ones.
+    # instrumentation stack built exactly like the replay ones. Counts
+    # never travel the fused bus (the phases log them), so with no
+    # evidence wanted it has no subscriber at all.
     probe_bus, _, _, _, _ = kernel._build_bus(
         KernelProfile(warp_size=kernel.warp_size), parallel_scale)
-    recorder = _FusionRecorder(
-        want_slots=probe_bus.wants(SlotAccess),
-        want_writes=probe_bus.wants(SlotWrite),
-        want_reads=probe_bus.wants(SlotRead),
-        want_sync=probe_bus.wants(BarrierSync),
-    )
+    recorder = _EvidenceRecorder(probe_bus)
     fused_bus = EventBus()
-    fused_bus.subscribe(recorder)
+    if recorder.handled_events:
+        fused_bus.subscribe(recorder)
     construct = kernel.construct_cls(kernel.protocol, kernel.warp_size,
-                                     defer_overflow=True, attribution=True)
+                                     defer_overflow=True)
     walker = kernel.walk_cls(kernel.policy, kernel.max_walk_len, kernel.seed,
-                             defer_overflow=True, attribution=True)
-    # reserve at most ~25% of HBM for tables in one launch (solo default)
-    max_batch_insertions = int(
-        kernel.device.hbm_bytes * 0.25 * kernel.load_factor / SLOT_BYTES)
-    config = LaunchConfig(depth_ratio=2.0,
-                          max_batch_insertions=max_batch_insertions,
-                          load_factor=kernel.load_factor)
+                             defer_overflow=True)
+    config = kernel.launch_config()
 
     for k in k_schedule:
         active = [s for s in states if not s.done]
@@ -683,7 +658,7 @@ def run_schedule_coalesced(
             break
         ops = hash_intops(k)
         with_contig_ids = bool(kernel.sanitize_checks)
-        by_end: dict[End, list[_Segment]] = {}
+        group: list[_Segment] = []
         for s in active:
             s.last_k = k
             s.segments = []
@@ -692,10 +667,10 @@ def run_schedule_coalesced(
                                               k, cache=s.cache)
                 seg = _Segment(state=s, plan=plan, sub=sub)
                 s.segments.append(seg)
-                by_end.setdefault(plan.end, []).append(seg)
-        for group in by_end.values():
-            _run_fused_group(kernel, group, k, ops, construct, walker,
-                             fused_bus, recorder, with_contig_ids)
+                group.append(seg)
+        # one lockstep program per k: every bin, both ends, every tenant
+        _run_fused_group(kernel, group, k, ops, construct, walker,
+                         fused_bus, recorder, with_contig_ids)
         for s in active:
             _replay_job_k(kernel, s, k, parallel_scale)
 

@@ -32,15 +32,14 @@ import numpy as np
 
 from repro.errors import HashTableFullError
 from repro.kernels.engine.events import (
-    NO_WARPS,
     BarrierSync,
     EventBus,
     ProbeIteration,
-    ProbeWarps,
     SlotAccess,
     SlotWrite,
     WaveExecuted,
-    WaveWarps,
+    insert_entry,
+    wave_entry,
 )
 from repro.kernels.engine.prepare import (
     Batch,
@@ -74,17 +73,17 @@ class ConstructPhase:
     """
 
     def __init__(self, protocol, warp_size: int,
-                 defer_overflow: bool = False,
-                 attribution: bool = False) -> None:
+                 defer_overflow: bool = False) -> None:
         self.protocol = protocol
         self.warp_size = warp_size
         self.defer_overflow = defer_overflow
-        #: Emit per-warp attribution evidence (WaveWarps / ProbeWarps) so
-        #: a multi-tenant megabatch can be decomposed per job. Explicit
-        #: opt-in (the coalescing driver sets it): wants-gating alone
-        #: would also fire for declare-nothing subscribers like the bench
-        #: EventCounter, changing solo event streams.
-        self.attribution = attribution
+        #: The launch's attribution log (``None`` = off): the arrays
+        #: behind every wave and probe iteration, appended by reference
+        #: (entry layout: :data:`~repro.kernels.engine.events.LOG_WAVE`),
+        #: so a multi-tenant megabatch can be decomposed per job after
+        #: the launch. The coalescing driver installs a fresh list
+        #: before each launch.
+        self.log: list | None = None
         # Wave-local vote accumulator (see :meth:`_vote`): ``None`` means
         # votes apply immediately (the scalar oracle path).
         self._vote_acc: tuple | None = None
@@ -147,7 +146,7 @@ WarpHashTables.vote` call per wave instead of up to three per probe
         dead = np.zeros(n_warps, dtype=bool)
         overflowed: list[int] = []
         want_lanes = bus.wants(SlotWrite)
-        emit_warpstats = self.attribution and bus.wants(WaveWarps)
+        log = self.log
         # Construction never reads the vote counters back (only the walk
         # phase does, after this method returns), so the megabatch wave
         # loop queues every vote and applies them in one compacted
@@ -171,8 +170,8 @@ WarpHashTables.vote` call per wave instead of up to three per probe
             else:
                 wave_warps = int(np.count_nonzero(take))
             bus.emit(WaveExecuted(lanes=idx.size, warps=wave_warps))
-            if emit_warpstats:
-                bus.emit(WaveWarps(lane_warps=batch.ins_warp[idx]))
+            if log is not None:
+                log.append(wave_entry(batch.ins_warp[idx]))
             waves_run += 1
             # lane id within the warp's wave, for sanitizer provenance
             lanes = (idx - lo[batch.ins_warp[idx]]) if want_lanes else None
@@ -230,7 +229,7 @@ ScalarOracleConstructPhase`.
         emit_slots = bus.wants(SlotAccess)
         emit_writes = bus.wants(SlotWrite)
         emit_sync = bus.wants(BarrierSync)
-        emit_probe_warps = self.attribution and bus.wants(ProbeWarps)
+        log = self.log
         want_sync = emit_sync and proto.iteration_syncs
         # Probe offsets grow by at most one per iteration, so no lane can
         # wrap before iteration min(caps): skip the overflow scan until
@@ -281,7 +280,7 @@ ScalarOracleConstructPhase`.
             key_compares = int(np.count_nonzero(occupied))
 
             votes_matched = 0
-            cas_w = claim_w = merge_w = NO_WARPS
+            win = None
             match = occupied & (slot_fp == fpp)
             done = match
             midx = np.nonzero(match)[0]
@@ -301,15 +300,11 @@ ScalarOracleConstructPhase`.
                                             wp[e], lane_of(sel), bus,
                                             emit_writes)
                 cas_attempts = e.size  # every empty observer issues a CAS
-                if emit_probe_warps:
-                    cas_w = wp[e]
                 win = e[winners_local]
                 sel = p[win]
                 self._vote(tables, slots[win], exts[sel], his[sel],
                            wp[win], lane_of(sel), bus, emit_writes)
                 votes_claimed = win.size
-                if emit_probe_warps:
-                    claim_w = wp[win]
                 done = done.copy()
                 done[win] = True
                 losers = e[~winners_local]
@@ -324,8 +319,6 @@ ScalarOracleConstructPhase`.
                         self._vote(tables, slots[m], exts[sel], his[sel],
                                    wp[m], lane_of(sel), bus, emit_writes)
                         votes_merged = m.size
-                        if emit_probe_warps:
-                            merge_w = wp[m]
                         done[m] = True
                 # HIP/SYCL losers retry next iteration at the same probe.
 
@@ -337,18 +330,13 @@ ScalarOracleConstructPhase`.
                 votes_matched=votes_matched, votes_claimed=votes_claimed,
                 votes_merged=votes_merged,
             ))
-            if emit_probe_warps:
-                bus.emit(ProbeWarps(
-                    phase="construct", pending_warps=wp,
-                    compare_warps=wp[occupied], cas_warps=cas_w,
-                    matched_warps=wp[midx], claimed_warps=claim_w,
-                    merged_warps=merge_w,
-                ))
             retired = votes_matched + votes_claimed + votes_merged
             # Occupied-but-mismatched lanes advance their probe; a single
             # elementwise add of the boolean beats masked assignment.
             occupied ^= match
             probe_p += occupied
+            if log is not None:
+                log.append(insert_entry(wp, occupied, match, done, win))
             if retired:
                 # One ``nonzero`` shared by all seven gathers (boolean
                 # masks would re-derive the index list per array).

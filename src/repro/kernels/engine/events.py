@@ -180,54 +180,85 @@ class BarrierSync:
     active_lanes: np.ndarray      #: lanes actually active at the barrier
 
 
-#: Shared empty warp array for attribution events with no entries.
-NO_WARPS = np.empty(0, dtype=np.int64)
+#: Entry kinds of a launch's *attribution log*. A phase whose ``log``
+#: attribute is a list (the coalescing driver installs one per launch;
+#: ``None`` = off) appends one entry per count-bearing event — built by
+#: the ``*_entry`` helpers below from references to the arrays the loop
+#: already holds, so logging costs one ``list.append`` and nothing is
+#: counted inside the loop. An entry is ``(kind, warps, m0, m1, m2,
+#: idx)``: ``warps`` the issuing warp of every counted lane (sorted),
+#: ``m0..m2`` boolean masks and ``idx`` an index array aligned with it
+#: (``None`` where a kind has none). The driver
+#: (:mod:`repro.kernels.engine.coalesce`) reduces a finished launch's
+#: log to per-segment tallies in one vectorized pass — lanes, distinct
+#: warps, then one tally per column — and :func:`counted_events` turns
+#: a segment's tallies back into the events its solo run emits. The log
+#: holds O(sum of pending lanes) array references for one launch.
+LOG_WAVE, LOG_INSERT_ITER, LOG_LOOKUP_ITER, LOG_WALK_STEP = range(4)
 
 
-@dataclass(frozen=True)
-class WaveWarps:
-    """Attribution evidence for one construction wave (coalescing).
+def wave_entry(lane_warps: np.ndarray) -> tuple:
+    """Log entry of one construction wave (a :class:`WaveExecuted`)."""
+    return (LOG_WAVE, lane_warps, None, None, None, None)
 
-    Carries the issuing warp id of every hashed lane so a multi-tenant
-    megabatch launch can be decomposed back into per-job event streams
-    (:mod:`repro.kernels.engine.coalesce`). Gated on ``bus.wants`` —
-    only the coalescing recorder subscribes, so solo runs never build
-    these arrays.
+
+def insert_entry(pending_warps: np.ndarray, mismatched: np.ndarray,
+                 matched: np.ndarray, retired: np.ndarray,
+                 cas_winners: np.ndarray | None) -> tuple:
+    """Log entry of one insert-probe iteration.
+
+    ``mismatched`` / ``matched`` split the occupied slots by key compare
+    outcome, ``retired`` marks lanes that voted this iteration (matched,
+    claimed or merged) and ``cas_winners`` indexes the fresh CAS winners
+    (``None``: no slot was observed empty).
     """
+    return (LOG_INSERT_ITER, pending_warps, mismatched, matched, retired,
+            cas_winners)
 
-    lane_warps: np.ndarray        #: warp per hashed lane (non-decreasing)
+
+def lookup_entry(pending_warps: np.ndarray, occupied: np.ndarray) -> tuple:
+    """Log entry of one walk lookup-probe iteration."""
+    return (LOG_LOOKUP_ITER, pending_warps, occupied, None, None, None)
 
 
-@dataclass(frozen=True)
-class ProbeWarps:
-    """Attribution evidence for one lockstep probe iteration (coalescing).
+def walk_entry(walker_warps: np.ndarray, found: np.ndarray,
+               committed: np.ndarray | None) -> tuple:
+    """Log entry of one walk step: ``found`` masks the walkers whose key
+    resolved (vote rows read), ``committed`` indexes those that accepted
+    a base (``None``: nobody advanced)."""
+    return (LOG_WALK_STEP, walker_warps, found, None, None, committed)
 
-    Mirrors :class:`ProbeIteration` with the *warp id behind every
-    counted unit*, so per-job shares of lanes / key compares / CAS
-    claims / votes are bincounts over these arrays. The vote/CAS fields
-    are empty for ``phase="walk"``. Gated on ``bus.wants``.
+
+def counted_events(kinds: list, lanes: list, warps: list, m0: list,
+                   m1: list, m2: list, idx: list):
+    """Yield the solo events behind one segment's tallies of its entries.
+
+    One event per entry, made as it is consumed: ``lanes`` / ``warps``
+    count the segment's entries / distinct values in the entry's
+    ``warps``; ``m0..m2`` and ``idx`` count its share of the like-named
+    columns (the ``*_entry`` helpers say what each kind stores there).
+    An entry of a kind not listed here (the driver's own placeholders)
+    yields ``None``.
     """
-
-    phase: str                    #: "construct" | "walk"
-    pending_warps: np.ndarray     #: warp per pending lane (non-decreasing)
-    compare_warps: np.ndarray     #: warp per key compare issued
-    cas_warps: np.ndarray         #: warp per atomicCAS claim attempt
-    matched_warps: np.ndarray     #: warp per vote into a pre-existing key
-    claimed_warps: np.ndarray     #: warp per fresh-CAS-winner vote
-    merged_warps: np.ndarray      #: warp per same-iteration loser merge
-
-
-@dataclass(frozen=True)
-class WalkStepWarps:
-    """Attribution evidence for one lockstep walk step (coalescing).
-
-    Mirrors :class:`WalkStep` with per-unit warp ids. Gated on
-    ``bus.wants``.
-    """
-
-    walker_warps: np.ndarray      #: warp per walker executing this step
-    vote_read_warps: np.ndarray   #: warp per vote-row read
-    commit_warps: np.ndarray      #: warp per base committed
+    for kind, n, w, c0, c1, c2, ci in zip(kinds, lanes, warps, m0, m1, m2,
+                                          idx):
+        if kind == LOG_INSERT_ITER:
+            # every pending lane either compared a key or issued a CAS;
+            # retired = matched + claimed (the CAS winners) + merged
+            yield ProbeIteration(
+                phase="construct", lanes=n, warps=w, key_compares=c0 + c1,
+                cas_attempts=n - c0 - c1, votes_matched=c1,
+                votes_claimed=ci, votes_merged=c2 - c1 - ci)
+        elif kind == LOG_WAVE:
+            yield WaveExecuted(lanes=n, warps=w)
+        elif kind == LOG_LOOKUP_ITER:
+            # one lookup lane per walking warp
+            yield ProbeIteration(phase="walk", lanes=n, warps=n,
+                                 key_compares=c0)
+        elif kind == LOG_WALK_STEP:
+            yield WalkStep(walkers=n, vote_reads=c0, bases_committed=ci)
+        else:
+            yield None
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,21 @@ class LocalAssemblyKernel:
             bus.subscribe(sub)
         return bus, traffic, tracer, replayer, sanitizer
 
+    def launch_config(self, depth_ratio: float = 2.0,
+                      max_batch_insertions: int | None = None) -> LaunchConfig:
+        """The launch policy's inputs for this kernel — the one place the
+        defaults live, so solo runs and coalesced waves plan identically
+        (any drift would break byte-identity for jobs that split bins).
+        """
+        if max_batch_insertions is None:
+            # reserve at most ~25% of HBM for tables in one launch
+            max_batch_insertions = int(
+                self.device.hbm_bytes * 0.25 * self.load_factor / SLOT_BYTES
+            )
+        return LaunchConfig(depth_ratio=depth_ratio,
+                            max_batch_insertions=max_batch_insertions,
+                            load_factor=self.load_factor)
+
     # ------------------------------------------------------------------
 
     def run(
@@ -263,16 +278,8 @@ class LocalAssemblyKernel:
         """
         if parallel_scale <= 0 or parallel_scale > 1:
             raise KernelError(f"parallel_scale must be in (0, 1], got {parallel_scale}")
-        if max_batch_insertions is None:
-            # reserve at most ~25% of HBM for tables in one launch
-            max_batch_insertions = int(
-                self.device.hbm_bytes * 0.25 * self.load_factor / SLOT_BYTES
-            )
-        plans = self.launch_policy.plan(contigs, k, LaunchConfig(
-            depth_ratio=depth_ratio,
-            max_batch_insertions=max_batch_insertions,
-            load_factor=self.load_factor,
-        ))
+        plans = self.launch_policy.plan(contigs, k, self.launch_config(
+            depth_ratio, max_batch_insertions))
         profile = KernelProfile(warp_size=self.warp_size)
         profile.walk_issue_width = 1 if self.lane_parallel_walks else self.warp_size
         profile.contigs = len(contigs)

@@ -47,14 +47,13 @@ from repro.genomics.dna import decode_matrix, encode
 from repro.genomics.kmer import fingerprint_matrix, shift_fingerprints
 from repro.hashing.murmur import murmur2_batch
 from repro.kernels.engine.events import (
-    NO_WARPS,
     EventBus,
     ProbeIteration,
-    ProbeWarps,
     SlotAccess,
     SlotRead,
     WalkStep,
-    WalkStepWarps,
+    lookup_entry,
+    walk_entry,
 )
 from repro.kernels.engine.prepare import Batch
 from repro.kernels.vectortable import WarpHashTables
@@ -192,16 +191,15 @@ class WalkPhase:
 
     def __init__(self, policy: WalkPolicy = DEFAULT_POLICY,
                  max_walk_len: int = DEFAULT_MAX_WALK_LEN,
-                 seed: int = 0, defer_overflow: bool = False,
-                 attribution: bool = False) -> None:
+                 seed: int = 0, defer_overflow: bool = False) -> None:
         self.policy = policy
         self.max_walk_len = max_walk_len
         self.seed = seed
         self.defer_overflow = defer_overflow
-        #: Emit per-warp attribution evidence (ProbeWarps/WalkStepWarps)
-        #: for multi-tenant decomposition; explicit opt-in by the
-        #: coalescing driver (see :class:`ConstructPhase`).
-        self.attribution = attribution
+        #: The launch's attribution log (``None`` = off), shared with
+        #: :class:`ConstructPhase` (see there): one entry per lookup
+        #: round and per walk step.
+        self.log: list | None = None
 
     def _on_probe_miss(self, found_slot: np.ndarray, missing: np.ndarray,
                        u: np.ndarray, miss: np.ndarray,
@@ -229,9 +227,10 @@ class WalkPhase:
         u = np.arange(a.size, dtype=np.int64)
         probe_u = np.zeros(a.size, dtype=np.int64)
         iterations = 0
-        emit_probe_warps = self.attribution and bus.wants(ProbeWarps)
+        log = self.log
         while u.size:
-            over = probe_u >= tables.capacities[a[u]]
+            au = a[u]
+            over = probe_u >= tables.capacities[au]
             if over.any():
                 # A wrapped probe means the table is completely full
                 # and the key absent; the open-addressing loop would
@@ -254,8 +253,9 @@ class WalkPhase:
                 probe_u = probe_u[keep]
                 if not u.size:
                     break
+                au = a[u]
             iterations += 1
-            slots = tables.slot_of(a[u], homes[u], probe_u)
+            slots = tables.slot_of(au, homes[u], probe_u)
             if emit_slots:
                 bus.emit(SlotAccess(slots=slots, kind="probe"))
             occupied, slot_fp = tables.inspect(slots)
@@ -263,14 +263,8 @@ class WalkPhase:
                 phase="walk", lanes=u.size, warps=u.size,
                 key_compares=int(np.count_nonzero(occupied)),
             ))
-            if emit_probe_warps:
-                au = a[u]
-                bus.emit(ProbeWarps(
-                    phase="walk", pending_warps=au,
-                    compare_warps=au[occupied], cas_warps=NO_WARPS,
-                    matched_warps=NO_WARPS, claimed_warps=NO_WARPS,
-                    merged_warps=NO_WARPS,
-                ))
+            if log is not None:
+                log.append(lookup_entry(au, occupied))
             hit = occupied & (slot_fp == fps[u])
             found_slot[u[hit]] = slots[hit]
             miss = ~occupied
@@ -305,7 +299,7 @@ class WalkPhase:
         overflowed: list[int] = []
         emit_slots = bus.wants(SlotAccess)
         emit_reads = bus.wants(SlotRead)
-        emit_step_warps = self.attribution and bus.wants(WalkStepWarps)
+        log = self.log
         for _step in range(max_len + 1):
             if not alive.any():
                 break
@@ -338,7 +332,7 @@ class WalkPhase:
                 res_bases[f] = b
 
             bases_committed = 0
-            commit_w = NO_WARPS
+            committed = None
             next_alive = alive.copy()
             advancing = ~missing & (res_states == _EXTEND)
             # terminal warps leave the walk as one mask assignment: a
@@ -362,19 +356,16 @@ class WalkPhase:
                 looped = aw[seen]
                 state_codes[looped] = _LOOP
                 next_alive[looped] = False
-                ok = aw[~seen]
-                base_codes[ok, base_lens[ok]] = res_bases[adv[~seen]].astype(
+                committed = adv[~seen]
+                ok = a[committed]
+                base_codes[ok, base_lens[ok]] = res_bases[committed].astype(
                     np.uint8)
                 base_lens[ok] += 1
                 bases_committed = int(ok.size)
-                if emit_step_warps:
-                    commit_w = ok
             bus.emit(WalkStep(walkers=a.size, vote_reads=vote_reads,
                               bases_committed=bases_committed))
-            if emit_step_warps:
-                bus.emit(WalkStepWarps(walker_warps=a,
-                                       vote_read_warps=a[f],
-                                       commit_warps=commit_w))
+            if log is not None:
+                log.append(walk_entry(a, f, committed))
             first_step[a] = False
             alive = next_alive
         return WalkOutput(base_codes=base_codes, base_lens=base_lens,

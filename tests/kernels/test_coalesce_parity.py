@@ -20,11 +20,14 @@ from hypothesis import strategies as st
 
 from repro.core.extension import PRODUCTION_POLICY
 from repro.errors import HashTableFullError, KernelError
+from repro.genomics.contig import Contig, End
 from repro.genomics.simulate import ErrorProfile, ScenarioSpec, simulate_batch
-from repro.kernels import CudaLocalAssemblyKernel, HipLocalAssemblyKernel
-from repro.kernels.engine import BatchPreparer, run_schedule_coalesced
+from repro.kernels import (CudaLocalAssemblyKernel, HipLocalAssemblyKernel,
+                           SyclLocalAssemblyKernel)
+from repro.kernels.engine import (BatchPreparer, ContigRetried, coalesce,
+                                  run_schedule_coalesced)
 from repro.resilience.checkpoint import profile_to_dict
-from repro.simt.device import A100, MI250X
+from repro.simt.device import A100, MAX1550, MI250X
 
 
 class EventCounter:
@@ -37,6 +40,18 @@ class EventCounter:
     def handle(self, event, bus):
         name = type(event).__name__
         self.counts[name] = self.counts.get(name, 0) + 1
+
+
+class EventCollector:
+    """Keeps every event of one type."""
+
+    def __init__(self, event_type):
+        self.handled_events = (event_type,)
+        self.events = []
+
+    def handle(self, event, bus):
+        if isinstance(event, self.handled_events):
+            self.events.append(event)
 
 
 class StarvedPreparer(BatchPreparer):
@@ -59,6 +74,24 @@ class StarvedCudaKernel(CudaLocalAssemblyKernel):
     preparer_cls = StarvedPreparer
 
 
+class LeftStarvedPreparer(StarvedPreparer):
+    """Starves only the left-end launches of contigs named ``tight*``,
+    so exactly one segment of one job overflows in a fused launch."""
+
+    def prepare(self, contigs, bin_, end, k, cache=None):
+        batch = BatchPreparer.prepare(self, contigs, bin_, end, k,
+                                      cache=cache)
+        tight = np.array([end is End.LEFT
+                          and contigs[ci].name.startswith("tight")
+                          for ci in batch.contig_ids])
+        return dataclasses.replace(batch, capacities=np.where(
+            tight, np.minimum(batch.capacities, self.cap), batch.capacities))
+
+
+class LeftStarvedCudaKernel(CudaLocalAssemblyKernel):
+    preparer_cls = LeftStarvedPreparer
+
+
 def _contigs(n, seed, error_rate=0.0, depth=6, read_length=80):
     rng = np.random.default_rng(seed)
     spec = ScenarioSpec(contig_length=150, flank_length=60,
@@ -71,6 +104,32 @@ def _contigs(n, seed, error_rate=0.0, depth=6, read_length=80):
 def _jobs(seeds, n=3, error_rate=0.01, depth=6):
     return [_contigs(n, seed=s, error_rate=error_rate, depth=depth)
             for s in seeds]
+
+
+def _mixed_wave():
+    """A job whose plan has two bins per end (shallow + deep contigs,
+    beyond the policy's depth ratio) fused with a 1-contig job: one
+    launch then mixes bins, extension directions and tenants."""
+    binned = (_contigs(2, seed=31, error_rate=0.01, depth=4)
+              + _contigs(2, seed=32, error_rate=0.01, depth=12))
+    kern = CudaLocalAssemblyKernel(A100)
+    plans = kern.launch_policy.plan(binned, 21, kern.launch_config())
+    assert len(plans) >= 4
+    return [binned, _contigs(1, seed=33)]
+
+
+def _tight(job):
+    return [dataclasses.replace(c, name=f"tight-{c.name}") for c in job]
+
+
+class TableCounter(coalesce.WarpHashTables):
+    """Counts the fused tables the coalescing driver constructs."""
+
+    built = 0
+
+    def __init__(self, capacities, k):
+        super().__init__(capacities, k)
+        TableCounter.built += 1
 
 
 def assert_coalesce_parity(kernel_cls, device, jobs, ks, **opts):
@@ -138,6 +197,25 @@ class TestCoalesceParity:
         assert_coalesce_parity(HipLocalAssemblyKernel, MI250X, jobs,
                                (21, 33, 45), overflow_policy="drop-contig")
 
+    def test_sycl_protocol_parity(self):
+        """Warp 16 (sub-group) waves, next-iteration loser retries."""
+        jobs = _jobs((13, 14, 15), error_rate=0.01)
+        assert_coalesce_parity(SyclLocalAssemblyKernel, MAX1550, jobs,
+                               (21, 33), overflow_policy="drop-contig")
+
+    @pytest.mark.parametrize("kernel_cls,device", [
+        (CudaLocalAssemblyKernel, A100), (SyclLocalAssemblyKernel, MAX1550)])
+    def test_bins_ends_and_tenants_share_one_launch(self, kernel_cls, device):
+        assert_coalesce_parity(kernel_cls, device, _mixed_wave(), (21, 33),
+                               overflow_policy="drop-contig")
+
+    def test_mixed_wave_trace_and_sanitizer_parity(self):
+        fused = assert_coalesce_parity(
+            CudaLocalAssemblyKernel, A100, _mixed_wave(), (21, 33),
+            memory_model="trace", sanitize="all",
+            overflow_policy="drop-contig")
+        assert all(c.replay for c in fused)
+
     def test_uneven_job_sizes(self):
         """Jobs of different sizes settle at different ks; late waves
         fuse only the still-active jobs."""
@@ -152,6 +230,13 @@ class TestCoalesceParity:
         assert_coalesce_parity(CudaLocalAssemblyKernel, A100,
                                _jobs((42,)), (21, 33),
                                overflow_policy="drop-contig")
+
+    def test_wave_that_logs_nothing(self):
+        """A readless contig shorter than k: no insertion, no valid
+        seed, so the fused launch's attribution log stays empty."""
+        bare = Contig.from_string("bare", "ACGTACGTAC")
+        assert_coalesce_parity(CudaLocalAssemblyKernel, A100, [[bare]],
+                               (21, 33), overflow_policy="drop-contig")
 
     def test_trace_and_sanitizer_parity(self):
         """Full instrumentation: byte-accurate traced traffic plus every
@@ -178,6 +263,17 @@ class TestCoalesceParity:
                                        overflow_policy="grow-retry")
         assert any(c.result.retried for c in fused)
 
+    @pytest.mark.parametrize("policy", ["drop-contig", "grow-retry"])
+    def test_only_one_left_segment_overflows(self, policy):
+        """One job's left-end segment overflows; its right end and every
+        co-tenant segment of the same launch do not."""
+        jobs = _jobs((5, 6, 7), error_rate=0.02, depth=8)
+        jobs[1] = _tight(jobs[1])
+        fused = assert_coalesce_parity(LeftStarvedCudaKernel, A100, jobs,
+                                       (21, 33), overflow_policy=policy)
+        touched = [bool(c.result.degraded or c.result.retried) for c in fused]
+        assert touched == [False, True, False]
+
     def test_overflow_raise_parity(self):
         """RAISE: each overflowing job yields the exact solo error; jobs
         that would succeed solo are unaffected by failing co-tenants."""
@@ -192,6 +288,61 @@ class TestCoalesceParity:
         assert_coalesce_parity(StarvedCudaKernel, A100, jobs, (21, 33),
                                overflow_policy="grow-retry",
                                memory_model="trace", sanitize="all")
+
+
+class TestFusedLaunchStructure:
+    """A wave is one lockstep program per k (per overflow attempt)."""
+
+    def _wave(self, monkeypatch, kernel_cls, policy):
+        """``(ks the wave ran, ContigRetried events)`` of a 3-job wave."""
+        monkeypatch.setattr(coalesce, "WarpHashTables", TableCounter)
+        monkeypatch.setattr(TableCounter, "built", 0)
+        kern = kernel_cls(A100, policy=PRODUCTION_POLICY,
+                          overflow_policy=policy)
+        retries = kern.add_subscriber(EventCollector(ContigRetried))
+        fused = run_schedule_coalesced(
+            kern, _jobs((5, 6, 7), error_rate=0.02, depth=8), (21, 33))
+        ks_run = max((21, 33).index(c.result.k) for c in fused) + 1
+        return ks_run, retries.events
+
+    def test_three_jobs_build_one_table_set_per_k(self, monkeypatch):
+        ks_run, _ = self._wave(monkeypatch, CudaLocalAssemblyKernel,
+                               "drop-contig")
+        assert TableCounter.built == ks_run
+
+    def test_grow_retry_adds_one_table_set_per_attempt(self, monkeypatch):
+        ks_run, retries = self._wave(monkeypatch, StarvedCudaKernel,
+                                     "grow-retry")
+        assert retries
+        attempts = {k: max(e.attempt for e in retries if e.k == k)
+                    for k in {e.k for e in retries}}
+        assert TableCounter.built == ks_run + sum(attempts.values())
+
+
+    def test_attribution_log_is_empty_by_the_time_jobs_replay(
+            self, monkeypatch):
+        """The reduction clears the list the phases share, in place —
+        a launch's per-iteration arrays do not outlive its attribution."""
+        phases = []
+
+        class SpyConstruct(CudaLocalAssemblyKernel.construct_cls):
+            def run(self, batch, tables, bus):
+                phases.append(self)
+                return super().run(batch, tables, bus)
+
+        logs_at_replay = []
+        real_replay = coalesce._replay_job_k
+
+        def spy_replay(kernel, state, k, parallel_scale):
+            logs_at_replay.append(list(phases[-1].log))
+            real_replay(kernel, state, k, parallel_scale)
+
+        monkeypatch.setattr(coalesce, "_replay_job_k", spy_replay)
+        monkeypatch.setattr(CudaLocalAssemblyKernel, "construct_cls",
+                            SpyConstruct)
+        kern = CudaLocalAssemblyKernel(A100, policy=PRODUCTION_POLICY)
+        run_schedule_coalesced(kern, _jobs((5, 6), depth=8), (21, 33))
+        assert logs_at_replay and not any(logs_at_replay)
 
 
 class TestCoalesceValidation:
