@@ -18,10 +18,11 @@ from typing import Callable, Protocol, runtime_checkable
 from repro.core.construct import build_table, insertions_for
 from repro.core.extension import DEFAULT_POLICY, WalkPolicy, WalkState
 from repro.core.merwalk import DEFAULT_MAX_WALK_LEN, mer_walk
+from repro.core.pipeline import _reverse_complement_reads
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import reverse_complement
-from repro.genomics.reads import Read, ReadSet
+from repro.genomics.reads import ReadSet
 from repro.kernels.engine.schedule import SideArrays, iterate_k_schedule
 from repro.simt.counters import KernelProfile
 from repro.simt.device import DeviceSpec
@@ -75,6 +76,58 @@ class KernelRunResult:
 
     def extension_of(self, i: int, end: End) -> tuple[str, WalkState]:
         return self.right[i] if end is End.RIGHT else self.left[i]
+
+
+class ScheduleTail:
+    """What a k-schedule accumulates beside its merged sides, and how it
+    ends — the one copy every schedule driver shares.
+
+    ``add`` takes one k-run's outcome (overflow sets, trace-replay
+    launches, sanitizer report); ``result`` stamps the prep-cache
+    counters on the merged profile and builds the schedule's
+    :class:`KernelRunResult`; ``report`` is the schedule's combined
+    sanitizer report (``None`` when nothing sanitized).
+    """
+
+    def __init__(self, cache=None) -> None:
+        #: The schedule's :class:`~repro.kernels.engine.prepare.PrepareCache`
+        #: (``None`` for backends that prepare nothing).
+        self.cache = cache
+        self.degraded: set[int] = set()
+        self.retried: set[int] = set()
+        self.replay: list = []
+        self.reports: list = []
+
+    def add(self, degraded, retried, replay=(), report=None) -> None:
+        self.degraded.update(degraded)
+        self.retried.update(retried)
+        self.replay.extend(replay)
+        if report is not None:
+            self.reports.append(report)
+
+    @property
+    def report(self):
+        if not self.reports:
+            return None
+        # imported lazily: repro.sanitize imports the engine
+        from repro.sanitize.report import SanitizerReport
+        combined = SanitizerReport(max_findings=self.reports[0].max_findings)
+        for rep in self.reports:
+            combined.extend(rep)
+        return combined
+
+    def result(self, device: DeviceSpec | None, last_k: int,
+               merged: KernelProfile, right: list,
+               left: list) -> KernelRunResult:
+        merged.contigs = len(right)
+        if self.cache is not None:
+            merged.prep_cache_hits = self.cache.hits
+            merged.prep_cache_misses = self.cache.misses
+            merged.prep_cache_evictions = self.cache.evictions
+        return KernelRunResult(device=device, k=last_k, profile=merged,
+                               right=right, left=left,
+                               degraded=sorted(self.degraded),
+                               retried=sorted(self.retried))
 
 
 @runtime_checkable
@@ -143,14 +196,6 @@ def backend_for_device(device: DeviceSpec, **kwargs) -> ExecutionBackend:
 # ----------------------------------------------------------------------
 # the scalar reference backend
 # ----------------------------------------------------------------------
-
-
-def _reverse_complement_reads(reads: ReadSet) -> ReadSet:
-    out = ReadSet()
-    for r in reads:
-        out.append(Read(name=r.name + "/rc", codes=reverse_complement(r.codes),
-                        quals=r.quals[::-1].copy()))
-    return out
 
 
 class ScalarReferenceBackend:
@@ -270,10 +315,15 @@ class ScalarReferenceBackend:
                      k_schedule: tuple[int, ...] = (21, 33, 55, 77),
                      **_kwargs) -> KernelRunResult:
         """Iterate the k schedule with the kernels' settle semantics."""
-        last_k, merged, right, left = iterate_k_schedule(
-            lambda k: self.run(contigs, k), len(contigs), k_schedule)
-        return KernelRunResult(device=self.device, k=last_k, profile=merged,
-                               right=right, left=left)
+        tail = ScheduleTail()
+
+        def _run_one(k: int) -> KernelRunResult:
+            res = self.run(contigs, k)
+            tail.add(res.degraded, res.retried)
+            return res
+
+        return tail.result(self.device, *iterate_k_schedule(
+            _run_one, len(contigs), k_schedule))
 
 
 register_backend("scalar",

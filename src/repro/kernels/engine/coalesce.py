@@ -66,21 +66,16 @@ import numpy as np
 
 from repro.core.extension import WALK_STATE_CODES, WalkState
 from repro.errors import HashTableFullError, KernelError
-from repro.genomics.contig import Contig, End
-from repro.genomics.dna import decode_matrix, reverse_complement_matrix
-from repro.hashing.opcount import hash_intops
-from repro.kernels.engine.backend import KernelRunResult
+from repro.genomics.contig import Contig
+from repro.kernels.engine.backend import KernelRunResult, ScheduleTail
 from repro.kernels.engine.events import (
     LOG_INSERT_ITER,
     LOG_LOOKUP_ITER,
     LOG_WALK_STEP,
     LOG_WAVE,
     BarrierSync,
-    ContigDropped,
-    ContigRetried,
     EventBus,
     LaunchDone,
-    LaunchStarted,
     SlotAccess,
     SlotRead,
     SlotWrite,
@@ -93,13 +88,12 @@ from repro.kernels.engine.prepare import (
     subset_batch,
 )
 from repro.kernels.engine.schedule import (
-    MISSING_CODE,
     LaunchPlan,
     SideArrays,
     merge_k_side,
     validate_k_schedule,
 )
-from repro.kernels.vectortable import SLOT_BYTES, WarpHashTables
+from repro.kernels.vectortable import WarpHashTables
 from repro.resilience.policy import OverflowPolicy
 from repro.simt.counters import KernelProfile
 
@@ -260,7 +254,6 @@ class _AttemptRecord:
     sub: Batch                      # the segment's batch for this attempt
     launch: _LaunchRecord           # the attributed fused launch (shared)
     pos: int                        # this segment's index in the launch
-    context: LaunchStarted          # the segment's solo launch context
     base_codes: np.ndarray          # wres slices for the solo scatter
     base_lens: np.ndarray
     state_codes: np.ndarray
@@ -268,7 +261,6 @@ class _AttemptRecord:
     first_construct_fail: int | None  # chronological, for RAISE semantics
     first_walk_fail: int | None
     attempt: int                    # 0-based attempt index
-    grown: np.ndarray | None = None  # retry capacities (set when retried)
 
 
 @dataclass
@@ -294,11 +286,8 @@ class _JobState:
         self.settled_r = np.zeros(self.n, dtype=bool)
         self.settled_l = np.zeros(self.n, dtype=bool)
         self.merged_profile: KernelProfile | None = None
-        self.degraded: set[int] = set()
-        self.retried: set[int] = set()
-        self.replay: list = []
+        self.tail = ScheduleTail(cache)
         self.traces: list = []
-        self.reports: list = []
         self.error: HashTableFullError | None = None
         self.last_k = first_k
         self.segments: list[_Segment] = []
@@ -309,32 +298,9 @@ class _JobState:
                 or (bool(self.settled_r.all()) and bool(self.settled_l.all())))
 
 
-class _JobFailed(Exception):
-    """Internal: carries a job's reconstructed solo overflow error."""
-
-    def __init__(self, error: HashTableFullError) -> None:
-        super().__init__(str(error))
-        self.error = error
-
-
 # ----------------------------------------------------------------------
 # fused execution
 # ----------------------------------------------------------------------
-
-
-def _segment_context(sub: Batch, k: int, ops: int,
-                     with_contig_ids: bool) -> LaunchStarted:
-    """The LaunchStarted a solo run would emit for this segment batch."""
-    total_slots = int(sub.capacities.sum())
-    return LaunchStarted(
-        k=k, hash_ops=ops, n_warps=sub.n_warps,
-        mean_table_bytes=float(np.mean(sub.capacities)) * SLOT_BYTES,
-        mean_read_bytes=float(np.mean(sub.read_bytes_per_warp)),
-        cold_footprint_bytes=total_slots * SLOT_BYTES + 2 * sub.codes.size,
-        total_slots=total_slots,
-        contig_ids=(tuple(int(ci) for ci in sub.contig_ids)
-                    if with_contig_ids else ()),
-    )
 
 
 def _launch(subs: list[Batch], k: int, construct, walker, bus: EventBus,
@@ -353,34 +319,29 @@ def _launch(subs: list[Batch], k: int, construct, walker, bus: EventBus,
             walker.run(fused, tables, bus))
 
 
-def _run_fused_group(kernel, group: list[_Segment], k: int, ops: int,
+def _run_fused_group(kernel, group: list[_Segment], k: int,
                      construct, walker, bus: EventBus,
-                     recorder: _EvidenceRecorder,
-                     with_contig_ids: bool) -> None:
+                     recorder: _EvidenceRecorder) -> None:
     """Run one fused launch (plus grow-retry re-launches) over ``group``.
 
     Every launch fuses only the still-retrying segments; each segment's
     per-attempt record (its share of the attributed launch, result
     slices, failures) lands in ``segment.records`` for the replay pass.
     """
-    grow = kernel.overflow_policy is OverflowPolicy.GROW_RETRY
-    live = list(range(len(group)))
+    live = group
     attempt = 0
-    while True:
-        launch, cres, wres = _launch([group[i].sub for i in live], k,
+    while live:
+        launch, cres, wres = _launch([seg.sub for seg in live], k,
                                      construct, walker, bus, recorder)
         launch.attribute()
         warp_base = launch.warp_base
         failed_global = sorted(set(cres.overflowed) | set(wres.overflowed))
-        any_failed = False
-        retry_live: list[int] = []
-        for pos, i in enumerate(live):
-            seg = group[i]
+        retry_live: list[_Segment] = []
+        for pos, seg in enumerate(live):
             lo, hi = int(warp_base[pos]), int(warp_base[pos + 1])
             seg_failed = [w - lo for w in failed_global if lo <= w < hi]
-            rec = _AttemptRecord(
+            seg.records.append(_AttemptRecord(
                 sub=seg.sub, launch=launch, pos=pos,
-                context=_segment_context(seg.sub, k, ops, with_contig_ids),
                 base_codes=wres.base_codes[lo:hi],
                 base_lens=wres.base_lens[lo:hi],
                 state_codes=wres.state_codes[lo:hi],
@@ -390,20 +351,12 @@ def _run_fused_group(kernel, group: list[_Segment], k: int, ops: int,
                 first_walk_fail=next(
                     (w - lo for w in wres.overflowed if lo <= w < hi), None),
                 attempt=attempt,
-            )
-            seg.records.append(rec)
-            if seg_failed:
-                any_failed = True
-                if grow and attempt < kernel.max_grow_attempts:
-                    caps = seg.sub.capacities[seg_failed]
-                    grown = np.maximum(
-                        caps + 1,
-                        np.ceil(caps * kernel.grow_factor).astype(np.int64))
-                    rec.grown = grown
-                    seg.sub = subset_batch(seg.sub, seg_failed, grown)
-                    retry_live.append(i)
-        if not any_failed or not retry_live:
-            return
+            ))
+            grown = (kernel._retry_capacities(seg.sub, seg_failed, attempt)
+                     if seg_failed else None)
+            if grown is not None:
+                seg.sub = subset_batch(seg.sub, seg_failed, grown)
+                retry_live.append(seg)
         attempt += 1
         live = retry_live
 
@@ -416,13 +369,11 @@ def _run_fused_group(kernel, group: list[_Segment], k: int, ops: int,
 def _replay_attempt(rec: _AttemptRecord, bus: EventBus) -> LaunchDone:
     """Re-emit one segment's solo event stream from the attributed launch.
 
-    Emits ``LaunchStarted`` and one event per log entry in which the
-    segment had lanes (exactly the condition under which the solo loops
-    emit it), and returns the per-segment ``LaunchDone`` for the caller
-    to emit after any scatter bookkeeping.
+    Emits one event per log entry in which the segment had lanes
+    (exactly the condition under which the solo loops emit it), and
+    returns the per-segment ``LaunchDone`` for the caller to emit.
     """
     launch, s = rec.launch, rec.pos
-    bus.emit(rec.context)
     mine = slice(launch.ptr[s], launch.ptr[s + 1])
     rows = launch.rows[mine]
     kinds = launch.kinds[rows]
@@ -491,77 +442,36 @@ def _replay_job_k(kernel, state: _JobState, k: int,
                   parallel_scale: float) -> None:
     """Replay one job's k-run and fold it into the job's schedule state.
 
-    Mirrors ``LocalAssemblyKernel.run`` (launch loop, scatter, overflow
-    bookkeeping) and the ``run_schedule`` accumulation around it, but
-    fed from the attributed fused launches instead of executing phases.
+    ``LocalAssemblyKernel.run``'s launch loop fed from the attributed
+    fused launches instead of executing phases — the bookkeeping around
+    each launch is the kernel's own (``_begin_run`` / ``_start_launch``
+    / ``_settle``) — plus ``iterate_k_schedule``'s fold of the k-run.
     """
-    profile = KernelProfile(warp_size=kernel.warp_size)
-    profile.walk_issue_width = (1 if kernel.lane_parallel_walks
-                                else kernel.warp_size)
-    profile.contigs = state.n
-    right_arr = SideArrays.empty(state.n)
-    left_arr = SideArrays.empty(state.n)
-    bus, traffic, tracer, replayer, sanitizer = kernel._build_bus(
-        profile, parallel_scale)
+    krun = kernel._begin_run(state.n, k, parallel_scale)
+    bus = krun.bus
     raise_policy = kernel.overflow_policy is OverflowPolicy.RAISE
-    try:
-        for seg in state.segments:
-            arr = right_arr if seg.plan.end is End.RIGHT else left_arr
-            for ridx, rec in enumerate(seg.records):
-                done = _replay_attempt(rec, bus)
-                bus.emit(done)
-                sub = rec.sub
-                failed = rec.failed
-                ok = np.ones(sub.n_warps, dtype=bool)
-                if failed:
-                    ok[failed] = False
-                cis = np.asarray(sub.contig_ids, dtype=np.int64)[ok]
-                if cis.size:
-                    lens = rec.base_lens[ok]
-                    mat = rec.base_codes[ok]
-                    if seg.plan.end is not End.RIGHT:
-                        mat = reverse_complement_matrix(mat, lens)
-                    arr.text[cis] = decode_matrix(mat, lens)
-                    arr.lens[cis] = lens
-                    arr.state_codes[cis] = rec.state_codes[ok]
-                if not failed:
-                    continue
-                if raise_policy:
-                    raise _JobFailed(_solo_overflow_error(rec, k))
-                if rec.grown is not None:
-                    # this attempt was re-fused with grown tables
-                    for w, cap in zip(failed, rec.grown):
-                        bus.emit(ContigRetried(
-                            contig_id=sub.contig_ids[w], k=k,
-                            attempt=rec.attempt + 1, capacity=int(cap)))
-                        state.retried.add(sub.contig_ids[w])
-                    continue
-                end_name = "right" if seg.plan.end is End.RIGHT else "left"
-                for w in failed:
-                    ci = sub.contig_ids[w]
-                    bus.emit(ContigDropped(
-                        contig_id=ci, k=k, end=end_name,
-                        capacity=int(sub.capacities[w])))
-                    state.degraded.add(ci)
-                    arr.text[ci] = ""
-                    arr.lens[ci] = 0
-                    arr.state_codes[ci] = MISSING_CODE
-                assert ridx == len(seg.records) - 1
-    except _JobFailed as exc:
-        state.error = exc.error
-        return
+    for seg in state.segments:
+        for rec in seg.records:
+            kernel._start_launch(bus, rec.sub, k)
+            bus.emit(_replay_attempt(rec, bus))
+            if rec.failed and raise_policy:
+                # solo raising aborts the run mid-launch
+                state.error = _solo_overflow_error(rec, k)
+                return
+            kernel._settle(krun, seg.plan.end, rec.sub, rec, rec.failed,
+                           rec.attempt)
     if state.merged_profile is None:
-        state.merged_profile = profile
+        state.merged_profile = krun.profile
     else:
-        state.merged_profile.merge(profile)
-    merge_k_side(right_arr, state.best_r, state.settled_r)
-    merge_k_side(left_arr, state.best_l, state.settled_l)
-    if tracer is not None:
-        state.traces = tracer.traces
-    if replayer is not None:
-        state.replay.extend(replayer.launches)
-    if sanitizer is not None:
-        state.reports.append(sanitizer.report)
+        state.merged_profile.merge(krun.profile)
+    merge_k_side(krun.right, state.best_r, state.settled_r)
+    merge_k_side(krun.left, state.best_l, state.settled_l)
+    if krun.tracer is not None:
+        state.traces = krun.tracer.traces
+    state.tail.add(
+        krun.degraded, krun.retried,
+        krun.replayer.launches if krun.replayer is not None else (),
+        krun.sanitizer.report if krun.sanitizer is not None else None)
 
 
 # ----------------------------------------------------------------------
@@ -640,9 +550,8 @@ def run_schedule_coalesced(
     # instrumentation stack built exactly like the replay ones. Counts
     # never travel the fused bus (the phases log them), so with no
     # evidence wanted it has no subscriber at all.
-    probe_bus, _, _, _, _ = kernel._build_bus(
-        KernelProfile(warp_size=kernel.warp_size), parallel_scale)
-    recorder = _EvidenceRecorder(probe_bus)
+    recorder = _EvidenceRecorder(kernel._build_bus(
+        KernelProfile(warp_size=kernel.warp_size), parallel_scale)[0])
     fused_bus = EventBus()
     if recorder.handled_events:
         fused_bus.subscribe(recorder)
@@ -656,8 +565,6 @@ def run_schedule_coalesced(
         active = [s for s in states if not s.done]
         if not active:
             break
-        ops = hash_intops(k)
-        with_contig_ids = bool(kernel.sanitize_checks)
         group: list[_Segment] = []
         for s in active:
             s.last_k = k
@@ -669,8 +576,8 @@ def run_schedule_coalesced(
                 s.segments.append(seg)
                 group.append(seg)
         # one lockstep program per k: every bin, both ends, every tenant
-        _run_fused_group(kernel, group, k, ops, construct, walker,
-                         fused_bus, recorder, with_contig_ids)
+        _run_fused_group(kernel, group, k, construct, walker, fused_bus,
+                         recorder)
         for s in active:
             _replay_job_k(kernel, s, k, parallel_scale)
 
@@ -679,25 +586,10 @@ def run_schedule_coalesced(
         if s.error is not None:
             results.append(CoalescedJobResult(result=None, error=s.error))
             continue
-        merged = s.merged_profile
-        assert merged is not None
-        merged.contigs = s.n
-        merged.prep_cache_hits = s.cache.hits
-        merged.prep_cache_misses = s.cache.misses
-        merged.prep_cache_evictions = s.cache.evictions
-        report = None
-        if kernel.sanitize_checks and s.reports:
-            from repro.sanitize.report import SanitizerReport
-            report = SanitizerReport(max_findings=s.reports[0].max_findings)
-            for rep in s.reports:
-                report.extend(rep)
-        res = KernelRunResult(device=kernel.device, k=s.last_k,
-                              profile=merged,
-                              right=s.best_r.to_side(),
-                              left=s.best_l.to_side(),
-                              degraded=sorted(s.degraded),
-                              retried=sorted(s.retried))
-        results.append(CoalescedJobResult(result=res, replay=s.replay,
+        assert s.merged_profile is not None
+        res = s.tail.result(kernel.device, s.last_k, s.merged_profile,
+                            s.best_r.to_side(), s.best_l.to_side())
+        results.append(CoalescedJobResult(result=res, replay=s.tail.replay,
                                           trace=s.traces,
-                                          sanitizer_report=report))
+                                          sanitizer_report=s.tail.report))
     return results

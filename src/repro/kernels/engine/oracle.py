@@ -38,21 +38,15 @@ from repro.core.extension import (
     WalkState,
     resolve_extension_batch,
 )
-from repro.errors import HashTableFullError, KernelError
+from repro.errors import HashTableFullError
 from repro.genomics.contig import Contig, End
-from repro.genomics.dna import reverse_complement
+from repro.genomics.dna import decode_matrix, reverse_complement
 from repro.genomics.kmer import fingerprint_matrix
 from repro.hashing.murmur import murmur2_batch
-from repro.hashing.opcount import hash_intops
-from repro.kernels.engine.backend import KernelRunResult
 from repro.kernels.engine.construct import ConstructPhase
 from repro.kernels.engine.events import (
     BarrierSync,
-    ContigDropped,
-    ContigRetried,
     EventBus,
-    LaunchDone,
-    LaunchStarted,
     ProbeIteration,
     SlotAccess,
     SlotRead,
@@ -62,14 +56,11 @@ from repro.kernels.engine.events import (
 from repro.kernels.engine.prepare import (
     Batch,
     BatchPreparer,
-    PrepareCache,
     segmented_arange,
-    subset_batch,
 )
-from repro.kernels.engine.schedule import LaunchConfig, validate_k_schedule
+from repro.kernels.engine.schedule import validate_k_schedule
 from repro.kernels.engine.walk import WalkOutput, WalkPhase
-from repro.kernels.vectortable import SLOT_BYTES, WarpHashTables
-from repro.resilience.policy import OverflowPolicy
+from repro.kernels.vectortable import WarpHashTables
 from repro.simt.counters import KernelProfile
 
 _CODE_TO_STATE = {v: k for k, v in STATE_CODES.items()}
@@ -513,179 +504,35 @@ def oracle_kernel_cls(kernel_cls):
     :func:`~repro.genomics.dna.reverse_complement`, and the per-contig
     k-schedule merge -- with identical outputs, profiles, and event
     streams. This is the baseline every megabatch parity test and
-    ``bench_engine_megabatch`` measures against.
+    ``bench_engine_megabatch`` measures against. Only the references
+    are swapped in: the launch loop, its accept / grow-retry / drop
+    bookkeeping and the schedule tail are ``kernel_cls``'s own
+    (DESIGN.md decision 21).
     """
 
     class OracleKernel(kernel_cls):
         construct_cls = ScalarOracleConstructPhase
         walk_cls = ScalarOracleWalkPhase
         preparer_cls = OracleBatchPreparer
+        tables_cls = OracleWarpHashTables
 
-        def run(self, contigs: list[Contig], k: int,
-                depth_ratio: float = 2.0,
-                max_batch_insertions: int | None = None,
-                parallel_scale: float = 1.0,
-                prep_cache: PrepareCache | None = None) -> KernelRunResult:
-            if parallel_scale <= 0 or parallel_scale > 1:
-                raise KernelError(
-                    f"parallel_scale must be in (0, 1], got {parallel_scale}")
-            if max_batch_insertions is None:
-                # reserve at most ~25% of HBM for tables in one launch
-                max_batch_insertions = int(
-                    self.device.hbm_bytes * 0.25 * self.load_factor / SLOT_BYTES
-                )
-            plans = self.launch_policy.plan(contigs, k, LaunchConfig(
-                depth_ratio=depth_ratio,
-                max_batch_insertions=max_batch_insertions,
-                load_factor=self.load_factor,
-            ))
-            profile = KernelProfile(warp_size=self.warp_size)
-            profile.walk_issue_width = (1 if self.lane_parallel_walks
-                                        else self.warp_size)
-            profile.contigs = len(contigs)
-            right: list[tuple[str, WalkState]] = (
-                [("", WalkState.MISSING)] * len(contigs))
-            left: list[tuple[str, WalkState]] = (
-                [("", WalkState.MISSING)] * len(contigs))
-            self.last_trace = []
-            self.last_replay = []
-            bus, traffic, tracer, replayer, sanitizer = self._build_bus(
-                profile, parallel_scale)
-            defer = self.overflow_policy is not OverflowPolicy.RAISE
-            construct = self.construct_cls(self.protocol, self.warp_size,
-                                           defer_overflow=defer)
-            walker = self.walk_cls(self.policy, self.max_walk_len, self.seed,
-                                   defer_overflow=defer)
-            ops = hash_intops(k)
-            injector = self.fault_injector
-            degraded: set[int] = set()
-            retried: set[int] = set()
-            for plan in plans:
-                ordinal = (injector.begin_launch()
-                           if injector is not None else -1)
-                batch = self.preparer.prepare(contigs, plan.bin, plan.end, k,
-                                              cache=prep_cache)
-                if injector is not None:
-                    injector.shape_batch(batch, ordinal)
-                sub = batch
-                attempt = 0
-                while True:
-                    tables = OracleWarpHashTables(sub.capacities, k)
-                    bus.emit(LaunchStarted(
-                        k=k, hash_ops=ops, n_warps=sub.n_warps,
-                        mean_table_bytes=(float(np.mean(sub.capacities))
-                                          * SLOT_BYTES),
-                        mean_read_bytes=float(
-                            np.mean(sub.read_bytes_per_warp)),
-                        cold_footprint_bytes=(tables.total_bytes
-                                              + 2 * sub.codes.size),
-                        total_slots=tables.total_slots,
-                        contig_ids=(tuple(int(ci) for ci in sub.contig_ids)
-                                    if sanitizer is not None else ()),
-                    ))
-                    cres = construct.run(sub, tables, bus)
-                    wres = walker.run(sub, tables, bus)
-                    bus.emit(LaunchDone(
-                        waves=cres.waves,
-                        construct_iterations=cres.iterations,
-                        walk_steps=wres.steps,
-                        walk_iterations=wres.iterations,
-                    ))
-                    self._last_access_latency = traffic.last_access_latency
-                    failed = sorted(set(cres.overflowed)
-                                    | set(wres.overflowed))
-                    failed_set = set(failed)
-                    for w, ci in enumerate(sub.contig_ids):
-                        if w in failed_set:
-                            continue
-                        if plan.end is End.RIGHT:
-                            right[ci] = (wres.bases[w], wres.states[w])
-                        else:
-                            rc = reverse_complement(wres.bases[w])
-                            assert isinstance(rc, str)
-                            left[ci] = (rc, wres.states[w])
-                    if not failed:
-                        break
-                    if (self.overflow_policy is OverflowPolicy.GROW_RETRY
-                            and attempt < self.max_grow_attempts):
-                        attempt += 1
-                        grown = np.maximum(
-                            sub.capacities[failed] + 1,
-                            np.ceil(sub.capacities[failed]
-                                    * self.grow_factor).astype(np.int64))
-                        for w, cap in zip(failed, grown):
-                            bus.emit(ContigRetried(
-                                contig_id=sub.contig_ids[w], k=k,
-                                attempt=attempt, capacity=int(cap)))
-                            retried.add(sub.contig_ids[w])
-                        sub = subset_batch(sub, failed, grown)
-                        continue
-                    end_name = "right" if plan.end is End.RIGHT else "left"
-                    for w in failed:
-                        ci = sub.contig_ids[w]
-                        bus.emit(ContigDropped(
-                            contig_id=ci, k=k, end=end_name,
-                            capacity=int(sub.capacities[w])))
-                        degraded.add(ci)
-                        if plan.end is End.RIGHT:
-                            right[ci] = ("", WalkState.MISSING)
-                        else:
-                            left[ci] = ("", WalkState.MISSING)
-                    break
-            if tracer is not None:
-                self.last_trace = tracer.traces
-            if replayer is not None:
-                self.last_replay = replayer.launches
-                self.last_replay_subscriber = replayer
-            if sanitizer is not None:
-                self.last_sanitizer_report = sanitizer.report
-            result = KernelRunResult(device=self.device, k=k, profile=profile,
-                                     right=right, left=left,
-                                     degraded=sorted(degraded),
-                                     retried=sorted(retried))
-            if injector is not None:
-                injector.degrade_result(result)
-            return result
+        def _scatter(self, arr, end: End, sub: Batch, walk,
+                     ok: np.ndarray) -> None:
+            """The pre-refactor scatter: one contig, one string at a time."""
+            bases = decode_matrix(walk.base_codes, walk.base_lens)
+            for w, ci in enumerate(sub.contig_ids):
+                if not ok[w]:
+                    continue
+                text = bases[w]
+                if end is not End.RIGHT:
+                    text = reverse_complement(text)
+                    assert isinstance(text, str)
+                arr.text[ci] = text
+                arr.lens[ci] = len(text)
+                arr.state_codes[ci] = walk.state_codes[w]
 
-        def run_schedule(self, contigs: list[Contig],
-                         k_schedule: tuple[int, ...] = (21, 33, 55, 77),
-                         parallel_scale: float = 1.0) -> KernelRunResult:
-            cache = PrepareCache()
-            self.last_prep_cache = cache
-            schedule_replay: list = []
-            schedule_reports: list = []
-            degraded: set[int] = set()
-            retried: set[int] = set()
-
-            def _run_one(k: int) -> KernelRunResult:
-                res = self.run(contigs, k, parallel_scale=parallel_scale,
-                               prep_cache=cache)
-                schedule_replay.extend(self.last_replay)
-                if self.last_sanitizer_report is not None:
-                    schedule_reports.append(self.last_sanitizer_report)
-                degraded.update(res.degraded)
-                retried.update(res.retried)
-                return res
-
-            last_k, merged, right, left = iterate_k_schedule_scalar(
-                _run_one, len(contigs), k_schedule,
-            )
-            merged.prep_cache_hits = cache.hits
-            merged.prep_cache_misses = cache.misses
-            merged.prep_cache_evictions = cache.evictions
-            if self.memory_model == "trace":
-                self.last_replay = schedule_replay
-            if self.sanitize_checks and schedule_reports:
-                from repro.sanitize.report import SanitizerReport
-                combined = SanitizerReport(
-                    max_findings=schedule_reports[0].max_findings)
-                for rep in schedule_reports:
-                    combined.extend(rep)
-                self.last_sanitizer_report = combined
-            return KernelRunResult(device=self.device, k=last_k,
-                                   profile=merged, right=right, left=left,
-                                   degraded=sorted(degraded),
-                                   retried=sorted(retried))
+        def _iterate_k_schedule(self, run_one, n_contigs, k_schedule):
+            return iterate_k_schedule_scalar(run_one, n_contigs, k_schedule)
 
     OracleKernel.__name__ = f"Oracle{kernel_cls.__name__}"
     OracleKernel.__qualname__ = OracleKernel.__name__

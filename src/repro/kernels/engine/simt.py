@@ -20,6 +20,8 @@ phases only emit what they measured.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from repro.core.merwalk import DEFAULT_MAX_WALK_LEN
@@ -30,7 +32,11 @@ from repro.genomics.contig import Contig, End
 from repro.genomics.dna import decode_matrix, reverse_complement_matrix
 from repro.genomics.reads import DEFAULT_QUAL_THRESHOLD
 from repro.hashing.opcount import hash_intops
-from repro.kernels.engine.backend import KernelRunResult, ProtocolCosts
+from repro.kernels.engine.backend import (
+    KernelRunResult,
+    ProtocolCosts,
+    ScheduleTail,
+)
 from repro.kernels.engine.construct import ConstructPhase
 from repro.kernels.engine.events import (
     ContigDropped,
@@ -43,7 +49,12 @@ from repro.kernels.engine.events import (
     TraceSubscriber,
     TrafficSubscriber,
 )
-from repro.kernels.engine.prepare import BatchPreparer, PrepareCache, subset_batch
+from repro.kernels.engine.prepare import (
+    Batch,
+    BatchPreparer,
+    PrepareCache,
+    subset_batch,
+)
 from repro.kernels.engine.schedule import (
     MISSING_CODE,
     BinnedLaunchPolicy,
@@ -61,6 +72,23 @@ from repro.resilience.policy import (
 )
 from repro.simt.counters import KernelProfile
 from repro.simt.device import DeviceSpec
+
+
+@dataclass
+class _KRun:
+    """One k-run in flight: its instrumentation stack and what its
+    launches settle into (see :meth:`LocalAssemblyKernel._settle`)."""
+
+    k: int
+    profile: KernelProfile
+    bus: EventBus
+    tracer: TraceSubscriber | None
+    replayer: TraceReplaySubscriber | None
+    sanitizer: object | None
+    right: SideArrays
+    left: SideArrays
+    degraded: set[int] = field(default_factory=set)
+    retried: set[int] = field(default_factory=set)
 
 
 class LocalAssemblyKernel:
@@ -104,10 +132,13 @@ class LocalAssemblyKernel:
     protocol: ProtocolCosts  # set by subclasses
 
     #: Phase factories; the buggy sanitizer-demo backend swaps these for
-    #: subclasses that seed protocol violations (:mod:`repro.sanitize.demo`).
+    #: subclasses that seed protocol violations (:mod:`repro.sanitize.demo`),
+    #: the parity oracle for its scalar references — which also overrides
+    #: :meth:`_scatter` and :meth:`_iterate_k_schedule`.
     construct_cls = ConstructPhase
     walk_cls = WalkPhase
     preparer_cls = BatchPreparer
+    tables_cls = WarpHashTables
 
     def __init__(
         self,
@@ -208,7 +239,7 @@ class LocalAssemblyKernel:
 
     def _build_bus(
         self, profile: KernelProfile, parallel_scale: float,
-    ) -> tuple[EventBus, TrafficSubscriber, TraceSubscriber | None,
+    ) -> tuple[EventBus, TraceSubscriber | None,
                TraceReplaySubscriber | None, object | None]:
         """Assemble the instrumentation stack for one run.
 
@@ -222,7 +253,7 @@ class LocalAssemblyKernel:
             lane_parallel_walks=self.lane_parallel_walks,
             dependent_cpi=self.device.dependent_cpi,
         ))
-        traffic = bus.subscribe(TrafficSubscriber(
+        bus.subscribe(TrafficSubscriber(
             self.device, l2_churn=self.l2_churn, parallel_scale=parallel_scale,
         ))
         tracer = bus.subscribe(TraceSubscriber()) if self.record_trace else None
@@ -236,7 +267,7 @@ class LocalAssemblyKernel:
             bus.subscribe(self.fault_injector)
         for sub in self.extra_subscribers:
             bus.subscribe(sub)
-        return bus, traffic, tracer, replayer, sanitizer
+        return bus, tracer, replayer, sanitizer
 
     def launch_config(self, depth_ratio: float = 2.0,
                       max_batch_insertions: int | None = None) -> LaunchConfig:
@@ -252,6 +283,100 @@ class LocalAssemblyKernel:
         return LaunchConfig(depth_ratio=depth_ratio,
                             max_batch_insertions=max_batch_insertions,
                             load_factor=self.load_factor)
+
+    # ------------------------------------------------------------------
+    # Launch bookkeeping, shared: ``run`` executes the phases, the
+    # coalescing driver replays attributed launches, and both account
+    # for every launch attempt through the methods below.
+
+    def _begin_run(self, n_contigs: int, k: int,
+                   parallel_scale: float) -> _KRun:
+        """A fresh profile, instrumentation stack and sides for one k."""
+        profile = KernelProfile(warp_size=self.warp_size)
+        profile.walk_issue_width = (1 if self.lane_parallel_walks
+                                    else self.warp_size)
+        profile.contigs = n_contigs
+        return _KRun(k, profile, *self._build_bus(profile, parallel_scale),
+                     right=SideArrays.empty(n_contigs),
+                     left=SideArrays.empty(n_contigs))
+
+    def _start_launch(self, bus: EventBus, sub: Batch, k: int) -> None:
+        """Emit the ``LaunchStarted`` of one launch attempt over ``sub``."""
+        total_slots = int(sub.capacities.sum())
+        bus.emit(LaunchStarted(
+            k=k, hash_ops=hash_intops(k), n_warps=sub.n_warps,
+            mean_table_bytes=float(np.mean(sub.capacities)) * SLOT_BYTES,
+            mean_read_bytes=float(np.mean(sub.read_bytes_per_warp)),
+            cold_footprint_bytes=total_slots * SLOT_BYTES + 2 * sub.codes.size,
+            total_slots=total_slots,
+            contig_ids=(tuple(int(ci) for ci in sub.contig_ids)
+                        if self.sanitize_checks else ()),
+        ))
+
+    def _retry_capacities(self, sub: Batch, failed: list[int],
+                          attempt: int) -> np.ndarray | None:
+        """Grown capacities for ``failed`` if attempt ``attempt`` (0-based)
+        is followed by a grow-retry re-launch; ``None`` if they drop."""
+        if (self.overflow_policy is not OverflowPolicy.GROW_RETRY
+                or attempt >= self.max_grow_attempts):
+            return None
+        caps = sub.capacities[failed]
+        return np.maximum(
+            caps + 1, np.ceil(caps * self.grow_factor).astype(np.int64))
+
+    def _scatter(self, arr: SideArrays, end: End, sub: Batch, walk,
+                 ok: np.ndarray) -> None:
+        """Scatter a launch's accepted walks (``ok`` warps) into ``arr``
+        in one batched decode + array assignment (left ends
+        reverse-complement as a matrix gather, not per string). ``walk``
+        carries ``base_codes`` / ``base_lens`` / ``state_codes``."""
+        cis = np.asarray(sub.contig_ids, dtype=np.int64)[ok]
+        if not cis.size:
+            return
+        lens = walk.base_lens[ok]
+        mat = walk.base_codes[ok]
+        if end is not End.RIGHT:
+            mat = reverse_complement_matrix(mat, lens)
+        arr.text[cis] = decode_matrix(mat, lens)
+        arr.lens[cis] = lens
+        arr.state_codes[cis] = walk.state_codes[ok]
+
+    def _settle(self, krun: _KRun, end: End, sub: Batch, walk,
+                failed: list[int], attempt: int) -> np.ndarray | None:
+        """Settle one finished launch attempt (Figure 3's drop-or-retry).
+
+        Scatters the walks of the warps that did not overflow; the
+        ``failed`` ones (sorted, launch-local) are then either retried —
+        ``ContigRetried`` each, and their grown capacities are returned
+        for the re-launch — or dropped: ``ContigDropped`` each, the end
+        blanked, ``None`` returned (as when nothing failed).
+        """
+        arr = krun.right if end is End.RIGHT else krun.left
+        ok = np.ones(sub.n_warps, dtype=bool)
+        ok[failed] = False
+        self._scatter(arr, end, sub, walk, ok)
+        if not failed:
+            return None
+        k, bus = krun.k, krun.bus
+        grown = self._retry_capacities(sub, failed, attempt)
+        if grown is not None:
+            for w, cap in zip(failed, grown):
+                bus.emit(ContigRetried(
+                    contig_id=sub.contig_ids[w], k=k,
+                    attempt=attempt + 1, capacity=int(cap)))
+                krun.retried.add(sub.contig_ids[w])
+            return grown
+        end_name = "right" if end is End.RIGHT else "left"
+        for w in failed:
+            ci = sub.contig_ids[w]
+            bus.emit(ContigDropped(
+                contig_id=ci, k=k, end=end_name,
+                capacity=int(sub.capacities[w])))
+            krun.degraded.add(ci)
+            arr.text[ci] = ""
+            arr.lens[ci] = 0
+            arr.state_codes[ci] = MISSING_CODE
+        return None
 
     # ------------------------------------------------------------------
 
@@ -280,111 +405,61 @@ class LocalAssemblyKernel:
             raise KernelError(f"parallel_scale must be in (0, 1], got {parallel_scale}")
         plans = self.launch_policy.plan(contigs, k, self.launch_config(
             depth_ratio, max_batch_insertions))
-        profile = KernelProfile(warp_size=self.warp_size)
-        profile.walk_issue_width = 1 if self.lane_parallel_walks else self.warp_size
-        profile.contigs = len(contigs)
-        right_arr = SideArrays.empty(len(contigs))
-        left_arr = SideArrays.empty(len(contigs))
         self.last_trace = []
         self.last_replay = []
-        bus, traffic, tracer, replayer, sanitizer = self._build_bus(
-            profile, parallel_scale)
+        krun = self._begin_run(len(contigs), k, parallel_scale)
+        bus = krun.bus
         defer = self.overflow_policy is not OverflowPolicy.RAISE
         construct = self.construct_cls(self.protocol, self.warp_size,
                                        defer_overflow=defer)
         walker = self.walk_cls(self.policy, self.max_walk_len, self.seed,
                                defer_overflow=defer)
-        ops = hash_intops(k)
         injector = self.fault_injector
-        degraded: set[int] = set()
-        retried: set[int] = set()
         for plan in plans:
             ordinal = injector.begin_launch() if injector is not None else -1
-            batch = self.preparer.prepare(contigs, plan.bin, plan.end, k,
-                                          cache=prep_cache)
+            sub = self.preparer.prepare(contigs, plan.bin, plan.end, k,
+                                        cache=prep_cache)
             if injector is not None:
-                injector.shape_batch(batch, ordinal)
-            sub = batch
+                injector.shape_batch(sub, ordinal)
             attempt = 0
-            while True:
-                tables = WarpHashTables(sub.capacities, k)
-                bus.emit(LaunchStarted(
-                    k=k, hash_ops=ops, n_warps=sub.n_warps,
-                    mean_table_bytes=float(np.mean(sub.capacities)) * SLOT_BYTES,
-                    mean_read_bytes=float(np.mean(sub.read_bytes_per_warp)),
-                    cold_footprint_bytes=tables.total_bytes + 2 * sub.codes.size,
-                    total_slots=tables.total_slots,
-                    contig_ids=(tuple(int(ci) for ci in sub.contig_ids)
-                                if sanitizer is not None else ()),
-                ))
+            while sub is not None:
+                tables = self.tables_cls(sub.capacities, k)
+                self._start_launch(bus, sub, k)
                 cres = construct.run(sub, tables, bus)
                 wres = walker.run(sub, tables, bus)
                 bus.emit(LaunchDone(
                     waves=cres.waves, construct_iterations=cres.iterations,
                     walk_steps=wres.steps, walk_iterations=wres.iterations,
                 ))
-                self._last_access_latency = traffic.last_access_latency
                 failed = sorted(set(cres.overflowed) | set(wres.overflowed))
-                # scatter the launch's accepted walks in one batched
-                # decode + array assignment (left ends reverse-complement
-                # as a matrix gather, not per string)
-                arr = right_arr if plan.end is End.RIGHT else left_arr
-                ok = np.ones(sub.n_warps, dtype=bool)
-                if failed:
-                    ok[failed] = False
-                cis = np.asarray(sub.contig_ids, dtype=np.int64)[ok]
-                if cis.size:
-                    lens = wres.base_lens[ok]
-                    mat = wres.base_codes[ok]
-                    if plan.end is not End.RIGHT:
-                        mat = reverse_complement_matrix(mat, lens)
-                    arr.text[cis] = decode_matrix(mat, lens)
-                    arr.lens[cis] = lens
-                    arr.state_codes[cis] = wres.state_codes[ok]
-                if not failed:
-                    break
-                if (self.overflow_policy is OverflowPolicy.GROW_RETRY
-                        and attempt < self.max_grow_attempts):
-                    attempt += 1
-                    grown = np.maximum(
-                        sub.capacities[failed] + 1,
-                        np.ceil(sub.capacities[failed]
-                                * self.grow_factor).astype(np.int64))
-                    for w, cap in zip(failed, grown):
-                        bus.emit(ContigRetried(
-                            contig_id=sub.contig_ids[w], k=k,
-                            attempt=attempt, capacity=int(cap)))
-                        retried.add(sub.contig_ids[w])
-                    sub = subset_batch(sub, failed, grown)
-                    continue
-                end_name = "right" if plan.end is End.RIGHT else "left"
-                for w in failed:
-                    ci = sub.contig_ids[w]
-                    bus.emit(ContigDropped(
-                        contig_id=ci, k=k, end=end_name,
-                        capacity=int(sub.capacities[w])))
-                    degraded.add(ci)
-                    arr.text[ci] = ""
-                    arr.lens[ci] = 0
-                    arr.state_codes[ci] = MISSING_CODE
-                break
-        if tracer is not None:
-            self.last_trace = tracer.traces
-        if replayer is not None:
-            self.last_replay = replayer.launches
-            self.last_replay_subscriber = replayer
-        if sanitizer is not None:
-            self.last_sanitizer_report = sanitizer.report
-        result = KernelRunResult(device=self.device, k=k, profile=profile,
-                                 right=right_arr.to_side(),
-                                 left=left_arr.to_side(),
-                                 degraded=sorted(degraded),
-                                 retried=sorted(retried),
-                                 right_arrays=right_arr,
-                                 left_arrays=left_arr)
+                grown = self._settle(krun, plan.end, sub, wres, failed,
+                                     attempt)
+                sub = (subset_batch(sub, failed, grown)
+                       if grown is not None else None)
+                attempt += 1
+        if krun.tracer is not None:
+            self.last_trace = krun.tracer.traces
+        if krun.replayer is not None:
+            self.last_replay = krun.replayer.launches
+            self.last_replay_subscriber = krun.replayer
+        if krun.sanitizer is not None:
+            self.last_sanitizer_report = krun.sanitizer.report
+        result = KernelRunResult(device=self.device, k=k, profile=krun.profile,
+                                 right=krun.right.to_side(),
+                                 left=krun.left.to_side(),
+                                 degraded=sorted(krun.degraded),
+                                 retried=sorted(krun.retried),
+                                 right_arrays=krun.right,
+                                 left_arrays=krun.left)
         if injector is not None:
             injector.degrade_result(result)
         return result
+
+    def _iterate_k_schedule(self, run_one, n_contigs: int,
+                            k_schedule: tuple[int, ...]) -> tuple:
+        """The k-schedule merge :meth:`run_schedule` drives (a seam: the
+        oracle kernel substitutes the per-contig scalar loop)."""
+        return iterate_k_schedule(run_one, n_contigs, k_schedule)
 
     def run_schedule(
         self,
@@ -405,37 +480,18 @@ class LocalAssemblyKernel:
         """
         cache = PrepareCache()
         self.last_prep_cache = cache
-        schedule_replay: list = []
-        schedule_reports: list = []
-        degraded: set[int] = set()
-        retried: set[int] = set()
+        tail = ScheduleTail(cache)
 
         def _run_one(k: int) -> KernelRunResult:
             res = self.run(contigs, k, parallel_scale=parallel_scale,
                            prep_cache=cache)
-            schedule_replay.extend(self.last_replay)
-            if self.last_sanitizer_report is not None:
-                schedule_reports.append(self.last_sanitizer_report)
-            degraded.update(res.degraded)
-            retried.update(res.retried)
+            tail.add(res.degraded, res.retried, self.last_replay,
+                     self.last_sanitizer_report)
             return res
 
-        last_k, merged, right, left = iterate_k_schedule(
-            _run_one, len(contigs), k_schedule,
-        )
-        merged.prep_cache_hits = cache.hits
-        merged.prep_cache_misses = cache.misses
-        merged.prep_cache_evictions = cache.evictions
-        if self.memory_model == "trace":
-            self.last_replay = schedule_replay
-        if self.sanitize_checks and schedule_reports:
-            from repro.sanitize.report import SanitizerReport
-            combined = SanitizerReport(
-                max_findings=schedule_reports[0].max_findings)
-            for rep in schedule_reports:
-                combined.extend(rep)
-            self.last_sanitizer_report = combined
-        return KernelRunResult(device=self.device, k=last_k, profile=merged,
-                               right=right, left=left,
-                               degraded=sorted(degraded),
-                               retried=sorted(retried))
+        result = tail.result(self.device, *self._iterate_k_schedule(
+            _run_one, len(contigs), k_schedule))
+        self.last_replay = tail.replay
+        if tail.reports:
+            self.last_sanitizer_report = tail.report
+        return result

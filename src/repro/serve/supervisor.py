@@ -141,12 +141,18 @@ class CircuitBreaker:
         }
 
 
+#: Fraction of the in-flight budget at which the window starts to shrink.
+SHED_START = 0.5
+#: Fraction of the in-flight budget admitted while any breaker is open.
+DEGRADED_FRACTION = 0.5
+
+
 class LoadShedder:
     """Depth-proportional backpressure for the batcher and admission.
 
     ``window_scale`` multiplies the batcher's coalescing window — how
     long a bucket waits for company while a lane sits idle: 1.0 up to
-    ``shed_start`` of the in-flight budget, then linearly down to 0.0
+    :data:`SHED_START` of the in-flight budget, then linearly down to 0.0
     at the full budget. A fully shed window does not mean solo waves:
     it only drops the idle-lane wait, and under a deep backlog the
     lanes are busy, so buckets go on absorbing jobs until one frees.
@@ -155,22 +161,11 @@ class LoadShedder:
     work up front instead of queueing it behind solo launches.
     """
 
-    def __init__(self, max_in_flight: int,
-                 shed_start: float = 0.5,
-                 degraded_fraction: float = 0.5) -> None:
-        if not 0.0 <= shed_start < 1.0:
-            raise ReproError(
-                f"shed_start must be in [0, 1), got {shed_start}")
-        if not 0.0 < degraded_fraction <= 1.0:
-            raise ReproError(
-                f"degraded_fraction must be in (0, 1], got "
-                f"{degraded_fraction}")
+    def __init__(self, max_in_flight: int) -> None:
         self.max_in_flight = max_in_flight
-        self.shed_start = shed_start
-        self.degraded_fraction = degraded_fraction
 
     def window_scale(self, in_flight: int) -> float:
-        start = self.shed_start * self.max_in_flight
+        start = SHED_START * self.max_in_flight
         if in_flight <= start:
             return 1.0
         span = self.max_in_flight - start
@@ -181,13 +176,13 @@ class LoadShedder:
     def admission_budget(self, open_breakers: int) -> int:
         if open_breakers <= 0:
             return self.max_in_flight
-        return max(1, int(self.max_in_flight * self.degraded_fraction))
+        return max(1, int(self.max_in_flight * DEGRADED_FRACTION))
 
     def stats(self, in_flight: int, open_breakers: int) -> dict:
         return {
             "window_scale": round(self.window_scale(in_flight), 4),
             "admission_budget": self.admission_budget(open_breakers),
-            "shed_start": self.shed_start,
+            "shed_start": SHED_START,
         }
 
 

@@ -16,8 +16,6 @@ opaque NumPy ``IndexError`` an out-of-range id used to produce.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 
@@ -78,21 +76,6 @@ def ballot_count_sync(warp_ids: np.ndarray, predicate: np.ndarray,
     counts = np.zeros(n_warps, dtype=np.int64)
     np.add.at(counts, ids[np.asarray(predicate, dtype=bool)], 1)
     return counts
-
-
-def ballot_sync(warp_ids: np.ndarray, predicate: np.ndarray,
-                n_warps: int) -> np.ndarray:
-    """Deprecated alias of :func:`ballot_count_sync`.
-
-    The old name suggested ``__ballot_sync``'s lane-bit mask, but the
-    function has always returned per-warp *counts*.
-    """
-    warnings.warn(
-        "ballot_sync returns per-warp counts, not a lane-bit mask; "
-        "use ballot_count_sync (ballot_sync will be removed)",
-        DeprecationWarning, stacklevel=2,
-    )
-    return ballot_count_sync(warp_ids, predicate, n_warps)
 
 
 def all_sync(warp_ids: np.ndarray, predicate: np.ndarray,

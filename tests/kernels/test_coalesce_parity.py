@@ -263,16 +263,24 @@ class TestCoalesceParity:
                                        overflow_policy="grow-retry")
         assert any(c.result.retried for c in fused)
 
-    @pytest.mark.parametrize("policy", ["drop-contig", "grow-retry"])
-    def test_only_one_left_segment_overflows(self, policy):
+    @pytest.mark.parametrize("policy,max_grow_attempts", [
+        pytest.param("drop-contig", None, id="drop-contig"),
+        pytest.param("grow-retry", None, id="grow-retry"),
+        # 24 -> 48 slots is still too small: retried, then dropped
+        pytest.param("grow-retry", 1, id="exhausted-retry"),
+    ])
+    def test_only_one_left_segment_overflows(self, policy, max_grow_attempts):
         """One job's left-end segment overflows; its right end and every
         co-tenant segment of the same launch do not."""
         jobs = _jobs((5, 6, 7), error_rate=0.02, depth=8)
         jobs[1] = _tight(jobs[1])
         fused = assert_coalesce_parity(LeftStarvedCudaKernel, A100, jobs,
-                                       (21, 33), overflow_policy=policy)
+                                       (21, 33), overflow_policy=policy,
+                                       max_grow_attempts=max_grow_attempts)
         touched = [bool(c.result.degraded or c.result.retried) for c in fused]
         assert touched == [False, True, False]
+        if max_grow_attempts is not None:
+            assert fused[1].result.degraded and fused[1].result.retried
 
     def test_overflow_raise_parity(self):
         """RAISE: each overflowing job yields the exact solo error; jobs

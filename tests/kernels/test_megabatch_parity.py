@@ -10,6 +10,7 @@ on everything observable.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,9 +84,9 @@ class TestScheduleParity:
             _run_counted(HipLocalAssemblyKernel, MI250X, contigs, ks),
             _run_counted(oracle_cls, MI250X, contigs, ks))
 
-    def test_overflow_parity_drop_contig(self):
-        """Starved tables overflow; the DROP_CONTIG degraded sets must
-        match the oracle exactly (same warps die, same survivors)."""
+    @staticmethod
+    def _starved_parity(**policy):
+        """Megabatch vs oracle with two tables of launch 0 starved."""
         from repro.resilience import (FaultInjector, FaultKind, FaultPlan,
                                       FaultSpec)
 
@@ -97,14 +98,33 @@ class TestScheduleParity:
                 FaultSpec(FaultKind.TABLE_PRESSURE, launch=0, warps=(0, 2),
                           capacity=4),
             )))
-            return dict(overflow_policy="drop-contig", fault_injector=inj)
+            return dict(fault_injector=inj, **policy)
 
         oracle_cls = oracle_kernel_cls(CudaLocalAssemblyKernel)
         mega = _run_counted(CudaLocalAssemblyKernel, A100, contigs, ks,
                             **opts())
         assert_schedule_parity(
             mega, _run_counted(oracle_cls, A100, contigs, ks, **opts()))
-        assert mega[0].degraded  # the pressured tables actually overflowed
+        return mega
+
+    def test_overflow_parity_drop_contig(self):
+        """Starved tables overflow; the DROP_CONTIG degraded sets must
+        match the oracle exactly (same warps die, same survivors)."""
+        res, events = self._starved_parity(overflow_policy="drop-contig")
+        assert res.degraded  # the pressured tables actually overflowed
+        assert events["ContigDropped"] and "ContigRetried" not in events
+
+    @pytest.mark.parametrize("max_grow_attempts,dropped", [(12, False),
+                                                           (1, True)],
+                             ids=["recovers", "exhausted"])
+    def test_overflow_parity_grow_retry(self, max_grow_attempts, dropped):
+        """The other branches of the shared settle step, through the
+        oracle's scalar scatter: a retry that recovers, and one that is
+        still too small after its last attempt (retried, then dropped)."""
+        res, events = self._starved_parity(
+            overflow_policy="grow-retry", max_grow_attempts=max_grow_attempts)
+        assert res.retried and events["ContigRetried"]
+        assert bool(res.degraded) == dropped == ("ContigDropped" in events)
 
     def test_trace_memory_model_and_sanitizer_parity(self):
         """Full instrumentation: byte-accurate traced traffic plus every

@@ -119,6 +119,20 @@ class TestScalarBackend:
         assert res.right == ref.right and res.left == ref.left
         assert not res.degraded
 
+    @pytest.mark.parametrize("policy,field", [("drop-contig", "degraded"),
+                                              ("grow-retry", "retried")])
+    def test_scalar_run_schedule_unions_overflow_sets(self, contigs, policy,
+                                                      field):
+        """The schedule result carries every k-run's degraded / retried
+        contigs, like the SIMT drivers' (it used to return both empty)."""
+        kern = ScalarReferenceBackend(overflow_policy=policy,
+                                      table_capacity=4)
+        solo = getattr(kern.run(contigs[:4], K), field)
+        sched = kern.run_schedule(contigs[:4], (K, 33))
+        assert solo and set(solo) <= set(getattr(sched, field))
+        prof = sched.profile
+        assert prof.contigs_dropped + prof.overflow_retries > 0
+
     def test_scalar_raise_enriched(self, contigs):
         kern = ScalarReferenceBackend(table_capacity=4)
         with pytest.raises(HashTableFullError) as exc_info:

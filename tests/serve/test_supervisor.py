@@ -156,9 +156,3 @@ class TestLoadShedder:
         assert shed.admission_budget(0) == 8
         assert shed.admission_budget(1) == 4
         assert LoadShedder(max_in_flight=1).admission_budget(3) == 1
-
-    def test_rejects_bad_fractions(self):
-        with pytest.raises(ReproError, match="shed_start"):
-            LoadShedder(8, shed_start=1.0)
-        with pytest.raises(ReproError, match="degraded_fraction"):
-            LoadShedder(8, degraded_fraction=0.0)

@@ -9,7 +9,6 @@ from repro.simt.intrinsics import (
     all_sync,
     any_sync,
     ballot_count_sync,
-    ballot_sync,
     elect_one_per_slot,
     match_any_sync,
     shfl_sync,
@@ -59,12 +58,6 @@ class TestBallotAll:
         counts = ballot_count_sync(np.array([0, 0, 1]),
                                    np.array([True, False, True]), 2)
         np.testing.assert_array_equal(counts, [1, 1])
-
-    def test_ballot_sync_alias_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="ballot_count_sync"):
-            counts = ballot_sync(np.array([0, 1, 1]),
-                                 np.array([True, True, True]), 2)
-        np.testing.assert_array_equal(counts, [1, 2])
 
     def test_all_sync(self):
         ok = all_sync(np.array([0, 0, 1]), np.array([True, True, False]), 2)
