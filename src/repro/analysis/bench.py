@@ -29,6 +29,7 @@ from __future__ import annotations
 import resource
 import time
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -187,13 +188,15 @@ def _first_divergence(base, cur, path: str = "") -> str | None:
     return None
 
 
-def compare_bench(baseline: dict, current: dict,
-                  max_regression: float = MAX_REGRESSION) -> list[str]:
-    """Gate violations of ``current`` against ``baseline`` (empty = pass).
+def compare_documents(baseline: dict, current: dict, max_regression: float,
+                      identity: str, rate: str, unit: str,
+                      throughput: Callable[[dict], float | None]) -> list[str]:
+    """The baseline gate both suites share (empty = pass).
 
-    Counters must match *exactly*; throughput may not drop more than
-    ``max_regression`` below the baseline. Scales present on only one
-    side are skipped (a ``--smoke`` run gates only the smoke scale).
+    Counters must match *exactly*; ``throughput(scale)`` may not drop
+    more than ``max_regression`` below the baseline. Scales present on
+    only one side are skipped (a ``--smoke`` run gates only the smoke
+    scale). ``identity`` / ``rate`` / ``unit`` word the messages.
     """
     problems: list[str] = []
     if baseline.get("schema") != current.get("schema"):
@@ -208,13 +211,43 @@ def compare_bench(baseline: dict, current: dict,
         diff = _first_divergence(base.get("counters"), cur.get("counters"))
         if diff is not None:
             problems.append(
-                f"{name}: engine identity diverged from the committed "
+                f"{name}: {identity} diverged from the committed "
                 f"baseline at {diff}")
-        tp_base = base.get("throughput_contigs_per_s") or 0.0
-        tp_cur = cur.get("throughput_contigs_per_s") or 0.0
+        tp_base = throughput(base) or 0.0
+        tp_cur = throughput(cur) or 0.0
         if tp_base > 0 and tp_cur < tp_base * (1.0 - max_regression):
             problems.append(
-                f"{name}: throughput regressed to {tp_cur:.2f} contigs/s "
+                f"{name}: {rate} regressed to {tp_cur:.2f} {unit} "
                 f"(baseline {tp_base:.2f}, gate at "
                 f"-{max_regression:.0%})")
     return problems
+
+
+def compare_bench(baseline: dict, current: dict,
+                  max_regression: float = MAX_REGRESSION) -> list[str]:
+    """Gate violations of ``current`` against ``BENCH_engine.json``."""
+    return compare_documents(
+        baseline, current, max_regression, "engine identity", "throughput",
+        "contigs/s", lambda scale: scale.get("throughput_contigs_per_s"))
+
+
+def _describe(scale: dict) -> str:
+    return (f"{scale['wall_s']:.4f} s wall, "
+            f"{scale['throughput_contigs_per_s']:.2f} contigs/s, "
+            f"peak RSS {scale['peak_rss_kb']} kB")
+
+
+@dataclass(frozen=True)
+class BenchSuite:
+    """What ``repro bench`` needs to run, report and gate one suite."""
+
+    default_path: str
+    collect: Callable[..., dict]
+    compare: Callable[..., list[str]]
+    #: One measured scale -> its summary line.
+    describe: Callable[[dict], str]
+    #: In-run gate on the measured document alone (empty = pass).
+    floor: Callable[[dict], list[str]] = lambda current: []
+
+
+SUITE = BenchSuite(DEFAULT_BENCH_PATH, collect_bench, compare_bench, _describe)

@@ -39,19 +39,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.analysis.bench import MAX_REGRESSION, BenchSuite, compare_documents
 from repro.errors import ReproError
 from repro.genomics.io import dumps_dat
 from repro.genomics.simulate import ErrorProfile, ScenarioSpec, simulate_batch
 from repro.serve import AssemblyService
+from repro.serve.http import frame_message, read_message
 
 #: Format version of ``BENCH_serve.json``.
 BENCH_SERVE_SCHEMA = 1
 
 #: Default location of the serve bench baseline, relative to repo root.
 DEFAULT_BENCH_SERVE_PATH = "BENCH_serve.json"
-
-#: Default throughput-regression gate (fraction below baseline).
-MAX_REGRESSION = 0.25
 
 #: Client poll cadence while waiting on submitted jobs.
 _POLL_S = 0.002
@@ -145,26 +144,13 @@ class _HttpClient:
     async def request(self, method: str, path: str,
                       payload: dict | None = None) -> tuple[int, dict]:
         body = json.dumps(payload).encode() if payload is not None else b""
-        self._writer.write(
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: bench\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
+        self._writer.write(frame_message(f"{method} {path} HTTP/1.1", body))
         await self._writer.drain()
-        status_line = await self._reader.readline()
-        if not status_line:
+        message = await read_message(self._reader)
+        if message is None:
             raise ReproError("serve bench: server closed the connection")
-        status = int(status_line.split()[1])
-        length = 0
-        while True:
-            header = await self._reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode().partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        data = await self._reader.readexactly(length) if length else b""
-        return status, json.loads(data or b"{}")
+        status_line, data = message
+        return int(status_line.split()[1]), json.loads(data or b"{}")
 
 
 async def _client_task(port: int, scale: ServeScale,
@@ -312,29 +298,19 @@ def floor_problems(current: dict) -> list[str]:
 
 def compare_serve_bench(baseline: dict, current: dict,
                         max_regression: float = MAX_REGRESSION) -> list[str]:
-    """Baseline gate (empty = pass): exact counters, banded throughput."""
-    from repro.analysis.bench import _first_divergence
+    """Gate violations of ``current`` against ``BENCH_serve.json``."""
+    return compare_documents(
+        baseline, current, max_regression, "serve result identity",
+        "coalesced throughput", "req/s",
+        lambda scale: scale.get("coalesced", {}).get("requests_per_s"))
 
-    problems: list[str] = []
-    if baseline.get("schema") != current.get("schema"):
-        problems.append(
-            f"schema changed: baseline {baseline.get('schema')} != "
-            f"current {current.get('schema')}; re-commit the baseline")
-        return problems
-    for name, cur in current.get("scales", {}).items():
-        base = baseline.get("scales", {}).get(name)
-        if base is None:
-            continue
-        diff = _first_divergence(base.get("counters"), cur.get("counters"))
-        if diff is not None:
-            problems.append(
-                f"{name}: serve result identity diverged from the "
-                f"committed baseline at {diff}")
-        tp_base = base.get("coalesced", {}).get("requests_per_s") or 0.0
-        tp_cur = cur.get("coalesced", {}).get("requests_per_s") or 0.0
-        if tp_base > 0 and tp_cur < tp_base * (1.0 - max_regression):
-            problems.append(
-                f"{name}: coalesced throughput regressed to {tp_cur:.2f} "
-                f"req/s (baseline {tp_base:.2f}, gate at "
-                f"-{max_regression:.0%})")
-    return problems
+
+def _describe(scale: dict) -> str:
+    return (f"coalesced {scale['coalesced']['requests_per_s']:.2f} req/s "
+            f"(p99 {scale['coalesced']['p99_latency_ms']:.0f} ms) vs solo "
+            f"{scale['solo']['requests_per_s']:.2f} req/s -> "
+            f"{scale['speedup']:.2f}x (floor {scale['min_speedup']:.1f}x)")
+
+
+SUITE = BenchSuite(DEFAULT_BENCH_SERVE_PATH, collect_serve_bench,
+                   compare_serve_bench, _describe, floor_problems)

@@ -336,21 +336,27 @@ class ExperimentSuite:
             for d in PLATFORMS
         ]
 
+    def _efficiency_table(self, label: str, efficiency) -> dict:
+        """Per k, ``efficiency(profile, device, k)`` of every platform in
+        percent plus their Pennycook ``label``; and the overall average."""
+        rows = []
+        all_effs: list[float] = []
+        for k in self.config.k_values:
+            effs = [efficiency(self.run(device, k).full_profile, device, k)
+                    for device in PLATFORMS]
+            row = {"k": k}
+            for device, eff in zip(PLATFORMS, effs):
+                row[device.name] = round(100 * eff, 1)
+            row[label] = round(100 * pennycook(effs), 1)
+            rows.append(row)
+            all_effs += effs
+        return {"rows": rows,
+                f"average_{label}": round(100 * pennycook(all_effs), 1)}
+
     def table4(self) -> dict:
         """Table IV: architectural efficiency + Pennycook P_arch."""
-        rows = []
-        per_k_effs: dict[int, list[float]] = {k: [] for k in self.config.k_values}
-        for k in self.config.k_values:
-            row = {"k": k}
-            for device in PLATFORMS:
-                rec = self.run(device, k)
-                eff = architectural_efficiency(rec.full_profile, device)
-                row[device.name] = round(100 * eff, 1)
-                per_k_effs[k].append(eff)
-            row["P_arch"] = round(100 * pennycook(per_k_effs[k]), 1)
-            rows.append(row)
-        all_effs = [e for effs in per_k_effs.values() for e in effs]
-        return {"rows": rows, "average_P_arch": round(100 * pennycook(all_effs), 1)}
+        return self._efficiency_table(
+            "P_arch", lambda p, device, k: architectural_efficiency(p, device))
 
     def table5(self) -> list[dict]:
         """Table V: integer operations in the hash function per k."""
@@ -383,19 +389,8 @@ class ExperimentSuite:
 
     def table7(self) -> dict:
         """Table VII: algorithm efficiency + Pennycook P_alg."""
-        rows = []
-        per_k_effs: dict[int, list[float]] = {k: [] for k in self.config.k_values}
-        for k in self.config.k_values:
-            row = {"k": k}
-            for device in PLATFORMS:
-                rec = self.run(device, k)
-                eff = algorithm_efficiency(rec.full_profile, k)
-                row[device.name] = round(100 * eff, 1)
-                per_k_effs[k].append(eff)
-            row["P_alg"] = round(100 * pennycook(per_k_effs[k]), 1)
-            rows.append(row)
-        all_effs = [e for effs in per_k_effs.values() for e in effs]
-        return {"rows": rows, "average_P_alg": round(100 * pennycook(all_effs), 1)}
+        return self._efficiency_table(
+            "P_alg", lambda p, device, k: algorithm_efficiency(p, k))
 
     # ------------------------------------------------------------------
     # Figures

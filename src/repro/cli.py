@@ -29,7 +29,7 @@ from repro.datasets.generate import generate_paper_dataset
 from repro.datasets.scenarios import SCENARIOS
 from repro.errors import ReproError
 from repro.genomics.io import read_dat, write_dat, write_fasta
-from repro.kernels import available_backends, backend_for_device, create_backend
+from repro.kernels import available_backends, resolve_backend
 from repro.kernels.engine import replay_l2_hit_rate, replay_suggested_l2_churn
 from repro.resilience import OverflowPolicy
 from repro.sanitize import parse_checks  # also registers the buggy-demo backend
@@ -55,18 +55,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         kw["sanitize"] = args.sanitize
-    if args.backend == "auto":
-        kernel = backend_for_device(device, **kw)
-    elif args.backend == "scalar":
-        if args.memory_model == "trace":
-            print("--memory-model trace needs a SIMT backend, not scalar",
-                  file=sys.stderr)
-            return 2
-        # the scalar reference has no device model; run it device-less
-        kernel = create_backend("scalar", policy=PRODUCTION_POLICY,
-                                overflow_policy=args.overflow_policy)
-    else:
-        kernel = create_backend(args.backend, device=device, **kw)
+    if args.backend == "scalar" and args.memory_model == "trace":
+        print("--memory-model trace needs a SIMT backend, not scalar",
+              file=sys.stderr)
+        return 2
+    kernel = resolve_backend(args.backend, device, **kw)
     result = kernel.run(contigs, args.k)
     records = []
     for i, c in enumerate(contigs):
@@ -140,12 +133,8 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
     kernel = None
     if args.backend:
-        if args.backend == "scalar":
-            kernel = create_backend("scalar", policy=PRODUCTION_POLICY)
-        else:
-            kernel = create_backend(args.backend,
-                                    device=device_by_name(args.device),
-                                    policy=PRODUCTION_POLICY)
+        kernel = resolve_backend(args.backend, device_by_name(args.device),
+                                 policy=PRODUCTION_POLICY)
 
     asm = DeNovoAssembler(k_schedule=k_schedule, min_count=min_count,
                           kernel=kernel)
@@ -217,10 +206,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _suite_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         scale=args.scale, seed=args.seed,
-        overflow_policy=getattr(args, "overflow_policy", "raise"),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        workers=getattr(args, "workers", 1),
-    )
+        overflow_policy=args.overflow_policy,
+        checkpoint_dir=args.checkpoint_dir, workers=args.workers)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -339,38 +326,26 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def _bench_one_suite(suite: str, args: argparse.Namespace) -> int:
+#: ``repro bench --suite`` name -> the module whose ``SUITE`` record
+#: (collector, gates, summary line) runs it; imported on use.
+_BENCH_SUITES = {"engine": "repro.analysis.bench",
+                 "serve": "repro.analysis.bench_serve"}
+
+
+def _bench_one_suite(name: str, args: argparse.Namespace) -> int:
     """Run one bench suite (engine or serve) and gate it; 0 = pass."""
+    import importlib
     import os
 
-    if suite == "engine":
-        from repro.analysis.bench import (
-            DEFAULT_BENCH_PATH,
-            collect_bench,
-            compare_bench,
-        )
-        default_path = DEFAULT_BENCH_PATH
-        collect, compare = collect_bench, compare_bench
-        floor = None
-    else:
-        from repro.analysis.bench_serve import (
-            DEFAULT_BENCH_SERVE_PATH,
-            collect_serve_bench,
-            compare_serve_bench,
-            floor_problems,
-        )
-        default_path = DEFAULT_BENCH_SERVE_PATH
-        collect, compare = collect_serve_bench, compare_serve_bench
-        floor = floor_problems
-
-    output = args.output or default_path
+    suite = importlib.import_module(_BENCH_SUITES[name]).SUITE
+    output = args.output or suite.default_path
     baseline_path = (args.baseline if args.baseline is not None
-                     else default_path)
+                     else suite.default_path)
     baseline = None
     if baseline_path and os.path.exists(baseline_path):
         with open(baseline_path) as fh:
             baseline = json.load(fh)
-    current = collect(smoke_only=args.smoke, repeats=args.repeats)
+    current = suite.collect(smoke_only=args.smoke, repeats=args.repeats)
     written = current
     if baseline is not None and baseline.get("schema") == current.get("schema"):
         # A --smoke run must not drop the baseline's other scales.
@@ -380,25 +355,16 @@ def _bench_one_suite(suite: str, args: argparse.Namespace) -> int:
     with open(output, "w") as fh:
         json.dump(written, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for name, scale in current["scales"].items():
-        if suite == "engine":
-            print(f"{name}: {scale['wall_s']:.4f} s wall, "
-                  f"{scale['throughput_contigs_per_s']:.2f} contigs/s, "
-                  f"peak RSS {scale['peak_rss_kb']} kB")
-        else:
-            print(f"{name}: coalesced {scale['coalesced']['requests_per_s']:.2f}"
-                  f" req/s (p99 {scale['coalesced']['p99_latency_ms']:.0f} ms)"
-                  f" vs solo {scale['solo']['requests_per_s']:.2f} req/s"
-                  f" -> {scale['speedup']:.2f}x"
-                  f" (floor {scale['min_speedup']:.1f}x)")
+    for scale_name, scale in current["scales"].items():
+        print(f"{scale_name}: {suite.describe(scale)}")
     print(f"wrote {output}")
-    problems = list(floor(current)) if floor is not None else []
+    problems = list(suite.floor(current))
     if baseline is None:
         print("no baseline to compare against; commit the output to gate "
               "future runs")
     else:
-        problems += compare(baseline, current,
-                            max_regression=args.max_regression)
+        problems += suite.compare(baseline, current,
+                                  max_regression=args.max_regression)
     if problems:
         for problem in problems:
             print(f"FAIL {problem}", file=sys.stderr)
@@ -410,7 +376,7 @@ def _bench_one_suite(suite: str, args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    suites = ("engine", "serve") if args.suite == "all" else (args.suite,)
+    suites = tuple(_BENCH_SUITES) if args.suite == "all" else (args.suite,)
     if len(suites) > 1 and (args.output or args.baseline):
         print("error: --output/--baseline need a single --suite",
               file=sys.stderr)
@@ -558,37 +524,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p_exp.add_argument("name", help="table1..table7, fig5..fig9, or 'all'")
-    p_exp.add_argument("--scale", type=float, default=0.02)
-    p_exp.add_argument("--seed", type=int, default=2024)
-    p_exp.add_argument("--overflow-policy", default="raise",
-                       choices=_OVERFLOW_CHOICES)
-    p_exp.add_argument("--checkpoint-dir", default=None,
-                       help="persist each completed (device, k) run here and "
-                            "resume from matching checkpoints")
-    p_exp.add_argument("--workers", type=int, default=1,
-                       help="processes for the (device, k) grid; results "
-                            "are identical to --workers 1, only faster")
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_export = sub.add_parser("export",
                               help="write all tables/figures as TSV files")
     p_export.add_argument("out_dir")
-    p_export.add_argument("--scale", type=float, default=0.02)
-    p_export.add_argument("--seed", type=int, default=2024)
-    p_export.add_argument("--overflow-policy", default="raise",
-                          choices=_OVERFLOW_CHOICES)
-    p_export.add_argument("--checkpoint-dir", default=None,
-                          help="persist each completed (device, k) run here "
-                               "and resume from matching checkpoints")
-    p_export.add_argument("--workers", type=int, default=1,
-                          help="processes for the (device, k) grid; output "
-                               "files are identical to --workers 1")
     p_export.set_defaults(func=_cmd_export)
+
+    for p_suite in (p_exp, p_export):  # both build one ExperimentSuite
+        p_suite.add_argument("--scale", type=float, default=0.02)
+        p_suite.add_argument("--seed", type=int, default=2024)
+        p_suite.add_argument("--overflow-policy", default="raise",
+                             choices=_OVERFLOW_CHOICES)
+        p_suite.add_argument("--checkpoint-dir", default=None,
+                             help="persist each completed (device, k) run "
+                                  "here and resume from matching checkpoints")
+        p_suite.add_argument("--workers", type=int, default=1,
+                             help="processes for the (device, k) grid; "
+                                  "results are identical to --workers 1, "
+                                  "only faster")
 
     p_bench = sub.add_parser(
         "bench", help="run the pinned-scale benchmarks (engine and serve)")
     p_bench.add_argument("--suite", default="engine",
-                         choices=("engine", "serve", "all"),
+                         choices=(*_BENCH_SUITES, "all"),
                          help="which bench suite to run (default: engine)")
     p_bench.add_argument("--smoke", action="store_true",
                          help="run only the CI-fast smoke scale")

@@ -123,13 +123,9 @@ def resolve_extension(
     return WalkState.EXTEND, best_code
 
 
-#: Integer codes used by the vectorized resolver (order matters for tests).
-STATE_CODES = {WalkState.EXTEND: 0, WalkState.END: 1, WalkState.FORK: 2}
-
 #: Integer codes covering *every* walk state, for lockstep state arrays
 #: (the megabatched walk keeps per-warp terminal states as int8). The
-#: first three agree with :data:`STATE_CODES` so resolver output can be
-#: stored directly.
+#: vectorized resolver emits the first three (order matters for tests).
 WALK_STATE_CODES = {
     WalkState.EXTEND: 0,
     WalkState.END: 1,
@@ -151,7 +147,7 @@ def resolve_extension_batch(
     """Vectorized :func:`resolve_extension` over ``(n, 4)`` count matrices.
 
     Returns ``(state_codes, base_codes)`` where state codes follow
-    :data:`STATE_CODES` and base codes are -1 except for EXTEND rows.
+    :data:`WALK_STATE_CODES` and base codes are -1 except for EXTEND rows.
     Row ``i`` resolves identically to
     ``resolve_extension(ExtensionVotes(hi_q[i], low_q[i]))`` — a property
     the test suite checks exhaustively.
@@ -165,14 +161,15 @@ def resolve_extension_batch(
     rows = np.arange(counts.shape[0])
     best = counts[rows, best_code]
     runner = counts[rows, order[:, -2]]
-    states = np.full(counts.shape[0], STATE_CODES[WalkState.EXTEND], dtype=np.int8)
+    states = np.full(counts.shape[0], WALK_STATE_CODES[WalkState.EXTEND],
+                     dtype=np.int8)
     bases = best_code.astype(np.int8)
     fork = runner * policy.dominance > best
-    states[fork] = STATE_CODES[WalkState.FORK]
+    states[fork] = WALK_STATE_CODES[WalkState.FORK]
     bases[fork] = -1
     raw_best = (hi_q + low_q)[rows, best_code]
     end = raw_best < policy.min_depth
-    states[end] = STATE_CODES[WalkState.END]
+    states[end] = WALK_STATE_CODES[WalkState.END]
     bases[end] = -1
     return states, bases
 

@@ -19,8 +19,9 @@ counts, synchronization counts, and predication statistics. Together
 with the scalar CPU reference
 (:class:`repro.kernels.engine.backend.ScalarReferenceBackend`) they
 register in the engine's backend registry, so callers select execution
-paths by name (:func:`repro.kernels.engine.create_backend`) or by device
-(:func:`repro.kernels.engine.backend_for_device`).
+paths by name (:func:`repro.kernels.engine.create_backend`), by device
+(:func:`repro.kernels.engine.backend_for_device`), or — what every front
+door does — by either (:func:`repro.kernels.engine.resolve_backend`).
 """
 
 from repro.kernels.cuda_kernel import CudaLocalAssemblyKernel
@@ -34,6 +35,7 @@ from repro.kernels.engine import (
     backend_for_device,
     create_backend,
     register_backend,
+    resolve_backend,
 )
 from repro.kernels.engine.backend import _REGISTRY
 from repro.kernels.hip_kernel import HipLocalAssemblyKernel
@@ -56,6 +58,7 @@ __all__ = [
     "create_backend",
     "kernel_for_device",
     "register_backend",
+    "resolve_backend",
 ]
 
 

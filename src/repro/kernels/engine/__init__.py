@@ -21,6 +21,7 @@ from repro.kernels.engine.backend import (
     backend_for_device,
     create_backend,
     register_backend,
+    resolve_backend,
 )
 from repro.kernels.engine.coalesce import (
     CoalescedJobResult,
@@ -73,7 +74,6 @@ from repro.kernels.engine.schedule import (
     LaunchPlan,
     LaunchPolicy,
     SideArrays,
-    SingleBinLaunchPolicy,
     iterate_k_schedule,
     validate_k_schedule,
 )
@@ -90,6 +90,7 @@ __all__ = [
     "backend_for_device",
     "create_backend",
     "register_backend",
+    "resolve_backend",
     # phases
     "ConstructPhase",
     "ConstructResult",
@@ -142,7 +143,6 @@ __all__ = [
     "LaunchPlan",
     "LaunchPolicy",
     "SideArrays",
-    "SingleBinLaunchPolicy",
     "iterate_k_schedule",
     "validate_k_schedule",
     # driver

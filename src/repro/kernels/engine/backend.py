@@ -74,9 +74,6 @@ class KernelRunResult:
     left_arrays: SideArrays | None = field(default=None, compare=False,
                                            repr=False)
 
-    def extension_of(self, i: int, end: End) -> tuple[str, WalkState]:
-        return self.right[i] if end is End.RIGHT else self.left[i]
-
 
 class ScheduleTail:
     """What a k-schedule accumulates beside its merged sides, and how it
@@ -123,7 +120,6 @@ class ScheduleTail:
         if self.cache is not None:
             merged.prep_cache_hits = self.cache.hits
             merged.prep_cache_misses = self.cache.misses
-            merged.prep_cache_evictions = self.cache.evictions
         return KernelRunResult(device=device, k=last_k, profile=merged,
                                right=right, left=left,
                                degraded=sorted(self.degraded),
@@ -149,8 +145,13 @@ class ExecutionBackend(Protocol):
 
 _REGISTRY: dict[str, Callable[..., ExecutionBackend]] = {}
 
-#: Device programming model -> registry name.
+#: Device programming model -> registry name (the paper's Table I).
 _MODEL_TO_BACKEND = {"CUDA": "cuda", "HIP": "hip", "SYCL": "sycl"}
+
+#: The names a coalesced wave can drive: ``"auto"`` and Table I's ports.
+#: Registered is not enough — the scalar reference has no launches to
+#: fuse and the sanitizer's demo kernel is wrong on purpose.
+WAVE_BACKENDS = ("auto", *_MODEL_TO_BACKEND.values())
 
 
 def register_backend(name: str, factory: Callable[..., ExecutionBackend],
@@ -191,6 +192,20 @@ def backend_for_device(device: DeviceSpec, **kwargs) -> ExecutionBackend:
             f"no backend for programming model {device.programming_model!r}"
         )
     return create_backend(name, device=device, **kwargs)
+
+
+def resolve_backend(name: str, device: DeviceSpec,
+                    **kwargs) -> ExecutionBackend:
+    """The backend a front door's ``--backend`` / ``"backend"`` names.
+
+    ``"auto"`` follows the device's programming model
+    (:func:`backend_for_device`); ``"scalar"`` has no device model and
+    runs device-less; any other registered name runs on ``device``.
+    """
+    if name == "auto":
+        return backend_for_device(device, **kwargs)
+    return create_backend(name, device=None if name == "scalar" else device,
+                          **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,7 @@ from repro.kernels.engine.schedule import (
     merge_k_side,
     validate_k_schedule,
 )
+from repro.kernels.engine.simt import LocalAssemblyKernel
 from repro.kernels.vectortable import WarpHashTables
 from repro.resilience.policy import OverflowPolicy
 from repro.simt.counters import KernelProfile
@@ -525,6 +526,12 @@ def run_schedule_coalesced(
     wave-scoped faults per job; an injector whose plan contains kinds
     that cannot replay under fusion is rejected up front.
     """
+    if not isinstance(kernel, LocalAssemblyKernel):
+        # fusion drives the kernel's phases, bus and launch policy
+        # directly; a backend that only offers run() has none of them
+        raise KernelError(
+            f"run_schedule_coalesced needs a LocalAssemblyKernel, "
+            f"not {type(kernel).__name__}")
     if not jobs:
         raise KernelError("run_schedule_coalesced needs at least one job")
     for j, contigs in enumerate(jobs):

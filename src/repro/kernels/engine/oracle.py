@@ -34,7 +34,8 @@ from repro.core.construct import (
     estimate_table_slots_upper_bound,
 )
 from repro.core.extension import (
-    STATE_CODES,
+    CODE_TO_WALK_STATE,
+    WALK_STATE_CODES,
     WalkState,
     resolve_extension_batch,
 )
@@ -62,8 +63,6 @@ from repro.kernels.engine.schedule import validate_k_schedule
 from repro.kernels.engine.walk import WalkOutput, WalkPhase
 from repro.kernels.vectortable import WarpHashTables
 from repro.simt.counters import KernelProfile
-
-_CODE_TO_STATE = {v: k for k, v in STATE_CODES.items()}
 
 
 class ScalarOracleWalkPhase(WalkPhase):
@@ -166,7 +165,7 @@ class ScalarOracleWalkPhase(WalkPhase):
 
             bases_committed = 0
             next_alive = alive.copy()
-            advancing = ~missing & (res_states == STATE_CODES[WalkState.EXTEND])
+            advancing = ~missing & (res_states == WALK_STATE_CODES[WalkState.EXTEND])
             # terminal warps leave the walk; each warp terminates at most
             # once per launch, so these loops are O(n_warps) overall
             for w in a[missing]:
@@ -174,7 +173,7 @@ class ScalarOracleWalkPhase(WalkPhase):
                 next_alive[w] = False
             for j in np.nonzero(~missing & ~advancing)[0]:
                 w = a[j]
-                states[w] = _CODE_TO_STATE[int(res_states[j])]
+                states[w] = CODE_TO_WALK_STATE[int(res_states[j])]
                 next_alive[w] = False
             if advancing.any():
                 adv = np.nonzero(advancing)[0]

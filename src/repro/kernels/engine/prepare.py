@@ -20,7 +20,6 @@ bench_engine_prepare_reuse.py`` measures the saving.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,63 +220,39 @@ class FlattenedBin:
         return len(self.contig_ids)
 
 
-#: Default entry bound for :class:`PrepareCache`. Generous relative to a
-#: single k-schedule (which touches ``bins x ends`` entries, typically a
-#: handful) so in-run reuse never thrashes, while bounding what one
-#: run holds at a time.
-DEFAULT_PREPARE_CACHE_ENTRIES = 128
-
-
 class PrepareCache:
     """Memoizes :class:`FlattenedBin` results across a k-schedule.
 
     Keyed by (end, contig-index tuple) so a bin whose composition shifts
     between k values simply misses — correctness never depends on the
-    binning being k-stable.
-
-    The cache is a bounded LRU: a ``get`` refreshes recency, a ``put``
-    past ``maxsize`` entries evicts the least-recently-used one, and
-    ``hits`` / ``misses`` / ``evictions`` counters are surfaced in
-    profiles as the ``prep_cache_*`` fields. A cache belongs to one
-    job's k-schedule: the coalescing service builds a fresh one per job
-    per wave, so a re-run of the same job reports the same counters.
+    binning being k-stable. A plain dict: a schedule touches
+    ``bins x ends`` keys (a handful) and the cache dies with it, so
+    there is nothing to bound or evict. ``hits`` / ``misses`` are
+    surfaced in profiles as the ``prep_cache_*`` fields. A cache belongs
+    to one job's k-schedule: the coalescing service builds a fresh one
+    per job per wave, so a re-run of the same job reports the same
+    counters.
     """
 
-    def __init__(self, maxsize: int = DEFAULT_PREPARE_CACHE_ENTRIES) -> None:
-        if maxsize < 1:
-            raise KernelError("PrepareCache maxsize must be >= 1")
-        self._flat: OrderedDict = OrderedDict()
-        self.maxsize = maxsize
+    def __init__(self) -> None:
+        self._flat: dict[tuple, FlattenedBin] = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     @staticmethod
     def key(bin_: Bin, end: End) -> tuple:
         return (end, tuple(bin_.contig_indices))
 
     def get(self, bin_: Bin, end: End) -> FlattenedBin | None:
-        return self._get(self.key(bin_, end))
-
-    def put(self, bin_: Bin, end: End, flat: FlattenedBin) -> None:
-        self._put(self.key(bin_, end), flat)
-
-    def _get(self, key: tuple) -> FlattenedBin | None:
-        flat = self._flat.get(key)
+        flat = self._flat.get(self.key(bin_, end))
         if flat is None:
             self.misses += 1
         else:
-            self._flat.move_to_end(key)
             self.hits += 1
         return flat
 
-    def _put(self, key: tuple, flat: FlattenedBin) -> None:
-        if key in self._flat:
-            self._flat.move_to_end(key)
-        self._flat[key] = flat
-        while len(self._flat) > self.maxsize:
-            self._flat.popitem(last=False)
-            self.evictions += 1
+    def put(self, bin_: Bin, end: End, flat: FlattenedBin) -> None:
+        self._flat[self.key(bin_, end)] = flat
 
     def __len__(self) -> int:
         return len(self._flat)

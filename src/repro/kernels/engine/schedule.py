@@ -122,19 +122,6 @@ class BinnedLaunchPolicy:
                 for b in bins for end in self.ends]
 
 
-class SingleBinLaunchPolicy:
-    """Ablation policy: the whole dataset as one launch per end (no
-    binning), the unbatched baseline the binning ablation contrasts."""
-
-    def __init__(self, ends: tuple[End, ...] = (End.RIGHT, End.LEFT)) -> None:
-        self.ends = ends
-
-    def plan(self, contigs: list[Contig], k: int,
-             config: LaunchConfig) -> list[LaunchPlan]:
-        bin_ = Bin(contig_indices=list(range(len(contigs))))
-        return [LaunchPlan(bin=bin_, end=end, k=k) for end in self.ends]
-
-
 def validate_k_schedule(k_schedule: tuple[int, ...]) -> None:
     if not k_schedule or list(k_schedule) != sorted(set(k_schedule)):
         raise KernelError(

@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.extension import (
     CODE_TO_WALK_STATE,
     DEFAULT_POLICY,
-    STATE_CODES,
     WALK_STATE_CODES,
     WalkPolicy,
     WalkState,
@@ -58,7 +57,7 @@ from repro.kernels.engine.events import (
 from repro.kernels.engine.prepare import Batch
 from repro.kernels.vectortable import WarpHashTables
 
-_EXTEND = STATE_CODES[WalkState.EXTEND]
+_EXTEND = WALK_STATE_CODES[WalkState.EXTEND]
 _END = WALK_STATE_CODES[WalkState.END]
 _LOOP = WALK_STATE_CODES[WalkState.LOOP]
 _MAX_LEN = WALK_STATE_CODES[WalkState.MAX_LEN]

@@ -143,9 +143,6 @@ class KmerSpectrum:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def is_solid(self, canonical_fp: int) -> bool:
-        return canonical_fp in self.counts
-
     @property
     def error_fraction(self) -> float:
         """Fraction of scanned k-mers attributed to sequencing errors.

@@ -284,62 +284,61 @@ class CheckpointStore:
             return None
         return data
 
-    def _read_validated(self, path: Path) -> dict | None:
-        """Read + frame-validate one checkpoint file.
+    def _check(self, path: Path,
+               ) -> tuple[dict | None, str | None, str | None]:
+        """Read + frame-check one file: ``(payload, damage, mismatch)``.
 
-        Environmental damage (unparseable bytes, CRC mismatch) is
-        quarantined and returns ``None``; configuration problems (format
-        drift, meta mismatch) raise :class:`CheckpointError`.
+        At most one is set (none: the file is absent). ``damage`` names
+        environmental corruption, ``mismatch`` a configuration problem;
+        what to do about either is the caller's policy.
         """
-        if not path.exists():
-            return None
         try:
             payload = json.loads(path.read_text())
         except OSError:
-            return None  # raced with a concurrent quarantine/clear
-        except json.JSONDecodeError:
-            self.quarantine(path, "unparseable JSON")
-            return None
+            return None, None, None  # absent, or raced with a quarantine
+        except ValueError:  # bad JSON, or bytes that are not UTF-8
+            return None, "unparseable JSON", None
         if not isinstance(payload, dict):
-            self.quarantine(path, "payload is not an object")
-            return None
+            return None, "payload is not an object", None
         stored_crc = payload.get("crc")
         if stored_crc is not None and stored_crc != payload_crc(payload):
-            self.quarantine(path, "CRC mismatch")
-            return None
+            return None, "CRC mismatch", None
         if payload.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(
+            return None, None, (
                 f"checkpoint {path} has format {payload.get('format')!r}, "
                 f"expected {CHECKPOINT_FORMAT}")
         if payload.get("meta") != self.meta:
-            raise CheckpointError(
+            return None, None, (
                 f"checkpoint {path} was written by a different configuration "
                 f"({payload.get('meta')} != {self.meta}); use a fresh "
                 "checkpoint directory or matching settings")
+        return payload, None, None
+
+    def _read_validated(self, path: Path) -> dict | None:
+        """One checkpoint's payload, under the *load* policy.
+
+        Environmental damage is quarantined and returns ``None`` (the
+        caller recomputes); configuration problems raise
+        :class:`CheckpointError`.
+        """
+        payload, damage, mismatch = self._check(path)
+        if damage is not None:
+            self.quarantine(path, damage)
+        if mismatch is not None:
+            raise CheckpointError(mismatch)
         return payload
 
     def completed(self) -> set[tuple[str, int]]:
         """The ``(device_name, k)`` pairs with a *usable* checkpoint on disk.
 
-        Applies the same format-version and configuration-fingerprint
-        validation as :meth:`load`: a parseable file written by a
-        different format or configuration does not count as done (it
-        would be rejected at load time anyway).
+        The same validation as :meth:`load` under the *survey* policy:
+        a file that load would quarantine or reject simply does not
+        count as done (and is left alone).
         """
         done: set[tuple[str, int]] = set()
         for path in self.directory.glob("*.json"):
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue  # unreadable files simply don't count as done
-            if not isinstance(payload, dict):
-                continue
-            crc = payload.get("crc")
-            if crc is not None and crc != payload_crc(payload):
-                continue  # damaged on disk; load_named would quarantine it
-            if payload.get("format") != CHECKPOINT_FORMAT:
-                continue
-            if payload.get("meta") != self.meta:
+            payload, _damage, _mismatch = self._check(path)
+            if payload is None:
                 continue
             try:
                 done.add((str(payload["device"]), int(payload["k"])))

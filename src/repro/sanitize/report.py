@@ -10,7 +10,7 @@ style: one line per finding plus a per-checker summary.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 #: The three checkers, in report order (modeled on compute-sanitizer's
 #: racecheck / synccheck / initcheck tools).
@@ -115,7 +115,3 @@ class SanitizerReport:
         lines = [f.format() for f in self.findings]
         lines.append(self.summary())
         return "\n".join(lines)
-
-    def to_dicts(self) -> list[dict]:
-        """JSON-ready finding records."""
-        return [asdict(f) for f in self.findings]

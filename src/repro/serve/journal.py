@@ -43,6 +43,10 @@ JOURNAL_FORMAT = 1
 #: The lifecycle operations a journal may record.
 JOURNAL_OPS = ("open", "submit", "dispatch", "finish", "shutdown")
 
+#: Record keys that frame a record or address its job(s); every other
+#: key is the operation's data and folds into the job on replay.
+_ENVELOPE = ("seq", "op", "job_id", "job_ids")
+
 
 class JournalError(ReproError):
     """A journal cannot be appended to or replayed."""
@@ -168,11 +172,12 @@ class JobJournal:
                 state.clean_shutdown = True
                 continue
             state.clean_shutdown = False
+            # what a record says about its job(s): everything but the
+            # framing and the addressing, whatever the op carries
+            data = {k: v for k, v in record.items() if k not in _ENVELOPE}
             if op == "submit" and isinstance(job_id, str):
-                job = {k: v for k, v in record.items()
-                       if k not in ("seq", "op")}
-                job["phase"] = "submit"
-                state.jobs[job_id] = job
+                state.jobs[job_id] = {"job_id": job_id, **data,
+                                      "phase": "submit"}
                 if job_id.startswith("j"):
                     try:
                         state.max_job_ordinal = max(
@@ -187,10 +192,7 @@ class JobJournal:
                 for jid in ids:
                     job = state.jobs.get(jid)
                     if job is not None:
-                        job["phase"] = op
-                        for key in ("status", "resumed"):
-                            if key in record:
-                                job[key] = record[key]
+                        job.update(data, phase=op)
         return state
 
 

@@ -6,7 +6,7 @@ A job submission is a JSON object::
       "dat": "<.dat format text>",          # contigs + reads (required)
       "k_schedule": [21, 33, 55, 77],       # optional, validated
       "device": "A100",                     # optional, default A100
-      "backend": "auto",                    # optional backend name
+      "backend": "auto",                    # optional: auto|cuda|hip|sycl
       "overflow_policy": "drop-contig",     # optional, default drop-contig
       "deadline_s": 10.0                    # optional latency budget
     }
@@ -31,6 +31,7 @@ from repro.errors import DatasetError, ReproError
 from repro.genomics.contig import Contig
 from repro.genomics.io import loads_dat
 from repro.kernels.engine import validate_k_schedule
+from repro.kernels.engine.backend import WAVE_BACKENDS
 from repro.resilience.checkpoint import profile_to_dict, result_to_dict
 from repro.resilience.policy import OverflowPolicy
 from repro.simt.device import device_by_name
@@ -68,6 +69,12 @@ class JobOptions:
                 "k_schedule": list(self.k_schedule),
                 "overflow_policy": self.overflow_policy}
 
+    @classmethod
+    def from_dict(cls, data: dict) -> JobOptions:
+        return cls(device=data["device"], backend=data["backend"],
+                   k_schedule=tuple(data["k_schedule"]),
+                   overflow_policy=data["overflow_policy"])
+
 
 @dataclass
 class JobSpec:
@@ -88,6 +95,27 @@ class JobSpec:
     options: JobOptions
     fingerprint: str
     deadline_s: float | None = None
+
+
+def spec_to_dict(spec: JobSpec) -> dict:
+    """The job record: a :class:`JobSpec` as the journal stores it and
+    a wave carries it across the executor boundary."""
+    return {"job_id": spec.job_id, "dat": spec.dat,
+            "n_contigs": spec.n_contigs, "options": spec.options.to_dict(),
+            "fingerprint": spec.fingerprint, "deadline_s": spec.deadline_s}
+
+
+def spec_from_dict(record: dict) -> JobSpec:
+    """Inverse of :func:`spec_to_dict`; a record missing a field or
+    carrying a wrongly typed one raises :class:`ProtocolError`."""
+    try:
+        return JobSpec(job_id=record["job_id"], dat=record["dat"],
+                       n_contigs=int(record["n_contigs"]),
+                       options=JobOptions.from_dict(record["options"]),
+                       fingerprint=record["fingerprint"],
+                       deadline_s=record["deadline_s"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"damaged job record: {exc!r}") from None
 
 
 def parse_job_request(body: dict, job_id: str) -> JobSpec:
@@ -120,8 +148,9 @@ def parse_job_request(body: dict, job_id: str) -> JobSpec:
     except ReproError as exc:
         raise ProtocolError(str(exc)) from None
     backend = body.get("backend", "auto")
-    if not isinstance(backend, str):
-        raise ProtocolError("backend must be a string")
+    if backend not in WAVE_BACKENDS:
+        raise ProtocolError(
+            f"backend must be one of {WAVE_BACKENDS}, got {backend!r}")
     try:
         policy = OverflowPolicy.parse(
             body.get("overflow_policy", "drop-contig"))
@@ -191,4 +220,6 @@ __all__ = [
     "parse_job_request",
     "profile_to_dict",
     "result_to_payload",
+    "spec_from_dict",
+    "spec_to_dict",
 ]

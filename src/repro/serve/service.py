@@ -10,8 +10,9 @@ Endpoints (HTTP/1.1, JSON bodies)::
     GET  /v1/jobs/<id>/result result        -> 200 payload | 409 pending
     GET  /v1/stats            service counters (admission, waves, cache)
 
-The request path is fully async (stdlib ``asyncio.start_server`` plus a
-minimal HTTP parser — no third-party dependencies); assembly itself runs
+The request path is fully async (stdlib ``asyncio.start_server`` plus
+the minimal HTTP framing of :mod:`repro.serve.http` — no third-party
+dependencies); assembly itself runs
 in an executor so the event loop keeps accepting and coalescing during a
 wave. ``workers <= 1`` uses a dedicated single-thread executor (one
 wave at a time); ``workers > 1`` uses a process pool so independent
@@ -69,9 +70,10 @@ from repro.serve.batcher import (
     DEFAULT_WINDOW_S,
     CoalescingBatcher,
 )
+from repro.serve.http import frame_message, read_request, status_line
 from repro.serve.journal import JobJournal, JournalState
-from repro.serve.protocol import JobOptions, JobSpec, JobStatus, \
-    ProtocolError, parse_job_request
+from repro.serve.protocol import JobSpec, JobStatus, ProtocolError, \
+    parse_job_request, spec_from_dict, spec_to_dict
 from repro.serve.queue import DEFAULT_MAX_IN_FLIGHT, AdmissionControl
 from repro.serve.supervisor import (
     DEFAULT_BREAKER_COOLDOWN_S,
@@ -83,8 +85,6 @@ from repro.serve.supervisor import (
 )
 from repro.serve.worker import run_wave
 from repro.simt.device import device_by_name
-
-_MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 @dataclass
@@ -244,17 +244,8 @@ class AssemblyService:
         loop = asyncio.get_running_loop()
         for job_id, job in state.jobs.items():
             try:
-                options = JobOptions(
-                    device=job["options"]["device"],
-                    backend=job["options"]["backend"],
-                    k_schedule=tuple(job["options"]["k_schedule"]),
-                    overflow_policy=job["options"]["overflow_policy"])
-                spec = JobSpec(job_id=job_id, dat=job["dat"],
-                               n_contigs=int(job["n_contigs"]),
-                               options=options,
-                               fingerprint=job["fingerprint"],
-                               deadline_s=job.get("deadline_s"))
-            except (KeyError, TypeError, ValueError):
+                spec = spec_from_dict(job)
+            except ProtocolError:
                 continue  # a damaged submit record cannot be re-seated
             record = JobRecord(spec=spec, recovered=True,
                                submitted_at=loop.time())
@@ -344,10 +335,7 @@ class AssemblyService:
         self._jobs[spec.job_id] = record
         # durability before acknowledgement: the 202 below promises the
         # job will survive a crash, so the submit record hits disk first
-        await self._journal_append(
-            "submit", job_id=spec.job_id, dat=spec.dat,
-            n_contigs=spec.n_contigs, options=spec.options.to_dict(),
-            fingerprint=spec.fingerprint, deadline_s=spec.deadline_s)
+        await self._journal_append("submit", **spec_to_dict(spec))
         resumed = await self._try_resume(record)
         if not resumed:
             await self.batcher.submit(spec)
@@ -434,9 +422,7 @@ class AssemblyService:
 
     async def _execute_wave(self, jobs: list[JobSpec]) -> list[dict]:
         """The supervisor's executor dispatch (retried / bisected there)."""
-        wave = {"options": jobs[0].options.to_dict(),
-                "jobs": [{"job_id": s.job_id, "dat": s.dat,
-                          "fingerprint": s.fingerprint} for s in jobs]}
+        wave = {"jobs": [spec_to_dict(s) for s in jobs]}
         loop = asyncio.get_running_loop()
         try:
             return await loop.run_in_executor(self._pool, run_wave, wave)
@@ -494,18 +480,16 @@ class AssemblyService:
             task.add_done_callback(self._clients.discard)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await read_request(reader)
+                except ProtocolError as exc:
+                    # the byte stream is out of frame: answer once, close
+                    await self._respond(writer, 400, {"error": str(exc)},
+                                        keep_alive=False)
+                    break
                 if request is None:
                     break
-                method, path, body = request
-                status, payload = await self._route(method, path, body)
-                data = json.dumps(payload).encode()
-                writer.write(
-                    f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"Connection: keep-alive\r\n\r\n".encode() + data)
-                await writer.drain()
+                await self._respond(writer, *await self._route(*request))
         except (ConnectionError, asyncio.IncompleteReadError,
                 asyncio.CancelledError):
             pass
@@ -518,36 +502,19 @@ class AssemblyService:
                 # its closed transport; that is a clean exit, not noise
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
-        if not line:
-            return None
-        try:
-            method, path, _version = line.decode().split()
-        except ValueError:
-            return None
-        length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode().partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    return None
-        if length > _MAX_BODY_BYTES:
-            return None
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, body
+    @staticmethod
+    async def _respond(writer: asyncio.StreamWriter, status: int,
+                       payload: dict, keep_alive: bool = True) -> None:
+        writer.write(frame_message(status_line(status),
+                                   json.dumps(payload).encode(), keep_alive))
+        await writer.drain()
 
     async def _route(self, method: str, path: str,
                      body: bytes) -> tuple[int, dict]:
         if method == "POST" and path == "/v1/jobs":
             try:
                 parsed = json.loads(body or b"{}")
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or not UTF-8
                 return 400, {"error": f"bad JSON body: {exc}"}
             return await self.submit(parsed)
         if method == "GET" and path == "/v1/stats":
@@ -599,11 +566,6 @@ class AssemblyService:
             body["checkpoints"] = {
                 "quarantined": len(self._store.quarantined)}
         return body
-
-
-_REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-            409: "Conflict", 429: "Too Many Requests",
-            503: "Service Unavailable"}
 
 
 async def serve_forever(host: str, port: int,

@@ -19,59 +19,35 @@ from __future__ import annotations
 
 from repro.core.extension import PRODUCTION_POLICY
 from repro.errors import ReproError
-from repro.kernels import backend_for_device, create_backend
-from repro.kernels.engine import run_schedule_coalesced
-from repro.serve.protocol import (
-    JobOptions,
-    error_to_payload,
-    parse_contigs,
-    result_to_payload,
-)
+from repro.kernels.engine import resolve_backend, run_schedule_coalesced
+from repro.serve.protocol import error_to_payload, parse_contigs, \
+    result_to_payload, spec_from_dict
 from repro.simt.device import device_by_name
-
-
-def _build_kernel(options: JobOptions):
-    device = device_by_name(options.device)
-    kw = {"policy": PRODUCTION_POLICY,
-          "overflow_policy": options.overflow_policy}
-    if options.backend == "auto":
-        return backend_for_device(device, **kw)
-    return create_backend(options.backend, device=device, **kw)
 
 
 def run_wave(wave: dict) -> list[dict]:
     """Execute one fused wave; returns one payload dict per job, aligned.
 
-    ``wave`` is ``{"options": {...}, "jobs": [{"job_id", "dat",
-    "fingerprint"}, ...]}`` as built by the service's dispatch path. A
-    job-level failure (overflow under the raise policy) yields an error
-    payload in that job's slot; co-tenant jobs are unaffected. A
-    wave-level failure (bad backend name and the like) raises — the
-    service fails every job of the wave with it.
+    ``wave`` is ``{"jobs": [...]}``, one :func:`spec_to_dict` record per
+    job; they share a coalescing key, so the first job's options
+    configure the kernel. A job-level failure (overflow under the raise
+    policy) yields an error payload in that job's slot; a wave-level
+    failure raises, and the service fails every job of the wave with it.
     """
-    options = JobOptions(
-        device=wave["options"]["device"],
-        backend=wave["options"]["backend"],
-        k_schedule=tuple(wave["options"]["k_schedule"]),
-        overflow_policy=wave["options"]["overflow_policy"],
-    )
-    jobs = wave["jobs"]
+    jobs = [spec_from_dict(record) for record in wave["jobs"]]
     if not jobs:
         raise ReproError("run_wave needs at least one job")
-    kernel = _build_kernel(options)
-    contigs = [parse_contigs(j["dat"], j["job_id"]) for j in jobs]
+    options = jobs[0].options
+    kernel = resolve_backend(options.backend, device_by_name(options.device),
+                             policy=PRODUCTION_POLICY,
+                             overflow_policy=options.overflow_policy)
     outcomes = run_schedule_coalesced(
-        kernel, contigs, options.k_schedule,
-        fingerprints=[j["fingerprint"] for j in jobs])
-    payloads: list[dict] = []
-    for outcome in outcomes:
-        if outcome.error is not None:
-            payloads.append(error_to_payload(outcome.error))
-        else:
-            payloads.append(result_to_payload(
-                outcome.result, replay=outcome.replay,
-                sanitizer_report=outcome.sanitizer_report))
-    return payloads
+        kernel, [parse_contigs(j.dat, j.job_id) for j in jobs],
+        options.k_schedule, fingerprints=[j.fingerprint for j in jobs])
+    return [error_to_payload(outcome.error) if outcome.error is not None
+            else result_to_payload(outcome.result, replay=outcome.replay,
+                                   sanitizer_report=outcome.sanitizer_report)
+            for outcome in outcomes]
 
 
 __all__ = ["run_wave"]

@@ -72,10 +72,11 @@ class KernelProfile:
     contigs_dropped: int = 0
     #: Grow-retry re-launches performed after table overflows.
     overflow_retries: int = 0
-    #: PrepareCache flatten reuse over the run (k-schedule and, under
-    #: the coalescing service, cross-request reuse for repeat tenants).
+    #: PrepareCache flatten reuse over the run's k-schedule.
     prep_cache_hits: int = 0
     prep_cache_misses: int = 0
+    #: Always 0 (the cache is an unbounded dict); kept because the
+    #: committed bench baselines and checkpoints carry the field.
     prep_cache_evictions: int = 0
     seconds: float = 0.0
     # --- phase breakdown consumed by the timing model ---

@@ -21,9 +21,11 @@ from repro.kernels import (
     backend_for_device,
     create_backend,
     kernel_for_device,
+    resolve_backend,
 )
-from repro.kernels.engine import ExecutionBackend
-from repro.simt.device import A100, MAX1550, MI250X
+from repro.kernels.engine import ExecutionBackend, run_schedule_coalesced
+from repro.kernels.engine.backend import WAVE_BACKENDS
+from repro.simt.device import A100, MAX1550, MI250X, PLATFORMS
 
 SPEC = ScenarioSpec(contig_length=200, flank_length=60, read_length=90,
                     depth=8, seed_window=50)
@@ -57,6 +59,34 @@ class TestRegistry:
         assert isinstance(backend_for_device(A100), CudaLocalAssemblyKernel)
         assert isinstance(backend_for_device(MI250X), HipLocalAssemblyKernel)
         assert isinstance(backend_for_device(MAX1550), SyclLocalAssemblyKernel)
+
+    @pytest.mark.parametrize("device", PLATFORMS, ids=lambda d: d.name)
+    def test_resolve_auto_is_backend_for_device(self, device):
+        auto = resolve_backend("auto", device)
+        assert type(auto) is type(backend_for_device(device))
+        assert auto.device is device
+
+    def test_resolve_named_port_runs_on_the_given_device(self):
+        kern = resolve_backend("hip", A100)
+        assert isinstance(kern, HipLocalAssemblyKernel)
+        assert kern.device is A100
+
+    @pytest.mark.parametrize("device", PLATFORMS, ids=lambda d: d.name)
+    def test_resolve_scalar_is_deviceless(self, device):
+        assert resolve_backend("scalar", device).device is None
+
+    def test_resolve_unknown_name_raises(self):
+        with pytest.raises(KernelError, match="unknown backend"):
+            resolve_backend("opencl", A100)
+
+    def test_wave_backends_are_auto_plus_the_three_ports(self):
+        assert set(WAVE_BACKENDS) == {"auto", "cuda", "hip", "sycl"}
+
+    def test_coalesced_run_rejects_a_backend_without_launches(self):
+        # was: AttributeError: ... has no attribute 'fault_injector'
+        with pytest.raises(KernelError, match="LocalAssemblyKernel"):
+            run_schedule_coalesced(resolve_backend("scalar", A100),
+                                   [_contigs(1)], (21,))
 
     def test_kernel_for_device_still_works(self):
         kern = kernel_for_device(A100)

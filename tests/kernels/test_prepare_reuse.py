@@ -228,28 +228,6 @@ class TestConcatBatches:
 
 
 class TestPrepareCacheLRU:
-    def _flat(self, tag):
-        # any payload object works; the cache never inspects it
-        return ("flat", tag)
-
-    def test_eviction_order_and_counters(self):
-        cache = PrepareCache(maxsize=2)
-        cache._put(("a",), self._flat("a"))
-        cache._put(("b",), self._flat("b"))
-        assert cache._get(("a",)) is not None   # refresh "a"
-        cache._put(("c",), self._flat("c"))     # evicts LRU "b"
-        assert cache._get(("b",)) is None
-        assert cache._get(("a",)) is not None
-        assert cache._get(("c",)) is not None
-        assert (cache.hits, cache.misses, cache.evictions) == (3, 1, 1)
-        assert len(cache) == 2
-
-    def test_maxsize_validated(self):
-        from repro.errors import KernelError
-
-        with pytest.raises(KernelError, match="maxsize"):
-            PrepareCache(maxsize=0)
-
     def test_schedule_profile_exposes_cache_counters(self):
         contigs = _forky_contigs(seed=8)
         kern = CudaLocalAssemblyKernel(A100)
@@ -257,4 +235,6 @@ class TestPrepareCacheLRU:
         cache = kern.last_prep_cache
         assert res.profile.prep_cache_hits == cache.hits > 0
         assert res.profile.prep_cache_misses == cache.misses > 0
-        assert res.profile.prep_cache_evictions == cache.evictions == 0
+        # the cache is an unbounded dict; the field stays for the pinned
+        # BENCH_engine.json / checkpoint profile schema
+        assert res.profile.prep_cache_evictions == 0

@@ -71,6 +71,17 @@ class TestValidation:
         assert [p.suffix for p in store.quarantined] == [".quarantine"]
         assert store.quarantined[0].exists()
 
+    def test_non_utf8_file_is_damage_not_a_crash(self, tmp_path):
+        # bit rot need not leave valid UTF-8 behind: same policies as
+        # any other unparseable file (skip in the survey, quarantine on
+        # load), never a UnicodeDecodeError
+        store = CheckpointStore(tmp_path)
+        path = store.path_for("A100", K)
+        path.write_bytes(b'\xff\xfe{"k": 21}')
+        assert store.completed() == set() and path.exists()
+        assert store.load(A100, K) is None
+        assert not path.exists() and len(store.quarantined) == 1
+
     def test_crc_mismatch_quarantined(self, tmp_path, clean_run):
         store = CheckpointStore(tmp_path)
         path = store.save("A100", K, clean_run, clean_run.profile)

@@ -272,6 +272,38 @@ def test_rep013_catches_drift_in_both_directions(tmp_path):
     assert any("'extra'" in m and "no paired writer" in m for m in messages)
 
 
+JOB_RECORD_CODEC = """
+    def spec_to_dict(spec):
+        return {"job_id": spec.job_id, "dat": spec.dat,
+                "options": spec.options.to_dict(),
+                "deadline_s": spec.deadline_s}
+
+    def spec_from_dict(record):
+        return JobSpec(job_id=record["job_id"], dat=record["dat"],
+                       options=JobOptions.from_dict(record["options"]),
+                       deadline_s=record["deadline_s"])
+    """
+
+
+@pytest.mark.parametrize("dropped,half", [
+    ('"deadline_s": spec.deadline_s', "no paired writer"),
+    ('deadline_s=record["deadline_s"]', "no paired reader"),
+])
+def test_rep013_pairs_the_serve_job_record_halves(tmp_path, dropped, half):
+    # the shape of repro.serve.protocol's spec_to_dict / spec_from_dict:
+    # a field dropped from either half (the drift that once lost a failed
+    # job's error across --recover) fails lint, not a recovery
+    assert run_fixture(tmp_path / "ok",
+                       {"pkg/protocol.py": JOB_RECORD_CODEC}) == []
+    assert dropped in JOB_RECORD_CODEC
+    findings = run_fixture(tmp_path / "drift", {
+        "pkg/protocol.py": JOB_RECORD_CODEC.replace(dropped, "")})
+    assert only_rule(findings) == "REP013"
+    (finding,) = findings
+    assert "'spec:dict'" in finding.message
+    assert "'deadline_s'" in finding.message and half in finding.message
+
+
 def test_rep013_quiet_when_key_sets_agree(tmp_path):
     findings = run_fixture(tmp_path, {
         "pkg/codec.py": """

@@ -75,6 +75,15 @@ class TestReplay:
         assert [j["job_id"] for j in pending] == ["j2"]
         assert pending[0]["phase"] == "dispatch"
         assert pending[0]["dat"] == "d2"  # submit data survives the fold
+        # ... and so does whatever a later record says about the job:
+        # the fold names no field, so a failure keeps its reason
+        journal = JobJournal(tmp_path / "j.wal", fsync=False)
+        journal.append("finish", job_id="j2", status="failed", error="boom")
+        journal.close()
+        failed = JobJournal.replay(tmp_path / "j.wal").jobs["j2"]
+        assert failed == {"job_id": "j2", "dat": "d2", "fingerprint": "f2",
+                          "phase": "finish", "status": "failed",
+                          "error": "boom"}
 
     def test_torn_tail_dropped_without_losing_earlier_records(self, tmp_path):
         path = tmp_path / "j.wal"

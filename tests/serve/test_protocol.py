@@ -1,17 +1,24 @@
 """Wire-protocol parsing and validation of the assembly service."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.genomics.io import dumps_dat
 from repro.genomics.simulate import ErrorProfile, ScenarioSpec, simulate_batch
 from repro.serve.protocol import (
     DEFAULT_K_SCHEDULE,
     JobOptions,
+    JobSpec,
     ProtocolError,
     error_to_payload,
     job_fingerprint,
     parse_job_request,
+    spec_from_dict,
+    spec_to_dict,
 )
 
 
@@ -68,6 +75,78 @@ class TestParseJobRequest:
         with pytest.raises(ProtocolError, match="overflow_policy"):
             parse_job_request({"dat": dat, "overflow_policy": "explode"},
                               job_id="j1")
+
+
+    @pytest.mark.parametrize("backend", [
+        "scalar",        # registered, but has no launches a wave can fuse
+        "buggy-demo",    # registered: the sanitizer's deliberately wrong kernel
+        "nope",          # not registered at all
+        "CUDA",          # the registry folds case; the coalescing key does not
+        7,
+    ])
+    def test_rejects_backends_no_wave_can_run(self, backend):
+        with pytest.raises(ProtocolError, match="backend"):
+            parse_job_request({"dat": make_dat(), "backend": backend},
+                              job_id="j1")
+
+    @pytest.mark.parametrize("backend", ["auto", "cuda", "hip", "sycl"])
+    def test_accepts_every_wave_backend(self, backend):
+        spec = parse_job_request({"dat": make_dat(), "backend": backend},
+                                 job_id="j1")
+        assert spec.options.backend == backend
+
+
+options_strategy = st.builds(
+    JobOptions,
+    device=st.sampled_from(["A100", "MI250X", "MAX1550"]),
+    backend=st.sampled_from(["auto", "cuda", "hip", "sycl"]),
+    k_schedule=st.lists(st.integers(1, 127), min_size=1, max_size=4,
+                        unique=True).map(lambda ks: tuple(sorted(ks))),
+    overflow_policy=st.sampled_from(["raise", "drop-contig", "grow-retry"]))
+
+spec_strategy = st.builds(
+    JobSpec,
+    job_id=st.integers(1, 10**6).map(lambda n: f"j{n}"),
+    dat=st.text(max_size=40),
+    n_contigs=st.integers(1, 10**4),
+    options=options_strategy,
+    fingerprint=st.text("0123456789abcdef", min_size=32, max_size=32),
+    deadline_s=st.none() | st.floats(0.001, 1e6))
+
+
+class TestJobRecord:
+    """The one record a job travels as: into the journal, out of a
+    replay, and across the executor boundary inside a wave."""
+
+    @given(options_strategy)
+    def test_options_round_trip(self, options):
+        assert JobOptions.from_dict(options.to_dict()) == options
+
+    @given(spec_strategy)
+    def test_spec_round_trips_through_json(self, spec):
+        record = json.loads(json.dumps(spec_to_dict(spec)))
+        assert spec_from_dict(record) == spec
+
+    def test_record_is_flat_json_with_job_id_on_top(self):
+        # the journal addresses records by their top-level "job_id", and
+        # the ledger tags a wave by wave["jobs"][i]["job_id"]
+        spec = parse_job_request({"dat": make_dat()}, job_id="j9")
+        record = spec_to_dict(spec)
+        assert record["job_id"] == "j9"
+        assert record["options"] == spec.options.to_dict()
+
+    @pytest.mark.parametrize("damage", [
+        lambda r: r.pop("fingerprint"),
+        lambda r: r.pop("deadline_s"),
+        lambda r: r["options"].pop("backend"),
+        lambda r: r.update(n_contigs="many"),
+        lambda r: r.update(options=None),
+    ])
+    def test_damaged_record_is_a_typed_error(self, damage):
+        record = spec_to_dict(parse_job_request({"dat": make_dat()}, "j1"))
+        damage(record)
+        with pytest.raises(ProtocolError, match="damaged job record"):
+            spec_from_dict(record)
 
 
 class TestFingerprint:

@@ -12,6 +12,7 @@ from repro.kernels import CudaLocalAssemblyKernel, backend_for_device
 from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.resilience.checkpoint import result_to_dict
 from repro.serve import AssemblyService, JobJournal
+from repro.serve.protocol import parse_job_request, spec_to_dict
 from repro.serve.worker import run_wave
 from repro.simt.device import A100
 
@@ -32,9 +33,13 @@ def make_dat(n_contigs=2, seed=7) -> str:
 
 
 async def request(port, method, path, payload=None):
+    """One request on its own connection; ``payload`` is JSON-encoded
+    unless it is already ``bytes`` (for bodies no encoder would emit)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
-        body = json.dumps(payload).encode() if payload is not None else b""
+        body = (payload if isinstance(payload, bytes)
+                else json.dumps(payload).encode() if payload is not None
+                else b"")
         writer.write(f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
                      f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
         await writer.drain()
@@ -373,6 +378,115 @@ class TestServiceEndToEnd:
 
         assert asyncio.run(scenario()) is False
 
+    def test_recover_reseats_a_failed_job_with_its_error(self, tmp_path):
+        """A job that failed before the crash comes back failed *with
+        the reason*, from the journal alone — not re-run, not blank."""
+        journal = str(tmp_path / "jobs.wal")
+        crash = FaultPlan(faults=(FaultSpec(FaultKind.WORKER_CRASH,
+                                            times=100),))
+
+        async def fail_then_stop():
+            service = AssemblyService(window_s=0.0, journal_path=journal,
+                                      journal_fsync=False, wave_retries=0,
+                                      fault_plan=crash)
+            port = await service.start()
+            try:
+                job_id = await submit_ok(port, make_dat(n_contigs=1, seed=5))
+                return await poll_done(port, job_id)
+            finally:
+                await service.stop()
+
+        before = asyncio.run(fail_then_stop())
+        assert before["status"] == "failed" and before["error"]
+
+        async def recover():
+            service = AssemblyService(window_s=0.0, journal_path=journal,
+                                      journal_fsync=False, recover=True)
+            port = await service.start()
+            try:
+                _, polled = await request(
+                    port, "GET", f"/v1/jobs/{before['job_id']}")
+                _, result = await request(
+                    port, "GET", f"/v1/jobs/{before['job_id']}/result")
+                return polled, result, service.stats()
+            finally:
+                await service.stop()
+
+        polled, result, stats = asyncio.run(recover())
+        assert polled == {**before, "recovered": True}
+        assert result == {"ok": False, "error": before["error"]}
+        assert stats["journal"]["recovered_finished"] == 1
+        assert stats["batcher"]["waves"] == 0  # settled from the journal
+
+    @pytest.mark.parametrize("backend", ["scalar", "nope", "buggy-demo"])
+    def test_backend_no_wave_can_run_is_a_400_that_costs_nothing(
+            self, tmp_path, backend):
+        """Was: 202, journalled, then the wave died inside the worker
+        (or, for buggy-demo, ran a deliberately wrong kernel)."""
+        journal = tmp_path / "jobs.wal"
+
+        async def scenario():
+            service = AssemblyService(window_s=0.0, journal_path=str(journal),
+                                      journal_fsync=False)
+            port = await service.start()
+            try:
+                written = journal.read_bytes()
+                response = await request(
+                    port, "POST", "/v1/jobs",
+                    {"dat": make_dat(), "backend": backend})
+                return (response, service.admission.in_flight,
+                        journal.read_bytes() == written, service.stats())
+            finally:
+                await service.stop()
+
+        (status, body), in_flight, journal_untouched, stats = \
+            asyncio.run(scenario())
+        assert status == 400 and "backend" in body["error"]
+        assert in_flight == 0 and journal_untouched
+        assert stats["jobs"]["known"] == 0 and stats["batcher"]["waves"] == 0
+
+    @pytest.mark.parametrize("wire", [
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"POST /v1/jobs HTTP/1.1\r\nX-Junk: \xff\xfe\r\n\r\n",
+        b"POST /v1/jobs HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+        b"complete garbage\r\n\r\n",
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+    ], ids=["negative-length", "non-ascii-header", "70kB-header-line",
+            "garbage-request-line", "over-limit-body"])
+    def test_malformed_http_answers_400_and_closes_cleanly(self, wire):
+        """Was: an unhandled ValueError / UnicodeDecodeError in the
+        client task (reported by the loop's exception handler), or a
+        silent close — and never a response."""
+        async def scenario():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context))
+            service = AssemblyService(window_s=0.01)
+            port = await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port)
+                writer.write(wire)
+                await writer.drain()
+                # read to EOF: the server must answer once, then close
+                answer = await asyncio.wait_for(reader.read(), 10.0)
+                writer.close()
+                await writer.wait_closed()
+                # the service is still healthy for the next client
+                healthy = await request(port, "GET", "/v1/stats")
+            finally:
+                await service.stop()
+            await asyncio.sleep(0)  # let any failed task report itself
+            return answer, healthy, loop_errors
+
+        answer, healthy, loop_errors = asyncio.run(scenario())
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"Connection: close" in head
+        assert "error" in json.loads(body)
+        assert healthy[0] == 200
+        assert loop_errors == []
+
     def test_http_error_paths(self):
         async def scenario():
             service = AssemblyService(window_s=0.01)
@@ -380,6 +494,10 @@ class TestServiceEndToEnd:
             try:
                 bad_dat = await request(port, "POST", "/v1/jobs",
                                         {"dat": "garbage"})
+                bad_json = await request(port, "POST", "/v1/jobs",
+                                         b"{not json")
+                bad_utf8 = await request(port, "POST", "/v1/jobs",
+                                         b'{"dat": "\xff\xfe"}')
                 unknown = await request(port, "GET", "/v1/jobs/j999")
                 no_route = await request(port, "GET", "/v1/nope")
                 status, body = await request(
@@ -388,12 +506,17 @@ class TestServiceEndToEnd:
                 pending = await request(
                     port, "GET", f"/v1/jobs/{body['job_id']}/result")
                 await poll_done(port, body["job_id"])
-                return bad_dat, unknown, no_route, pending
+                return bad_dat, bad_json, bad_utf8, unknown, no_route, pending
             finally:
                 await service.stop()
 
-        bad_dat, unknown, no_route, pending = asyncio.run(scenario())
+        bad_dat, bad_json, bad_utf8, unknown, no_route, pending = \
+            asyncio.run(scenario())
         assert bad_dat[0] == 400 and "dat" in bad_dat[1]["error"]
+        # a well-framed request with a bad body is a 400 too — also when
+        # the body is not even UTF-8 (was: UnicodeDecodeError in the task)
+        assert bad_json[0] == bad_utf8[0] == 400
+        assert "bad JSON body" in bad_utf8[1]["error"]
         assert unknown[0] == 404
         assert no_route[0] == 404
         # polling a result before the wave lands is a 409, not an error
@@ -401,13 +524,10 @@ class TestServiceEndToEnd:
 
 
 class TestRunWave:
-    WAVE = {
-        "options": {"device": "A100", "backend": "auto",
-                    "k_schedule": [21, 33],
-                    "overflow_policy": "drop-contig"},
-        "jobs": [{"job_id": f"j{i}", "dat": make_dat(seed=i),
-                  "fingerprint": f"fp{i}"} for i in (1, 2)],
-    }
+    # what the service's dispatch path sends: one job record per tenant
+    WAVE = {"jobs": [spec_to_dict(parse_job_request(
+        {"dat": make_dat(seed=i), "k_schedule": [21, 33]}, job_id=f"j{i}"))
+        for i in (1, 2)]}
 
     def test_run_wave_scatters_payloads_per_job(self):
         payloads = run_wave(self.WAVE)
@@ -428,7 +548,4 @@ class TestRunWave:
         from repro.errors import ReproError
 
         with pytest.raises(ReproError, match="at least one job"):
-            run_wave({"options": {"device": "A100", "backend": "auto",
-                                  "k_schedule": [21],
-                                  "overflow_policy": "drop-contig"},
-                      "jobs": []})
+            run_wave({"jobs": []})
