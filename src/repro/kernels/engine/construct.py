@@ -84,9 +84,9 @@ class ConstructPhase:
         #: the launch. The coalescing driver installs a fresh list
         #: before each launch.
         self.log: list | None = None
-        # Wave-local vote accumulator (see :meth:`_vote`): ``None`` means
-        # votes apply immediately (the scalar oracle path).
-        self._vote_acc: tuple | None = None
+        # The running launch's slot per insertion (see :meth:`_vote`);
+        # -1 = that lane has not retired.
+        self._final_slot: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # slot-state commit hooks (overridden by the buggy demo backend)
@@ -102,28 +102,24 @@ class ConstructPhase:
         return tables.claim(slots, fps)
 
     def _vote(self, tables: WarpHashTables, slots: np.ndarray,
-              exts: np.ndarray, his: np.ndarray, warps: np.ndarray,
+              ins: np.ndarray, warps: np.ndarray,
               lanes: np.ndarray | None, bus: EventBus,
               emit_writes: bool) -> None:
         """atomicAdd vote accumulation on the slot value region.
 
         Construction never reads the vote counters back (only the walk
         does, after the phase completes), and integer atomicAdd commutes —
-        so when a wave-local accumulator is armed the adds are queued and
-        applied in one compacted :meth:`~repro.kernels.vectortable.\
-WarpHashTables.vote` call per wave instead of up to three per probe
-        iteration. Slot-write events still fire per iteration, in order.
+        so a retiring lane only records the slot its insertion ``ins``
+        (an index into the batch's ``ins_*`` arrays) landed on, and
+        :meth:`run` applies the whole launch in one
+        :meth:`~repro.kernels.vectortable.WarpHashTables.vote` call. An
+        insertion that never gets here casts no vote. Slot-write events
+        still fire per iteration, in order.
         """
         if emit_writes:
             bus.emit(SlotWrite(phase="construct", kind="vote", slots=slots,
                                warps=warps, lanes=lanes, atomic=True))
-        if self._vote_acc is None:
-            tables.vote(slots, exts, his)
-        else:
-            acc_slots, acc_exts, acc_his = self._vote_acc
-            acc_slots.append(slots)
-            acc_exts.append(exts)
-            acc_his.append(his)
+        self._final_slot[ins] = slots
 
     def _barrier(self, warps: np.ndarray, active_counts: np.ndarray,
                  bus: EventBus) -> None:
@@ -147,14 +143,8 @@ WarpHashTables.vote` call per wave instead of up to three per probe
         overflowed: list[int] = []
         want_lanes = bus.wants(SlotWrite)
         log = self.log
-        # Construction never reads the vote counters back (only the walk
-        # phase does, after this method returns), so the megabatch wave
-        # loop queues every vote and applies them in one compacted
-        # scatter-add at the end of the launch.
-        acc_slots: list = []
-        acc_exts: list = []
-        acc_his: list = []
-        self._vote_acc = (acc_slots, acc_exts, acc_his)
+        final_slot = self._final_slot = np.full(batch.ins_warp.size, -1,
+                                                dtype=np.int64)
         for t in range(max_waves):
             lo = ins_off[:-1] + t * W
             hi = np.minimum(lo + W, ins_off[1:])
@@ -181,11 +171,16 @@ WarpHashTables.vote` call per wave instead of up to three per probe
             if wave_overflowed:
                 overflowed.extend(wave_overflowed)
                 dead[wave_overflowed] = True
-        self._vote_acc = None
-        if acc_slots:
-            tables.vote(np.concatenate(acc_slots),
-                        np.concatenate(acc_exts),
-                        np.concatenate(acc_his))
+        self._final_slot = None
+        # ``ins_ext`` / ``ins_hi`` are aligned to ``final_slot`` as they
+        # stand; only lanes that never retired (a deferred overflow took
+        # their warp first) have to be left out.
+        voted = final_slot >= 0
+        if voted.all():
+            tables.vote(final_slot, batch.ins_ext, batch.ins_hi)
+        else:
+            tables.vote(final_slot[voted], batch.ins_ext[voted],
+                        batch.ins_hi[voted])
         return ConstructResult(waves=waves_run, iterations=chain,
                                overflowed=tuple(overflowed))
 
@@ -211,8 +206,6 @@ ScalarOracleConstructPhase`.
         warps = batch.ins_warp[idx]
         homes = batch.ins_home[idx]
         fps = batch.ins_fp[idx]
-        exts = batch.ins_ext[idx]
-        his = batch.ins_hi[idx]
         n = idx.size
         p = np.arange(n, dtype=np.int64)
         probe_p = np.zeros(n, dtype=np.int64)
@@ -286,8 +279,8 @@ ScalarOracleConstructPhase`.
             midx = np.nonzero(match)[0]
             if midx.size:
                 sel = p[midx]
-                self._vote(tables, slots[midx], exts[sel], his[sel],
-                           wp[midx], lane_of(sel), bus, emit_writes)
+                self._vote(tables, slots[midx], idx[sel], wp[midx],
+                           lane_of(sel), bus, emit_writes)
                 votes_matched = midx.size
 
             cas_attempts = 0
@@ -302,8 +295,8 @@ ScalarOracleConstructPhase`.
                 cas_attempts = e.size  # every empty observer issues a CAS
                 win = e[winners_local]
                 sel = p[win]
-                self._vote(tables, slots[win], exts[sel], his[sel],
-                           wp[win], lane_of(sel), bus, emit_writes)
+                self._vote(tables, slots[win], idx[sel], wp[win],
+                           lane_of(sel), bus, emit_writes)
                 votes_claimed = win.size
                 done = done.copy()
                 done[win] = True
@@ -316,8 +309,8 @@ ScalarOracleConstructPhase`.
                     m = losers[same]
                     if m.size:
                         sel = p[m]
-                        self._vote(tables, slots[m], exts[sel], his[sel],
-                                   wp[m], lane_of(sel), bus, emit_writes)
+                        self._vote(tables, slots[m], idx[sel], wp[m],
+                                   lane_of(sel), bus, emit_writes)
                         votes_merged = m.size
                         done[m] = True
                 # HIP/SYCL losers retry next iteration at the same probe.

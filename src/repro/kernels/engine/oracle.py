@@ -209,8 +209,6 @@ class ScalarOracleConstructPhase(ConstructPhase):
         warps = batch.ins_warp[idx]
         homes = batch.ins_home[idx]
         fps = batch.ins_fp[idx]
-        exts = batch.ins_ext[idx]
-        his = batch.ins_hi[idx]
         n = idx.size
         probe = np.zeros(n, dtype=np.int64)
         pending = np.ones(n, dtype=bool)
@@ -258,7 +256,7 @@ class ScalarOracleConstructPhase(ConstructPhase):
             match = occupied & (slot_fp == fps[p])
             if match.any():
                 sel = p[match]
-                self._vote(tables, slots[match], exts[sel], his[sel],
+                self._vote(tables, slots[match], idx[sel],
                            warps[sel], lane_of(sel), bus, emit_writes)
                 votes_matched = int(match.sum())
                 done |= match
@@ -276,7 +274,7 @@ class ScalarOracleConstructPhase(ConstructPhase):
                 cas_attempts = e.size  # every empty observer issues a CAS
                 win = e[winners_local]
                 sel = p[win]
-                self._vote(tables, slots[win], exts[sel], his[sel],
+                self._vote(tables, slots[win], idx[sel],
                            warps[sel], lane_of(sel), bus, emit_writes)
                 votes_claimed = win.size
                 done_claim = np.zeros(p.size, dtype=bool)
@@ -291,7 +289,7 @@ class ScalarOracleConstructPhase(ConstructPhase):
                     m = losers[same]
                     if m.size:
                         sel = p[m]
-                        self._vote(tables, slots[m], exts[sel], his[sel],
+                        self._vote(tables, slots[m], idx[sel],
                                    warps[sel], lane_of(sel), bus, emit_writes)
                         votes_merged = m.size
                         d = np.zeros(p.size, dtype=bool)
@@ -483,7 +481,17 @@ class OracleBatchPreparer(BatchPreparer):
 
 
 class OracleWarpHashTables(WarpHashTables):
-    """Per-warp tables with the pre-refactor ``np.add.at`` vote (pinned)."""
+    """Per-warp tables with the pre-refactor vote store (pinned): one
+    ``hi_q`` / ``low_q`` / ``count`` entry per *slot*, ``np.add.at``
+    scatter — the independent reference for the dense per-key store."""
+
+    def __init__(self, capacities: np.ndarray, k: int) -> None:
+        super().__init__(capacities, k)
+        self.hi_q = np.zeros((self.total_slots, 4), dtype=np.int32)
+        self.low_q = np.zeros((self.total_slots, 4), dtype=np.int32)
+        self._count = np.zeros(self.total_slots, dtype=np.int32)
+
+    count = property(lambda self: self._count)
 
     def vote(self, slots: np.ndarray, exts: np.ndarray,
              hi_mask: np.ndarray) -> None:
@@ -491,7 +499,10 @@ class OracleWarpHashTables(WarpHashTables):
         lo_rows = slots[~hi_mask]
         np.add.at(self.hi_q, (hi_rows, exts[hi_mask].astype(np.int64)), 1)
         np.add.at(self.low_q, (lo_rows, exts[~hi_mask].astype(np.int64)), 1)
-        np.add.at(self.count, slots, 1)
+        np.add.at(self._count, slots, 1)
+
+    def votes_at(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.hi_q[slots], self.low_q[slots]
 
 
 def oracle_kernel_cls(kernel_cls):

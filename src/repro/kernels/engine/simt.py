@@ -378,6 +378,27 @@ class LocalAssemblyKernel:
             arr.state_codes[ci] = MISSING_CODE
         return None
 
+    def _launch(self, krun: _KRun, end: End, sub: Batch, attempt: int,
+                construct, walker) -> Batch | None:
+        """One launch attempt over ``sub``; returns the batch of its
+        grow-retry re-launch, ``None`` once every contig is settled.
+
+        The tables and the walk output — the bulk of a launch's memory —
+        die with this frame, before the next plan is prepared.
+        """
+        k, bus = krun.k, krun.bus
+        tables = self.tables_cls(sub.capacities, k)
+        self._start_launch(bus, sub, k)
+        cres = construct.run(sub, tables, bus)
+        wres = walker.run(sub, tables, bus)
+        bus.emit(LaunchDone(
+            waves=cres.waves, construct_iterations=cres.iterations,
+            walk_steps=wres.steps, walk_iterations=wres.iterations,
+        ))
+        failed = sorted(set(cres.overflowed) | set(wres.overflowed))
+        grown = self._settle(krun, end, sub, wres, failed, attempt)
+        return subset_batch(sub, failed, grown) if grown is not None else None
+
     # ------------------------------------------------------------------
 
     def run(
@@ -408,7 +429,6 @@ class LocalAssemblyKernel:
         self.last_trace = []
         self.last_replay = []
         krun = self._begin_run(len(contigs), k, parallel_scale)
-        bus = krun.bus
         defer = self.overflow_policy is not OverflowPolicy.RAISE
         construct = self.construct_cls(self.protocol, self.warp_size,
                                        defer_overflow=defer)
@@ -423,19 +443,8 @@ class LocalAssemblyKernel:
                 injector.shape_batch(sub, ordinal)
             attempt = 0
             while sub is not None:
-                tables = self.tables_cls(sub.capacities, k)
-                self._start_launch(bus, sub, k)
-                cres = construct.run(sub, tables, bus)
-                wres = walker.run(sub, tables, bus)
-                bus.emit(LaunchDone(
-                    waves=cres.waves, construct_iterations=cres.iterations,
-                    walk_steps=wres.steps, walk_iterations=wres.iterations,
-                ))
-                failed = sorted(set(cres.overflowed) | set(wres.overflowed))
-                grown = self._settle(krun, plan.end, sub, wres, failed,
-                                     attempt)
-                sub = (subset_batch(sub, failed, grown)
-                       if grown is not None else None)
+                sub = self._launch(krun, plan.end, sub, attempt,
+                                   construct, walker)
                 attempt += 1
         if krun.tracer is not None:
             self.last_trace = krun.tracer.traces

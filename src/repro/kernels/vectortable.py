@@ -52,9 +52,15 @@ class WarpHashTables:
         total = int(self.offsets[-1])
         self.fp = np.zeros(total, dtype=np.uint64)
         self.occupied = np.zeros(total, dtype=bool)
-        self.hi_q = np.zeros((total, 4), dtype=np.int32)
-        self.low_q = np.zeros((total, 4), dtype=np.int32)
-        self.count = np.zeros(total, dtype=np.int32)
+        # Tags are per slot, votes per *claimed key*: ``row[slot]`` names
+        # the key's row of the dense ``votes`` matrix (column = tier * 4 +
+        # ext, tier 1 = high quality). Rows are handed out by ``vote``;
+        # row 0 is never handed out and stays all-zero, so a slot without
+        # one reads as no votes. int32 while every cell index row * 8 +
+        # column fits.
+        narrow = (total + 1) * 8 <= np.iinfo(np.int32).max
+        self.row = np.zeros(total, dtype=np.int32 if narrow else np.int64)
+        self.votes = np.zeros((1, 8), dtype=np.int32)
 
     @property
     def n_warps(self) -> int:
@@ -102,46 +108,41 @@ class WarpHashTables:
     def vote(self, slots: np.ndarray, exts: np.ndarray, hi_mask: np.ndarray) -> None:
         """Atomic vote accumulation (atomicAdd on the value region).
 
-        The adds are compacted first — duplicate (slot, ext) targets are
-        counted with ``unique`` and applied as one duplicate-free fancy
-        add per array — which is several times faster than ``np.add.at``
-        scatter on the 2-D vote matrices and lands the same totals
-        (integer addition is order-free).
+        One ``bincount`` over the cell index ``row * 8 + tier * 4 + ext``
+        counts duplicate targets and lands every total at once (integer
+        addition is order-free). Its dense pass covers 8 x the keys
+        claimed, not 8 x the slots, which is what makes it cheaper than
+        sorting the targets to compact them (or ``np.add.at`` scatter).
         """
         if slots.size == 0:
             return
-        # One sort covers all three accumulators: key = slot:ext:hi packs
-        # the (slot, ext, quality-tier) target into one integer, so a
-        # single ``unique`` yields duplicate-free cells for hi_q and
-        # low_q directly, and the per-slot totals fall out of a
-        # run-length reduction over the (already sorted) slot component.
-        # Several times faster than ``np.add.at`` scatter, and cheaper
-        # than per-tier bincounts, whose dense passes over the whole
-        # 4*slots cell domain swamp launch-sized flushes.
-        sub = exts * np.uint8(2)
-        sub += hi_mask
-        if self.count.size * 8 <= np.iinfo(np.int32).max:
-            key = slots.astype(np.int32)  # narrow first: halves sort traffic
-            key <<= np.int32(3)
-        else:
-            key = slots << np.int64(3)
-        key += sub
-        uniq, add = np.unique(key, return_counts=True)
-        add = add.astype(np.int32)
-        hi = (uniq & 1).astype(bool)
-        cell = (uniq >> 1).astype(np.int64)
-        self.hi_q.reshape(-1)[cell[hi]] += add[hi]
-        self.low_q.reshape(-1)[cell[~hi]] += add[~hi]
-        slot = uniq >> 3
-        change = np.empty(slot.size, dtype=bool)
-        change[0] = True
-        np.not_equal(slot[1:], slot[:-1], out=change[1:])
-        starts = np.nonzero(change)[0]
-        self.count[slot[starts].astype(np.int64)] += np.add.reduceat(add, starts)
+        held = self.votes.shape[0]
+        if np.count_nonzero(self.occupied) >= held:
+            # keys claimed since the last call: a zeroed row for each
+            fresh = np.flatnonzero(self.occupied & (self.row == 0))
+            self.row[fresh] = np.arange(held, held + fresh.size)
+            votes = np.zeros((held + fresh.size, 8), dtype=np.int32)
+            votes[:held] = self.votes
+            self.votes = votes
+        cell = self.row[slots]
+        cell <<= 3
+        cell += hi_mask * np.uint8(4) + exts
+        add = np.bincount(cell, minlength=self.votes.size).reshape(-1, 8)
+        if add[0].any():
+            raise KernelError("vote on a slot no lane has claimed")
+        np.add(self.votes, add, out=self.votes, casting="unsafe")
 
     def votes_at(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gather (hi_q, low_q) count rows for walk-step resolution."""
-        return self.hi_q[slots], self.low_q[slots]
+        rows = self.votes[self.row[slots]]
+        return rows[:, 4:], rows[:, :4]
+
+    @property
+    def count(self) -> np.ndarray:
+        """Votes received per slot: row sums mapped back (read-only)."""
+        out = self.votes.sum(axis=1)[self.row]
+        out.flags.writeable = False
+        return out
 
     def occupancy(self) -> float:
         """Fraction of slots holding a key (post-construction check)."""
@@ -149,7 +150,4 @@ class WarpHashTables:
 
     def keys_per_warp(self) -> np.ndarray:
         """Distinct keys stored per warp (for invariant tests)."""
-        out = np.zeros(self.n_warps, dtype=np.int64)
-        warp_of_slot = np.repeat(np.arange(self.n_warps), self.capacities)
-        np.add.at(out, warp_of_slot[self.occupied], 1)
-        return out
+        return np.add.reduceat(self.occupied, self.offsets[:-1], dtype=np.int64)

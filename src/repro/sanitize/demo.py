@@ -7,8 +7,9 @@ mutations every checker must catch:
 
 * ``"race"`` — the atomicCAS claim is replaced by a plain batched store
   (every colliding lane believes it won and installs its tag), and the
-  atomicAdd vote accumulation by a NumPy fancy-index ``+=`` (duplicate
-  slots in one step genuinely lose updates). **racecheck** must fire.
+  atomicAdd vote accumulation by a plain read-modify-write (of the lanes
+  hitting one slot in a step only one increment lands — the other votes
+  are genuinely lost). **racecheck** must fire.
 * ``"sync"`` — the per-iteration ``__syncwarp(mask)`` is issued with a
   stale full-warp mask even after lanes have retired — the classic
   ``__activemask()``-captured-too-early bug. **synccheck** must fire.
@@ -36,6 +37,7 @@ from repro.kernels.engine.simt import LocalAssemblyKernel
 from repro.kernels.engine.walk import WalkPhase
 from repro.kernels.vectortable import WarpHashTables
 from repro.simt.device import A100, DeviceSpec
+from repro.simt.intrinsics import elect_one_per_slot
 
 #: The demo bugs, keyed by the checker that must catch each.
 BUGS = ("race", "sync", "init")
@@ -65,23 +67,20 @@ class BuggyConstructPhase(ConstructPhase):
         return np.ones(slots.size, dtype=bool)
 
     def _vote(self, tables: WarpHashTables, slots: np.ndarray,
-              exts: np.ndarray, his: np.ndarray, warps: np.ndarray, lanes,
-              bus: EventBus, emit_writes: bool) -> None:
+              ins: np.ndarray, warps: np.ndarray, lanes, bus: EventBus,
+              emit_writes: bool) -> None:
         if "race" not in self.bugs:
-            super()._vote(tables, slots, exts, his, warps, lanes, bus,
-                          emit_writes)
+            super()._vote(tables, slots, ins, warps, lanes, bus, emit_writes)
             return
         if emit_writes:
             bus.emit(SlotWrite(phase="construct", kind="vote", slots=slots,
                                warps=warps, lanes=lanes, atomic=False))
-        # BUG: fancy-index += instead of atomicAdd — duplicate slots in
-        # one vectorized step commit only the last lane's increment.
-        rows = slots.astype(np.int64)
-        cols = exts.astype(np.int64)
-        hi = np.asarray(his, dtype=bool)
-        tables.hi_q[rows[hi], cols[hi]] += 1
-        tables.low_q[rows[~hi], cols[~hi]] += 1
-        tables.count[rows] += 1
+        # BUG: plain read-modify-write instead of atomicAdd — of the lanes
+        # that hit one slot in the same step only one increment lands;
+        # the others' insertions never cast their vote.
+        lands = elect_one_per_slot(slots)
+        super()._vote(tables, slots[lands], ins[lands], warps[lands], None,
+                      bus, False)
 
     def _barrier(self, warps: np.ndarray, active_counts: np.ndarray,
                  bus: EventBus) -> None:

@@ -126,6 +126,81 @@ class TestScheduleParity:
         assert res.retried and events["ContigRetried"]
         assert bool(res.degraded) == dropped == ("ContigDropped" in events)
 
+    @pytest.mark.parametrize("policy", [
+        dict(overflow_policy="drop-contig"),
+        dict(overflow_policy="grow-retry", max_grow_attempts=1),
+    ], ids=["drop-contig", "grow-retry"])
+    def test_overflow_vote_parity(self, policy):
+        """Deferred overflow against the one vote flush per launch: a
+        lane that retired before its warp overflowed still votes, a lane
+        that never retired adds none. Table by table, slot by slot, the
+        votes equal the oracle kernel's per-slot ``np.add.at`` arrays;
+        warp by warp they equal the lanes its vote ``SlotWrite`` events
+        announced."""
+        from repro.resilience import (FaultInjector, FaultKind, FaultPlan,
+                                      FaultSpec)
+
+        contigs = _contigs(5, seed=7, error_rate=0.02, depth=10)
+        starved = (0, 2)
+
+        class VoteWrites:
+            """Warp ids of every vote write of the first launch."""
+
+            def __init__(self):
+                self.launches, self.warps = 0, []
+
+            def handle(self, event, bus):
+                if type(event).__name__ == "LaunchStarted":
+                    self.launches += 1
+                elif (type(event).__name__ == "SlotWrite"
+                      and event.kind == "vote" and self.launches == 1):
+                    self.warps.append(event.warps)
+
+        def tables_of(kernel_cls, subscriber=None, **opts):
+            kern = kernel_cls(A100, policy=PRODUCTION_POLICY, **opts)
+            seen = []
+            if subscriber is not None:
+                kern.add_subscriber(subscriber)
+
+            class Recorded(kern.tables_cls):
+                def __init__(self, capacities, k):
+                    super().__init__(capacities, k)
+                    seen.append(self)
+
+            kern.tables_cls = Recorded
+            kern.run_schedule(contigs, (21, 33))
+            return seen
+
+        def pressure():
+            return dict(policy, fault_injector=FaultInjector(FaultPlan(faults=(
+                FaultSpec(FaultKind.TABLE_PRESSURE, launch=0, warps=starved,
+                          capacity=4),))))
+
+        announced = VoteWrites()
+        mega = tables_of(CudaLocalAssemblyKernel, announced, **pressure())
+        oracle = tables_of(oracle_kernel_cls(CudaLocalAssemblyKernel),
+                           **pressure())
+        assert len(mega) == len(oracle)
+        for m, o in zip(mega, oracle):
+            everything = np.arange(m.total_slots)
+            for got, want in zip(m.votes_at(everything),
+                                 o.votes_at(everything)):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(m.count, o.count)
+
+        def votes_per_warp(tables):
+            return np.add.reduceat(tables.count, tables.offsets[:-1])
+
+        clean = tables_of(CudaLocalAssemblyKernel)
+        got, full = votes_per_warp(mega[0]), votes_per_warp(clean[0])
+        np.testing.assert_array_equal(got, np.bincount(
+            np.concatenate(announced.warps), minlength=len(got)))
+        for w in range(len(full)):
+            if w in starved:  # some lanes retired, the rest never did
+                assert 0 < got[w] < full[w]
+            else:
+                assert got[w] == full[w]
+
     def test_trace_memory_model_and_sanitizer_parity(self):
         """Full instrumentation: byte-accurate traced traffic plus every
         sanitizer check, megabatch vs oracle."""

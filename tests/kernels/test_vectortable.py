@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import HashTableFullError, KernelError
+from repro.kernels.engine.oracle import OracleWarpHashTables
 from repro.kernels.vectortable import SLOT_BYTES, WarpHashTables
 
 
@@ -60,6 +61,35 @@ class TestOperations:
         assert hi[0, 0] == 1 and lo[0, 0] == 1 and hi[0, 3] == 1
         assert t.count[2] == 3
 
+    def test_count_is_read_only(self):
+        t = _tables((8,))
+        with pytest.raises(ValueError, match="read-only"):
+            t.count[2] += 1
+
+    def test_never_claimed_slot_reads_zero(self):
+        """An empty slot has no vote row of its own: it reads as zeros —
+        before any flush, beside voted keys, and when keys claimed after
+        the last flush have not been voted on yet."""
+        t = _tables((8,))
+        everything = np.arange(8)
+        assert not np.any(t.votes_at(everything))
+        t.claim(np.array([2, 5]), np.array([9, 10], dtype=np.uint64))
+        t.vote(np.array([2, 5, 5]), np.array([1, 3, 3], dtype=np.uint8),
+               np.array([True, False, False]))
+        t.claim(np.array([7]), np.array([11], dtype=np.uint64))
+        hi, lo = t.votes_at(everything)
+        assert hi[2, 1] == 1 and lo[5, 3] == 2
+        assert hi.sum() + lo.sum() == 3  # slots 0, 1, 3, 4, 6 and 7: zeros
+        np.testing.assert_array_equal(t.count, [0, 0, 1, 0, 0, 2, 0, 0])
+
+    def test_vote_on_unclaimed_slot_rejected(self):
+        """It would land in the row every empty slot reads."""
+        t = _tables((8,))
+        t.claim(np.array([2]), np.array([9], dtype=np.uint64))
+        with pytest.raises(KernelError, match="no lane has claimed"):
+            t.vote(np.array([2, 3]), np.array([0, 0], dtype=np.uint8),
+                   np.array([True, True]))
+
     def test_occupancy(self):
         t = _tables((4,))
         assert t.occupancy() == 0.0
@@ -83,3 +113,47 @@ class TestOperations:
             first = slots.index(s)
             assert winners[first]
             assert t.fp[s] == fps[first]
+
+
+#: One claim or vote call: (is_claim, [(slot, ext, high-quality tier)]).
+_CALLS = st.lists(
+    st.tuples(st.booleans(),
+              st.lists(st.tuples(st.integers(0, 23), st.integers(0, 3),
+                                 st.booleans()), max_size=12)),
+    min_size=1, max_size=10)
+
+
+class TestAgainstPerSlotOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(_CALLS)
+    def test_interleaved_claims_and_votes(self, calls):
+        """Property: any interleaving of ``claim`` and ``vote`` — duplicate
+        (slot, ext, tier) targets, several flushes with claims between
+        them, empty votes, a warp (the third) that never claims — reads
+        back, slot by slot, like the oracle's per-slot ``np.add.at``
+        arrays fed the same calls."""
+        caps = np.array([8, 16, 4])
+        dense, oracle = WarpHashTables(caps, 4), OracleWarpHashTables(caps, 4)
+        everything = np.arange(caps.sum())
+        next_fp = 1
+        for is_claim, targets in [(False, [])] + calls:
+            slots = np.array([t[0] for t in targets], dtype=np.int64)
+            # callers claim slots they saw empty and vote on claimed ones
+            keep = dense.occupied[slots] != is_claim
+            slots = slots[keep]
+            for t in (dense, oracle):
+                if is_claim:
+                    t.claim(slots, np.arange(next_fp, next_fp + slots.size,
+                                             dtype=np.uint64))
+                else:
+                    t.vote(slots,
+                           np.array([x[1] for x in targets], np.uint8)[keep],
+                           np.array([x[2] for x in targets], bool)[keep])
+            next_fp += slots.size
+            for got, want in zip(dense.votes_at(everything),
+                                 oracle.votes_at(everything)):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(dense.count, oracle.count)
+        np.testing.assert_array_equal(dense.fp, oracle.fp)
+        assert dense.keys_per_warp()[2] == 0
+        assert dense.votes.shape[0] <= 1 + dense.occupied.sum()
