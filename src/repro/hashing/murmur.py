@@ -16,8 +16,8 @@ three forms:
 * :func:`murmur2_stream` — vectorized over equal-length *windows of one
   flat byte stream*, addressed by start offset. Digest-identical to
   gathering each window and calling :func:`murmur2_batch`, but the word
-  loads gather 4 bytes at a time straight from the stream, so the
-  ``(n, length)`` window matrix is never materialized — the form the
+  loads gather one pre-mixed word at a time straight from the stream, so
+  the ``(n, length)`` window matrix is never materialized — the form the
   batch preparer uses on its concatenated read streams.
 
 All arithmetic is modulo 2**32 (uint32 wraparound), matching C.
@@ -102,16 +102,37 @@ def murmur2_words(stream: np.ndarray) -> np.ndarray:
     )
 
 
+def _mix_words(k: np.ndarray) -> np.ndarray:
+    """MurmurHash2's word mix, in place: ``k *= m; k ^= k >> r; k *= m``."""
+    m = np.uint32(MURMUR_M)
+    with np.errstate(over="ignore"):
+        k *= m
+        k ^= k >> np.uint32(MURMUR_R)
+        k *= m
+    return k
+
+
+def murmur2_mixed_words(stream: np.ndarray) -> np.ndarray:
+    """:func:`murmur2_words` of ``stream`` with MurmurHash2's word mix
+    applied. The mix depends only on the word, never on the running
+    ``h``, so like the words it is length-independent: a k-schedule mixes
+    a stream once and reuses it for every window length.
+    """
+    return _mix_words(murmur2_words(stream))
+
+
 def murmur2_stream(stream: np.ndarray, starts: np.ndarray, length: int,
-                   seed: int = 0, words: np.ndarray | None = None) -> np.ndarray:
+                   seed: int = 0, words: np.ndarray | None = None,
+                   mixed: np.ndarray | None = None) -> np.ndarray:
     """MurmurHash2 of ``stream[s : s + length]`` for every ``s`` in ``starts``.
 
     Equivalent to ``murmur2_batch(stream[starts[:, None] + arange(length)],
     seed)`` — same word assembly, same mix order, same tail handling —
     without building the window matrix: little-endian words are
-    pre-assembled once over the whole stream (four O(n) passes), then
-    each of the ``length // 4`` word rounds is a single gather. ``words``
-    accepts a precomputed :func:`murmur2_words` of the same stream.
+    pre-assembled and mixed once over the whole stream, then each of the
+    ``length // 4`` word rounds folds one gather into ``h``. ``words``
+    accepts a precomputed :func:`murmur2_words` of the same stream,
+    ``mixed`` a precomputed :func:`murmur2_mixed_words`.
     """
     stream = np.ascontiguousarray(stream, dtype=np.uint8)
     starts = np.asarray(starts, dtype=np.int64)
@@ -125,14 +146,14 @@ def murmur2_stream(stream: np.ndarray, starts: np.ndarray, length: int,
     with np.errstate(over="ignore"):
         nwords = length // 4
         if nwords and starts.size:
-            if words is None:
-                words = murmur2_words(stream)
-            for j in range(nwords):
-                k = words[starts + 4 * j] * m
-                k ^= k >> np.uint32(MURMUR_R)
-                k *= m
+            if mixed is None:
+                mixed = (_mix_words(words.copy()) if words is not None
+                         else murmur2_mixed_words(stream))
+            at = starts.copy()
+            for _ in range(nwords):
                 h *= m
-                h ^= k
+                h ^= mixed[at]
+                at += 4
         tail = length - nwords * 4
         i = nwords * 4
         if tail == 3:

@@ -181,19 +181,19 @@ class BarrierSync:
 
 
 #: Entry kinds of a launch's *attribution log*. A phase whose ``log``
-#: attribute is a list (the coalescing driver installs one per launch;
-#: ``None`` = off) appends one entry per count-bearing event — built by
-#: the ``*_entry`` helpers below from references to the arrays the loop
-#: already holds, so logging costs one ``list.append`` and nothing is
-#: counted inside the loop. An entry is ``(kind, warps, m0, m1, m2,
-#: idx)``: ``warps`` the issuing warp of every counted lane (sorted),
-#: ``m0..m2`` boolean masks and ``idx`` an index array aligned with it
-#: (``None`` where a kind has none). The driver
-#: (:mod:`repro.kernels.engine.coalesce`) reduces a finished launch's
+#: attribute is a list (a driver that fuses launches into one lockstep
+#: program installs one per program; ``None`` = off) appends one entry
+#: per count-bearing event — built by the ``*_entry`` helpers below from
+#: references to the arrays the loop already holds, so logging costs one
+#: ``list.append`` and nothing is counted inside the loop. An entry is
+#: ``(kind, warps, m0, m1, m2, idx)``: ``warps`` the issuing warp of
+#: every counted lane (sorted), ``m0..m2`` boolean masks and ``idx`` an
+#: index array aligned with it (``None`` where a kind has none).
+#: :mod:`repro.kernels.engine.attribution` reduces a finished program's
 #: log to per-segment tallies in one vectorized pass — lanes, distinct
 #: warps, then one tally per column — and :func:`counted_events` turns
 #: a segment's tallies back into the events its solo run emits. The log
-#: holds O(sum of pending lanes) array references for one launch.
+#: holds O(sum of pending lanes) array references for one program.
 LOG_WAVE, LOG_INSERT_ITER, LOG_LOOKUP_ITER, LOG_WALK_STEP = range(4)
 
 

@@ -525,6 +525,9 @@ def oracle_kernel_cls(kernel_cls):
         walk_cls = ScalarOracleWalkPhase
         preparer_cls = OracleBatchPreparer
         tables_cls = OracleWarpHashTables
+        #: One walk per launch, as the pre-refactor engine ran them — the
+        #: reference the grouped walks of ``kernel_cls`` are held against.
+        walk_group_slots = 0
 
         def _scatter(self, arr, end: End, sub: Batch, walk,
                      ok: np.ndarray) -> None:

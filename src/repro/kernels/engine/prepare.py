@@ -20,7 +20,7 @@ bench_engine_prepare_reuse.py`` measures the saving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.genomics.dna import reverse_complement
 from repro.genomics.dna import complement
 from repro.genomics.kmer import fingerprint_prefix, rolling_fingerprints
 from repro.genomics.reads import DEFAULT_QUAL_THRESHOLD
-from repro.hashing.murmur import murmur2_stream, murmur2_words
+from repro.hashing.murmur import murmur2_mixed_words, murmur2_stream
 
 
 def segmented_arange(counts: np.ndarray) -> np.ndarray:
@@ -89,6 +89,14 @@ class Batch:
     @property
     def n_warps(self) -> int:
         return len(self.contig_ids)
+
+    def walk_only(self) -> "Batch":
+        """This batch without its insertions: all a walk, and a launch's
+        bookkeeping, still read once construct has run."""
+        return replace(self, **{
+            name: getattr(self, name)[:0].copy()
+            for name in ("ins_warp", "ins_home", "ins_fp", "ins_ext",
+                         "ins_hi")})
 
 
 def subset_batch(batch: Batch, warp_ids, capacities=None) -> Batch:
@@ -213,7 +221,7 @@ class FlattenedBin:
     ctg_offsets: np.ndarray     # per-contig start offsets (n_warps+1)
     ctg_lens: np.ndarray        # contig length per warp
     fp_prefix: np.ndarray       # fingerprint_prefix(codes), k-independent
-    hash_words: np.ndarray      # murmur2_words(codes), k-independent
+    mixed_words: np.ndarray     # murmur2 word mix of codes, k-independent
 
     @property
     def n_warps(self) -> int:
@@ -342,7 +350,7 @@ class BatchPreparer:
             upper_capacities=upper, ctg_codes=ctg_codes,
             ctg_offsets=ctg_offsets, ctg_lens=ctg_lens,
             fp_prefix=fingerprint_prefix(codes),
-            hash_words=murmur2_words(codes),
+            mixed_words=murmur2_mixed_words(codes),
         )
 
     # -- stage 2: per-k ------------------------------------------------
@@ -386,7 +394,7 @@ class BatchPreparer:
         codes, quals = flat.codes, flat.quals
         if starts.size:
             ins_home = murmur2_stream(codes, starts, k, self.seed,
-                                      words=flat.hash_words)
+                                      mixed=flat.mixed_words)
             ins_fp = rolling_fingerprints(codes, k,
                                           prefix=flat.fp_prefix)[starts]
             ext_pos = starts + k

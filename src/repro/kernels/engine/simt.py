@@ -27,11 +27,19 @@ import numpy as np
 from repro.core.merwalk import DEFAULT_MAX_WALK_LEN
 from repro.core.construct import DEFAULT_LOAD_FACTOR
 from repro.core.extension import DEFAULT_POLICY, WalkPolicy
-from repro.errors import KernelError
+from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import decode_matrix, reverse_complement_matrix
 from repro.genomics.reads import DEFAULT_QUAL_THRESHOLD
 from repro.hashing.opcount import hash_intops
+from repro.kernels.engine.attribution import (
+    EVIDENCE_EVENTS,
+    LaunchRecord,
+    Segment,
+    record_attempt,
+    replay_attempt,
+    solo_overflow_error,
+)
 from repro.kernels.engine.backend import (
     KernelRunResult,
     ProtocolCosts,
@@ -53,6 +61,7 @@ from repro.kernels.engine.prepare import (
     Batch,
     BatchPreparer,
     PrepareCache,
+    concat_batches,
     subset_batch,
 )
 from repro.kernels.engine.schedule import (
@@ -89,6 +98,68 @@ class _KRun:
     left: SideArrays
     degraded: set[int] = field(default_factory=set)
     retried: set[int] = field(default_factory=set)
+
+
+class _Tape(list):
+    """A bus that only keeps what is emitted. A grouped launch's construct
+    counts wait on one until the group's walk has run; it is not an
+    :class:`EventBus` because taping an event delivers it to nobody."""
+
+    emit = list.append
+
+    @staticmethod
+    def wants(event_type: type) -> bool:
+        return False
+
+
+class _WalkGroup:
+    """Consecutive launch attempts of a k-run that share one lockstep walk.
+
+    A member constructs exactly as its own launch does — its own
+    ``tables_cls(capacities, k)``, counts emitted inline — only onto a
+    :class:`_Tape`; its finished tables then move in behind the group's
+    (:meth:`WarpHashTables.absorb <repro.kernels.vectortable.\
+WarpHashTables.absorb>`: one contiguous warp and slot range per member
+    of one table set) and die. One walk with the attribution log on then
+    covers them all.
+    """
+
+    def __init__(self, kernel: "LocalAssemblyKernel", k: int, slots: int,
+                 construct, walker) -> None:
+        self.kernel = kernel
+        self.tables = kernel.tables_cls.reserve(slots, k)
+        self.construct = construct
+        self.walker = walker
+        self.segments: list[Segment] = []
+        self.tapes: list[_Tape] = []
+        self.construct_failed: list[int] = []   # fused warp ids, in order
+
+    def join(self, seg: Segment) -> None:
+        tables = self.kernel.tables_cls(seg.sub.capacities, self.tables.k)
+        tape = _Tape()
+        base = self.tables.n_warps
+        cres = self.construct.run(seg.sub, tables, tape)
+        self.tables.absorb(tables)
+        self.construct_failed.extend(w + base for w in cres.overflowed)
+        self.segments.append(seg)
+        self.tapes.append(tape)
+        if self.kernel.overflow_policy is not OverflowPolicy.GROW_RETRY:
+            # nothing re-launches: the insertions have served
+            seg.sub = seg.sub.walk_only()
+
+    def walk(self, attempt: int) -> None:
+        """The members' one walk; an ``AttemptRecord`` lands on each."""
+        fused, warp_base = concat_batches(
+            [seg.sub.walk_only() for seg in self.segments])
+        launch = LaunchRecord(warp_base, self.tables.offsets[warp_base])
+        self.walker.log = launch.log
+        try:
+            wres = self.walker.run(fused, self.tables, _Tape())
+        finally:
+            self.walker.log = None
+        launch.attribute()
+        record_attempt(self.segments, launch, self.construct_failed, wres,
+                       attempt, self.tapes)
 
 
 class LocalAssemblyKernel:
@@ -139,6 +210,23 @@ class LocalAssemblyKernel:
     walk_cls = WalkPhase
     preparer_cls = BatchPreparer
     tables_cls = WarpHashTables
+
+    #: Table slots one *walk group* may hold (0 = every launch walks
+    #: alone, the parity reference). A walk has one lane per warp, so on
+    #: Table II-shaped data (many contigs, 3-5 reads each) a launch's
+    #: walk is fixed NumPy call cost over a median of 18 walkers; while
+    #: their tables fit this budget, consecutive launches of a k-run
+    #: share one walk instead (:class:`_WalkGroup`, DESIGN.md decision
+    #: 24) — a launch joins if two of its size would fit. Host memory
+    #: only: 13 B per slot + 32 B per key = 6.8 MB of tags plus the
+    #: votes. Measured on ``paper_grid`` (seed 7), walk steps / lookup
+    #: rounds / wall per iteration (min of 4, one process): 13,572 /
+    #: 53,231 / 5.2 s at 0; 6,036 / 29,929 / 4.3 s at ``1 << 18``; 4,185
+    #: / 24,797 / 3.8 s at ``1 << 19`` (the k = 33 run, 492,474 slots,
+    #: is one walk); 3,123 / 19,366 / 3.7 s at ``1 << 20``, which holds
+    #: twice the memory. Every ``deep_multik`` launch (2,094,592 slots)
+    #: exceeds it and runs as before.
+    walk_group_slots = 1 << 19
 
     def __init__(
         self,
@@ -378,6 +466,71 @@ class LocalAssemblyKernel:
             arr.state_codes[ci] = MISSING_CODE
         return None
 
+    def _phases(self, defer_overflow: bool) -> tuple:
+        """A ``(construct, walk)`` phase pair from the kernel's factories."""
+        return (self.construct_cls(self.protocol, self.warp_size,
+                                   defer_overflow=defer_overflow),
+                self.walk_cls(self.policy, self.max_walk_len, self.seed,
+                              defer_overflow=defer_overflow))
+
+    def _run_attempts(self, live: list[Segment], launch) -> None:
+        """Run ``launch(live, attempt)`` — one fused program that records
+        an attempt on every live segment — then again over the segments
+        that grow-retry, narrowed to their failing warps, until none do."""
+        attempt = 0
+        while live:
+            launch(live, attempt)
+            retry: list[Segment] = []
+            for seg in live:
+                failed = seg.records[-1].failed
+                grown = (self._retry_capacities(seg.sub, failed, attempt)
+                         if failed else None)
+                if grown is not None:
+                    seg.sub = subset_batch(seg.sub, failed, grown)
+                    retry.append(seg)
+            live = retry
+            attempt += 1
+
+    def _replay(self, krun: _KRun,
+                segments: list[Segment]) -> HashTableFullError | None:
+        """Re-emit attributed launch attempts in solo order — all of a
+        plan's attempts, then the next plan's — and settle each as
+        :meth:`_launch` does. Returns the error at which a solo run under
+        the RAISE policy would have aborted (nothing after it replays)."""
+        bus, k = krun.bus, krun.k
+        raise_policy = self.overflow_policy is OverflowPolicy.RAISE
+        for seg in segments:
+            for rec in seg.records:
+                self._start_launch(bus, rec.sub, k)
+                bus.emit(replay_attempt(rec, bus))
+                if rec.failed and raise_policy:
+                    return solo_overflow_error(rec, k)
+                self._settle(krun, seg.plan.end, rec.sub, rec, rec.failed,
+                             rec.attempt)
+        return None
+
+    def _finish_group(self, krun: _KRun, group: _WalkGroup) -> None:
+        """Walk a group, re-launch what grow-retries, replay every launch."""
+        segments = group.segments
+
+        def launch(live: list[Segment], attempt: int) -> None:
+            members = group
+            if attempt:
+                # only the failing warps re-launch, so their grown tables
+                # get a room of exactly their size
+                members = _WalkGroup(
+                    self, krun.k,
+                    sum(int(seg.sub.capacities.sum()) for seg in live),
+                    group.construct, group.walker)
+                for seg in live:
+                    members.join(seg)
+            members.walk(attempt)
+
+        self._run_attempts(segments, launch)
+        error = self._replay(krun, segments)
+        if error is not None:
+            raise error
+
     def _launch(self, krun: _KRun, end: End, sub: Batch, attempt: int,
                 construct, walker) -> Batch | None:
         """One launch attempt over ``sub``; returns the batch of its
@@ -430,22 +583,43 @@ class LocalAssemblyKernel:
         self.last_replay = []
         krun = self._begin_run(len(contigs), k, parallel_scale)
         defer = self.overflow_policy is not OverflowPolicy.RAISE
-        construct = self.construct_cls(self.protocol, self.warp_size,
-                                       defer_overflow=defer)
-        walker = self.walk_cls(self.policy, self.max_walk_len, self.seed,
-                               defer_overflow=defer)
+        construct, walker = self._phases(defer)
         injector = self.fault_injector
+        # Launch ordinals and slot-numbered evidence stay per launch:
+        # with an injector or an evidence subscriber nothing groups.
+        budget = self.walk_group_slots
+        if injector is not None or any(map(krun.bus.wants,
+                                           EVIDENCE_EVENTS)):
+            budget = 0
+        # a group's overflows are settled at replay, in solo order
+        shared = (construct, walker) if defer or not budget \
+            else self._phases(True)
+        group: _WalkGroup | None = None
         for plan in plans:
             ordinal = injector.begin_launch() if injector is not None else -1
             sub = self.preparer.prepare(contigs, plan.bin, plan.end, k,
                                         cache=prep_cache)
             if injector is not None:
                 injector.shape_batch(sub, ordinal)
+            slots = int(sub.capacities.sum())
+            # a launch shares a walk if two of its size would fit
+            shares = 2 * slots <= budget
+            if group is not None and not (
+                    shares and group.tables.total_slots + slots <= budget):
+                self._finish_group(krun, group)
+                group = None
+            if shares:
+                if group is None:
+                    group = _WalkGroup(self, k, budget, *shared)
+                group.join(Segment(plan, sub))
+                continue
             attempt = 0
             while sub is not None:
                 sub = self._launch(krun, plan.end, sub, attempt,
                                    construct, walker)
                 attempt += 1
+        if group is not None:
+            self._finish_group(krun, group)
         if krun.tracer is not None:
             self.last_trace = krun.tracer.traces
         if krun.replayer is not None:

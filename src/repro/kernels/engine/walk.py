@@ -3,8 +3,8 @@
 The other lanes are predicated off while one lane walks; the terminal
 state is broadcast with a shuffle. Everything is vectorized across
 warps as one lockstep array program (DESIGN.md decision #14): per-warp
-loop-detection state lives in a vectorized open-addressed fingerprint
-set (:class:`VisitedFingerprintSet`), committed bases land in a
+loop-detection state lives in one matrix of the walkers' paths
+(:class:`VisitedFingerprintSet`), committed bases land in a
 preallocated ``(n_warps, max_walk_len)`` int8 matrix decoded once at
 the end, and terminal/advance bookkeeping is mask assignments — the
 Python-level loops are over walk steps and probe iterations, never
@@ -63,36 +63,70 @@ _LOOP = WALK_STATE_CODES[WalkState.LOOP]
 _MAX_LEN = WALK_STATE_CODES[WalkState.MAX_LEN]
 _MISSING = WALK_STATE_CODES[WalkState.MISSING]
 
-#: 64-bit odd multiplier (splitmix64 finalizer constant) spreading
-#: fingerprints over the visited-set buckets.
-_VISITED_MIX = np.uint64(0x9E3779B97F4A7C15)
-
 
 class VisitedFingerprintSet:
-    """Per-warp open-addressed fingerprint sets, probed in lockstep.
+    """Per-warp sets of visited k-mer fingerprints — compared, not hashed.
 
-    One flat ``(n_warps, capacity)`` table replaces the walk's old
-    ``list[set]`` loop-detection state; membership tests and inserts for
-    *all* still-walking warps run as one vectorized linear-probe round
-    per collision depth. Capacity is the next power of two past twice
-    ``max_entries``, so load never exceeds one half and probing always
-    terminates at an empty bucket.
+    A walking warp visits one new k-mer a step, so its set is its path:
+    row ``r`` of ``_path`` holds one warp's fingerprints in visiting
+    order, padded with its first one (a padding cell can only match what
+    the row holds anyway), and a membership test is *one* comparison of
+    the callers' rows against their queries — whatever the paths hold,
+    where an open-addressed table costs one lockstep round per collision
+    depth of its slowest lane. The matrix is sized by what is inserted,
+    not by the worst walk: its width doubles when the longest path fills
+    it, and as soon as fewer than half of its rows take part in a call
+    the others are *shelved* — their fingerprints leave the matrix for
+    one small array per warp — so a walker that has stopped stops
+    costing width. A shelved warp that calls again gets its row back.
+    A step costs ``callers x width`` compares: 45 k per warp over a
+    300-step walk, a few hundred over the 15-30 steps of a mean one.
 
     Within one call every warp appears at most once (a walking warp
-    queries exactly one next-k-mer fingerprint per step), so the batched
-    insert has no same-bucket write conflicts to resolve.
+    queries exactly one next-k-mer fingerprint per step).
     """
 
-    def __init__(self, n_warps: int, max_entries: int) -> None:
-        cap = 1 << max(2, int(2 * max(1, max_entries) - 1).bit_length())
-        self._mask = np.uint64(cap - 1)
-        self._fp = np.zeros((n_warps, cap), dtype=np.uint64)
-        self._used = np.zeros((n_warps, cap), dtype=bool)
+    def __init__(self, n_warps: int) -> None:
+        self._row = np.full(n_warps, -1, dtype=np.int64)    # warp -> row
+        self._warp = np.empty(0, dtype=np.int64)            # row -> warp
+        self._len = np.empty(0, dtype=np.int64)             # row -> keys held
+        self._path = np.empty((0, 8), dtype=np.uint64)
+        self._shelved: dict[int, np.ndarray] = {}
 
-    def _bucket(self, fps: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            mixed = fps.astype(np.uint64) * _VISITED_MIX
-        return ((mixed >> np.uint64(32)) ^ mixed) & self._mask
+    def _admit(self, warps: np.ndarray, fps: np.ndarray) -> np.ndarray:
+        """Append a row per warp, holding its fingerprint — or, for a warp
+        off the shelf, what it held. Returns the mask of the former."""
+        block = np.repeat(fps[:, None], self._path.shape[1], axis=1)
+        lens = np.ones(warps.size, dtype=np.int64)
+        fresh = np.ones(warps.size, dtype=bool)
+        if self._shelved:
+            for i, warp in enumerate(warps.tolist()):
+                held = self._shelved.pop(warp, None)
+                if held is not None:
+                    block[i] = held[0]
+                    block[i, :held.size] = held
+                    lens[i] = held.size
+                    fresh[i] = False
+        rows = self._warp.size
+        self._row[warps] = np.arange(rows, rows + warps.size)
+        self._warp = np.concatenate([self._warp, warps])
+        self._len = np.concatenate([self._len, lens])
+        self._path = np.concatenate([self._path, block])
+        return fresh
+
+    def _shelve_all_but(self, keep: np.ndarray) -> None:
+        """Shrink the matrix to rows ``keep``, in that order."""
+        gone = np.ones(self._warp.size, dtype=bool)
+        gone[keep] = False
+        lens = self._len[gone]
+        held = self._path[gone]
+        held = held[np.arange(held.shape[1]) < lens[:, None]]
+        self._shelved.update(zip(self._warp[gone].tolist(),
+                                 np.split(held, np.cumsum(lens)[:-1])))
+        self._row[self._warp[gone]] = -1
+        self._warp, self._len, self._path = (
+            self._warp[keep], self._len[keep], self._path[keep])
+        self._row[self._warp] = np.arange(keep.size)
 
     def add(self, warps: np.ndarray, fps: np.ndarray) -> None:
         """Insert fingerprints (duplicates are ignored)."""
@@ -102,26 +136,34 @@ class VisitedFingerprintSet:
         """Membership mask; fingerprints not yet present are inserted.
 
         Mirrors the oracle's ``if fp in visited[w]: ... else visited[w].add``
-        pair as a single lockstep operation: rows already containing the
-        fingerprint return True and are left unchanged.
+        pair as a single lockstep operation: keys already present return
+        True and are left unchanged.
         """
+        warps = np.asarray(warps, dtype=np.int64)
         fps = np.asarray(fps, dtype=np.uint64)
-        seen = np.zeros(fps.size, dtype=bool)
-        live = np.arange(fps.size, dtype=np.int64)
-        pos = self._bucket(fps)
-        while live.size:
-            w = warps[live]
-            used = self._used[w, pos]
-            match = used & (self._fp[w, pos] == fps[live])
-            seen[live[match]] = True
-            empty = ~used
-            if empty.any():
-                e = live[empty]
-                self._used[warps[e], pos[empty]] = True
-                self._fp[warps[e], pos[empty]] = fps[e]
-            cont = used & ~match
-            pos = (pos[cont] + np.uint64(1)) & self._mask
-            live = live[cont]
+        rows = self._row[warps]
+        fresh = None
+        new = np.flatnonzero(rows < 0)
+        if new.size:
+            fresh = new[self._admit(warps[new], fps[new])]
+            rows = self._row[warps]
+        elif 2 * rows.size < self._warp.size:
+            self._shelve_all_but(rows)
+            rows = np.arange(rows.size)
+        seen = (self._path[rows] == fps[:, None]).any(axis=1)
+        add = np.flatnonzero(~seen)
+        if fresh is not None:
+            seen[fresh] = False     # it matched the row it was given
+        if add.size:
+            rows = rows[add]
+            at = self._len[rows]
+            width = self._path.shape[1]
+            if int(at.max()) == width:
+                self._path = np.concatenate(
+                    [self._path, np.repeat(self._path[:, :1], width, axis=1)],
+                    axis=1)
+            self._path[rows, at] = fps[add]
+            self._len[rows] = at + 1
         return seen
 
 
@@ -195,9 +237,11 @@ class WalkPhase:
         self.max_walk_len = max_walk_len
         self.seed = seed
         self.defer_overflow = defer_overflow
-        #: The launch's attribution log (``None`` = off), shared with
-        #: :class:`ConstructPhase` (see there): one entry per lookup
-        #: round and per walk step.
+        #: The launch's attribution log (``None`` = off; see
+        #: :class:`ConstructPhase`): one entry per lookup round and per
+        #: walk step, *instead of* the ``ProbeIteration`` / ``WalkStep``
+        #: emit — a logged walk covers several launches, and its driver
+        #: replays each launch's counts from the log.
         self.log: list | None = None
 
     def _on_probe_miss(self, found_slot: np.ndarray, missing: np.ndarray,
@@ -258,11 +302,12 @@ class WalkPhase:
             if emit_slots:
                 bus.emit(SlotAccess(slots=slots, kind="probe"))
             occupied, slot_fp = tables.inspect(slots)
-            bus.emit(ProbeIteration(
-                phase="walk", lanes=u.size, warps=u.size,
-                key_compares=int(np.count_nonzero(occupied)),
-            ))
-            if log is not None:
+            if log is None:
+                bus.emit(ProbeIteration(
+                    phase="walk", lanes=u.size, warps=u.size,
+                    key_compares=int(np.count_nonzero(occupied)),
+                ))
+            else:
                 log.append(lookup_entry(au, occupied))
             hit = occupied & (slot_fp == fps[u])
             found_slot[u[hit]] = slots[hit]
@@ -282,7 +327,7 @@ class WalkPhase:
         base_codes = np.zeros((n_warps, max_len), dtype=np.uint8)
         base_lens = np.zeros(n_warps, dtype=np.int64)
         state_codes = np.full(n_warps, _MISSING, dtype=np.int8)
-        visited = VisitedFingerprintSet(n_warps, max_len + 1)
+        visited = VisitedFingerprintSet(n_warps)
         first_step = np.ones(n_warps, dtype=bool)
         live = np.nonzero(alive)[0]
         # Current-k-mer fingerprints roll along with ``cur`` (one
@@ -320,7 +365,6 @@ class WalkPhase:
             res_states = np.full(a.size, -2, dtype=np.int8)
             res_bases = np.full(a.size, -1, dtype=np.int8)
             f = found_slot >= 0
-            vote_reads = int(f.sum())
             if f.any():
                 if emit_reads:
                     bus.emit(SlotRead(phase="walk", kind="vote_read",
@@ -361,9 +405,10 @@ class WalkPhase:
                     np.uint8)
                 base_lens[ok] += 1
                 bases_committed = int(ok.size)
-            bus.emit(WalkStep(walkers=a.size, vote_reads=vote_reads,
-                              bases_committed=bases_committed))
-            if log is not None:
+            if log is None:
+                bus.emit(WalkStep(walkers=a.size, vote_reads=int(f.sum()),
+                                  bases_committed=bases_committed))
+            else:
                 log.append(walk_entry(a, f, committed))
             first_step[a] = False
             alive = next_alive

@@ -31,6 +31,12 @@ SLOT_VALUE_BYTES = 16
 SLOT_BYTES = SLOT_TAG_BYTES + SLOT_VALUE_BYTES
 
 
+def _row_dtype(total_slots: int) -> type:
+    """int32 while every vote cell index ``row * 8 + column`` fits."""
+    narrow = (total_slots + 1) * 8 <= np.iinfo(np.int32).max
+    return np.int32 if narrow else np.int64
+
+
 class WarpHashTables:
     """All per-warp hash tables of one kernel launch.
 
@@ -56,11 +62,53 @@ class WarpHashTables:
         # the key's row of the dense ``votes`` matrix (column = tier * 4 +
         # ext, tier 1 = high quality). Rows are handed out by ``vote``;
         # row 0 is never handed out and stays all-zero, so a slot without
-        # one reads as no votes. int32 while every cell index row * 8 +
-        # column fits.
-        narrow = (total + 1) * 8 <= np.iinfo(np.int32).max
-        self.row = np.zeros(total, dtype=np.int32 if narrow else np.int64)
+        # one reads as no votes.
+        self.row = np.zeros(total, dtype=_row_dtype(total))
         self.votes = np.zeros((1, 8), dtype=np.int32)
+
+    @classmethod
+    def reserve(cls, slots: int, k: int) -> "WarpHashTables":
+        """Tables of no warp yet, with room for ``slots`` slots.
+
+        Finished launches move in one behind the other (:meth:`absorb`)
+        so that one walk can cover them all. Deliberately not an
+        ``__init__``: every slot here is first allocated — and counted —
+        by the launch that constructs it. ``fp`` / ``occupied`` / ``row``
+        are views of exactly the slots moved in; the rest of the room is
+        uninitialized.
+        """
+        self = cls.__new__(cls)
+        self.k = int(k)
+        self.capacities = np.empty(0, dtype=np.int64)
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self._room = (np.empty(slots, dtype=np.uint64),
+                      np.empty(slots, dtype=bool),
+                      np.empty(slots, dtype=_row_dtype(slots)))
+        self.fp, self.occupied, self.row = (a[:0] for a in self._room)
+        self.votes = np.zeros((1, 8), dtype=np.int32)
+        return self
+
+    def absorb(self, other: "WarpHashTables") -> None:
+        """Append ``other``'s warps — one contiguous warp and slot range —
+        copying its slots into the reserved room; its vote rows are
+        renumbered behind the rows held (row 0 stays the shared
+        sentinel). ``other`` is left as it was: once the caller drops
+        it, no slot is stored twice."""
+        lo = self.total_slots
+        hi = lo + other.total_slots
+        if hi > self._room[0].size:
+            raise KernelError(
+                f"{other.total_slots} slots do not fit the "
+                f"{self._room[0].size - lo} left of the reserved room")
+        self.fp, self.occupied, self.row = (a[:hi] for a in self._room)
+        self.fp[lo:] = other.fp
+        self.occupied[lo:] = other.occupied
+        row = self.row[lo:]
+        np.add(other.row, self.votes.shape[0] - 1, out=row, casting="unsafe")
+        row *= other.row > 0    # a slot without a row keeps the sentinel
+        self.votes = np.concatenate([self.votes, other.votes[1:]])
+        self.capacities = np.concatenate([self.capacities, other.capacities])
+        self.offsets = np.concatenate([self.offsets, other.offsets[1:] + lo])
 
     @property
     def n_warps(self) -> int:

@@ -64,6 +64,10 @@ class Project:
 
     # -- symbol lookup -------------------------------------------------
 
+    def has_class(self, name: str) -> bool:
+        """Whether any module of the tree defines a class ``name``."""
+        return name in self._classes
+
     def _find_class(self, name: str, prefer_module: str) -> \
             tuple[str, dict] | None:
         hit = self._class_by_module.get((prefer_module, name))

@@ -121,7 +121,9 @@ class EventContractRule(SemanticRule):
     invisible at runtime). Emission sites are constructor calls inside
     ``*.emit(...)``; declarations are literal tuples/lists assigned to
     ``handled``-named targets (including ``handled.append(X)``
-    builders). Variable emits (``bus.emit(ev)``) are opaque and exempt.
+    builders). Variable emits (``bus.emit(ev)``) are opaque and exempt,
+    and so is a declared name that is no class of the tree (a
+    constructor parameter, say): what it names is unknown, not dead.
     """
 
     rule_id = "REP011"
@@ -146,7 +148,7 @@ class EventContractRule(SemanticRule):
                 f"event {name} is emitted here but no subscriber declares "
                 f"it in handled_events anywhere in the tree")
         for name in sorted(declared):
-            if name in emitted:
+            if name in emitted or not project.has_class(name):
                 continue
             path, site = declared[name]
             yield self.project_finding(

@@ -6,6 +6,7 @@ m=0x5bd1e995, r=24; tail bytes; final avalanche.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,8 +87,6 @@ class TestBatch:
         assert out.dtype == np.uint32
 
     def test_rejects_1d(self):
-        import pytest
-
         with pytest.raises(ValueError):
             murmur.murmur2_batch(np.zeros(4, dtype=np.uint8))
 
@@ -133,6 +132,30 @@ class TestStream:
             murmur.murmur2_stream(stream, starts, 33, words=words),
             murmur.murmur2_stream(stream, starts, 33))
 
+    @pytest.mark.parametrize("length", [21, 22, 33, 55, 77, 3, 4])
+    def test_precomputed_mixed_words_identical(self, length):
+        """Tails of 1, 2, 1, 3, 1 bytes, no whole word, no tail: the
+        cached word mix folds to the digests of the plain call."""
+        rng = np.random.default_rng(length)
+        stream = rng.integers(0, 4, size=400, dtype=np.uint8)
+        starts = np.arange(0, 400 - length, 3, dtype=np.int64)
+        mixed = murmur.murmur2_mixed_words(stream)
+        assert mixed.dtype == np.uint32 and mixed.size == stream.size - 3
+        want = murmur.murmur2_batch(
+            stream[starts[:, None] + np.arange(length)], seed=7)
+        for kwargs in (dict(mixed=mixed),
+                       dict(words=murmur.murmur2_words(stream)), {}):
+            np.testing.assert_array_equal(
+                murmur.murmur2_stream(stream, starts, length, seed=7,
+                                      **kwargs), want)
+
+    def test_precomputed_words_are_not_mutated(self):
+        stream = np.arange(40, dtype=np.uint8)
+        words = murmur.murmur2_words(stream)
+        kept = words.copy()
+        murmur.murmur2_stream(stream, np.array([0, 5]), 21, words=words)
+        np.testing.assert_array_equal(words, kept)
+
     def test_words_are_little_endian(self):
         stream = np.array([1, 2, 3, 4, 5], dtype=np.uint8)
         words = murmur.murmur2_words(stream)
@@ -146,8 +169,6 @@ class TestStream:
         assert out.shape == (0,) and out.dtype == np.uint32
 
     def test_out_of_bounds_window_rejected(self):
-        import pytest
-
         stream = np.zeros(10, dtype=np.uint8)
         with pytest.raises(ValueError):
             murmur.murmur2_stream(stream, np.array([8]), 4)

@@ -93,3 +93,97 @@ def test_run_schedule_peak_stays_below_per_slot_votes():
         f"{peak / slots:.1f} B per slot: per-slot vote storage is back"
     assert peak < 2 * slots * TAG_BYTES, \
         f"{peak / slots:.1f} B per slot: two launches' tables were alive"
+
+
+# ----------------------------------------------------------------------
+# walk groups: what sharing a walk may hold
+# ----------------------------------------------------------------------
+
+
+def _table2_run():
+    """The k = 33 dataset of the paper grid at a tenth of its size: the
+    Table II shape (many contigs, 3-5 reads each) — 439 contigs in four
+    bins, so 8 launches of 878 warps, all of which share one walk."""
+    from repro.analysis.experiments import generate_paper_dataset
+    return generate_paper_dataset(33, scale=0.1, seed=7), 33
+
+
+def _traced_run(contigs, k, budget):
+    """``(traced peak, walks, launches' table sets)`` of one ``run``."""
+    kern = CudaLocalAssemblyKernel(A100)
+    kern.walk_group_slots = budget
+    launched, walks = [], []
+
+    class Recorded(kern.tables_cls):
+        def __init__(self, capacities, k):
+            super().__init__(capacities, k)
+            launched.append(self.total_slots)
+
+    class Counted(kern.walk_cls):
+        def run(self, batch, tables, bus):
+            walks.append(batch.n_warps)
+            return super().run(batch, tables, bus)
+
+    kern.tables_cls, kern.walk_cls = Recorded, Counted
+    tracemalloc.start()
+    try:
+        kern.run(contigs, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, walks, launched
+
+
+def test_grouped_run_holds_the_budget_and_one_launch():
+    """A run whose launches share a walk may hold, beyond what its
+    largest launch holds alone, the budget's tables: 13 B for each of
+    ``walk_group_slots`` slots and 32 B for each key in them — never a
+    second copy of the group, and no walk state sized by the worst walk
+    (878 walkers x 1,024 visited-set cells of 9 B were 8 MB)."""
+    contigs, k = _table2_run()
+    budget = CudaLocalAssemblyKernel.walk_group_slots
+    alone, walks_alone, launched = _traced_run(contigs, k, 0)
+    grouped, walks, launched_grouped = _traced_run(contigs, k, budget)
+    assert launched_grouped == launched and len(launched) >= 8
+    assert sum(walks_alone) >= 800 and len(walks_alone) == len(launched)
+    assert walks == [sum(walks_alone)], "the launches did not share a walk"
+    assert sum(launched) <= budget
+    kern = CudaLocalAssemblyKernel(A100)
+    keys = sum(
+        np.unique(np.stack([b.ins_warp.astype(np.uint64), b.ins_fp]),
+                  axis=1).shape[1]
+        for b in (kern.preparer.prepare(contigs, plan.bin, plan.end, k)
+                  for plan in kern.launch_policy.plan(
+                      contigs, k, kern.launch_config())))
+    allowed = TAG_BYTES * budget + 32 * keys + alone
+    assert alone < grouped < allowed, \
+        f"{(grouped - alone) / 1e6:.1f} MB over one launch's peak, " \
+        f"{(allowed - alone) / 1e6:.1f} MB allowed"
+
+
+def test_walk_state_is_sized_by_what_walks():
+    """One walk over all 878 warps of the run, with no log: its peak —
+    committed bases, current k-mers, the visited set — stays below 2 KB
+    per warp. A visited set reserved for the longest possible walk took
+    9,216 B per warp on its own."""
+    from repro.kernels.engine import WalkPhase, concat_batches
+
+    contigs, k = _table2_run()
+    kern = CudaLocalAssemblyKernel(A100)
+    fused, _ = concat_batches([
+        kern.preparer.prepare(contigs, plan.bin, plan.end, k)
+        for plan in kern.launch_policy.plan(contigs, k,
+                                            kern.launch_config())])
+    tables = WarpHashTables(fused.capacities, k)
+    ConstructPhase(kern.protocol, kern.warp_size).run(fused, tables,
+                                                      EventBus())
+    walker = WalkPhase(kern.policy, kern.max_walk_len, kern.seed)
+    tracemalloc.start()
+    try:
+        out = walker.run(fused, tables, EventBus())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fused.n_warps >= 800 and out.steps > 100
+    assert peak < 2048 * fused.n_warps, \
+        f"{peak / fused.n_warps:.0f} B of walk state per warp"

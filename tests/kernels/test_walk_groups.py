@@ -1,0 +1,352 @@
+"""Walk groups: launches of a k-run that share one lockstep walk.
+
+``LocalAssemblyKernel.run`` lets consecutive launches whose tables fit
+``walk_group_slots`` construct one by one and then walk together
+(DESIGN.md decision #24). A *launch* is what the simulated GPU and the
+profile see; how many lockstep programs the host ran to get there must
+not be observable. These tests run every scenario twice — with the
+default budget and with budget 0, where every launch walks alone — and
+require extensions, every profile field and the whole event stream
+(type and fields) to be equal; they also pin the visited set the shared
+walk relies on against per-warp Python sets.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.extension import PRODUCTION_POLICY
+from repro.errors import HashTableFullError
+from repro.genomics.contig import End
+from repro.kernels import (CudaLocalAssemblyKernel, HipLocalAssemblyKernel,
+                           SyclLocalAssemblyKernel)
+from repro.kernels.engine import (BatchPreparer, ContigDropped,
+                                  ContigRetried, LaunchDone, LaunchStarted,
+                                  MemoryTrafficResolved, ProbeIteration,
+                                  VisitedFingerprintSet, WalkStep,
+                                  WaveExecuted, oracle_kernel_cls)
+from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.simt.device import A100, MAX1550, MI250X
+
+from .test_coalesce_parity import StarvedPreparer, _contigs
+from .test_walk_overflow import ExactFitPreparer, _job
+
+K = 21
+PORTS = [(CudaLocalAssemblyKernel, A100), (HipLocalAssemblyKernel, MI250X),
+         (SyclLocalAssemblyKernel, MAX1550)]
+
+
+class Collector:
+    """Keeps every count-bearing event. It declares what it handles:
+    asking for slot evidence would (rightly) switch the grouping off."""
+
+    handled_events = (LaunchStarted, WaveExecuted, ProbeIteration, WalkStep,
+                      LaunchDone, MemoryTrafficResolved, ContigDropped,
+                      ContigRetried)
+
+    def __init__(self):
+        self.events = []
+
+    def handle(self, event, bus):
+        self.events.append(event)
+
+
+def _binned(seed, error_rate=0.01, read_length=80):
+    """Contigs of three depth classes, beyond the launch policy's depth
+    ratio of each other: at least three bins, six launches."""
+    return [c for i, depth in enumerate((3, 8, 20))
+            for c in _contigs(3, seed=seed + i, error_rate=error_rate,
+                              depth=depth, read_length=read_length)]
+
+
+@dataclasses.dataclass
+class Outcome:
+    result: object = None
+    error: HashTableFullError | None = None
+    events: list = dataclasses.field(default_factory=list)
+    launches: int = 0
+    walks: int = 0
+    tables: list = dataclasses.field(default_factory=list)
+
+
+def _run(kernel_cls, device, budget, call, **opts):
+    """``call(kernel)`` on a kernel whose walk budget is ``budget``
+    (``None``: the default), with every launch, walk and table counted."""
+    out = Outcome()
+    kern = kernel_cls(device, policy=PRODUCTION_POLICY, **opts)
+    if budget is not None:
+        kern.walk_group_slots = budget
+
+    class CountedWalk(kern.walk_cls):
+        def run(self, batch, tables, bus):
+            out.walks += 1
+            return super().run(batch, tables, bus)
+
+    class CountedTables(kern.tables_cls):
+        def __init__(self, capacities, k):
+            super().__init__(capacities, k)
+            out.tables.append(tuple(self.capacities.tolist()))
+
+    kern.walk_cls, kern.tables_cls = CountedWalk, CountedTables
+    out.events = kern.add_subscriber(Collector()).events
+    try:
+        out.result = call(kern)
+    except HashTableFullError as err:
+        out.error = err
+    out.launches = sum(isinstance(e, LaunchDone) for e in out.events)
+    return out
+
+
+def assert_group_parity(kernel_cls, device, call, budget=None, **opts):
+    """Grouped vs one walk per launch: nothing observable may differ.
+    Returns ``(grouped, alone)``."""
+    grouped = _run(kernel_cls, device, budget, call, **opts)
+    alone = _run(kernel_cls, device, 0, call, **opts)
+    if alone.error is not None:
+        # solo raising aborts mid-launch, so only the error can be equal
+        got, want = grouped.error, alone.error
+        assert got is not None
+        assert (str(got), got.contig_id, got.k, got.capacity, got.probes) \
+            == (str(want), want.contig_id, want.k, want.capacity, want.probes)
+        return grouped, alone
+    assert alone.walks == alone.launches
+    assert grouped.events == alone.events
+    got, want = grouped.result, alone.result
+    assert (got.right, got.left) == (want.right, want.left)
+    assert (got.degraded, got.retried) == (want.degraded, want.retried)
+    assert dataclasses.asdict(got.profile) == dataclasses.asdict(want.profile)
+    assert got.k == want.k
+    # every launch allocated its own tables, whatever walked them
+    assert sorted(grouped.tables) == sorted(alone.tables)
+    return grouped, alone
+
+
+class TestGroupParity:
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, 0.01, 0.03]),
+           st.sampled_from(PORTS))
+    def test_hypothesis_parity(self, seed, error_rate, port):
+        contigs = _binned(seed, error_rate)
+        grouped, _ = assert_group_parity(*port, lambda k: k.run(contigs, K))
+        assert grouped.launches >= 6 and grouped.walks == 1
+
+    @pytest.mark.parametrize("port,warp_size", [
+        (PORTS[0], 32), (PORTS[1], 64), (PORTS[1], 32), (PORTS[2], 16),
+        (PORTS[2], 32)])
+    @pytest.mark.parametrize("lane_parallel_walks", [False, True])
+    def test_ports_warp_sizes_and_walk_modes(self, port, warp_size,
+                                             lane_parallel_walks):
+        """The three ports at the widths they accept (the CUDA port is
+        32-wide by construction)."""
+        contigs = _binned(seed=11)
+        grouped, alone = assert_group_parity(
+            *port, lambda k: k.run(contigs, K),
+            warp_size=warp_size, lane_parallel_walks=lane_parallel_walks)
+        assert grouped.walks < alone.walks
+
+    def test_oracle_kernel_walks_alone_and_agrees(self):
+        """The scalar oracle keeps one walk per launch (budget 0) and is
+        what the grouped production kernel must still equal."""
+        contigs = _binned(seed=11)
+        oracle = _run(oracle_kernel_cls(CudaLocalAssemblyKernel), A100, None,
+                      lambda k: k.run(contigs, K))
+        grouped = _run(CudaLocalAssemblyKernel, A100, None,
+                       lambda k: k.run(contigs, K))
+        assert oracle.walks == oracle.launches > grouped.walks
+        assert grouped.events == oracle.events
+        assert (grouped.result.right, grouped.result.left) \
+            == (oracle.result.right, oracle.result.left)
+
+    def test_run_schedule_over_four_k(self):
+        contigs = _binned(seed=5, read_length=110)
+        grouped, alone = assert_group_parity(
+            CudaLocalAssemblyKernel, A100,
+            lambda k: k.run_schedule(contigs, (21, 33, 55, 77)))
+        assert grouped.launches == alone.launches > 12
+        assert grouped.walks < alone.walks / 3
+
+    @pytest.mark.parametrize("budget,one_walk", [(1, False), (1 << 22, True)])
+    def test_budget_below_every_launch_and_above_the_run(self, budget,
+                                                         one_walk):
+        contigs = _binned(seed=7)
+        grouped, alone = assert_group_parity(
+            CudaLocalAssemblyKernel, A100, lambda k: k.run(contigs, K),
+            budget=budget)
+        assert max(map(sum, alone.tables)) * 2 <= (1 << 22)
+        assert grouped.walks == (1 if one_walk else grouped.launches)
+
+    def test_a_launch_over_half_the_budget_walks_alone(self):
+        """Two of its size would not fit: it takes the solo path, and the
+        group that was open before it walks first (solo order)."""
+        contigs = _binned(seed=7)
+        alone = _run(CudaLocalAssemblyKernel, A100, 0,
+                     lambda k: k.run(contigs, K))
+        sizes = [sum(t) for t in alone.tables]
+        budget = 2 * sorted(sizes)[len(sizes) // 2]     # the median shares
+        grouped, _ = assert_group_parity(
+            CudaLocalAssemblyKernel, A100, lambda k: k.run(contigs, K),
+            budget=budget)
+        assert any(2 * s > budget for s in sizes)
+        assert 1 < grouped.walks < grouped.launches
+
+    @pytest.mark.parametrize("opts", [
+        dict(memory_model="trace"), dict(sanitize="all"),
+        dict(fault_injector=FaultInjector(FaultPlan(faults=())))])
+    def test_diagnostic_modes_keep_one_walk_per_launch(self, opts):
+        """Slot-numbered evidence and launch ordinals stay per launch."""
+        contigs = _binned(seed=3)
+        out = _run(CudaLocalAssemblyKernel, A100, None,
+                   lambda k: k.run(contigs, K), **opts)
+        assert out.walks == out.launches >= 6
+
+    def test_record_trace_keeps_one_walk_per_launch(self):
+        contigs = _binned(seed=3)
+        kern = CudaLocalAssemblyKernel(A100, policy=PRODUCTION_POLICY)
+        kern.record_trace = True
+        kern.run(contigs, K)
+        assert len(kern.last_trace) >= 6     # one slot trace per launch
+
+
+class StarvedCuda(CudaLocalAssemblyKernel):
+    preparer_cls = StarvedPreparer
+
+
+class WalkThenConstructPreparer(ExactFitPreparer):
+    """Right-end launches (the earlier of a bin) get tables their keys
+    fill exactly, so their *walk* wraps; left-end launches (the later)
+    get starved tables, so their *construct* overflows."""
+
+    def prepare(self, contigs, bin_, end, k, cache=None):
+        if end is End.RIGHT:
+            return super().prepare(contigs, bin_, end, k, cache=cache)
+        batch = BatchPreparer.prepare(self, contigs, bin_, end, k,
+                                      cache=cache)
+        return dataclasses.replace(
+            batch, capacities=np.minimum(batch.capacities, 24))
+
+
+class WalkThenConstructCuda(CudaLocalAssemblyKernel):
+    preparer_cls = WalkThenConstructPreparer
+
+
+class TestGroupOverflow:
+    def test_drop_contig(self):
+        contigs = _binned(seed=13)
+        grouped, _ = assert_group_parity(
+            StarvedCuda, A100, lambda k: k.run(contigs, K),
+            overflow_policy="drop-contig")
+        assert grouped.result.degraded
+        assert any(isinstance(e, ContigDropped) for e in grouped.events)
+
+    @pytest.mark.parametrize("max_grow_attempts", [1, 2, 8])
+    def test_grow_retry_regroups_only_the_failing_warps(self,
+                                                        max_grow_attempts):
+        contigs = _binned(seed=13)
+        grouped, alone = assert_group_parity(
+            StarvedCuda, A100, lambda k: k.run(contigs, K),
+            overflow_policy="grow-retry", grow_factor=3.0,
+            max_grow_attempts=max_grow_attempts)
+        assert grouped.result.retried
+        assert any(isinstance(e, ContigRetried) for e in grouped.events)
+        # the re-launches are the solo ones (same warps, same grown
+        # capacities: the table multisets were compared) and they share
+        # walks too: one per attempt, not one per re-launched segment
+        attempts = 1 + max(e.attempt for e in grouped.events
+                           if isinstance(e, ContigRetried))
+        assert grouped.walks <= attempts < alone.walks
+
+    def test_grow_retry_run_schedule(self):
+        contigs = _binned(seed=17)
+        assert_group_parity(
+            StarvedCuda, A100, lambda k: k.run_schedule(contigs, (21, 33)),
+            overflow_policy="grow-retry")
+
+    def test_raise_rebuilds_the_error_of_the_earliest_launch(self):
+        """A later launch's construct and an earlier launch's walk both
+        overflow in one group; solo raising stops at the earlier one."""
+        contigs = _job(seed=1, n=3)
+        dropped = _run(WalkThenConstructCuda, A100, 0,
+                       lambda k: k.run(contigs, K),
+                       overflow_policy="drop-contig")
+        assert {e.end for e in dropped.events
+                if isinstance(e, ContigDropped)} == {"right", "left"}
+        grouped, alone = assert_group_parity(
+            WalkThenConstructCuda, A100, lambda k: k.run(contigs, K),
+            overflow_policy="raise")
+        assert "wrapped during walk lookup" in str(alone.error)
+        assert grouped.walks == 1
+
+
+# ----------------------------------------------------------------------
+# the visited set
+# ----------------------------------------------------------------------
+
+
+#: Few distinct fingerprints, so that re-adds and cross-warp duplicates
+#: are the rule, plus the extremes of the dtype.
+_FPS = st.sampled_from([0, 1, 2, 3, 5, 8, 13, 2**63, 2**64 - 1]) \
+    | st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _calls(draw):
+    n_warps = draw(st.integers(1, 12))
+    calls = draw(st.lists(st.dictionaries(
+        st.integers(0, n_warps - 1), _FPS, max_size=n_warps), max_size=30))
+    return n_warps, calls
+
+
+class TestVisitedFingerprintSet:
+    @settings(max_examples=200, deadline=None)
+    @given(_calls())
+    def test_answers_like_per_warp_python_sets(self, case):
+        """Any call sequence — re-adds, the same fingerprint in several
+        warps, warps that sit calls out (their rows are shelved) and come
+        back, a warp that never inserts."""
+        n_warps, calls = case
+        visited = VisitedFingerprintSet(n_warps)
+        model = [set() for _ in range(n_warps)]
+        for call in calls:
+            warps = np.array(sorted(call), dtype=np.int64)
+            fps = np.array([call[w] for w in warps.tolist()],
+                           dtype=np.uint64)
+            want = [int(f) in model[w] for w, f in zip(warps.tolist(),
+                                                       fps.tolist())]
+            assert visited.seen_or_add(warps, fps).tolist() == want
+            for w, f in zip(warps.tolist(), fps.tolist()):
+                model[w].add(int(f))
+
+    def test_growth_across_several_doublings(self):
+        """Forty distinct keys a warp (the width doubles three times)
+        while the walkers thin out (the rest is shelved), then every key
+        of every warp — shelved ones included — reads as seen."""
+        rng = np.random.default_rng(0)
+        n_warps, steps = 64, 40
+        visited = VisitedFingerprintSet(n_warps)
+        keys = rng.integers(0, 2**64, size=(steps, n_warps), dtype=np.uint64)
+        stops = rng.integers(1, steps + 1, size=n_warps)
+        stops[:2] = steps, 0        # one walks to the end, one never starts
+        for t in range(steps):
+            warps = np.flatnonzero(stops > t)
+            assert not visited.seen_or_add(warps, keys[t, warps]).any()
+        rows, width = visited._path.shape
+        assert width == 64 and rows <= 2 * np.count_nonzero(stops == steps)
+        assert rows + len(visited._shelved) == n_warps - 1
+        for t in range(steps):
+            warps = np.flatnonzero(stops > t)
+            assert visited.seen_or_add(warps, keys[t, warps]).all()
+        never = np.array([1])
+        assert not visited.seen_or_add(never, keys[0, never]).any()
+
+    def test_add_ignores_duplicates(self):
+        visited = VisitedFingerprintSet(3)
+        warps = np.arange(3)
+        visited.add(warps, np.array([7, 7, 9], dtype=np.uint64))
+        visited.add(warps, np.array([7, 7, 9], dtype=np.uint64))
+        assert visited._len.tolist() == [1, 1, 1]
+        assert visited.seen_or_add(
+            warps, np.array([9, 7, 9], dtype=np.uint64)).tolist() \
+            == [False, True, True]

@@ -153,6 +153,9 @@ def test_rep011_catches_both_contract_directions(tmp_path):
                 bus.emit(Ping())
             """,
         "pkg/sub.py": """
+            class Pong:
+                pass
+
             class Listener:
                 handled_events = (Pong,)
 
@@ -197,6 +200,19 @@ def test_rep011_accepts_append_built_declarations(tmp_path):
                     if deep:
                         handled.append(Probe)
                     self.handled_events = tuple(handled)
+            """,
+    })
+    assert findings == []
+
+
+def test_rep011_skips_declared_names_that_are_no_class(tmp_path):
+    # the tests' EventCollector pattern: the element is a constructor
+    # parameter — what it names is unknown, so it cannot be called dead
+    findings = run_fixture(tmp_path, {
+        "pkg/sub.py": """
+            class Collector:
+                def __init__(self, event_type):
+                    self.handled_events = (event_type,)
             """,
     })
     assert findings == []
