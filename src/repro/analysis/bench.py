@@ -45,6 +45,14 @@ DEFAULT_BENCH_PATH = "BENCH_engine.json"
 #: Default throughput-regression gate (fraction below baseline).
 MAX_REGRESSION = 0.25
 
+#: The ``counters`` keys that say what was *computed* — extension bases,
+#: terminal states, who was degraded or retried. Every other leaf counts
+#: how the simulated GPU got there: a change to the model may move those,
+#: never these, and the gate says which kind diverged so a re-pin can be
+#: audited.
+FUNCTIONAL_FIELDS = ("left_bases", "right_bases", "states", "degraded",
+                     "retried")
+
 
 @dataclass(frozen=True)
 class BenchScale:
@@ -188,15 +196,34 @@ def _first_divergence(base, cur, path: str = "") -> str | None:
     return None
 
 
+def _counter_divergence(base: dict, cur: dict) -> str | None:
+    """Where two ``counters`` trees first differ, functional fields
+    (:data:`FUNCTIONAL_FIELDS`) looked at first, worded as which kind —
+    the serve suite's counters carry none, so there it is just the leaf."""
+    def functional(counters: dict) -> dict:
+        return {key: counters[key] for key in FUNCTIONAL_FIELDS
+                if key in counters}
+
+    diff = _first_divergence(functional(base), functional(cur))
+    if diff is not None:
+        return f"a functional field, {diff}"
+    diff = _first_divergence(base, cur)
+    if diff is None or not (functional(base) or functional(cur)):
+        return diff
+    return f"a simulated counter (functional fields identical), {diff}"
+
+
 def compare_documents(baseline: dict, current: dict, max_regression: float,
                       identity: str, rate: str, unit: str,
                       throughput: Callable[[dict], float | None]) -> list[str]:
     """The baseline gate both suites share (empty = pass).
 
-    Counters must match *exactly*; ``throughput(scale)`` may not drop
-    more than ``max_regression`` below the baseline. Scales present on
-    only one side are skipped (a ``--smoke`` run gates only the smoke
-    scale). ``identity`` / ``rate`` / ``unit`` word the messages.
+    Counters must match *exactly* — a divergence is reported as being in
+    a functional field or in a simulated counter; ``throughput(scale)``
+    may not drop more than ``max_regression`` below the baseline. Scales
+    present on only one side are skipped (a ``--smoke`` run gates only
+    the smoke scale). ``identity`` / ``rate`` / ``unit`` word the
+    messages.
     """
     problems: list[str] = []
     if baseline.get("schema") != current.get("schema"):
@@ -208,11 +235,12 @@ def compare_documents(baseline: dict, current: dict, max_regression: float,
         base = baseline.get("scales", {}).get(name)
         if base is None:
             continue
-        diff = _first_divergence(base.get("counters"), cur.get("counters"))
+        diff = _counter_divergence(base.get("counters") or {},
+                                   cur.get("counters") or {})
         if diff is not None:
             problems.append(
                 f"{name}: {identity} diverged from the committed "
-                f"baseline at {diff}")
+                f"baseline in {diff}")
         tp_base = throughput(base) or 0.0
         tp_cur = throughput(cur) or 0.0
         if tp_base > 0 and tp_cur < tp_base * (1.0 - max_regression):

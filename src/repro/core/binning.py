@@ -86,6 +86,19 @@ def bin_contigs(
     return bins
 
 
+def narrow_bin(bin_: Bin, keep: list[bool], contigs: list[Contig],
+               k: int) -> Bin:
+    """``bin_`` restricted to the members ``keep`` marks, order preserved
+    (``keep`` aligns with ``contig_indices`` and marks at least one)."""
+    idx = [ci for ci, on in zip(bin_.contig_indices, keep) if on]
+    depths = [contigs[ci].depth for ci in idx]
+    return Bin(
+        contig_indices=idx, min_depth=min(depths), max_depth=max(depths),
+        total_insertions=sum(insertions_for(contigs[ci].reads, k)
+                             for ci in idx),
+        table_slots=[s for s, on in zip(bin_.table_slots, keep) if on])
+
+
 def binning_imbalance(contigs: list[Contig], bins: list[Bin], k: int) -> float:
     """Mean (max/mean) work imbalance across bins; 1.0 is perfect.
 

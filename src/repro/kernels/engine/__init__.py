@@ -75,6 +75,8 @@ from repro.kernels.engine.schedule import (
     LaunchPolicy,
     SideArrays,
     iterate_k_schedule,
+    narrow_plans,
+    pending_ends,
     validate_k_schedule,
 )
 from repro.kernels.engine.simt import LocalAssemblyKernel
@@ -144,6 +146,8 @@ __all__ = [
     "LaunchPolicy",
     "SideArrays",
     "iterate_k_schedule",
+    "narrow_plans",
+    "pending_ends",
     "validate_k_schedule",
     # driver
     "LocalAssemblyKernel",

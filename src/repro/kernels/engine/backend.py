@@ -307,8 +307,11 @@ class ScalarReferenceBackend:
             bases = rc
         return bases, walk.state
 
-    def run(self, contigs: list[Contig], k: int, **_kwargs) -> KernelRunResult:
-        """Execute the full workflow at one k on the scalar path."""
+    def run(self, contigs: list[Contig], k: int, pending=None,
+            **_kwargs) -> KernelRunResult:
+        """Execute the full workflow at one k on the scalar path — for
+        the contig ends ``pending`` marks when a k-schedule passes its
+        pending set, for both ends of every contig otherwise."""
         profile = KernelProfile(warp_size=1)
         profile.walk_issue_width = 1
         profile.contigs = len(contigs)
@@ -317,10 +320,12 @@ class ScalarReferenceBackend:
         degraded: set = set()
         retried: set = set()
         for ci, contig in enumerate(contigs):
-            right.append(self._walk_end(contig, k, End.RIGHT, profile,
-                                        ci, degraded, retried))
-            left.append(self._walk_end(contig, k, End.LEFT, profile,
-                                       ci, degraded, retried))
+            for end, side in ((End.RIGHT, right), (End.LEFT, left)):
+                side.append(
+                    self._walk_end(contig, k, end, profile, ci, degraded,
+                                   retried)
+                    if pending is None or pending[end][ci]
+                    else ("", WalkState.MISSING))
         return KernelRunResult(device=self.device, k=k, profile=profile,
                                right=right, left=left,
                                degraded=sorted(degraded),
@@ -332,8 +337,8 @@ class ScalarReferenceBackend:
         """Iterate the k schedule with the kernels' settle semantics."""
         tail = ScheduleTail()
 
-        def _run_one(k: int) -> KernelRunResult:
-            res = self.run(contigs, k)
+        def _run_one(k: int, pending: dict) -> KernelRunResult:
+            res = self.run(contigs, k, pending=pending)
             tail.add(res.degraded, res.retried)
             return res
 

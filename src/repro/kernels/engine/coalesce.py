@@ -10,9 +10,10 @@ decision is warp-local), so the per-warp behaviour of a fused launch is
 what this module exploits:
 
 1. **Execute fused**: per k, every active job is planned with the
-   kernel's own launch policy (per-job binning is preserved) and *all*
-   resulting segments — every bin, both extension directions, every
-   tenant — are concatenated with
+   kernel's own launch policy (per-job binning is preserved), narrowed
+   to the job's contig ends that have not settled — what its solo
+   schedule launches — and *all* resulting segments — every bin, both
+   extension directions, every tenant — are concatenated with
    :func:`~repro.kernels.engine.prepare.concat_batches` and run through
    construct + walk **once**: one lockstep program per k, with
    ``defer_overflow`` always on. Inside the launch the phases only
@@ -92,6 +93,8 @@ from repro.kernels.engine.prepare import (
 from repro.kernels.engine.schedule import (
     SideArrays,
     merge_k_side,
+    narrow_plans,
+    pending_ends,
     validate_k_schedule,
 )
 from repro.kernels.engine.simt import LocalAssemblyKernel
@@ -304,7 +307,10 @@ def run_schedule_coalesced(
     Results (outputs, profiles, overflow sets, traces, sanitizer
     verdicts) are byte-identical to ``kernel.run_schedule(job, ...)``
     run per job; each job gets a fresh :class:`PrepareCache`, as a solo
-    run would. ``fingerprints`` optionally names each job (the
+    run would. A k's fused launch carries, of every job still active,
+    exactly the contig ends that job's solo schedule launches at that k:
+    all of them at the first k, afterwards the ones still forking.
+    ``fingerprints`` optionally names each job (the
     serve tier passes request fingerprints) so a seeded
     :class:`~repro.resilience.FaultInjector` on the kernel can attribute
     wave-scoped faults per job; an injector whose plan contains kinds
@@ -357,7 +363,10 @@ def run_schedule_coalesced(
         for s in active:
             s.last_k = k
             s.segments = []
-            for plan in kernel.launch_policy.plan(s.contigs, k, config):
+            s.cache.sweep()
+            for plan in narrow_plans(
+                    kernel.launch_policy.plan(s.contigs, k, config),
+                    s.contigs, pending_ends(s.settled_r, s.settled_l)):
                 sub = kernel.preparer.prepare(s.contigs, plan.bin, plan.end,
                                               k, cache=s.cache)
                 seg = Segment(plan, sub)

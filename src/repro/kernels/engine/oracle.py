@@ -59,7 +59,7 @@ from repro.kernels.engine.prepare import (
     BatchPreparer,
     segmented_arange,
 )
-from repro.kernels.engine.schedule import validate_k_schedule
+from repro.kernels.engine.schedule import pending_ends, validate_k_schedule
 from repro.kernels.engine.walk import WalkOutput, WalkPhase
 from repro.kernels.vectortable import WarpHashTables
 from repro.simt.counters import KernelProfile
@@ -312,7 +312,7 @@ class ScalarOracleConstructPhase(ConstructPhase):
 
 
 def iterate_k_schedule_scalar(
-    run_one: Callable[[int], "object"],
+    run_one: Callable[[int, dict], "object"],
     n_contigs: int,
     k_schedule: tuple[int, ...],
 ) -> tuple[int, KernelProfile, list, list]:
@@ -320,7 +320,7 @@ def iterate_k_schedule_scalar(
 
     Drop-in for :func:`~repro.kernels.engine.schedule.iterate_k_schedule`
     with the settle/merge decisions taken one contig at a time instead
-    of as NumPy mask assignments.
+    of as NumPy mask assignments; ``run_one`` gets the same pending set.
     """
     validate_k_schedule(k_schedule)
     merged: KernelProfile | None = None
@@ -333,7 +333,7 @@ def iterate_k_schedule_scalar(
         if all(settled_r) and all(settled_l):
             break
         last_k = k
-        res = run_one(k)
+        res = run_one(k, pending_ends(settled_r, settled_l))
         if merged is None:
             merged = res.profile
         else:

@@ -235,15 +235,18 @@ class PrepareCache:
     between k values simply misses — correctness never depends on the
     binning being k-stable. A plain dict: a schedule touches
     ``bins x ends`` keys (a handful) and the cache dies with it, so
-    there is nothing to bound or evict. ``hits`` / ``misses`` are
-    surfaced in profiles as the ``prep_cache_*`` fields. A cache belongs
-    to one job's k-schedule: the coalescing service builds a fresh one
-    per job per wave, so a re-run of the same job reports the same
-    counters.
+    there is nothing to bound. A schedule's bins only ever narrow, so a
+    flatten one k did not ask for cannot hit again: the schedule drivers
+    call :meth:`sweep` before each k to let those go. ``hits`` /
+    ``misses`` are surfaced in profiles as the ``prep_cache_*`` fields.
+    A cache belongs to one job's k-schedule: the coalescing service
+    builds a fresh one per job per wave, so a re-run of the same job
+    reports the same counters.
     """
 
     def __init__(self) -> None:
         self._flat: dict[tuple, FlattenedBin] = {}
+        self._asked: set[tuple] = set()     # keys got or put since sweep
         self.hits = 0
         self.misses = 0
 
@@ -252,7 +255,9 @@ class PrepareCache:
         return (end, tuple(bin_.contig_indices))
 
     def get(self, bin_: Bin, end: End) -> FlattenedBin | None:
-        flat = self._flat.get(self.key(bin_, end))
+        key = self.key(bin_, end)
+        self._asked.add(key)
+        flat = self._flat.get(key)
         if flat is None:
             self.misses += 1
         else:
@@ -260,7 +265,15 @@ class PrepareCache:
         return flat
 
     def put(self, bin_: Bin, end: End, flat: FlattenedBin) -> None:
-        self._flat[self.key(bin_, end)] = flat
+        key = self.key(bin_, end)
+        self._asked.add(key)
+        self._flat[key] = flat
+
+    def sweep(self) -> None:
+        """Drop every flatten nobody asked for since the last sweep."""
+        self._flat = {key: flat for key, flat in self._flat.items()
+                      if key in self._asked}
+        self._asked = set()
 
     def __len__(self) -> int:
         return len(self._flat)

@@ -13,7 +13,10 @@ right-/left-extension kernels).
 (Figures 2 and 4) used by every backend: per contig end, the first
 *accepted* walk (anything but a fork) at the smallest k wins, and forked
 ends retry at the next k, keeping the longest extension if no k resolves
-the fork. The settle/merge decisions run as NumPy mask assignments over
+the fork. A settled end leaves the schedule — as the paper's warp leaves
+its mer-size loop — so a later k launches only the ends that still fork:
+every schedule driver plans a k through :func:`narrow_plans`. The
+settle/merge decisions run as NumPy mask assignments over
 :class:`SideArrays` (the lockstep per-contig result representation the
 engine driver scatters into); backends that only produce the per-contig
 ``(bases, WalkState)`` lists fall back to a derivation at the boundary.
@@ -23,12 +26,12 @@ The pre-refactor per-contig merge loop survives as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.binning import Bin, bin_contigs
+from repro.core.binning import Bin, bin_contigs, narrow_bin
 from repro.core.construct import DEFAULT_LOAD_FACTOR
 from repro.core.extension import CODE_TO_WALK_STATE, WALK_STATE_CODES, WalkState
 from repro.errors import KernelError
@@ -122,6 +125,31 @@ class BinnedLaunchPolicy:
                 for b in bins for end in self.ends]
 
 
+def pending_ends(settled_r, settled_l) -> dict[End, np.ndarray]:
+    """A schedule's *pending set* before a k: per end, a bool array over
+    the contigs, set where the end has no accepted walk yet."""
+    return {End.RIGHT: ~np.asarray(settled_r, dtype=bool),
+            End.LEFT: ~np.asarray(settled_l, dtype=bool)}
+
+
+def narrow_plans(plans: list[LaunchPlan], contigs: list[Contig],
+                 pending: dict[End, np.ndarray]) -> list[LaunchPlan]:
+    """The launches a k-schedule still makes of ``plans``: every plan
+    narrowed to the contigs whose end is pending (:func:`pending_ends`),
+    plans left empty dropped, order kept. A plan that loses nobody is
+    returned as it is, so its flatten still hits the
+    :class:`~repro.kernels.engine.prepare.PrepareCache`."""
+    out: list[LaunchPlan] = []
+    for plan in plans:
+        keep = pending[plan.end][plan.bin.contig_indices]
+        if keep.all():
+            out.append(plan)
+        elif keep.any():
+            out.append(replace(plan, bin=narrow_bin(
+                plan.bin, keep.tolist(), contigs, plan.k)))
+    return out
+
+
 def validate_k_schedule(k_schedule: tuple[int, ...]) -> None:
     if not k_schedule or list(k_schedule) != sorted(set(k_schedule)):
         raise KernelError(
@@ -151,13 +179,16 @@ def merge_k_side(cur: SideArrays, best: SideArrays,
 
 
 def iterate_k_schedule(
-    run_one: Callable[[int], "object"],
+    run_one: Callable[[int, dict], "object"],
     n_contigs: int,
     k_schedule: tuple[int, ...],
 ) -> tuple[int, KernelProfile, list, list]:
     """Drive the iterative k schedule over any backend's ``run``.
 
-    ``run_one(k)`` must return a :class:`KernelRunResult`-shaped object
+    ``run_one(k, pending)`` runs the k for the ends ``pending`` marks
+    (:func:`pending_ends`: everything at the first k, afterwards only
+    the ends whose walks have all forked — whatever else it returns is
+    ignored) and must return a :class:`KernelRunResult`-shaped object
     (``right``/``left`` lists of ``(bases, WalkState)`` plus ``profile``).
     Returns ``(last_k, merged_profile, right, left)``. Every k runs as
     its own launch sequence (tables must be rebuilt per k — the GPU
@@ -174,7 +205,7 @@ def iterate_k_schedule(
         if settled_r.all() and settled_l.all():
             break
         last_k = k
-        res = run_one(k)
+        res = run_one(k, pending_ends(settled_r, settled_l))
         if merged is None:
             merged = res.profile
         else:

@@ -71,6 +71,7 @@ from repro.kernels.engine.schedule import (
     LaunchPolicy,
     SideArrays,
     iterate_k_schedule,
+    narrow_plans,
 )
 from repro.kernels.engine.walk import WalkPhase
 from repro.kernels.vectortable import SLOT_BYTES, WarpHashTables
@@ -562,6 +563,7 @@ class LocalAssemblyKernel:
         max_batch_insertions: int | None = None,
         parallel_scale: float = 1.0,
         prep_cache: PrepareCache | None = None,
+        pending: dict[End, np.ndarray] | None = None,
     ) -> KernelRunResult:
         """Execute the full local-assembly workflow (Figure 3) at one k.
 
@@ -570,6 +572,10 @@ class LocalAssemblyKernel:
         full-size concurrency pressure to a scaled run. ``prep_cache``
         carries flattened read streams across calls (the k-schedule
         reuse; see :class:`~repro.kernels.engine.prepare.PrepareCache`).
+        ``pending`` is how a k-schedule passes the contig ends that
+        still fork (:func:`~repro.kernels.engine.schedule.pending_ends`):
+        only those are launched, every other end comes back unextended
+        (``("", MISSING)``). Without it both ends of every contig launch.
 
         Returns functional extensions for both ends of every contig plus
         the merged :class:`KernelProfile` (time left at zero — the timing
@@ -579,6 +585,8 @@ class LocalAssemblyKernel:
             raise KernelError(f"parallel_scale must be in (0, 1], got {parallel_scale}")
         plans = self.launch_policy.plan(contigs, k, self.launch_config(
             depth_ratio, max_batch_insertions))
+        if pending is not None:
+            plans = narrow_plans(plans, contigs, pending)
         self.last_trace = []
         self.last_replay = []
         krun = self._begin_run(len(contigs), k, parallel_scale)
@@ -655,19 +663,24 @@ class LocalAssemblyKernel:
         Per contig end, the first *accepted* walk (anything but a fork)
         at the smallest k wins, and forked ends retry at the next k,
         keeping the longest extension if no k resolves the fork. The
-        flattened read streams are prepared once per (bin, end) and
-        reused across the whole schedule — only the per-k hashing pass
-        reruns (:class:`~repro.kernels.engine.prepare.PrepareCache`).
-        Profiles of all launches merge; the result's ``k`` reports the
-        last k executed.
+        first k launches every bin in both directions; a later k
+        launches only the contig ends that have not settled (their bins
+        narrowed, emptied bins dropped), so a settled end costs nothing
+        more and a table overflow at a later k cannot touch it. A (bin,
+        end) whose members all still fork reuses its flattened read
+        stream — only the per-k hashing pass reruns
+        (:class:`~repro.kernels.engine.prepare.PrepareCache`); a narrowed
+        bin is flattened anew. Profiles of all launches merge; the
+        result's ``k`` reports the last k executed.
         """
         cache = PrepareCache()
         self.last_prep_cache = cache
         tail = ScheduleTail(cache)
 
-        def _run_one(k: int) -> KernelRunResult:
+        def _run_one(k: int, pending: dict) -> KernelRunResult:
+            cache.sweep()
             res = self.run(contigs, k, parallel_scale=parallel_scale,
-                           prep_cache=cache)
+                           prep_cache=cache, pending=pending)
             tail.add(res.degraded, res.retried, self.last_replay,
                      self.last_sanitizer_report)
             return res

@@ -58,6 +58,18 @@ class TestCompareBench:
         assert "identity diverged" in problems[0]
         assert "ProbeIteration" in problems[0]
 
+    def test_divergence_says_functional_field_or_simulated_counter(self):
+        base = _doc()
+        cur = copy.deepcopy(base)
+        cur["scales"]["smoke"]["counters"]["profile"]["inserts"] += 1
+        (problem,) = compare_bench(base, cur)
+        assert "a simulated counter (functional fields identical)" in problem
+        assert "profile.inserts" in problem
+        # a functional field is reported first, whatever else moved
+        cur["scales"]["smoke"]["counters"]["right_bases"] += 1
+        (problem,) = compare_bench(base, cur)
+        assert "a functional field" in problem and "right_bases" in problem
+
     def test_timing_jitter_tolerated_but_regression_caught(self):
         base = _doc()
         cur = copy.deepcopy(base)

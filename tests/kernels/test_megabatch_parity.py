@@ -228,7 +228,7 @@ class TestMergeParity:
               device=A100):
         def run_one_factory():
             kern = kernel_cls(device, policy=PRODUCTION_POLICY)
-            return lambda k: kern.run(contigs, k)
+            return lambda k, pending: kern.run(contigs, k, pending=pending)
         n = len(contigs)
         vec = iterate_k_schedule(run_one_factory(), n, ks)
         sca = iterate_k_schedule_scalar(run_one_factory(), n, ks)

@@ -117,7 +117,8 @@ class TestScheduleReuse:
         from repro.kernels.engine import iterate_k_schedule
 
         last_k, merged, right, left = iterate_k_schedule(
-            lambda k: uncached_kern.run(contigs, k), len(contigs), (21, 33))
+            lambda k, pending: uncached_kern.run(contigs, k, pending=pending),
+            len(contigs), (21, 33))
         assert cached.k == last_k
         assert tuple(cached.right) == tuple(right)
         assert tuple(cached.left) == tuple(left)
