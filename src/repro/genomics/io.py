@@ -19,9 +19,10 @@ Quality strings use Sanger phred+33 encoding.
 from __future__ import annotations
 
 import io as _io
+from itertools import islice
 from pathlib import Path
 
-from repro.errors import DatasetError
+from repro.errors import DatasetError, SequenceError
 from repro.genomics.contig import Contig
 from repro.genomics.reads import Read, ReadSet
 
@@ -48,12 +49,45 @@ def write_dat(contigs: list[Contig], path: str | Path) -> None:
     Path(path).write_text(dumps_dat(contigs))
 
 
+def _at_line(source: str, line: int, build, *args):
+    """``build(*args)``; what it finds wrong with the text of ``line``
+    (1-based) is a :class:`~repro.errors.DatasetError` naming it."""
+    try:
+        return build(*args)
+    except (SequenceError, UnicodeError) as exc:
+        raise DatasetError(f"{source}: line {line}: {exc}") from None
+
+
+def _decode_reads(source: str, named: list[tuple]) -> list[Read]:
+    """The reads of a payload, ``named`` ``(name, line, bases,
+    qualities)`` each, decoded in one pass: every base and every quality
+    character goes through the encode table and the Phred range check
+    once, joined, and each read is a view of the two buffers. Text that
+    fails is decoded again read by read, for the error to name its line.
+    """
+    try:
+        whole = Read.from_strings("", "".join(seq for _, _, seq, _ in named),
+                                  "".join(qual for _, _, _, qual in named))
+    except (SequenceError, UnicodeError):
+        return [_at_line(source, line, Read.from_strings, name, seq, qual)
+                for name, line, seq, qual in named]
+    reads = []
+    lo = 0
+    for name, _, seq, _ in named:
+        hi = lo + len(seq)
+        reads.append(Read(name, whole.codes[lo:hi], whole.quals[lo:hi]))
+        lo = hi
+    return reads
+
+
 def loads_dat(text: str, source: str = "<string>") -> list[Contig]:
     """Parse ``.dat`` format text into contigs with reads.
 
     ``source`` labels :class:`~repro.errors.DatasetError` messages (the
     file path when called through :func:`read_dat`, a request id in the
-    service).
+    service). Everything wrong with the text — its structure, a base
+    outside ``ACGTacgt``, a quality character below ``!`` or outside
+    ASCII, a count that does not match the records — raises one.
     """
     lines = text.splitlines()
     if not lines or lines[0] != _MAGIC:
@@ -62,8 +96,12 @@ def loads_dat(text: str, source: str = "<string>") -> list[Contig]:
         n_contigs = int(lines[1])
     except (IndexError, ValueError) as exc:
         raise DatasetError(f"{source}: bad contig count line") from exc
+    if n_contigs < 0:
+        raise DatasetError(f"{source}: negative contig count at line 2")
     pos = 2
     contigs: list[Contig] = []
+    depths: list[int] = []
+    named: list[tuple] = []     # every read of the payload, in order
     for _ in range(n_contigs):
         if pos >= len(lines) or not lines[pos].startswith(">"):
             raise DatasetError(f"{source}: expected '>' header at line {pos + 1}")
@@ -75,11 +113,13 @@ def loads_dat(text: str, source: str = "<string>") -> list[Contig]:
             depth = int(depth_s)
         except ValueError as exc:
             raise DatasetError(f"{source}: bad read count in header {lines[pos]!r}") from exc
+        if depth < 0:
+            raise DatasetError(f"{source}: negative read count at line {pos + 1}")
         if pos + 1 >= len(lines):
             raise DatasetError(f"{source}: contig {name!r} missing sequence line")
-        contig = Contig.from_string(name, lines[pos + 1])
+        contigs.append(_at_line(source, pos + 2, Contig.from_string, name,
+                                lines[pos + 1]))
         pos += 2
-        reads = ReadSet()
         for j in range(depth):
             if pos >= len(lines):
                 raise DatasetError(f"{source}: contig {name!r} truncated at read {j}")
@@ -91,10 +131,17 @@ def loads_dat(text: str, source: str = "<string>") -> list[Contig]:
                 raise DatasetError(
                     f"{source}: read/quality length mismatch at line {pos + 1}"
                 )
-            reads.append(Read.from_strings(f"{name}/r{j}", seq, quals))
+            named.append((f"{name}/r{j}", pos + 1, seq, quals))
             pos += 1
-        contig.reads = reads
-        contigs.append(contig)
+        depths.append(depth)
+    for extra in range(pos, len(lines)):
+        if lines[extra].strip():
+            raise DatasetError(
+                f"{source}: line {extra + 1} is beyond the {n_contigs} "
+                f"contig(s) the count line declares")
+    reads = iter(_decode_reads(source, named))
+    for contig, depth in zip(contigs, depths):
+        contig.reads = ReadSet(list(islice(reads, depth)))
     return contigs
 
 

@@ -62,7 +62,6 @@ from repro.kernels.engine.prepare import (
     Batch,
     BatchPreparer,
     FlattenedBin,
-    PrepareCache,
     concat_batches,
     run_length_sorted,
     segmented_arange,
@@ -131,7 +130,6 @@ __all__ = [
     "Batch",
     "BatchPreparer",
     "FlattenedBin",
-    "PrepareCache",
     "concat_batches",
     "run_length_sorted",
     "segmented_arange",

@@ -80,16 +80,12 @@ class ScheduleTail:
     ends — the one copy every schedule driver shares.
 
     ``add`` takes one k-run's outcome (overflow sets, trace-replay
-    launches, sanitizer report); ``result`` stamps the prep-cache
-    counters on the merged profile and builds the schedule's
+    launches, sanitizer report); ``result`` builds the schedule's
     :class:`KernelRunResult`; ``report`` is the schedule's combined
     sanitizer report (``None`` when nothing sanitized).
     """
 
-    def __init__(self, cache=None) -> None:
-        #: The schedule's :class:`~repro.kernels.engine.prepare.PrepareCache`
-        #: (``None`` for backends that prepare nothing).
-        self.cache = cache
+    def __init__(self) -> None:
         self.degraded: set[int] = set()
         self.retried: set[int] = set()
         self.replay: list = []
@@ -117,9 +113,6 @@ class ScheduleTail:
                merged: KernelProfile, right: list,
                left: list) -> KernelRunResult:
         merged.contigs = len(right)
-        if self.cache is not None:
-            merged.prep_cache_hits = self.cache.hits
-            merged.prep_cache_misses = self.cache.misses
         return KernelRunResult(device=device, k=last_k, profile=merged,
                                right=right, left=left,
                                degraded=sorted(self.degraded),

@@ -85,11 +85,7 @@ from repro.kernels.engine.events import (
     SlotRead,
     SlotWrite,
 )
-from repro.kernels.engine.prepare import (
-    Batch,
-    PrepareCache,
-    concat_batches,
-)
+from repro.kernels.engine.prepare import Batch, concat_batches
 from repro.kernels.engine.schedule import (
     SideArrays,
     merge_k_side,
@@ -168,17 +164,15 @@ class _EvidenceRecorder:
 class _JobState:
     """Accumulated schedule state of one coalesced job."""
 
-    def __init__(self, contigs: list[Contig], cache: PrepareCache,
-                 first_k: int) -> None:
+    def __init__(self, contigs: list[Contig], first_k: int) -> None:
         self.contigs = contigs
         self.n = len(contigs)
-        self.cache = cache
         self.best_r = SideArrays.empty(self.n)
         self.best_l = SideArrays.empty(self.n)
         self.settled_r = np.zeros(self.n, dtype=bool)
         self.settled_l = np.zeros(self.n, dtype=bool)
         self.merged_profile: KernelProfile | None = None
-        self.tail = ScheduleTail(cache)
+        self.tail = ScheduleTail()
         self.traces: list = []
         self.error: HashTableFullError | None = None
         self.last_k = first_k
@@ -244,6 +238,7 @@ def _replay_job_k(kernel, state: _JobState, k: int,
     of the k-run.
     """
     krun = kernel._begin_run(state.n, k, parallel_scale)
+    krun.profile.prep_cache_misses = len(state.segments)
     # solo raising aborts the run mid-launch
     state.error = kernel._replay(krun, state.segments)
     if state.error is not None:
@@ -306,8 +301,7 @@ def run_schedule_coalesced(
 
     Results (outputs, profiles, overflow sets, traces, sanitizer
     verdicts) are byte-identical to ``kernel.run_schedule(job, ...)``
-    run per job; each job gets a fresh :class:`PrepareCache`, as a solo
-    run would. A k's fused launch carries, of every job still active,
+    run per job. A k's fused launch carries, of every job still active,
     exactly the contig ends that job's solo schedule launches at that k:
     all of them at the first k, afterwards the ones still forking.
     ``fingerprints`` optionally names each job (the
@@ -339,8 +333,7 @@ def run_schedule_coalesced(
         raise KernelError(
             f"parallel_scale must be in (0, 1], got {parallel_scale}")
 
-    states = [_JobState(contigs, PrepareCache(), k_schedule[0])
-              for contigs in jobs]
+    states = [_JobState(contigs, k_schedule[0]) for contigs in jobs]
 
     # What the per-job replay buses will want decides which evidence the
     # fused run must record (and therefore emit): probe with a throwaway
@@ -363,13 +356,11 @@ def run_schedule_coalesced(
         for s in active:
             s.last_k = k
             s.segments = []
-            s.cache.sweep()
             for plan in narrow_plans(
                     kernel.launch_policy.plan(s.contigs, k, config),
                     s.contigs, pending_ends(s.settled_r, s.settled_l)):
-                sub = kernel.preparer.prepare(s.contigs, plan.bin, plan.end,
-                                              k, cache=s.cache)
-                seg = Segment(plan, sub)
+                seg = Segment(plan, kernel.preparer.prepare(
+                    s.contigs, plan.bin, plan.end, k))
                 s.segments.append(seg)
                 group.append(seg)
         # one lockstep program per k: every bin, both ends, every tenant

@@ -1,6 +1,6 @@
 """Batch preparation: flatten one bin's contigs + reads into launch arrays.
 
-Preparation splits into two stages with very different reuse profiles:
+Preparation splits into two stages:
 
 1. **Flatten** (k-independent): per (bin, end), concatenate every
    assigned read's codes and qualities — reverse-complemented for the
@@ -11,11 +11,12 @@ Preparation splits into two stages with very different reuse profiles:
    fingerprint them, gather extension bases and quality flags, extract
    the per-contig seed k-mers, and size the tables.
 
-The k-schedule (Figures 2/4) reruns every launch at up to four k values
-over the *same* (bin, end) read streams, so :class:`PrepareCache` keeps
-the flatten results keyed by (end, contig tuple): across the schedule
-only the per-k hashing pass reruns. ``benchmarks/
-bench_engine_prepare_reuse.py`` measures the saving.
+A flatten lives for one :meth:`BatchPreparer.prepare` call. A settled
+contig end leaves the k-schedule, so a later k's bins are narrower than
+the bins flattened before it and a kept flatten is almost never asked
+for again — while keeping one holds a whole end's read stream, its
+fingerprint prefix and its word mix through the next launch (DESIGN.md
+decision 26).
 """
 
 from __future__ import annotations
@@ -228,59 +229,8 @@ class FlattenedBin:
         return len(self.contig_ids)
 
 
-class PrepareCache:
-    """Memoizes :class:`FlattenedBin` results across a k-schedule.
-
-    Keyed by (end, contig-index tuple) so a bin whose composition shifts
-    between k values simply misses — correctness never depends on the
-    binning being k-stable. A plain dict: a schedule touches
-    ``bins x ends`` keys (a handful) and the cache dies with it, so
-    there is nothing to bound. A schedule's bins only ever narrow, so a
-    flatten one k did not ask for cannot hit again: the schedule drivers
-    call :meth:`sweep` before each k to let those go. ``hits`` /
-    ``misses`` are surfaced in profiles as the ``prep_cache_*`` fields.
-    A cache belongs to one job's k-schedule: the coalescing service
-    builds a fresh one per job per wave, so a re-run of the same job
-    reports the same counters.
-    """
-
-    def __init__(self) -> None:
-        self._flat: dict[tuple, FlattenedBin] = {}
-        self._asked: set[tuple] = set()     # keys got or put since sweep
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(bin_: Bin, end: End) -> tuple:
-        return (end, tuple(bin_.contig_indices))
-
-    def get(self, bin_: Bin, end: End) -> FlattenedBin | None:
-        key = self.key(bin_, end)
-        self._asked.add(key)
-        flat = self._flat.get(key)
-        if flat is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return flat
-
-    def put(self, bin_: Bin, end: End, flat: FlattenedBin) -> None:
-        key = self.key(bin_, end)
-        self._asked.add(key)
-        self._flat[key] = flat
-
-    def sweep(self) -> None:
-        """Drop every flatten nobody asked for since the last sweep."""
-        self._flat = {key: flat for key, flat in self._flat.items()
-                      if key in self._asked}
-        self._asked = set()
-
-    def __len__(self) -> int:
-        return len(self._flat)
-
-
 class BatchPreparer:
-    """Builds :class:`Batch` launch arrays, reusing flattens via a cache.
+    """Builds :class:`Batch` launch arrays.
 
     Args:
         seed: Murmur seed for the insertion pre-hashing.
@@ -427,12 +377,7 @@ class BatchPreparer:
 
     # -- combined ------------------------------------------------------
 
-    def prepare(self, contigs: list[Contig], bin_: Bin, end: End, k: int,
-                cache: PrepareCache | None = None) -> Batch:
-        """Flatten (or reuse a cached flatten) and finish for one k."""
-        flat = cache.get(bin_, end) if cache is not None else None
-        if flat is None:
-            flat = self.flatten(contigs, bin_, end)
-            if cache is not None:
-                cache.put(bin_, end, flat)
-        return self.finish(flat, contigs, end, k)
+    def prepare(self, contigs: list[Contig], bin_: Bin, end: End,
+                k: int) -> Batch:
+        """Flatten and finish for one k; the flatten dies on return."""
+        return self.finish(self.flatten(contigs, bin_, end), contigs, end, k)

@@ -136,9 +136,7 @@ def narrow_plans(plans: list[LaunchPlan], contigs: list[Contig],
                  pending: dict[End, np.ndarray]) -> list[LaunchPlan]:
     """The launches a k-schedule still makes of ``plans``: every plan
     narrowed to the contigs whose end is pending (:func:`pending_ends`),
-    plans left empty dropped, order kept. A plan that loses nobody is
-    returned as it is, so its flatten still hits the
-    :class:`~repro.kernels.engine.prepare.PrepareCache`."""
+    plans left empty dropped, order kept."""
     out: list[LaunchPlan] = []
     for plan in plans:
         keep = pending[plan.end][plan.bin.contig_indices]

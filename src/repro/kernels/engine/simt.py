@@ -60,7 +60,6 @@ from repro.kernels.engine.events import (
 from repro.kernels.engine.prepare import (
     Batch,
     BatchPreparer,
-    PrepareCache,
     concat_batches,
     subset_batch,
 )
@@ -312,9 +311,6 @@ class LocalAssemblyKernel:
         #: The :class:`~repro.sanitize.SanitizerReport` of the most
         #: recent run (populated when ``sanitize=`` is set).
         self.last_sanitizer_report = None
-        #: The prep cache of the most recent :meth:`run_schedule` call
-        #: (exposes flatten hit/miss statistics).
-        self.last_prep_cache: PrepareCache | None = None
         #: Extra event subscribers attached to every subsequent run —
         #: the observability extension point.
         self.extra_subscribers: list = []
@@ -562,20 +558,19 @@ class LocalAssemblyKernel:
         depth_ratio: float = 2.0,
         max_batch_insertions: int | None = None,
         parallel_scale: float = 1.0,
-        prep_cache: PrepareCache | None = None,
         pending: dict[End, np.ndarray] | None = None,
     ) -> KernelRunResult:
         """Execute the full local-assembly workflow (Figure 3) at one k.
 
         ``parallel_scale`` declares what fraction of the paper-size
         dataset ``contigs`` represents, so the cache model can apply
-        full-size concurrency pressure to a scaled run. ``prep_cache``
-        carries flattened read streams across calls (the k-schedule
-        reuse; see :class:`~repro.kernels.engine.prepare.PrepareCache`).
+        full-size concurrency pressure to a scaled run.
         ``pending`` is how a k-schedule passes the contig ends that
         still fork (:func:`~repro.kernels.engine.schedule.pending_ends`):
         only those are launched, every other end comes back unextended
-        (``("", MISSING)``). Without it both ends of every contig launch.
+        (``("", MISSING)``), and the profile counts the k-run's flattens
+        (``prep_cache_misses``). Without it both ends of every contig
+        launch.
 
         Returns functional extensions for both ends of every contig plus
         the merged :class:`KernelProfile` (time left at zero — the timing
@@ -585,11 +580,12 @@ class LocalAssemblyKernel:
             raise KernelError(f"parallel_scale must be in (0, 1], got {parallel_scale}")
         plans = self.launch_policy.plan(contigs, k, self.launch_config(
             depth_ratio, max_batch_insertions))
-        if pending is not None:
-            plans = narrow_plans(plans, contigs, pending)
         self.last_trace = []
         self.last_replay = []
         krun = self._begin_run(len(contigs), k, parallel_scale)
+        if pending is not None:
+            plans = narrow_plans(plans, contigs, pending)
+            krun.profile.prep_cache_misses = len(plans)
         defer = self.overflow_policy is not OverflowPolicy.RAISE
         construct, walker = self._phases(defer)
         injector = self.fault_injector
@@ -605,8 +601,7 @@ class LocalAssemblyKernel:
         group: _WalkGroup | None = None
         for plan in plans:
             ordinal = injector.begin_launch() if injector is not None else -1
-            sub = self.preparer.prepare(contigs, plan.bin, plan.end, k,
-                                        cache=prep_cache)
+            sub = self.preparer.prepare(contigs, plan.bin, plan.end, k)
             if injector is not None:
                 injector.shape_batch(sub, ordinal)
             slots = int(sub.capacities.sum())
@@ -666,21 +661,16 @@ class LocalAssemblyKernel:
         first k launches every bin in both directions; a later k
         launches only the contig ends that have not settled (their bins
         narrowed, emptied bins dropped), so a settled end costs nothing
-        more and a table overflow at a later k cannot touch it. A (bin,
-        end) whose members all still fork reuses its flattened read
-        stream — only the per-k hashing pass reruns
-        (:class:`~repro.kernels.engine.prepare.PrepareCache`); a narrowed
-        bin is flattened anew. Profiles of all launches merge; the
-        result's ``k`` reports the last k executed.
+        more and a table overflow at a later k cannot touch it. Every
+        launch flattens its own read stream and lets it go before the
+        next is prepared. Profiles of all launches merge; the result's
+        ``k`` reports the last k executed.
         """
-        cache = PrepareCache()
-        self.last_prep_cache = cache
-        tail = ScheduleTail(cache)
+        tail = ScheduleTail()
 
         def _run_one(k: int, pending: dict) -> KernelRunResult:
-            cache.sweep()
             res = self.run(contigs, k, parallel_scale=parallel_scale,
-                           prep_cache=cache, pending=pending)
+                           pending=pending)
             tail.add(res.degraded, res.retried, self.last_replay,
                      self.last_sanitizer_report)
             return res

@@ -31,6 +31,17 @@ SLOT_VALUE_BYTES = 16
 SLOT_BYTES = SLOT_TAG_BYTES + SLOT_VALUE_BYTES
 
 
+#: Targets :meth:`WarpHashTables.vote` counts per ``bincount``. Counting
+#: a whole flush at once holds the int64 cast of every cell index and
+#: 64 B of counts per claimed key. Measured on ``deep_multik``'s k = 21
+#: flush (seed 7: 1,188,864 targets, 287,783 keys, 2,094,592 slots),
+#: min of 5, time / bytes held beyond the vote matrix: whole 23.7 ms /
+#: 35.0 MB; ``1 << 19`` 18.6 / 24.9; ``1 << 17`` 17.3 / 8.2; ``1 << 15``
+#: 16.7 / 4.0; ``1 << 14`` 17.6 / 3.2 (what is left is the fresh rows'
+#: slot list); ``np.add.at`` over the whole flush 77.8 ms / 8.3 MB.
+VOTE_STRETCH = 1 << 15
+
+
 def _row_dtype(total_slots: int) -> type:
     """int32 while every vote cell index ``row * 8 + column`` fits."""
     narrow = (total_slots + 1) * 8 <= np.iinfo(np.int32).max
@@ -156,11 +167,15 @@ class WarpHashTables:
     def vote(self, slots: np.ndarray, exts: np.ndarray, hi_mask: np.ndarray) -> None:
         """Atomic vote accumulation (atomicAdd on the value region).
 
-        One ``bincount`` over the cell index ``row * 8 + tier * 4 + ext``
-        counts duplicate targets and lands every total at once (integer
-        addition is order-free). Its dense pass covers 8 x the keys
-        claimed, not 8 x the slots, which is what makes it cheaper than
-        sorting the targets to compact them (or ``np.add.at`` scatter).
+        The targets are counted a stretch (:data:`VOTE_STRETCH`) at a
+        time: one ``bincount`` over the stretch's cell indices ``row * 8
+        + tier * 4 + ext``, taken from the lowest, counts duplicate
+        targets and is added into the window of ``votes`` the stretch
+        spans (integer addition is order-free). Whatever the order of
+        the targets the totals are the same; grouped by warp, as
+        construct's flush arrives, a window is a sliver of the matrix. A
+        vote on an unclaimed slot raises with the earlier stretches
+        already counted.
         """
         if slots.size == 0:
             return
@@ -172,13 +187,19 @@ class WarpHashTables:
             votes = np.zeros((held + fresh.size, 8), dtype=np.int32)
             votes[:held] = self.votes
             self.votes = votes
-        cell = self.row[slots]
-        cell <<= 3
-        cell += hi_mask * np.uint8(4) + exts
-        add = np.bincount(cell, minlength=self.votes.size).reshape(-1, 8)
-        if add[0].any():
-            raise KernelError("vote on a slot no lane has claimed")
-        np.add(self.votes, add, out=self.votes, casting="unsafe")
+        cells = self.votes.reshape(-1)
+        for lo in range(0, slots.size, VOTE_STRETCH):
+            hi = lo + VOTE_STRETCH
+            cell = self.row[slots[lo:hi]]
+            cell <<= 3
+            cell += hi_mask[lo:hi] * np.uint8(4) + exts[lo:hi]
+            base = int(cell.min())
+            if base < 8:
+                raise KernelError("vote on a slot no lane has claimed")
+            cell -= base
+            add = np.bincount(cell)
+            window = cells[base:base + add.size]
+            np.add(window, add, out=window, casting="unsafe")
 
     def votes_at(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gather (hi_q, low_q) count rows for walk-step resolution."""

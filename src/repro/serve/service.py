@@ -327,8 +327,11 @@ class AssemblyService:
                          **self.admission.stats()}
         try:
             spec = parse_job_request(body, job_id=f"j{next(self._ids)}")
-        except ProtocolError as exc:
+        except BaseException as exc:
+            # no job record exists yet to give the slot back later
             self.admission.release()
+            if not isinstance(exc, ProtocolError):
+                raise
             return 400, {"error": str(exc)}
         record = JobRecord(spec=spec,
                            submitted_at=asyncio.get_running_loop().time())
@@ -544,8 +547,8 @@ class AssemblyService:
             "batcher": self.batcher.stats(),
             "jobs": {"completed": self.completed, "failed": self.failed,
                      "resumed": self.resumed, "known": len(self._jobs)},
-            # summed over computed jobs' profiles (each job's cache is
-            # private to its wave; there is no store to read)
+            # summed over computed jobs' profiles: ``misses`` is the
+            # flattens their schedules made, ``hits`` stays 0 (schema)
             "prep_cache": {"hits": self.prep_cache_hits,
                            "misses": self.prep_cache_misses},
             "workers": self.workers,

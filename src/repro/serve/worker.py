@@ -2,9 +2,7 @@
 
 One wave — N jobs sharing a coalescing key — runs here, off the event
 loop, via :func:`repro.kernels.engine.run_schedule_coalesced`. The
-module holds **no state between waves**: every job gets a fresh
-:class:`~repro.kernels.engine.PrepareCache` for its own k-schedule,
-exactly as a solo ``run_schedule`` would, so running the same wave
+module holds **no state between waves**, so running the same wave
 twice (a retry, a bisection half, a ``--recover`` re-dispatch) yields
 the same payloads — the invariant the supervisor's re-runs rest on —
 and a long-lived server retains nothing per request.

@@ -72,11 +72,12 @@ class KernelProfile:
     contigs_dropped: int = 0
     #: Grow-retry re-launches performed after table overflows.
     overflow_retries: int = 0
-    #: PrepareCache flatten reuse over the run's k-schedule.
+    #: Schema: result fingerprints, checkpoints and the committed bench
+    #: baselines carry all three, named for a flatten cache that is gone.
+    #: ``misses`` counts the flattens of a k-schedule (one per launch
+    #: plan per k; a bare ``run`` leaves it 0), the other two stay 0.
     prep_cache_hits: int = 0
     prep_cache_misses: int = 0
-    #: Always 0 (the cache is an unbounded dict); kept because the
-    #: committed bench baselines and checkpoints carry the field.
     prep_cache_evictions: int = 0
     seconds: float = 0.0
     # --- phase breakdown consumed by the timing model ---

@@ -64,8 +64,8 @@ class StarvedPreparer(BatchPreparer):
 
     cap = 24
 
-    def prepare(self, contigs, bin_, end, k, cache=None):
-        batch = super().prepare(contigs, bin_, end, k, cache=cache)
+    def prepare(self, contigs, bin_, end, k):
+        batch = super().prepare(contigs, bin_, end, k)
         return dataclasses.replace(
             batch, capacities=np.minimum(batch.capacities, self.cap))
 
@@ -78,9 +78,8 @@ class LeftStarvedPreparer(StarvedPreparer):
     """Starves only the left-end launches of contigs named ``tight*``,
     so exactly one segment of one job overflows in a fused launch."""
 
-    def prepare(self, contigs, bin_, end, k, cache=None):
-        batch = BatchPreparer.prepare(self, contigs, bin_, end, k,
-                                      cache=cache)
+    def prepare(self, contigs, bin_, end, k):
+        batch = BatchPreparer.prepare(self, contigs, bin_, end, k)
         tight = np.array([end is End.LEFT
                           and contigs[ci].name.startswith("tight")
                           for ci in batch.contig_ids])

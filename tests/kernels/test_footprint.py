@@ -33,6 +33,17 @@ def _contigs(n=12, seed=5):
         n, spec, np.random.default_rng(seed), errors)]
 
 
+def _traced(call):
+    """``(peak, still allocated)`` traced bytes of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, current
+
+
 def _tag_bytes(tables):
     return tables.fp.nbytes + tables.occupied.nbytes + tables.row.nbytes
 
@@ -81,18 +92,106 @@ def test_run_schedule_peak_stays_below_per_slot_votes():
 
     kern.tables_cls = Recorded
     contigs = _contigs()
-    tracemalloc.start()
-    try:
-        kern.run_schedule(contigs, (K, 33))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = _traced(lambda: kern.run_schedule(contigs, (K, 33)))
     slots = max(launched)
     assert slots * TAG_BYTES < peak, "the tables were not traced"
     assert peak < slots * PER_SLOT_VOTE_BYTES, \
         f"{peak / slots:.1f} B per slot: per-slot vote storage is back"
     assert peak < 2 * slots * TAG_BYTES, \
         f"{peak / slots:.1f} B per slot: two launches' tables were alive"
+
+
+# ----------------------------------------------------------------------
+# a launch holds only what its next phase reads
+# ----------------------------------------------------------------------
+
+
+def test_second_end_peaks_as_if_launched_alone():
+    """Deep coverage (the ``deep_multik`` shape), one k, every launch on
+    its own: the right-end launch's flatten — read stream, fingerprint
+    prefix, word mix — is gone before the left end is prepared, so the
+    run peaks where its larger end alone does. Held through the second
+    launch it added a third."""
+    spec = ScenarioSpec(contig_length=220, flank_length=90, read_length=150,
+                        depth=10, seed_window=60)
+    contigs = [sc.contig for sc in simulate_batch(
+        32, spec, np.random.default_rng(31),
+        ErrorProfile(error_rate=0.005, lo_quality_fraction=0.1))]
+    everyone, nobody = (np.full(len(contigs), flag) for flag in (True, False))
+
+    def peak(call):
+        kern = CudaLocalAssemblyKernel(A100, policy=PRODUCTION_POLICY)
+        kern.walk_group_slots = 0
+        return _traced(lambda: call(kern))[0]
+
+    both = peak(lambda kern: kern.run_schedule(contigs, (K,)))
+    alone = max(
+        peak(lambda kern: kern.run(contigs, K, pending=pending))
+        for pending in ({End.RIGHT: everyone, End.LEFT: nobody},
+                        {End.RIGHT: nobody, End.LEFT: everyone}))
+    assert both < 1.05 * alone, \
+        f"{both / 1e6:.1f} MB for both ends, {alone / 1e6:.1f} MB for one"
+
+
+def _claimed(tables_cls, capacities, keys_per_warp, seed=0):
+    """Tables with ``keys_per_warp`` random slots of every warp claimed,
+    and those slots."""
+    rng = np.random.default_rng(seed)
+    tables = tables_cls(capacities, K)
+    slots = np.concatenate([
+        lo + rng.choice(cap, size=keys_per_warp, replace=False)
+        for lo, cap in zip(tables.offsets[:-1], capacities)])
+    assert tables.claim(slots, slots.astype(np.uint64)).all()
+    return tables, slots.reshape(len(capacities), keys_per_warp)
+
+
+def test_vote_flush_peaks_a_window_above_what_it_keeps():
+    """1 M targets, grouped by warp as construct hands them over, into
+    2 M slots holding 384 K keys: beyond the vote matrix it leaves
+    behind, the flush holds the fresh rows' slot list and one stretch's
+    temporaries — not 8 B per target plus 64 B per key (35 MB)."""
+    from repro.kernels.vectortable import VOTE_STRETCH
+
+    rng = np.random.default_rng(1)
+    tables, claimed = _claimed(WarpHashTables, np.full(128, 1 << 14), 3000)
+    targets = np.take_along_axis(
+        claimed, rng.integers(0, 3000, size=(128, 1 << 13)), axis=1).ravel()
+    exts = rng.integers(0, 4, size=targets.size).astype(np.uint8)
+    hi = rng.random(targets.size) < 0.9
+    assert targets.size == 1 << 20 > 4 * VOTE_STRETCH
+    peak, kept = _traced(lambda: tables.vote(targets, exts, hi))
+    assert kept >= tables.votes.nbytes == (claimed.size + 1) * 32
+    assert tables.votes.sum() == targets.size
+    assert peak - kept < 12e6, \
+        f"{(peak - kept) / 1e6:.1f} MB of transients in one flush"
+
+
+def test_vote_windows_equal_the_per_slot_oracle():
+    """The totals do not depend on where a stretch's window falls:
+    targets in shuffled order (every window is the whole matrix), every
+    target on one key (a one-row window), and warps that straddle the
+    stretch boundaries all equal the per-slot ``np.add.at`` store."""
+    from repro.kernels.engine.oracle import OracleWarpHashTables
+    from repro.kernels.vectortable import VOTE_STRETCH
+
+    rng = np.random.default_rng(2)
+    caps = np.full(5, 4096)
+    n = 2 * VOTE_STRETCH + 12345          # 5 warps: none ends on a boundary
+    pick = np.sort(rng.integers(0, 5 * 600, size=n))
+    for name, order in (("grouped", pick),
+                        ("shuffled", rng.permutation(pick)),
+                        ("one row", np.full(n, pick[n // 2]))):
+        dense, claimed = _claimed(WarpHashTables, caps, 600)
+        oracle, _ = _claimed(OracleWarpHashTables, caps, 600)
+        targets = claimed.ravel()[order]
+        exts = rng.integers(0, 4, size=n).astype(np.uint8)
+        hi = rng.random(n) < 0.5
+        for tables in (dense, oracle):
+            tables.vote(targets, exts, hi)
+        every = np.arange(dense.total_slots)
+        for got, want in zip(dense.votes_at(every), oracle.votes_at(every)):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        np.testing.assert_array_equal(dense.count, oracle.count)
 
 
 # ----------------------------------------------------------------------
@@ -125,12 +224,7 @@ def _traced_run(contigs, k, budget):
             return super().run(batch, tables, bus)
 
     kern.tables_cls, kern.walk_cls = Recorded, Counted
-    tracemalloc.start()
-    try:
-        kern.run(contigs, k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = _traced(lambda: kern.run(contigs, k))
     return peak, walks, launched
 
 

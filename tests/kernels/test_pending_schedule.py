@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.binning import Bin
-from repro.core.extension import PRODUCTION_POLICY, WalkState
+from repro.core.extension import PRODUCTION_POLICY, WalkPolicy, WalkState
+from repro.datasets.scenarios import get_scenario
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import decode, random_sequence
 from repro.genomics.reads import Read, ReadSet
@@ -27,7 +27,7 @@ from repro.genomics.simulate import (PERFECT_READS, ErrorProfile,
                                      ScenarioSpec, simulate_batch)
 from repro.kernels import CudaLocalAssemblyKernel
 from repro.kernels.engine import (BatchPreparer, BinnedLaunchPolicy,
-                                  LaunchConfig, LaunchStarted, PrepareCache,
+                                  LaunchConfig, LaunchStarted,
                                   narrow_plans, pending_ends,
                                   run_schedule_coalesced)
 from repro.simt.device import A100
@@ -172,26 +172,63 @@ class TestNarrowPlans:
                                                           max(depths))
 
 
-class TestPrepareCacheSweep:
-    def test_sweep_drops_what_nobody_asked_for(self):
-        cache = PrepareCache()
-        a, b = Bin(contig_indices=[0]), Bin(contig_indices=[1])
-        cache.put(a, End.RIGHT, "flat a")
-        cache.put(b, End.RIGHT, "flat b")
-        cache.sweep()                      # both were just put
-        assert len(cache) == 2
-        assert cache.get(a, End.RIGHT) == "flat a"
-        cache.sweep()                      # only ``a`` was asked for since
-        assert len(cache) == 1
-        assert cache.get(b, End.RIGHT) is None
+# ----------------------------------------------------------------------
+# the shape the flatten cache served: nobody ever settles
+# ----------------------------------------------------------------------
 
-    def test_a_schedule_lets_go_of_flattens_that_cannot_hit(self):
-        """The k = 21 flatten of a bin that has since narrowed is gone by
-        k = 55; only the bins k = 33 and k = 55 asked for are held."""
-        kern = _kernel()
-        kern.run_schedule(_settled_and_forking(), KS)
-        cache = kern.last_prep_cache
-        assert len(cache) < cache.misses   # flattens held vs made
+#: ``run_schedule`` over :func:`_tandem_contigs` before the flatten cache
+#: went (its 4 hits and 2 misses aside): what must not have moved.
+TANDEM_RIGHT = ["CGTGG", "CGCGT", "ACGCC", "ACGAA", "ACTGAGC"]
+TANDEM_LEFT = ["TTACT", "TCCTC", "GTGGT", "TGTCG", "GCTTG"]
+TANDEM_PROFILE = {
+    "atomics": 141615, "construct_chain_cycles": 633480.0,
+    "construct_intops": 44121420, "contigs": 5, "contigs_dropped": 0,
+    "extension_bases": 156, "hbm_bytes": 13085760.0,
+    "insert_probe_iterations": 144490, "inserts": 141480,
+    "intops": 44188318, "kernels_launched": 6,
+    "l1_hit_bytes": 10251008.0, "l2_hit_bytes": 9525132.8,
+    "lane_instructions": 44123476, "lookup_probe_iterations": 186,
+    "lookups": 186, "overflow_retries": 0, "prep_cache_evictions": 0,
+    "seconds": 0.0, "serial_depth": 1906, "sync_ops": 13292,
+    "walk_chain_cycles": 23086.0, "walk_intops": 66898,
+    "walk_issue_width": 32, "walk_steps": 156,
+    "warp_instructions": 1488252, "warp_size": 32,
+}
+
+
+def _tandem_contigs():
+    """Five contigs cut from inside the ``tandem_repeat`` scenario's
+    4 x 30-base repeat, each with all of its genome's reads: walking
+    out of the repeat, staying in it outvotes leaving it by at most
+    3 : 1, which a dominance of 4 calls a fork at every k of ``KS``."""
+    scenario = get_scenario("tandem_repeat")
+    contigs = []
+    for seed in (1, 2, 5, 6, 7):
+        data = scenario.build(seed=seed)
+        contigs.append(Contig(name=f"tandem{seed}",
+                              codes=data.genomes[0][305:415].copy(),
+                              reads=data.reads))
+    return contigs
+
+
+class TestNobodySettles:
+    def test_every_end_forks_at_every_k_and_nothing_moved(self):
+        contigs = _tandem_contigs()
+        policy = WalkPolicy(dominance=4)
+        solo = CudaLocalAssemblyKernel(A100, policy=policy).run_schedule(
+            contigs, KS)
+        wave, = run_schedule_coalesced(
+            CudaLocalAssemblyKernel(A100, policy=policy), [contigs], KS)
+        for res in (solo, wave.result):
+            assert res.k == KS[-1]
+            assert res.right == [(b, WalkState.FORK) for b in TANDEM_RIGHT]
+            assert res.left == [(b, WalkState.FORK) for b in TANDEM_LEFT]
+            assert res.degraded == [] and res.retried == []
+            profile = dataclasses.asdict(res.profile)
+            # every launch flattens: one bin, both ends, three k
+            assert profile.pop("prep_cache_hits") == 0
+            assert profile.pop("prep_cache_misses") == 6
+            assert profile == TANDEM_PROFILE
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Prepare-stage split + flatten reuse across the k-schedule."""
+"""Prepare-stage split: a k-independent flatten, a per-k finish."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.core.binning import bin_contigs
 from repro.genomics.contig import End
 from repro.genomics.simulate import PERFECT_READS, ScenarioSpec, simulate_batch
 from repro.kernels import CudaLocalAssemblyKernel
-from repro.kernels.engine import BatchPreparer, PrepareCache
+from repro.kernels.engine import BatchPreparer
 from repro.simt.device import A100
 
 SPEC = ScenarioSpec(contig_length=200, flank_length=60, read_length=90,
@@ -61,31 +61,27 @@ class TestPrepareSplit:
         contigs = _contigs()
         bins = bin_contigs(contigs, k, 2.0, None, 0.7)
         prep = BatchPreparer(seed=0)
-        cache = PrepareCache()
         for b in bins:
             fresh = prep.prepare(contigs, b, end, k)
-            warm = prep.prepare(contigs, b, end, k, cache=cache)  # miss
-            again = prep.prepare(contigs, b, end, k, cache=cache)  # hit
-            _batches_equal(fresh, warm)
-            _batches_equal(fresh, again)
-        assert cache.misses == len(bins)
-        assert cache.hits == len(bins)
+            flat = prep.flatten(contigs, b, end)   # kept by the caller
+            _batches_equal(fresh, prep.finish(flat, contigs, end, k))
+            _batches_equal(fresh, prep.finish(flat, contigs, end, k))
 
     def test_flatten_is_k_independent(self):
         contigs = _contigs(seed=7)
         bins = bin_contigs(contigs, 21, 2.0, None, 0.7)
         prep = BatchPreparer(seed=0)
-        cache = PrepareCache()
-        b21 = prep.prepare(contigs, bins[0], End.RIGHT, 21, cache=cache)
-        b33 = prep.prepare(contigs, bins[0], End.RIGHT, 33, cache=cache)
-        # the second k reuses the flatten: one entry, one hit
-        assert len(cache) == 1
-        assert cache.hits == 1
+        flat = prep.flatten(contigs, bins[0], End.RIGHT)
+        b21 = prep.finish(flat, contigs, End.RIGHT, 21)
+        b33 = prep.finish(flat, contigs, End.RIGHT, 33)
         # per-k arrays genuinely differ across k...
         assert b21.seeds.shape[1] == 21 and b33.seeds.shape[1] == 33
         assert b21.ins_warp.size > b33.ins_warp.size
-        # ...while the shared flat stream is the same object
-        assert b21.codes is b33.codes
+        # ...while the flat stream is shared, and is what a fresh
+        # prepare at either k builds
+        assert b21.codes is b33.codes is flat.codes
+        _batches_equal(b21, prep.prepare(contigs, bins[0], End.RIGHT, 21))
+        _batches_equal(b33, prep.prepare(contigs, bins[0], End.RIGHT, 33))
 
     def test_upper_bound_capacities_are_k_independent(self):
         contigs = _contigs(seed=8)
@@ -96,34 +92,35 @@ class TestPrepareSplit:
         np.testing.assert_array_equal(b21.capacities, b33.capacities)
 
 
-class TestScheduleReuse:
-    def test_run_schedule_reuses_flattens_across_k(self):
-        contigs = _forky_contigs()
-        kern = CudaLocalAssemblyKernel(A100)
-        res = kern.run_schedule(contigs, (21, 33))
-        assert res.k == 33  # the forks forced the second k to run
-        cache = kern.last_prep_cache
-        assert cache is not None
-        # every (bin, end) flattened exactly once; the k=33 pass hit
-        assert cache.misses == len(cache)
-        assert cache.hits > 0
-
-    def test_schedule_output_identical_with_and_without_cache(self):
+class TestScheduleFlattens:
+    def test_schedule_equals_bare_runs(self):
         contigs = _forky_contigs(seed=6)
-        cached = CudaLocalAssemblyKernel(A100).run_schedule(contigs, (21, 33))
-        uncached_kern = CudaLocalAssemblyKernel(A100)
-        merged = None
-        # replay the schedule through bare run() calls (no cache passed)
+        scheduled = CudaLocalAssemblyKernel(A100).run_schedule(contigs,
+                                                               (21, 33))
+        assert scheduled.k == 33  # the forks forced the second k to run
+        # replay the schedule through bare run() calls
         from repro.kernels.engine import iterate_k_schedule
 
+        bare = CudaLocalAssemblyKernel(A100)
         last_k, merged, right, left = iterate_k_schedule(
-            lambda k, pending: uncached_kern.run(contigs, k, pending=pending),
+            lambda k, pending: bare.run(contigs, k, pending=pending),
             len(contigs), (21, 33))
-        assert cached.k == last_k
-        assert tuple(cached.right) == tuple(right)
-        assert tuple(cached.left) == tuple(left)
-        assert cached.profile.intops == merged.intops
-        assert cached.profile.hbm_bytes == merged.hbm_bytes
+        assert scheduled.k == last_k
+        assert tuple(scheduled.right) == tuple(right)
+        assert tuple(scheduled.left) == tuple(left)
+        assert scheduled.profile == merged
+
+    def test_schedule_profile_counts_its_flattens(self):
+        """The three ``prep_cache_*`` keys are schema: one flatten per
+        launch (nothing overflows here, so no launch is a re-launch),
+        never a hit, never an eviction — and none outside a schedule."""
+        contigs = _forky_contigs(seed=8)
+        kern = CudaLocalAssemblyKernel(A100)
+        profile = kern.run_schedule(contigs, (21, 33)).profile
+        assert profile.prep_cache_misses == profile.kernels_launched > 2
+        assert profile.prep_cache_hits == 0
+        assert profile.prep_cache_evictions == 0
+        assert kern.run(contigs, 21).profile.prep_cache_misses == 0
 
 
 class TestSubsetBatchValidation:
@@ -226,16 +223,3 @@ class TestConcatBatches:
 
         with pytest.raises(KernelError, match="at least one batch"):
             concat_batches([])
-
-
-class TestPrepareCacheLRU:
-    def test_schedule_profile_exposes_cache_counters(self):
-        contigs = _forky_contigs(seed=8)
-        kern = CudaLocalAssemblyKernel(A100)
-        res = kern.run_schedule(contigs, (21, 33))
-        cache = kern.last_prep_cache
-        assert res.profile.prep_cache_hits == cache.hits > 0
-        assert res.profile.prep_cache_misses == cache.misses > 0
-        # the cache is an unbounded dict; the field stays for the pinned
-        # BENCH_engine.json / checkpoint profile schema
-        assert res.profile.prep_cache_evictions == 0

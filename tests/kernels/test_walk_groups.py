@@ -219,11 +219,10 @@ class WalkThenConstructPreparer(ExactFitPreparer):
     fill exactly, so their *walk* wraps; left-end launches (the later)
     get starved tables, so their *construct* overflows."""
 
-    def prepare(self, contigs, bin_, end, k, cache=None):
+    def prepare(self, contigs, bin_, end, k):
         if end is End.RIGHT:
-            return super().prepare(contigs, bin_, end, k, cache=cache)
-        batch = BatchPreparer.prepare(self, contigs, bin_, end, k,
-                                      cache=cache)
+            return super().prepare(contigs, bin_, end, k)
+        batch = BatchPreparer.prepare(self, contigs, bin_, end, k)
         return dataclasses.replace(
             batch, capacities=np.minimum(batch.capacities, 24))
 

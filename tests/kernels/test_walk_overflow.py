@@ -38,8 +38,8 @@ class ExactFitPreparer(BatchPreparer):
     distinct k-mer count: construction fills them without overflowing,
     so any lookup of an absent key wraps."""
 
-    def prepare(self, contigs, bin_, end, k, cache=None):
-        batch = super().prepare(contigs, bin_, end, k, cache=cache)
+    def prepare(self, contigs, bin_, end, k):
+        batch = super().prepare(contigs, bin_, end, k)
         keys = np.unique(np.stack([batch.ins_warp.astype(np.uint64),
                                    batch.ins_fp]), axis=1)
         distinct = np.bincount(keys[0].astype(np.int64),

@@ -1,0 +1,214 @@
+"""Hostile ``.dat`` payloads at every door they can come in by.
+
+Real reads carry ``N``, files get cut off, clients send what they have:
+whatever is wrong with a payload, :func:`~repro.genomics.io.loads_dat`
+says so with a ``DatasetError``, ``parse_job_request`` with a
+``ProtocolError``, and ``POST /v1/jobs`` with a 400 — and the admission
+slot the request took is free again, so the next tenant is served.
+"""
+
+import asyncio
+import json
+
+import pytest
+
+from repro.errors import DatasetError
+from repro.genomics.io import dumps_dat, loads_dat
+from repro.serve import AssemblyService
+from repro.serve.http import frame_message, read_message
+from repro.serve.protocol import ProtocolError, parse_job_request
+from repro.serve.queue import DEFAULT_MAX_IN_FLIGHT
+from tests.serve.test_service import make_dat
+
+GOOD = make_dat(n_contigs=2, seed=3)
+LINES = GOOD.splitlines()
+#: Line indices into the well-formed payload (two contigs with reads).
+COUNT, HEADER, CONTIG, READ = 1, 2, 3, 4
+SECOND_HEADER = [i for i, line in enumerate(LINES) if line[0] == ">"][1]
+assert "\t" in LINES[READ] and "\t" in LINES[SECOND_HEADER + 2]
+
+
+def _with(index, line):
+    return "\n".join(LINES[:index] + [line] + LINES[index + 1:]) + "\n"
+
+
+def _read(edit_seq=lambda s: s, edit_qual=lambda q: q):
+    seq, qual = LINES[READ].split("\t")
+    return _with(READ, f"{edit_seq(seq)}\t{edit_qual(qual)}")
+
+
+def _depth(header_index, delta):
+    name, depth = LINES[header_index].rsplit(" ", 1)
+    return _with(header_index, f"{name} {int(depth) + delta}")
+
+
+REJECTED = {
+    "N-in-a-read": _read(lambda s: "N" + s[1:]),
+    "N-in-a-contig": _with(CONTIG, "N" + LINES[CONTIG][1:]),
+    "non-ascii-base": _read(lambda s: "é" + s[1:]),
+    "empty-contig": _with(CONTIG, ""),
+    "length-mismatch": _read(edit_qual=lambda q: q[:-1]),
+    "phred-below-!": _read(edit_qual=lambda q: " " + q[1:]),
+    "non-ascii-quality": _read(edit_qual=lambda q: "é" + q[1:]),
+    "no-tab": _with(READ, LINES[READ].replace("\t", " ")),
+    "negative-contig-count": _with(COUNT, "-1"),
+    "zero-contig-count": _with(COUNT, "0"),
+    "undersized-contig-count": _with(COUNT, "1"),
+    "oversized-contig-count": _with(COUNT, "3"),
+    "float-contig-count": _with(COUNT, "2.0"),
+    "negative-read-count": _with(HEADER, LINES[HEADER].rsplit(" ", 1)[0]
+                                 + " -1"),
+    "undersized-read-count": _depth(HEADER, -1),
+    "oversized-read-count": _depth(HEADER, +1),
+    "oversized-last-read-count": _depth(SECOND_HEADER, +1),
+    "no-magic": GOOD[1:],
+    **{f"cut-before-line-{i + 1}": "".join(f"{line}\n" for line in LINES[:i])
+       for i in range(len(LINES))},
+}
+
+#: Unusual, and meant: each parses to the contigs of the plain payload
+#: (the empty read aside, which is a read of no bases).
+ACCEPTED = {
+    "crlf": GOOD.replace("\n", "\r\n"),
+    "lower-case": "".join(
+        (line.split("\t")[0].lower() + "\t" + line.split("\t")[1]
+         if "\t" in line else line if line.startswith((">", "#"))
+         else line.lower()) + "\n" for line in LINES),
+    "empty-read": _with(READ, "\t"),
+    "trailing-blank-lines": GOOD + "\n  \n",
+}
+
+
+def _ids(cases):
+    return pytest.mark.parametrize("dat", list(cases.values()),
+                                   ids=list(cases))
+
+
+class _Captured:
+    """The writer half of a connection whose bytes are kept, not sent."""
+
+    def __init__(self):
+        self.wire = b""
+
+    def write(self, data):
+        self.wire += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+async def exchange(service, method, path, payload=None):
+    """One request through the service's connection handler, fed to a
+    ``StreamReader`` and followed by EOF: ``(status, body)``."""
+    body = json.dumps(payload).encode() if payload is not None else b""
+    reader, writer = asyncio.StreamReader(), _Captured()
+    reader.feed_data(frame_message(f"{method} {path} HTTP/1.1", body))
+    reader.feed_eof()
+    # a task of its own, as a connection is: the service tracks (and on
+    # stop cancels) the task a handler runs in
+    await asyncio.ensure_future(service._handle_client(reader, writer))
+    answer = asyncio.StreamReader()
+    answer.feed_data(writer.wire)
+    answer.feed_eof()
+    start_line, data = await read_message(answer)
+    return int(start_line.split()[1]), json.loads(data)
+
+
+async def completes(service, dat):
+    """Submit ``dat`` and wait for it; the admission slot comes back."""
+    status, body = await exchange(service, "POST", "/v1/jobs",
+                                  {"dat": dat, "k_schedule": [21]})
+    assert status == 202, body
+    for _ in range(3000):
+        _, body = await exchange(service, "GET", f"/v1/jobs/{body['job_id']}")
+        if body["status"] in ("done", "failed"):
+            break
+        await asyncio.sleep(0.01)
+    assert body["status"] == "done", body
+    assert service.admission.stats()["in_flight"] == 0
+
+
+def served(scenario):
+    """Run ``scenario(service)`` against a started service."""
+    async def run():
+        service = AssemblyService(window_s=0.001)
+        await service.start()
+        try:
+            return await scenario(service)
+        finally:
+            await service.stop()
+
+    return asyncio.run(run())
+
+
+class TestRejected:
+    @_ids(REJECTED)
+    def test_loads_dat_names_source_and_says_why(self, dat):
+        with pytest.raises(DatasetError, match="^upload 7: "):
+            loads_dat(dat, source="upload 7")
+
+    @_ids(REJECTED)
+    def test_parse_job_request(self, dat):
+        with pytest.raises(ProtocolError):
+            parse_job_request({"dat": dat}, job_id="j1")
+
+    @_ids(REJECTED)
+    def test_post_is_a_400_that_holds_no_slot(self, dat):
+        async def scenario(service):
+            status, body = await exchange(service, "POST", "/v1/jobs",
+                                          {"dat": dat})
+            assert status == 400 and body["error"]
+            stats = service.admission.stats()
+            assert stats["in_flight"] == 0
+            await completes(service, GOOD)
+
+        served(scenario)
+
+    @pytest.mark.parametrize("case,line", [
+        ("N-in-a-read", READ), ("N-in-a-contig", CONTIG),
+        ("empty-contig", CONTIG), ("phred-below-!", READ),
+        ("non-ascii-quality", READ), ("length-mismatch", READ),
+        ("negative-read-count", HEADER), ("negative-contig-count", COUNT),
+        ("undersized-contig-count", SECOND_HEADER)])
+    def test_content_errors_name_the_line(self, case, line):
+        with pytest.raises(DatasetError, match=rf"line {line + 1}\b"):
+            loads_dat(REJECTED[case])
+
+
+class TestAccepted:
+    @_ids(ACCEPTED)
+    def test_parses_to_the_same_contigs(self, dat):
+        contigs = loads_dat(dat)
+        if "\t\n" in dat:
+            assert len(contigs[0].reads[0]) == 0
+            contigs[0].reads.reads[0] = loads_dat(GOOD)[0].reads[0]
+        assert dumps_dat(contigs) == GOOD
+        assert parse_job_request({"dat": dat}, job_id="j1").n_contigs == 2
+
+    @_ids(ACCEPTED)
+    def test_post_runs_to_completion(self, dat):
+        served(lambda service: completes(service, dat))
+
+
+def test_malformed_submits_do_not_use_up_admission():
+    """More bad requests than there are admission slots: each is
+    answered 400 on a connection that stays in frame, and the service
+    still admits — it used to 429 every tenant after the 256th."""
+    bad = REJECTED["N-in-a-read"]
+
+    async def scenario(service):
+        for _ in range(DEFAULT_MAX_IN_FLIGHT + 44):
+            status, _ = await exchange(service, "POST", "/v1/jobs",
+                                       {"dat": bad})
+            assert status == 400
+        stats = service.admission.stats()
+        assert stats["in_flight"] == 0 and stats["rejected"] == 0
+        await completes(service, GOOD)
+
+    served(scenario)
