@@ -19,8 +19,19 @@ drivers therefore share what is below:
 * :func:`record_attempt` cuts the program's outcome into one
   :class:`AttemptRecord` per segment;
 * :func:`replay_attempt` re-emits a segment's solo event stream from its
-  record, and :func:`solo_overflow_error` rebuilds the error its solo
-  RAISE-policy run would have raised.
+  record.
+
+A fused program carries counts only — its log holds the four count
+kinds and nothing else. The array-carrying
+:data:`~repro.kernels.engine.events.EVIDENCE_EVENTS` are numbered by one
+launch's slots and warps, so a kernel with a subscriber that wants them
+never fuses (:meth:`LocalAssemblyKernel._fuses
+<repro.kernels.engine.simt.LocalAssemblyKernel._fuses>`). And nothing
+here answers a full table: a record only names the warps that
+overflowed; every attempt — run alone or replayed from a record — is
+settled by :meth:`LocalAssemblyKernel._settle
+<repro.kernels.engine.simt.LocalAssemblyKernel._settle>`, the one place
+that raises, drops or retries.
 """
 
 from __future__ import annotations
@@ -31,19 +42,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.extension import WALK_STATE_CODES, WalkState
-from repro.errors import HashTableFullError
 from repro.kernels.engine.events import (
     LOG_INSERT_ITER,
     LOG_LOOKUP_ITER,
     LOG_WALK_STEP,
     LOG_WAVE,
-    BarrierSync,
     EventBus,
     LaunchDone,
     ProbeIteration,
-    SlotAccess,
-    SlotRead,
-    SlotWrite,
     WaveExecuted,
     counted_events,
 )
@@ -54,14 +60,6 @@ _MAX_LEN_CODE = np.int8(WALK_STATE_CODES[WalkState.MAX_LEN])
 
 _NO_LANES = np.empty(0, dtype=np.int64)
 
-#: The array-carrying events: slot-numbered evidence of one program, which
-#: replay rebases per segment — and which a solo k-run keeps per launch.
-EVIDENCE_EVENTS = (SlotAccess, SlotWrite, SlotRead, BarrierSync)
-
-#: Log-entry kind of recorded evidence (after the phases' count kinds).
-_LOG_EVIDENCE = LOG_WALK_STEP + 1
-EVIDENCE_ENTRY = (_LOG_EVIDENCE, _NO_LANES, None, None, None, None)
-
 
 class LaunchRecord:
     """One fused program, attributed: what every segment's solo run emits.
@@ -71,19 +69,14 @@ class LaunchRecord:
     lanes, in emission order. ``rows`` is the entry's log position,
     ``kinds[rows]`` its kind, and the six ``counts`` rows are the
     tallies :func:`~repro.kernels.engine.events.counted_events` takes:
-    lanes, distinct warps, ``m0`` / ``m1`` / ``m2`` / ``idx``. ``evidence``
-    maps the log position of an array-carrying event to ``(event,
-    split)``: segment ``s`` owns elements ``split[s]:split[s + 1]``.
+    lanes, distinct warps, ``m0`` / ``m1`` / ``m2`` / ``idx``.
     """
 
-    __slots__ = ("warp_base", "slot_base", "log", "kinds", "ptr", "rows",
-                 "counts", "evidence")
+    __slots__ = ("warp_base", "log", "kinds", "ptr", "rows", "counts")
 
-    def __init__(self, warp_base: np.ndarray, slot_base: np.ndarray) -> None:
+    def __init__(self, warp_base: np.ndarray) -> None:
         self.warp_base = warp_base      # (n_segs + 1) fused warp offsets
-        self.slot_base = slot_base      # (n_segs + 1) fused slot offsets
         self.log: list = []             # the phases' attribution log
-        self.evidence: dict[int, tuple] = {}
         # a program that logged nothing (no insertions, no valid seed)
         self.kinds = self.rows = np.empty(0, dtype=np.int64)
         self.ptr = np.zeros(warp_base.size, dtype=np.int64)
@@ -113,8 +106,6 @@ class LaunchRecord:
         first[starts[sizes > 0]] = True
         absent = np.zeros(int(sizes.max()), dtype=bool)
         lanes = np.bincount(key, minlength=n_seg * n_tok)
-        for pos, (_, split) in self.evidence.items():
-            lanes[pos::n_tok] = np.diff(split)
         picked = np.concatenate([_NO_LANES] + [
             e[5] + st for e, st in zip(log, starts.tolist())
             if e[5] is not None])
@@ -152,13 +143,20 @@ class AttemptRecord:
     base_codes: np.ndarray          # wres slices for the solo scatter
     base_lens: np.ndarray
     state_codes: np.ndarray
-    failed: list[int]               # overflowed warps, segment-local, sorted
-    first_construct_fail: int | None  # chronological, for RAISE semantics
-    first_walk_fail: int | None
+    construct_failed: list[int]     # overflowed warps, segment-local, in
+    walk_failed: list[int]          # the order they overflowed
     attempt: int                    # 0-based attempt index
     #: Events the segment's own construct emitted ahead of a shared walk
     #: (empty when construct was fused too and sits in the log).
     tape: list | tuple = ()
+    #: Capacities the overflowed warps re-launch with (``None``: they do
+    #: not), decided once by the driver that runs the attempts.
+    grown: np.ndarray | None = None
+
+    @property
+    def failed(self) -> list[int]:
+        """The overflowed warps, segment-local, sorted."""
+        return sorted({*self.construct_failed, *self.walk_failed})
 
 
 @dataclass
@@ -179,7 +177,6 @@ def record_attempt(live: list[Segment], launch: LaunchRecord,
     fused id, in the order they overflowed.
     """
     warp_base = launch.warp_base
-    failed_global = sorted(set(construct_failed) | set(wres.overflowed))
     for pos, seg in enumerate(live):
         lo, hi = int(warp_base[pos]), int(warp_base[pos + 1])
         seg.records.append(AttemptRecord(
@@ -187,11 +184,9 @@ def record_attempt(live: list[Segment], launch: LaunchRecord,
             base_codes=wres.base_codes[lo:hi],
             base_lens=wres.base_lens[lo:hi],
             state_codes=wres.state_codes[lo:hi],
-            failed=[w - lo for w in failed_global if lo <= w < hi],
-            first_construct_fail=next(
-                (w - lo for w in construct_failed if lo <= w < hi), None),
-            first_walk_fail=next(
-                (w - lo for w in wres.overflowed if lo <= w < hi), None),
+            construct_failed=[w - lo for w in construct_failed
+                              if lo <= w < hi],
+            walk_failed=[w - lo for w in wres.overflowed if lo <= w < hi],
             attempt=attempt,
             tape=tapes[pos] if tapes is not None else (),
         ))
@@ -209,42 +204,15 @@ def replay_attempt(rec: AttemptRecord, bus: EventBus) -> LaunchDone:
         bus.emit(event)
     launch, s = rec.launch, rec.pos
     mine = slice(launch.ptr[s], launch.ptr[s + 1])
-    rows = launch.rows[mine]
-    kinds = launch.kinds[rows]
-    counted = counted_events(kinds.tolist(),
-                             *launch.counts[:, mine].tolist())
-    for row, count_event in zip(rows.tolist(), counted):
-        if count_event is not None:
-            bus.emit(count_event)
-        else:
-            event, split = launch.evidence[row]
-            own = slice(split[s], split[s + 1])
-            warp_lo, slot_lo = launch.warp_base[s], launch.slot_base[s]
-            if isinstance(event, SlotAccess):
-                bus.emit(SlotAccess(slots=event.slots[own] - slot_lo,
-                                    kind=event.kind))
-            elif isinstance(event, SlotWrite):
-                bus.emit(SlotWrite(
-                    phase=event.phase, kind=event.kind,
-                    slots=event.slots[own] - slot_lo,
-                    warps=event.warps[own] - warp_lo,
-                    lanes=(event.lanes[own] if event.lanes is not None
-                           else None),
-                    atomic=event.atomic))
-            elif isinstance(event, SlotRead):
-                bus.emit(SlotRead(phase=event.phase, kind=event.kind,
-                                  slots=event.slots[own] - slot_lo,
-                                  warps=event.warps[own] - warp_lo))
-            else:
-                bus.emit(BarrierSync(phase=event.phase,
-                                     warps=event.warps[own] - warp_lo,
-                                     mask_lanes=event.mask_lanes[own],
-                                     active_lanes=event.active_lanes[own]))
+    kinds = launch.kinds[launch.rows[mine]]
+    for event in counted_events(kinds.tolist(),
+                                *launch.counts[:, mine].tolist()):
+        bus.emit(event)
     # The max_walk_len cutoff step runs without emitting a WalkStep
     # (the solo loop breaks first) but still counts as a walk step; any
     # MAX_LEN terminal in this attempt's slice proves the segment had
     # walkers alive at the cutoff.
-    per_kind = np.bincount(kinds, minlength=_LOG_EVIDENCE + 1).tolist()
+    per_kind = np.bincount(kinds, minlength=LOG_WALK_STEP + 1).tolist()
     taped = Counter(map(type, rec.tape))
     cutoff = bool((rec.state_codes == _MAX_LEN_CODE).any())
     return LaunchDone(
@@ -253,23 +221,3 @@ def replay_attempt(rec: AttemptRecord, bus: EventBus) -> LaunchDone:
                               + taped[ProbeIteration]),
         walk_steps=per_kind[LOG_WALK_STEP] + cutoff,
         walk_iterations=per_kind[LOG_LOOKUP_ITER])
-
-
-def solo_overflow_error(rec: AttemptRecord, k: int) -> HashTableFullError:
-    """Reconstruct the error a solo RAISE-policy run would have raised.
-
-    Overflow detection is warp-local and iteration-exact, and a probe
-    offset is bounds-checked every iteration once it can reach the
-    capacity, so the solo error's ``probes`` always equals the failing
-    warp's capacity; construction raises before the walk runs, so any
-    construct overflow takes precedence.
-    """
-    if rec.first_construct_fail is not None:
-        w, msg = rec.first_construct_fail, \
-            "hash table overflow during construction"
-    else:
-        assert rec.first_walk_fail is not None
-        w, msg = rec.first_walk_fail, "hash table wrapped during walk lookup"
-    cap = int(rec.sub.capacities[w])
-    return HashTableFullError(msg, contig_id=int(rec.sub.contig_ids[w]),
-                              k=k, capacity=cap, probes=cap)

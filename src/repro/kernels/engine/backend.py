@@ -235,8 +235,10 @@ class ScalarReferenceBackend:
         #: Explicit per-contig table capacity; ``None`` sizes from the
         #: reads. Undersizing it is how tests force the overflow paths.
         self.table_capacity = table_capacity
-        self.grow_factor = grow_factor
-        self.max_grow_attempts = max_grow_attempts
+        # Imported here: repro.resilience.checkpoint imports this module.
+        from repro.resilience.policy import grow_budget
+        self.grow_factor, self.max_grow_attempts = grow_budget(
+            grow_factor, max_grow_attempts)
 
     def _build_table(self, reads: ReadSet, k: int, contig_id: int,
                      profile: KernelProfile, retried: set):
@@ -245,17 +247,10 @@ class ScalarReferenceBackend:
         Returns ``None`` when the contig is dropped (DROP_CONTIG, or
         grow-retry exhausting its attempts).
         """
-        # Imported here: repro.resilience.checkpoint imports this module.
-        from repro.resilience.policy import (
-            DEFAULT_GROW_FACTOR,
-            DEFAULT_MAX_GROW_ATTEMPTS,
-            OverflowPolicy,
-        )
+        from repro.resilience.policy import OverflowPolicy, grown_capacity
         policy = OverflowPolicy.parse(self.overflow_policy)
         capacity = self.table_capacity
-        grow = self.grow_factor or DEFAULT_GROW_FACTOR
-        attempts = (DEFAULT_MAX_GROW_ATTEMPTS if self.max_grow_attempts is None
-                    else self.max_grow_attempts)
+        attempts = self.max_grow_attempts
         for attempt in range(attempts + 1):
             try:
                 return build_table(reads, k, capacity=capacity, seed=self.seed)
@@ -268,7 +263,7 @@ class ScalarReferenceBackend:
                 if policy is OverflowPolicy.DROP_CONTIG or attempt == attempts:
                     profile.contigs_dropped += 1
                     return None
-                capacity = max(16, int((err.capacity or 16) * grow))
+                capacity = int(grown_capacity(err.capacity, self.grow_factor))
                 profile.overflow_retries += 1
                 retried.add(contig_id)
         return None

@@ -15,16 +15,12 @@ what this module exploits:
    schedule launches — and *all* resulting segments — every bin, both
    extension directions, every tenant — are concatenated with
    :func:`~repro.kernels.engine.prepare.concat_batches` and run through
-   construct + walk **once**: one lockstep program per k, with
-   ``defer_overflow`` always on. Inside the launch the phases only
-   *log*: they append references to the per-iteration arrays they
-   already hold to the list the driver installs as their ``log``
-   (entry layout: :data:`~repro.kernels.engine.events.LOG_WAVE`);
-   nothing is counted in the probe loops. When tracing or sanitizing, a recorder
-   subscriber additionally locates each segment's share of the slot /
-   write / read / barrier evidence; replay slices it and rebases it to
-   the job's local warp and slot numbering (a subtraction, because
-   every segment owns contiguous warp and slot ranges).
+   construct + walk **once**: one lockstep program per k. Inside the
+   launch the phases only *log*: they append references to the
+   per-iteration arrays they already hold to the list the driver
+   installs as their ``log`` (entry layout:
+   :data:`~repro.kernels.engine.events.LOG_WAVE`); nothing is counted
+   in the probe loops, and the bus they are handed has no subscriber.
 2. **Attribute after the fact**: once per launch, one vectorized pass
    (:meth:`LaunchRecord.attribute <repro.kernels.engine.attribution.\
 LaunchRecord.attribute>`: a single ``searchsorted`` of the
@@ -37,19 +33,22 @@ LaunchRecord.attribute>`: a single ``searchsorted`` of the
    solo launch order (:mod:`repro.kernels.engine.attribution`, shared
    with the solo driver's walk groups), through the kernel's own
    instrumentation stack (:meth:`LocalAssemblyKernel._build_bus`), so
-   profiles, traffic,
-   traces, replay stats and sanitizer verdicts are byte-identical to a
-   one-at-a-time run *by construction* — the hypothesis parity tests in
+   profiles and traffic are byte-identical to a one-at-a-time run *by
+   construction* — the hypothesis parity tests in
    ``tests/kernels/test_coalesce_parity.py`` are the drift guard.
 
-Overflow semantics per job match the kernel's policy exactly:
-``drop-contig`` and ``grow-retry`` replay the per-job drop/retry event
-sequences (fused retry launches re-fuse only the failing segments);
-``raise`` reconstructs the solo :class:`~repro.errors.HashTableFullError`
-(same contig, k, capacity, probes) as the job's
-:attr:`CoalescedJobResult.error` — solo raising aborts mid-launch, so an
-erroring job yields its error instead of a result, while its co-tenants
-are unaffected.
+A fused program carries counts only. A kernel that does not fuse
+(:meth:`LocalAssemblyKernel._fuses`: a tracer, the trace replayer or a
+sanitizer wants slot-numbered evidence) runs every job of the wave
+through its own ``run_schedule`` — solo, so trivially identical to solo.
+
+Overflow is settled where a solo run settles it, by the kernel's
+``_settle`` during replay: ``drop-contig`` and ``grow-retry`` emit the
+per-job drop/retry event sequences (fused retry launches re-fuse only
+the failing segments); ``raise`` raises the solo
+:class:`~repro.errors.HashTableFullError`, which becomes the job's
+:attr:`CoalescedJobResult.error` — an erroring job yields its error
+instead of a result, while its co-tenants are unaffected.
 
 Fault injection is supported for the *wave-scoped, fingerprint-scoped*
 kinds only (``worker-crash``, ``wave-stall``, ``launch-failure``):
@@ -71,20 +70,12 @@ import numpy as np
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig
 from repro.kernels.engine.attribution import (
-    EVIDENCE_ENTRY,
-    EVIDENCE_EVENTS,
     LaunchRecord,
     Segment,
     record_attempt,
 )
 from repro.kernels.engine.backend import KernelRunResult, ScheduleTail
-from repro.kernels.engine.events import (
-    BarrierSync,
-    EventBus,
-    SlotAccess,
-    SlotRead,
-    SlotWrite,
-)
+from repro.kernels.engine.events import EventBus
 from repro.kernels.engine.prepare import Batch, concat_batches
 from repro.kernels.engine.schedule import (
     SideArrays,
@@ -94,7 +85,6 @@ from repro.kernels.engine.schedule import (
     validate_k_schedule,
 )
 from repro.kernels.engine.simt import LocalAssemblyKernel
-from repro.kernels.vectortable import WarpHashTables
 from repro.simt.counters import KernelProfile
 
 
@@ -106,7 +96,9 @@ class CoalescedJobResult:
     set, it — and ``replay`` / ``trace`` / ``sanitizer_report`` — are
     byte-identical to what a solo ``kernel.run_schedule`` call (and its
     ``last_replay`` / ``last_trace`` / ``last_sanitizer_report``
-    attributes) would have produced for the same contigs.
+    attributes) would have produced for the same contigs: the three are
+    a diagnostic kernel's, whose wave *is* its solo runs, and stay empty
+    for a kernel that fuses.
     """
 
     result: KernelRunResult | None
@@ -114,46 +106,6 @@ class CoalescedJobResult:
     trace: list = field(default_factory=list)
     sanitizer_report: object | None = None
     error: HashTableFullError | None = None
-
-
-# ----------------------------------------------------------------------
-# recording
-# ----------------------------------------------------------------------
-
-
-class _EvidenceRecorder:
-    """Subscriber placing a fused launch's array evidence per segment.
-
-    Slot traces and sanitizer writes / reads / barriers are split per
-    segment at record time (a binary search against the segment
-    boundaries; replay slices and rebases) and take a placeholder
-    position in the launch's attribution log, which keeps them ordered
-    among the counted events. Which evidence classes are recorded
-    follows what the per-job replay buses will want (``handled_events``
-    is built accordingly — the phases' ``bus.wants`` gating then skips
-    unrecorded evidence in the fused run too).
-    """
-
-    def __init__(self, probe_bus: EventBus) -> None:
-        self.handled_events = tuple(
-            cls for cls in EVIDENCE_EVENTS if probe_bus.wants(cls))
-        #: The launch in flight; the driver sets it before each launch.
-        self.launch: LaunchRecord
-
-    def handle(self, event, bus) -> None:
-        launch = self.launch
-        if isinstance(event, SlotAccess):
-            # Not globally sorted (slots within one warp's region arrive
-            # in probe order), but every segment boundary *partitions*
-            # the array — all earlier elements are below the boundary
-            # slot, all later ones at or above — so the search is exact.
-            split = np.searchsorted(event.slots, launch.slot_base)
-        elif isinstance(event, (SlotWrite, SlotRead, BarrierSync)):
-            split = np.searchsorted(event.warps, launch.warp_base)
-        else:
-            return
-        launch.evidence[len(launch.log)] = (event, split)
-        launch.log.append(EVIDENCE_ENTRY)
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +125,6 @@ class _JobState:
         self.settled_l = np.zeros(self.n, dtype=bool)
         self.merged_profile: KernelProfile | None = None
         self.tail = ScheduleTail()
-        self.traces: list = []
         self.error: HashTableFullError | None = None
         self.last_k = first_k
         self.segments: list[Segment] = []
@@ -189,25 +140,23 @@ class _JobState:
 # ----------------------------------------------------------------------
 
 
-def _launch(subs: list[Batch], k: int, construct, walker, bus: EventBus,
-            recorder: _EvidenceRecorder) -> tuple:
+def _launch(kernel, subs: list[Batch], k: int, construct, walker) -> tuple:
     """One lockstep program over ``subs``: ``(launch, cres, wres)``.
 
     The fused batch and its tables — the bulk of a wave's memory — die
     with this frame, before the log is reduced.
     """
     fused, warp_base = concat_batches(subs)
-    tables = WarpHashTables(fused.capacities, k)
-    launch = LaunchRecord(warp_base, tables.offsets[warp_base])
+    tables = kernel.tables_cls(fused.capacities, k)
+    launch = LaunchRecord(warp_base)
     construct.log = walker.log = launch.log
-    recorder.launch = launch
+    bus = EventBus()    # nobody listens: a fused program logs its counts
     return (launch, construct.run(fused, tables, bus),
             walker.run(fused, tables, bus))
 
 
 def _run_fused_group(kernel, group: list[Segment], k: int,
-                     construct, walker, bus: EventBus,
-                     recorder: _EvidenceRecorder) -> None:
+                     construct, walker) -> None:
     """Run one fused launch (plus grow-retry re-launches) over ``group``.
 
     Every launch fuses only the still-retrying segments; each segment's
@@ -215,8 +164,8 @@ def _run_fused_group(kernel, group: list[Segment], k: int,
     slices, failures) lands in ``segment.records`` for the replay pass.
     """
     def launch_live(live: list[Segment], attempt: int) -> None:
-        launch, cres, wres = _launch([seg.sub for seg in live], k,
-                                     construct, walker, bus, recorder)
+        launch, cres, wres = _launch(kernel, [seg.sub for seg in live], k,
+                                     construct, walker)
         launch.attribute()
         record_attempt(live, launch, cres.overflowed, wres, attempt)
 
@@ -239,9 +188,10 @@ def _replay_job_k(kernel, state: _JobState, k: int,
     """
     krun = kernel._begin_run(state.n, k, parallel_scale)
     krun.profile.prep_cache_misses = len(state.segments)
-    # solo raising aborts the run mid-launch
-    state.error = kernel._replay(krun, state.segments)
-    if state.error is not None:
+    try:
+        kernel._replay(krun, state.segments)
+    except HashTableFullError as error:    # the RAISE policy, settling
+        state.error = error
         return
     if state.merged_profile is None:
         state.merged_profile = krun.profile
@@ -249,17 +199,24 @@ def _replay_job_k(kernel, state: _JobState, k: int,
         state.merged_profile.merge(krun.profile)
     merge_k_side(krun.right, state.best_r, state.settled_r)
     merge_k_side(krun.left, state.best_l, state.settled_l)
-    if krun.tracer is not None:
-        state.traces = krun.tracer.traces
-    state.tail.add(
-        krun.degraded, krun.retried,
-        krun.replayer.launches if krun.replayer is not None else (),
-        krun.sanitizer.report if krun.sanitizer is not None else None)
+    state.tail.add(krun.degraded, krun.retried)
 
 
 # ----------------------------------------------------------------------
 # the driver
 # ----------------------------------------------------------------------
+
+
+def _run_solo(kernel, contigs: list[Contig], k_schedule: tuple[int, ...],
+              parallel_scale: float) -> CoalescedJobResult:
+    """One job of a wave that does not fuse: the kernel's own schedule."""
+    try:
+        result = kernel.run_schedule(contigs, k_schedule, parallel_scale)
+    except HashTableFullError as error:
+        return CoalescedJobResult(result=None, error=error)
+    return CoalescedJobResult(result, list(kernel.last_replay),
+                              kernel.last_trace,
+                              kernel.last_sanitizer_report)
 
 
 #: Fault kinds whose effects depend on launch ordinals or batch layout —
@@ -304,6 +261,8 @@ def run_schedule_coalesced(
     run per job. A k's fused launch carries, of every job still active,
     exactly the contig ends that job's solo schedule launches at that k:
     all of them at the first k, afterwards the ones still forking.
+    A diagnostic kernel's wave (one that does not fuse: tracing, trace
+    replay, sanitizing) runs solo per job instead.
     ``fingerprints`` optionally names each job (the
     serve tier passes request fingerprints) so a seeded
     :class:`~repro.resilience.FaultInjector` on the kernel can attribute
@@ -333,19 +292,12 @@ def run_schedule_coalesced(
         raise KernelError(
             f"parallel_scale must be in (0, 1], got {parallel_scale}")
 
-    states = [_JobState(contigs, k_schedule[0]) for contigs in jobs]
+    if not kernel._fuses():
+        return [_run_solo(kernel, contigs, k_schedule, parallel_scale)
+                for contigs in jobs]
 
-    # What the per-job replay buses will want decides which evidence the
-    # fused run must record (and therefore emit): probe with a throwaway
-    # instrumentation stack built exactly like the replay ones. Counts
-    # never travel the fused bus (the phases log them), so with no
-    # evidence wanted it has no subscriber at all.
-    recorder = _EvidenceRecorder(kernel._build_bus(
-        KernelProfile(warp_size=kernel.warp_size), parallel_scale)[0])
-    fused_bus = EventBus()
-    if recorder.handled_events:
-        fused_bus.subscribe(recorder)
-    construct, walker = kernel._phases(True)
+    states = [_JobState(contigs, k_schedule[0]) for contigs in jobs]
+    construct, walker = kernel._phases()
     config = kernel.launch_config()
 
     for k in k_schedule:
@@ -364,8 +316,7 @@ def run_schedule_coalesced(
                 s.segments.append(seg)
                 group.append(seg)
         # one lockstep program per k: every bin, both ends, every tenant
-        _run_fused_group(kernel, group, k, construct, walker, fused_bus,
-                         recorder)
+        _run_fused_group(kernel, group, k, construct, walker)
         for s in active:
             _replay_job_k(kernel, s, k, parallel_scale)
 
@@ -377,7 +328,5 @@ def run_schedule_coalesced(
         assert s.merged_profile is not None
         res = s.tail.result(kernel.device, s.last_k, s.merged_profile,
                             s.best_r.to_side(), s.best_l.to_side())
-        results.append(CoalescedJobResult(result=res, replay=s.tail.replay,
-                                          trace=s.traces,
-                                          sanitizer_report=s.tail.report))
+        results.append(CoalescedJobResult(result=res))
     return results

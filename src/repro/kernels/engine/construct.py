@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import HashTableFullError
 from repro.kernels.engine.events import (
     BarrierSync,
     EventBus,
@@ -55,28 +54,24 @@ class ConstructResult:
 
     waves: int          #: lockstep waves executed
     iterations: int     #: lockstep insert-probe iterations
-    #: Warps whose table overflowed (only under deferred overflow; the
-    #: default raising mode never returns with overflows).
+    #: Warps whose table overflowed, in the order they did.
     overflowed: tuple[int, ...] = ()
 
 
 class ConstructPhase:
     """Runs all construction waves of a launch, emitting events.
 
-    ``defer_overflow`` selects what a full table does: ``False`` (the
-    default) raises an enriched
-    :class:`~repro.errors.HashTableFullError`; ``True`` retires every
-    pending lane of the overflowed warp, excludes that warp from the
-    remaining waves, and reports it in
-    :attr:`ConstructResult.overflowed` so the engine can drop or retry
-    the contig (the paper's ``*hashtable full*`` semantics).
+    A full table never raises here: every pending lane of the overflowed
+    warp retires, the warp sits out the remaining waves, and
+    :attr:`ConstructResult.overflowed` reports it — what becomes of the
+    contig (the paper's ``*hashtable full*`` drop, a retry, an error) is
+    the launch driver's call (:meth:`LocalAssemblyKernel._settle
+    <repro.kernels.engine.simt.LocalAssemblyKernel._settle>`).
     """
 
-    def __init__(self, protocol, warp_size: int,
-                 defer_overflow: bool = False) -> None:
+    def __init__(self, protocol, warp_size: int) -> None:
         self.protocol = protocol
         self.warp_size = warp_size
-        self.defer_overflow = defer_overflow
         #: The launch's attribution log (``None`` = off): the arrays
         #: behind every wave and probe iteration, appended by reference
         #: (entry layout: :data:`~repro.kernels.engine.events.LOG_WAVE`),
@@ -173,8 +168,8 @@ class ConstructPhase:
                 dead[wave_overflowed] = True
         self._final_slot = None
         # ``ins_ext`` / ``ins_hi`` are aligned to ``final_slot`` as they
-        # stand; only lanes that never retired (a deferred overflow took
-        # their warp first) have to be left out.
+        # stand; only lanes that never retired (an overflow took their
+        # warp first) have to be left out.
         voted = final_slot >= 0
         if voted.all():
             tables.vote(final_slot, batch.ins_ext, batch.ins_hi)
@@ -199,8 +194,7 @@ class ConstructPhase:
         which survives as :class:`~repro.kernels.engine.oracle.\
 ScalarOracleConstructPhase`.
 
-        Returns ``(iterations, overflowed_warps)``; the second element
-        is always empty unless :attr:`defer_overflow` is set.
+        Returns ``(iterations, overflowed_warps)``.
         """
         proto = self.protocol
         warps = batch.ins_warp[idx]
@@ -235,16 +229,6 @@ ScalarOracleConstructPhase`.
         while p.size:
             if iterations >= min_cap and (probe_p >= caps_p).any():
                 over = probe_p >= caps_p
-                if not self.defer_overflow:
-                    j = int(np.nonzero(over)[0][0])
-                    w = int(wp[j])
-                    raise HashTableFullError(
-                        "hash table overflow during construction",
-                        contig_id=int(batch.contig_ids[w]),
-                        k=int(batch.seeds.shape[1]),
-                        capacity=int(tables.capacities[w]),
-                        probes=int(probe_p[j]),
-                    )
                 bad = run_length_sorted(wp[over])[0]
                 overflowed.extend(np.asarray(bad).tolist())
                 keep = ~np.isin(wp, bad)

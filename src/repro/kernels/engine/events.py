@@ -180,6 +180,14 @@ class BarrierSync:
     active_lanes: np.ndarray      #: lanes actually active at the barrier
 
 
+#: The array-carrying events: evidence numbered by one launch's slots and
+#: warps. A lockstep program that fuses launches carries counts only, so
+#: a kernel with a subscriber that wants one of these never fuses
+#: (:meth:`LocalAssemblyKernel._fuses
+#: <repro.kernels.engine.simt.LocalAssemblyKernel._fuses>`).
+EVIDENCE_EVENTS = (SlotAccess, SlotWrite, SlotRead, BarrierSync)
+
+
 #: Entry kinds of a launch's *attribution log*. A phase whose ``log``
 #: attribute is a list (a driver that fuses launches into one lockstep
 #: program installs one per program; ``None`` = off) appends one entry
@@ -237,8 +245,6 @@ def counted_events(kinds: list, lanes: list, warps: list, m0: list,
     count the segment's entries / distinct values in the entry's
     ``warps``; ``m0..m2`` and ``idx`` count its share of the like-named
     columns (the ``*_entry`` helpers say what each kind stores there).
-    An entry of a kind not listed here (the driver's own placeholders)
-    yields ``None``.
     """
     for kind, n, w, c0, c1, c2, ci in zip(kinds, lanes, warps, m0, m1, m2,
                                           idx):
@@ -255,10 +261,8 @@ def counted_events(kinds: list, lanes: list, warps: list, m0: list,
             # one lookup lane per walking warp
             yield ProbeIteration(phase="walk", lanes=n, warps=n,
                                  key_compares=c0)
-        elif kind == LOG_WALK_STEP:
+        else:   # LOG_WALK_STEP
             yield WalkStep(walkers=n, vote_reads=c0, bases_committed=ci)
-        else:
-            yield None
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from repro.core.extension import (
     WalkState,
     resolve_extension_batch,
 )
-from repro.errors import HashTableFullError
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import decode_matrix, reverse_complement
 from repro.genomics.kmer import fingerprint_matrix
@@ -116,16 +115,6 @@ class ScalarOracleWalkPhase(WalkPhase):
                     # A wrapped probe means the table is completely full
                     # and the key absent; the open-addressing loop would
                     # never terminate.
-                    if not self.defer_overflow:
-                        j = int(u[np.nonzero(over)[0][0]])
-                        w = int(a[j])
-                        raise HashTableFullError(
-                            "hash table wrapped during walk lookup",
-                            contig_id=int(batch.contig_ids[w]),
-                            k=int(cur.shape[1]),
-                            capacity=int(tables.capacities[w]),
-                            probes=int(probe[j]),
-                        )
                     bad = u[over]
                     overflowed.extend(int(w) for w in a[bad])
                     missing[bad] = True
@@ -225,16 +214,6 @@ class ScalarOracleConstructPhase(ConstructPhase):
             p = np.nonzero(pending)[0]
             over = probe[p] >= tables.capacities[warps[p]]
             if over.any():
-                if not self.defer_overflow:
-                    j = int(p[np.nonzero(over)[0][0]])
-                    w = int(warps[j])
-                    raise HashTableFullError(
-                        "hash table overflow during construction",
-                        contig_id=int(batch.contig_ids[w]),
-                        k=int(batch.seeds.shape[1]),
-                        capacity=int(tables.capacities[w]),
-                        probes=int(probe[j]),
-                    )
                 bad = np.unique(warps[p[over]])
                 overflowed.extend(int(w) for w in bad)
                 pending &= ~np.isin(warps, bad)

@@ -4,8 +4,8 @@ Execution model (Figure 4 of the paper): one contig per warp. Per
 launch plan (one bin, one extension direction) the engine runs
 
 1. **prepare** (:mod:`repro.kernels.engine.prepare`) — flatten + hash
-   the bin's reads into launch arrays, reusing the k-independent
-   flatten across a k-schedule;
+   the bin's reads into launch arrays (every launch flattens its own
+   read stream and lets it go);
 2. **construct** (:mod:`repro.kernels.engine.construct`) — insertion
    waves with the port's collision protocol;
 3. **walk** (:mod:`repro.kernels.engine.walk`) — the predicated
@@ -16,6 +16,15 @@ with launch plans produced by a pluggable
 memory-traffic accounting, and address-trace recording happens in event
 subscribers (:mod:`repro.kernels.engine.events`), never inline — the
 phases only emit what they measured.
+
+Two rules live here and nowhere else. *Fusion*
+(:meth:`LocalAssemblyKernel._fuses`): launches share a lockstep program
+— a k-run's walk groups, a multi-tenant wave — only when no subscriber
+wants slot-numbered evidence, so a fused program carries counts only.
+*Overflow* (:meth:`LocalAssemblyKernel._settle`): the phases retire and
+report the warps whose table filled; the driver alone raises, drops or
+grow-retries them, for a launch run alone and one replayed from a
+fused program alike.
 """
 
 from __future__ import annotations
@@ -33,12 +42,10 @@ from repro.genomics.dna import decode_matrix, reverse_complement_matrix
 from repro.genomics.reads import DEFAULT_QUAL_THRESHOLD
 from repro.hashing.opcount import hash_intops
 from repro.kernels.engine.attribution import (
-    EVIDENCE_EVENTS,
     LaunchRecord,
     Segment,
     record_attempt,
     replay_attempt,
-    solo_overflow_error,
 )
 from repro.kernels.engine.backend import (
     KernelRunResult,
@@ -47,6 +54,7 @@ from repro.kernels.engine.backend import (
 )
 from repro.kernels.engine.construct import ConstructPhase
 from repro.kernels.engine.events import (
+    EVIDENCE_EVENTS,
     ContigDropped,
     ContigRetried,
     EventBus,
@@ -75,9 +83,9 @@ from repro.kernels.engine.schedule import (
 from repro.kernels.engine.walk import WalkPhase
 from repro.kernels.vectortable import SLOT_BYTES, WarpHashTables
 from repro.resilience.policy import (
-    DEFAULT_GROW_FACTOR,
-    DEFAULT_MAX_GROW_ATTEMPTS,
     OverflowPolicy,
+    grow_budget,
+    grown_capacity,
 )
 from repro.simt.counters import KernelProfile
 from repro.simt.device import DeviceSpec
@@ -151,7 +159,7 @@ WarpHashTables.absorb>`: one contiguous warp and slot range per member
         """The members' one walk; an ``AttemptRecord`` lands on each."""
         fused, warp_base = concat_batches(
             [seg.sub.walk_only() for seg in self.segments])
-        launch = LaunchRecord(warp_base, self.tables.offsets[warp_base])
+        launch = LaunchRecord(warp_base)
         self.walker.log = launch.log
         try:
             wres = self.walker.run(fused, self.tables, _Tape())
@@ -211,15 +219,16 @@ class LocalAssemblyKernel:
     preparer_cls = BatchPreparer
     tables_cls = WarpHashTables
 
-    #: Table slots one *walk group* may hold (0 = every launch walks
-    #: alone, the parity reference). A walk has one lane per warp, so on
-    #: Table II-shaped data (many contigs, 3-5 reads each) a launch's
-    #: walk is fixed NumPy call cost over a median of 18 walkers; while
-    #: their tables fit this budget, consecutive launches of a k-run
-    #: share one walk instead (:class:`_WalkGroup`, DESIGN.md decision
-    #: 24) — a launch joins if two of its size would fit. Host memory
-    #: only: 13 B per slot + 32 B per key = 6.8 MB of tags plus the
-    #: votes. Measured on ``paper_grid`` (seed 7), walk steps / lookup
+    #: Table slots one *walk group* may hold (0 = nothing fuses: every
+    #: launch walks alone and a wave runs its jobs solo — the parity
+    #: reference, whose phases do not log). A walk has one lane per
+    #: warp, so on Table II-shaped data (many contigs, 3-5 reads each) a
+    #: launch's walk is fixed NumPy call cost over a median of 18
+    #: walkers; while their tables fit this budget, consecutive launches
+    #: of a k-run share one walk instead (:class:`_WalkGroup`, DESIGN.md
+    #: decision 24) — a launch joins if two of its size would fit. Host
+    #: memory only: 13 B per slot + 32 B per key = 6.8 MB of tags plus
+    #: the votes. Measured on ``paper_grid`` (seed 7), walk steps / lookup
     #: rounds / wall per iteration (min of 4, one process): 13,572 /
     #: 53,231 / 5.2 s at 0; 6,036 / 29,929 / 4.3 s at ``1 << 18``; 4,185
     #: / 24,797 / 3.8 s at ``1 << 19`` (the k = 33 run, 492,474 slots,
@@ -275,17 +284,8 @@ class LocalAssemblyKernel:
         #: Optional :class:`repro.resilience.FaultInjector`; hooked
         #: around every launch and subscribed to the event bus.
         self.fault_injector = fault_injector
-        self.grow_factor = (DEFAULT_GROW_FACTOR if grow_factor is None
-                            else float(grow_factor))
-        self.max_grow_attempts = (DEFAULT_MAX_GROW_ATTEMPTS
-                                  if max_grow_attempts is None
-                                  else int(max_grow_attempts))
-        if self.grow_factor <= 1.0:
-            raise KernelError(
-                f"grow_factor must exceed 1, got {self.grow_factor}")
-        if self.max_grow_attempts < 1:
-            raise KernelError(
-                f"max_grow_attempts must be >= 1, got {self.max_grow_attempts}")
+        self.grow_factor, self.max_grow_attempts = grow_budget(
+            grow_factor, max_grow_attempts)
         self.launch_policy = launch_policy or BinnedLaunchPolicy()
         self.preparer = self.preparer_cls(
             seed=seed, qual_threshold=qual_threshold,
@@ -354,6 +354,26 @@ class LocalAssemblyKernel:
             bus.subscribe(sub)
         return bus, tracer, replayer, sanitizer
 
+    def _fuses(self) -> bool:
+        """Whether launches of this kernel may share a lockstep program —
+        a walk group in :meth:`run`, a wave in
+        :func:`~repro.kernels.engine.coalesce.run_schedule_coalesced`.
+
+        A fused program carries counts only; evidence is numbered by one
+        launch's slots and warps. So a kernel does not fuse when a
+        subscriber of its run bus (:meth:`_build_bus`) wants an
+        ``EVIDENCE_EVENTS`` class: a tracer, the trace replayer, a
+        sanitizer, or an injector / extra subscriber that asks for one
+        — nor when its :attr:`walk_group_slots` is 0.
+        """
+        asked = EventBus()
+        for sub in (self.fault_injector, *self.extra_subscribers):
+            if sub is not None:
+                asked.subscribe(sub)
+        return not (self.walk_group_slots <= 0 or self.record_trace
+                    or self.memory_model == "trace" or self.sanitize_checks
+                    or any(map(asked.wants, EVIDENCE_EVENTS)))
+
     def launch_config(self, depth_ratio: float = 2.0,
                       max_batch_insertions: int | None = None) -> LaunchConfig:
         """The launch policy's inputs for this kernel — the one place the
@@ -401,13 +421,12 @@ class LocalAssemblyKernel:
     def _retry_capacities(self, sub: Batch, failed: list[int],
                           attempt: int) -> np.ndarray | None:
         """Grown capacities for ``failed`` if attempt ``attempt`` (0-based)
-        is followed by a grow-retry re-launch; ``None`` if they drop."""
-        if (self.overflow_policy is not OverflowPolicy.GROW_RETRY
+        is followed by a grow-retry re-launch; ``None`` if none is."""
+        if (not failed
+                or self.overflow_policy is not OverflowPolicy.GROW_RETRY
                 or attempt >= self.max_grow_attempts):
             return None
-        caps = sub.capacities[failed]
-        return np.maximum(
-            caps + 1, np.ceil(caps * self.grow_factor).astype(np.int64))
+        return grown_capacity(sub.capacities[failed], self.grow_factor)
 
     def _scatter(self, arr: SideArrays, end: End, sub: Batch, walk,
                  ok: np.ndarray) -> None:
@@ -427,30 +446,47 @@ class LocalAssemblyKernel:
         arr.state_codes[cis] = walk.state_codes[ok]
 
     def _settle(self, krun: _KRun, end: End, sub: Batch, walk,
-                failed: list[int], attempt: int) -> np.ndarray | None:
-        """Settle one finished launch attempt (Figure 3's drop-or-retry).
+                construct_failed, walk_failed, attempt: int,
+                grown: np.ndarray | None) -> None:
+        """Settle one finished launch attempt — the one place a full
+        table is answered (Figure 3's ``*hashtable full*``), for a launch
+        run alone and one replayed from a fused program alike.
 
-        Scatters the walks of the warps that did not overflow; the
-        ``failed`` ones (sorted, launch-local) are then either retried —
-        ``ContigRetried`` each, and their grown capacities are returned
-        for the re-launch — or dropped: ``ContigDropped`` each, the end
-        blanked, ``None`` returned (as when nothing failed).
+        ``construct_failed`` / ``walk_failed`` name the warps that
+        overflowed (launch-local, in the order they did). Under the
+        RAISE policy the first of them — construction runs before the
+        walk — becomes the :class:`~repro.errors.HashTableFullError`.
+        Otherwise the walks of the other warps scatter, and the failed
+        ones are either retried — ``ContigRetried`` each, at the
+        ``grown`` capacities :meth:`_retry_capacities` gave the caller —
+        or, ``grown`` being ``None``, dropped: ``ContigDropped`` each,
+        the end blanked.
         """
+        failed = sorted({*construct_failed, *walk_failed})
+        k, bus = krun.k, krun.bus
+        if failed and self.overflow_policy is OverflowPolicy.RAISE:
+            if construct_failed:
+                w, msg = construct_failed[0], \
+                    "hash table overflow during construction"
+            else:
+                w, msg = walk_failed[0], \
+                    "hash table wrapped during walk lookup"
+            # a probe offset is bounds-checked every iteration once it
+            # can reach the capacity: the failing probe count equals it
+            cap = int(sub.capacities[w])
+            raise HashTableFullError(msg, contig_id=int(sub.contig_ids[w]),
+                                     k=k, capacity=cap, probes=cap)
         arr = krun.right if end is End.RIGHT else krun.left
         ok = np.ones(sub.n_warps, dtype=bool)
         ok[failed] = False
         self._scatter(arr, end, sub, walk, ok)
-        if not failed:
-            return None
-        k, bus = krun.k, krun.bus
-        grown = self._retry_capacities(sub, failed, attempt)
         if grown is not None:
             for w, cap in zip(failed, grown):
                 bus.emit(ContigRetried(
                     contig_id=sub.contig_ids[w], k=k,
                     attempt=attempt + 1, capacity=int(cap)))
                 krun.retried.add(sub.contig_ids[w])
-            return grown
+            return
         end_name = "right" if end is End.RIGHT else "left"
         for w in failed:
             ci = sub.contig_ids[w]
@@ -461,50 +497,44 @@ class LocalAssemblyKernel:
             arr.text[ci] = ""
             arr.lens[ci] = 0
             arr.state_codes[ci] = MISSING_CODE
-        return None
 
-    def _phases(self, defer_overflow: bool) -> tuple:
+    def _phases(self) -> tuple:
         """A ``(construct, walk)`` phase pair from the kernel's factories."""
-        return (self.construct_cls(self.protocol, self.warp_size,
-                                   defer_overflow=defer_overflow),
-                self.walk_cls(self.policy, self.max_walk_len, self.seed,
-                              defer_overflow=defer_overflow))
+        return (self.construct_cls(self.protocol, self.warp_size),
+                self.walk_cls(self.policy, self.max_walk_len, self.seed))
 
     def _run_attempts(self, live: list[Segment], launch) -> None:
         """Run ``launch(live, attempt)`` — one fused program that records
         an attempt on every live segment — then again over the segments
-        that grow-retry, narrowed to their failing warps, until none do."""
+        that grow-retry, narrowed to their failing warps, until none do.
+        Each record keeps the grown capacities for :meth:`_settle`."""
         attempt = 0
         while live:
             launch(live, attempt)
             retry: list[Segment] = []
             for seg in live:
-                failed = seg.records[-1].failed
-                grown = (self._retry_capacities(seg.sub, failed, attempt)
-                         if failed else None)
-                if grown is not None:
-                    seg.sub = subset_batch(seg.sub, failed, grown)
+                rec = seg.records[-1]
+                failed = rec.failed
+                rec.grown = self._retry_capacities(seg.sub, failed, attempt)
+                if rec.grown is not None:
+                    seg.sub = subset_batch(seg.sub, failed, rec.grown)
                     retry.append(seg)
             live = retry
             attempt += 1
 
-    def _replay(self, krun: _KRun,
-                segments: list[Segment]) -> HashTableFullError | None:
+    def _replay(self, krun: _KRun, segments: list[Segment]) -> None:
         """Re-emit attributed launch attempts in solo order — all of a
         plan's attempts, then the next plan's — and settle each as
-        :meth:`_launch` does. Returns the error at which a solo run under
-        the RAISE policy would have aborted (nothing after it replays)."""
+        :meth:`_launch` does (under the RAISE policy the first overflow
+        raises there, and nothing after it replays)."""
         bus, k = krun.bus, krun.k
-        raise_policy = self.overflow_policy is OverflowPolicy.RAISE
         for seg in segments:
             for rec in seg.records:
                 self._start_launch(bus, rec.sub, k)
                 bus.emit(replay_attempt(rec, bus))
-                if rec.failed and raise_policy:
-                    return solo_overflow_error(rec, k)
-                self._settle(krun, seg.plan.end, rec.sub, rec, rec.failed,
-                             rec.attempt)
-        return None
+                self._settle(krun, seg.plan.end, rec.sub, rec,
+                             rec.construct_failed, rec.walk_failed,
+                             rec.attempt, rec.grown)
 
     def _finish_group(self, krun: _KRun, group: _WalkGroup) -> None:
         """Walk a group, re-launch what grow-retries, replay every launch."""
@@ -524,9 +554,7 @@ class LocalAssemblyKernel:
             members.walk(attempt)
 
         self._run_attempts(segments, launch)
-        error = self._replay(krun, segments)
-        if error is not None:
-            raise error
+        self._replay(krun, segments)
 
     def _launch(self, krun: _KRun, end: End, sub: Batch, attempt: int,
                 construct, walker) -> Batch | None:
@@ -545,8 +573,10 @@ class LocalAssemblyKernel:
             waves=cres.waves, construct_iterations=cres.iterations,
             walk_steps=wres.steps, walk_iterations=wres.iterations,
         ))
-        failed = sorted(set(cres.overflowed) | set(wres.overflowed))
-        grown = self._settle(krun, end, sub, wres, failed, attempt)
+        failed = sorted({*cres.overflowed, *wres.overflowed})
+        grown = self._retry_capacities(sub, failed, attempt)
+        self._settle(krun, end, sub, wres, cres.overflowed, wres.overflowed,
+                     attempt, grown)
         return subset_batch(sub, failed, grown) if grown is not None else None
 
     # ------------------------------------------------------------------
@@ -586,18 +616,11 @@ class LocalAssemblyKernel:
         if pending is not None:
             plans = narrow_plans(plans, contigs, pending)
             krun.profile.prep_cache_misses = len(plans)
-        defer = self.overflow_policy is not OverflowPolicy.RAISE
-        construct, walker = self._phases(defer)
+        construct, walker = self._phases()
         injector = self.fault_injector
-        # Launch ordinals and slot-numbered evidence stay per launch:
-        # with an injector or an evidence subscriber nothing groups.
-        budget = self.walk_group_slots
-        if injector is not None or any(map(krun.bus.wants,
-                                           EVIDENCE_EVENTS)):
-            budget = 0
-        # a group's overflows are settled at replay, in solo order
-        shared = (construct, walker) if defer or not budget \
-            else self._phases(True)
+        # launch ordinals stay per launch: with an injector nothing groups
+        budget = (self.walk_group_slots
+                  if injector is None and self._fuses() else 0)
         group: _WalkGroup | None = None
         for plan in plans:
             ordinal = injector.begin_launch() if injector is not None else -1
@@ -613,7 +636,7 @@ class LocalAssemblyKernel:
                 group = None
             if shares:
                 if group is None:
-                    group = _WalkGroup(self, k, budget, *shared)
+                    group = _WalkGroup(self, k, budget, construct, walker)
                 group.join(Segment(plan, sub))
                 continue
             attempt = 0

@@ -41,7 +41,6 @@ from repro.core.extension import (
     resolve_extension_batch,
 )
 from repro.core.merwalk import DEFAULT_MAX_WALK_LEN
-from repro.errors import HashTableFullError
 from repro.genomics.dna import decode_matrix, encode
 from repro.genomics.kmer import fingerprint_matrix, shift_fingerprints
 from repro.hashing.murmur import murmur2_batch
@@ -184,7 +183,7 @@ class WalkOutput:
     state_codes: np.ndarray     #: terminal WALK_STATE_CODES per warp
     steps: int                  #: lockstep walk steps executed
     iterations: int             #: lockstep lookup-probe iterations
-    #: Warps whose lookup wrapped a full table (deferred overflow only).
+    #: Warps whose lookup wrapped a full table, in the order they did.
     overflowed: tuple[int, ...] = ()
     _bases: list[str] | None = field(default=None, repr=False)
 
@@ -223,20 +222,18 @@ class WalkOutput:
 class WalkPhase:
     """Mer-walks every warp's seed in lockstep, emitting events.
 
-    ``defer_overflow`` mirrors :class:`ConstructPhase`: a lookup that
-    wraps a completely full table (possible when construction exactly
-    filled it) either raises an enriched
-    :class:`~repro.errors.HashTableFullError` (default) or terminates
-    that warp's walk and reports it in :attr:`WalkOutput.overflowed`.
+    As in :class:`ConstructPhase`, a full table never raises here: a
+    lookup that wraps one (possible when construction exactly filled
+    it) ends that warp's walk and :attr:`WalkOutput.overflowed` reports
+    it.
     """
 
     def __init__(self, policy: WalkPolicy = DEFAULT_POLICY,
                  max_walk_len: int = DEFAULT_MAX_WALK_LEN,
-                 seed: int = 0, defer_overflow: bool = False) -> None:
+                 seed: int = 0) -> None:
         self.policy = policy
         self.max_walk_len = max_walk_len
         self.seed = seed
-        self.defer_overflow = defer_overflow
         #: The launch's attribution log (``None`` = off; see
         #: :class:`ConstructPhase`): one entry per lookup round and per
         #: walk step, *instead of* the ``ProbeIteration`` / ``WalkStep``
@@ -255,8 +252,7 @@ class WalkPhase:
         missing[u[miss]] = True
 
     def _lookup(self, a: np.ndarray, homes: np.ndarray, fps: np.ndarray,
-                batch: Batch, tables: WarpHashTables, bus: EventBus,
-                cur_k: int, emit_slots: bool,
+                tables: WarpHashTables, bus: EventBus, emit_slots: bool,
                 overflowed: list[int]) -> tuple[np.ndarray, np.ndarray, int]:
         """Probe all walking warps for their current key, in lockstep.
 
@@ -278,16 +274,6 @@ class WalkPhase:
                 # A wrapped probe means the table is completely full
                 # and the key absent; the open-addressing loop would
                 # never terminate.
-                if not self.defer_overflow:
-                    j = int(np.nonzero(over)[0][0])
-                    w = int(a[u[j]])
-                    raise HashTableFullError(
-                        "hash table wrapped during walk lookup",
-                        contig_id=int(batch.contig_ids[w]),
-                        k=cur_k,
-                        capacity=int(tables.capacities[w]),
-                        probes=int(probe_u[j]),
-                    )
                 bad = u[over]
                 overflowed.extend(np.asarray(a[bad]).tolist())
                 missing[bad] = True
@@ -357,8 +343,7 @@ class WalkPhase:
 
             # probe for the key (or an empty slot = not present)
             found_slot, missing, iters = self._lookup(
-                a, homes, fps, batch, tables, bus, k,
-                emit_slots, overflowed)
+                a, homes, fps, tables, bus, emit_slots, overflowed)
             chain += iters
 
             # resolve extensions for found keys

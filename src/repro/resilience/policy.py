@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+import numpy as np
+
 from repro.errors import KernelError
 
 #: Capacity multiplier applied per grow-retry attempt.
@@ -53,3 +55,26 @@ class OverflowPolicy(Enum):
             raise KernelError(
                 f"unknown overflow policy {value!r}; expected one of {options}"
             ) from None
+
+
+def grow_budget(grow_factor: float | None,
+                max_grow_attempts: int | None) -> tuple[float, int]:
+    """``(factor, attempts)`` of a backend's grow-retry, defaulted and
+    validated — every backend takes the two options through here."""
+    factor = (DEFAULT_GROW_FACTOR if grow_factor is None
+              else float(grow_factor))
+    attempts = (DEFAULT_MAX_GROW_ATTEMPTS if max_grow_attempts is None
+                else int(max_grow_attempts))
+    if factor <= 1.0:
+        raise KernelError(f"grow_factor must exceed 1, got {factor}")
+    if attempts < 1:
+        raise KernelError(f"max_grow_attempts must be >= 1, got {attempts}")
+    return factor, attempts
+
+
+def grown_capacity(capacity, factor: float):
+    """The capacity (an int or an array of them) a table that overflowed
+    at ``capacity`` slots re-runs with: ``ceil(capacity * factor)``, and
+    never fewer than one slot more."""
+    return np.maximum(capacity + 1,
+                      np.ceil(capacity * factor).astype(np.int64))

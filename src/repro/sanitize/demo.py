@@ -46,9 +46,9 @@ BUGS = ("race", "sync", "init")
 class BuggyConstructPhase(ConstructPhase):
     """Construction with a non-atomic insert protocol and stale sync masks."""
 
-    def __init__(self, protocol, warp_size: int, defer_overflow: bool = False,
+    def __init__(self, protocol, warp_size: int,
                  bugs: frozenset = frozenset(BUGS)) -> None:
-        super().__init__(protocol, warp_size, defer_overflow)
+        super().__init__(protocol, warp_size)
         self.bugs = bugs
 
     def _claim(self, tables: WarpHashTables, slots: np.ndarray,

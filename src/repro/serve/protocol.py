@@ -187,14 +187,9 @@ def parse_contigs(spec_dat: str, job_id: str) -> list[Contig]:
     return loads_dat(spec_dat, source=f"job {job_id}")
 
 
-def result_to_payload(result, replay=None, sanitizer_report=None) -> dict:
+def result_to_payload(result) -> dict:
     """JSON-able success payload for one job (the poll/result body)."""
-    payload = {"ok": True, "result": result_to_dict(result)}
-    if replay:
-        payload["replay_launches"] = len(replay)
-    if sanitizer_report is not None:
-        payload["sanitizer_ok"] = bool(sanitizer_report.ok)
-    return payload
+    return {"ok": True, "result": result_to_dict(result)}
 
 
 def error_to_payload(error: Exception) -> dict:

@@ -71,7 +71,7 @@ from repro.serve.batcher import (
     CoalescingBatcher,
 )
 from repro.serve.http import frame_message, read_request, status_line
-from repro.serve.journal import JobJournal, JournalState
+from repro.serve.journal import JobJournal, JournalError, JournalState
 from repro.serve.protocol import JobSpec, JobStatus, ProtocolError, \
     parse_job_request, spec_from_dict, spec_to_dict
 from repro.serve.queue import DEFAULT_MAX_IN_FLIGHT, AdmissionControl
@@ -191,6 +191,7 @@ class AssemblyService:
         self.recovered_finished = 0
         self.recovered_pending = 0
         self.recovery_torn = 0
+        self.journal_write_errors = 0
         self.prep_cache_hits = 0
         self.prep_cache_misses = 0
 
@@ -325,20 +326,28 @@ class AssemblyService:
         if not self.admission.try_admit(budget):
             return 429, {"error": "service at capacity, retry later",
                          **self.admission.stats()}
+        job_id = f"j{next(self._ids)}"
         try:
-            spec = parse_job_request(body, job_id=f"j{next(self._ids)}")
+            spec = parse_job_request(body, job_id=job_id)
+            record = JobRecord(
+                spec=spec, submitted_at=asyncio.get_running_loop().time())
+            self._jobs[job_id] = record
+            # durability before acknowledgement: the 202 below promises
+            # the job will survive a crash, so the submit record hits
+            # disk first
+            await self._journal_append("submit", **spec_to_dict(spec))
         except BaseException as exc:
-            # no job record exists yet to give the slot back later
+            # not acknowledged: nothing later gives the slot back, and
+            # nothing may be left to poll
+            self._jobs.pop(job_id, None)
             self.admission.release()
-            if not isinstance(exc, ProtocolError):
-                raise
-            return 400, {"error": str(exc)}
-        record = JobRecord(spec=spec,
-                           submitted_at=asyncio.get_running_loop().time())
-        self._jobs[spec.job_id] = record
-        # durability before acknowledgement: the 202 below promises the
-        # job will survive a crash, so the submit record hits disk first
-        await self._journal_append("submit", **spec_to_dict(spec))
+            if isinstance(exc, ProtocolError):
+                return 400, {"error": str(exc)}
+            if isinstance(exc, (OSError, JournalError)):
+                # a promise the service cannot make: refuse
+                self.journal_write_errors += 1
+                return 503, {"error": f"journal write failed: {exc}"}
+            raise
         resumed = await self._try_resume(record)
         if not resumed:
             await self.batcher.submit(spec)
@@ -349,6 +358,16 @@ class AssemblyService:
             return
         await asyncio.get_running_loop().run_in_executor(
             None, functools.partial(self._journal.append, op, **data))
+
+    async def _journal_finish(self, record: JobRecord, **data) -> None:
+        """Journal a finished job. A failed write is not the job's
+        failure: without the record ``--recover`` re-seats the job, and
+        its checkpoint (or a re-run) finishes it again."""
+        try:
+            await self._journal_append("finish", job_id=record.spec.job_id,
+                                       status=record.status.value, **data)
+        except (OSError, JournalError):
+            self.journal_write_errors += 1
 
     async def _try_resume(self, record: JobRecord) -> bool:
         """Complete a job from its fingerprint checkpoint, if present."""
@@ -371,8 +390,7 @@ class AssemblyService:
         record.resumed = True
         self.resumed += 1
         self._finish(record, JobStatus.DONE)
-        await self._journal_append("finish", job_id=spec.job_id,
-                                   status="done", resumed=True)
+        await self._journal_finish(record, resumed=True)
         return True
 
     def _dispatch(self, key: tuple, jobs: list[JobSpec]) -> None:
@@ -419,9 +437,7 @@ class AssemblyService:
             else:
                 record.error = payload.get("error")
                 self._finish(record, JobStatus.FAILED)
-            await self._journal_append("finish", job_id=spec.job_id,
-                                       status=record.status.value,
-                                       error=record.error)
+            await self._journal_finish(record, error=record.error)
 
     async def _execute_wave(self, jobs: list[JobSpec]) -> list[dict]:
         """The supervisor's executor dispatch (retried / bisected there)."""
@@ -564,6 +580,7 @@ class AssemblyService:
                 "recovered_finished": self.recovered_finished,
                 "recovered_pending": self.recovered_pending,
                 "recovery_torn": self.recovery_torn,
+                "write_errors": self.journal_write_errors,
             }
         if self._store is not None:
             body["checkpoints"] = {

@@ -43,8 +43,7 @@ def run_wave(wave: dict) -> list[dict]:
         kernel, [parse_contigs(j.dat, j.job_id) for j in jobs],
         options.k_schedule, fingerprints=[j.fingerprint for j in jobs])
     return [error_to_payload(outcome.error) if outcome.error is not None
-            else result_to_payload(outcome.result, replay=outcome.replay,
-                                   sanitizer_report=outcome.sanitizer_report)
+            else result_to_payload(outcome.result)
             for outcome in outcomes]
 
 

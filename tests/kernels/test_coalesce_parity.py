@@ -3,12 +3,15 @@
 The coalescing driver (`run_schedule_coalesced`, DESIGN.md decision #15)
 promises that fusing jobs into one megabatch launch wave changes
 *nothing observable per job*: extensions, walk states, merged profiles,
-overflow/degraded/retried sets, trace-replay measurements, sanitizer
-verdicts and per-type event counts must all equal a one-job-at-a-time
-run. These tests drive both paths over shared scenarios — including
-hypothesis-drawn job mixes, starved-table overflow under every policy,
-and the fully instrumented trace + sanitize stack — and require
-equality on everything.
+overflow/degraded/retried sets and per-type event counts must all equal
+a one-job-at-a-time run. These tests drive both paths over shared
+scenarios — including hypothesis-drawn job mixes and starved-table
+overflow under every policy — and require equality on everything.
+
+A fused program carries counts only: a *diagnostic* kernel (tracing,
+trace replay, sanitizing — anything that wants slot-numbered evidence)
+does not fuse, and its wave runs every job solo. Every case checks which
+of the two it got by counting the table sets the kernel built.
 """
 
 import dataclasses
@@ -24,17 +27,29 @@ from repro.genomics.contig import Contig, End
 from repro.genomics.simulate import ErrorProfile, ScenarioSpec, simulate_batch
 from repro.kernels import (CudaLocalAssemblyKernel, HipLocalAssemblyKernel,
                            SyclLocalAssemblyKernel)
-from repro.kernels.engine import (BatchPreparer, ContigRetried, coalesce,
-                                  run_schedule_coalesced)
+from repro.kernels.engine import (BatchPreparer, ContigDropped,
+                                  ContigRetried, LaunchDone, LaunchStarted,
+                                  MemoryTrafficResolved, ProbeIteration,
+                                  WalkStep, WaveExecuted, coalesce,
+                                  oracle_kernel_cls, run_schedule_coalesced)
 from repro.resilience.checkpoint import profile_to_dict
 from repro.simt.device import A100, MAX1550, MI250X
 
 
-class EventCounter:
-    """Counts every event by type; declares no ``handled_events``, so the
-    bus forces the gated slot/barrier events on for both paths."""
+#: The count-bearing events: what a subscriber may ask for and still
+#: leave the kernel free to fuse.
+COUNT_EVENTS = (LaunchStarted, WaveExecuted, ProbeIteration, WalkStep,
+                LaunchDone, MemoryTrafficResolved, ContigDropped,
+                ContigRetried)
 
-    def __init__(self):
+
+class EventCounter:
+    """Counts the events it asks the bus for, by type. It asks for the
+    count events: asking for everything (``handled_events=None`` forces
+    the gated slot/barrier events on) makes the kernel diagnostic."""
+
+    def __init__(self, handled_events=COUNT_EVENTS):
+        self.handled_events = handled_events
         self.counts = {}
 
     def handle(self, event, bus):
@@ -91,6 +106,12 @@ class LeftStarvedCudaKernel(CudaLocalAssemblyKernel):
     preparer_cls = LeftStarvedPreparer
 
 
+class TracingLeftStarvedKernel(LeftStarvedCudaKernel):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.record_trace = True
+
+
 def _contigs(n, seed, error_rate=0.0, depth=6, read_length=80):
     rng = np.random.default_rng(seed)
     spec = ScenarioSpec(contig_length=150, flank_length=60,
@@ -121,22 +142,36 @@ def _tight(job):
     return [dataclasses.replace(c, name=f"tight-{c.name}") for c in job]
 
 
-class TableCounter(coalesce.WarpHashTables):
-    """Counts the fused tables the coalescing driver constructs."""
+def _table_counter(kern):
+    """Install a counting ``tables_cls`` on ``kern``; returns the class,
+    whose ``built`` is the number of table sets the kernel constructed."""
+    class TableCounter(kern.tables_cls):
+        built = 0
 
-    built = 0
+        def __init__(self, capacities, k):
+            super().__init__(capacities, k)
+            TableCounter.built += 1
 
-    def __init__(self, capacities, k):
-        super().__init__(capacities, k)
-        TableCounter.built += 1
+    kern.tables_cls = TableCounter
+    return TableCounter
+
+
+def _same_error(got, want):
+    assert type(got) is type(want) and str(got) == str(want)
+    assert (got.contig_id, got.k, got.capacity, got.probes) \
+        == (want.contig_id, want.k, want.capacity, want.probes)
 
 
 def assert_coalesce_parity(kernel_cls, device, jobs, ks, **opts):
     """Fused vs solo: everything observable per job must be identical."""
-    solo_counts = EventCounter()
-    solo = []
-    for job in jobs:
+    def kernel():
         kern = kernel_cls(device, policy=PRODUCTION_POLICY, **opts)
+        return kern, _table_counter(kern)
+
+    solo_counts = EventCounter()
+    solo, solo_tables = [], 0
+    for job in jobs:
+        kern, tables = kernel()
         kern.add_subscriber(solo_counts)
         try:
             res = kern.run_schedule(job, ks)
@@ -145,22 +180,24 @@ def assert_coalesce_parity(kernel_cls, device, jobs, ks, **opts):
         else:
             solo.append(dict(err=None, res=res,
                              replay=list(kern.last_replay),
+                             trace=kern.last_trace,
                              report=kern.last_sanitizer_report))
+        solo_tables += tables.built
     fused_counts = EventCounter()
-    kern = kernel_cls(device, policy=PRODUCTION_POLICY, **opts)
+    kern, tables = kernel()
     kern.add_subscriber(fused_counts)
     fused = run_schedule_coalesced(kern, jobs, ks)
+    # every launch of a solo run builds its own tables, a fused program
+    # one set for all of them — unless the kernel is diagnostic
+    assert (tables.built < solo_tables) == kern._fuses()
+    assert kern._fuses() or tables.built == solo_tables
     assert len(fused) == len(jobs)
     for s, c in zip(solo, fused):
         if s["err"] is not None:
-            # solo raises mid-launch; the coalesced job must surface the
-            # exact same reconstructed error instead of a result
-            assert c.result is None and c.error is not None
-            assert str(c.error) == str(s["err"])
-            assert c.error.contig_id == s["err"].contig_id
-            assert c.error.k == s["err"].k
-            assert c.error.capacity == s["err"].capacity
-            assert c.error.probes == s["err"].probes
+            # the coalesced job must surface the exact solo error
+            # instead of a result
+            assert c.result is None
+            _same_error(c.error, s["err"])
             continue
         assert c.error is None and c.result is not None
         res = s["res"]
@@ -172,13 +209,14 @@ def assert_coalesce_parity(kernel_cls, device, jobs, ks, **opts):
         assert (profile_to_dict(c.result.profile)
                 == profile_to_dict(res.profile))
         assert c.replay == s["replay"]
+        assert len(c.trace) == len(s["trace"])
+        assert all(map(np.array_equal, c.trace, s["trace"]))
+        assert (c.sanitizer_report is None) == (s["report"] is None)
         if s["report"] is not None:
-            assert c.sanitizer_report is not None
             assert c.sanitizer_report.findings == s["report"].findings
-    if all(s["err"] is None for s in solo):
-        # an erroring job aborts solo mid-launch, so aggregate event
-        # counts are only comparable when every job completes
-        assert fused_counts.counts == solo_counts.counts
+    # an erroring job finishes the launch that overflowed before it
+    # raises, solo and fused alike, so the counts agree even then
+    assert fused_counts.counts == solo_counts.counts
     return fused
 
 
@@ -208,13 +246,6 @@ class TestCoalesceParity:
         assert_coalesce_parity(kernel_cls, device, _mixed_wave(), (21, 33),
                                overflow_policy="drop-contig")
 
-    def test_mixed_wave_trace_and_sanitizer_parity(self):
-        fused = assert_coalesce_parity(
-            CudaLocalAssemblyKernel, A100, _mixed_wave(), (21, 33),
-            memory_model="trace", sanitize="all",
-            overflow_policy="drop-contig")
-        assert all(c.replay for c in fused)
-
     def test_uneven_job_sizes(self):
         """Jobs of different sizes settle at different ks; late waves
         fuse only the still-active jobs."""
@@ -236,17 +267,6 @@ class TestCoalesceParity:
         bare = Contig.from_string("bare", "ACGTACGTAC")
         assert_coalesce_parity(CudaLocalAssemblyKernel, A100, [[bare]],
                                (21, 33), overflow_policy="drop-contig")
-
-    def test_trace_and_sanitizer_parity(self):
-        """Full instrumentation: byte-accurate traced traffic plus every
-        sanitizer check, fused vs solo."""
-        jobs = _jobs((23, 24, 25), error_rate=0.01)
-        fused = assert_coalesce_parity(
-            CudaLocalAssemblyKernel, A100, jobs, (21, 33),
-            memory_model="trace", sanitize="all",
-            overflow_policy="drop-contig")
-        assert all(c.replay for c in fused)
-        assert all(c.sanitizer_report is not None for c in fused)
 
     def test_overflow_drop_parity(self):
         jobs = _jobs((5, 6, 7), error_rate=0.02, depth=8)
@@ -289,41 +309,72 @@ class TestCoalesceParity:
                                        (21, 33), overflow_policy="raise")
         assert any(c.error is not None for c in fused)
 
-    def test_overflow_instrumented_parity(self):
-        """Grow-retry with the full trace + sanitize stack attached."""
-        jobs = _jobs((5, 6), error_rate=0.02, depth=8)
-        assert_coalesce_parity(StarvedCudaKernel, A100, jobs, (21, 33),
-                               overflow_policy="grow-retry",
-                               memory_model="trace", sanitize="all")
+    @pytest.mark.parametrize("policy", ["raise", "drop-contig",
+                                        "grow-retry"])
+    @pytest.mark.parametrize("diagnostics", ["trace+sanitize",
+                                             "record_trace"])
+    def test_diagnostic_wave_runs_solo(self, diagnostics, policy):
+        """Bins, ends and tenants, one tenant's left launches starved,
+        with slot-numbered evidence wanted: the wave does not fuse (the
+        helper counts as many table sets as the solo runs build), and
+        results, replay measurements, traces, sanitizer findings and the
+        overflow error are the solo ones under every policy."""
+        jobs = _mixed_wave() + [_tight(_contigs(3, seed=6, error_rate=0.02,
+                                                depth=8))]
+        if diagnostics == "record_trace":
+            kernel_cls, opts = TracingLeftStarvedKernel, {}
+        else:
+            kernel_cls = LeftStarvedCudaKernel
+            opts = dict(memory_model="trace", sanitize="all")
+        fused = assert_coalesce_parity(kernel_cls, A100, jobs, (21, 33),
+                                       overflow_policy=policy, **opts)
+        if policy == "raise":
+            assert [c.error is not None for c in fused] == [False, False,
+                                                            True]
+            fused = fused[:2]
+        else:
+            assert fused[2].result.degraded or fused[2].result.retried
+        if diagnostics == "record_trace":
+            assert all(c.trace for c in fused)
+        else:
+            assert all(c.replay and c.sanitizer_report is not None
+                       for c in fused)
+
+    def test_oracle_kernel_wave(self):
+        """The scalar reference phases do not log, so the oracle kernel
+        (``walk_group_slots = 0``) fuses nothing: its wave is its solo
+        runs, on its own table engine."""
+        assert_coalesce_parity(oracle_kernel_cls(CudaLocalAssemblyKernel),
+                               A100, _jobs((11, 12)), (21, 33),
+                               overflow_policy="drop-contig")
 
 
 class TestFusedLaunchStructure:
     """A wave is one lockstep program per k (per overflow attempt)."""
 
-    def _wave(self, monkeypatch, kernel_cls, policy):
-        """``(ks the wave ran, ContigRetried events)`` of a 3-job wave."""
-        monkeypatch.setattr(coalesce, "WarpHashTables", TableCounter)
-        monkeypatch.setattr(TableCounter, "built", 0)
+    def _wave(self, kernel_cls, policy):
+        """``(table sets built, ks the wave ran, ContigRetried events)``
+        of a 3-job wave."""
         kern = kernel_cls(A100, policy=PRODUCTION_POLICY,
                           overflow_policy=policy)
+        tables = _table_counter(kern)
         retries = kern.add_subscriber(EventCollector(ContigRetried))
         fused = run_schedule_coalesced(
             kern, _jobs((5, 6, 7), error_rate=0.02, depth=8), (21, 33))
         ks_run = max((21, 33).index(c.result.k) for c in fused) + 1
-        return ks_run, retries.events
+        return tables.built, ks_run, retries.events
 
-    def test_three_jobs_build_one_table_set_per_k(self, monkeypatch):
-        ks_run, _ = self._wave(monkeypatch, CudaLocalAssemblyKernel,
-                               "drop-contig")
-        assert TableCounter.built == ks_run
+    def test_three_jobs_build_one_table_set_per_k(self):
+        """... of the kernel's ``tables_cls``, not of the default store."""
+        built, ks_run, _ = self._wave(CudaLocalAssemblyKernel, "drop-contig")
+        assert built == ks_run
 
-    def test_grow_retry_adds_one_table_set_per_attempt(self, monkeypatch):
-        ks_run, retries = self._wave(monkeypatch, StarvedCudaKernel,
-                                     "grow-retry")
+    def test_grow_retry_adds_one_table_set_per_attempt(self):
+        built, ks_run, retries = self._wave(StarvedCudaKernel, "grow-retry")
         assert retries
         attempts = {k: max(e.attempt for e in retries if e.k == k)
                     for k in {e.k for e in retries}}
-        assert TableCounter.built == ks_run + sum(attempts.values())
+        assert built == ks_run + sum(attempts.values())
 
 
     def test_attribution_log_is_empty_by_the_time_jobs_replay(

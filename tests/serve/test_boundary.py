@@ -212,3 +212,104 @@ def test_malformed_submits_do_not_use_up_admission():
         await completes(service, GOOD)
 
     served(scenario)
+
+
+class TestJournalFailure:
+    """The 202 promises the job survives a crash. When the submit record
+    cannot be written the promise cannot be made: the submit is refused
+    and leaves nothing behind — it used to leave a queued phantom job,
+    its admission slot taken, and a dead connection task."""
+
+    @staticmethod
+    def _full_disk(service, ops):
+        """Make the journal fail to append the ``ops`` records."""
+        real = service._journal.append
+
+        def append(op, **data):
+            if op in ops:
+                raise OSError(28, "No space left on device")
+            return real(op, **data)
+
+        service._journal.append = append
+        return lambda: setattr(service._journal, "append", real)
+
+    def test_refused_submit_leaves_nothing(self, tmp_path):
+        async def scenario():
+            service = AssemblyService(window_s=0.001,
+                                      journal_path=tmp_path / "j.wal")
+            await service.start()
+            try:
+                repair = self._full_disk(service, {"submit"})
+                # two submits on ONE connection: the journal fails under
+                # the first and is repaired before the second is read
+                reader, writer = asyncio.StreamReader(), _Captured()
+                post = frame_message("POST /v1/jobs HTTP/1.1", json.dumps(
+                    {"dat": GOOD, "k_schedule": [21]}).encode())
+                reader.feed_data(post)
+                handler = asyncio.ensure_future(
+                    service._handle_client(reader, writer))
+                while not (writer.wire or handler.done()):
+                    await asyncio.sleep(0.001)
+                assert not handler.done(), handler.exception()
+                assert service.admission.stats()["in_flight"] == 0
+                status, body = await exchange(service, "GET", "/v1/jobs/j1")
+                assert status == 404, body
+                repair()
+                reader.feed_data(post)
+                reader.feed_eof()
+                await handler
+                answers = asyncio.StreamReader()
+                answers.feed_data(writer.wire)
+                answers.feed_eof()
+                refused, why = await read_message(answers)
+                assert refused.split()[1] == "503"
+                assert "No space left" in json.loads(why)["error"]
+                admitted, job = await read_message(answers)
+                assert admitted.split()[1] == "202"
+                job_id = json.loads(job)["job_id"]
+                for _ in range(3000):
+                    _, body = await exchange(service, "GET",
+                                             f"/v1/jobs/{job_id}")
+                    if body["status"] in ("done", "failed"):
+                        break
+                    await asyncio.sleep(0.01)
+                assert body["status"] == "done", body
+                assert service.admission.stats()["in_flight"] == 0
+                assert service.stats()["journal"]["write_errors"] == 1
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
+    def test_failed_finish_record_still_finishes_the_wave(self, tmp_path):
+        """Every job of the wave is finished in memory (its slot back,
+        its result served) though no ``finish`` record could be written;
+        the journal still lists them for ``--recover``."""
+        async def scenario():
+            service = AssemblyService(window_s=0.05,
+                                      journal_path=tmp_path / "j.wal")
+            await service.start()
+            try:
+                self._full_disk(service, {"finish"})
+                ids = []
+                for seed in (3, 4, 5):
+                    status, body = await exchange(
+                        service, "POST", "/v1/jobs",
+                        {"dat": make_dat(n_contigs=2, seed=seed),
+                         "k_schedule": [21]})
+                    assert status == 202, body
+                    ids.append(body["job_id"])
+                for job_id in ids:
+                    for _ in range(3000):
+                        _, body = await exchange(service, "GET",
+                                                 f"/v1/jobs/{job_id}")
+                        if body["status"] in ("done", "failed"):
+                            break
+                        await asyncio.sleep(0.01)
+                    assert body["status"] == "done", body
+                assert service.admission.stats()["in_flight"] == 0
+                assert service.stats()["journal"]["write_errors"] == 3
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
