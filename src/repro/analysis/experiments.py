@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.core.extension import PRODUCTION_POLICY, WalkPolicy
 from repro.core.parallel import chunk_evenly
-from repro.errors import ReproError
+from repro.errors import CheckpointError, ReproError
 from repro.datasets.characteristics import TABLE_II, measure_characteristics
 from repro.datasets.generate import generate_paper_dataset
 from repro.hashing.opcount import hash_intops_breakdown
@@ -100,6 +100,25 @@ class RunRecord:
     #: True when the record was restored from a checkpoint, not executed.
     from_checkpoint: bool = False
 
+    def to_dict(self) -> dict:
+        """The record as checkpoint ``data`` — and as the wire format of
+        :meth:`ExperimentSuite.run_all`'s worker processes."""
+        return {"result": result_to_dict(self.result),
+                "full_profile": profile_to_dict(self.full_profile)}
+
+    @classmethod
+    def from_dict(cls, device: DeviceSpec, data: dict,
+                  from_checkpoint: bool) -> "RunRecord":
+        """Rebuild a :meth:`to_dict` record against the caller's device."""
+        try:
+            result = result_from_dict(data["result"], device)
+            full = profile_from_dict(data["full_profile"])
+        except KeyError as exc:
+            raise CheckpointError(
+                f"{device.name} run record lacks {exc}") from None
+        return cls(device=device, k=result.k, result=result,
+                   full_profile=full, from_checkpoint=from_checkpoint)
+
 
 class ExperimentSuite:
     """Runs and caches everything the tables/figures need."""
@@ -164,11 +183,9 @@ class ExperimentSuite:
             return self._runs[key]
         store = self.checkpoint_store()
         if store is not None:
-            loaded = store.load(device, k)
-            if loaded is not None:
-                result, full = loaded
-                rec = RunRecord(device=device, k=k, result=result,
-                                full_profile=full, from_checkpoint=True)
+            data = store.load_named(device.name, k)
+            if data is not None:
+                rec = RunRecord.from_dict(device, data, from_checkpoint=True)
                 self._runs[key] = rec
                 return rec
         sleep_kw = ({} if self.config.retry_sleep is None
@@ -179,7 +196,7 @@ class ExperimentSuite:
             backoff=self.config.retry_backoff, **sleep_kw,
         )
         if store is not None:
-            store.save(device.name, k, rec.result, rec.full_profile)
+            store.save(device.name, k, rec.to_dict())
         self._runs[key] = rec
         return rec
 
@@ -198,9 +215,9 @@ class ExperimentSuite:
         config, so the per-run machinery — dataset generation,
         ``retry_transient``, fault-injector hooks, checkpoint writes —
         is exactly the serial code path; results travel back through the
-        checkpoint codec (``result_to_dict`` / ``profile_to_dict``) and
-        are merged into ``_runs`` in deterministic grid order, making
-        every table/figure/export byte-identical to a serial run.
+        checkpoint codec (:meth:`RunRecord.to_dict`) and are merged into
+        ``_runs`` in deterministic grid order, making every
+        table/figure/export byte-identical to a serial run.
 
         When a checkpoint store is configured, already-completed runs
         (validated fingerprint) are resumed in the parent and never
@@ -236,25 +253,20 @@ class ExperimentSuite:
             return
         worker_config = dataclasses.replace(self.config, retry_sleep=None)
         shards = chunk_evenly(pending, workers)
-        by_key: dict[tuple[str, int], dict] = {}
+        by_key: dict[tuple[str, int], tuple[dict, bool]] = {}
         with ProcessPoolExecutor(
                 max_workers=min(workers, len(shards)),
                 initializer=_init_suite_worker,
                 initargs=(worker_config,)) as pool:
-            for shard_out in pool.map(_run_suite_shard, shards):
-                for item in shard_out:
-                    by_key[(item["device"], item["k"])] = item
+            for shard, shard_out in zip(shards,
+                                        pool.map(_run_suite_shard, shards)):
+                by_key.update(zip(shard, shard_out))
         for device, k in grid:
             key = (device.name, k)
-            if key in self._runs:
-                continue
-            item = by_key[key]
-            self._runs[key] = RunRecord(
-                device=device, k=k,
-                result=result_from_dict(item["result"], device),
-                full_profile=profile_from_dict(item["full_profile"]),
-                from_checkpoint=bool(item["from_checkpoint"]),
-            )
+            if key not in self._runs:
+                data, from_checkpoint = by_key[key]
+                self._runs[key] = RunRecord.from_dict(device, data,
+                                                      from_checkpoint)
 
     def resilience_summary(self) -> list[dict]:
         """Per-run degradation/retry/checkpoint accounting (post-``run``)."""
@@ -510,19 +522,15 @@ def _init_suite_worker(config: ExperimentConfig) -> None:
     _WORKER_SUITE = ExperimentSuite(config)
 
 
-def _run_suite_shard(shard: list[tuple[str, int]]) -> list[dict]:
-    """Execute one shard of ``(device_name, k)`` cells; returns codec dicts."""
+def _run_suite_shard(
+        shard: list[tuple[str, int]]) -> list[tuple[dict, bool]]:
+    """Execute one shard of ``(device_name, k)`` cells; returns, in shard
+    order, each record's ``(to_dict(), from_checkpoint)``."""
     suite = _WORKER_SUITE
     if suite is None:  # pragma: no cover - initializer always ran
         raise ReproError("suite worker used before initialization")
     out = []
     for device_name, k in shard:
         rec = suite.run(device_by_name(device_name), k)
-        out.append({
-            "device": device_name,
-            "k": k,
-            "result": result_to_dict(rec.result),
-            "full_profile": profile_to_dict(rec.full_profile),
-            "from_checkpoint": rec.from_checkpoint,
-        })
+        out.append((rec.to_dict(), rec.from_checkpoint))
     return out

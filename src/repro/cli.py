@@ -101,11 +101,8 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from repro.genomics.io import read_fastq
-    from repro.metahipmer.pipeline import (
-        DeNovoAssembler,
-        PipelineCheckpoint,
-        reads_fingerprint,
-    )
+    from repro.metahipmer.pipeline import DeNovoAssembler, reads_fingerprint
+    from repro.resilience.checkpoint import CheckpointStore
 
     if args.resume and not args.checkpoint_dir:
         print("--resume needs --checkpoint-dir", file=sys.stderr)
@@ -141,10 +138,10 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
     checkpoint = None
     if args.checkpoint_dir:
-        meta = {"source": source, "seed": args.seed,
-                "reads": reads_fingerprint(reads),
-                **asm.config_fingerprint()}
-        checkpoint = PipelineCheckpoint(args.checkpoint_dir, meta=meta)
+        checkpoint = CheckpointStore(args.checkpoint_dir, meta={
+            "source": source, "seed": args.seed,
+            "reads": reads_fingerprint(reads),
+            **asm.config_fingerprint()})
         if not args.resume:
             checkpoint.clear()
 

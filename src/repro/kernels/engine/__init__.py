@@ -3,7 +3,7 @@
 The engine splits the kernel workflow into its natural stages —
 prepare (:mod:`~repro.kernels.engine.prepare`), construct
 (:mod:`~repro.kernels.engine.construct`), walk
-(:mod:`~repro.kernels.engine.walk`) — driven by a pluggable launch
+(:mod:`~repro.kernels.engine.walk`) — driven by the launch
 schedule (:mod:`~repro.kernels.engine.schedule`) and observed through an
 event bus (:mod:`~repro.kernels.engine.events`). Execution paths
 (the three SIMT vendor ports plus the scalar CPU reference) implement the
@@ -71,7 +71,6 @@ from repro.kernels.engine.schedule import (
     BinnedLaunchPolicy,
     LaunchConfig,
     LaunchPlan,
-    LaunchPolicy,
     SideArrays,
     iterate_k_schedule,
     narrow_plans,
@@ -141,7 +140,6 @@ __all__ = [
     "BinnedLaunchPolicy",
     "LaunchConfig",
     "LaunchPlan",
-    "LaunchPolicy",
     "SideArrays",
     "iterate_k_schedule",
     "narrow_plans",

@@ -1,13 +1,10 @@
 """Launch scheduling: bins -> :class:`LaunchPlan` s -> launches.
 
 The engine turns a contig set into an ordered list of launch plans (one
-per bin per extension direction) through a pluggable
-:class:`LaunchPolicy`, so binning and launch ordering are policies
-rather than code baked into the kernel. The default
-:class:`BinnedLaunchPolicy` reproduces the paper's Figure 3
-pre-processing: depth-similar bins, capped by aggregate table memory,
-each launched once per end (right first, matching the GPU's separate
-right-/left-extension kernels).
+per bin per extension direction) through :class:`BinnedLaunchPolicy`,
+the paper's Figure 3 pre-processing: depth-similar bins, capped by
+aggregate table memory, each launched once per end (right first,
+matching the GPU's separate right-/left-extension kernels).
 
 :func:`iterate_k_schedule` is the shared on-device k-schedule driver
 (Figures 2 and 4) used by every backend: per contig end, the first
@@ -27,7 +24,7 @@ The pre-refactor per-contig merge loop survives as
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
 
 import numpy as np
 
@@ -102,27 +99,15 @@ class LaunchPlan:
     k: int
 
 
-@runtime_checkable
-class LaunchPolicy(Protocol):
-    """Strategy turning (contigs, k, config) into an ordered launch list."""
-
-    def plan(self, contigs: list[Contig], k: int,
-             config: LaunchConfig) -> list[LaunchPlan]:
-        ...
-
-
 class BinnedLaunchPolicy:
-    """Figure 3 default: depth-similar bins, one launch per bin per end."""
-
-    def __init__(self, ends: tuple[End, ...] = (End.RIGHT, End.LEFT)) -> None:
-        self.ends = ends
+    """Figure 3: depth-similar bins, one launch per bin per end."""
 
     def plan(self, contigs: list[Contig], k: int,
              config: LaunchConfig) -> list[LaunchPlan]:
         bins = bin_contigs(contigs, k, config.depth_ratio,
                            config.max_batch_insertions, config.load_factor)
         return [LaunchPlan(bin=b, end=end, k=k)
-                for b in bins for end in self.ends]
+                for b in bins for end in (End.RIGHT, End.LEFT)]
 
 
 def pending_ends(settled_r, settled_l) -> dict[End, np.ndarray]:

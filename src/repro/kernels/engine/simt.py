@@ -11,8 +11,8 @@ launch plan (one bin, one extension direction) the engine runs
 3. **walk** (:mod:`repro.kernels.engine.walk`) — the predicated
    mer-walk;
 
-with launch plans produced by a pluggable
-:class:`~repro.kernels.engine.schedule.LaunchPolicy`. All profiling,
+with launch plans produced by
+:class:`~repro.kernels.engine.schedule.BinnedLaunchPolicy`. All profiling,
 memory-traffic accounting, and address-trace recording happens in event
 subscribers (:mod:`repro.kernels.engine.events`), never inline — the
 phases only emit what they measured.
@@ -75,7 +75,6 @@ from repro.kernels.engine.schedule import (
     MISSING_CODE,
     BinnedLaunchPolicy,
     LaunchConfig,
-    LaunchPolicy,
     SideArrays,
     iterate_k_schedule,
     narrow_plans,
@@ -189,8 +188,6 @@ class LocalAssemblyKernel:
             count (the ablation comparison).
         l2_churn: cache-model churn constant (see
             :class:`repro.simt.memory.AnalyticCacheModel`).
-        launch_policy: pluggable bins->launches strategy (defaults to the
-            Figure 3 :class:`BinnedLaunchPolicy`).
         memory_model: "analytic" (default) prices traffic with the
             working-set model only; "trace" additionally streams every
             table-slot access through the exact batched cache hierarchy
@@ -249,7 +246,6 @@ class LocalAssemblyKernel:
         table_sizing: str = "upper_bound",
         l2_churn: float = 4.0,
         lane_parallel_walks: bool = False,
-        launch_policy: LaunchPolicy | None = None,
         memory_model: str = "analytic",
         overflow_policy: OverflowPolicy | str = OverflowPolicy.RAISE,
         fault_injector=None,
@@ -286,7 +282,7 @@ class LocalAssemblyKernel:
         self.fault_injector = fault_injector
         self.grow_factor, self.max_grow_attempts = grow_budget(
             grow_factor, max_grow_attempts)
-        self.launch_policy = launch_policy or BinnedLaunchPolicy()
+        self.launch_policy = BinnedLaunchPolicy()
         self.preparer = self.preparer_cls(
             seed=seed, qual_threshold=qual_threshold,
             load_factor=load_factor, table_sizing=table_sizing,

@@ -28,7 +28,6 @@ from repro.metahipmer.pipeline import (
     AssemblyStats,
     DeNovoAssembler,
     DeNovoResult,
-    PipelineCheckpoint,
     n50,
     reads_fingerprint,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "AssemblyStats",
     "DeNovoAssembler",
     "DeNovoResult",
-    "PipelineCheckpoint",
     "RoundState",
     "STAGES",
     "STAGE_ORDER",

@@ -10,20 +10,20 @@ pseudo-reads, so later (larger-k) rounds resolve forks the earlier ones
 could not — the paper's Figure 1 resolution mechanism at pipeline scale —
 and bridge regions where raw-read coverage is too thin for the larger k.
 
-With a :class:`PipelineCheckpoint` attached, every completed stage is
-persisted through the CRC-validated
-:class:`~repro.resilience.CheckpointStore`; a killed run re-invoked with
-the same checkpoint directory restores each completed stage instead of
-recomputing it and produces byte-identical final contigs and statistics
-(the pipeline draws no randomness). The ``repro assemble`` CLI
-subcommand exposes this as ``--checkpoint-dir`` / ``--resume``.
+With a :class:`~repro.resilience.CheckpointStore` attached, every
+completed stage is persisted under the name ``stage_<stage>`` keyed by
+the round's k (atomic, CRC-validated, configuration-fingerprinted); a
+killed run re-invoked with the same checkpoint directory restores each
+completed stage instead of recomputing it and produces byte-identical
+final contigs and statistics (the pipeline draws no randomness). The
+``repro assemble`` CLI subcommand exposes this as ``--checkpoint-dir`` /
+``--resume``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.extension import PRODUCTION_POLICY, WalkPolicy
 from repro.core.pipeline import LocalAssembler
@@ -45,7 +45,6 @@ __all__ = [
     "AssemblyStats",
     "DeNovoAssembler",
     "DeNovoResult",
-    "PipelineCheckpoint",
     "n50",
     "reads_fingerprint",
 ]
@@ -65,36 +64,6 @@ def reads_fingerprint(reads: ReadSet) -> str:
         h.update(r.codes.tobytes())
         h.update(r.quals.tobytes())
     return h.hexdigest()
-
-
-class PipelineCheckpoint:
-    """Per-stage checkpointing for the assembler pipeline.
-
-    A thin adapter over :class:`~repro.resilience.CheckpointStore`:
-    stage payloads are saved under the name ``stage_<stage>`` keyed by the
-    round's k, inheriting the store's atomic writes, CRC validation,
-    quarantine-on-corruption and configuration-fingerprint checking.
-
-    Args:
-        directory: checkpoint directory (created if missing).
-        meta: configuration fingerprint (scenario, seed, k schedule,
-            thresholds, input-reads digest...); resuming against a
-            checkpoint written under a different fingerprint raises
-            :class:`~repro.errors.CheckpointError`.
-    """
-
-    def __init__(self, directory: str | Path, meta: dict | None = None) -> None:
-        self.store = CheckpointStore(directory, meta={"pipeline": 1,
-                                                      **(meta or {})})
-
-    def load(self, k: int, stage: str) -> dict | None:
-        return self.store.load_payload(f"stage_{stage}", k)
-
-    def save(self, k: int, stage: str, payload: dict) -> None:
-        self.store.save_payload(f"stage_{stage}", k, payload)
-
-    def clear(self) -> None:
-        self.store.clear()
 
 
 @dataclass
@@ -203,7 +172,7 @@ class DeNovoAssembler:
     def assemble(
         self,
         reads: ReadSet,
-        checkpoint: PipelineCheckpoint | None = None,
+        checkpoint: CheckpointStore | None = None,
         on_stage: StageCallback | None = None,
     ) -> DeNovoResult:
         """Run every pipeline round; returns final contigs + statistics.
@@ -211,7 +180,11 @@ class DeNovoAssembler:
         Args:
             reads: input sequencing reads.
             checkpoint: persist each completed stage and restore existing
-                stage checkpoints instead of recomputing (resume).
+                stage checkpoints instead of recomputing (resume). Its
+                ``meta`` should fingerprint the configuration and the
+                input reads (:meth:`config_fingerprint`,
+                :func:`reads_fingerprint`), so a resume against other
+                settings raises :class:`~repro.errors.CheckpointError`.
             on_stage: called after each stage as ``(k, stage, resumed)``
                 — progress reporting for the CLI.
         """
@@ -221,14 +194,15 @@ class DeNovoAssembler:
             state = RoundState(k=k, reads=reads, carried=carried)
             for name in STAGE_ORDER:
                 stage = STAGES[name]
-                payload = checkpoint.load(k, name) if checkpoint else None
+                payload = (checkpoint.load_named(f"stage_{name}", k)
+                           if checkpoint is not None else None)
                 resumed = payload is not None
                 if resumed:
                     stage.restore(self, state, payload)
                 else:
                     payload = stage.run(self, state)
                     if checkpoint is not None:
-                        checkpoint.save(k, name, payload)
+                        checkpoint.save(f"stage_{name}", k, payload)
                 if on_stage is not None:
                     on_stage(k, name, resumed)
                 if name == "contigs" and not state.contigs:

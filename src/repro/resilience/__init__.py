@@ -12,9 +12,9 @@ makes that class of behavior explicit and testable:
 * :class:`FaultPlan` / :class:`FaultInjector` — seeded, deterministic
   injection of capacity pressure, read corruption, transient launch
   failures, degenerate perf-model inputs, and suite crashes.
-* :class:`CheckpointStore` — per-``(device, k)`` persistence so
-  :meth:`~repro.analysis.experiments.ExperimentSuite.run_all` resumes
-  from a partial run.
+* :class:`CheckpointStore` — one framed file per finished ``(name, k)``
+  unit, so the experiment suite, the staged assembler and the service
+  each resume from a partial run.
 * :func:`retry_transient` — bounded retry-with-backoff that re-attempts
   only the :class:`~repro.errors.TransientError` branch.
 """

@@ -1,13 +1,16 @@
-"""Checkpoint persistence for experiment runs.
+"""Checkpoint persistence: one framed JSON file per finished unit of work.
 
-A :class:`CheckpointStore` writes one JSON file per completed
-``(device, k)`` run — the functional :class:`KernelRunResult` plus the
-extrapolated full-scale :class:`KernelProfile` — so a Table II-scale
-suite that dies mid-flight resumes from its last completed run instead
-of replaying tens of millions of trace accesses from zero.
+A :class:`CheckpointStore` writes one file per ``(name, k)`` — a paper-grid
+``(device, k)`` run, an assembler stage, a served job — so whatever dies
+mid-flight resumes from its last completed unit instead of recomputing
+from zero. The store owns the frame (format, CRC, atomic write,
+quarantine) and nothing else: ``data`` is the caller's dict, and what it
+means is the caller's codec (``RunRecord.to_dict`` for the suite, the
+stage payloads of :mod:`repro.metahipmer.stages`, the result body of
+:mod:`repro.serve`).
 
-Checkpoints carry the suite configuration fingerprint (scale, seed,
-policy, ...) that produced them; loading against a different
+Checkpoints carry the configuration fingerprint (scale, seed, policy,
+...) of whoever produced them; loading against a different
 configuration raises :class:`~repro.errors.CheckpointError` rather than
 silently mixing incompatible records.
 """
@@ -27,7 +30,7 @@ from repro.simt.counters import KernelProfile
 from repro.simt.device import DeviceSpec
 
 #: Bumped when the on-disk layout changes incompatibly.
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 def payload_crc(payload: dict) -> str:
@@ -121,7 +124,7 @@ def _tmp_owner_pid(path: Path) -> int | None:
 
 
 class CheckpointStore:
-    """One JSON checkpoint per completed ``(device, k)`` run.
+    """One JSON checkpoint per completed ``(name, k)`` unit of work.
 
     Safe for concurrent writers: each process stages into its own
     ``<checkpoint>.json.<pid>.tmp`` scratch file, fsyncs, and atomically
@@ -145,8 +148,8 @@ class CheckpointStore:
         self.quarantined: list[Path] = []
         self.sweep_stale_tmps()
 
-    def path_for(self, device_name: str, k: int) -> Path:
-        return self.directory / f"{device_name}_k{k}.json"
+    def _path_for(self, name: str, k: int) -> Path:
+        return self.directory / f"{name}_k{k}.json"
 
     def sweep_stale_tmps(self) -> list[Path]:
         """Remove scratch files whose writer is gone; returns what was swept."""
@@ -180,39 +183,22 @@ class CheckpointStore:
             raise
         return path
 
-    def _framed(self, name: str, k: int, sections: dict) -> dict:
-        """Wrap ``sections`` in the validated checkpoint frame (format,
-        configuration fingerprint, CRC)."""
+    def save(self, name: str, k: int, data: dict) -> Path:
+        """Persist ``data`` (any JSON-compatible dict) as the ``(name, k)``
+        checkpoint: framed, CRC'd, written atomically via rename.
+
+        ``data`` nests under its own key, so a caller's keys can never
+        collide with the frame's.
+        """
         payload = {
             "format": CHECKPOINT_FORMAT,
             "meta": self.meta,
             "device": name,
             "k": k,
-            **sections,
+            "data": data,
         }
         payload["crc"] = payload_crc(payload)
-        return payload
-
-    def save(self, device_name: str, k: int, result: KernelRunResult,
-             full_profile: KernelProfile) -> Path:
-        """Persist one completed run (atomically via rename)."""
-        payload = self._framed(device_name, k, {
-            "result": result_to_dict(result),
-            "full_profile": profile_to_dict(full_profile),
-        })
-        return self._write_atomic(self.path_for(device_name, k), payload)
-
-    def save_payload(self, name: str, k: int, data: dict) -> Path:
-        """Persist an arbitrary JSON-compatible payload under ``name``.
-
-        The generic sibling of :meth:`save`: the same atomic write, CRC,
-        format version and configuration fingerprint, but the body is a
-        caller-defined dict instead of a kernel run. The assembler
-        pipeline (:mod:`repro.metahipmer.pipeline`) checkpoints each
-        stage's output this way.
-        """
-        payload = self._framed(name, k, {"data": data})
-        return self._write_atomic(self.path_for(name, k), payload)
+        return self._write_atomic(self._path_for(name, k), payload)
 
     def quarantine(self, path: Path, reason: str) -> Path:
         """Move a damaged checkpoint aside and treat it as missing.
@@ -233,56 +219,22 @@ class CheckpointStore:
         self.quarantined.append(qpath)
         return qpath
 
-    def load(self, device: DeviceSpec,
-             k: int) -> tuple[KernelRunResult, KernelProfile] | None:
-        """Load one run, or ``None`` when no checkpoint exists.
+    def load_named(self, name: str, k: int) -> dict | None:
+        """The ``data`` saved as ``(name, k)``, or ``None`` when no
+        usable checkpoint exists.
 
         Corrupt / truncated / CRC-mismatched files are quarantined (see
-        :meth:`quarantine`) and reported as missing; format mismatches
-        and configuration-fingerprint mismatches raise
-        :class:`~repro.errors.CheckpointError`.
+        :meth:`quarantine`) and reported as missing, so the caller
+        recomputes; format mismatches and configuration-fingerprint
+        mismatches raise :class:`~repro.errors.CheckpointError`.
         """
-        return self.load_named(device.name, k, device)
-
-    def load_named(self, name: str, k: int,
-                   device: DeviceSpec | None = None,
-                   ) -> tuple[KernelRunResult, KernelProfile] | None:
-        """Load a checkpoint saved under an arbitrary ``name`` slot.
-
-        :meth:`save` keys checkpoints by a caller-chosen name string —
-        historically always a device name, but the assembly service
-        (:mod:`repro.serve`) keys per-job checkpoints by the job's
-        request fingerprint instead. ``device`` rebuilds the result's
-        device spec and may be ``None`` when the caller only needs the
-        counters.
-        """
-        payload = self._read_validated(self.path_for(name, k))
-        if payload is None:
-            return None
-        try:
-            result = result_from_dict(payload["result"], device)
-            full = profile_from_dict(payload["full_profile"])
-        except KeyError:
-            self.quarantine(self.path_for(name, k), "missing payload sections")
-            return None
-        return result, full
-
-    def load_payload(self, name: str, k: int) -> dict | None:
-        """Load a payload saved by :meth:`save_payload`, or ``None``.
-
-        The same validation contract as :meth:`load`: corrupt files are
-        quarantined and reported missing (the caller recomputes); format
-        or configuration-fingerprint mismatches raise
-        :class:`~repro.errors.CheckpointError`.
-        """
-        payload = self._read_validated(self.path_for(name, k))
-        if payload is None:
-            return None
-        data = payload.get("data")
-        if not isinstance(data, dict):
-            self.quarantine(self.path_for(name, k), "missing payload sections")
-            return None
-        return data
+        path = self._path_for(name, k)
+        payload, damage, mismatch = self._check(path)
+        if damage is not None:
+            self.quarantine(path, damage)
+        if mismatch is not None:
+            raise CheckpointError(mismatch)
+        return None if payload is None else payload["data"]
 
     def _check(self, path: Path,
                ) -> tuple[dict | None, str | None, str | None]:
@@ -312,28 +264,16 @@ class CheckpointStore:
                 f"checkpoint {path} was written by a different configuration "
                 f"({payload.get('meta')} != {self.meta}); use a fresh "
                 "checkpoint directory or matching settings")
+        if not isinstance(payload.get("data"), dict):
+            return None, "missing payload sections", None
         return payload, None, None
 
-    def _read_validated(self, path: Path) -> dict | None:
-        """One checkpoint's payload, under the *load* policy.
-
-        Environmental damage is quarantined and returns ``None`` (the
-        caller recomputes); configuration problems raise
-        :class:`CheckpointError`.
-        """
-        payload, damage, mismatch = self._check(path)
-        if damage is not None:
-            self.quarantine(path, damage)
-        if mismatch is not None:
-            raise CheckpointError(mismatch)
-        return payload
-
     def completed(self) -> set[tuple[str, int]]:
-        """The ``(device_name, k)`` pairs with a *usable* checkpoint on disk.
+        """The ``(name, k)`` pairs with a *usable* checkpoint on disk.
 
-        The same validation as :meth:`load` under the *survey* policy:
-        a file that load would quarantine or reject simply does not
-        count as done (and is left alone).
+        The same validation as :meth:`load_named` under the *survey*
+        policy: a file that load would quarantine or reject simply does
+        not count as done (and is left alone).
         """
         done: set[tuple[str, int]] = set()
         for path in self.directory.glob("*.json"):

@@ -78,7 +78,7 @@ class TransitiveBlockingRule(SemanticRule):
 class DeterminismTaintRule(SemanticRule):
     """REP010: nondeterministic values must not reach identity sinks.
 
-    Checkpoint payloads (``save_payload`` / ``payload_crc``), content
+    Checkpoint payloads (``save`` / ``payload_crc``), content
     fingerprints (``*fingerprint*`` call arguments and return values),
     and the ``"counters"`` identity block of ``BENCH_*.json`` are
     compared byte-for-byte across runs — a wall-clock read, an unseeded

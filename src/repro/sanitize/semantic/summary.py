@@ -49,7 +49,7 @@ TAINT_SOURCE_ATTRS = {
 
 #: Call names whose arguments are REP010 sinks (checkpoint payloads and
 #: content fingerprints must be derived from deterministic inputs).
-TAINT_SINK_NAMES = frozenset({"save_payload", "payload_crc"})
+TAINT_SINK_NAMES = frozenset({"save", "payload_crc"})
 
 #: Narrow NumPy integer dtypes off the repo's int64/uint64 contract.
 NARROW_DTYPES = frozenset({"int8", "uint8", "int16", "uint16",

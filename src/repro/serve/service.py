@@ -54,11 +54,7 @@ from concurrent.futures import BrokenExecutor, Executor, \
 from dataclasses import dataclass
 
 from repro.errors import CheckpointError, ReproError
-from repro.resilience.checkpoint import (
-    CheckpointStore,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import (
     FaultInjector,
     FaultKind,
@@ -84,7 +80,6 @@ from repro.serve.supervisor import (
     WaveSupervisor,
 )
 from repro.serve.worker import run_wave
-from repro.simt.device import device_by_name
 
 
 @dataclass
@@ -192,6 +187,7 @@ class AssemblyService:
         self.recovered_pending = 0
         self.recovery_torn = 0
         self.journal_write_errors = 0
+        self.checkpoint_write_errors = 0
         self.prep_cache_hits = 0
         self.prep_cache_misses = 0
 
@@ -374,19 +370,15 @@ class AssemblyService:
         if self._store is None:
             return False
         spec = record.spec
-        device = device_by_name(spec.options.device)
-        loop = asyncio.get_running_loop()
         try:
-            loaded = await loop.run_in_executor(
+            result = await asyncio.get_running_loop().run_in_executor(
                 None, self._store.load_named,
-                f"job-{spec.fingerprint}", spec.options.k_schedule[-1],
-                device)
+                f"job-{spec.fingerprint}", spec.options.k_schedule[-1])
         except CheckpointError:
             return False  # configuration mismatch: recompute
-        if loaded is None:
+        if result is None:
             return False  # missing — or corrupt and quarantined
-        result, _profile = loaded
-        record.payload = {"ok": True, "result": result_to_dict(result)}
+        record.payload = {"ok": True, "result": result}
         record.resumed = True
         self.resumed += 1
         self._finish(record, JobStatus.DONE)
@@ -460,6 +452,9 @@ class AssemblyService:
             old.shutdown(wait=False, cancel_futures=True)
 
     async def _save_checkpoint(self, record: JobRecord) -> None:
+        """Persist a computed job's result body, as the job's poll body
+        carries it. A failed write is not the job's failure: the job
+        completes un-checkpointed and a resubmission recomputes it."""
         if self._store is None:
             return
         spec = record.spec
@@ -468,12 +463,14 @@ class AssemblyService:
                  if injector is not None else None)
         if fault is not None and fault.kind is FaultKind.SLOW_DISK:
             await asyncio.sleep(fault.delay_s)
-        device = device_by_name(spec.options.device)
-        result = result_from_dict(record.payload["result"], device)
         loop = asyncio.get_running_loop()
-        path = await loop.run_in_executor(
-            None, self._store.save, f"job-{spec.fingerprint}",
-            spec.options.k_schedule[-1], result, result.profile)
+        try:
+            path = await loop.run_in_executor(
+                None, self._store.save, f"job-{spec.fingerprint}",
+                spec.options.k_schedule[-1], record.payload["result"])
+        except OSError:
+            self.checkpoint_write_errors += 1
+            return
         if fault is not None and fault.kind is FaultKind.CHECKPOINT_CORRUPTION:
             # damage lands after the atomic write: modeled bit rot. The
             # next resume CRC-checks, quarantines, and recomputes.
@@ -584,7 +581,8 @@ class AssemblyService:
             }
         if self._store is not None:
             body["checkpoints"] = {
-                "quarantined": len(self._store.quarantined)}
+                "quarantined": len(self._store.quarantined),
+                "write_errors": self.checkpoint_write_errors}
         return body
 
 

@@ -1,11 +1,17 @@
 """CheckpointStore round-trips, validation, and suite crash/resume."""
 
+import collections
 import dataclasses
 import json
+import random
 
 import pytest
 
-from repro.analysis.experiments import ExperimentConfig, ExperimentSuite
+from repro.analysis.experiments import (
+    ExperimentConfig,
+    ExperimentSuite,
+    RunRecord,
+)
 from repro.errors import CheckpointError
 from repro.resilience import (
     CheckpointStore,
@@ -26,47 +32,69 @@ from .conftest import K, SCALE, SEED
 pytestmark = pytest.mark.resilience
 
 CFG = dict(scale=SCALE, seed=SEED, k_values=(K,))
+DATA = {"spectrum": {"fingerprints": [1, 2, 3], "counts": [4, 5, 6]},
+        "note": "stage payload"}
+
+
+def format_1_payload(name, k, result: dict, meta: dict) -> dict:
+    """The frame ``CheckpointStore.save(name, k, result, full_profile)``
+    wrote before format 2 (same CRC rule, no ``data`` nesting)."""
+    payload = {"format": 1, "meta": meta, "device": name, "k": k,
+               "result": result, "full_profile": result["profile"]}
+    payload["crc"] = payload_crc(payload)
+    return payload
+
+
+def record(result) -> RunRecord:
+    return RunRecord(device=A100, k=K, result=result,
+                     full_profile=result.profile)
+
+
+def load_record(store) -> RunRecord | None:
+    data = store.load_named("A100", K)
+    return data and RunRecord.from_dict(A100, data, from_checkpoint=True)
 
 
 class TestRoundTrip:
     def test_result_survives_store(self, tmp_path, clean_run):
         store = CheckpointStore(tmp_path, meta={"scale": SCALE})
-        store.save("A100", K, clean_run, clean_run.profile)
-        result, full = store.load(A100, K)
-        assert result_to_dict(result) == result_to_dict(clean_run)
-        assert profile_to_dict(full) == profile_to_dict(clean_run.profile)
+        store.save("A100", K, record(clean_run).to_dict())
+        got = load_record(store)
+        assert got.from_checkpoint and got.device is A100 and got.k == K
+        assert result_to_dict(got.result) == result_to_dict(clean_run)
+        assert (profile_to_dict(got.full_profile)
+                == profile_to_dict(clean_run.profile))
         assert store.completed() == {("A100", K)}
 
     def test_degraded_and_retried_persist(self, tmp_path, clean_run):
         marked = dataclasses.replace(clean_run, degraded=[3], retried=[5, 9])
         store = CheckpointStore(tmp_path)
-        store.save("A100", K, marked, marked.profile)
-        result, _ = store.load(A100, K)
+        store.save("A100", K, record(marked).to_dict())
+        result = load_record(store).result
         assert result.degraded == [3] and result.retried == [5, 9]
 
     def test_missing_is_none(self, tmp_path):
-        assert CheckpointStore(tmp_path).load(A100, K) is None
+        assert CheckpointStore(tmp_path).load_named("A100", K) is None
 
-    def test_clear(self, tmp_path, clean_run):
+    def test_clear(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save("A100", K, clean_run, clean_run.profile)
+        store.save("A100", K, DATA)
         store.clear()
         assert store.completed() == set()
 
 
 class TestValidation:
-    def test_meta_mismatch_rejected(self, tmp_path, clean_run):
-        CheckpointStore(tmp_path, meta={"scale": 0.004}).save(
-            "A100", K, clean_run, clean_run.profile)
+    def test_meta_mismatch_rejected(self, tmp_path):
+        CheckpointStore(tmp_path, meta={"scale": 0.004}).save("A100", K, DATA)
         other = CheckpointStore(tmp_path, meta={"scale": 0.02})
         with pytest.raises(CheckpointError, match="different configuration"):
-            other.load(A100, K)
+            other.load_named("A100", K)
 
     def test_corrupt_file_quarantined(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        path = store.path_for("A100", K)
+        path = tmp_path / f"A100_k{K}.json"
         path.write_text("{not json")
-        assert store.load(A100, K) is None
+        assert store.load_named("A100", K) is None
         assert not path.exists()
         assert [p.suffix for p in store.quarantined] == [".quarantine"]
         assert store.quarantined[0].exists()
@@ -76,47 +104,52 @@ class TestValidation:
         # any other unparseable file (skip in the survey, quarantine on
         # load), never a UnicodeDecodeError
         store = CheckpointStore(tmp_path)
-        path = store.path_for("A100", K)
+        path = tmp_path / f"A100_k{K}.json"
         path.write_bytes(b'\xff\xfe{"k": 21}')
         assert store.completed() == set() and path.exists()
-        assert store.load(A100, K) is None
+        assert store.load_named("A100", K) is None
         assert not path.exists() and len(store.quarantined) == 1
 
-    def test_crc_mismatch_quarantined(self, tmp_path, clean_run):
+    def test_crc_mismatch_quarantined(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        path = store.save("A100", K, clean_run, clean_run.profile)
+        path = store.save("A100", K, DATA)
         payload = json.loads(path.read_text())
-        payload["result"]["wall_time_s"] = 123.0  # bit-flip, stale CRC
+        payload["data"]["note"] = "tampered"  # bit-flip, stale CRC
         path.write_text(json.dumps(payload))
-        assert store.load(A100, K) is None
+        assert store.load_named("A100", K) is None
         assert not path.exists() and len(store.quarantined) == 1
 
-    def test_format_drift_rejected(self, tmp_path, clean_run):
+    def test_format_drift_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        path = store.save("A100", K, clean_run, clean_run.profile)
+        path = store.save("A100", K, DATA)
         payload = json.loads(path.read_text())
         payload["format"] = 999
         payload["crc"] = payload_crc(payload)  # drift, not corruption
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="format"):
-            store.load(A100, K)
+            store.load_named("A100", K)
 
     def test_wrong_device_rejected(self, clean_run):
         data = result_to_dict(clean_run)
         with pytest.raises(CheckpointError, match="does not match"):
             result_from_dict(data, PLATFORMS[1])
 
-    def test_completed_skips_mismatched_fingerprint(self, tmp_path, clean_run):
-        CheckpointStore(tmp_path, meta={"scale": 0.004}).save(
-            "A100", K, clean_run, clean_run.profile)
+    def test_record_missing_a_section_rejected(self, clean_run):
+        data = record(clean_run).to_dict()
+        del data["full_profile"]
+        with pytest.raises(CheckpointError, match="full_profile"):
+            RunRecord.from_dict(A100, data, from_checkpoint=True)
+
+    def test_completed_skips_mismatched_fingerprint(self, tmp_path):
+        CheckpointStore(tmp_path, meta={"scale": 0.004}).save("A100", K, DATA)
         other = CheckpointStore(tmp_path, meta={"scale": 0.02})
         assert other.completed() == set()
         same = CheckpointStore(tmp_path, meta={"scale": 0.004})
         assert same.completed() == {("A100", K)}
 
-    def test_completed_skips_format_drift(self, tmp_path, clean_run):
+    def test_completed_skips_format_drift(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        path = store.save("A100", K, clean_run, clean_run.profile)
+        path = store.save("A100", K, DATA)
         payload = json.loads(path.read_text())
         payload["format"] = 999
         path.write_text(json.dumps(payload))
@@ -124,60 +157,115 @@ class TestValidation:
 
     def test_completed_skips_unparseable_json(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.path_for("A100", K).write_text("{not json")
+        (tmp_path / f"A100_k{K}.json").write_text("{not json")
         (store.directory / "list.json").write_text("[1, 2]")
         assert store.completed() == set()
 
 
 class TestGenericPayloads:
-    """save_payload/load_payload: the generic framing used by the
-    assembler pipeline's stage checkpoints."""
-
-    DATA = {"spectrum": {"fingerprints": [1, 2, 3], "counts": [4, 5, 6]},
-            "note": "stage payload"}
+    """``data`` is any JSON dict: the assembler pipeline's stage
+    checkpoints and the service's result bodies ride the same frame."""
 
     def test_round_trip(self, tmp_path):
         store = CheckpointStore(tmp_path, meta={"pipeline": 1})
-        store.save_payload("stage_kmers", 21, self.DATA)
-        assert store.load_payload("stage_kmers", 21) == self.DATA
-
-    def test_missing_is_none(self, tmp_path):
-        assert CheckpointStore(tmp_path).load_payload("stage_kmers", 21) is None
+        store.save("stage_kmers", 21, DATA)
+        assert store.load_named("stage_kmers", 21) == DATA
 
     def test_keyed_by_name_and_k(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.save_payload("stage_kmers", 21, {"a": 1})
-        store.save_payload("stage_kmers", 33, {"a": 2})
-        store.save_payload("stage_merge", 21, {"a": 3})
-        assert store.load_payload("stage_kmers", 21) == {"a": 1}
-        assert store.load_payload("stage_kmers", 33) == {"a": 2}
-        assert store.load_payload("stage_merge", 21) == {"a": 3}
+        store.save("stage_kmers", 21, {"a": 1})
+        store.save("stage_kmers", 33, {"a": 2})
+        store.save("stage_merge", 21, {"a": 3})
+        assert store.load_named("stage_kmers", 21) == {"a": 1}
+        assert store.load_named("stage_kmers", 33) == {"a": 2}
+        assert store.load_named("stage_merge", 21) == {"a": 3}
+        assert store.completed() == {("stage_kmers", 21), ("stage_kmers", 33),
+                                     ("stage_merge", 21)}
 
-    def test_meta_mismatch_rejected(self, tmp_path):
-        CheckpointStore(tmp_path, meta={"reads": "abc"}).save_payload(
-            "stage_kmers", 21, self.DATA)
-        other = CheckpointStore(tmp_path, meta={"reads": "xyz"})
-        with pytest.raises(CheckpointError, match="different configuration"):
-            other.load_payload("stage_kmers", 21)
-
-    def test_crc_mismatch_quarantined(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        path = store.save_payload("stage_kmers", 21, self.DATA)
-        payload = json.loads(path.read_text())
-        payload["data"]["note"] = "tampered"  # stale CRC
-        path.write_text(json.dumps(payload))
-        assert store.load_payload("stage_kmers", 21) is None
-        assert not path.exists() and len(store.quarantined) == 1
+    def test_frame_keys_never_collide_with_the_callers(self, tmp_path):
+        store = CheckpointStore(tmp_path, meta={"suite": "x"})
+        data = {"format": 1, "meta": {}, "device": "H100", "k": 99,
+                "crc": "00000000", "data": {"data": 1}}
+        store.save("job-abc", 33, data)
+        assert store.load_named("job-abc", 33) == data
+        assert store.completed() == {("job-abc", 33)}
 
     def test_missing_data_section_quarantined(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        path = store.save_payload("stage_kmers", 21, self.DATA)
+        path = store.save("stage_kmers", 21, DATA)
         payload = json.loads(path.read_text())
         del payload["data"]
         payload["crc"] = payload_crc(payload)  # valid frame, no payload
         path.write_text(json.dumps(payload))
-        assert store.load_payload("stage_kmers", 21) is None
+        assert store.completed() == set()
+        assert store.load_named("stage_kmers", 21) is None
         assert len(store.quarantined) == 1
+
+
+class TestHostileBytes:
+    """ROADMAP 2(c): whatever bytes sit in a checkpoint file, the one
+    read entry answers with the saved data, with ``None`` and the file
+    quarantined, or with ``CheckpointError`` — never anything else, and
+    never with data that differs from what was saved."""
+
+    META = {"suite": "serve"}
+
+    @pytest.fixture()
+    def saved(self, tmp_path, clean_run):
+        data = json.loads(json.dumps(result_to_dict(clean_run)))
+        path = CheckpointStore(tmp_path, meta=self.META).save("job-x", K, data)
+        return path, path.read_bytes(), data
+
+    def _load(self, path, blob):
+        """``load_named`` over ``blob``: the data, ``None`` (checked to
+        be quarantined) or ``"rejected"``."""
+        path.write_bytes(blob)
+        store = CheckpointStore(path.parent, meta=self.META)
+        store.completed()  # the survey reads the same bytes: never raises
+        try:
+            got = store.load_named("job-x", K)
+        except CheckpointError:
+            return "rejected"
+        if got is None:
+            assert not path.exists() and len(store.quarantined) == 1
+            store.quarantined[0].unlink()
+        return got
+
+    def test_truncated_at_every_offset(self, saved):
+        path, blob, data = saved
+        assert blob.endswith(b"}\n") and len(blob) > 1000
+        for cut in range(len(blob) - 1):
+            assert self._load(path, blob[:cut]) is None, cut
+        assert self._load(path, blob[:-1]) == data  # only the newline gone
+        assert self._load(path, blob) == data
+
+    def test_seeded_bit_flips_and_overwritten_runs(self, saved):
+        path, blob, data = saved
+        rng = random.Random(2024)
+        outcomes = collections.Counter()
+        for case in range(600):
+            damaged = bytearray(blob)
+            at = rng.randrange(len(blob))
+            if case % 3:
+                damaged[at] ^= 1 << rng.randrange(8)
+            else:
+                damaged[at:at + 8] = rng.randbytes(8)
+            got = self._load(path, bytes(damaged))
+            assert got is None or got == "rejected" or got == data, (case, at)
+            outcomes["quarantined" if got is None else
+                     "rejected" if got == "rejected" else "intact"] += 1
+        assert outcomes["quarantined"] > 500, outcomes
+
+    def test_format_1_file_rejected(self, tmp_path, clean_run):
+        # what the parent's typed ``save`` wrote: sections at the top level
+        store = CheckpointStore(tmp_path, meta=self.META)
+        path = tmp_path / f"A100_k{K}.json"
+        path.write_text(json.dumps(format_1_payload(
+            "A100", K, result_to_dict(clean_run), self.META)) + "\n")
+        assert store.completed() == set()
+        with pytest.raises(CheckpointError, match="format 1, expected 2"):
+            store.load_named("A100", K)
+        assert path.exists() and not store.quarantined
 
 
 class TestSuiteResume:
@@ -200,10 +288,7 @@ class TestSuiteResume:
         resumed.run_all()
         assert resumed._runs.keys() == reference._runs.keys()
         for key, ref_rec in reference._runs.items():
-            got = resumed._runs[key]
-            assert result_to_dict(got.result) == result_to_dict(ref_rec.result)
-            assert profile_to_dict(got.full_profile) == \
-                profile_to_dict(ref_rec.full_profile)
+            assert resumed._runs[key].to_dict() == ref_rec.to_dict()
         n_resumed = sum(r["from_checkpoint"]
                         for r in resumed.resilience_summary())
         assert n_resumed == 1

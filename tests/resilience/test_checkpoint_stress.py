@@ -17,11 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.core.extension import WalkState
-from repro.kernels.engine.backend import KernelRunResult
 from repro.resilience import CheckpointStore
-from repro.simt.counters import KernelProfile
-from repro.simt.device import A100
 
 pytestmark = pytest.mark.resilience
 
@@ -30,15 +26,10 @@ N_PROCS = 4
 N_ITERS = 25
 
 
-def _tiny_result(tag: int) -> KernelRunResult:
-    """A minimal, valid run result whose payload varies with ``tag``."""
-    profile = KernelProfile(warp_size=32)
-    profile.contigs = 1
-    return KernelRunResult(
-        device=None, k=21, profile=profile,
-        right=[("ACGT", WalkState.END)], left=[("", WalkState.MISSING)],
-        degraded=[tag],
-    )
+def _tiny_data(tag: int) -> dict:
+    """A minimal checkpoint body whose content varies with ``tag``."""
+    return {"right": [["ACGT", "end"]], "left": [["", "missing"]],
+            "degraded": [tag]}
 
 
 def _hammer(args: tuple) -> int:
@@ -49,14 +40,12 @@ def _hammer(args: tuple) -> int:
         # fresh store every iteration: exercises the stale-tmp sweep
         # racing against other processes' in-flight writes
         store = CheckpointStore(directory, meta=META)
-        result = _tiny_result(worker_id * 1000 + i)
-        store.save("A100", 21, result, result.profile)
-        loaded = store.load(A100, 21)
+        store.save("A100", 21, _tiny_data(worker_id * 1000 + i))
+        loaded = store.load_named("A100", 21)
         assert loaded is not None
-        loaded_result, _ = loaded
         # whatever writer won, the record is one of ours and intact
-        assert loaded_result.right == [("ACGT", WalkState.END)]
-        assert len(loaded_result.degraded) == 1
+        (tag,) = loaded["degraded"]
+        assert loaded == _tiny_data(tag)
         assert store.completed() == {("A100", 21)}
         ok += 1
     return ok
@@ -76,15 +65,14 @@ class TestConcurrentWriters:
         assert payload["meta"] == META
 
         final = CheckpointStore(tmp_path, meta=META)
-        assert final.load(A100, 21) is not None
+        assert final.load_named("A100", 21) is not None
         assert final.completed() == {("A100", 21)}
 
 
 class TestTmpLifecycle:
     def test_unique_per_process_tmp_name(self, tmp_path):
         store = CheckpointStore(tmp_path, meta=META)
-        result = _tiny_result(0)
-        path = store.save("A100", 21, result, result.profile)
+        path = store.save("A100", 21, _tiny_data(0))
         assert path.name == "A100_k21.json"
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -95,9 +83,8 @@ class TestTmpLifecycle:
             raise OSError("disk on fire")
 
         monkeypatch.setattr(os, "fsync", boom)
-        result = _tiny_result(0)
         with pytest.raises(OSError, match="disk on fire"):
-            store.save("A100", 21, result, result.profile)
+            store.save("A100", 21, _tiny_data(0))
         assert not list(tmp_path.glob("*.tmp"))
         assert not (tmp_path / "A100_k21.json").exists()
 

@@ -91,13 +91,13 @@ def test_rep010_catches_clock_flowing_into_checkpoint(tmp_path):
             def persist(store, k, data):
                 stamp = time.time()
                 payload = {"data": data, "stamp": stamp}
-                store.save_payload("stage", k, payload)
+                store.save("stage", k, payload)
             """,
     })
     assert only_rule(findings) == "REP010"
     (f,) = findings
     assert "time.time()" in f.message
-    assert "save_payload()" in f.message
+    assert "save()" in f.message
 
 
 def test_rep010_tracks_taint_through_a_called_function(tmp_path):
@@ -112,7 +112,7 @@ def test_rep010_tracks_taint_through_a_called_function(tmp_path):
             from pkg.clock import wall
 
             def persist(store, k, data):
-                store.save_payload("stage", k, {"d": data, "t": wall()})
+                store.save("stage", k, {"d": data, "t": wall()})
             """,
     })
     assert only_rule(findings) == "REP010"
@@ -125,7 +125,7 @@ def test_rep010_sees_through_from_import_aliasing(tmp_path):
             from time import monotonic
 
             def persist(store, k, data):
-                store.save_payload("stage", k, {"d": data, "t": monotonic()})
+                store.save("stage", k, {"d": data, "t": monotonic()})
             """,
     })
     assert only_rule(findings) == "REP010"
@@ -136,7 +136,7 @@ def test_rep010_quiet_on_deterministic_payloads(tmp_path):
     findings = run_fixture(tmp_path, {
         "pkg/ck.py": """
             def persist(store, k, data):
-                store.save_payload("stage", k, {"data": data, "k": k})
+                store.save("stage", k, {"data": data, "k": k})
             """,
     })
     assert findings == []
@@ -390,7 +390,7 @@ def test_single_rule_selection_is_honored(tmp_path, selection):
                 time.sleep(0.1)
 
             def persist(store, k):
-                store.save_payload("stage", k, {"t": time.time()})
+                store.save("stage", k, {"t": time.time()})
             """,
         "pkg/events.py": """
             def fire(bus):

@@ -9,6 +9,7 @@ slot the request took is free again, so the next tenant is served.
 
 import asyncio
 import json
+import shutil
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.serve import AssemblyService
 from repro.serve.http import frame_message, read_message
 from repro.serve.protocol import ProtocolError, parse_job_request
 from repro.serve.queue import DEFAULT_MAX_IN_FLIGHT
+from tests.resilience.test_checkpoint import format_1_payload
 from tests.serve.test_service import make_dat
 
 GOOD = make_dat(n_contigs=2, seed=3)
@@ -103,9 +105,9 @@ class _Captured:
         pass
 
 
-async def exchange(service, method, path, payload=None):
+async def exchange_raw(service, method, path, payload=None):
     """One request through the service's connection handler, fed to a
-    ``StreamReader`` and followed by EOF: ``(status, body)``."""
+    ``StreamReader`` and followed by EOF: ``(status, body bytes)``."""
     body = json.dumps(payload).encode() if payload is not None else b""
     reader, writer = asyncio.StreamReader(), _Captured()
     reader.feed_data(frame_message(f"{method} {path} HTTP/1.1", body))
@@ -117,7 +119,22 @@ async def exchange(service, method, path, payload=None):
     answer.feed_data(writer.wire)
     answer.feed_eof()
     start_line, data = await read_message(answer)
-    return int(start_line.split()[1]), json.loads(data)
+    return int(start_line.split()[1]), data
+
+
+async def exchange(service, method, path, payload=None):
+    status, data = await exchange_raw(service, method, path, payload)
+    return status, json.loads(data)
+
+
+async def finished(service, job_id):
+    """Poll ``job_id`` until it is done or failed: its last poll body."""
+    for _ in range(3000):
+        _, body = await exchange(service, "GET", f"/v1/jobs/{job_id}")
+        if body["status"] in ("done", "failed"):
+            break
+        await asyncio.sleep(0.01)
+    return body
 
 
 async def completes(service, dat):
@@ -125,11 +142,7 @@ async def completes(service, dat):
     status, body = await exchange(service, "POST", "/v1/jobs",
                                   {"dat": dat, "k_schedule": [21]})
     assert status == 202, body
-    for _ in range(3000):
-        _, body = await exchange(service, "GET", f"/v1/jobs/{body['job_id']}")
-        if body["status"] in ("done", "failed"):
-            break
-        await asyncio.sleep(0.01)
+    body = await finished(service, body["job_id"])
     assert body["status"] == "done", body
     assert service.admission.stats()["in_flight"] == 0
 
@@ -266,13 +279,7 @@ class TestJournalFailure:
                 assert "No space left" in json.loads(why)["error"]
                 admitted, job = await read_message(answers)
                 assert admitted.split()[1] == "202"
-                job_id = json.loads(job)["job_id"]
-                for _ in range(3000):
-                    _, body = await exchange(service, "GET",
-                                             f"/v1/jobs/{job_id}")
-                    if body["status"] in ("done", "failed"):
-                        break
-                    await asyncio.sleep(0.01)
+                body = await finished(service, json.loads(job)["job_id"])
                 assert body["status"] == "done", body
                 assert service.admission.stats()["in_flight"] == 0
                 assert service.stats()["journal"]["write_errors"] == 1
@@ -300,12 +307,7 @@ class TestJournalFailure:
                     assert status == 202, body
                     ids.append(body["job_id"])
                 for job_id in ids:
-                    for _ in range(3000):
-                        _, body = await exchange(service, "GET",
-                                                 f"/v1/jobs/{job_id}")
-                        if body["status"] in ("done", "failed"):
-                            break
-                        await asyncio.sleep(0.01)
+                    body = await finished(service, job_id)
                     assert body["status"] == "done", body
                 assert service.admission.stats()["in_flight"] == 0
                 assert service.stats()["journal"]["write_errors"] == 3
@@ -313,3 +315,95 @@ class TestJournalFailure:
                 await service.stop()
 
         asyncio.run(scenario())
+
+
+class TestCheckpointBoundary:
+    """A job's checkpoint is its result body, as served: written once,
+    read back as is, and never the reason a job does not finish."""
+
+    @staticmethod
+    def _checkpointed(tmp_path, scenario):
+        async def run():
+            service = AssemblyService(window_s=0.05,
+                                      checkpoint_dir=str(tmp_path / "ck"))
+            await service.start()
+            try:
+                return await scenario(service)
+            finally:
+                await service.stop()
+
+        return asyncio.run(run())
+
+    def test_failed_checkpoint_write_still_finishes_the_wave(self, tmp_path):
+        """The checkpoint directory vanishes under a running service:
+        every job of the wave still finishes (it used to stay RUNNING
+        behind the first failed save, slots leaked), un-checkpointed."""
+        async def scenario(service):
+            shutil.rmtree(tmp_path / "ck")
+            ids = []
+            for seed in (3, 4, 5):
+                status, body = await exchange(
+                    service, "POST", "/v1/jobs",
+                    {"dat": make_dat(n_contigs=2, seed=seed),
+                     "k_schedule": [21]})
+                assert status == 202, body
+                ids.append(body["job_id"])
+            for job_id in ids:
+                body = await finished(service, job_id)
+                assert body["status"] == "done", body
+                status, _ = await exchange(service, "GET",
+                                           f"/v1/jobs/{job_id}/result")
+                assert status == 200
+            stats = service.stats()
+            assert stats["admission"]["in_flight"] == 0
+            assert stats["checkpoints"] == {"quarantined": 0,
+                                            "write_errors": 3}
+
+        self._checkpointed(tmp_path, scenario)
+
+    def test_resumed_body_is_the_computed_body(self, tmp_path):
+        job = {"dat": GOOD, "k_schedule": [21, 33]}
+
+        async def scenario(service):
+            bodies = []
+            for resumed in (False, True):
+                status, body = await exchange(service, "POST", "/v1/jobs", job)
+                assert status == 202 and body.get("resumed", False) is resumed
+                assert (await finished(service, body["job_id"]))[
+                    "status"] == "done"
+                bodies.append(await exchange_raw(
+                    service, "GET", f"/v1/jobs/{body['job_id']}/result"))
+            assert service.stats()["batcher"]["waves"] == 1
+            return bodies
+
+        computed, resumed = self._checkpointed(tmp_path, scenario)
+        assert computed[0] == 200 and resumed == computed  # byte for byte
+        (path,) = (tmp_path / "ck").glob("job-*_k33.json")
+        text = path.read_text()
+        assert json.loads(text)["data"] == json.loads(computed[1])["result"]
+        assert text.count('"profile"') == 1 and "full_profile" not in text
+
+    def test_format_1_checkpoint_is_recomputed(self, tmp_path):
+        """A checkpoint the previous format's ``save`` left behind is not
+        read as a result: the job runs, and its save replaces the file."""
+        job = {"dat": GOOD, "k_schedule": [21]}
+        fingerprint = parse_job_request(job, job_id="j0").fingerprint
+
+        async def scenario(service):
+            path = tmp_path / "ck" / f"job-{fingerprint}_k21.json"
+            path.write_text(json.dumps(format_1_payload(
+                f"job-{fingerprint}", 21, {"stale": True, "profile": {}},
+                {"suite": "serve"})) + "\n")
+            status, body = await exchange(service, "POST", "/v1/jobs", job)
+            assert status == 202 and "resumed" not in body
+            assert (await finished(service, body["job_id"]))[
+                "status"] == "done"
+            _, result = await exchange(
+                service, "GET", f"/v1/jobs/{body['job_id']}/result")
+            assert result["ok"] and "stale" not in result["result"]
+            assert json.loads(path.read_text())["format"] == 2
+            _, again = await exchange(service, "POST", "/v1/jobs", job)
+            assert again.get("resumed") is True
+            assert service.stats()["checkpoints"]["quarantined"] == 0
+
+        self._checkpointed(tmp_path, scenario)
