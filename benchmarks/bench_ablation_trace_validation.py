@@ -45,8 +45,8 @@ def _replay_hit_rate(device, trace, batched=True):
 def _measure(device, contigs, k):
     kern = kernel_for_device(device, policy=PRODUCTION_POLICY)
     kern.record_trace = True
-    kern.run(contigs, k)  # parallel_scale=1: model the batch as-is
-    trace = np.concatenate(kern.last_trace)
+    res = kern.run(contigs, k)  # parallel_scale=1: model the batch as-is
+    trace = np.concatenate(res.trace)
     # L2 replay: atomics bypass L1, so the raw trace is what the L2 sees
     t0 = time.perf_counter()
     traced = _replay_hit_rate(device, trace)

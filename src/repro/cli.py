@@ -77,8 +77,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"overflow handling ({args.overflow_policy}): "
               f"{len(result.degraded)} contig(s) degraded, "
               f"{len(result.retried)} recovered by grow-retry")
-    if args.memory_model == "trace" and getattr(kernel, "last_replay", None):
-        launches = kernel.last_replay
+    if result.replay:
+        launches = result.replay
         accesses = sum(s.accesses for s in launches)
         hbm = sum(s.hbm_bytes for s in launches)
         hit = replay_l2_hit_rate(launches)
@@ -87,12 +87,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"accesses, L2 hit rate {hit:.3f}, {hbm / 1e9:.3f} GB HBM "
               f"(analytic model used l2_churn={kernel.l2_churn:g}; "
               f"replay suggests {churn:.2f})")
-    if args.sanitize:
-        report = kernel.last_sanitizer_report
-        if report is not None:
-            print(report.render())
-            if not report.ok:
-                return 1
+    report = result.sanitizer_report
+    if report is not None:
+        print(report.render())
+        if not report.ok:
+            return 1
     return 0
 
 

@@ -69,6 +69,7 @@ from repro.kernels.engine.prepare import (
 )
 from repro.kernels.engine.schedule import (
     BinnedLaunchPolicy,
+    KSchedule,
     LaunchConfig,
     LaunchPlan,
     SideArrays,
@@ -138,6 +139,7 @@ __all__ = [
     "run_schedule_coalesced",
     # scheduling
     "BinnedLaunchPolicy",
+    "KSchedule",
     "LaunchConfig",
     "LaunchPlan",
     "SideArrays",

@@ -12,7 +12,7 @@ execution paths by name rather than by import.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.core.construct import build_table, insertions_for
@@ -23,7 +23,11 @@ from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import reverse_complement
 from repro.genomics.reads import ReadSet
-from repro.kernels.engine.schedule import SideArrays, iterate_k_schedule
+from repro.kernels.engine.schedule import (
+    KernelRunResult,
+    SideArrays,
+    iterate_k_schedule,
+)
 from repro.simt.counters import KernelProfile
 from repro.simt.device import DeviceSpec
 
@@ -49,74 +53,6 @@ class ProtocolCosts:
     iteration_intops: int
     iteration_syncs: int
     merges_in_iteration: bool
-
-
-@dataclass
-class KernelRunResult:
-    """Functional + profiling output of a backend's ``run``."""
-
-    device: DeviceSpec | None
-    k: int
-    profile: KernelProfile
-    right: list[tuple[str, WalkState]] = field(default_factory=list)
-    left: list[tuple[str, WalkState]] = field(default_factory=list)
-    #: Contig indices whose extension was degraded (dropped on table
-    #: overflow under ``OverflowPolicy.DROP_CONTIG``). Sorted, unique.
-    degraded: list[int] = field(default_factory=list)
-    #: Contig indices recovered by grow-retry re-launches. Sorted, unique.
-    retried: list[int] = field(default_factory=list)
-    #: Lockstep array view of ``right``/``left`` (same data), populated by
-    #: the engine driver so :func:`iterate_k_schedule` merges with masks
-    #: instead of re-deriving per contig. ``None`` from backends that only
-    #: build the lists (the scalar reference, checkpoint restores).
-    right_arrays: SideArrays | None = field(default=None, compare=False,
-                                            repr=False)
-    left_arrays: SideArrays | None = field(default=None, compare=False,
-                                           repr=False)
-
-
-class ScheduleTail:
-    """What a k-schedule accumulates beside its merged sides, and how it
-    ends — the one copy every schedule driver shares.
-
-    ``add`` takes one k-run's outcome (overflow sets, trace-replay
-    launches, sanitizer report); ``result`` builds the schedule's
-    :class:`KernelRunResult`; ``report`` is the schedule's combined
-    sanitizer report (``None`` when nothing sanitized).
-    """
-
-    def __init__(self) -> None:
-        self.degraded: set[int] = set()
-        self.retried: set[int] = set()
-        self.replay: list = []
-        self.reports: list = []
-
-    def add(self, degraded, retried, replay=(), report=None) -> None:
-        self.degraded.update(degraded)
-        self.retried.update(retried)
-        self.replay.extend(replay)
-        if report is not None:
-            self.reports.append(report)
-
-    @property
-    def report(self):
-        if not self.reports:
-            return None
-        # imported lazily: repro.sanitize imports the engine
-        from repro.sanitize.report import SanitizerReport
-        combined = SanitizerReport(max_findings=self.reports[0].max_findings)
-        for rep in self.reports:
-            combined.extend(rep)
-        return combined
-
-    def result(self, device: DeviceSpec | None, last_k: int,
-               merged: KernelProfile, right: list,
-               left: list) -> KernelRunResult:
-        merged.contigs = len(right)
-        return KernelRunResult(device=device, k=last_k, profile=merged,
-                               right=right, left=left,
-                               degraded=sorted(self.degraded),
-                               retried=sorted(self.retried))
 
 
 @runtime_checkable
@@ -303,35 +239,26 @@ class ScalarReferenceBackend:
         profile = KernelProfile(warp_size=1)
         profile.walk_issue_width = 1
         profile.contigs = len(contigs)
-        right: list[tuple[str, WalkState]] = []
-        left: list[tuple[str, WalkState]] = []
+        right = SideArrays.empty(len(contigs))
+        left = SideArrays.empty(len(contigs))
         degraded: set = set()
         retried: set = set()
         for ci, contig in enumerate(contigs):
             for end, side in ((End.RIGHT, right), (End.LEFT, left)):
-                side.append(
-                    self._walk_end(contig, k, end, profile, ci, degraded,
-                                   retried)
-                    if pending is None or pending[end][ci]
-                    else ("", WalkState.MISSING))
-        return KernelRunResult(device=self.device, k=k, profile=profile,
-                               right=right, left=left,
-                               degraded=sorted(degraded),
-                               retried=sorted(retried))
+                if pending is None or pending[end][ci]:
+                    side.put(ci, *self._walk_end(contig, k, end, profile,
+                                                 ci, degraded, retried))
+        return KernelRunResult.of_sides(self.device, k, profile, right, left,
+                                        degraded=sorted(degraded),
+                                        retried=sorted(retried))
 
     def run_schedule(self, contigs: list[Contig],
                      k_schedule: tuple[int, ...] = (21, 33, 55, 77),
                      **_kwargs) -> KernelRunResult:
         """Iterate the k schedule with the kernels' settle semantics."""
-        tail = ScheduleTail()
-
-        def _run_one(k: int, pending: dict) -> KernelRunResult:
-            res = self.run(contigs, k, pending=pending)
-            tail.add(res.degraded, res.retried)
-            return res
-
-        return tail.result(self.device, *iterate_k_schedule(
-            _run_one, len(contigs), k_schedule))
+        return iterate_k_schedule(
+            lambda k, pending: self.run(contigs, k, pending=pending),
+            len(contigs), k_schedule).result(self.device)
 
 
 register_backend("scalar",

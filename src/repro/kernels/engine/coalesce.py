@@ -63,9 +63,7 @@ batch layouts, so those faults could not replay deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig
@@ -74,65 +72,43 @@ from repro.kernels.engine.attribution import (
     Segment,
     record_attempt,
 )
-from repro.kernels.engine.backend import KernelRunResult, ScheduleTail
 from repro.kernels.engine.events import EventBus
 from repro.kernels.engine.prepare import Batch, concat_batches
 from repro.kernels.engine.schedule import (
-    SideArrays,
-    merge_k_side,
+    KernelRunResult,
+    KSchedule,
     narrow_plans,
-    pending_ends,
     validate_k_schedule,
 )
 from repro.kernels.engine.simt import LocalAssemblyKernel
-from repro.simt.counters import KernelProfile
 
 
 @dataclass
 class CoalescedJobResult:
-    """One job's outcome of a coalesced wave.
-
-    Exactly one of ``result`` / ``error`` is set. When ``result`` is
-    set, it — and ``replay`` / ``trace`` / ``sanitizer_report`` — are
-    byte-identical to what a solo ``kernel.run_schedule`` call (and its
-    ``last_replay`` / ``last_trace`` / ``last_sanitizer_report``
-    attributes) would have produced for the same contigs: the three are
-    a diagnostic kernel's, whose wave *is* its solo runs, and stay empty
-    for a kernel that fuses.
-    """
+    """One job's outcome of a coalesced wave: exactly one of ``result``
+    / ``error`` is set, and a ``result`` — diagnostics included — is
+    byte-identical to what a solo ``kernel.run_schedule`` call would
+    have returned for the same contigs."""
 
     result: KernelRunResult | None
-    replay: list = field(default_factory=list)
-    trace: list = field(default_factory=list)
-    sanitizer_report: object | None = None
     error: HashTableFullError | None = None
 
 
-# ----------------------------------------------------------------------
-# per-job state
-# ----------------------------------------------------------------------
+class _Job(KSchedule):
+    """One tenant's k schedule in a wave, with what the wave needs
+    beside it: its contigs, the segments of the k in flight, and the
+    error that ended it under the RAISE policy."""
 
-
-class _JobState:
-    """Accumulated schedule state of one coalesced job."""
-
-    def __init__(self, contigs: list[Contig], first_k: int) -> None:
+    def __init__(self, contigs: list[Contig],
+                 k_schedule: tuple[int, ...]) -> None:
+        super().__init__(len(contigs), k_schedule)
         self.contigs = contigs
-        self.n = len(contigs)
-        self.best_r = SideArrays.empty(self.n)
-        self.best_l = SideArrays.empty(self.n)
-        self.settled_r = np.zeros(self.n, dtype=bool)
-        self.settled_l = np.zeros(self.n, dtype=bool)
-        self.merged_profile: KernelProfile | None = None
-        self.tail = ScheduleTail()
-        self.error: HashTableFullError | None = None
-        self.last_k = first_k
         self.segments: list[Segment] = []
+        self.error: HashTableFullError | None = None
 
     @property
     def done(self) -> bool:
-        return (self.error is not None
-                or (bool(self.settled_r.all()) and bool(self.settled_l.all())))
+        return self.error is not None or super().done
 
 
 # ----------------------------------------------------------------------
@@ -177,29 +153,21 @@ def _run_fused_group(kernel, group: list[Segment], k: int,
 # ----------------------------------------------------------------------
 
 
-def _replay_job_k(kernel, state: _JobState, k: int,
-                  parallel_scale: float) -> None:
-    """Replay one job's k-run and fold it into the job's schedule state.
+def _replay_job_k(kernel, job: _Job, k: int, parallel_scale: float) -> None:
+    """Replay one job's k-run and fold it into the job's schedule.
 
     ``LocalAssemblyKernel.run``'s launch loop fed from the attributed
     fused launches instead of executing phases — the kernel's own
-    ``_begin_run`` and ``_replay`` — plus ``iterate_k_schedule``'s fold
-    of the k-run.
+    ``_begin_run`` and ``_replay`` — then :meth:`KSchedule.add`.
     """
-    krun = kernel._begin_run(state.n, k, parallel_scale)
-    krun.profile.prep_cache_misses = len(state.segments)
+    krun = kernel._begin_run(len(job.contigs), k, parallel_scale)
+    krun.profile.prep_cache_misses = len(job.segments)
     try:
-        kernel._replay(krun, state.segments)
+        kernel._replay(krun, job.segments)
     except HashTableFullError as error:    # the RAISE policy, settling
-        state.error = error
+        job.error = error
         return
-    if state.merged_profile is None:
-        state.merged_profile = krun.profile
-    else:
-        state.merged_profile.merge(krun.profile)
-    merge_k_side(krun.right, state.best_r, state.settled_r)
-    merge_k_side(krun.left, state.best_l, state.settled_l)
-    state.tail.add(krun.degraded, krun.retried)
+    job.add(k, krun.result(kernel.device))
 
 
 # ----------------------------------------------------------------------
@@ -211,12 +179,10 @@ def _run_solo(kernel, contigs: list[Contig], k_schedule: tuple[int, ...],
               parallel_scale: float) -> CoalescedJobResult:
     """One job of a wave that does not fuse: the kernel's own schedule."""
     try:
-        result = kernel.run_schedule(contigs, k_schedule, parallel_scale)
+        return CoalescedJobResult(
+            kernel.run_schedule(contigs, k_schedule, parallel_scale))
     except HashTableFullError as error:
         return CoalescedJobResult(result=None, error=error)
-    return CoalescedJobResult(result, list(kernel.last_replay),
-                              kernel.last_trace,
-                              kernel.last_sanitizer_report)
 
 
 #: Fault kinds whose effects depend on launch ordinals or batch layout —
@@ -296,37 +262,28 @@ def run_schedule_coalesced(
         return [_run_solo(kernel, contigs, k_schedule, parallel_scale)
                 for contigs in jobs]
 
-    states = [_JobState(contigs, k_schedule[0]) for contigs in jobs]
+    wave = [_Job(contigs, k_schedule) for contigs in jobs]
     construct, walker = kernel._phases()
     config = kernel.launch_config()
 
     for k in k_schedule:
-        active = [s for s in states if not s.done]
+        active = [job for job in wave if not job.done]
         if not active:
             break
-        group: list[Segment] = []
-        for s in active:
-            s.last_k = k
-            s.segments = []
-            for plan in narrow_plans(
-                    kernel.launch_policy.plan(s.contigs, k, config),
-                    s.contigs, pending_ends(s.settled_r, s.settled_l)):
-                seg = Segment(plan, kernel.preparer.prepare(
-                    s.contigs, plan.bin, plan.end, k))
-                s.segments.append(seg)
-                group.append(seg)
+        for job in active:
+            job.segments = [
+                Segment(plan, kernel.preparer.prepare(
+                    job.contigs, plan.bin, plan.end, k))
+                for plan in narrow_plans(
+                    kernel.launch_policy.plan(job.contigs, k, config),
+                    job.contigs, job.pending())]
         # one lockstep program per k: every bin, both ends, every tenant
-        _run_fused_group(kernel, group, k, construct, walker)
-        for s in active:
-            _replay_job_k(kernel, s, k, parallel_scale)
+        _run_fused_group(kernel, [seg for job in active
+                                  for seg in job.segments],
+                         k, construct, walker)
+        for job in active:
+            _replay_job_k(kernel, job, k, parallel_scale)
 
-    results: list[CoalescedJobResult] = []
-    for s in states:
-        if s.error is not None:
-            results.append(CoalescedJobResult(result=None, error=s.error))
-            continue
-        assert s.merged_profile is not None
-        res = s.tail.result(kernel.device, s.last_k, s.merged_profile,
-                            s.best_r.to_side(), s.best_l.to_side())
-        results.append(CoalescedJobResult(result=res))
-    return results
+    return [CoalescedJobResult(None, job.error) if job.error is not None
+            else CoalescedJobResult(job.result(kernel.device))
+            for job in wave]

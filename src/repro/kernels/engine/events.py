@@ -648,26 +648,6 @@ class TraceReplaySubscriber:
             ))
             self._chunks = []
 
-    # ------------------------------------------------------------------
-    # aggregate views (validation / recalibration of the analytic model)
-
-    @property
-    def total_accesses(self) -> int:
-        return sum(s.accesses for s in self.launches)
-
-    @property
-    def total_hbm_bytes(self) -> int:
-        return sum(s.hbm_bytes for s in self.launches)
-
-    @property
-    def l2_hit_rate(self) -> float:
-        """Access-weighted exact L2 hit rate across all launches."""
-        return replay_l2_hit_rate(self.launches)
-
-    def suggested_l2_churn(self) -> float:
-        """The ``l2_churn`` making the analytic model match the replay."""
-        return replay_suggested_l2_churn(self.device, self.launches)
-
 
 def replay_l2_hit_rate(launches: list[TraceReplayStats],
                        warm: bool = True) -> float:

@@ -58,10 +58,9 @@ from repro.kernels.engine.prepare import (
     BatchPreparer,
     segmented_arange,
 )
-from repro.kernels.engine.schedule import pending_ends, validate_k_schedule
+from repro.kernels.engine.schedule import KSchedule
 from repro.kernels.engine.walk import WalkOutput, WalkPhase
 from repro.kernels.vectortable import WarpHashTables
-from repro.simt.counters import KernelProfile
 
 
 class ScalarOracleWalkPhase(WalkPhase):
@@ -290,48 +289,41 @@ class ScalarOracleConstructPhase(ConstructPhase):
         return iterations, overflowed
 
 
+class ScalarKSchedule(KSchedule):
+    """:class:`~repro.kernels.engine.schedule.KSchedule` with the
+    pre-refactor per-contig settle/merge decisions: one contig at a
+    time over the k-run's ``(bases, WalkState)`` lists instead of NumPy
+    masks over its arrays."""
+
+    def _merge(self, end: End, res) -> None:
+        best, settled = self.best[end], self.settled[end]
+        for i, (bases, state) in enumerate(
+                res.right if end is End.RIGHT else res.left):
+            if settled[i]:
+                continue
+            if len(bases) >= best.lens[i] or state is not WalkState.FORK:
+                best.put(i, bases, state)
+            if state is not WalkState.FORK:
+                settled[i] = True
+
+
 def iterate_k_schedule_scalar(
     run_one: Callable[[int, dict], "object"],
     n_contigs: int,
     k_schedule: tuple[int, ...],
-) -> tuple[int, KernelProfile, list, list]:
-    """The pre-refactor per-contig k-schedule merge loop.
+) -> KSchedule:
+    """The pre-refactor k-schedule loop over :class:`ScalarKSchedule`.
 
     Drop-in for :func:`~repro.kernels.engine.schedule.iterate_k_schedule`
-    with the settle/merge decisions taken one contig at a time instead
-    of as NumPy mask assignments; ``run_one`` gets the same pending set.
+    with the settle/merge decisions taken one contig at a time; ``run_one``
+    gets the same pending set.
     """
-    validate_k_schedule(k_schedule)
-    merged: KernelProfile | None = None
-    right: list[tuple[str, WalkState]] = [("", WalkState.MISSING)] * n_contigs
-    left: list[tuple[str, WalkState]] = [("", WalkState.MISSING)] * n_contigs
-    settled_r = [False] * n_contigs
-    settled_l = [False] * n_contigs
-    last_k = k_schedule[0]
+    schedule = ScalarKSchedule(n_contigs, k_schedule)
     for k in k_schedule:
-        if all(settled_r) and all(settled_l):
+        if schedule.done:
             break
-        last_k = k
-        res = run_one(k, pending_ends(settled_r, settled_l))
-        if merged is None:
-            merged = res.profile
-        else:
-            merged.merge(res.profile)
-        for i in range(n_contigs):
-            for side, settled, best in (
-                (res.right, settled_r, right),
-                (res.left, settled_l, left),
-            ):
-                if settled[i]:
-                    continue
-                bases, state = side[i]
-                if len(bases) >= len(best[i][0]) or state is not WalkState.FORK:
-                    best[i] = (bases, state)
-                if state is not WalkState.FORK:
-                    settled[i] = True
-    assert merged is not None
-    merged.contigs = n_contigs
-    return last_k, merged, right, left
+        schedule.add(k, run_one(k, schedule.pending()))
+    return schedule
 
 
 #: Chunk size of the pre-refactor hashing pass (pinned HEAD value).
@@ -495,8 +487,8 @@ def oracle_kernel_cls(kernel_cls):
     streams. This is the baseline every megabatch parity test and
     ``bench_engine_megabatch`` measures against. Only the references
     are swapped in: the launch loop, its accept / grow-retry / drop
-    bookkeeping and the schedule tail are ``kernel_cls``'s own
-    (DESIGN.md decision 21).
+    bookkeeping and everything a k schedule holds beside its merge are
+    ``kernel_cls``'s own (DESIGN.md decisions 21 and 29).
     """
 
     class OracleKernel(kernel_cls):

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.merwalk import DEFAULT_MAX_WALK_LEN
 from repro.core.construct import DEFAULT_LOAD_FACTOR
-from repro.core.extension import DEFAULT_POLICY, WalkPolicy
+from repro.core.extension import DEFAULT_POLICY, WalkPolicy, WalkState
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import decode_matrix, reverse_complement_matrix
@@ -47,11 +47,7 @@ from repro.kernels.engine.attribution import (
     record_attempt,
     replay_attempt,
 )
-from repro.kernels.engine.backend import (
-    KernelRunResult,
-    ProtocolCosts,
-    ScheduleTail,
-)
+from repro.kernels.engine.backend import ProtocolCosts
 from repro.kernels.engine.construct import ConstructPhase
 from repro.kernels.engine.events import (
     EVIDENCE_EVENTS,
@@ -72,8 +68,9 @@ from repro.kernels.engine.prepare import (
     subset_batch,
 )
 from repro.kernels.engine.schedule import (
-    MISSING_CODE,
     BinnedLaunchPolicy,
+    KernelRunResult,
+    KSchedule,
     LaunchConfig,
     SideArrays,
     iterate_k_schedule,
@@ -105,6 +102,16 @@ class _KRun:
     left: SideArrays
     degraded: set[int] = field(default_factory=set)
     retried: set[int] = field(default_factory=set)
+
+    def result(self, device: DeviceSpec) -> KernelRunResult:
+        """The k-run's result, with whatever its bus collected."""
+        return KernelRunResult.of_sides(
+            device, self.k, self.profile, self.right, self.left,
+            degraded=sorted(self.degraded), retried=sorted(self.retried),
+            replay=[] if self.replayer is None else self.replayer.launches,
+            trace=[] if self.tracer is None else self.tracer.traces,
+            sanitizer_report=(None if self.sanitizer is None
+                              else self.sanitizer.report))
 
 
 class _Tape(list):
@@ -192,17 +199,17 @@ class LocalAssemblyKernel:
             working-set model only; "trace" additionally streams every
             table-slot access through the exact batched cache hierarchy
             (:class:`~repro.kernels.engine.events.TraceReplaySubscriber`),
-            leaving per-launch exact measurements in :attr:`last_replay`
-            for validating/recalibrating the analytic model. Profile
-            counters always come from the analytic model, so trace mode
-            changes no result — it adds exact measurements beside it.
+            leaving per-launch exact measurements in the result's
+            ``replay`` for validating/recalibrating the analytic model.
+            Profile counters always come from the analytic model, so trace
+            mode changes no result — it adds exact measurements beside it.
         sanitize: ``None`` (default, off) or a check selection for the
             :class:`~repro.sanitize.Sanitizer` — ``"all"``,
             ``"racecheck"``, ``"synccheck"``, ``"initcheck"``, a
             comma-separated string, or an iterable. When set, the phases
             emit slot-write / slot-read / barrier records (gated on
             ``bus.wants``; off costs nothing) and the run's structured
-            findings land in :attr:`last_sanitizer_report`.
+            findings land in the result's ``sanitizer_report``.
     """
 
     protocol: ProtocolCosts  # set by subclasses
@@ -288,25 +295,17 @@ class LocalAssemblyKernel:
             load_factor=load_factor, table_sizing=table_sizing,
         )
         #: When True, every table-slot access's byte address is recorded
-        #: into :attr:`last_trace` (one array per launch) so the analytic
-        #: cache model can be validated against the exact trace simulator.
+        #: into the result's ``trace`` (one array per launch) so the
+        #: analytic cache model can be validated against the exact trace
+        #: simulator.
         self.record_trace = False
-        self.last_trace: list[np.ndarray] = []
         self.memory_model = memory_model
-        #: Per-launch exact-replay measurements of the most recent run
-        #: (populated when ``memory_model="trace"``), plus the subscriber
-        #: itself for aggregate views (hit rates, suggested ``l2_churn``).
-        self.last_replay: list = []
-        self.last_replay_subscriber: TraceReplaySubscriber | None = None
         if sanitize:
             # imported lazily: repro.sanitize imports this module
             from repro.sanitize.report import parse_checks
             self.sanitize_checks = parse_checks(sanitize)
         else:
             self.sanitize_checks = ()
-        #: The :class:`~repro.sanitize.SanitizerReport` of the most
-        #: recent run (populated when ``sanitize=`` is set).
-        self.last_sanitizer_report = None
         #: Extra event subscribers attached to every subsequent run —
         #: the observability extension point.
         self.extra_subscribers: list = []
@@ -490,9 +489,7 @@ class LocalAssemblyKernel:
                 contig_id=ci, k=k, end=end_name,
                 capacity=int(sub.capacities[w])))
             krun.degraded.add(ci)
-            arr.text[ci] = ""
-            arr.lens[ci] = 0
-            arr.state_codes[ci] = MISSING_CODE
+            arr.put(ci, "", WalkState.MISSING)
 
     def _phases(self) -> tuple:
         """A ``(construct, walk)`` phase pair from the kernel's factories."""
@@ -606,8 +603,6 @@ class LocalAssemblyKernel:
             raise KernelError(f"parallel_scale must be in (0, 1], got {parallel_scale}")
         plans = self.launch_policy.plan(contigs, k, self.launch_config(
             depth_ratio, max_batch_insertions))
-        self.last_trace = []
-        self.last_replay = []
         krun = self._begin_run(len(contigs), k, parallel_scale)
         if pending is not None:
             plans = narrow_plans(plans, contigs, pending)
@@ -642,28 +637,15 @@ class LocalAssemblyKernel:
                 attempt += 1
         if group is not None:
             self._finish_group(krun, group)
-        if krun.tracer is not None:
-            self.last_trace = krun.tracer.traces
-        if krun.replayer is not None:
-            self.last_replay = krun.replayer.launches
-            self.last_replay_subscriber = krun.replayer
-        if krun.sanitizer is not None:
-            self.last_sanitizer_report = krun.sanitizer.report
-        result = KernelRunResult(device=self.device, k=k, profile=krun.profile,
-                                 right=krun.right.to_side(),
-                                 left=krun.left.to_side(),
-                                 degraded=sorted(krun.degraded),
-                                 retried=sorted(krun.retried),
-                                 right_arrays=krun.right,
-                                 left_arrays=krun.left)
+        result = krun.result(self.device)
         if injector is not None:
             injector.degrade_result(result)
         return result
 
     def _iterate_k_schedule(self, run_one, n_contigs: int,
-                            k_schedule: tuple[int, ...]) -> tuple:
-        """The k-schedule merge :meth:`run_schedule` drives (a seam: the
-        oracle kernel substitutes the per-contig scalar loop)."""
+                            k_schedule: tuple[int, ...]) -> KSchedule:
+        """The k-schedule fold :meth:`run_schedule` drives (a seam: the
+        oracle kernel substitutes the per-contig scalar fold)."""
         return iterate_k_schedule(run_one, n_contigs, k_schedule)
 
     def run_schedule(
@@ -683,20 +665,11 @@ class LocalAssemblyKernel:
         more and a table overflow at a later k cannot touch it. Every
         launch flattens its own read stream and lets it go before the
         next is prepared. Profiles of all launches merge; the result's
-        ``k`` reports the last k executed.
+        ``k`` reports the last k executed, and its diagnostics cover the
+        launches of every k (:class:`KSchedule`).
         """
-        tail = ScheduleTail()
-
-        def _run_one(k: int, pending: dict) -> KernelRunResult:
-            res = self.run(contigs, k, parallel_scale=parallel_scale,
-                           pending=pending)
-            tail.add(res.degraded, res.retried, self.last_replay,
-                     self.last_sanitizer_report)
-            return res
-
-        result = tail.result(self.device, *self._iterate_k_schedule(
-            _run_one, len(contigs), k_schedule))
-        self.last_replay = tail.replay
-        if tail.reports:
-            self.last_sanitizer_report = tail.report
-        return result
+        return self._iterate_k_schedule(
+            lambda k, pending: self.run(contigs, k,
+                                        parallel_scale=parallel_scale,
+                                        pending=pending),
+            len(contigs), k_schedule).result(self.device)

@@ -223,7 +223,8 @@ class CheckpointStore:
         """The ``data`` saved as ``(name, k)``, or ``None`` when no
         usable checkpoint exists.
 
-        Corrupt / truncated / CRC-mismatched files are quarantined (see
+        Corrupt / truncated files and frames whose CRC is missing or
+        wrong are quarantined (see
         :meth:`quarantine`) and reported as missing, so the caller
         recomputes; format mismatches and configuration-fingerprint
         mismatches raise :class:`~repro.errors.CheckpointError`.
@@ -252,8 +253,12 @@ class CheckpointStore:
             return None, "unparseable JSON", None
         if not isinstance(payload, dict):
             return None, "payload is not an object", None
+        # every frame save writes carries one: a frame without it is as
+        # damaged as one whose CRC disagrees
         stored_crc = payload.get("crc")
-        if stored_crc is not None and stored_crc != payload_crc(payload):
+        if not isinstance(stored_crc, str):
+            return None, "CRC missing", None
+        if stored_crc != payload_crc(payload):
             return None, "CRC mismatch", None
         if payload.get("format") != CHECKPOINT_FORMAT:
             return None, None, (

@@ -178,10 +178,7 @@ def assert_coalesce_parity(kernel_cls, device, jobs, ks, **opts):
         except HashTableFullError as exc:
             solo.append(dict(err=exc))
         else:
-            solo.append(dict(err=None, res=res,
-                             replay=list(kern.last_replay),
-                             trace=kern.last_trace,
-                             report=kern.last_sanitizer_report))
+            solo.append(dict(err=None, res=res))
         solo_tables += tables.built
     fused_counts = EventCounter()
     kern, tables = kernel()
@@ -208,12 +205,14 @@ def assert_coalesce_parity(kernel_cls, device, jobs, ks, **opts):
         assert c.result.retried == res.retried
         assert (profile_to_dict(c.result.profile)
                 == profile_to_dict(res.profile))
-        assert c.replay == s["replay"]
-        assert len(c.trace) == len(s["trace"])
-        assert all(map(np.array_equal, c.trace, s["trace"]))
-        assert (c.sanitizer_report is None) == (s["report"] is None)
-        if s["report"] is not None:
-            assert c.sanitizer_report.findings == s["report"].findings
+        assert c.result.replay == res.replay
+        assert len(c.result.trace) == len(res.trace)
+        assert all(map(np.array_equal, c.result.trace, res.trace))
+        assert ((c.result.sanitizer_report is None)
+                == (res.sanitizer_report is None))
+        if res.sanitizer_report is not None:
+            assert (c.result.sanitizer_report.findings
+                    == res.sanitizer_report.findings)
     # an erroring job finishes the launch that overflowed before it
     # raises, solo and fused alike, so the counts agree even then
     assert fused_counts.counts == solo_counts.counts
@@ -335,9 +334,10 @@ class TestCoalesceParity:
         else:
             assert fused[2].result.degraded or fused[2].result.retried
         if diagnostics == "record_trace":
-            assert all(c.trace for c in fused)
+            assert all(c.result.trace for c in fused)
         else:
-            assert all(c.replay and c.sanitizer_report is not None
+            assert all(c.result.replay
+                       and c.result.sanitizer_report is not None
                        for c in fused)
 
     def test_oracle_kernel_wave(self):

@@ -127,11 +127,11 @@ class TestKernelEventStream:
         rec, _res = stream
         kern = CudaLocalAssemblyKernel(A100)
         kern.record_trace = True
-        kern.run(_contigs(), 21)
+        traces = kern.run(_contigs(), 21).trace
         total_slots = sum(e.slots.size for e in rec.of(SlotAccess))
-        total_trace = sum(t.size for t in kern.last_trace)
+        total_trace = sum(t.size for t in traces)
         assert total_slots == total_trace
-        assert all((t % SLOT_BYTES == 0).all() for t in kern.last_trace)
+        assert all((t % SLOT_BYTES == 0).all() for t in traces)
 
 
 class TestSubscriberIsolation:

@@ -108,15 +108,14 @@ class TestAdversarialInputs:
 class TestTraceRecording:
     def test_trace_disabled_by_default(self):
         kern = CudaLocalAssemblyKernel(A100)
-        kern.run(_contigs(n=1), 21)
-        assert kern.last_trace == []
+        assert kern.run(_contigs(n=1), 21).trace == []
 
     def test_trace_covers_probes(self):
         contigs = _contigs(n=2)
         kern = CudaLocalAssemblyKernel(A100, policy=PRODUCTION_POLICY)
         kern.record_trace = True
         res = kern.run(contigs, 21)
-        total = sum(len(t) for t in kern.last_trace)
+        total = sum(len(t) for t in res.trace)
         assert total == (res.profile.insert_probe_iterations
                          + res.profile.lookup_probe_iterations)
-        assert all(t.dtype == np.int64 for t in kern.last_trace)
+        assert all(t.dtype == np.int64 for t in res.trace)

@@ -215,7 +215,7 @@ class TestScheduleParity:
         res_m = kern_m.run_schedule(contigs, ks)
         res_o = kern_o.run_schedule(contigs, ks)
         assert_schedule_parity((res_m, cnt_m.counts), (res_o, cnt_o.counts))
-        rep_m, rep_o = kern_m.last_sanitizer_report, kern_o.last_sanitizer_report
+        rep_m, rep_o = res_m.sanitizer_report, res_o.sanitizer_report
         assert rep_m is not None and rep_o is not None
         assert not rep_m.findings and not rep_o.findings
 
@@ -230,25 +230,23 @@ class TestMergeParity:
             kern = kernel_cls(device, policy=PRODUCTION_POLICY)
             return lambda k, pending: kern.run(contigs, k, pending=pending)
         n = len(contigs)
-        vec = iterate_k_schedule(run_one_factory(), n, ks)
-        sca = iterate_k_schedule_scalar(run_one_factory(), n, ks)
+        vec = iterate_k_schedule(run_one_factory(), n, ks).result(None)
+        sca = iterate_k_schedule_scalar(run_one_factory(), n, ks).result(None)
         return vec, sca
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**16), err=st.sampled_from([0.0, 0.02]))
     def test_merge_decisions_match(self, seed, err):
         contigs = _contigs(3, seed, error_rate=err)
-        (k_v, prof_v, r_v, l_v), (k_s, prof_s, r_s, l_s) = self._both(
-            contigs, (21, 33, 45))
-        assert k_v == k_s
-        assert r_v == r_s and l_v == l_s
-        assert profile_to_dict(prof_v) == profile_to_dict(prof_s)
+        vec, sca = self._both(contigs, (21, 33, 45))
+        assert vec.k == sca.k
+        assert vec.right == sca.right and vec.left == sca.left
+        assert profile_to_dict(vec.profile) == profile_to_dict(sca.profile)
 
     def test_early_settle_breaks_identically(self):
         """Perfect reads settle every end at the first k; both merge
         loops must stop there (same last_k, same single-k profile)."""
         contigs = _contigs(4, seed=3, error_rate=0.0)
-        (k_v, prof_v, _, _), (k_s, prof_s, _, _) = self._both(
-            contigs, (21, 33, 55))
-        assert k_v == k_s
-        assert profile_to_dict(prof_v) == profile_to_dict(prof_s)
+        vec, sca = self._both(contigs, (21, 33, 55))
+        assert vec.k == sca.k
+        assert profile_to_dict(vec.profile) == profile_to_dict(sca.profile)

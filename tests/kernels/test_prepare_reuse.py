@@ -102,13 +102,13 @@ class TestScheduleFlattens:
         from repro.kernels.engine import iterate_k_schedule
 
         bare = CudaLocalAssemblyKernel(A100)
-        last_k, merged, right, left = iterate_k_schedule(
+        folded = iterate_k_schedule(
             lambda k, pending: bare.run(contigs, k, pending=pending),
-            len(contigs), (21, 33))
-        assert scheduled.k == last_k
-        assert tuple(scheduled.right) == tuple(right)
-        assert tuple(scheduled.left) == tuple(left)
-        assert scheduled.profile == merged
+            len(contigs), (21, 33)).result(None)
+        assert scheduled.k == folded.k
+        assert tuple(scheduled.right) == tuple(folded.right)
+        assert tuple(scheduled.left) == tuple(folded.left)
+        assert scheduled.profile == folded.profile
 
     def test_schedule_profile_counts_its_flattens(self):
         """The three ``prep_cache_*`` keys are schema: one flatten per

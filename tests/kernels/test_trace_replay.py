@@ -16,6 +16,7 @@ from repro.kernels.engine import (
     TraceReplaySubscriber,
     TrafficSubscriber,
     replay_l2_hit_rate,
+    replay_suggested_l2_churn,
 )
 from repro.simt.device import A100, MI250X
 from repro.simt.memory import CacheHierarchy
@@ -50,12 +51,12 @@ class TestTraceMemoryModel:
         contigs = _contigs()
         kern = CudaLocalAssemblyKernel(A100, memory_model="trace")
         kern.record_trace = True
-        kern.run(contigs, 21)
-        assert kern.last_replay
+        res = kern.run(contigs, 21)
+        assert res.replay
         # traces with zero accesses record no array; align on the rest
-        nonzero = [s for s in kern.last_replay if s.accesses]
-        assert len(nonzero) == len(kern.last_trace)
-        for stats, trace in zip(nonzero, kern.last_trace):
+        nonzero = [s for s in res.replay if s.accesses]
+        assert len(nonzero) == len(res.trace)
+        for stats, trace in zip(nonzero, res.trace):
             scalar = CacheHierarchy(A100)
             counts = scalar.access_trace(trace, atomic=True)
             assert stats.accesses == trace.size
@@ -66,15 +67,13 @@ class TestTraceMemoryModel:
 
     def test_cold_lines_and_hit_rates(self):
         kern = CudaLocalAssemblyKernel(A100, memory_model="trace")
-        kern.run(_contigs(), 21)
-        for s in kern.last_replay:
+        launches = kern.run(_contigs(), 21).replay
+        for s in launches:
             assert 0 < s.cold_lines <= s.accesses
             assert s.hbm >= s.cold_lines  # cold lines all missed
             assert 0.0 <= s.l2_hit_rate <= s.warm_l2_hit_rate <= 1.0
-        sub = kern.last_replay_subscriber
-        assert sub.total_accesses == sum(s.accesses for s in kern.last_replay)
-        assert 0.0 <= sub.l2_hit_rate <= 1.0
-        assert sub.suggested_l2_churn() >= 1.0
+        assert 0.0 <= replay_l2_hit_rate(launches) <= 1.0
+        assert replay_suggested_l2_churn(A100, launches) >= 1.0
 
     def test_run_schedule_accumulates_launches(self):
         """A fork at k=21 retries at k=33; the replay log keeps both ks
@@ -90,22 +89,20 @@ class TestTraceMemoryModel:
             reads.append(Read.from_strings(f"b{i}", pre[1] + core + post[1]))
         contig.reads = reads
         kern = CudaLocalAssemblyKernel(A100, memory_model="trace")
-        kern.run_schedule([contig], (21, 33))
-        assert {s.k for s in kern.last_replay} == {21, 33}
-        assert replay_l2_hit_rate(kern.last_replay) >= 0.0
+        launches = kern.run_schedule([contig], (21, 33)).replay
+        assert {s.k for s in launches} == {21, 33}
+        assert replay_l2_hit_rate(launches) >= 0.0
 
     def test_small_l2_misses_more(self):
         """The paper's cache story holds in exact replay: the MI250X's
         8 MB L2 serves fewer probes than the A100's 40 MB L2."""
         contigs = _contigs(n=6, seed=11)
         big = CudaLocalAssemblyKernel(A100, memory_model="trace")
-        big.run(contigs, 21)
         small = HipLocalAssemblyKernel(
             MI250X.with_(l2=MI250X.l2.__class__(64 * 1024, 64, 250)),
             memory_model="trace")
-        small.run(contigs, 21)
-        assert (replay_l2_hit_rate(small.last_replay, warm=False)
-                < replay_l2_hit_rate(big.last_replay, warm=False))
+        assert (replay_l2_hit_rate(small.run(contigs, 21).replay, warm=False)
+                < replay_l2_hit_rate(big.run(contigs, 21).replay, warm=False))
 
 
 class TestEventBusWants:

@@ -27,7 +27,8 @@ from repro.kernels.engine import (BatchPreparer, ContigDropped,
                                   ContigRetried, LaunchDone, LaunchStarted,
                                   MemoryTrafficResolved, ProbeIteration,
                                   VisitedFingerprintSet, WalkStep,
-                                  WaveExecuted, oracle_kernel_cls)
+                                  WaveExecuted, oracle_kernel_cls,
+                                  run_schedule_coalesced)
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.simt.device import A100, MAX1550, MI250X
 
@@ -206,8 +207,37 @@ class TestGroupParity:
         contigs = _binned(seed=3)
         kern = CudaLocalAssemblyKernel(A100, policy=PRODUCTION_POLICY)
         kern.record_trace = True
-        kern.run(contigs, K)
-        assert len(kern.last_trace) >= 6     # one slot trace per launch
+        assert len(kern.run(contigs, K).trace) >= 6  # one per launch
+
+    def test_schedule_diagnostics_cover_every_k(self):
+        """A schedule's result carries the diagnostics of every k it ran:
+        one slot trace per replayed launch that accessed a slot, in
+        launch order (the kernel's last k only, before they moved onto
+        the result); a diagnostic wave hands each job exactly its solo
+        schedule's."""
+        contigs = _binned(seed=5, read_length=110)
+        ks = (21, 33, 55)
+
+        def kernel():
+            kern = CudaLocalAssemblyKernel(A100, policy=PRODUCTION_POLICY,
+                                           memory_model="trace",
+                                           sanitize="all")
+            kern.record_trace = True
+            return kern
+
+        res = kernel().run_schedule(contigs, ks)
+        assert len({s.k for s in res.replay}) >= 2
+        assert [t.size for t in res.trace] \
+            == [s.accesses for s in res.replay if s.accesses]
+        assert res.sanitizer_report.ok
+        jobs = [contigs[:4], contigs[4:]]
+        for job, c in zip(jobs, run_schedule_coalesced(kernel(), jobs, ks)):
+            solo = kernel().run_schedule(job, ks)
+            assert c.result.replay == solo.replay
+            assert len(c.result.trace) == len(solo.trace)
+            assert all(map(np.array_equal, c.result.trace, solo.trace))
+            assert (c.result.sanitizer_report.findings
+                    == solo.sanitizer_report.findings)
 
 
 class StarvedCuda(CudaLocalAssemblyKernel):

@@ -256,6 +256,23 @@ class TestHostileBytes:
                      "rejected" if got == "rejected" else "intact"] += 1
         assert outcomes["quarantined"] > 500, outcomes
 
+    @pytest.mark.parametrize("damage", ["deleted", "renamed"])
+    def test_frame_without_a_crc_is_damage(self, saved, damage):
+        """Every frame ``save`` writes carries a CRC, so one without it —
+        the key lost, or its name hit by a flip — is damaged: its
+        ``data`` can no longer be checked, here it was altered too."""
+        path, blob, _data = saved
+        payload = json.loads(blob)
+        crc = payload.pop("crc")
+        if damage == "renamed":
+            payload["crb"] = crc
+        payload["data"]["k"] += 12
+        blob = (json.dumps(payload) + "\n").encode()
+        path.write_bytes(blob)
+        assert CheckpointStore(path.parent, meta=self.META).completed() \
+            == set()
+        assert self._load(path, blob) is None
+
     def test_format_1_file_rejected(self, tmp_path, clean_run):
         # what the parent's typed ``save`` wrote: sections at the top level
         store = CheckpointStore(tmp_path, meta=self.META)

@@ -44,22 +44,19 @@ def test_buggy_demo_backend_is_registered():
 @pytest.mark.parametrize("backend", SIMT_BACKENDS)
 def test_production_backends_are_clean(backend, contigs):
     kernel = create_backend(backend, sanitize="all")
-    kernel.run(contigs, 21)
-    report = kernel.last_sanitizer_report
+    report = kernel.run(contigs, 21).sanitizer_report
     assert report is not None
     assert report.ok, report.render()
 
 
 def test_unsanitized_run_has_no_report(contigs):
     kernel = create_backend("cuda")
-    kernel.run(contigs, 21)
-    assert kernel.last_sanitizer_report is None
+    assert kernel.run(contigs, 21).sanitizer_report is None
 
 
 def test_buggy_demo_all_checkers_fire(contigs):
     kernel = create_backend("buggy-demo", sanitize="all")
-    kernel.run(contigs, 21)
-    report = kernel.last_sanitizer_report
+    report = kernel.run(contigs, 21).sanitizer_report
     for checker in CHECKS:
         assert report.count(checker) > 0, f"{checker} missed its bug"
 
@@ -67,8 +64,7 @@ def test_buggy_demo_all_checkers_fire(contigs):
 @pytest.mark.parametrize("bug", BUGS)
 def test_each_bug_caught_only_by_its_checker(bug, contigs):
     kernel = create_backend("buggy-demo", sanitize="all", bugs=(bug,))
-    kernel.run(contigs, 21)
-    report = kernel.last_sanitizer_report
+    report = kernel.run(contigs, 21).sanitizer_report
     expected = BUG_TO_CHECKER[bug]
     assert report.count(expected) > 0, \
         f"{expected} missed the seeded {bug!r} bug"
@@ -82,8 +78,7 @@ def test_each_bug_caught_only_by_its_checker(bug, contigs):
 @pytest.mark.parametrize("check", CHECKS)
 def test_single_checker_selection_isolates(check, contigs):
     kernel = create_backend("buggy-demo", sanitize=check)
-    kernel.run(contigs, 21)
-    report = kernel.last_sanitizer_report
+    report = kernel.run(contigs, 21).sanitizer_report
     assert report.count(check) > 0
     for other in CHECKS:
         if other != check:
@@ -92,8 +87,7 @@ def test_single_checker_selection_isolates(check, contigs):
 
 def test_findings_carry_provenance(contigs):
     kernel = create_backend("buggy-demo", sanitize="racecheck")
-    kernel.run(contigs, 21)
-    finding = kernel.last_sanitizer_report.findings[0]
+    finding = kernel.run(contigs, 21).sanitizer_report.findings[0]
     assert finding.checker == "racecheck"
     assert finding.phase == "construct"
     assert finding.launch >= 0
@@ -108,8 +102,7 @@ def test_findings_carry_provenance(contigs):
 
 def test_run_schedule_merges_reports(contigs):
     kernel = create_backend("buggy-demo", sanitize="all")
-    kernel.run_schedule(contigs, [21, 33])
-    report = kernel.last_sanitizer_report
+    report = kernel.run_schedule(contigs, [21, 33]).sanitizer_report
     assert report is not None
     assert not report.ok
     for checker in CHECKS:
@@ -121,8 +114,7 @@ def test_sanitize_option_via_kernel_kwarg(contigs):
     from repro.simt.device import A100
 
     kernel = BuggyDemoKernel(A100, sanitize="all")
-    kernel.run(contigs, 21)
-    assert not kernel.last_sanitizer_report.ok
+    assert not kernel.run(contigs, 21).sanitizer_report.ok
 
 
 def test_unknown_check_rejected():

@@ -1,9 +1,17 @@
 """The crash-safe job journal: framing, torn tails, replay folding."""
 
+import asyncio
+import collections
+import json
+import random
+
 import pytest
 
-from repro.serve import JOURNAL_FORMAT, JobJournal, JournalError
+from repro.serve import (JOURNAL_FORMAT, AssemblyService, JobJournal,
+                         JournalError)
 from repro.serve.journal import frame_record, parse_frame
+
+from .test_service import make_dat, poll_done, request
 
 
 class TestFraming:
@@ -21,7 +29,6 @@ class TestFraming:
         assert parse_frame(b"deadbeef-{}") is None  # missing separator
 
     def test_rejects_non_object_json(self):
-        import json
         import zlib
 
         body = json.dumps([1, 2]).encode()
@@ -131,3 +138,129 @@ class TestReplay:
         record = parse_frame(path.read_bytes().splitlines(keepends=True)[0])
         assert record["op"] == "open"
         assert record["format"] == JOURNAL_FORMAT
+
+
+@pytest.fixture(scope="module")
+def served_journal(tmp_path_factory):
+    """The bytes of a journal a real service wrote: three submits that
+    share one wave's dispatch, their finishes, and the shutdown."""
+    path = tmp_path_factory.mktemp("served") / "jobs.wal"
+
+    async def serve():
+        service = AssemblyService(window_s=0.05, journal_path=str(path),
+                                  journal_fsync=False)
+        port = await service.start()
+        try:
+            submits = await asyncio.gather(*[
+                request(port, "POST", "/v1/jobs",
+                        {"dat": make_dat(n_contigs=1, seed=60 + i),
+                         "k_schedule": [21]})
+                for i in range(3)])
+            for status, body in submits:
+                assert status == 202, body
+                assert (await poll_done(port, body["job_id"]))["status"] \
+                    == "done"
+        finally:
+            await service.stop()
+
+    asyncio.run(serve())
+    return path.read_bytes()
+
+
+class TestHostileBytes:
+    """ROADMAP 2(c): whatever bytes sit in a journal, ``replay`` answers
+    with a ``JournalState`` — never an exception — whose jobs are among
+    the undamaged replay's and whose every field holds a value some
+    undamaged record wrote for that job; ``--recover`` finishes every
+    job it re-seats."""
+
+    @staticmethod
+    def _undamaged(blob, tmp_path):
+        """``(path, state, written)`` of the served journal: ``written``
+        maps job id -> key -> the JSON of every value an intact record
+        gave it (``phase``: the ops that addressed the job)."""
+        path = _write(tmp_path, blob)
+        state = JobJournal.replay(path)
+        assert len(state.jobs) == 3 and state.torn == 0
+        assert state.clean_shutdown and state.pending() == []
+        written = collections.defaultdict(lambda: collections.defaultdict(set))
+        ops = []
+        for line in blob.splitlines(keepends=True):
+            record = parse_frame(line)
+            ops.append(record["op"])
+            for job_id in record.get("job_ids") or [record.get("job_id")]:
+                if job_id is None:
+                    continue
+                fields = written[job_id]
+                fields["job_id"].add(json.dumps(job_id))
+                fields["phase"].add(json.dumps(record["op"]))
+                for key, value in record.items():
+                    if key not in ("seq", "op", "job_id", "job_ids"):
+                        fields[key].add(json.dumps(value, sort_keys=True))
+        assert ops.count("submit") == ops.count("finish") == 3
+        assert "dispatch" in ops
+        return path, state, written
+
+    @staticmethod
+    def _replay_sound(path, blob, clean, written):
+        path.write_bytes(blob)
+        state = JobJournal.replay(path)
+        assert set(state.jobs) <= set(clean.jobs)
+        assert state.records <= clean.records
+        for job_id, job in state.jobs.items():
+            for key, value in job.items():
+                assert json.dumps(value, sort_keys=True) \
+                    in written[job_id][key], (job_id, key)
+        return state
+
+    def test_truncated_at_every_offset(self, served_journal, tmp_path):
+        path, clean, written = self._undamaged(served_journal, tmp_path)
+        for cut in range(len(served_journal)):
+            state = self._replay_sound(path, served_journal[:cut], clean,
+                                       written)
+            assert state.torn <= 1, cut
+
+    def test_seeded_bit_flips(self, served_journal, tmp_path):
+        path, clean, written = self._undamaged(served_journal, tmp_path)
+        rng = random.Random(2025)
+        lost = 0
+        for _ in range(600):
+            damaged = bytearray(served_journal)
+            for _ in range(rng.randint(1, 4)):
+                damaged[rng.randrange(len(damaged))] ^= 1 << rng.randrange(8)
+            state = self._replay_sound(path, bytes(damaged), clean, written)
+            lost += state.records < clean.records
+        assert lost > 500, lost
+
+    def test_recover_finishes_every_reseated_job(self, served_journal,
+                                                 tmp_path):
+        """Torn inside the first finish record, a bit flipped in the
+        dispatch: every job is re-seated unfinished, and runs to an end."""
+        lines = served_journal.splitlines(keepends=True)
+        ops = [parse_frame(line)["op"] for line in lines]
+        dispatch = bytearray(lines[ops.index("dispatch")])
+        dispatch[20] ^= 0x10
+        lines[ops.index("dispatch")] = bytes(dispatch)
+        cut = ops.index("finish")
+        path = _write(tmp_path, b"".join(lines[:cut]) + lines[cut][:20])
+        state = JobJournal.replay(path)
+        reseated = [job["job_id"] for job in state.pending()]
+        assert len(reseated) == 3 and state.torn == 2
+
+        async def recover():
+            service = AssemblyService(window_s=0.01, journal_path=str(path),
+                                      journal_fsync=False, recover=True)
+            port = await service.start()
+            try:
+                return [(await poll_done(port, job_id, timeout=30.0))
+                        ["status"] for job_id in reseated]
+            finally:
+                await service.stop()
+
+        assert set(asyncio.run(recover())) <= {"done", "failed"}
+
+
+def _write(tmp_path, blob):
+    path = tmp_path / "jobs.wal"
+    path.write_bytes(blob)
+    return path
