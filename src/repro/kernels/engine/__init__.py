@@ -4,8 +4,9 @@ The engine splits the kernel workflow into its natural stages —
 prepare (:mod:`~repro.kernels.engine.prepare`), construct
 (:mod:`~repro.kernels.engine.construct`), walk
 (:mod:`~repro.kernels.engine.walk`) — driven by the launch
-schedule (:mod:`~repro.kernels.engine.schedule`) and observed through an
-event bus (:mod:`~repro.kernels.engine.events`). Execution paths
+schedule (:mod:`~repro.kernels.engine.schedule`), counted through one
+tally per launch (:mod:`~repro.kernels.engine.tally`) and observed through
+an event bus (:mod:`~repro.kernels.engine.events`). Execution paths
 (the three SIMT vendor ports plus the scalar CPU reference) implement the
 :class:`~repro.kernels.engine.backend.ExecutionBackend` protocol and are
 selected by name from the backend registry
@@ -35,24 +36,21 @@ from repro.kernels.engine.oracle import (
     oracle_kernel_cls,
 )
 from repro.kernels.engine.events import (
-    ITERATION_BASE_INSTRS,
-    WALK_STEP_INTOPS,
     BarrierSync,
     ContigDropped,
     ContigRetried,
+    CountRecorder,
     EventBus,
     LaunchDone,
     LaunchStarted,
     MemoryTrafficResolved,
     ProbeIteration,
-    ProfileSubscriber,
     SlotAccess,
     SlotRead,
     SlotWrite,
     TraceReplayStats,
     TraceReplaySubscriber,
     TraceSubscriber,
-    TrafficSubscriber,
     WalkStep,
     WaveExecuted,
     replay_l2_hit_rate,
@@ -79,6 +77,12 @@ from repro.kernels.engine.schedule import (
     validate_k_schedule,
 )
 from repro.kernels.engine.simt import LocalAssemblyKernel
+from repro.kernels.engine.tally import (
+    ITERATION_BASE_INSTRS,
+    WALK_STEP_INTOPS,
+    LaunchTally,
+    charge,
+)
 from repro.kernels.engine.walk import VisitedFingerprintSet, WalkOutput, WalkPhase
 
 __all__ = [
@@ -103,25 +107,27 @@ __all__ = [
     "ScalarOracleWalkPhase",
     "iterate_k_schedule_scalar",
     "oracle_kernel_cls",
-    # events + subscribers
+    # the count channel
     "ITERATION_BASE_INSTRS",
     "WALK_STEP_INTOPS",
+    "LaunchTally",
+    "charge",
+    # events + subscribers
     "BarrierSync",
     "ContigDropped",
     "ContigRetried",
+    "CountRecorder",
     "EventBus",
     "LaunchDone",
     "LaunchStarted",
     "MemoryTrafficResolved",
     "ProbeIteration",
-    "ProfileSubscriber",
     "SlotAccess",
     "SlotRead",
     "SlotWrite",
     "TraceReplayStats",
     "TraceReplaySubscriber",
     "TraceSubscriber",
-    "TrafficSubscriber",
     "WalkStep",
     "WaveExecuted",
     "replay_l2_hit_rate",

@@ -19,23 +19,24 @@ what this module exploits:
    launch the phases only *log*: they append references to the
    per-iteration arrays they already hold to the list the driver
    installs as their ``log`` (entry layout:
-   :data:`~repro.kernels.engine.events.LOG_WAVE`); nothing is counted
-   in the probe loops, and the bus they are handed has no subscriber.
+   :mod:`repro.kernels.engine.tally`); nothing is counted in the probe
+   loops, and the bus they are handed has no subscriber.
 2. **Attribute after the fact**: once per launch, one vectorized pass
    (:meth:`LaunchRecord.attribute <repro.kernels.engine.attribution.\
 LaunchRecord.attribute>`: a single ``searchsorted`` of the
    log's concatenated warps against the segment boundaries, then
-   ``bincount`` over ``segment x entry`` keys) turns the log into
-   per-segment count columns, stored sparsely — only the (segment,
-   entry) pairs in which the segment had lanes, i.e. exactly the events
-   its solo run emits. The log itself is cleared at launch end.
-3. **Replay per job**: each job's solo event stream is re-emitted, in
-   solo launch order (:mod:`repro.kernels.engine.attribution`, shared
-   with the solo driver's walk groups), through the kernel's own
-   instrumentation stack (:meth:`LocalAssemblyKernel._build_bus`), so
-   profiles and traffic are byte-identical to a one-at-a-time run *by
-   construction* — the hypothesis parity tests in
-   ``tests/kernels/test_coalesce_parity.py`` are the drift guard.
+   ``bincount`` over ``segment x entry`` keys) turns the log into every
+   segment's tally rows — one per (segment, entry) pair in which the
+   segment had lanes, i.e. exactly the rows its solo run tallies. The
+   log itself is cleared at launch end.
+3. **Charge per job**: each job's launch tallies are charged to its
+   profile in solo launch order (:mod:`repro.kernels.engine.attribution`,
+   shared with the solo driver's walk groups) by the fold a solo launch
+   ends in (:func:`~repro.kernels.engine.tally.charge`), so profiles and
+   traffic are byte-identical to a one-at-a-time run *by construction* —
+   the hypothesis parity tests in ``tests/kernels/test_coalesce_parity.py``
+   are the drift guard. Count events are rendered from the same tallies
+   for a subscriber that asks.
 
 A fused program carries counts only. A kernel that does not fuse
 (:meth:`LocalAssemblyKernel._fuses`: a tracer, the trace replayer or a
@@ -126,7 +127,7 @@ def _launch(kernel, subs: list[Batch], k: int, construct, walker) -> tuple:
     tables = kernel.tables_cls(fused.capacities, k)
     launch = LaunchRecord(warp_base)
     construct.log = walker.log = launch.log
-    bus = EventBus()    # nobody listens: a fused program logs its counts
+    bus = EventBus()    # nobody listens: a fused program carries counts only
     return (launch, construct.run(fused, tables, bus),
             walker.run(fused, tables, bus))
 
@@ -158,7 +159,8 @@ def _replay_job_k(kernel, job: _Job, k: int, parallel_scale: float) -> None:
 
     ``LocalAssemblyKernel.run``'s launch loop fed from the attributed
     fused launches instead of executing phases — the kernel's own
-    ``_begin_run`` and ``_replay`` — then :meth:`KSchedule.add`.
+    ``_begin_run`` and ``_replay``, which charges each launch's tally —
+    then :meth:`KSchedule.add`.
     """
     krun = kernel._begin_run(len(job.contigs), k, parallel_scale)
     krun.profile.prep_cache_misses = len(job.segments)

@@ -9,16 +9,17 @@ linear-probe; thread collisions (two lanes, same slot) are resolved by an
 iteration for the CUDA ``__match_any_sync`` port, on the next iteration
 for HIP/SYCL.
 
-All measured quantities leave the phase as events
-(:class:`~repro.kernels.engine.events.WaveExecuted`,
-:class:`~repro.kernels.engine.events.ProbeIteration`,
-:class:`~repro.kernels.engine.events.SlotAccess`); the phase itself never
-touches a profile or traffic ledger. When a sanitizer subscribes, the
-phase additionally emits :class:`~repro.kernels.engine.events.SlotWrite`
-records at every slot-state commit and
+What the phase counts leaves it as tally rows — one per wave and per
+probe iteration (:mod:`repro.kernels.engine.tally`), returned in
+:attr:`ConstructResult.rows`, or logged as arrays when a driver fuses
+launches; the phase never touches a profile or traffic ledger. Evidence
+goes to the event bus where it happens, gated on ``bus.wants`` so a run
+nobody observes pays nothing: the
+:class:`~repro.kernels.engine.events.SlotAccess` of every probe, and for
+a sanitizer :class:`~repro.kernels.engine.events.SlotWrite` records at
+every slot-state commit and
 :class:`~repro.kernels.engine.events.BarrierSync` records at every
-protocol synchronization point — all gated on ``bus.wants``, so
-unsanitized runs pay nothing. The commit/claim/barrier steps are small
+protocol synchronization point. The commit/claim/barrier steps are small
 overridable methods, which is how the deliberately-buggy demo backend
 (:mod:`repro.sanitize.demo`) seeds the protocol violations the sanitizer
 self-test must catch.
@@ -26,24 +27,26 @@ self-test must catch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.kernels.engine.events import (
     BarrierSync,
     EventBus,
-    ProbeIteration,
     SlotAccess,
     SlotWrite,
-    WaveExecuted,
-    insert_entry,
-    wave_entry,
 )
 from repro.kernels.engine.prepare import (
     Batch,
     run_length_sorted,
     segmented_arange,
+)
+from repro.kernels.engine.tally import (
+    insert_entry,
+    insert_row,
+    wave_entry,
+    wave_row,
 )
 from repro.kernels.vectortable import WarpHashTables
 
@@ -56,10 +59,12 @@ class ConstructResult:
     iterations: int     #: lockstep insert-probe iterations
     #: Warps whose table overflowed, in the order they did.
     overflowed: tuple[int, ...] = ()
+    #: The launch's tally rows, in order (empty when the phase logged).
+    rows: list = field(default_factory=list)
 
 
 class ConstructPhase:
-    """Runs all construction waves of a launch, emitting events.
+    """Runs all construction waves of a launch, tallying them.
 
     A full table never raises here: every pending lane of the overflowed
     warp retires, the warp sits out the remaining waves, and
@@ -74,10 +79,10 @@ class ConstructPhase:
         self.warp_size = warp_size
         #: The launch's attribution log (``None`` = off): the arrays
         #: behind every wave and probe iteration, appended by reference
-        #: (entry layout: :data:`~repro.kernels.engine.events.LOG_WAVE`),
-        #: so a multi-tenant megabatch can be decomposed per job after
-        #: the launch. The coalescing driver installs a fresh list
-        #: before each launch.
+        #: *instead of* a tally row (entry layout:
+        #: :mod:`repro.kernels.engine.tally`), so a multi-tenant
+        #: megabatch can be decomposed per job after the launch. The
+        #: coalescing driver installs one per fused program.
         self.log: list | None = None
         # The running launch's slot per insertion (see :meth:`_vote`);
         # -1 = that lane has not retired.
@@ -138,6 +143,7 @@ class ConstructPhase:
         overflowed: list[int] = []
         want_lanes = bus.wants(SlotWrite)
         log = self.log
+        rows: list = []
         final_slot = self._final_slot = np.full(batch.ins_warp.size, -1,
                                                 dtype=np.int64)
         for t in range(max_waves):
@@ -151,17 +157,18 @@ class ConstructPhase:
                 idx = idx[~dead[batch.ins_warp[idx]]]
                 if idx.size == 0:
                     continue
-                wave_warps = int(run_length_sorted(batch.ins_warp[idx])[0].size)
-            else:
-                wave_warps = int(np.count_nonzero(take))
-            bus.emit(WaveExecuted(lanes=idx.size, warps=wave_warps))
             if log is not None:
                 log.append(wave_entry(batch.ins_warp[idx]))
+            elif overflowed:
+                rows.append(wave_row(idx.size, int(
+                    run_length_sorted(batch.ins_warp[idx])[0].size)))
+            else:
+                rows.append(wave_row(idx.size, int(np.count_nonzero(take))))
             waves_run += 1
             # lane id within the warp's wave, for sanitizer provenance
             lanes = (idx - lo[batch.ins_warp[idx]]) if want_lanes else None
             iters, wave_overflowed = self._insert_wave(batch, tables, idx,
-                                                       bus, lanes)
+                                                       bus, rows, lanes)
             chain += iters
             if wave_overflowed:
                 overflowed.extend(wave_overflowed)
@@ -177,20 +184,21 @@ class ConstructPhase:
             tables.vote(final_slot[voted], batch.ins_ext[voted],
                         batch.ins_hi[voted])
         return ConstructResult(waves=waves_run, iterations=chain,
-                               overflowed=tuple(overflowed))
+                               overflowed=tuple(overflowed), rows=rows)
 
     def _insert_wave(self, batch: Batch, tables: WarpHashTables,
-                     idx: np.ndarray, bus: EventBus,
+                     idx: np.ndarray, bus: EventBus, rows: list,
                      lanes: np.ndarray | None = None) -> tuple[int, list[int]]:
-        """Probe until every lane of the wave has inserted.
+        """Probe until every lane of the wave has inserted, a row per
+        iteration onto ``rows`` (or an entry onto the log).
 
         The pending lane set is kept *persistently compacted*: ``p`` (and
         its aligned probe counters) shrinks as lanes retire, instead of
         being re-derived from a full-wave boolean mask with ``nonzero``
         (and re-``unique``-d) every probe iteration. Late iterations —
         where only a few colliding lanes remain — therefore cost work
-        proportional to the stragglers, not the wave. Event emission
-        (order, contents) is bit-identical to the pre-compaction loop,
+        proportional to the stragglers, not the wave. Its rows and events
+        (order, contents) are bit-identical to the pre-compaction loop,
         which survives as :class:`~repro.kernels.engine.oracle.\
 ScalarOracleConstructPhase`.
 
@@ -241,11 +249,6 @@ ScalarOracleConstructPhase`.
             iterations += 1
             if want_sync:
                 uniq_warps, uniq_counts = run_length_sorted(wp)
-                active_warps = int(uniq_warps.size)
-            else:
-                # ``wp`` stays warp-sorted; the event only needs the count.
-                active_warps = (1 + int(np.count_nonzero(wp[1:] != wp[:-1]))
-                                if wp.size else 0)
 
             # Probe offsets were bounds-checked against ``caps_p`` above,
             # so the linear-probe address arithmetic of ``slot_of`` can run
@@ -301,12 +304,6 @@ ScalarOracleConstructPhase`.
 
             if want_sync:
                 self._barrier(uniq_warps, uniq_counts, bus)
-            bus.emit(ProbeIteration(
-                phase="construct", lanes=p.size, warps=active_warps,
-                key_compares=key_compares, cas_attempts=cas_attempts,
-                votes_matched=votes_matched, votes_claimed=votes_claimed,
-                votes_merged=votes_merged,
-            ))
             retired = votes_matched + votes_claimed + votes_merged
             # Occupied-but-mismatched lanes advance their probe; a single
             # elementwise add of the boolean beats masked assignment.
@@ -314,6 +311,12 @@ ScalarOracleConstructPhase`.
             probe_p += occupied
             if log is not None:
                 log.append(insert_entry(wp, occupied, match, done, win))
+            else:
+                # ``wp`` stays warp-sorted: its runs are the active warps
+                rows.append(insert_row(
+                    p.size, 1 + int(np.count_nonzero(wp[1:] != wp[:-1])),
+                    key_compares, cas_attempts, votes_matched,
+                    votes_claimed, votes_merged))
             if retired:
                 # One ``nonzero`` shared by all seven gathers (boolean
                 # masks would re-derive the index list per array).

@@ -1,40 +1,38 @@
 """The instrumentation-hook layer: typed engine events + subscribers.
 
-The execution engine never mutates a :class:`~repro.simt.counters.KernelProfile`
-or a traffic ledger inline. Instead, the phases emit *events* describing
-what just executed (a construction wave, a probe iteration, a walk step,
-a batch of table-slot accesses, a finished launch) onto an
-:class:`EventBus`, and independent subscribers turn those events into
-observations:
+Events are the engine's *diagnostic* channel. What a launch counts goes
+down the count channel (:mod:`repro.kernels.engine.tally`): the phases
+tally each launch attempt and one fold charges the
+:class:`~repro.simt.counters.KernelProfile`, with no event involved. An
+:class:`EventBus` carries what a subscriber asks for:
 
-* :class:`ProfileSubscriber` — instruction/operation counters
-  (:class:`~repro.simt.counters.KernelProfile`).
-* :class:`TrafficSubscriber` — the per-launch
-  :class:`~repro.simt.memory.AnalyticCacheModel` traffic accounting;
-  publishes a :class:`MemoryTrafficResolved` event back onto the bus so
-  the profile can absorb the byte counts and latency-weighted chain
-  cycles without the two subscribers knowing about each other.
-* :class:`TraceSubscriber` — exact table-slot address traces for the
-  trace-driven cache-simulator validation.
-* :class:`TraceReplaySubscriber` — streams every launch's slot trace
-  through the exact batched cache hierarchy
-  (:meth:`~repro.simt.memory.CacheHierarchy.replay`) during a normal
-  kernel run (``memory_model="trace"``), yielding measured per-level
-  counts to validate — and recalibrate ``l2_churn`` in — the analytic
-  model.
+* *evidence* (:data:`EVIDENCE_EVENTS`) — the table slots a probe
+  touched, slot writes and reads, barriers — emitted by the phases
+  where it happens, gated on :meth:`EventBus.wants`, so a run nobody
+  observes builds none;
+* *count events* (:class:`WaveExecuted`, :class:`ProbeIteration`,
+  :class:`WalkStep`, :class:`LaunchDone`,
+  :class:`MemoryTrafficResolved`) — rendered from a launch's tally at
+  launch end, and only for a subscriber that asks for them;
+* the launch bracket and the overflow outcome (:class:`LaunchStarted`,
+  :class:`ContigDropped`, :class:`ContigRetried`).
+
+The subscribers here: :class:`CountRecorder` (count events, in order),
+:class:`TraceSubscriber` (exact table-slot address traces for the
+trace-driven cache-simulator validation) and
+:class:`TraceReplaySubscriber` (streams every launch's slot trace
+through the exact batched cache hierarchy,
+:meth:`~repro.simt.memory.CacheHierarchy.replay`, during a normal kernel
+run — ``memory_model="trace"`` — yielding measured per-level counts to
+validate, and recalibrate ``l2_churn`` in, the analytic model).
 
 Any object with a ``handle(event, bus)`` method can subscribe, so new
 observability (histograms, per-launch logs, live dashboards) attaches
 without touching kernel code. Subscribers may declare the event types
-they consume in a ``handled_events`` class attribute; the phases use
-:meth:`EventBus.wants` to skip building hot-loop events (the per-probe
-:class:`SlotAccess` arrays) that nobody listens to.
-
-Ordering note: :class:`TrafficSubscriber` emits
-:class:`MemoryTrafficResolved` while handling :class:`LaunchDone`;
-subscribers that consume both (the profile) must be registered *before*
-it so they see the launch stats first. The SIMT driver
-(:mod:`repro.kernels.engine.simt`) registers them in that order.
+they consume in a ``handled_events`` class attribute; one that asks for
+no evidence leaves the kernel free to fuse launches
+(:meth:`LocalAssemblyKernel._fuses
+<repro.kernels.engine.simt.LocalAssemblyKernel._fuses>`).
 """
 
 from __future__ import annotations
@@ -43,20 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.vectortable import SLOT_BYTES, SLOT_TAG_BYTES, SLOT_VALUE_BYTES
+from repro.kernels.vectortable import SLOT_BYTES
 from repro.simt.device import DeviceSpec
-from repro.simt.memory import (
-    AccessCategory,
-    AnalyticCacheModel,
-    CacheHierarchy,
-    implied_l2_churn,
-)
-
-#: Warp instructions charged per probe iteration (loop bookkeeping).
-ITERATION_BASE_INSTRS = 10
-
-#: Thread-level integer ops per walk step outside the hash (state updates).
-WALK_STEP_INTOPS = 24
+from repro.simt.memory import CacheHierarchy, implied_l2_churn
 
 # ----------------------------------------------------------------------
 # events
@@ -188,83 +175,6 @@ class BarrierSync:
 EVIDENCE_EVENTS = (SlotAccess, SlotWrite, SlotRead, BarrierSync)
 
 
-#: Entry kinds of a launch's *attribution log*. A phase whose ``log``
-#: attribute is a list (a driver that fuses launches into one lockstep
-#: program installs one per program; ``None`` = off) appends one entry
-#: per count-bearing event — built by the ``*_entry`` helpers below from
-#: references to the arrays the loop already holds, so logging costs one
-#: ``list.append`` and nothing is counted inside the loop. An entry is
-#: ``(kind, warps, m0, m1, m2, idx)``: ``warps`` the issuing warp of
-#: every counted lane (sorted), ``m0..m2`` boolean masks and ``idx`` an
-#: index array aligned with it (``None`` where a kind has none).
-#: :mod:`repro.kernels.engine.attribution` reduces a finished program's
-#: log to per-segment tallies in one vectorized pass — lanes, distinct
-#: warps, then one tally per column — and :func:`counted_events` turns
-#: a segment's tallies back into the events its solo run emits. The log
-#: holds O(sum of pending lanes) array references for one program.
-LOG_WAVE, LOG_INSERT_ITER, LOG_LOOKUP_ITER, LOG_WALK_STEP = range(4)
-
-
-def wave_entry(lane_warps: np.ndarray) -> tuple:
-    """Log entry of one construction wave (a :class:`WaveExecuted`)."""
-    return (LOG_WAVE, lane_warps, None, None, None, None)
-
-
-def insert_entry(pending_warps: np.ndarray, mismatched: np.ndarray,
-                 matched: np.ndarray, retired: np.ndarray,
-                 cas_winners: np.ndarray | None) -> tuple:
-    """Log entry of one insert-probe iteration.
-
-    ``mismatched`` / ``matched`` split the occupied slots by key compare
-    outcome, ``retired`` marks lanes that voted this iteration (matched,
-    claimed or merged) and ``cas_winners`` indexes the fresh CAS winners
-    (``None``: no slot was observed empty).
-    """
-    return (LOG_INSERT_ITER, pending_warps, mismatched, matched, retired,
-            cas_winners)
-
-
-def lookup_entry(pending_warps: np.ndarray, occupied: np.ndarray) -> tuple:
-    """Log entry of one walk lookup-probe iteration."""
-    return (LOG_LOOKUP_ITER, pending_warps, occupied, None, None, None)
-
-
-def walk_entry(walker_warps: np.ndarray, found: np.ndarray,
-               committed: np.ndarray | None) -> tuple:
-    """Log entry of one walk step: ``found`` masks the walkers whose key
-    resolved (vote rows read), ``committed`` indexes those that accepted
-    a base (``None``: nobody advanced)."""
-    return (LOG_WALK_STEP, walker_warps, found, None, None, committed)
-
-
-def counted_events(kinds: list, lanes: list, warps: list, m0: list,
-                   m1: list, m2: list, idx: list):
-    """Yield the solo events behind one segment's tallies of its entries.
-
-    One event per entry, made as it is consumed: ``lanes`` / ``warps``
-    count the segment's entries / distinct values in the entry's
-    ``warps``; ``m0..m2`` and ``idx`` count its share of the like-named
-    columns (the ``*_entry`` helpers say what each kind stores there).
-    """
-    for kind, n, w, c0, c1, c2, ci in zip(kinds, lanes, warps, m0, m1, m2,
-                                          idx):
-        if kind == LOG_INSERT_ITER:
-            # every pending lane either compared a key or issued a CAS;
-            # retired = matched + claimed (the CAS winners) + merged
-            yield ProbeIteration(
-                phase="construct", lanes=n, warps=w, key_compares=c0 + c1,
-                cas_attempts=n - c0 - c1, votes_matched=c1,
-                votes_claimed=ci, votes_merged=c2 - c1 - ci)
-        elif kind == LOG_WAVE:
-            yield WaveExecuted(lanes=n, warps=w)
-        elif kind == LOG_LOOKUP_ITER:
-            # one lookup lane per walking warp
-            yield ProbeIteration(phase="walk", lanes=n, warps=n,
-                                 key_compares=c0)
-        else:   # LOG_WALK_STEP
-            yield WalkStep(walkers=n, vote_reads=c0, bases_committed=ci)
-
-
 @dataclass(frozen=True)
 class LaunchDone:
     """A launch finished; carries its serial-chain statistics."""
@@ -306,7 +216,7 @@ class ContigRetried:
 
 @dataclass(frozen=True)
 class MemoryTrafficResolved:
-    """Published by :class:`TrafficSubscriber` after each launch."""
+    """One launch's analytic cache traffic, as charged to the profile."""
 
     hbm_bytes: float
     l1_bytes: float
@@ -364,191 +274,23 @@ class EventBus:
 # ----------------------------------------------------------------------
 
 
-class ProfileSubscriber:
-    """Turns engine events into :class:`KernelProfile` counter updates.
-
-    Holds the port-specific cost constants (protocol, warp size, walk
-    scheduling mode) so the *same* event stream yields different profiles
-    for different ports — exactly how the paper's three ports differ.
-    """
+class CountRecorder:
+    """Keeps every count event of a run, in order: one launch's
+    ``LaunchStarted``, its waves / probe iterations / walk steps,
+    ``MemoryTrafficResolved`` and ``LaunchDone``, then the drops and
+    retries its settling emitted. It asks for nothing else, so a kernel
+    it observes still fuses; the events are rendered from each launch's
+    tally (:func:`~repro.kernels.engine.tally.render`)."""
 
     handled_events = (LaunchStarted, WaveExecuted, ProbeIteration, WalkStep,
                       LaunchDone, MemoryTrafficResolved, ContigDropped,
                       ContigRetried)
 
-    def __init__(self, profile, *, warp_size: int, protocol,
-                 lane_parallel_walks: bool, dependent_cpi: float) -> None:
-        self.profile = profile
-        self.warp_size = warp_size
-        self.protocol = protocol
-        self.lane_parallel_walks = lane_parallel_walks
-        self.dependent_cpi = dependent_cpi
-        self._hash_ops = 0
-        self._launch_stats: LaunchDone | None = None
+    def __init__(self) -> None:
+        self.events: list = []
 
     def handle(self, event, bus) -> None:
-        p = self.profile
-        if isinstance(event, LaunchStarted):
-            self._hash_ops = event.hash_ops
-            self._launch_stats = None
-        elif isinstance(event, WaveExecuted):
-            h = self._hash_ops
-            # every lane hashes its k-mer; the warp runs the hash code once
-            p.intops += event.lanes * h
-            p.construct_intops += event.lanes * h
-            p.warp_instructions += event.warps * h
-            p.lane_instructions += event.lanes * h
-            p.inserts += event.lanes
-        elif isinstance(event, ProbeIteration):
-            if event.phase == "construct":
-                ops = ITERATION_BASE_INSTRS + self.protocol.iteration_intops
-                p.intops += event.lanes * ops
-                p.construct_intops += event.lanes * ops
-                p.warp_instructions += event.warps * ops
-                p.lane_instructions += event.lanes * ops
-                p.sync_ops += event.warps * self.protocol.iteration_syncs
-                p.insert_probe_iterations += event.lanes
-                p.atomics += (event.votes_matched + event.cas_attempts
-                              + event.votes_merged)
-            else:
-                ops = ITERATION_BASE_INSTRS
-                p.intops += event.lanes * ops
-                p.walk_intops += event.lanes * ops
-                p.warp_instructions += event.lanes * ops
-                p.lane_instructions += event.lanes * ops // self.warp_size
-                p.lookup_probe_iterations += event.lanes
-            p.serial_depth += 1
-        elif isinstance(event, WalkStep):
-            walk_ops = self._hash_ops + WALK_STEP_INTOPS
-            p.intops += event.walkers * walk_ops
-            p.walk_intops += event.walkers * walk_ops
-            if self.lane_parallel_walks:
-                # independent thread scheduling: one walk per lane, so
-                # ceil(walks / warp_size) warps execute each instruction
-                warps_walking = -(-event.walkers // self.warp_size)
-                p.warp_instructions += warps_walking * walk_ops
-                p.lane_instructions += event.walkers * walk_ops
-            else:
-                # one lane walks; the warp still issues every instruction
-                p.warp_instructions += event.walkers * walk_ops
-                p.lane_instructions += event.walkers * walk_ops // self.warp_size
-            p.lookups += event.walkers
-            p.sync_ops += event.walkers  # terminal-state shuffle broadcast
-            p.walk_steps += event.bases_committed
-            p.extension_bases += event.bases_committed
-        elif isinstance(event, LaunchDone):
-            self._launch_stats = event
-            p.kernels_launched += 1
-        elif isinstance(event, ContigDropped):
-            p.contigs_dropped += 1
-        elif isinstance(event, ContigRetried):
-            p.overflow_retries += 1
-        elif isinstance(event, MemoryTrafficResolved):
-            p.hbm_bytes += event.hbm_bytes
-            p.l1_hit_bytes += event.l1_bytes
-            p.l2_hit_bytes += event.l2_bytes
-            stats = self._launch_stats
-            if stats is None:
-                return
-            # serial chain of this launch: dependent instruction cycles
-            # plus one cache-weighted access latency per probe iteration
-            lat = event.access_latency
-            cpi = self.dependent_cpi
-            p.construct_chain_cycles += (
-                stats.waves * self._hash_ops * cpi
-                + stats.construct_iterations * lat
-            )
-            p.walk_chain_cycles += (
-                stats.walk_steps * (self._hash_ops + WALK_STEP_INTOPS) * cpi
-                + stats.walk_iterations * lat
-            )
-
-
-class TrafficSubscriber:
-    """Accumulates per-launch access counts and applies the cache model.
-
-    On :class:`LaunchDone` it evaluates the
-    :class:`~repro.simt.memory.AnalyticCacheModel` over the launch's
-    access categories and publishes :class:`MemoryTrafficResolved`.
-    """
-
-    handled_events = (LaunchStarted, WaveExecuted, ProbeIteration, WalkStep,
-                      LaunchDone)
-
-    _COUNT_KEYS = ("table_probe", "table_vote", "table_vote_read",
-                   "key_compare", "read_stream")
-
-    def __init__(self, device: DeviceSpec, *, l2_churn: float = 4.0,
-                 parallel_scale: float = 1.0) -> None:
-        self.device = device
-        self.l2_churn = l2_churn
-        self.parallel_scale = parallel_scale
-        self.last_access_latency = 0.0
-        self._context: LaunchStarted | None = None
-        self._counts = dict.fromkeys(self._COUNT_KEYS, 0)
-
-    @property
-    def counts(self) -> dict:
-        """The current launch's access-count ledger (for tests/tools)."""
-        return dict(self._counts)
-
-    def handle(self, event, bus) -> None:
-        if isinstance(event, LaunchStarted):
-            self._context = event
-            self._counts = dict.fromkeys(self._COUNT_KEYS, 0)
-        elif isinstance(event, WaveExecuted):
-            self._counts["read_stream"] += event.lanes
-        elif isinstance(event, ProbeIteration):
-            self._counts["table_probe"] += event.lanes
-            self._counts["key_compare"] += event.key_compares
-            self._counts["table_vote"] += (event.votes_matched
-                                           + event.votes_claimed
-                                           + event.votes_merged)
-        elif isinstance(event, WalkStep):
-            self._counts["table_vote_read"] += event.vote_reads
-        elif isinstance(event, LaunchDone):
-            ctx = self._context
-            if ctx is None:
-                return
-            mem = self._counts
-            cats = [
-                # probes are atomicCAS attempts and walk reads of CAS-owned
-                # tags; votes are atomicAdds — all execute at the L2
-                AccessCategory("table_probe", mem["table_probe"],
-                               SLOT_TAG_BYTES, ctx.mean_table_bytes,
-                               "random", atomic=True),
-                AccessCategory("table_vote", mem["table_vote"],
-                               SLOT_VALUE_BYTES, ctx.mean_table_bytes,
-                               "random", writes=True, atomic=True),
-                AccessCategory("table_vote_read", mem["table_vote_read"],
-                               SLOT_VALUE_BYTES, ctx.mean_table_bytes,
-                               "random", atomic=True),
-                AccessCategory("key_compare", mem["key_compare"],
-                               float(ctx.k), ctx.mean_read_bytes, "random"),
-                AccessCategory("read_stream", mem["read_stream"], 2.0,
-                               ctx.mean_read_bytes, "stream"),
-            ]
-            # At a reduced dataset scale the batch has proportionally fewer
-            # warps; model the L2 pressure of the full-size batch so scaled
-            # runs predict full-scale behaviour.
-            effective_warps = max(1, round(ctx.n_warps / self.parallel_scale))
-            model = AnalyticCacheModel(self.device, effective_warps,
-                                       l2_churn=self.l2_churn)
-            traffic = model.traffic(
-                cats, cold_footprint_bytes=ctx.cold_footprint_bytes)
-            # latency of one dependent table access, for chain-cycle terms
-            h1, h2 = model.hit_rates(cats[0])
-            dev = self.device
-            latency = (
-                h1 * dev.l1.latency_cycles
-                + (1 - h1) * (h2 * dev.l2.latency_cycles
-                              + (1 - h2) * dev.hbm_latency_cycles)
-            )
-            self.last_access_latency = latency
-            bus.emit(MemoryTrafficResolved(
-                hbm_bytes=traffic.hbm_bytes, l1_bytes=traffic.l1_bytes,
-                l2_bytes=traffic.l2_bytes, access_latency=latency,
-            ))
+        self.events.append(event)
 
 
 class TraceSubscriber:

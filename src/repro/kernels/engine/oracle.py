@@ -11,7 +11,7 @@ and the per-contig k-schedule merge loop -- so that
 
 * the parity test suite can assert, property-style, that the lockstep
   paths are bit-identical to the scalar semantics (outputs, iteration
-  counts, overflow sets, and the full emitted event stream), and
+  counts, overflow sets, and the full tally and event stream), and
 * ``benchmarks/bench_engine_megabatch.py`` and ``repro bench`` can
   measure the megabatch speedup against the genuine pre-refactor
   engine on the same inputs.
@@ -47,11 +47,9 @@ from repro.kernels.engine.construct import ConstructPhase
 from repro.kernels.engine.events import (
     BarrierSync,
     EventBus,
-    ProbeIteration,
     SlotAccess,
     SlotRead,
     SlotWrite,
-    WalkStep,
 )
 from repro.kernels.engine.prepare import (
     Batch,
@@ -59,6 +57,7 @@ from repro.kernels.engine.prepare import (
     segmented_arange,
 )
 from repro.kernels.engine.schedule import KSchedule
+from repro.kernels.engine.tally import insert_row, lookup_row, step_row
 from repro.kernels.engine.walk import WalkOutput, WalkPhase
 from repro.kernels.vectortable import WarpHashTables
 
@@ -88,6 +87,7 @@ class ScalarOracleWalkPhase(WalkPhase):
         chain = 0
         steps_run = 0
         overflowed: list[int] = []
+        rows: list = []
         emit_slots = bus.wants(SlotAccess)
         emit_reads = bus.wants(SlotRead)
         for _step in range(self.max_walk_len + 1):
@@ -126,10 +126,8 @@ class ScalarOracleWalkPhase(WalkPhase):
                 if emit_slots:
                     bus.emit(SlotAccess(slots=slots, kind="probe"))
                 occupied, slot_fp = tables.inspect(slots)
-                bus.emit(ProbeIteration(
-                    phase="walk", lanes=u.size, warps=u.size,
-                    key_compares=int(np.count_nonzero(occupied)),
-                ))
+                rows.append(lookup_row(u.size,
+                                       int(np.count_nonzero(occupied))))
                 hit = occupied & (slot_fp == fps[u])
                 found_slot[u[hit]] = slots[hit]
                 miss = ~occupied
@@ -178,20 +176,19 @@ class ScalarOracleWalkPhase(WalkPhase):
                     visited[w].add(fp_next)
                     bases[w].append("ACGT"[int(res_bases[j])])
                     bases_committed += 1
-            bus.emit(WalkStep(walkers=a.size, vote_reads=vote_reads,
-                              bases_committed=bases_committed))
+            rows.append(step_row(a.size, vote_reads, bases_committed))
             first_step[a] = False
             alive = next_alive
         return WalkOutput.from_scalar(
             ["".join(b) for b in bases], states, steps_run, chain,
-            tuple(overflowed), self.max_walk_len)
+            tuple(overflowed), self.max_walk_len, rows)
 
 
 class ScalarOracleConstructPhase(ConstructPhase):
     """The pre-compaction insert wave: full-mask ``nonzero`` per round."""
 
     def _insert_wave(self, batch: Batch, tables: WarpHashTables,
-                     idx: np.ndarray, bus: EventBus,
+                     idx: np.ndarray, bus: EventBus, rows: list,
                      lanes: np.ndarray | None = None) -> tuple[int, list[int]]:
         proto = self.protocol
         warps = batch.ins_warp[idx]
@@ -277,12 +274,9 @@ class ScalarOracleConstructPhase(ConstructPhase):
 
             if emit_sync and proto.iteration_syncs:
                 self._barrier(uniq_warps, uniq_counts, bus)
-            bus.emit(ProbeIteration(
-                phase="construct", lanes=p.size, warps=active_warps,
-                key_compares=key_compares, cas_attempts=cas_attempts,
-                votes_matched=votes_matched, votes_claimed=votes_claimed,
-                votes_merged=votes_merged,
-            ))
+            rows.append(insert_row(p.size, active_warps, key_compares,
+                                   cas_attempts, votes_matched,
+                                   votes_claimed, votes_merged))
             mismatch = occupied & ~match
             probe[p[mismatch]] += 1
             pending[p[done]] = False

@@ -12,10 +12,12 @@ launch plan (one bin, one extension direction) the engine runs
    mer-walk;
 
 with launch plans produced by
-:class:`~repro.kernels.engine.schedule.BinnedLaunchPolicy`. All profiling,
-memory-traffic accounting, and address-trace recording happens in event
-subscribers (:mod:`repro.kernels.engine.events`), never inline — the
-phases only emit what they measured.
+:class:`~repro.kernels.engine.schedule.BinnedLaunchPolicy`. Every launch
+attempt ends in one tally (:mod:`repro.kernels.engine.tally`) that one
+fold charges to the profile — counters, analytic memory traffic, chain
+cycles; the phases only tally what they measured, and the event bus
+(:mod:`repro.kernels.engine.events`) carries evidence and, for a
+subscriber that asks, count events rendered from the tally.
 
 Two rules live here and nowhere else. *Fusion*
 (:meth:`LocalAssemblyKernel._fuses`): launches share a lockstep program
@@ -45,7 +47,6 @@ from repro.kernels.engine.attribution import (
     LaunchRecord,
     Segment,
     record_attempt,
-    replay_attempt,
 )
 from repro.kernels.engine.backend import ProtocolCosts
 from repro.kernels.engine.construct import ConstructPhase
@@ -54,12 +55,9 @@ from repro.kernels.engine.events import (
     ContigDropped,
     ContigRetried,
     EventBus,
-    LaunchDone,
     LaunchStarted,
-    ProfileSubscriber,
     TraceReplaySubscriber,
     TraceSubscriber,
-    TrafficSubscriber,
 )
 from repro.kernels.engine.prepare import (
     Batch,
@@ -76,6 +74,7 @@ from repro.kernels.engine.schedule import (
     iterate_k_schedule,
     narrow_plans,
 )
+from repro.kernels.engine.tally import LaunchTally, charge, render
 from repro.kernels.engine.walk import WalkPhase
 from repro.kernels.vectortable import SLOT_BYTES, WarpHashTables
 from repro.resilience.policy import (
@@ -100,6 +99,7 @@ class _KRun:
     sanitizer: object | None
     right: SideArrays
     left: SideArrays
+    parallel_scale: float
     degraded: set[int] = field(default_factory=set)
     retried: set[int] = field(default_factory=set)
 
@@ -114,24 +114,12 @@ class _KRun:
                               else self.sanitizer.report))
 
 
-class _Tape(list):
-    """A bus that only keeps what is emitted. A grouped launch's construct
-    counts wait on one until the group's walk has run; it is not an
-    :class:`EventBus` because taping an event delivers it to nobody."""
-
-    emit = list.append
-
-    @staticmethod
-    def wants(event_type: type) -> bool:
-        return False
-
-
 class _WalkGroup:
     """Consecutive launch attempts of a k-run that share one lockstep walk.
 
     A member constructs exactly as its own launch does — its own
-    ``tables_cls(capacities, k)``, counts emitted inline — only onto a
-    :class:`_Tape`; its finished tables then move in behind the group's
+    ``tables_cls(capacities, k)``, its own tally rows; its finished
+    tables then move in behind the group's
     (:meth:`WarpHashTables.absorb <repro.kernels.vectortable.\
 WarpHashTables.absorb>`: one contiguous warp and slot range per member
     of one table set) and die. One walk with the attribution log on then
@@ -145,18 +133,18 @@ WarpHashTables.absorb>`: one contiguous warp and slot range per member
         self.construct = construct
         self.walker = walker
         self.segments: list[Segment] = []
-        self.tapes: list[_Tape] = []
+        self.construct_rows: list[list] = []
         self.construct_failed: list[int] = []   # fused warp ids, in order
 
     def join(self, seg: Segment) -> None:
         tables = self.kernel.tables_cls(seg.sub.capacities, self.tables.k)
-        tape = _Tape()
         base = self.tables.n_warps
-        cres = self.construct.run(seg.sub, tables, tape)
+        # nobody listens: a walk group forms only when nothing wants evidence
+        cres = self.construct.run(seg.sub, tables, EventBus())
         self.tables.absorb(tables)
         self.construct_failed.extend(w + base for w in cres.overflowed)
         self.segments.append(seg)
-        self.tapes.append(tape)
+        self.construct_rows.append(cres.rows)
         if self.kernel.overflow_policy is not OverflowPolicy.GROW_RETRY:
             # nothing re-launches: the insertions have served
             seg.sub = seg.sub.walk_only()
@@ -168,12 +156,12 @@ WarpHashTables.absorb>`: one contiguous warp and slot range per member
         launch = LaunchRecord(warp_base)
         self.walker.log = launch.log
         try:
-            wres = self.walker.run(fused, self.tables, _Tape())
+            wres = self.walker.run(fused, self.tables, EventBus())
         finally:
             self.walker.log = None
         launch.attribute()
         record_attempt(self.segments, launch, self.construct_failed, wres,
-                       attempt, self.tapes)
+                       attempt, self.construct_rows)
 
 
 class LocalAssemblyKernel:
@@ -317,25 +305,11 @@ class LocalAssemblyKernel:
         self.extra_subscribers.append(subscriber)
         return subscriber
 
-    def _build_bus(
-        self, profile: KernelProfile, parallel_scale: float,
-    ) -> tuple[EventBus, TraceSubscriber | None,
-               TraceReplaySubscriber | None, object | None]:
-        """Assemble the instrumentation stack for one run.
-
-        The profile subscriber is registered before the traffic
-        subscriber so it sees ``LaunchDone`` (storing the chain stats)
-        before the nested ``MemoryTrafficResolved`` arrives.
-        """
+    def _build_bus(self) -> tuple[EventBus, TraceSubscriber | None,
+                                  TraceReplaySubscriber | None, object | None]:
+        """Assemble the diagnostic subscribers of one run (the profile is
+        charged directly, :meth:`_end_launch`)."""
         bus = EventBus()
-        bus.subscribe(ProfileSubscriber(
-            profile, warp_size=self.warp_size, protocol=self.protocol,
-            lane_parallel_walks=self.lane_parallel_walks,
-            dependent_cpi=self.device.dependent_cpi,
-        ))
-        bus.subscribe(TrafficSubscriber(
-            self.device, l2_churn=self.l2_churn, parallel_scale=parallel_scale,
-        ))
         tracer = bus.subscribe(TraceSubscriber()) if self.record_trace else None
         replayer = (bus.subscribe(TraceReplaySubscriber(self.device))
                     if self.memory_model == "trace" else None)
@@ -396,14 +370,17 @@ class LocalAssemblyKernel:
         profile.walk_issue_width = (1 if self.lane_parallel_walks
                                     else self.warp_size)
         profile.contigs = n_contigs
-        return _KRun(k, profile, *self._build_bus(profile, parallel_scale),
+        return _KRun(k, profile, *self._build_bus(),
                      right=SideArrays.empty(n_contigs),
-                     left=SideArrays.empty(n_contigs))
+                     left=SideArrays.empty(n_contigs),
+                     parallel_scale=parallel_scale)
 
-    def _start_launch(self, bus: EventBus, sub: Batch, k: int) -> None:
-        """Emit the ``LaunchStarted`` of one launch attempt over ``sub``."""
+    def _start_launch(self, bus: EventBus, sub: Batch,
+                      k: int) -> LaunchStarted:
+        """Emit the ``LaunchStarted`` of one launch attempt over ``sub``;
+        return it, the context :meth:`_end_launch` charges the attempt in."""
         total_slots = int(sub.capacities.sum())
-        bus.emit(LaunchStarted(
+        bus.emit(ctx := LaunchStarted(
             k=k, hash_ops=hash_intops(k), n_warps=sub.n_warps,
             mean_table_bytes=float(np.mean(sub.capacities)) * SLOT_BYTES,
             mean_read_bytes=float(np.mean(sub.read_bytes_per_warp)),
@@ -412,6 +389,14 @@ class LocalAssemblyKernel:
             contig_ids=(tuple(int(ci) for ci in sub.contig_ids)
                         if self.sanitize_checks else ()),
         ))
+        return ctx
+
+    def _end_launch(self, krun: _KRun, ctx: LaunchStarted,
+                    tally: LaunchTally) -> None:
+        """Charge a finished launch attempt to the k-run's profile and
+        render its count events for a subscriber that asks."""
+        render(krun.bus, tally, charge(krun.profile, ctx, tally, self,
+                                       krun.parallel_scale))
 
     def _retry_capacities(self, sub: Batch, failed: list[int],
                           attempt: int) -> np.ndarray | None:
@@ -476,6 +461,7 @@ class LocalAssemblyKernel:
         ok[failed] = False
         self._scatter(arr, end, sub, walk, ok)
         if grown is not None:
+            krun.profile.overflow_retries += len(failed)
             for w, cap in zip(failed, grown):
                 bus.emit(ContigRetried(
                     contig_id=sub.contig_ids[w], k=k,
@@ -483,6 +469,7 @@ class LocalAssemblyKernel:
                 krun.retried.add(sub.contig_ids[w])
             return
         end_name = "right" if end is End.RIGHT else "left"
+        krun.profile.contigs_dropped += len(failed)
         for w in failed:
             ci = sub.contig_ids[w]
             bus.emit(ContigDropped(
@@ -516,15 +503,15 @@ class LocalAssemblyKernel:
             attempt += 1
 
     def _replay(self, krun: _KRun, segments: list[Segment]) -> None:
-        """Re-emit attributed launch attempts in solo order — all of a
+        """Charge attributed launch attempts in solo order — all of a
         plan's attempts, then the next plan's — and settle each as
         :meth:`_launch` does (under the RAISE policy the first overflow
         raises there, and nothing after it replays)."""
         bus, k = krun.bus, krun.k
         for seg in segments:
             for rec in seg.records:
-                self._start_launch(bus, rec.sub, k)
-                bus.emit(replay_attempt(rec, bus))
+                self._end_launch(krun, self._start_launch(bus, rec.sub, k),
+                                 rec.tally)
                 self._settle(krun, seg.plan.end, rec.sub, rec,
                              rec.construct_failed, rec.walk_failed,
                              rec.attempt, rec.grown)
@@ -559,13 +546,11 @@ class LocalAssemblyKernel:
         """
         k, bus = krun.k, krun.bus
         tables = self.tables_cls(sub.capacities, k)
-        self._start_launch(bus, sub, k)
+        ctx = self._start_launch(bus, sub, k)
         cres = construct.run(sub, tables, bus)
         wres = walker.run(sub, tables, bus)
-        bus.emit(LaunchDone(
-            waves=cres.waves, construct_iterations=cres.iterations,
-            walk_steps=wres.steps, walk_iterations=wres.iterations,
-        ))
+        self._end_launch(krun, ctx,
+                         LaunchTally(wres.state_codes, cres.rows, wres.rows))
         failed = sorted({*cres.overflowed, *wres.overflowed})
         grown = self._retry_capacities(sub, failed, attempt)
         self._settle(krun, end, sub, wres, cres.overflowed, wres.overflowed,

@@ -12,15 +12,15 @@ over lanes or warps (lint rule REP006 enforces this). The pre-refactor
 per-warp code path survives verbatim as the parity oracle
 (:class:`repro.kernels.engine.oracle.ScalarOracleWalkPhase`).
 
-Measured quantities leave the phase as events
-(:class:`~repro.kernels.engine.events.WalkStep`,
-:class:`~repro.kernels.engine.events.ProbeIteration`,
-:class:`~repro.kernels.engine.events.SlotAccess`); the phase never
-mutates a profile or traffic ledger. When a sanitizer subscribes, the
-phase additionally emits :class:`~repro.kernels.engine.events.SlotRead`
-records where it resolves votes, so the initcheck sanitizer can flag
-reads of never-written slot value regions (gated on ``bus.wants``;
-unsanitized runs pay nothing). The probe-miss bookkeeping is an
+What the phase counts leaves it as tally rows — one per lookup round and
+per walk step (:mod:`repro.kernels.engine.tally`), returned in
+:attr:`WalkOutput.rows`, or logged as arrays when a driver fuses
+launches; the phase never mutates a profile or traffic ledger. Evidence
+goes to the event bus, gated on ``bus.wants`` so a run nobody observes
+pays nothing: the :class:`~repro.kernels.engine.events.SlotAccess` of
+every probe, and :class:`~repro.kernels.engine.events.SlotRead` records
+where it resolves votes, so the initcheck sanitizer can flag reads of
+never-written slot value regions. The probe-miss bookkeeping is an
 overridable method — the deliberately-buggy demo backend
 (:mod:`repro.sanitize.demo`) overrides it to read votes from empty
 slots, the bug initcheck must catch.
@@ -44,16 +44,14 @@ from repro.core.merwalk import DEFAULT_MAX_WALK_LEN
 from repro.genomics.dna import decode_matrix, encode
 from repro.genomics.kmer import fingerprint_matrix, shift_fingerprints
 from repro.hashing.murmur import murmur2_batch
-from repro.kernels.engine.events import (
-    EventBus,
-    ProbeIteration,
-    SlotAccess,
-    SlotRead,
-    WalkStep,
+from repro.kernels.engine.events import EventBus, SlotAccess, SlotRead
+from repro.kernels.engine.prepare import Batch
+from repro.kernels.engine.tally import (
     lookup_entry,
+    lookup_row,
+    step_row,
     walk_entry,
 )
-from repro.kernels.engine.prepare import Batch
 from repro.kernels.vectortable import WarpHashTables
 
 _EXTEND = WALK_STATE_CODES[WalkState.EXTEND]
@@ -185,6 +183,8 @@ class WalkOutput:
     iterations: int             #: lockstep lookup-probe iterations
     #: Warps whose lookup wrapped a full table, in the order they did.
     overflowed: tuple[int, ...] = ()
+    #: The launch's tally rows, in order (empty when the phase logged).
+    rows: list = field(default_factory=list)
     _bases: list[str] | None = field(default=None, repr=False)
 
     @property
@@ -203,7 +203,7 @@ class WalkOutput:
     def from_scalar(cls, bases: list[str], states: list[WalkState],
                     steps: int, iterations: int,
                     overflowed: tuple[int, ...],
-                    max_walk_len: int) -> "WalkOutput":
+                    max_walk_len: int, rows: list) -> "WalkOutput":
         """Pack per-warp Python results (the oracle's) into lockstep form."""
         n = len(bases)
         codes = np.zeros((n, max_walk_len), dtype=np.uint8)
@@ -216,11 +216,11 @@ class WalkOutput:
                                  dtype=np.int8)
         return cls(base_codes=codes, base_lens=lens, state_codes=state_codes,
                    steps=steps, iterations=iterations,
-                   overflowed=tuple(overflowed))
+                   overflowed=tuple(overflowed), rows=rows)
 
 
 class WalkPhase:
-    """Mer-walks every warp's seed in lockstep, emitting events.
+    """Mer-walks every warp's seed in lockstep, tallying its rounds.
 
     As in :class:`ConstructPhase`, a full table never raises here: a
     lookup that wraps one (possible when construction exactly filled
@@ -236,9 +236,9 @@ class WalkPhase:
         self.seed = seed
         #: The launch's attribution log (``None`` = off; see
         #: :class:`ConstructPhase`): one entry per lookup round and per
-        #: walk step, *instead of* the ``ProbeIteration`` / ``WalkStep``
-        #: emit — a logged walk covers several launches, and its driver
-        #: replays each launch's counts from the log.
+        #: walk step, *instead of* a tally row — a logged walk covers
+        #: several launches, and its driver attributes each launch's
+        #: rows from the log.
         self.log: list | None = None
 
     def _on_probe_miss(self, found_slot: np.ndarray, missing: np.ndarray,
@@ -253,7 +253,8 @@ class WalkPhase:
 
     def _lookup(self, a: np.ndarray, homes: np.ndarray, fps: np.ndarray,
                 tables: WarpHashTables, bus: EventBus, emit_slots: bool,
-                overflowed: list[int]) -> tuple[np.ndarray, np.ndarray, int]:
+                overflowed: list[int],
+                rows: list) -> tuple[np.ndarray, np.ndarray, int]:
         """Probe all walking warps for their current key, in lockstep.
 
         Returns ``(found_slot, missing, iterations)`` over ``a``-aligned
@@ -289,10 +290,8 @@ class WalkPhase:
                 bus.emit(SlotAccess(slots=slots, kind="probe"))
             occupied, slot_fp = tables.inspect(slots)
             if log is None:
-                bus.emit(ProbeIteration(
-                    phase="walk", lanes=u.size, warps=u.size,
-                    key_compares=int(np.count_nonzero(occupied)),
-                ))
+                rows.append(lookup_row(u.size,
+                                       int(np.count_nonzero(occupied))))
             else:
                 log.append(lookup_entry(au, occupied))
             hit = occupied & (slot_fp == fps[u])
@@ -327,6 +326,7 @@ class WalkPhase:
         chain = 0
         steps_run = 0
         overflowed: list[int] = []
+        rows: list = []
         emit_slots = bus.wants(SlotAccess)
         emit_reads = bus.wants(SlotRead)
         log = self.log
@@ -343,7 +343,7 @@ class WalkPhase:
 
             # probe for the key (or an empty slot = not present)
             found_slot, missing, iters = self._lookup(
-                a, homes, fps, tables, bus, emit_slots, overflowed)
+                a, homes, fps, tables, bus, emit_slots, overflowed, rows)
             chain += iters
 
             # resolve extensions for found keys
@@ -391,12 +391,12 @@ class WalkPhase:
                 base_lens[ok] += 1
                 bases_committed = int(ok.size)
             if log is None:
-                bus.emit(WalkStep(walkers=a.size, vote_reads=int(f.sum()),
-                                  bases_committed=bases_committed))
+                rows.append(step_row(a.size, int(f.sum()), bases_committed))
             else:
                 log.append(walk_entry(a, f, committed))
             first_step[a] = False
             alive = next_alive
         return WalkOutput(base_codes=base_codes, base_lens=base_lens,
                           state_codes=state_codes, steps=steps_run,
-                          iterations=chain, overflowed=tuple(overflowed))
+                          iterations=chain, overflowed=tuple(overflowed),
+                          rows=rows)

@@ -485,7 +485,8 @@ def _declared_event_names(node: ast.AST) -> list[str] | None:
 
 def _collect_event_facts(tree: ast.Module, emits: list[dict],
                          declared: list[dict]) -> None:
-    """Every ``*.emit(Ctor(...))`` site and ``handled_events`` literal.
+    """Every ``*.emit(Ctor(...))`` site (``*.emit(x := Ctor(...))`` too)
+    and ``handled_events`` literal.
 
     Declarations are recognized structurally: assignments whose target
     name mentions ``handled`` and whose value is a literal tuple/list of
@@ -499,6 +500,8 @@ def _collect_event_facts(tree: ast.Module, emits: list[dict],
             if isinstance(func, ast.Attribute) and func.attr == "emit" \
                     and len(node.args) == 1:
                 arg = node.args[0]
+                if isinstance(arg, ast.NamedExpr):  # bus.emit(ev := X(...))
+                    arg = arg.value
                 if isinstance(arg, ast.Call):
                     name = _call_name(arg.func)
                     if name[:1].isupper():

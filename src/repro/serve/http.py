@@ -17,6 +17,12 @@ from repro.serve.protocol import ProtocolError
 #: Largest body :func:`read_message` will read.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Most header lines, and header bytes in all, :func:`read_message` will
+#: read before the blank line: a peer sending headers forever is refused
+#: instead of holding its connection task.
+MAX_HEADER_LINES = 100
+MAX_HEADER_BYTES = 64 * 1024
+
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
             409: "Conflict", 429: "Too Many Requests",
             503: "Service Unavailable"}
@@ -55,8 +61,13 @@ async def read_message(reader: asyncio.StreamReader,
     start_line = (await _read_line(reader)).strip()
     if not start_line:
         return None
-    length = 0
-    while header := (await _read_line(reader)).strip():
+    length = lines = size = 0
+    while (header := await _read_line(reader)).strip():
+        lines, size = lines + 1, size + len(header)
+        if lines > MAX_HEADER_LINES or size > MAX_HEADER_BYTES:
+            raise ProtocolError(
+                f"header block over {MAX_HEADER_LINES} lines or "
+                f"{MAX_HEADER_BYTES} bytes")
         name, _, value = header.partition(":")
         if name.strip().lower() == "content-length":
             try:
@@ -85,5 +96,6 @@ async def read_request(reader: asyncio.StreamReader,
     return method.upper(), path, body
 
 
-__all__ = ["MAX_BODY_BYTES", "frame_message", "read_message", "read_request",
+__all__ = ["MAX_BODY_BYTES", "MAX_HEADER_BYTES", "MAX_HEADER_LINES",
+           "frame_message", "read_message", "read_request",
            "status_line"]

@@ -14,6 +14,7 @@ from repro.kernels.engine import (
     SlotAccess,
     WalkStep,
     WaveExecuted,
+    run_schedule_coalesced,
 )
 from repro.kernels.vectortable import SLOT_BYTES
 from repro.simt.device import A100
@@ -77,8 +78,7 @@ class TestEventBus:
                           walk_steps=1, walk_iterations=1)
         bus.emit(done)
         # nested emits dispatch synchronously: subscribers registered
-        # *after* the re-emitter see the follow-up first (which is why
-        # the profile subscriber registers before the traffic one)
+        # *after* the re-emitter see the follow-up first
         assert rec.events == ["followup", done]
 
 
@@ -150,3 +150,48 @@ class TestSubscriberIsolation:
         e = WaveExecuted(lanes=3, warps=1)
         with pytest.raises(AttributeError):
             e.lanes = 4
+
+
+COUNT_EVENTS = (WaveExecuted, ProbeIteration, WalkStep, LaunchDone,
+                MemoryTrafficResolved)
+
+
+class _CountRecorder(_Recorder):
+    """Asks for the count events only, so its kernel still fuses."""
+
+    handled_events = COUNT_EVENTS
+
+
+class TestCountEventsOnDemand:
+    """Count events are rendered from each launch's tally, and only for a
+    subscriber that asks: the default path builds none."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = dict.fromkeys(COUNT_EVENTS, 0)
+        for cls in COUNT_EVENTS:
+            def counted(self, *args, __init=cls.__init__, __cls=cls, **kw):
+                counts[__cls] += 1
+                __init(self, *args, **kw)
+            monkeypatch.setattr(cls, "__init__", counted)
+        return counts
+
+    def test_default_paths_build_no_count_event(self, built):
+        contigs = _contigs(n=6, seed=4)
+        kern = CudaLocalAssemblyKernel(A100)
+        res = kern.run_schedule(contigs, (21, 33, 55))
+        waves = run_schedule_coalesced(
+            kern, [contigs[:2], contigs[2:4], contigs[4:]], (21, 33))
+        assert res.profile.kernels_launched > 0
+        assert all(w.result.profile.intops > 0 for w in waves)
+        assert built == dict.fromkeys(COUNT_EVENTS, 0)
+
+    def test_a_subscriber_that_asks_gets_them(self, built):
+        kern = CudaLocalAssemblyKernel(A100)
+        rec = kern.add_subscriber(_CountRecorder())
+        res = kern.run_schedule(_contigs(n=6, seed=4), (21, 33))
+        assert built[LaunchDone] == res.profile.kernels_launched
+        assert built[MemoryTrafficResolved] == built[LaunchDone]
+        assert all(built.values())
+        assert sum(built.values()) == sum(
+            isinstance(e, COUNT_EVENTS) for e in rec.events)

@@ -14,7 +14,6 @@ from repro.kernels.engine import (
     ProbeIteration,
     SlotAccess,
     TraceReplaySubscriber,
-    TrafficSubscriber,
     replay_l2_hit_rate,
     replay_suggested_l2_churn,
 )
@@ -111,7 +110,14 @@ class TestEventBusWants:
 
     def test_declared_subscriber_filters(self):
         bus = EventBus()
-        bus.subscribe(TrafficSubscriber(A100))
+
+        class Declared:
+            handled_events = (ProbeIteration,)
+
+            def handle(self, event, bus):
+                pass
+
+        bus.subscribe(Declared())
         assert bus.wants(ProbeIteration)
         assert not bus.wants(SlotAccess)
 

@@ -24,10 +24,8 @@ from repro.genomics.contig import End
 from repro.kernels import (CudaLocalAssemblyKernel, HipLocalAssemblyKernel,
                            SyclLocalAssemblyKernel)
 from repro.kernels.engine import (BatchPreparer, ContigDropped,
-                                  ContigRetried, LaunchDone, LaunchStarted,
-                                  MemoryTrafficResolved, ProbeIteration,
-                                  VisitedFingerprintSet, WalkStep,
-                                  WaveExecuted, oracle_kernel_cls,
+                                  ContigRetried, CountRecorder, LaunchDone,
+                                  VisitedFingerprintSet, oracle_kernel_cls,
                                   run_schedule_coalesced)
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.simt.device import A100, MAX1550, MI250X
@@ -38,21 +36,6 @@ from .test_walk_overflow import ExactFitPreparer, _job
 K = 21
 PORTS = [(CudaLocalAssemblyKernel, A100), (HipLocalAssemblyKernel, MI250X),
          (SyclLocalAssemblyKernel, MAX1550)]
-
-
-class Collector:
-    """Keeps every count-bearing event. It declares what it handles:
-    asking for slot evidence would (rightly) switch the grouping off."""
-
-    handled_events = (LaunchStarted, WaveExecuted, ProbeIteration, WalkStep,
-                      LaunchDone, MemoryTrafficResolved, ContigDropped,
-                      ContigRetried)
-
-    def __init__(self):
-        self.events = []
-
-    def handle(self, event, bus):
-        self.events.append(event)
 
 
 def _binned(seed, error_rate=0.01, read_length=80):
@@ -92,7 +75,7 @@ def _run(kernel_cls, device, budget, call, **opts):
             out.tables.append(tuple(self.capacities.tolist()))
 
     kern.walk_cls, kern.tables_cls = CountedWalk, CountedTables
-    out.events = kern.add_subscriber(Collector()).events
+    out.events = kern.add_subscriber(CountRecorder()).events
     try:
         out.result = call(kern)
     except HashTableFullError as err:

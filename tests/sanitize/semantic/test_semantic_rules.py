@@ -184,6 +184,24 @@ def test_rep011_quiet_when_contract_holds_across_modules(tmp_path):
     assert findings == []
 
 
+def test_rep011_sees_a_constructor_bound_at_the_emit_site(tmp_path):
+    findings = run_fixture(tmp_path, {
+        "pkg/prod.py": """
+            def fire(bus):
+                bus.emit(ping := Ping())
+                return ping
+            """,
+        "pkg/sub.py": """
+            class Ping:
+                pass
+
+            class Listener:
+                handled_events = (Ping,)
+            """,
+    })
+    assert findings == []
+
+
 def test_rep011_accepts_append_built_declarations(tmp_path):
     # the coalesce.py pattern: handled = [...] + handled.append(X)
     findings = run_fixture(tmp_path, {
