@@ -3,7 +3,7 @@
 DESIGN.md decision #1: the SIMT kernels execute all warps in NumPy
 lockstep instead of looping over lanes in Python. This bench measures the
 host-side speedup of that choice (same algorithm, same results) by
-running the scalar ``LocalHashTable``-based pipeline and the vectorized
+running the scalar ``LocalHashTable``-based backend and the vectorized
 CUDA kernel over the same contigs.
 """
 
@@ -13,8 +13,7 @@ from conftest import banner
 
 from repro.analysis.report import render_table
 from repro.core.extension import PRODUCTION_POLICY
-from repro.core.pipeline import LocalAssembler
-from repro.kernels import CudaLocalAssemblyKernel
+from repro.kernels import CudaLocalAssemblyKernel, create_backend
 from repro.simt.device import A100
 
 N_CONTIGS = 40
@@ -24,8 +23,8 @@ def test_ablation_scalar_vs_vector(suite, benchmark):
     contigs = suite.dataset(21)[:N_CONTIGS]
 
     t0 = time.perf_counter()
-    asm = LocalAssembler(k_schedule=(21,), policy=PRODUCTION_POLICY)
-    scalar_results = asm.assemble(contigs)
+    scalar_result = create_backend("scalar", policy=PRODUCTION_POLICY).run(
+        contigs, 21)
     scalar_s = time.perf_counter() - t0
 
     kern = CudaLocalAssemblyKernel(A100, policy=PRODUCTION_POLICY)
@@ -37,7 +36,7 @@ def test_ablation_scalar_vs_vector(suite, benchmark):
     print(banner(f"Ablation — scalar vs vectorized ({N_CONTIGS} contigs, k=21)"))
     print(render_table(
         ["implementation", "host seconds", "per contig (ms)"],
-        [["scalar LocalHashTable pipeline", round(scalar_s, 3),
+        [["scalar LocalHashTable backend", round(scalar_s, 3),
           round(1e3 * scalar_s / N_CONTIGS, 2)],
          ["vectorized SIMT kernel", round(vector_s, 3),
           round(1e3 * vector_s / N_CONTIGS, 2)]],
@@ -45,6 +44,5 @@ def test_ablation_scalar_vs_vector(suite, benchmark):
     print(f"vectorization speedup: {scalar_s / vector_s:.1f}x")
 
     # identical extensions from both implementations
-    for i, res in enumerate(scalar_results):
-        assert vector_result.right[i][0] == res.contig.right_extension.bases
-        assert vector_result.left[i][0] == res.contig.left_extension.bases
+    assert vector_result.right == scalar_result.right
+    assert vector_result.left == scalar_result.left

@@ -7,23 +7,24 @@ Public API tour:
 * ``repro.hashing`` — MurmurHashAligned2 + the Table V cost model.
 * ``repro.core`` — the local assembly algorithms (CPU reference).
 * ``repro.simt`` — the simulated GPUs (A100 / MI250X / MAX1550).
-* ``repro.kernels`` — the CUDA / HIP / SYCL kernel ports on the simulator.
+* ``repro.kernels`` — the CUDA / HIP / SYCL kernel ports on the simulator,
+  and the ``scalar`` backend: the CPU local assembler.
 * ``repro.perfmodel`` — roofline, theoretical II, Pennycook, timing.
 * ``repro.datasets`` — Table II dataset generation.
 * ``repro.analysis`` — one entry point per paper table/figure.
 
 Quickstart::
 
-    from repro import LocalAssembler, simulate_batch, ScenarioSpec
+    from repro import create_backend, simulate_batch, ScenarioSpec
     import numpy as np
 
     scenarios = simulate_batch(4, ScenarioSpec(), np.random.default_rng(0))
-    results = LocalAssembler().assemble([s.contig for s in scenarios])
-    for r in results:
-        print(r.contig.name, r.contig.extended_sequence()[:60])
+    contigs = [s.contig for s in scenarios]
+    result = create_backend("scalar").run_schedule(contigs, (21, 33))
+    for c, (left, _), (right, _) in zip(contigs, result.left, result.right):
+        print(c.name, (left + c.sequence + right)[:60])
 """
 
-from repro.core.pipeline import LocalAssembler
 from repro.core.extension import DEFAULT_POLICY, PRODUCTION_POLICY, WalkPolicy
 from repro.genomics.contig import Contig, End
 from repro.genomics.reads import Read, ReadSet
@@ -43,7 +44,6 @@ from repro.simt.device import A100, MAX1550, MI250X, PLATFORMS
 __version__ = "1.0.0"
 
 __all__ = [
-    "LocalAssembler",
     "DEFAULT_POLICY",
     "PRODUCTION_POLICY",
     "WalkPolicy",

@@ -209,8 +209,8 @@ class ExperimentSuite:
                 serially in-process (the historical behavior).
 
         With ``workers > 1`` the pending grid cells are sharded across a
-        ``ProcessPoolExecutor`` (same chunking helper as
-        :func:`repro.core.parallel.assemble_parallel`). Each worker owns
+        ``ProcessPoolExecutor`` (:func:`repro.core.parallel.chunk_evenly`
+        shards). Each worker owns
         a private :class:`ExperimentSuite` built from this suite's
         config, so the per-run machinery — dataset generation,
         ``retry_transient``, fault-injector hooks, checkpoint writes —

@@ -106,6 +106,13 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         print("--resume needs --checkpoint-dir", file=sys.stderr)
         return 2
+    try:
+        k_override = (tuple(int(x) for x in args.k_schedule.split(","))
+                      if args.k_schedule else None)
+    except ValueError:
+        print(f"--k-schedule needs comma-separated integers, got "
+              f"{args.k_schedule!r}", file=sys.stderr)
+        return 2
 
     if args.scenario:
         scenario = SCENARIOS[args.scenario]
@@ -122,8 +129,8 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         k_schedule = (21, 33)
         min_count = 2
         source = args.reads
-    if args.k_schedule:
-        k_schedule = tuple(int(x) for x in args.k_schedule.split(","))
+    if k_override:
+        k_schedule = k_override
     if args.min_count is not None:
         min_count = args.min_count
 
@@ -415,19 +422,22 @@ def _load_fault_plan(path: str):
     """Parse a JSON chaos plan file into a seeded FaultPlan."""
     from repro.resilience import FaultKind, FaultPlan, FaultSpec
 
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ReproError(f"cannot read fault plan {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ReproError(f"fault plan {path} must be a JSON object")
-    faults = []
-    for entry in doc.get("faults", []):
-        kw = dict(entry)
-        try:
+    try:
+        faults = []
+        for entry in doc.get("faults", []):
+            kw = dict(entry)
             kw["kind"] = FaultKind(kw.pop("kind"))
             faults.append(FaultSpec(**kw))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReproError(f"bad fault spec in {path}: {exc}") from None
-    return FaultPlan(faults=tuple(faults), seed=int(doc.get("seed", 0)))
+        return FaultPlan(faults=tuple(faults), seed=int(doc.get("seed", 0)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReproError(f"bad fault plan {path}: {exc}") from None
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -495,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_asm.add_argument("--backend", default=None,
                        choices=available_backends(),
                        help="run the local-assembly phase on a simulated "
-                            "GPU backend (default: CPU pipeline)")
+                            "GPU backend (default: the scalar CPU backend)")
     p_asm.add_argument("--device", default="A100",
                        choices=[d.name for d in PLATFORMS],
                        help="device model for --backend")

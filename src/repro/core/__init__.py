@@ -7,9 +7,11 @@
 * :mod:`repro.core.merwalk` — Algorithm 2 (DNA walks).
 * :mod:`repro.core.binning` — contig binning + hash-table size estimation
   (the pre-processing phase of Figure 3).
-* :mod:`repro.core.pipeline` — the full iterative local-assembly pipeline.
 * :mod:`repro.core.reference` — a deliberately simple dict-based
   implementation used for differential testing.
+
+The iterative k schedule over these (Figure 2) is the registered
+``scalar`` backend, ``repro.kernels.create_backend("scalar")``.
 """
 
 from repro.core.hashtable import EMPTY_SLOT, LocalHashTable, Slot
@@ -17,7 +19,6 @@ from repro.core.extension import ExtensionVotes, WalkState, resolve_extension
 from repro.core.construct import build_table, estimate_table_slots
 from repro.core.merwalk import WalkResult, mer_walk
 from repro.core.binning import Bin, bin_contigs
-from repro.core.pipeline import AssemblyResult, LocalAssembler
 
 __all__ = [
     "EMPTY_SLOT",
@@ -32,6 +33,4 @@ __all__ = [
     "mer_walk",
     "Bin",
     "bin_contigs",
-    "AssemblyResult",
-    "LocalAssembler",
 ]

@@ -11,8 +11,10 @@ chosen base, and shifts the k-mer window by one. The walk terminates on:
 * ``MISSING`` — the seed (or a shifted k-mer) is absent from the table.
 
 On the GPU a single lane of the warp performs this loop (the other lanes
-are predicated off); the CPU form here is the behavioural reference the
-SIMT kernels are differential-tested against.
+are predicated off); the CPU form here is the walk of the ``scalar``
+backend (:class:`repro.kernels.engine.backend.ScalarReferenceBackend`),
+the behavioural reference the SIMT kernels are differential-tested
+against.
 """
 
 from __future__ import annotations

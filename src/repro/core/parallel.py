@@ -1,24 +1,12 @@
-"""Multi-process local assembly for the CPU pipeline.
-
-Contigs are embarrassingly parallel (each owns its reads and hash
-tables — the same property that lets the GPU assign one contig per warp),
-so the host-side pipeline parallelizes with a process pool: contigs are
-chunked to amortize pickling, workers assemble their chunks, and the
-extensions are re-attached to the caller's contig objects.
-
-Results are bit-identical to the serial pipeline (asserted by tests);
-only wall-clock changes.
-"""
+"""Sharding helpers for process-pool work: how
+:meth:`repro.analysis.experiments.ExperimentSuite.run_all` splits its
+``(device, k)`` grid into contiguous chunks."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 
-from repro.core.pipeline import AssemblyResult, LocalAssembler
 from repro.errors import ReproError
-from repro.genomics.contig import Contig
 
 #: Target tasks per worker: enough chunks for load balancing, few enough
 #: to amortize per-task pickling.
@@ -41,71 +29,8 @@ def chunk_size_for(n_items: int, workers: int,
 def chunk_evenly(items: list, workers: int,
                  tasks_per_worker: int = TASKS_PER_WORKER,
                  chunk_size: int | None = None) -> list[list]:
-    """Split ``items`` into contiguous chunks of :func:`chunk_size_for` size.
-
-    Shared by :func:`assemble_parallel` (contig chunks) and
-    :meth:`repro.analysis.experiments.ExperimentSuite.run_all`
-    (``(device, k)`` shards).
-    """
+    """Split ``items`` into contiguous chunks of :func:`chunk_size_for` size."""
     if chunk_size is None:
         chunk_size = chunk_size_for(len(items), workers, tasks_per_worker)
     return [items[i: i + chunk_size]
             for i in range(0, len(items), chunk_size)]
-
-
-def _assemble_chunk(args: tuple) -> list[tuple[int, Contig]]:
-    """Worker: assemble one chunk; returns (index, extended contig) pairs."""
-    assembler, indexed_contigs = args
-    out = []
-    for idx, contig in indexed_contigs:
-        assembler.assemble_contig(contig)
-        out.append((idx, contig))
-    return out
-
-
-def assemble_parallel(
-    contigs: list[Contig],
-    assembler: LocalAssembler | None = None,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-) -> list[AssemblyResult]:
-    """Assemble ``contigs`` across a process pool.
-
-    Args:
-        contigs: contigs to extend; their extension records are populated
-            in place, exactly as :meth:`LocalAssembler.assemble` does.
-        assembler: pipeline configuration (defaults to ``LocalAssembler()``).
-        workers: pool size; defaults to the CPU count. ``workers=1`` (or a
-            single-chunk input) runs serially in-process — useful under
-            debuggers and on platforms without fork.
-        chunk_size: contigs per task; defaults to
-            :func:`chunk_size_for` — at most ``workers * 4`` tasks
-            (load balancing vs pickling overhead).
-    """
-    assembler = assembler or LocalAssembler()
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 0:
-        raise ReproError(f"workers must be positive, got {workers}")
-    if not contigs:
-        return []
-    indexed = list(enumerate(contigs))
-    chunks = chunk_evenly(indexed, workers, chunk_size=chunk_size)
-
-    if workers == 1 or len(chunks) == 1:
-        merged = [pair for chunk in chunks for pair in _assemble_chunk((assembler, chunk))]
-    else:
-        merged = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_assemble_chunk,
-                                 ((assembler, chunk) for chunk in chunks)):
-                merged.extend(part)
-
-    # re-attach extensions to the caller's objects (workers used copies)
-    results: list[AssemblyResult] = [None] * len(contigs)  # type: ignore
-    for idx, extended in merged:
-        original = contigs[idx]
-        original.left_extension = extended.left_extension
-        original.right_extension = extended.right_extension
-        results[idx] = AssemblyResult(contig=original)
-    return results

@@ -67,9 +67,9 @@ def reference_extend(
 ) -> dict[End, tuple[str, WalkState]]:
     """Extend both ends of ``contig`` at a single k; returns per-end results.
 
-    The left end is handled exactly like the pipeline does it: walk the
-    reverse-complemented problem rightwards, then reverse-complement the
-    extension back.
+    The left end is handled exactly like the scalar backend does it:
+    walk the reverse-complemented problem rightwards, then
+    reverse-complement the extension back.
     """
     results: dict[End, tuple[str, WalkState]] = {}
     table = reference_table(contig.reads, k)

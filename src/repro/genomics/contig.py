@@ -34,14 +34,12 @@ class ContigExtension:
         walk_state: terminal state of the walk ("end", "fork", "loop",
             "max_len", or "none" when no extension was possible).
         kmer_size: the k that produced this extension.
-        steps: number of hash-table lookups performed by the walk.
     """
 
     end: End
     bases: str
     walk_state: str
     kmer_size: int
-    steps: int = 0
 
     def __len__(self) -> int:
         return len(self.bases)

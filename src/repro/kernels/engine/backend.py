@@ -3,11 +3,11 @@
 A *backend* is anything that can execute the local-assembly workflow —
 the three SIMT vendor ports (CUDA / HIP / SYCL, thin
 :class:`ProtocolCosts` + warp-size configurations over the shared
-engine) and the scalar CPU reference wrapping
-:class:`repro.core.pipeline.LocalAssembler`'s machinery. All of them
-implement :class:`ExecutionBackend` and register themselves in one
-registry, so the experiment suite, the CLI, and the benchmarks select
-execution paths by name rather than by import.
+engine) and the scalar CPU reference over :mod:`repro.core`'s hash
+table and mer-walk — the one CPU local assembler. All of them implement
+:class:`ExecutionBackend` and register themselves in one registry, so
+the experiment suite, the CLI, the de novo assembler and the benchmarks
+select execution paths by name rather than by import.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from typing import Callable, Protocol, runtime_checkable
 from repro.core.construct import build_table, insertions_for
 from repro.core.extension import DEFAULT_POLICY, WalkPolicy, WalkState
 from repro.core.merwalk import DEFAULT_MAX_WALK_LEN, mer_walk
-from repro.core.pipeline import _reverse_complement_reads
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import reverse_complement
-from repro.genomics.reads import ReadSet
+from repro.genomics.reads import Read, ReadSet
 from repro.kernels.engine.schedule import (
     KernelRunResult,
     SideArrays,
@@ -142,16 +141,30 @@ def resolve_backend(name: str, device: DeviceSpec,
 # ----------------------------------------------------------------------
 
 
+def _reverse_complement_reads(reads: ReadSet) -> ReadSet:
+    """Reverse-complement every read (qualities reverse along with bases)."""
+    out = ReadSet()
+    for r in reads:
+        out.append(
+            Read(name=r.name + "/rc", codes=reverse_complement(r.codes),
+                 quals=r.quals[::-1].copy())
+        )
+    return out
+
+
 class ScalarReferenceBackend:
-    """The CPU scalar path as an :class:`ExecutionBackend`.
+    """The CPU local assembler, as an :class:`ExecutionBackend`.
 
     Runs Algorithm 1 + Algorithm 2 per contig end through the
-    :mod:`repro.core` hash table and mer-walk — the same machinery
-    :class:`repro.core.pipeline.LocalAssembler` drives — and reports
-    results in the kernel's :class:`KernelRunResult` shape. Functional
-    output (extension bases and walk states) is identical to the SIMT
-    ports; only the profile counters differ (no warps, no waves, no
-    predication, no memory model).
+    :mod:`repro.core` hash table and mer-walk, and reports results in
+    the kernel's :class:`KernelRunResult` shape; its ``run_schedule``
+    folds the k schedule through the same :class:`KSchedule` as the
+    SIMT ports. The left end walks as a right walk over the
+    reverse-complemented reads and seed (the GPU's separate left
+    extension kernel, Figure 3). Functional output (extension bases and
+    walk states) is identical to the SIMT ports; only the profile
+    counters differ (no warps, no waves, no predication, no memory
+    model).
     """
 
     name = "scalar"

@@ -3,8 +3,8 @@
 ``DeNovoAssembler`` drives the staged pipeline in
 :mod:`repro.metahipmer.stages` over the production k-mer schedule:
 k-mer analysis → global de Bruijn graph / contig generation → read
-alignment → **local assembly** (the paper's kernel, either the CPU
-pipeline or a simulated-GPU port) → per-round merge. Each round's merged
+alignment → **local assembly** (the paper's kernel, either the scalar
+CPU backend or a simulated-GPU port) → per-round merge. Each round's merged
 contigs (extensions folded into the sequence) feed the next round as
 pseudo-reads, so later (larger-k) rounds resolve forks the earlier ones
 could not — the paper's Figure 1 resolution mechanism at pipeline scale —
@@ -26,11 +26,10 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.core.extension import PRODUCTION_POLICY, WalkPolicy
-from repro.core.pipeline import LocalAssembler
 from repro.errors import KmerError
-from repro.genomics.contig import Contig
+from repro.genomics.contig import Contig, ContigExtension, End
 from repro.genomics.reads import ReadSet
-from repro.kernels.engine import LocalAssemblyKernel
+from repro.kernels.engine import LocalAssemblyKernel, create_backend
 from repro.metahipmer.stages import (
     STAGE_ORDER,
     STAGES,
@@ -116,7 +115,8 @@ class DeNovoAssembler:
         min_contig_len: discard unitigs shorter than this.
         policy: local-assembly walk thresholds.
         kernel: optional simulated-GPU kernel to run the local-assembly
-            phase on (profiled); the CPU pipeline is used when omitted.
+            phase on (profiled); the ``scalar`` CPU backend is used when
+            omitted.
     """
 
     def __init__(
@@ -153,21 +153,14 @@ class DeNovoAssembler:
 
     def _local_assembly(self, contigs: list[Contig], k: int) -> int:
         """Run the paper's kernel over the aligned contigs; returns bases added."""
-        if self.kernel is not None:
-            result = self.kernel.run(contigs, k)
-            total = 0
-            from repro.genomics.contig import ContigExtension, End
-
-            for i, c in enumerate(contigs):
-                rb, rs = result.right[i]
-                lb, ls = result.left[i]
-                c.right_extension = ContigExtension(End.RIGHT, rb, rs.value, k)
-                c.left_extension = ContigExtension(End.LEFT, lb, ls.value, k)
-                total += len(rb) + len(lb)
-            return total
-        assembler = LocalAssembler(k_schedule=(k,), policy=self.policy)
-        assembler.assemble(contigs)
-        return sum(c.total_extension_length() for c in contigs)
+        kernel = self.kernel or create_backend("scalar", policy=self.policy)
+        result = kernel.run(contigs, k)
+        total = 0
+        for c, (rb, rs), (lb, ls) in zip(contigs, result.right, result.left):
+            c.right_extension = ContigExtension(End.RIGHT, rb, rs.value, k)
+            c.left_extension = ContigExtension(End.LEFT, lb, ls.value, k)
+            total += len(rb) + len(lb)
+        return total
 
     def assemble(
         self,

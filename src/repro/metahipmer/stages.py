@@ -177,15 +177,14 @@ def _ext_to_payload(ext: ContigExtension | None) -> dict | None:
     if ext is None:
         return None
     return {"end": ext.end.value, "bases": ext.bases, "state": ext.walk_state,
-            "k": ext.kmer_size, "steps": ext.steps}
+            "k": ext.kmer_size}
 
 
 def _ext_from_payload(data: dict | None) -> ContigExtension | None:
     if data is None:
         return None
     return ContigExtension(end=End(data["end"]), bases=data["bases"],
-                           walk_state=data["state"], kmer_size=int(data["k"]),
-                           steps=int(data["steps"]))
+                           walk_state=data["state"], kmer_size=int(data["k"]))
 
 
 # ----------------------------------------------------------------------

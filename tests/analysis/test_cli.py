@@ -74,3 +74,28 @@ class TestExperiment:
 
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "figure99"]) == 2
+
+
+class TestBoundaryInputs:
+    """A bad input at the command line ends in a one-line error, never a
+    traceback."""
+
+    @pytest.mark.parametrize("content", [None, "{not json", '{"faults": 5}',
+                                         '{"seed": "abc"}'],
+                             ids=["missing", "not-json", "faults-not-a-list",
+                                  "seed-not-an-int"])
+    def test_bad_fault_plan(self, tmp_path, capsys, content):
+        plan = tmp_path / "plan.json"
+        if content is not None:
+            plan.write_text(content)
+        rc = main(["serve", "--port", "0", "--fault-plan", str(plan)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(plan) in err
+
+    def test_non_integer_k_schedule(self, capsys):
+        rc = main(["assemble", "--scenario", "single_genome",
+                   "--k-schedule", "21,x"])
+        assert rc == 2
+        assert "--k-schedule" in capsys.readouterr().err

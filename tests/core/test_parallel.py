@@ -1,20 +1,9 @@
-"""Tests for multi-process local assembly."""
+"""Tests for the process-pool sharding helpers."""
 
-import numpy as np
 import pytest
 
-from repro.core.parallel import assemble_parallel, chunk_evenly, chunk_size_for
-from repro.core.pipeline import LocalAssembler
+from repro.core.parallel import chunk_evenly, chunk_size_for
 from repro.errors import ReproError
-from repro.genomics.simulate import PERFECT_READS, ScenarioSpec, simulate_batch
-
-SPEC = ScenarioSpec(contig_length=180, flank_length=50, read_length=80,
-                    depth=6, seed_window=40)
-
-
-def _contigs(n=8, seed=13):
-    rng = np.random.default_rng(seed)
-    return [sc.contig for sc in simulate_batch(n, SPEC, rng, PERFECT_READS)]
 
 
 class TestChunkHelpers:
@@ -49,48 +38,3 @@ class TestChunkHelpers:
     def test_rejects_bad_workers(self):
         with pytest.raises(ReproError):
             chunk_size_for(10, 0)
-
-
-class TestAssembleParallel:
-    def test_matches_serial(self):
-        serial = _contigs()
-        parallel = _contigs()  # identical copy (same seed)
-        asm = LocalAssembler(k_schedule=(21,))
-        asm.assemble(serial)
-        assemble_parallel(parallel, LocalAssembler(k_schedule=(21,)), workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.right_extension.bases == b.right_extension.bases
-            assert a.left_extension.bases == b.left_extension.bases
-            assert a.right_extension.walk_state == b.right_extension.walk_state
-
-    def test_serial_fallback_workers_one(self):
-        contigs = _contigs(n=3)
-        results = assemble_parallel(contigs, workers=1)
-        assert len(results) == 3
-        assert all(r.contig is contigs[i] for i, r in enumerate(results))
-        assert all(c.right_extension is not None for c in contigs)
-
-    def test_extensions_attached_to_original_objects(self):
-        contigs = _contigs(n=4)
-        assemble_parallel(contigs, LocalAssembler(k_schedule=(21,)), workers=2)
-        assert all(c.right_extension is not None for c in contigs)
-        assert all(c.left_extension is not None for c in contigs)
-
-    def test_empty_input(self):
-        assert assemble_parallel([], workers=2) == []
-
-    def test_result_order_preserved(self):
-        contigs = _contigs(n=6)
-        results = assemble_parallel(contigs, LocalAssembler(k_schedule=(21,)),
-                                    workers=2, chunk_size=2)
-        assert [r.contig.name for r in results] == [c.name for c in contigs]
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ReproError):
-            assemble_parallel(_contigs(n=1), workers=0)
-
-    def test_custom_chunk_size(self):
-        contigs = _contigs(n=5)
-        results = assemble_parallel(contigs, LocalAssembler(k_schedule=(21,)),
-                                    workers=2, chunk_size=1)
-        assert len(results) == 5

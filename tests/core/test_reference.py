@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.extension import WalkPolicy, WalkState
-from repro.core.pipeline import LocalAssembler
 from repro.core.reference import reference_extend, reference_table, reference_walk
 from repro.genomics.contig import End
 from repro.genomics.reads import Read, ReadSet
 from repro.genomics.simulate import PERFECT_READS, ScenarioSpec, simulate_contig_scenario
+from repro.kernels import create_backend
 
 RELAXED = WalkPolicy(min_depth=1, hi_q_min_depth=1)
 
@@ -50,20 +50,13 @@ class TestDifferentialPipeline:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
     def test_pipeline_matches_reference_single_k(self, seed):
-        """The optimized pipeline at a single k equals reference_extend."""
+        """The scalar backend at a single k equals reference_extend."""
         rng = np.random.default_rng(seed)
         spec = ScenarioSpec(contig_length=150, flank_length=50, read_length=70,
                             depth=6, seed_window=40)
         sc = simulate_contig_scenario(spec, rng, PERFECT_READS)
         k = 21
         ref = reference_extend(sc.contig, k)
-        asm = LocalAssembler(k_schedule=(k,))
-        asm.assemble_contig(sc.contig)
-        got_right = sc.contig.right_extension
-        got_left = sc.contig.left_extension
-        ref_right_bases, ref_right_state = ref[End.RIGHT]
-        ref_left_bases, ref_left_state = ref[End.LEFT]
-        assert got_right.bases == ref_right_bases
-        assert got_right.walk_state == ref_right_state.value
-        assert got_left.bases == ref_left_bases
-        assert got_left.walk_state == ref_left_state.value
+        got = create_backend("scalar").run([sc.contig], k)
+        assert got.right[0] == ref[End.RIGHT]
+        assert got.left[0] == ref[End.LEFT]

@@ -46,9 +46,7 @@ class TestContig:
         assert c.total_extension_length() == 4
 
     def test_extension_len(self):
-        ext = ContigExtension(End.RIGHT, "ACG", "end", 21, steps=5)
-        assert len(ext) == 3
-        assert ext.steps == 5
+        assert len(ContigExtension(End.RIGHT, "ACG", "end", 21)) == 3
 
     def test_no_extension(self):
         c = _contig("CCCC")

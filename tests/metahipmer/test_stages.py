@@ -117,6 +117,25 @@ class TestPayloadRoundTrips:
             [c.sequence for c in computed.merged]
         assert restored.stats == computed.stats
 
+    def test_old_extend_payload_with_steps_restores(self, small_input):
+        """The extend payload carries no walk step count; a checkpoint
+        written while it did still restores."""
+        _, reads = small_input
+        asm = DeNovoAssembler(k_schedule=(21,))
+        computed = RoundState(k=21, reads=reads)
+        payloads = self._run_until(asm, computed, "extend")
+        exts = [ext for entry in payloads["extend"]["extensions"]
+                for ext in entry.values() if ext is not None]
+        assert exts and not any("steps" in ext for ext in exts)
+        for ext in exts:
+            ext["steps"] = 7
+
+        restored = RoundState(k=21, reads=reads)
+        for name in ("kmers", "contigs", "align", "extend"):
+            STAGES[name].restore(asm, restored, payloads[name])
+        assert [c.extended_sequence() for c in restored.contigs] == \
+            [c.extended_sequence() for c in computed.contigs]
+
 
 class TestKernelParity:
     def test_kernel_and_cpu_agree_on_extension_bases(self, small_input):
