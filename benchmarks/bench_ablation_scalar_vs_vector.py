@@ -3,8 +3,8 @@
 DESIGN.md decision #1: the SIMT kernels execute all warps in NumPy
 lockstep instead of looping over lanes in Python. This bench measures the
 host-side speedup of that choice (same algorithm, same results) by
-running the scalar ``LocalHashTable``-based backend and the vectorized
-CUDA kernel over the same contigs.
+running the scalar backend — a dict of k-mer votes walked one string
+step at a time — and the vectorized CUDA kernel over the same contigs.
 """
 
 import time
@@ -36,7 +36,7 @@ def test_ablation_scalar_vs_vector(suite, benchmark):
     print(banner(f"Ablation — scalar vs vectorized ({N_CONTIGS} contigs, k=21)"))
     print(render_table(
         ["implementation", "host seconds", "per contig (ms)"],
-        [["scalar LocalHashTable backend", round(scalar_s, 3),
+        [["scalar dict backend", round(scalar_s, 3),
           round(1e3 * scalar_s / N_CONTIGS, 2)],
          ["vectorized SIMT kernel", round(vector_s, 3),
           round(1e3 * vector_s / N_CONTIGS, 2)]],

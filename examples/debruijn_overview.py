@@ -2,16 +2,15 @@
 """de Bruijn graph walkthrough (paper Figure 1).
 
 Reproduces the figure's example — the sequence ``AGCCCTCCCG`` segmented
-into k-mers, the hash-table representation, and how a larger k resolves
-the fork — using the library's real hash table and mer-walk.
+into k-mers, the k-mer table of extension votes, and how a larger k
+resolves the fork — using the library's Algorithm 1 and Algorithm 2
+(:mod:`repro.core.reference`, what the ``scalar`` backend runs).
 
 Run:  python examples/debruijn_overview.py
 """
 
-from repro.core.construct import build_table
 from repro.core.extension import WalkPolicy, describe_votes
-from repro.core.merwalk import mer_walk
-from repro.genomics.dna import encode
+from repro.core.reference import reference_table, reference_walk
 from repro.genomics.kmer import kmers_of
 from repro.genomics.reads import Read, ReadSet
 
@@ -24,15 +23,15 @@ for k in (3, 4, 6):
     print(f"--- k = {k} ---")
     print(f"k-mers: {' '.join(kmers_of(SEQ, k))}")
     reads = ReadSet([Read.from_strings("a", SEQ), Read.from_strings("b", SEQ)])
-    table = build_table(reads, k)
-    print("hash table (key -> extension votes):")
-    for slot in sorted(table.slots(), key=lambda s: s.kmer):
-        print(f"  {slot.kmer} -> {describe_votes(slot.votes)}")
-    walk = mer_walk(table, encode(SEQ[:k]), policy=POLICY)
-    reconstructed = SEQ[:k] + walk.bases
-    print(f"walk from {SEQ[:k]}: +{walk.bases!r} -> {reconstructed} "
-          f"({walk.state.value})")
-    if walk.state.value == "fork":
+    table = reference_table(reads, k)
+    print("k-mer table (key -> extension votes):")
+    for kmer in sorted(table):
+        print(f"  {kmer} -> {describe_votes(table[kmer])}")
+    bases, state, _ = reference_walk(table, SEQ[:k], policy=POLICY)
+    reconstructed = SEQ[:k] + bases
+    print(f"walk from {SEQ[:k]}: +{bases!r} -> {reconstructed} "
+          f"({state.value})")
+    if state.value == "fork":
         print("  ^ the fork the figure shows: at this k the graph is ambiguous")
     elif reconstructed == SEQ:
         print("  ^ larger k resolves the fork: the walk recovers the sequence")

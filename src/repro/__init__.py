@@ -4,8 +4,10 @@ Based Local Assembly Kernel on Multiple Vendor GPUs* (SC-W 2024).
 Public API tour:
 
 * ``repro.genomics`` — DNA, k-mers, reads, contigs, simulators, I/O.
-* ``repro.hashing`` — MurmurHashAligned2 + the Table V cost model.
-* ``repro.core`` — the local assembly algorithms (CPU reference).
+* ``repro.hashing`` — MurmurHash2 (MurmurHashAligned2's digest on the
+  kernel's aligned keys) + the Table V cost model.
+* ``repro.core`` — Algorithms 1 and 2 with dicts and strings: what the
+  ``scalar`` backend runs per contig end.
 * ``repro.simt`` — the simulated GPUs (A100 / MI250X / MAX1550).
 * ``repro.kernels`` — the CUDA / HIP / SYCL kernel ports on the simulator,
   and the ``scalar`` backend: the CPU local assembler.

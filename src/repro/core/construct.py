@@ -1,18 +1,17 @@
-"""Algorithm 1: k-mer hash-table construction.
+"""Algorithm 1's work count and table sizing.
 
 For every read assigned to a contig, every k-mer that has a following
 base contributes one insertion: key = the k-mer, vote = the next base
-with its quality score. A read of length L therefore contributes
-``max(0, L - k)`` insertions — which is exactly how the paper's Table II
-"total hash insertions" column relates to its read counts and lengths.
+with its quality score (:func:`repro.core.reference.reference_table`).
+A read of length L therefore contributes ``max(0, L - k)`` insertions —
+which is exactly how the paper's Table II "total hash insertions" column
+relates to its read counts and lengths.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.core.hashtable import LocalHashTable
-from repro.genomics.contig import Contig
 from repro.genomics.reads import ReadSet
 
 #: Default table occupancy target; the GPU pre-processing phase reserves
@@ -59,36 +58,3 @@ def estimate_table_slots_upper_bound(
     if not 0.0 < load_factor <= 1.0:
         raise ValueError(f"load_factor must be in (0, 1], got {load_factor}")
     return max(16, math.ceil(reads.total_bases / load_factor))
-
-
-def build_table(
-    reads: ReadSet,
-    k: int,
-    capacity: int | None = None,
-    seed: int = 0,
-    load_factor: float = DEFAULT_LOAD_FACTOR,
-) -> LocalHashTable:
-    """Construct the de Bruijn hash table for one contig's reads.
-
-    Args:
-        reads: the reads aligned to the contig's ends.
-        k: k-mer size.
-        capacity: explicit slot count; estimated from the reads if omitted.
-        seed: Murmur seed.
-        load_factor: target occupancy used when estimating capacity.
-    """
-    if capacity is None:
-        capacity = estimate_table_slots(insertions_for(reads, k), load_factor)
-    table = LocalHashTable(capacity=capacity, k=k, seed=seed)
-    for read in reads:
-        codes, quals = read.codes, read.quals
-        for i in range(len(codes) - k):
-            table.insert(codes[i : i + k], int(codes[i + k]), int(quals[i + k]))
-    return table
-
-
-def build_table_for_contig(
-    contig: Contig, k: int, seed: int = 0, load_factor: float = DEFAULT_LOAD_FACTOR
-) -> LocalHashTable:
-    """Convenience wrapper: :func:`build_table` over ``contig.reads``."""
-    return build_table(contig.reads, k, seed=seed, load_factor=load_factor)

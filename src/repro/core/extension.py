@@ -80,6 +80,9 @@ DEFAULT_POLICY = WalkPolicy()
 #: default.
 PRODUCTION_POLICY = WalkPolicy(hi_q_min_depth=2, min_depth=1, dominance=2)
 
+#: Default cap on walk length, matching the GPU kernel's max_walk_len.
+DEFAULT_MAX_WALK_LEN = 300
+
 
 def resolve_extension(
     votes: ExtensionVotes, policy: WalkPolicy = DEFAULT_POLICY

@@ -1,28 +1,33 @@
-"""Deliberately simple dict-based local assembly, for differential testing.
+"""Algorithms 1 and 2 with Python dicts and strings: the scalar telling.
 
-This module re-implements Algorithm 1 + Algorithm 2 with Python dicts and
-strings — no hash tables, no probing, no encodings — so that the
-optimized implementations (:mod:`repro.core` and the SIMT kernels in
-:mod:`repro.kernels`) can be checked against an implementation whose
-correctness is obvious by inspection.
+No hash tables, no probing, no encodings — correctness is obvious by
+inspection. This is what the ``scalar`` backend
+(:class:`repro.kernels.engine.backend.ScalarReferenceBackend`) runs per
+contig end, and so the CPU reference the SIMT kernels in
+:mod:`repro.kernels` are differential-tested against.
+
+A walk stops on ``END`` (no supported next base), ``FORK`` (two
+well-supported bases), ``LOOP`` (a k-mer seen before in this walk),
+``MAX_LEN`` (the length cap) or ``MISSING`` (the seed is not in the
+table).
 """
 
 from __future__ import annotations
 
 from repro.core.extension import (
+    DEFAULT_MAX_WALK_LEN,
     DEFAULT_POLICY,
     ExtensionVotes,
     WalkPolicy,
     WalkState,
     resolve_extension,
 )
-from repro.genomics.contig import Contig, End
-from repro.genomics.dna import BASES, reverse_complement
+from repro.genomics.dna import BASES
 from repro.genomics.reads import ReadSet
 
 
 def reference_table(reads: ReadSet, k: int) -> dict[str, ExtensionVotes]:
-    """Dict-of-votes version of Algorithm 1."""
+    """Algorithm 1: every k-mer with a following base votes for that base."""
     table: dict[str, ExtensionVotes] = {}
     for read in reads:
         seq = read.sequence
@@ -35,10 +40,11 @@ def reference_table(reads: ReadSet, k: int) -> dict[str, ExtensionVotes]:
 def reference_walk(
     table: dict[str, ExtensionVotes],
     seed: str,
-    max_walk_len: int = 300,
+    max_walk_len: int = DEFAULT_MAX_WALK_LEN,
     policy: WalkPolicy = DEFAULT_POLICY,
 ) -> tuple[str, WalkState, int]:
-    """String version of Algorithm 2; returns ``(bases, state, steps)``."""
+    """Algorithm 2 from ``seed``; returns ``(bases, state, steps)``, where
+    ``steps`` counts table lookups."""
     current = seed
     visited = {current}
     out: list[str] = []
@@ -57,37 +63,3 @@ def reference_walk(
         visited.add(current)
         out.append(BASES[code])
     return "".join(out), WalkState.MAX_LEN, steps
-
-
-def reference_extend(
-    contig: Contig,
-    k: int,
-    max_walk_len: int = 300,
-    policy: WalkPolicy = DEFAULT_POLICY,
-) -> dict[End, tuple[str, WalkState]]:
-    """Extend both ends of ``contig`` at a single k; returns per-end results.
-
-    The left end is handled exactly like the scalar backend does it:
-    walk the reverse-complemented problem rightwards, then
-    reverse-complement the extension back.
-    """
-    results: dict[End, tuple[str, WalkState]] = {}
-    table = reference_table(contig.reads, k)
-    seed = contig.sequence[-k:]
-    bases, state, _ = reference_walk(table, seed, max_walk_len, policy)
-    results[End.RIGHT] = (bases, state)
-
-    rc_reads = ReadSet()
-    from repro.genomics.reads import Read
-
-    for r in contig.reads:
-        rc_reads.append(Read(name=r.name, codes=reverse_complement(r.codes),
-                             quals=r.quals[::-1].copy()))
-    rc_table = reference_table(rc_reads, k)
-    rc_seed = reverse_complement(contig.sequence[:k])
-    assert isinstance(rc_seed, str)
-    bases, state, _ = reference_walk(rc_table, rc_seed, max_walk_len, policy)
-    rc_bases = reverse_complement(bases)
-    assert isinstance(rc_bases, str)
-    results[End.LEFT] = (rc_bases, state)
-    return results

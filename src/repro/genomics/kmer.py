@@ -1,8 +1,9 @@
 """K-mer extraction, canonicalization, packing, and fingerprints.
 
 A *k-mer* is a length-``k`` substring of a DNA sequence. The de Bruijn
-graph underlying local assembly uses k-mers as edges; the hash table in
-:mod:`repro.core.hashtable` uses them as keys.
+graph underlying local assembly uses k-mers as edges; the k-mer tables
+(:mod:`repro.core.reference`, :mod:`repro.kernels.vectortable`) use
+them as keys.
 
 Two machine representations are provided:
 

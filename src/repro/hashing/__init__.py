@@ -1,11 +1,11 @@
-"""Hashing substrate: MurmurHashAligned2 and its integer-operation cost model."""
+"""Hashing substrate: MurmurHash2 (MurmurHashAligned2's digest on the
+kernel's aligned keys) and its integer-operation cost model."""
 
 from repro.hashing.murmur import (
     MURMUR_M,
     MURMUR_R,
     murmur2,
     murmur2_batch,
-    murmur_aligned2,
 )
 from repro.hashing.opcount import (
     CLEANUP_INTOPS,
@@ -21,7 +21,6 @@ __all__ = [
     "MURMUR_R",
     "murmur2",
     "murmur2_batch",
-    "murmur_aligned2",
     "INIT_INTOPS",
     "CLEANUP_INTOPS",
     "MIX_INTOPS_PER_WORD",

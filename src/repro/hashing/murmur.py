@@ -1,15 +1,15 @@
 """MurmurHash2 / MurmurHashAligned2 (Austin Appleby, public domain).
 
 The local-assembly kernel hashes each k-mer with ``MurmurHashAligned2``
-[20]. We implement the 32-bit MurmurHash2 family faithfully (same
-constants ``m = 0x5bd1e995``, ``r = 24``, same mix and tail handling) in
-three forms:
+[20]. The aligned variant in SMHasher only changes *how* unaligned
+buffers are read; for 4-byte-aligned buffers — the only case the GPU
+kernel produces, since it owns its device allocations — its digest is
+plain MurmurHash2's. We implement the 32-bit MurmurHash2 family
+faithfully (same constants ``m = 0x5bd1e995``, ``r = 24``, same mix and
+tail handling) in three forms:
 
 * :func:`murmur2` — scalar reference, byte-for-byte identical to the C
   version for aligned input.
-* :func:`murmur_aligned2` — the aligned variant; for inputs that are
-  4-byte aligned (which ours always are, we own the buffers) it produces
-  the same digest as :func:`murmur2`.
 * :func:`murmur2_batch` — vectorized over a matrix of equal-length keys,
   used by the SIMT kernels to hash every pending k-mer of a batch in a
   handful of NumPy passes.
@@ -68,19 +68,6 @@ def murmur2(data: bytes | np.ndarray, seed: int = 0) -> int:
     h = (h * MURMUR_M) & _U32
     h ^= h >> 15
     return h
-
-
-def murmur_aligned2(data: bytes | np.ndarray, seed: int = 0) -> int:
-    """MurmurHashAligned2: identical digest for 4-byte-aligned buffers.
-
-    The aligned variant in SMHasher only changes *how* unaligned buffers
-    are read (shift/or assembly of words); for aligned buffers — the only
-    case the GPU kernel produces, since it owns its device allocations —
-    the digest equals plain MurmurHash2. We therefore delegate, and keep
-    this name as the API the kernels call so the correspondence with the
-    paper's source is explicit.
-    """
-    return murmur2(data, seed)
 
 
 def murmur2_words(stream: np.ndarray) -> np.ndarray:

@@ -3,11 +3,11 @@
 A *backend* is anything that can execute the local-assembly workflow —
 the three SIMT vendor ports (CUDA / HIP / SYCL, thin
 :class:`ProtocolCosts` + warp-size configurations over the shared
-engine) and the scalar CPU reference over :mod:`repro.core`'s hash
-table and mer-walk — the one CPU local assembler. All of them implement
-:class:`ExecutionBackend` and register themselves in one registry, so
-the experiment suite, the CLI, the de novo assembler and the benchmarks
-select execution paths by name rather than by import.
+engine) and the scalar CPU reference over :mod:`repro.core.reference`'s
+dict table and string walk — the one CPU local assembler. All of them
+implement :class:`ExecutionBackend` and register themselves in one
+registry, so the experiment suite, the CLI, the de novo assembler and
+the benchmarks select execution paths by name rather than by import.
 """
 
 from __future__ import annotations
@@ -15,9 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
-from repro.core.construct import build_table, insertions_for
-from repro.core.extension import DEFAULT_POLICY, WalkPolicy, WalkState
-from repro.core.merwalk import DEFAULT_MAX_WALK_LEN, mer_walk
+from repro.core.construct import insertions_for
+from repro.core.extension import (
+    DEFAULT_MAX_WALK_LEN,
+    DEFAULT_POLICY,
+    WalkPolicy,
+    WalkState,
+)
+from repro.core.reference import reference_table, reference_walk
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import reverse_complement
@@ -155,8 +160,9 @@ def _reverse_complement_reads(reads: ReadSet) -> ReadSet:
 class ScalarReferenceBackend:
     """The CPU local assembler, as an :class:`ExecutionBackend`.
 
-    Runs Algorithm 1 + Algorithm 2 per contig end through the
-    :mod:`repro.core` hash table and mer-walk, and reports results in
+    Runs Algorithm 1 + Algorithm 2 per contig end as
+    :func:`~repro.core.reference.reference_table` and
+    :func:`~repro.core.reference.reference_walk`, and reports results in
     the kernel's :class:`KernelRunResult` shape; its ``run_schedule``
     folds the k schedule through the same :class:`KSchedule` as the
     SIMT ports. The left end walks as a right walk over the
@@ -172,50 +178,53 @@ class ScalarReferenceBackend:
     def __init__(self, device: DeviceSpec | None = None,
                  policy: WalkPolicy = DEFAULT_POLICY,
                  max_walk_len: int = DEFAULT_MAX_WALK_LEN,
-                 seed: int = 0, overflow_policy="raise",
+                 overflow_policy="raise",
                  table_capacity: int | None = None,
                  grow_factor: float | None = None,
                  max_grow_attempts: int | None = None, **_ignored) -> None:
+        # Imported here: repro.resilience.checkpoint imports this module.
+        from repro.resilience.policy import OverflowPolicy, grow_budget
         self.device = device
         self.policy = policy
         self.max_walk_len = max_walk_len
-        self.seed = seed
-        self.overflow_policy = overflow_policy
+        self.overflow_policy = OverflowPolicy.parse(overflow_policy)
         #: Explicit per-contig table capacity; ``None`` sizes from the
         #: reads. Undersizing it is how tests force the overflow paths.
         self.table_capacity = table_capacity
-        # Imported here: repro.resilience.checkpoint imports this module.
-        from repro.resilience.policy import grow_budget
         self.grow_factor, self.max_grow_attempts = grow_budget(
             grow_factor, max_grow_attempts)
 
-    def _build_table(self, reads: ReadSet, k: int, contig_id: int,
+    def _sized_table(self, reads: ReadSet, k: int, contig_id: int,
                      profile: KernelProfile, retried: set):
-        """``build_table`` under the configured overflow policy.
+        """:func:`reference_table` under the configured overflow policy.
 
+        A table overflows when it holds more distinct k-mers than its
+        capacity; sized from the reads (no ``table_capacity``) it never
+        does. What a table holds does not depend on its capacity, so
+        grow-retry re-checks the one dict against each grown capacity.
         Returns ``None`` when the contig is dropped (DROP_CONTIG, or
         grow-retry exhausting its attempts).
         """
         from repro.resilience.policy import OverflowPolicy, grown_capacity
-        policy = OverflowPolicy.parse(self.overflow_policy)
+        table = reference_table(reads, k)
         capacity = self.table_capacity
-        attempts = self.max_grow_attempts
-        for attempt in range(attempts + 1):
-            try:
-                return build_table(reads, k, capacity=capacity, seed=self.seed)
-            except HashTableFullError as err:
-                if policy is OverflowPolicy.RAISE:
-                    raise HashTableFullError(
-                        "hash table overflow during construction",
-                        contig_id=contig_id, k=k, capacity=err.capacity,
-                        probes=err.probes) from None
-                if policy is OverflowPolicy.DROP_CONTIG or attempt == attempts:
-                    profile.contigs_dropped += 1
-                    return None
-                capacity = int(grown_capacity(err.capacity, self.grow_factor))
-                profile.overflow_retries += 1
-                retried.add(contig_id)
-        return None
+        attempt = 0
+        while capacity is not None and len(table) > capacity:
+            if self.overflow_policy is OverflowPolicy.RAISE:
+                # a full open-addressed table wraps after one probe per slot
+                raise HashTableFullError(
+                    "hash table overflow during construction",
+                    contig_id=contig_id, k=k, capacity=capacity,
+                    probes=capacity)
+            if (self.overflow_policy is OverflowPolicy.DROP_CONTIG
+                    or attempt == self.max_grow_attempts):
+                profile.contigs_dropped += 1
+                return None
+            capacity = int(grown_capacity(capacity, self.grow_factor))
+            profile.overflow_retries += 1
+            retried.add(contig_id)
+            attempt += 1
+        return table
 
     def _walk_end(self, contig: Contig, k: int, end: End,
                   profile: KernelProfile, contig_id: int,
@@ -225,24 +234,22 @@ class ScalarReferenceBackend:
             reads = _reverse_complement_reads(reads)
         if k > len(contig) or reads.kmer_count(k + 1) == 0:
             return "", WalkState.MISSING
-        table = self._build_table(reads, k, contig_id, profile, retried)
+        table = self._sized_table(reads, k, contig_id, profile, retried)
         if table is None:
             degraded.add(contig_id)
             return "", WalkState.MISSING
         profile.inserts += insertions_for(reads, k)
-        seed_kmer = (contig.end_kmer(k, End.RIGHT) if end is End.RIGHT
-                     else reverse_complement(contig.end_kmer(k, End.LEFT)))
-        walk = mer_walk(table, seed_kmer, self.max_walk_len, self.policy)
-        profile.lookups += walk.steps
-        profile.lookup_probe_iterations += walk.steps
-        profile.walk_steps += len(walk.bases)
-        profile.extension_bases += len(walk.bases)
-        bases = walk.bases
-        if end is End.LEFT and bases:
-            rc = reverse_complement(bases)
-            assert isinstance(rc, str)
-            bases = rc
-        return bases, walk.state
+        seed = (contig.sequence[-k:] if end is End.RIGHT
+                else reverse_complement(contig.sequence[:k]))
+        bases, state, steps = reference_walk(table, seed, self.max_walk_len,
+                                             self.policy)
+        profile.lookups += steps
+        profile.lookup_probe_iterations += steps
+        profile.walk_steps += len(bases)
+        profile.extension_bases += len(bases)
+        if end is End.LEFT:
+            bases = reverse_complement(bases)
+        return bases, state
 
     def run(self, contigs: list[Contig], k: int, pending=None,
             **_kwargs) -> KernelRunResult:

@@ -255,7 +255,7 @@ ScalarOracleConstructPhase`.
             # directly on the compacted geometry arrays.
             slots = offs_p + (hp + probe_p) % caps_p
             if emit_slots:
-                bus.emit(SlotAccess(slots=slots, kind="probe"))
+                bus.emit(SlotAccess(slots=slots))
             occupied, slot_fp = tables.inspect(slots)
             key_compares = int(np.count_nonzero(occupied))
 

@@ -103,15 +103,9 @@ class WalkStep:
 
 @dataclass(frozen=True)
 class SlotAccess:
-    """Raw table-slot indices touched by one probe iteration.
-
-    ``kind`` names the access category (``"probe"``, ``"claim"``,
-    ``"vote"``, ``"vote_read"``); emission sites must pass it explicitly
-    (lint rule REP004), so trace consumers can attribute traffic.
-    """
+    """Raw table-slot indices touched by one probe iteration."""
 
     slots: np.ndarray             #: global slot indices (int64)
-    kind: str = "probe"           #: access category
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,7 @@ class ScalarOracleWalkPhase(WalkPhase):
                 chain += 1
                 slots = tables.slot_of(a[u], homes[u], probe[u])
                 if emit_slots:
-                    bus.emit(SlotAccess(slots=slots, kind="probe"))
+                    bus.emit(SlotAccess(slots=slots))
                 occupied, slot_fp = tables.inspect(slots)
                 rows.append(lookup_row(u.size,
                                        int(np.count_nonzero(occupied))))
@@ -222,7 +222,7 @@ class ScalarOracleConstructPhase(ConstructPhase):
 
             slots = tables.slot_of(warps[p], homes[p], probe[p])
             if emit_slots:
-                bus.emit(SlotAccess(slots=slots, kind="probe"))
+                bus.emit(SlotAccess(slots=slots))
             occupied, slot_fp = tables.inspect(slots)
             key_compares = int(np.count_nonzero(occupied))
 

@@ -35,9 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.merwalk import DEFAULT_MAX_WALK_LEN
 from repro.core.construct import DEFAULT_LOAD_FACTOR
-from repro.core.extension import DEFAULT_POLICY, WalkPolicy, WalkState
+from repro.core.extension import (
+    DEFAULT_MAX_WALK_LEN,
+    DEFAULT_POLICY,
+    WalkPolicy,
+    WalkState,
+)
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import decode_matrix, reverse_complement_matrix
@@ -317,8 +321,6 @@ class LocalAssemblyKernel:
         if self.sanitize_checks:
             from repro.sanitize.checkers import Sanitizer
             sanitizer = bus.subscribe(Sanitizer(self.sanitize_checks))
-        if self.fault_injector is not None:
-            bus.subscribe(self.fault_injector)
         for sub in self.extra_subscribers:
             bus.subscribe(sub)
         return bus, tracer, replayer, sanitizer
@@ -332,13 +334,12 @@ class LocalAssemblyKernel:
         launch's slots and warps. So a kernel does not fuse when a
         subscriber of its run bus (:meth:`_build_bus`) wants an
         ``EVIDENCE_EVENTS`` class: a tracer, the trace replayer, a
-        sanitizer, or an injector / extra subscriber that asks for one
-        — nor when its :attr:`walk_group_slots` is 0.
+        sanitizer, or an extra subscriber that asks for one — nor when
+        its :attr:`walk_group_slots` is 0.
         """
         asked = EventBus()
-        for sub in (self.fault_injector, *self.extra_subscribers):
-            if sub is not None:
-                asked.subscribe(sub)
+        for sub in self.extra_subscribers:
+            asked.subscribe(sub)
         return not (self.walk_group_slots <= 0 or self.record_trace
                     or self.memory_model == "trace" or self.sanitize_checks
                     or any(map(asked.wants, EVIDENCE_EVENTS)))

@@ -1,7 +1,9 @@
 """The walk phase: one lane per warp mer-walks from the contig-end seed.
 
-The other lanes are predicated off while one lane walks; the terminal
-state is broadcast with a shuffle. Everything is vectorized across
+Algorithm 2, whose scalar telling is
+:func:`repro.core.reference.reference_walk` (what the ``scalar`` backend
+runs). The other lanes are predicated off while one lane walks; the
+terminal state is broadcast with a shuffle. Everything is vectorized across
 warps as one lockstep array program (DESIGN.md decision #14): per-warp
 loop-detection state lives in one matrix of the walkers' paths
 (:class:`VisitedFingerprintSet`), committed bases land in a
@@ -34,13 +36,13 @@ import numpy as np
 
 from repro.core.extension import (
     CODE_TO_WALK_STATE,
+    DEFAULT_MAX_WALK_LEN,
     DEFAULT_POLICY,
     WALK_STATE_CODES,
     WalkPolicy,
     WalkState,
     resolve_extension_batch,
 )
-from repro.core.merwalk import DEFAULT_MAX_WALK_LEN
 from repro.genomics.dna import decode_matrix, encode
 from repro.genomics.kmer import fingerprint_matrix, shift_fingerprints
 from repro.hashing.murmur import murmur2_batch
@@ -287,7 +289,7 @@ class WalkPhase:
             iterations += 1
             slots = tables.slot_of(au, homes[u], probe_u)
             if emit_slots:
-                bus.emit(SlotAccess(slots=slots, kind="probe"))
+                bus.emit(SlotAccess(slots=slots))
             occupied, slot_fp = tables.inspect(slots)
             if log is None:
                 rows.append(lookup_row(u.size,

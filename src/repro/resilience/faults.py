@@ -1,19 +1,15 @@
-"""Deterministic fault injection for the engine and the experiment suite.
+"""Deterministic fault injection for the engine, the suite and the service.
 
 A :class:`FaultPlan` is a seeded, declarative list of :class:`FaultSpec`
-entries; a :class:`FaultInjector` executes the plan through two
-mechanisms:
-
-* **explicit hook points** — the SIMT engine calls
-  :meth:`FaultInjector.begin_launch` / :meth:`FaultInjector.shape_batch`
-  / :meth:`FaultInjector.degrade_result` around each launch, and
-  :class:`~repro.analysis.experiments.ExperimentSuite` calls
-  :meth:`FaultInjector.before_run` around each ``(device, k)`` run;
-* **the EventBus subscriber mechanism** — the injector subscribes to the
-  engine's bus and logs every :class:`LaunchStarted` /
-  :class:`ContigDropped` / :class:`ContigRetried` it observes, so a test
-  can attribute exactly which launches a fault hit and what degradation
-  it caused.
+entries; a :class:`FaultInjector` executes the plan at explicit hook
+points: the SIMT engine calls :meth:`FaultInjector.begin_launch` /
+:meth:`FaultInjector.shape_batch` / :meth:`FaultInjector.degrade_result`
+around each launch, :class:`~repro.analysis.experiments.ExperimentSuite`
+calls :meth:`FaultInjector.before_run` around each ``(device, k)`` run,
+and the serve tier asks :meth:`FaultInjector.wave_fault` /
+:meth:`FaultInjector.checkpoint_fault`. :attr:`FaultInjector.fired`
+records which launch, warps, run or wave each fault hit; a run's
+``degraded`` / ``retried`` lists say what it cost.
 
 All randomness (which bases a corruption flips) comes from one
 ``numpy`` generator seeded by the plan, so a plan replays identically
@@ -66,7 +62,8 @@ class FaultKind(Enum):
 
 #: Wave-scoped kinds consumed via :meth:`FaultInjector.wave_fault` /
 #: :meth:`FaultInjector.begin_wave`.
-WAVE_FAULT_KINDS = frozenset({FaultKind.WORKER_CRASH, FaultKind.WAVE_STALL})
+WAVE_FAULT_KINDS = frozenset({FaultKind.WORKER_CRASH, FaultKind.WAVE_STALL,
+                              FaultKind.LAUNCH_FAILURE})
 
 #: Checkpoint-I/O kinds consumed via :meth:`FaultInjector.checkpoint_fault`.
 CHECKPOINT_FAULT_KINDS = frozenset({
@@ -135,7 +132,7 @@ class FaultPlan:
 
 @dataclass(frozen=True)
 class FaultRecord:
-    """One fired fault (or observed consequence), for attribution."""
+    """One fired fault, for attribution."""
 
     kind: FaultKind
     site: str                    #: hook that fired ("launch", "run", ...)
@@ -150,49 +147,13 @@ class FaultInjector:
     launch and run ordinals count globally across the whole workload.
     """
 
-    _handled: tuple | None = None
-
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.rng = np.random.default_rng(plan.seed)
         self._remaining = [spec.times for spec in plan.faults]
         self.fired: list[FaultRecord] = []
-        self.observed: list[FaultRecord] = []
         self._launch_ordinal = 0
         self._run_ordinal = 0
-
-    # ------------------------------------------------------------------
-    # EventBus subscriber mechanism (observation / attribution)
-
-    @property
-    def handled_events(self) -> tuple:
-        # resolved lazily: faults.py must not import the engine at module
-        # scope (the engine imports resilience.policy during its own init)
-        cls = type(self)
-        if cls._handled is None:
-            from repro.kernels.engine.events import (
-                ContigDropped,
-                ContigRetried,
-                LaunchStarted,
-            )
-            cls._handled = (LaunchStarted, ContigDropped, ContigRetried)
-        return cls._handled
-
-    def handle(self, event, bus) -> None:
-        launch_started, dropped, retried = self.handled_events
-        if isinstance(event, launch_started):
-            self.observed.append(FaultRecord(
-                FaultKind.TABLE_PRESSURE, "observe-launch",
-                {"k": event.k, "n_warps": event.n_warps}))
-        elif isinstance(event, dropped):
-            self.observed.append(FaultRecord(
-                FaultKind.TABLE_PRESSURE, "observe-drop",
-                {"contig_id": event.contig_id, "k": event.k}))
-        elif isinstance(event, retried):
-            self.observed.append(FaultRecord(
-                FaultKind.TABLE_PRESSURE, "observe-retry",
-                {"contig_id": event.contig_id, "k": event.k,
-                 "attempt": event.attempt}))
 
     # ------------------------------------------------------------------
     # matching / bookkeeping
@@ -326,49 +287,43 @@ class FaultInjector:
     # serve hook points (wave supervision / checkpoint I/O)
 
     def wave_fault(self, fingerprints: list[str]) -> FaultSpec | None:
-        """Consume one wave-scoped fault matching this wave's jobs.
+        """Fire one wave-scoped fault matching this wave's jobs.
 
-        Called by the serve-side :class:`WaveSupervisor` before a wave is
-        dispatched. Returns the spec (``WORKER_CRASH`` or ``WAVE_STALL``)
-        so the *caller* applies the effect — the injector object lives in
-        the service process, where its ``times`` accounting is shared
-        across retries and bisection halves; pool workers cannot share
-        that state.
+        Called before a wave is dispatched: by the serve-side
+        :class:`WaveSupervisor` in the service process, where the plan's
+        ``times`` accounting is shared across retries and bisection
+        halves (pool workers cannot share that state), and by
+        :meth:`begin_wave`. ``WORKER_CRASH`` raises
+        :class:`InjectedCrashError` and ``LAUNCH_FAILURE`` the transient
+        :class:`~repro.errors.BackendLaunchError`; a ``WAVE_STALL`` spec
+        is returned for the caller to hang the wave with.
         """
-        for kind in (FaultKind.WORKER_CRASH, FaultKind.WAVE_STALL):
+        for kind in (FaultKind.WORKER_CRASH, FaultKind.WAVE_STALL,
+                     FaultKind.LAUNCH_FAILURE):
             spec = self._take(kind, fingerprints=fingerprints)
-            if spec is not None:
-                self.fired.append(FaultRecord(spec.kind, "wave", {
-                    "fingerprints": tuple(fingerprints),
-                    "fingerprint": spec.fingerprint,
-                    "delay_s": spec.delay_s}))
-                return spec
+            if spec is None:
+                continue
+            self.fired.append(FaultRecord(spec.kind, "wave", {
+                "fingerprints": tuple(fingerprints),
+                "fingerprint": spec.fingerprint,
+                "delay_s": spec.delay_s}))
+            if kind is FaultKind.WORKER_CRASH:
+                raise InjectedCrashError(
+                    f"injected worker crash mid-wave ({len(fingerprints)} jobs)")
+            if kind is FaultKind.LAUNCH_FAILURE:
+                raise BackendLaunchError(
+                    "injected transient wave launch failure "
+                    f"({len(fingerprints)} jobs)")
+            return spec
         return None
 
     def begin_wave(self, fingerprints: list[str]) -> None:
-        """Engine hook: called by ``run_schedule_coalesced`` per wave.
-
-        Applies wave-scoped faults inline: ``WORKER_CRASH`` raises
-        :class:`InjectedCrashError`, ``WAVE_STALL`` sleeps ``delay_s``
-        (simulating a hung wave — the caller's deadline may fire), and a
-        fingerprint-matched ``LAUNCH_FAILURE`` raises the transient
-        :class:`~repro.errors.BackendLaunchError`.
-        """
+        """Engine hook: called by ``run_schedule_coalesced`` per wave —
+        :meth:`wave_fault`, with a stall slept inline (the caller's
+        deadline may fire)."""
         spec = self.wave_fault(list(fingerprints))
         if spec is not None:
-            if spec.kind is FaultKind.WORKER_CRASH:
-                raise InjectedCrashError(
-                    "injected worker crash mid-wave "
-                    f"({len(fingerprints)} fused jobs)")
             time.sleep(spec.delay_s)
-        spec = self._take(FaultKind.LAUNCH_FAILURE,
-                          fingerprints=list(fingerprints))
-        if spec is not None:
-            self.fired.append(FaultRecord(spec.kind, "wave", {
-                "fingerprints": tuple(fingerprints)}))
-            raise BackendLaunchError(
-                "injected transient wave launch failure "
-                f"({len(fingerprints)} fused jobs)")
 
     def checkpoint_fault(self, fingerprint: str) -> FaultSpec | None:
         """Consume one checkpoint-I/O fault scoped to this job, if any.

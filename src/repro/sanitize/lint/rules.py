@@ -1,7 +1,8 @@
 """The repo-invariant rule catalog (REP001–REP008).
 
 Each rule guards a property this reproduction's correctness or
-reproducibility depends on; the ids are stable and documented in API.md.
+reproducibility depends on; the ids are stable and documented in API.md
+(REP004 is retired, not reused).
 """
 
 from __future__ import annotations
@@ -169,34 +170,6 @@ class UndeclaredHandledEventRule(LintRule):
                             f"{node.name}.handle dispatches on {name} but "
                             f"handled_events does not declare it; gated "
                             f"events would silently never arrive")
-
-
-@register_rule
-class SlotAccessCategoryRule(LintRule):
-    """REP004: every SlotAccess emission must name its access category.
-
-    Uncategorized slot traffic cannot be attributed by trace consumers
-    (replay, sanitizer, future tooling); ``kind=`` is required at every
-    construction site even though the dataclass defaults it.
-    """
-
-    rule_id = "REP004"
-    description = "SlotAccess(...) constructed without an explicit kind="
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[LintFinding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else getattr(func, "attr", ""))
-            if name != "SlotAccess":
-                continue
-            if not any(kw.arg == "kind" for kw in node.keywords):
-                yield self.finding(
-                    node, path,
-                    "SlotAccess emitted without kind=: name the access "
-                    "category (probe / claim / vote / vote_read)")
 
 
 @register_rule

@@ -56,6 +56,8 @@ from dataclasses import dataclass
 from repro.errors import CheckpointError, ReproError
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import (
+    CHECKPOINT_FAULT_KINDS,
+    WAVE_FAULT_KINDS,
     FaultInjector,
     FaultKind,
     FaultPlan,
@@ -124,7 +126,9 @@ class AssemblyService:
         drain_timeout_s: default bound on :meth:`stop`'s drain phase.
         breaker_threshold / breaker_cooldown_s: circuit breaker tuning.
         fault_plan: optional seeded chaos plan; wave- and
-            checkpoint-scoped faults fire in the service process.
+            checkpoint-scoped faults fire in the service process. A
+            plan with any other kind, or a spec scoped by launch
+            ordinal, would never fire and is a :class:`ReproError`.
         seed: seeds the retry-jitter generator.
         journal_fsync: fsync each journal append (disable in tests).
     """
@@ -148,6 +152,17 @@ class AssemblyService:
             raise ReproError(f"workers must be >= 1, got {workers}")
         if recover and journal_path is None:
             raise ReproError("recover=True requires a journal_path")
+        fireable = WAVE_FAULT_KINDS | CHECKPOINT_FAULT_KINDS
+        for spec in fault_plan.faults if fault_plan is not None else ():
+            if spec.kind not in fireable:
+                raise ReproError(
+                    f"fault kind {spec.kind.value!r} never fires in the "
+                    "service; a serve plan takes "
+                    f"{sorted(kind.value for kind in fireable)}")
+            if spec.launch is not None:
+                raise ReproError(
+                    "a launch-ordinal-scoped fault never fires in the "
+                    "service; scope it by job fingerprint instead")
         self.admission = AdmissionControl(max_in_flight)
         self.shedder = LoadShedder(max_in_flight)
         self.supervisor = WaveSupervisor(

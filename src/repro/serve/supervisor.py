@@ -44,8 +44,7 @@ from concurrent.futures import BrokenExecutor
 import numpy as np
 
 from repro.errors import ReproError, TransientError
-from repro.resilience.faults import FaultInjector, FaultKind, \
-    InjectedCrashError
+from repro.resilience.faults import FaultInjector, InjectedCrashError
 from repro.resilience.retry import (
     DEFAULT_BACKOFF,
     DEFAULT_JITTER,
@@ -255,11 +254,9 @@ class WaveSupervisor:
     async def _attempt(self, jobs: list[JobSpec]) -> list[dict]:
         deadline = self.deadline_for(jobs)
         if self.injector is not None:
+            # raises for a worker crash or a launch failure
             spec = self.injector.wave_fault([j.fingerprint for j in jobs])
             if spec is not None:
-                if spec.kind is FaultKind.WORKER_CRASH:
-                    raise InjectedCrashError(
-                        f"injected worker crash mid-wave ({len(jobs)} jobs)")
                 # WAVE_STALL: the wave hangs for delay_s. Model the hang
                 # here, off the executor (chaos runs stay deterministic)
                 # but with the wave's lane held, as a genuinely stuck

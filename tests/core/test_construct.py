@@ -1,19 +1,16 @@
-"""Tests for Algorithm 1 (hash-table construction) and table sizing."""
+"""Tests for Algorithm 1 (the k-mer table) and table sizing."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.construct import (
-    build_table,
-    build_table_for_contig,
-    estimate_table_slots,
-    insertions_for,
-)
+from repro.core.construct import estimate_table_slots, insertions_for
+from repro.core.reference import reference_table
+from repro.errors import HashTableFullError
 from repro.genomics.contig import Contig
-from repro.genomics.dna import encode
 from repro.genomics.reads import Read, ReadSet
+from repro.kernels import create_backend
 
 
 def _reads(*seqs):
@@ -66,56 +63,43 @@ class TestBuild:
     def test_votes_recorded_with_quality_split(self):
         r = Read.from_strings("r", "AACGT", quals=None)
         r.quals = np.array([40, 40, 40, 40, 5], dtype=np.uint8)
-        table = build_table(ReadSet([r]), 2)
+        table = reference_table(ReadSet([r]), 2)
         # k-mer "AA" -> next base C (qual 40, hi)
-        slot = table.lookup(encode("AA"))
-        assert slot.votes.hi_q[1] == 1
+        assert table["AA"].hi_q[1] == 1
         # k-mer "CG" -> next base T (qual 5, low)
-        slot = table.lookup(encode("CG"))
-        assert slot.votes.low_q[3] == 1
+        assert table["CG"].low_q[3] == 1
 
     def test_all_eligible_kmers_inserted(self):
         rs = _reads("ACGTACGTAC")
-        table = build_table(rs, 4)
-        assert table.stats.inserts == insertions_for(rs, 4)
-        for m in ("ACGT", "CGTA", "GTAC", "TACG"):
-            assert table.lookup(encode(m)) is not None
+        table = reference_table(rs, 4)
+        assert sum(v.count for v in table.values()) == insertions_for(rs, 4)
+        assert set(table) == {"ACGT", "CGTA", "GTAC", "TACG"}
 
     def test_last_kmer_not_inserted(self):
-        table = build_table(_reads("ACGTA"), 4)
-        # GTAC... the final 4-mer "CGTA" has a next base? "ACGTA": kmers with
-        # next base: ACGT->A only. CGTA has no following base.
-        assert table.lookup(encode("ACGT")) is not None
-        assert table.lookup(encode("CGTA")) is None
+        table = reference_table(_reads("ACGTA"), 4)
+        # "ACGTA": only ACGT has a following base; CGTA does not.
+        assert "ACGT" in table
+        assert "CGTA" not in table
 
     def test_capacity_estimated_when_omitted(self):
         rs = _reads(*("ACGTACGTACGTACGT" for _ in range(3)))
-        table = build_table(rs, 4)
-        assert table.capacity >= insertions_for(rs, 4)
+        assert estimate_table_slots(insertions_for(rs, 4)) \
+            >= len(reference_table(rs, 4))
 
     def test_explicit_capacity_respected(self):
-        table = build_table(_reads("ACGTAC"), 4, capacity=99)
-        assert table.capacity == 99
+        """The scalar backend's ``table_capacity`` bounds the distinct
+        k-mers one end's table may hold: here the right end holds 4 and
+        the left end (reverse-complemented reads) 5."""
+        c = Contig.from_string("c", "ACGTACGT")
+        c.reads = _reads("ACGTACGTT")
+        sized = create_backend("scalar").run([c], 4)
+        assert create_backend("scalar", table_capacity=5).run([c], 4) == sized
+        with pytest.raises(HashTableFullError) as exc_info:
+            create_backend("scalar", table_capacity=4).run([c], 4)
+        err = exc_info.value
+        assert (err.contig_id, err.k, err.capacity, err.probes) == (0, 4, 4, 4)
 
     def test_build_for_contig(self):
         c = Contig.from_string("c", "ACGTACGT")
         c.reads = _reads("ACGTACGTT")
-        t = build_table_for_contig(c, 4)
-        assert len(t) > 0
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.lists(st.text(alphabet="ACGT", min_size=8, max_size=40),
-                    min_size=1, max_size=8))
-    def test_matches_reference_dict(self, seqs):
-        """Differential: optimized table == naive dict table."""
-        from repro.core.reference import reference_table
-
-        rs = _reads(*seqs)
-        k = 5
-        table = build_table(rs, k)
-        ref = reference_table(rs, k)
-        assert sorted(table.keys()) == sorted(ref)
-        for kmer_s, votes in ref.items():
-            slot = table.lookup(encode(kmer_s))
-            np.testing.assert_array_equal(slot.votes.hi_q, votes.hi_q)
-            np.testing.assert_array_equal(slot.votes.low_q, votes.low_q)
+        assert len(reference_table(c.reads, 4)) > 0

@@ -58,11 +58,6 @@ class TestScalar:
         arr = np.array([0, 1, 2, 3], dtype=np.uint8)
         assert murmur.murmur2(arr) == murmur.murmur2(bytes([0, 1, 2, 3]))
 
-    def test_aligned_equals_plain(self):
-        for n in (4, 8, 21, 33, 55, 77):
-            data = bytes((i * 37) % 256 for i in range(n))
-            assert murmur.murmur_aligned2(data) == murmur.murmur2(data)
-
     @given(st.binary(min_size=0, max_size=128), st.integers(0, 2**32 - 1))
     def test_matches_reference(self, data, seed):
         assert murmur.murmur2(data, seed) == _reference_murmur2(data, seed)

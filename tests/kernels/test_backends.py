@@ -9,7 +9,10 @@ callers select paths by name or by device.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.extension import PRODUCTION_POLICY
 from repro.errors import KernelError
 from repro.genomics.simulate import PERFECT_READS, ScenarioSpec, simulate_batch
 from repro.kernels import (
@@ -29,6 +32,9 @@ from repro.simt.device import A100, MAX1550, MI250X, PLATFORMS
 
 SPEC = ScenarioSpec(contig_length=200, flank_length=60, read_length=90,
                     depth=8, seed_window=50)
+
+SCHEDULE_SPEC = ScenarioSpec(contig_length=150, flank_length=50,
+                             read_length=70, depth=6, seed_window=40)
 
 BACKENDS = ["cuda", "hip", "sycl", "scalar"]
 
@@ -123,10 +129,17 @@ class TestBackendParity:
         assert tuple(got.left) == tuple(want.left)
 
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_run_schedule_matches_cuda(self, name):
-        contigs = _contigs(n=4, seed=11)
-        want = create_backend("cuda").run_schedule(contigs, (21, 33))
-        got = create_backend(name).run_schedule(contigs, (21, 33))
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_run_schedule_matches_cuda(self, name, seed):
+        """Reads with sequencing errors, production thresholds: the
+        scalar backend is the independent check of the SIMT ports."""
+        rng = np.random.default_rng(seed)
+        contigs = [sc.contig for sc in simulate_batch(3, SCHEDULE_SPEC, rng)]
+        want = create_backend("cuda", policy=PRODUCTION_POLICY).run_schedule(
+            contigs, (21, 33))
+        got = create_backend(name, policy=PRODUCTION_POLICY).run_schedule(
+            contigs, (21, 33))
         assert got.k == want.k
         assert tuple(got.right) == tuple(want.right)
         assert tuple(got.left) == tuple(want.left)

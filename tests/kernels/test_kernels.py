@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.extension import PRODUCTION_POLICY
-from repro.core.reference import reference_extend
 from repro.errors import KernelError
 from repro.genomics.contig import End
 from repro.genomics.simulate import PERFECT_READS, ScenarioSpec, simulate_batch
@@ -14,6 +13,7 @@ from repro.kernels import (
     CudaLocalAssemblyKernel,
     HipLocalAssemblyKernel,
     SyclLocalAssemblyKernel,
+    create_backend,
     kernel_for_device,
 )
 from repro.simt.device import A100, MAX1550, MI250X
@@ -41,12 +41,9 @@ class TestFunctionalEquivalence:
         contigs = _contigs()
         k = 21
         res = kern_cls(dev).run(contigs, k)
-        for i, c in enumerate(contigs):
-            ref = reference_extend(c, k)
-            assert res.right[i][0] == ref[End.RIGHT][0]
-            assert res.right[i][1] == ref[End.RIGHT][1]
-            assert res.left[i][0] == ref[End.LEFT][0]
-            assert res.left[i][1] == ref[End.LEFT][1]
+        ref = create_backend("scalar").run(contigs, k)
+        assert res.right == ref.right
+        assert res.left == ref.left
 
     def test_ports_agree_with_each_other(self):
         contigs = _contigs(seed=4)
@@ -61,9 +58,8 @@ class TestFunctionalEquivalence:
     def test_property_cuda_matches_reference(self, seed):
         contigs = _contigs(n=2, seed=seed)
         res = CudaLocalAssemblyKernel(A100, policy=PRODUCTION_POLICY).run(contigs, 21)
-        for i, c in enumerate(contigs):
-            ref = reference_extend(c, 21, policy=PRODUCTION_POLICY)
-            assert res.right[i][0] == ref[End.RIGHT][0]
+        ref = create_backend("scalar", policy=PRODUCTION_POLICY).run(contigs, 21)
+        assert res.right == ref.right
 
     def test_respects_read_end_hints(self):
         contigs = _contigs(n=1, seed=9)

@@ -100,7 +100,7 @@ class TestDegenerateProfile:
 
 
 class TestObservation:
-    def test_injector_observes_bus_events(self, contigs):
+    def test_fired_and_degraded_attribute_the_fault(self, contigs):
         inj = FaultInjector(FaultPlan(faults=(
             FaultSpec(FaultKind.TABLE_PRESSURE, launch=0, warps=(0,),
                       capacity=4),
@@ -108,8 +108,9 @@ class TestObservation:
         kern = CudaLocalAssemblyKernel(A100, overflow_policy="drop-contig",
                                        fault_injector=inj)
         res = kern.run(contigs, K)
-        assert res.degraded
-        sites = {rec.site for rec in inj.observed}
-        assert "observe-launch" in sites and "observe-drop" in sites
-        drops = [r for r in inj.observed if r.site == "observe-drop"]
-        assert {r.detail["contig_id"] for r in drops} == set(res.degraded)
+        # the injector says which launch and warps it clamped; the run
+        # says which contig that dropped
+        assert [(r.site, r.detail) for r in inj.fired] == [
+            ("batch", {"launch": 0, "warps": (0,), "capacity": 4})]
+        assert len(res.degraded) == 1
+        assert res.profile.contigs_dropped == 1

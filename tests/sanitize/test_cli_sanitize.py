@@ -34,16 +34,16 @@ def test_lint_violating_fixture_exits_1(tmp_path, capsys):
 
 def test_lint_json_format(tmp_path, capsys):
     bad = tmp_path / "bad.py"
-    bad.write_text("SlotAccess(phase='p', slots=s, warps=w)\n")
+    bad.write_text("import numpy as np\nrng = np.random.default_rng()\n")
     assert main(["lint", str(bad), "--format", "json"]) == 1
     records = json.loads(capsys.readouterr().out)
-    assert records[0]["rule"] == "REP004"
+    assert records[0]["rule"] == "REP001"
 
 
 def test_lint_select_filters_rules(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import numpy as np\nrng = np.random.default_rng()\n")
-    assert main(["lint", str(bad), "--select", "REP004"]) == 0
+    assert main(["lint", str(bad), "--select", "REP005"]) == 0
     assert main(["lint", str(bad), "--select", "REP999"]) == 2
 
 

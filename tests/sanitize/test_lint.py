@@ -128,25 +128,6 @@ def test_rep003_allows_declared_and_nonliteral():
 
 
 # ----------------------------------------------------------------------
-# REP004 — SlotAccess without a category
-
-
-def test_rep004_flags_uncategorized_slot_access():
-    fs = findings_for("REP004", """
-        bus.emit(SlotAccess(phase="construct", slots=s, warps=w))
-        """)
-    assert [f.rule for f in fs] == ["REP004"]
-
-
-def test_rep004_allows_categorized_slot_access():
-    fs = findings_for("REP004", """
-        bus.emit(SlotAccess(phase="construct", slots=s, warps=w,
-                            kind="probe"))
-        """)
-    assert fs == []
-
-
-# ----------------------------------------------------------------------
 # REP005 — float arithmetic in INTOP-counted paths
 
 
@@ -381,8 +362,9 @@ def test_rep008_nested_def_resets_loop_scope():
 # engine mechanics
 
 
-def test_rule_catalog_is_the_documented_thirteen():
-    assert sorted(RULES) == [f"REP{n:03d}" for n in range(1, 14)]
+def test_rule_catalog_is_the_documented_twelve():
+    # REP004 (SlotAccess kind=) is retired; its id is not reused
+    assert sorted(RULES) == [f"REP{n:03d}" for n in range(1, 14) if n != 4]
     for rule_id, rule in RULES.items():
         assert rule.rule_id == rule_id
         assert rule.description
@@ -414,13 +396,14 @@ def test_findings_sorted_and_formatted():
 
 
 def test_render_text_and_json():
-    fs = findings_for("REP004", "SlotAccess(phase='p', slots=s, warps=w)")
+    fs = findings_for("REP001", "import numpy as np\n"
+                                "rng = np.random.default_rng()\n")
     text = render_text(fs)
     assert "1 finding(s)" in text
     import json
 
     records = json.loads(render_json(fs))
-    assert records[0]["rule"] == "REP004"
+    assert records[0]["rule"] == "REP001"
     assert render_json([]) == "[]"
 
 

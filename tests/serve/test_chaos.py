@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from repro.errors import ReproError
 from repro.resilience import FaultKind, FaultPlan, FaultSpec
 from repro.serve import AssemblyService, JobJournal
 from repro.serve.protocol import JobOptions, job_fingerprint
@@ -134,6 +135,45 @@ class TestChaosPlan:
         # the recompute is byte-identical, profile counters included:
         # the worker keeps no prepare cache warm between the two runs
         assert r1 == r2
+
+    def test_launch_failure_is_retried_in_place(self):
+        """A fingerprint-scoped launch-failure fires once, at its job's
+        wave, as a transient error: the wave retries after a backoff,
+        nothing is bisected, and the result is the undisturbed one."""
+        dat = make_dat(n_contigs=1, seed=11)
+        fp = job_fingerprint(dat, JobOptions(k_schedule=tuple(K_SCHEDULE)))
+        plan = FaultPlan(faults=(
+            FaultSpec(FaultKind.LAUNCH_FAILURE, fingerprint=fp),))
+
+        async def run(service):
+            port = await service.start()
+            try:
+                return await results_for(port, await submit_all(port, [dat]))
+            finally:
+                await service.stop()
+
+        baseline = asyncio.run(run(AssemblyService(window_s=0.01)))
+        service = AssemblyService(window_s=0.01, fault_plan=plan)
+        disturbed = asyncio.run(run(service))
+        assert service.supervisor.injector.counts() == {"launch-failure": 1}
+        sup = service.supervisor.stats()
+        assert (sup["transient_retries"], sup["bisections"],
+                sup["jobs_failed"]) == (1, 0, 0)
+        assert disturbed == baseline
+
+    @pytest.mark.parametrize("spec", [
+        FaultSpec(FaultKind.TABLE_PRESSURE),
+        FaultSpec(FaultKind.READ_CORRUPTION),
+        FaultSpec(FaultKind.DEGENERATE_PROFILE),
+        FaultSpec(FaultKind.SUITE_CRASH),
+        FaultSpec(FaultKind.LAUNCH_FAILURE, launch=0),
+    ], ids=["table-pressure", "read-corruption", "degenerate-profile",
+            "suite-crash", "launch-scoped"])
+    def test_unfireable_plan_rejected_at_start(self, spec):
+        """A spec the service can never fire is refused when the service
+        is built, not accepted and silently dropped."""
+        with pytest.raises(ReproError, match="never fires in the service"):
+            AssemblyService(fault_plan=FaultPlan(faults=(spec,)))
 
 
 # ----------------------------------------------------------------------
