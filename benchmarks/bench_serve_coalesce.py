@@ -2,8 +2,8 @@
 
 Drives the real :class:`repro.serve.AssemblyService` over HTTP with a
 swarm of concurrent clients burst-submitting small jobs (the harness of
-``repro bench --suite serve``), and contrasts the coalescing window
-against the degenerate ``window_s = 0`` mode. Asserts the two deliver
+``repro bench --suite serve``), and contrasts work-conserving coalescing
+against the degenerate ``max_wave_warps = 1`` mode. Asserts the two deliver
 byte-identical per-job results (the harness raises otherwise) and that
 fusion clears each scale's pinned throughput floor — >= 3x at the full
 scale's 8 concurrent clients.

@@ -5,11 +5,12 @@ ephemeral port, spoken to over its actual HTTP protocol) with a swarm of
 concurrent clients, each burst-submitting a batch of small jobs and then
 polling them to completion. Every pinned scale is measured twice:
 
-* **coalesced** — the service's coalescing window on, so the burst fuses
-  into megabatch waves;
-* **solo** — ``window_s = 0``, the degenerate one-launch-per-job mode,
-  which is exactly what a service without cross-request coalescing
-  would do.
+* **coalesced** — the service's default high-water mark: the first job
+  of a burst takes the idle lane and the rest fuse into megabatch waves
+  behind it;
+* **solo** — ``max_wave_warps = 1``, the degenerate one-launch-per-job
+  mode, which is exactly what a service without cross-request
+  coalescing would do.
 
 Both modes run the same job set on the same single-lane worker, so the
 ratio of their request throughputs isolates the coalescing win. The
@@ -43,7 +44,7 @@ from repro.analysis.bench import MAX_REGRESSION, BenchSuite, compare_documents
 from repro.errors import ReproError
 from repro.genomics.io import dumps_dat
 from repro.genomics.simulate import ErrorProfile, ScenarioSpec, simulate_batch
-from repro.serve import AssemblyService
+from repro.serve import DEFAULT_MAX_WAVE_WARPS, AssemblyService
 from repro.serve.http import frame_message, read_message
 
 #: Format version of ``BENCH_serve.json``.
@@ -70,7 +71,6 @@ class ServeScale:
     read_length: int
     depth: int
     seed_window: int
-    window_s: float
     min_speedup: float
     seed: int = 2024
 
@@ -84,14 +84,14 @@ class ServeScale:
 SMOKE = ServeScale(name="smoke", clients=4, jobs_per_client=3, n_contigs=3,
                    k_schedule=(21, 33), contig_length=120, flank_length=50,
                    read_length=70, depth=5, seed_window=40,
-                   window_s=0.05, min_speedup=1.0)
+                   min_speedup=1.0)
 
 #: Acceptance scale: >= 8 concurrent clients of small jobs must clear
 #: the tentpole's >= 3x coalescing throughput floor.
 FULL = ServeScale(name="full", clients=8, jobs_per_client=4, n_contigs=4,
                   k_schedule=(21, 33), contig_length=150, flank_length=60,
                   read_length=80, depth=6, seed_window=40,
-                  window_s=0.05, min_speedup=3.0)
+                  min_speedup=3.0)
 
 _SCALES = {s.name: s for s in (SMOKE, FULL)}
 
@@ -193,9 +193,9 @@ async def _client_task(port: int, scale: ServeScale,
 
 
 async def _swarm(scale: ServeScale, jobs: list[tuple[str, str]],
-                 window_s: float) -> tuple[float, list[tuple], dict]:
+                 max_wave_warps: int) -> tuple[float, list[tuple], dict]:
     """One full client swarm against a fresh service; returns its run."""
-    service = AssemblyService(window_s=window_s,
+    service = AssemblyService(max_wave_warps=max_wave_warps,
                              max_in_flight=max(256, 2 * scale.total_jobs))
     port = await service.start()
     try:
@@ -218,11 +218,11 @@ def _payload_fingerprint(payload: dict) -> str:
 
 
 def _measure(scale: ServeScale, jobs: list[tuple[str, str]],
-             window_s: float, repeats: int) -> tuple[dict, dict]:
+             max_wave_warps: int, repeats: int) -> tuple[dict, dict]:
     """Best-of-``repeats`` swarm; returns (timing doc, payloads by key)."""
     best = None
     for _ in range(max(1, repeats)):
-        run = asyncio.run(_swarm(scale, jobs, window_s))
+        run = asyncio.run(_swarm(scale, jobs, max_wave_warps))
         if best is None or run[0] < best[0]:
             best = run
     wall, results, stats = best
@@ -241,9 +241,9 @@ def _measure(scale: ServeScale, jobs: list[tuple[str, str]],
 def run_serve_scale(scale: ServeScale, repeats: int = 2) -> dict:
     """Measure one pinned scale, coalesced and solo, with parity check."""
     jobs = serve_jobs(scale)
-    coalesced, coalesced_payloads = _measure(scale, jobs, scale.window_s,
-                                             repeats)
-    solo, solo_payloads = _measure(scale, jobs, 0.0, repeats)
+    coalesced, coalesced_payloads = _measure(
+        scale, jobs, DEFAULT_MAX_WAVE_WARPS, repeats)
+    solo, solo_payloads = _measure(scale, jobs, 1, repeats)
     fingerprints = {key: _payload_fingerprint(payload)
                     for key, payload in sorted(coalesced_payloads.items())}
     for key, fp in fingerprints.items():

@@ -402,7 +402,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(serve_forever(
             args.host, args.port,
             drain_timeout_s=args.drain_timeout,
-            window_s=args.window_ms / 1000.0,
             max_wave_warps=args.max_wave_warps,
             max_in_flight=args.max_in_flight,
             workers=args.workers,
@@ -577,13 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8642,
                          help="listen port (0 picks an ephemeral one)")
-    p_serve.add_argument("--window-ms", type=float, default=10.0,
-                         help="coalescing window in milliseconds while a "
-                              "wave lane is idle (with all lanes busy a "
-                              "wave keeps filling until one frees); 0 "
-                              "disables fusion (one launch per job)")
     p_serve.add_argument("--max-wave-warps", type=int, default=4096,
-                         help="seal a wave early past this warp estimate")
+                         help="seal a wave early past this warp estimate; "
+                              "1 disables fusion (one launch per job)")
     p_serve.add_argument("--max-in-flight", type=int, default=256,
                          help="admission budget; submits past it get 429")
     p_serve.add_argument("--workers", type=int, default=1,

@@ -25,10 +25,10 @@ compute only and persists its results after handing the lane back.
 Every wave runs under the :class:`~repro.serve.supervisor.WaveSupervisor`
 fault boundary: per-job deadlines, seeded backoff+jitter retries for
 transient failures, blast-radius bisection for crashes and timeouts, a
-per-coalescing-key circuit breaker, and load shedding that shrinks the
-coalescing window and tightens admission as depth grows. A worker crash
-therefore fails only the poisoned job, byte-identically to what its
-co-tenants would have produced anyway (record/replay parity).
+per-coalescing-key circuit breaker, and load shedding that tightens
+admission while a breaker is open. A worker crash therefore fails only
+the poisoned job, byte-identically to what its co-tenants would have
+produced anyway (record/replay parity).
 
 With a checkpoint directory configured, every finished job is persisted
 through :class:`~repro.resilience.CheckpointStore` under its request
@@ -63,11 +63,7 @@ from repro.resilience.faults import (
     FaultPlan,
     corrupt_file,
 )
-from repro.serve.batcher import (
-    DEFAULT_MAX_WAVE_WARPS,
-    DEFAULT_WINDOW_S,
-    CoalescingBatcher,
-)
+from repro.serve.batcher import DEFAULT_MAX_WAVE_WARPS, CoalescingBatcher
 from repro.serve.http import frame_message, read_request, status_line
 from repro.serve.journal import JobJournal, JournalError, JournalState
 from repro.serve.protocol import JobSpec, JobStatus, ProtocolError, \
@@ -111,9 +107,8 @@ class AssemblyService:
     """A long-lived coalescing assembly server over one event loop.
 
     Args:
-        window_s: coalescing window with a lane idle; 0 disables fusion
-            (solo waves).
-        max_wave_warps: high-water mark sealing a bucket early.
+        max_wave_warps: high-water mark sealing a bucket early; 1 seals
+            every job on arrival (solo waves).
         max_in_flight: admission budget (submits past it get 429).
         workers: wave lanes; > 1 runs them on a process pool, otherwise
             one thread.
@@ -133,8 +128,7 @@ class AssemblyService:
         journal_fsync: fsync each journal append (disable in tests).
     """
 
-    def __init__(self, window_s: float = DEFAULT_WINDOW_S,
-                 max_wave_warps: int = DEFAULT_MAX_WAVE_WARPS,
+    def __init__(self, max_wave_warps: int = DEFAULT_MAX_WAVE_WARPS,
                  max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
                  workers: int = 1,
                  checkpoint_dir: str | None = None,
@@ -175,11 +169,7 @@ class AssemblyService:
             injector=(FaultInjector(fault_plan)
                       if fault_plan is not None else None))
         self.batcher = CoalescingBatcher(
-            self._dispatch, window_s=window_s,
-            max_wave_warps=max_wave_warps,
-            window_scale=lambda: self.shedder.window_scale(
-                self.admission.in_flight),
-            lanes=workers)
+            self._dispatch, max_wave_warps=max_wave_warps, lanes=workers)
         self.workers = workers
         self.checkpoint_dir = checkpoint_dir
         self.journal_path = journal_path
@@ -581,7 +571,7 @@ class AssemblyService:
                            "misses": self.prep_cache_misses},
             "workers": self.workers,
             "supervisor": self.supervisor.stats(),
-            "shed": self.shedder.stats(self.admission.in_flight, open_keys),
+            "shed": self.shedder.stats(open_keys),
             "draining": self._draining,
         }
         if self.journal_path is not None:
@@ -613,8 +603,7 @@ async def serve_forever(host: str, port: int,
     service = AssemblyService(**kwargs)
     bound = await service.start(host, port)
     print(f"repro serve: listening on http://{host}:{bound} "
-          f"(window={service.batcher.window_s * 1000:g}ms, "
-          f"high-water={service.batcher.max_wave_warps} warps, "
+          f"(high-water={service.batcher.max_wave_warps} warps, "
           f"workers={service.workers})", flush=True)
     stopper = asyncio.Event()
     loop = asyncio.get_running_loop()

@@ -27,12 +27,9 @@ A key that keeps failing stops being fused — its jobs degrade to solo
 launches (isolation, not rejection: solo work still completes) — until
 a cooldown passes and a half-open probe wave is allowed to re-coalesce.
 
-**LoadShedder** converts in-flight depth into backpressure: past a
-configurable depth the batcher's coalescing window shrinks linearly to
-zero (a bucket then ripens at once and launches into the first free
-lane; with every lane busy it keeps fusing until one frees), and
-while any breaker is open the admission budget is halved (degraded
-capacity should refuse early, not accept work it will run slowly).
+**LoadShedder** converts breaker state into backpressure: while any
+breaker is open the admission budget is halved (degraded capacity
+should refuse early, not accept work it will run slowly).
 """
 
 from __future__ import annotations
@@ -140,24 +137,24 @@ class CircuitBreaker:
         }
 
 
-#: Fraction of the in-flight budget at which the window starts to shrink.
+#: Fraction of the in-flight budget at which ``window_scale`` drops below 1.
 SHED_START = 0.5
 #: Fraction of the in-flight budget admitted while any breaker is open.
 DEGRADED_FRACTION = 0.5
 
 
 class LoadShedder:
-    """Depth-proportional backpressure for the batcher and admission.
+    """Breaker-driven backpressure for admission.
 
-    ``window_scale`` multiplies the batcher's coalescing window — how
-    long a bucket waits for company while a lane sits idle: 1.0 up to
-    :data:`SHED_START` of the in-flight budget, then linearly down to 0.0
-    at the full budget. A fully shed window does not mean solo waves:
-    it only drops the idle-lane wait, and under a deep backlog the
-    lanes are busy, so buckets go on absorbing jobs until one frees.
-    ``admission_budget``
-    halves while any circuit breaker is open: degraded capacity refuses
-    work up front instead of queueing it behind solo launches.
+    ``admission_budget`` halves while any circuit breaker is open:
+    degraded capacity refuses work up front instead of queueing it
+    behind solo launches.
+
+    ``window_scale`` has no caller in the service and affects nothing.
+    It is kept only as a hook target: ``ledger/tracing.py`` wraps it by
+    name and must still resolve it. It returns a depth scale, 1.0 up to
+    :data:`SHED_START` of the in-flight budget, then linearly down to
+    0.0 at the full budget. Retire it together with its hook.
     """
 
     def __init__(self, max_in_flight: int) -> None:
@@ -177,12 +174,8 @@ class LoadShedder:
             return self.max_in_flight
         return max(1, int(self.max_in_flight * DEGRADED_FRACTION))
 
-    def stats(self, in_flight: int, open_breakers: int) -> dict:
-        return {
-            "window_scale": round(self.window_scale(in_flight), 4),
-            "admission_budget": self.admission_budget(open_breakers),
-            "shed_start": SHED_START,
-        }
+    def stats(self, open_breakers: int) -> dict:
+        return {"admission_budget": self.admission_budget(open_breakers)}
 
 
 class WaveSupervisor:

@@ -150,7 +150,7 @@ async def completes(service, dat):
 def served(scenario):
     """Run ``scenario(service)`` against a started service."""
     async def run():
-        service = AssemblyService(window_s=0.001)
+        service = AssemblyService()
         await service.start()
         try:
             return await scenario(service)
@@ -248,8 +248,7 @@ class TestJournalFailure:
 
     def test_refused_submit_leaves_nothing(self, tmp_path):
         async def scenario():
-            service = AssemblyService(window_s=0.001,
-                                      journal_path=tmp_path / "j.wal")
+            service = AssemblyService(journal_path=tmp_path / "j.wal")
             await service.start()
             try:
                 repair = self._full_disk(service, {"submit"})
@@ -293,8 +292,7 @@ class TestJournalFailure:
         its result served) though no ``finish`` record could be written;
         the journal still lists them for ``--recover``."""
         async def scenario():
-            service = AssemblyService(window_s=0.05,
-                                      journal_path=tmp_path / "j.wal")
+            service = AssemblyService(journal_path=tmp_path / "j.wal")
             await service.start()
             try:
                 self._full_disk(service, {"finish"})
@@ -324,8 +322,7 @@ class TestCheckpointBoundary:
     @staticmethod
     def _checkpointed(tmp_path, scenario):
         async def run():
-            service = AssemblyService(window_s=0.05,
-                                      checkpoint_dir=str(tmp_path / "ck"))
+            service = AssemblyService(checkpoint_dir=str(tmp_path / "ck"))
             await service.start()
             try:
                 return await scenario(service)

@@ -1,10 +1,11 @@
 """Seeded chaos suite: the service under planned faults, byte-for-byte.
 
-The in-process scenario drives a 32-job burst through a fault plan
-(worker crashes, a wave stall, checkpoint corruption) and asserts every
-job completes with results byte-identical to an undisturbed run — the
-record/replay parity invariant makes bisection re-runs exact, so chaos
-must not be observable in the payloads. The subprocess scenarios kill
+The in-process scenario drives a 32-job run through a fault plan (a
+wave stall holding the lane, worker crashes in the burst queued behind
+it, checkpoint corruption) and asserts every job completes with results
+byte-identical to an undisturbed run — the record/replay parity
+invariant makes bisection re-runs exact, so chaos must not be
+observable in the payloads. The subprocess scenarios kill
 the real ``repro serve`` process (SIGKILL, then SIGTERM) and assert the
 journal's promises: no acknowledged job is lost, and a graceful drain
 finishes its work before exiting.
@@ -35,6 +36,13 @@ N_JOBS = 32
 K_SCHEDULE = [21]
 
 
+def stall_plan(delay_s: float) -> str:
+    """A serve ``--fault-plan`` document: the first wave hangs, its lane
+    held, for ``delay_s``."""
+    return json.dumps({"faults": [{"kind": "wave-stall",
+                                   "delay_s": delay_s}]})
+
+
 def submit_all(port, dats):
     async def one(dat):
         status, body = await request(port, "POST", "/v1/jobs",
@@ -57,29 +65,33 @@ async def results_for(port, job_ids):
 class TestChaosPlan:
     def test_32_job_run_is_byte_identical_under_faults(self, tmp_path):
         dats = [make_dat(n_contigs=1, seed=100 + i) for i in range(N_JOBS)]
-        corrupt_fp = job_fingerprint(
-            dats[0], JobOptions(k_schedule=tuple(K_SCHEDULE)))
+        fingerprints = [job_fingerprint(
+            dat, JobOptions(k_schedule=tuple(K_SCHEDULE))) for dat in dats]
+        # the first job's wave stalls with the lane held, so the other 31
+        # queue behind it as one wave; the crashes are scoped to a job of
+        # that wave and bisect it down
         plan = FaultPlan(seed=7, faults=(
-            FaultSpec(FaultKind.WORKER_CRASH, times=3),
-            FaultSpec(FaultKind.WAVE_STALL, delay_s=0.3),
+            FaultSpec(FaultKind.WORKER_CRASH, times=3,
+                      fingerprint=fingerprints[5]),
+            FaultSpec(FaultKind.WAVE_STALL, delay_s=0.3,
+                      fingerprint=fingerprints[0]),
             FaultSpec(FaultKind.CHECKPOINT_CORRUPTION,
-                      fingerprint=corrupt_fp),
+                      fingerprint=fingerprints[0]),
         ))
 
         async def run(service):
             port = await service.start()
             try:
-                ids = await submit_all(port, dats)
+                ids = await submit_all(port, dats[:1])
+                ids += await submit_all(port, dats[1:])
                 return await results_for(port, ids)
             finally:
                 await service.stop()
 
-        baseline = asyncio.run(run(
-            AssemblyService(window_s=0.25, max_in_flight=64)))
+        baseline = asyncio.run(run(AssemblyService(max_in_flight=64)))
 
         chaos_service = AssemblyService(
-            window_s=0.25, max_in_flight=64,
-            checkpoint_dir=str(tmp_path), fault_plan=plan)
+            max_in_flight=64, checkpoint_dir=str(tmp_path), fault_plan=plan)
         disturbed = asyncio.run(run(chaos_service))
 
         # every planned fault actually fired
@@ -103,8 +115,7 @@ class TestChaosPlan:
         ))
 
         async def scenario():
-            service = AssemblyService(window_s=0.01,
-                                      checkpoint_dir=str(tmp_path),
+            service = AssemblyService(checkpoint_dir=str(tmp_path),
                                       fault_plan=plan)
             port = await service.start()
             try:
@@ -152,8 +163,8 @@ class TestChaosPlan:
             finally:
                 await service.stop()
 
-        baseline = asyncio.run(run(AssemblyService(window_s=0.01)))
-        service = AssemblyService(window_s=0.01, fault_plan=plan)
+        baseline = asyncio.run(run(AssemblyService()))
+        service = AssemblyService(fault_plan=plan)
         disturbed = asyncio.run(run(service))
         assert service.supervisor.injector.counts() == {"launch-failure": 1}
         sup = service.supervisor.stats()
@@ -225,10 +236,13 @@ class TestKillMinusNine:
         journal = str(tmp_path / "jobs.wal")
         ckpt = str(tmp_path / "ckpt")
         dats = [make_dat(n_contigs=1, seed=s) for s in (1, 2, 3)]
-        # a huge window: acknowledged jobs sit queued, never dispatched
+        # the first wave stalls past the kill: it never finishes, and the
+        # jobs behind its busy lane are never dispatched
+        plan = tmp_path / "stall.json"
+        plan.write_text(stall_plan(60.0))
         proc, port = start_serve("--journal", journal,
                                  "--checkpoint-dir", ckpt,
-                                 "--window-ms", "60000")
+                                 "--fault-plan", str(plan))
         try:
             ids = []
             for dat in dats:
@@ -243,7 +257,7 @@ class TestKillMinusNine:
 
         proc, port = start_serve("--journal", journal,
                                  "--checkpoint-dir", ckpt,
-                                 "--recover", "--window-ms", "5")
+                                 "--recover")
         try:
             for job_id, dat in zip(ids, dats):
                 body = http_poll_done(port, job_id)
@@ -272,10 +286,13 @@ class TestGracefulDrain:
     def test_sigterm_finishes_in_flight_work_then_exits(self, tmp_path):
         journal = str(tmp_path / "drain.wal")
         dats = [make_dat(n_contigs=1, seed=s) for s in (5, 6)]
-        # window long enough that the jobs are still coalescing when the
-        # signal lands: the drain must flush and finish them
+        # the first wave stalls long enough that the signal lands while
+        # it holds the lane and the second job waits: the drain must
+        # finish both
+        plan = tmp_path / "stall.json"
+        plan.write_text(stall_plan(2.0))
         proc, port = start_serve("--journal", journal,
-                                 "--window-ms", "2000",
+                                 "--fault-plan", str(plan),
                                  "--drain-timeout", "60")
         ids = []
         try:

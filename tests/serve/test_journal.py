@@ -142,12 +142,12 @@ class TestReplay:
 
 @pytest.fixture(scope="module")
 def served_journal(tmp_path_factory):
-    """The bytes of a journal a real service wrote: three submits that
-    share one wave's dispatch, their finishes, and the shutdown."""
+    """The bytes of a journal a real service wrote: three submits, their
+    dispatches, their finishes, and the shutdown."""
     path = tmp_path_factory.mktemp("served") / "jobs.wal"
 
     async def serve():
-        service = AssemblyService(window_s=0.05, journal_path=str(path),
+        service = AssemblyService(journal_path=str(path),
                                   journal_fsync=False)
         port = await service.start()
         try:
@@ -248,7 +248,7 @@ class TestHostileBytes:
         assert len(reseated) == 3 and state.torn == 2
 
         async def recover():
-            service = AssemblyService(window_s=0.01, journal_path=str(path),
+            service = AssemblyService(journal_path=str(path),
                                       journal_fsync=False, recover=True)
             port = await service.start()
             try:

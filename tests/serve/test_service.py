@@ -87,6 +87,24 @@ def stall_first_wave(delay_s: float) -> FaultPlan:
                                        delay_s=delay_s),))
 
 
+def hold_first_wave(service: AssemblyService) -> asyncio.Event:
+    """Keep the first wave's lane busy until the returned event is set,
+    so jobs submitted meanwhile queue behind it."""
+    release = asyncio.Event()
+    supervised = service.supervisor.run
+    waves = 0
+
+    async def held(key, jobs):
+        nonlocal waves
+        waves += 1
+        if waves == 1:
+            await release.wait()
+        return await supervised(key, jobs)
+
+    service.supervisor.run = held
+    return release
+
+
 async def submit_ok(port, dat, k_schedule=(21,)) -> str:
     status, body = await request(port, "POST", "/v1/jobs",
                                  {"dat": dat, "k_schedule": list(k_schedule)})
@@ -99,16 +117,15 @@ class TestLaneAwareWaves:
         dats = [make_dat(n_contigs=1 + s % 3, seed=20 + s) for s in range(11)]
 
         async def scenario():
-            service = AssemblyService(window_s=0.01,
-                                      fault_plan=stall_first_wave(0.5))
+            service = AssemblyService()
+            release = hold_first_wave(service)
             port = await service.start()
             try:
                 ids = [await submit_ok(port, dats[0], (21, 33))]
-                await asyncio.sleep(0.1)  # its wave now holds the lane
-                for dat in dats[1:]:      # each far beyond the 10 ms window
+                for dat in dats[1:]:      # its wave holds the lane
                     ids.append(await submit_ok(port, dat, (21, 33)))
-                    await asyncio.sleep(0.02)
                 _, waiting = await request(port, "GET", "/v1/stats")
+                release.set()
                 payloads = []
                 for job_id in ids:
                     assert (await poll_done(port, job_id))["status"] == "done"
@@ -121,7 +138,7 @@ class TestLaneAwareWaves:
 
         waiting, payloads, stats = asyncio.run(scenario())
         assert waiting["batcher"]["pending_jobs"] == 10
-        assert waiting["batcher"]["ready_waves"] == 1
+        assert waiting["batcher"]["pending_buckets"] == 1
         assert waiting["batcher"]["lanes_busy"] == 1
         assert stats["batcher"]["waves"] == 2
         assert stats["batcher"]["biggest_wave"] == 10
@@ -137,7 +154,7 @@ class TestLaneAwareWaves:
         journal = str(tmp_path / "jobs.wal")
 
         async def scenario():
-            service = AssemblyService(window_s=0.01, journal_path=journal,
+            service = AssemblyService(journal_path=journal,
                                       journal_fsync=False,
                                       fault_plan=stall_first_wave(0.4))
             port = await service.start()
@@ -161,7 +178,7 @@ class TestLaneAwareWaves:
         dats = [make_dat(n_contigs=1, seed=40 + i) for i in range(5)]
 
         async def abandon():
-            service = AssemblyService(window_s=0.01, journal_path=journal,
+            service = AssemblyService(journal_path=journal,
                                       journal_fsync=False,
                                       fault_plan=stall_first_wave(30.0))
             port = await service.start()
@@ -177,7 +194,7 @@ class TestLaneAwareWaves:
         assert sorted(j["job_id"] for j in state.pending()) == sorted(ids)
 
         async def recover():
-            service = AssemblyService(window_s=0.01, journal_path=journal,
+            service = AssemblyService(journal_path=journal,
                                       journal_fsync=False, recover=True)
             port = await service.start()
             try:
@@ -198,7 +215,7 @@ class TestLaneAwareWaves:
         dats = [make_dat(n_contigs=1, seed=50 + i) for i in range(6)]
 
         async def scenario():
-            service = AssemblyService(window_s=0, workers=2)
+            service = AssemblyService(max_wave_warps=1, workers=2)
             running = peak = 0
             supervised = service.supervisor.run
 
@@ -229,11 +246,13 @@ class TestLaneAwareWaves:
 
 class TestServiceEndToEnd:
     def test_burst_coalesces_and_matches_direct_engine_run(self):
-        """Concurrent submissions fuse into one wave, results byte-exact."""
+        """The first job of a burst takes the idle lane, the rest fuse
+        into one wave behind it; results byte-exact."""
         dats = [make_dat(seed=s) for s in (1, 2, 3)]
 
         async def scenario():
-            service = AssemblyService(window_s=0.05)
+            service = AssemblyService()
+            release = hold_first_wave(service)
             port = await service.start()
             try:
                 submits = await asyncio.gather(*[
@@ -241,6 +260,7 @@ class TestServiceEndToEnd:
                             {"dat": dat, "k_schedule": [21, 33]})
                     for dat in dats])
                 assert all(status == 202 for status, _ in submits)
+                release.set()
                 ids = [body["job_id"] for _, body in submits]
                 for job_id in ids:
                     body = await poll_done(port, job_id)
@@ -254,9 +274,9 @@ class TestServiceEndToEnd:
                 await service.stop()
 
         results, stats = asyncio.run(scenario())
-        # the whole burst fused into a single megabatch wave
-        assert stats["batcher"]["waves"] == 1
-        assert stats["batcher"]["biggest_wave"] == 3
+        # one solo wave, then the rest of the burst as one megabatch wave
+        assert stats["batcher"]["waves"] == 2
+        assert stats["batcher"]["biggest_wave"] == 2
         assert stats["jobs"]["completed"] == 3
         # each tenant's result equals a direct solo engine run
         for dat, (status, payload) in zip(dats, results):
@@ -275,8 +295,7 @@ class TestServiceEndToEnd:
         body = {"dat": dat, "k_schedule": [21]}
 
         async def scenario():
-            service = AssemblyService(window_s=0.01,
-                                      checkpoint_dir=str(tmp_path))
+            service = AssemblyService(checkpoint_dir=str(tmp_path))
             port = await service.start()
             try:
                 _, first = await request(port, "POST", "/v1/jobs", body)
@@ -301,8 +320,9 @@ class TestServiceEndToEnd:
 
     def test_admission_control_returns_429_past_the_budget(self):
         async def scenario():
-            # long window: submissions stay in flight while we overfill
-            service = AssemblyService(window_s=30.0, max_in_flight=2)
+            # a held lane: submissions stay in flight while we overfill
+            service = AssemblyService(max_in_flight=2)
+            release = hold_first_wave(service)
             port = await service.start()
             try:
                 codes = []
@@ -314,6 +334,7 @@ class TestServiceEndToEnd:
                 _, stats = await request(port, "GET", "/v1/stats")
                 return codes, stats
             finally:
+                release.set()
                 await service.stop()
 
         codes, stats = asyncio.run(scenario())
@@ -323,8 +344,9 @@ class TestServiceEndToEnd:
     def test_concurrent_burst_admission_is_exact(self):
         """32 simultaneous submits against a budget of 8: 8 in, 24 out."""
         async def scenario():
-            # long window: admitted jobs stay in flight during the burst
-            service = AssemblyService(window_s=30.0, max_in_flight=8)
+            # a held lane: admitted jobs stay in flight during the burst
+            service = AssemblyService(max_in_flight=8)
+            release = hold_first_wave(service)
             port = await service.start()
             try:
                 statuses = await asyncio.gather(*[
@@ -335,6 +357,7 @@ class TestServiceEndToEnd:
                 _, stats = await request(port, "GET", "/v1/stats")
                 return [status for status, _ in statuses], stats
             finally:
+                release.set()
                 await service.stop()
 
         codes, stats = asyncio.run(scenario())
@@ -347,8 +370,7 @@ class TestServiceEndToEnd:
 
         async def scenario():
             # an injected stall keeps the wave in flight while we drain
-            service = AssemblyService(window_s=0.01,
-                                      fault_plan=stall_first_wave(0.5))
+            service = AssemblyService(fault_plan=stall_first_wave(0.5))
             port = await service.start()
             _, first = await request(port, "POST", "/v1/jobs",
                                      {"dat": dat, "k_schedule": [21]})
@@ -367,8 +389,7 @@ class TestServiceEndToEnd:
 
     def test_bounded_drain_gives_up_on_a_stuck_wave(self):
         async def scenario():
-            service = AssemblyService(window_s=0.01,
-                                      fault_plan=stall_first_wave(30.0))
+            service = AssemblyService(fault_plan=stall_first_wave(30.0))
             port = await service.start()
             _, body = await request(
                 port, "POST", "/v1/jobs",
@@ -386,7 +407,7 @@ class TestServiceEndToEnd:
                                             times=100),))
 
         async def fail_then_stop():
-            service = AssemblyService(window_s=0.0, journal_path=journal,
+            service = AssemblyService(journal_path=journal,
                                       journal_fsync=False, wave_retries=0,
                                       fault_plan=crash)
             port = await service.start()
@@ -400,7 +421,7 @@ class TestServiceEndToEnd:
         assert before["status"] == "failed" and before["error"]
 
         async def recover():
-            service = AssemblyService(window_s=0.0, journal_path=journal,
+            service = AssemblyService(journal_path=journal,
                                       journal_fsync=False, recover=True)
             port = await service.start()
             try:
@@ -426,7 +447,7 @@ class TestServiceEndToEnd:
         journal = tmp_path / "jobs.wal"
 
         async def scenario():
-            service = AssemblyService(window_s=0.0, journal_path=str(journal),
+            service = AssemblyService(journal_path=str(journal),
                                       journal_fsync=False)
             port = await service.start()
             try:
@@ -461,7 +482,7 @@ class TestServiceEndToEnd:
             loop_errors = []
             asyncio.get_running_loop().set_exception_handler(
                 lambda loop, context: loop_errors.append(context))
-            service = AssemblyService(window_s=0.01)
+            service = AssemblyService()
             port = await service.start()
             try:
                 reader, writer = await asyncio.open_connection(
@@ -489,7 +510,7 @@ class TestServiceEndToEnd:
 
     def test_http_error_paths(self):
         async def scenario():
-            service = AssemblyService(window_s=0.01)
+            service = AssemblyService()
             port = await service.start()
             try:
                 bad_dat = await request(port, "POST", "/v1/jobs",
