@@ -14,13 +14,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.extension import PRODUCTION_POLICY, WalkPolicy
-from repro.core.parallel import chunk_evenly
 from repro.errors import CheckpointError, ReproError
 from repro.datasets.characteristics import TABLE_II, measure_characteristics
 from repro.datasets.generate import generate_paper_dataset
 from repro.hashing.opcount import hash_intops_breakdown
 from repro.kernels import backend_for_device
-from repro.kernels.engine import KernelRunResult
+from repro.kernels.engine import KernelRunResult, run_ports
 from repro.perfmodel.efficiency import algorithm_efficiency, architectural_efficiency
 from repro.perfmodel.portability import pennycook
 from repro.perfmodel.roofline import roofline_point
@@ -51,29 +50,24 @@ class ExperimentConfig:
     """Suite-wide knobs.
 
     Attributes:
-        scale: fraction of the paper's dataset sizes to actually run; the
-            cache model and extrapolation restore full-scale pressure (see
-            DESIGN.md). 1.0 reproduces the paper's sizes exactly.
+        scale: fraction of the paper's dataset sizes to run (the cache
+            model and extrapolation restore full-scale pressure).
         seed: dataset RNG seed.
         policy: walk policy (the MetaHipMer-like production thresholds).
         k_values: which Table II datasets to run.
-        overflow_policy: hash-table overflow semantics passed to every
-            kernel (see :class:`repro.resilience.OverflowPolicy`).
+        overflow_policy: every kernel's
+            :class:`repro.resilience.OverflowPolicy`.
         checkpoint_dir: when set, each completed ``(device, k)`` run is
-            persisted there and ``run``/``run_all`` resume from any
-            checkpoints whose configuration fingerprint matches.
+            saved there, and runs resume from checkpoints whose
+            configuration fingerprint matches.
         fault_injector: optional :class:`repro.resilience.FaultInjector`
-            shared by every kernel run (for tests and the CI smoke job).
-        max_retries / retry_backoff: transient-failure retry budget per
-            ``(device, k)`` run; only
-            :class:`~repro.errors.TransientError` (e.g.
-            :class:`~repro.errors.BackendLaunchError`) is retried —
-            anything else stays fatal.
-        retry_sleep: injectable sleep for tests (``None`` = real sleep).
-            Not forwarded to worker processes (they use the real sleep).
-        workers: default process count for :meth:`ExperimentSuite.run_all`;
-            1 (the default) runs serially in-process. See
-            :meth:`ExperimentSuite.run_all` for the parallel semantics.
+            shared by every kernel run.
+        max_retries / retry_backoff: retry budget per run for
+            :class:`~repro.errors.TransientError` (anything else stays
+            fatal).
+        retry_sleep: injectable sleep for tests (``None`` = real sleep;
+            worker processes always sleep for real).
+        workers: default process count for :meth:`ExperimentSuite.run_all`.
     """
 
     scale: float = 0.02
@@ -152,24 +146,59 @@ class ExperimentSuite:
                 "scale": self.config.scale,
                 "seed": self.config.seed,
                 "overflow_policy": str(self.config.overflow_policy),
+                "policy": dataclasses.asdict(self.config.policy),
                 "k_values": list(self.config.k_values),
             })
         return self._store
 
-    def _execute(self, device: DeviceSpec, k: int) -> RunRecord:
-        """One uncached, uncheckpointed kernel execution."""
+    def _execute(self, devices: list[DeviceSpec], k: int) -> list[RunRecord]:
+        """One uncached, uncheckpointed run of ``devices``' ports on
+        dataset ``k``: one :func:`~repro.kernels.engine.simt.run_ports`."""
         injector = self.config.fault_injector
         if injector is not None:
+            device, = devices
             injector.before_run(device.name, k)
-        kern = backend_for_device(
+        kernels = [backend_for_device(
             device, policy=self.config.policy,
             overflow_policy=self.config.overflow_policy,
-            fault_injector=injector,
-        )
-        result = kern.run(self.dataset(k), k,
-                          parallel_scale=self.config.scale)
-        full = extrapolate_profile(result.profile, device, self.config.scale)
-        return RunRecord(device=device, k=k, result=result, full_profile=full)
+            fault_injector=injector) for device in devices]
+        results = run_ports(kernels, self.dataset(k), k,
+                            parallel_scale=self.config.scale)
+        return [RunRecord(device=device, k=k, result=result,
+                          full_profile=extrapolate_profile(
+                              result.profile, device, self.config.scale))
+                for device, result in zip(devices, results)]
+
+    def _restore(self, device: DeviceSpec, k: int) -> RunRecord | None:
+        """A cell's record from the in-memory cache or a matching
+        checkpoint; ``None`` if it has to run."""
+        key = (device.name, k)
+        store = self.checkpoint_store()
+        if key not in self._runs and store is not None:
+            data = store.load_named(device.name, k)
+            if data is not None:
+                self._runs[key] = RunRecord.from_dict(device, data,
+                                                      from_checkpoint=True)
+        return self._runs.get(key)
+
+    def _run_k(self, k: int, devices) -> None:
+        """Run (once) ``devices``' cells of dataset ``k``: restore those
+        cached or checkpointed, run the rest together with bounded retry
+        of transient failures, then checkpoint and cache each record."""
+        todo = [device for device in devices
+                if self._restore(device, k) is None]
+        if not todo:
+            return
+        sleep_kw = ({} if self.config.retry_sleep is None
+                    else {"sleep": self.config.retry_sleep})
+        store = self.checkpoint_store()
+        for rec in retry_transient(
+                lambda: self._execute(todo, k),
+                retries=self.config.max_retries,
+                backoff=self.config.retry_backoff, **sleep_kw):
+            if store is not None:
+                store.save(rec.device.name, k, rec.to_dict())
+            self._runs[(rec.device.name, k)] = rec
 
     def run(self, device: DeviceSpec, k: int) -> RunRecord:
         """Execute (once) the device's kernel port on dataset ``k``.
@@ -178,95 +207,50 @@ class ExperimentSuite:
         then a fresh execution (with bounded retry of transient failures),
         which is checkpointed on completion when a store is configured.
         """
-        key = (device.name, k)
-        if key in self._runs:
-            return self._runs[key]
-        store = self.checkpoint_store()
-        if store is not None:
-            data = store.load_named(device.name, k)
-            if data is not None:
-                rec = RunRecord.from_dict(device, data, from_checkpoint=True)
-                self._runs[key] = rec
-                return rec
-        sleep_kw = ({} if self.config.retry_sleep is None
-                    else {"sleep": self.config.retry_sleep})
-        rec = retry_transient(
-            lambda: self._execute(device, k),
-            retries=self.config.max_retries,
-            backoff=self.config.retry_backoff, **sleep_kw,
-        )
-        if store is not None:
-            store.save(device.name, k, rec.to_dict())
-        self._runs[key] = rec
-        return rec
+        self._run_k(k, (device,))
+        return self._runs[(device.name, k)]
 
     def run_all(self, workers: int | None = None) -> None:
-        """Execute the full ``(device, k)`` grid, optionally in parallel.
+        """Execute the full ``(device, k)`` grid, one k at a time: the
+        ports of a k share its prepares and the lead's walks
+        (:func:`~repro.kernels.engine.simt.run_ports`); a cell cached or
+        checkpointed is restored, and the rest of its k runs without it.
 
-        Args:
-            workers: process count; ``None`` takes
-                :attr:`ExperimentConfig.workers`. ``1`` runs the grid
-                serially in-process (the historical behavior).
-
-        With ``workers > 1`` the pending grid cells are sharded across a
-        ``ProcessPoolExecutor`` (:func:`repro.core.parallel.chunk_evenly`
-        shards). Each worker owns
-        a private :class:`ExperimentSuite` built from this suite's
-        config, so the per-run machinery — dataset generation,
-        ``retry_transient``, fault-injector hooks, checkpoint writes —
-        is exactly the serial code path; results travel back through the
-        checkpoint codec (:meth:`RunRecord.to_dict`) and are merged into
-        ``_runs`` in deterministic grid order, making every
-        table/figure/export byte-identical to a serial run.
-
-        When a checkpoint store is configured, already-completed runs
-        (validated fingerprint) are resumed in the parent and never
-        dispatched; workers checkpoint their own completions, so a
-        mid-flight crash loses only in-flight runs.
-
-        Caveats of the parallel path: ``retry_sleep`` is not forwarded
-        (workers sleep for real), and a ``fault_injector``'s launch/run
-        ordinals count per worker process rather than globally — specs
-        targeting parallel suites should match on ``device``/``k``.
+        ``workers`` (``None``: :attr:`ExperimentConfig.workers`) above 1
+        hands the pending ks (cells, under a fault injector) to a process
+        pool, run as the serial path does on a worker's private suite;
+        records travel back through the checkpoint codec, so every export
+        is byte-identical to a serial run. There ``retry_sleep`` is not
+        forwarded, and a ``fault_injector`` counts run/launch ordinals
+        per worker — target it by ``device``/``k``.
         """
         workers = self.config.workers if workers is None else workers
         if workers <= 0:
             raise ReproError(f"workers must be positive, got {workers}")
-        grid = [(device, k) for device in PLATFORMS
-                for k in self.config.k_values]
+        ks = self.config.k_values
+        # an injector numbers runs and launches cell by cell, in grid order
+        tasks = ([(k, [device]) for device in PLATFORMS for k in ks]
+                 if self.config.fault_injector is not None
+                 else [(k, PLATFORMS) for k in ks])
         if workers == 1:
-            for device, k in grid:
-                self.run(device, k)
+            for k, devices in tasks:
+                self._run_k(k, devices)
             return
-        store = self.checkpoint_store()
-        done = store.completed() if store is not None else set()
-        pending: list[tuple[str, int]] = []
-        for device, k in grid:
-            key = (device.name, k)
-            if key in self._runs:
-                continue
-            if key in done:
-                self.run(device, k)  # validated load, no re-dispatch
-                continue
-            pending.append(key)
+        pending = [(k, todo) for k, devices in tasks
+                   if (todo := [device.name for device in devices
+                                if self._restore(device, k) is None])]
         if not pending:
             return
-        worker_config = dataclasses.replace(self.config, retry_sleep=None)
-        shards = chunk_evenly(pending, workers)
-        by_key: dict[tuple[str, int], tuple[dict, bool]] = {}
         with ProcessPoolExecutor(
-                max_workers=min(workers, len(shards)),
+                max_workers=min(workers, len(pending)),
                 initializer=_init_suite_worker,
-                initargs=(worker_config,)) as pool:
-            for shard, shard_out in zip(shards,
-                                        pool.map(_run_suite_shard, shards)):
-                by_key.update(zip(shard, shard_out))
-        for device, k in grid:
-            key = (device.name, k)
-            if key not in self._runs:
-                data, from_checkpoint = by_key[key]
-                self._runs[key] = RunRecord.from_dict(device, data,
-                                                      from_checkpoint)
+                initargs=(dataclasses.replace(self.config,
+                                              retry_sleep=None),)) as pool:
+            for (k, names), records in zip(pending,
+                                           pool.map(_run_suite_k, pending)):
+                for name, data in zip(names, records):
+                    self._runs[(name, k)] = RunRecord.from_dict(
+                        device_by_name(name), data, False)
 
     def resilience_summary(self) -> list[dict]:
         """Per-run degradation/retry/checkpoint accounting (post-``run``)."""
@@ -504,14 +488,9 @@ class ExperimentSuite:
 
 
 # ----------------------------------------------------------------------
-# Process-pool shard workers (module-level so they pickle by name).
-#
-# Each pool worker builds one private ExperimentSuite at startup and
-# reuses it for every shard it executes, so datasets generated for one
-# (device, k) cell are cached for later same-k cells in that process.
-# Results cross the process boundary as checkpoint-codec dicts — the
-# same wire format the on-disk store uses — so the parent rebuilds
-# RunRecords without any parallel-only serialization path.
+# Process-pool workers (module-level so they pickle by name): one private
+# ExperimentSuite per worker process, one k per task; records cross the
+# process boundary as checkpoint-codec dicts, the on-disk store's format.
 # ----------------------------------------------------------------------
 
 _WORKER_SUITE: ExperimentSuite | None = None
@@ -522,15 +501,12 @@ def _init_suite_worker(config: ExperimentConfig) -> None:
     _WORKER_SUITE = ExperimentSuite(config)
 
 
-def _run_suite_shard(
-        shard: list[tuple[str, int]]) -> list[tuple[dict, bool]]:
-    """Execute one shard of ``(device_name, k)`` cells; returns, in shard
-    order, each record's ``(to_dict(), from_checkpoint)``."""
+def _run_suite_k(task: tuple[int, list[str]]) -> list[dict]:
+    """Run the named devices' cells of one k; their
+    :meth:`RunRecord.to_dict`, in that order."""
+    k, names = task
     suite = _WORKER_SUITE
     if suite is None:  # pragma: no cover - initializer always ran
         raise ReproError("suite worker used before initialization")
-    out = []
-    for device_name, k in shard:
-        rec = suite.run(device_by_name(device_name), k)
-        out.append((rec.to_dict(), rec.from_checkpoint))
-    return out
+    suite._run_k(k, list(map(device_by_name, names)))
+    return [suite._runs[(name, k)].to_dict() for name in names]

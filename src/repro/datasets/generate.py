@@ -126,8 +126,8 @@ def generate_paper_dataset(
             junction = flank + contig_len if end is End.RIGHT else flank
             for s in _chain_read_starts(junction, target, n_end, rl0, k,
                                         region_len, end, rng):
-                rl = int(np.clip(round(rng.normal(read_len_mean, 3.0)),
-                                 rl0 - 6, min(rl0 + 6, region_len - s)))
+                rl = min(max(round(rng.normal(read_len_mean, 3.0)), rl0 - 6),
+                         rl0 + 6, region_len - s)
                 reads.append(sequence_read(region, s, rl, rng, profile,
                                            name=f"contig{i}/r{j}"))
                 hints.append(end)

@@ -76,14 +76,19 @@ from repro.kernels.engine.schedule import (
     pending_ends,
     validate_k_schedule,
 )
-from repro.kernels.engine.simt import LocalAssemblyKernel
+from repro.kernels.engine.simt import LocalAssemblyKernel, run_ports
 from repro.kernels.engine.tally import (
     ITERATION_BASE_INSTRS,
     WALK_STEP_INTOPS,
     LaunchTally,
     charge,
 )
-from repro.kernels.engine.walk import VisitedFingerprintSet, WalkOutput, WalkPhase
+from repro.kernels.engine.walk import (
+    VisitedFingerprintSet,
+    WalkOutput,
+    WalkPhase,
+    WalkTape,
+)
 
 __all__ = [
     # backend protocol + registry
@@ -102,6 +107,7 @@ __all__ = [
     "VisitedFingerprintSet",
     "WalkOutput",
     "WalkPhase",
+    "WalkTape",
     # scalar parity oracles
     "ScalarOracleConstructPhase",
     "ScalarOracleWalkPhase",
@@ -155,4 +161,5 @@ __all__ = [
     "validate_k_schedule",
     # driver
     "LocalAssemblyKernel",
+    "run_ports",
 ]

@@ -1,37 +1,27 @@
 """One lockstep program, many launches: attribute it, charge each launch.
 
 The simulated GPU runs *launches* (one bin, one extension direction);
-the host runs *lockstep programs*, and the two are not one to one. A
-multi-tenant wave fuses every tenant's launches at a k into one
-construct + walk (:mod:`repro.kernels.engine.coalesce`); a solo k-run
-keeps construct per launch and lets neighbouring launches share one walk
-(:meth:`LocalAssemblyKernel.run <repro.kernels.engine.simt.\
-LocalAssemblyKernel.run>`). Warps are independent — each owns a disjoint
-slot range and every phase decision is warp-local — so a fused program
-behaves, warp for warp, exactly like its launches run one by one. Both
-drivers therefore share what is below:
+the host runs *lockstep programs*, and the two are not one to one: a
+multi-tenant wave fuses every tenant's launches at a k
+(:mod:`repro.kernels.engine.coalesce`), and a k-run's neighbouring
+launches share one walk (:func:`repro.kernels.engine.simt.run_ports`).
+Warps are independent — each owns a disjoint slot range and every phase
+decision is warp-local — so a fused program behaves, warp for warp,
+exactly like its launches run one by one. So:
 
 * the phases of a fused program *log* instead of tallying (entry
-  layout: :mod:`repro.kernels.engine.tally`);
-  :meth:`LaunchRecord.attribute` reduces the finished log once to every
-  segment's tally rows (a *segment* is one launch attempt's contiguous
-  warp range of the program);
-* :func:`record_attempt` cuts the program's outcome into one
-  :class:`AttemptRecord` per segment — the segment's
-  :class:`~repro.kernels.engine.tally.LaunchTally` and its walks —
-  which the driver charges and settles in solo launch order.
+  layout: :mod:`repro.kernels.engine.tally`), and
+  :meth:`LaunchRecord.attribute` reduces the log once to every
+  *segment*'s (one launch attempt's warp range) tally rows;
+* :func:`record_attempt` cuts the outcome into one :class:`AttemptRecord`
+  per segment, which the driver charges and settles in solo order.
 
-A fused program carries counts only — its log holds the four count
-kinds and nothing else. The array-carrying
-:data:`~repro.kernels.engine.events.EVIDENCE_EVENTS` are numbered by one
-launch's slots and warps, so a kernel with a subscriber that wants them
-never fuses (:meth:`LocalAssemblyKernel._fuses
-<repro.kernels.engine.simt.LocalAssemblyKernel._fuses>`). And nothing
-here answers a full table: a record only names the warps that
-overflowed; every attempt — run alone or replayed from a record — is
-settled by :meth:`LocalAssemblyKernel._settle
-<repro.kernels.engine.simt.LocalAssemblyKernel._settle>`, the one place
-that raises, drops or retries.
+A fused program carries counts only (a kernel whose subscribers want
+slot-numbered evidence never fuses), and nothing here answers a full
+table: a record names the warps that overflowed, and
+:meth:`LocalAssemblyKernel._settle
+<repro.kernels.engine.simt.LocalAssemblyKernel._settle>` alone raises,
+drops or retries.
 """
 
 from __future__ import annotations

@@ -162,14 +162,14 @@ def _replay_job_k(kernel, job: _Job, k: int, parallel_scale: float) -> None:
     ``_begin_run`` and ``_replay``, which charges each launch's tally —
     then :meth:`KSchedule.add`.
     """
-    krun = kernel._begin_run(len(job.contigs), k, parallel_scale)
-    krun.profile.prep_cache_misses = len(job.segments)
+    krun = kernel._begin_run(len(job.contigs), k, parallel_scale,
+                             len(job.segments))
     try:
         kernel._replay(krun, job.segments)
     except HashTableFullError as error:    # the RAISE policy, settling
         job.error = error
         return
-    job.add(k, krun.result(kernel.device))
+    job.add(k, krun.result())
 
 
 # ----------------------------------------------------------------------

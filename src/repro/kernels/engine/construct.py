@@ -9,20 +9,14 @@ linear-probe; thread collisions (two lanes, same slot) are resolved by an
 iteration for the CUDA ``__match_any_sync`` port, on the next iteration
 for HIP/SYCL.
 
-What the phase counts leaves it as tally rows — one per wave and per
-probe iteration (:mod:`repro.kernels.engine.tally`), returned in
-:attr:`ConstructResult.rows`, or logged as arrays when a driver fuses
-launches; the phase never touches a profile or traffic ledger. Evidence
-goes to the event bus where it happens, gated on ``bus.wants`` so a run
-nobody observes pays nothing: the
-:class:`~repro.kernels.engine.events.SlotAccess` of every probe, and for
-a sanitizer :class:`~repro.kernels.engine.events.SlotWrite` records at
-every slot-state commit and
-:class:`~repro.kernels.engine.events.BarrierSync` records at every
-protocol synchronization point. The commit/claim/barrier steps are small
-overridable methods, which is how the deliberately-buggy demo backend
-(:mod:`repro.sanitize.demo`) seeds the protocol violations the sanitizer
-self-test must catch.
+Counts leave the phase as tally rows (:mod:`repro.kernels.engine.tally`)
+in :attr:`ConstructResult.rows`, or logged as arrays when a driver fuses
+launches. Evidence goes to the event bus only where ``bus.wants`` it:
+the :class:`~repro.kernels.engine.events.SlotAccess` of every probe and,
+for a sanitizer, :class:`~repro.kernels.engine.events.SlotWrite` /
+:class:`~repro.kernels.engine.events.BarrierSync` records at every slot
+commit and synchronization point — small overridable steps, where the
+buggy demo backend (:mod:`repro.sanitize.demo`) seeds its violations.
 """
 
 from __future__ import annotations

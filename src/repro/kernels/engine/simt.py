@@ -1,32 +1,25 @@
 """The staged SIMT execution engine driving the three vendor ports.
 
 Execution model (Figure 4 of the paper): one contig per warp. Per
-launch plan (one bin, one extension direction) the engine runs
+launch plan (one bin, one extension direction, from
+:class:`~repro.kernels.engine.schedule.BinnedLaunchPolicy`) the engine
+runs **prepare** (:mod:`~repro.kernels.engine.prepare`: flatten + hash
+the bin's reads), **construct** (:mod:`~repro.kernels.engine.construct`:
+insertion waves with the port's collision protocol) and **walk**
+(:mod:`~repro.kernels.engine.walk`: the predicated mer-walk). Every
+launch attempt ends in one tally (:mod:`~repro.kernels.engine.tally`)
+that one fold charges to the profile; the event bus
+(:mod:`~repro.kernels.engine.events`) carries evidence, and count
+events for a subscriber that asks.
 
-1. **prepare** (:mod:`repro.kernels.engine.prepare`) — flatten + hash
-   the bin's reads into launch arrays (every launch flattens its own
-   read stream and lets it go);
-2. **construct** (:mod:`repro.kernels.engine.construct`) — insertion
-   waves with the port's collision protocol;
-3. **walk** (:mod:`repro.kernels.engine.walk`) — the predicated
-   mer-walk;
-
-with launch plans produced by
-:class:`~repro.kernels.engine.schedule.BinnedLaunchPolicy`. Every launch
-attempt ends in one tally (:mod:`repro.kernels.engine.tally`) that one
-fold charges to the profile — counters, analytic memory traffic, chain
-cycles; the phases only tally what they measured, and the event bus
-(:mod:`repro.kernels.engine.events`) carries evidence and, for a
-subscriber that asks, count events rendered from the tally.
-
-Two rules live here and nowhere else. *Fusion*
+Three rules live here and nowhere else. *Fusion*
 (:meth:`LocalAssemblyKernel._fuses`): launches share a lockstep program
 — a k-run's walk groups, a multi-tenant wave — only when no subscriber
 wants slot-numbered evidence, so a fused program carries counts only.
-*Overflow* (:meth:`LocalAssemblyKernel._settle`): the phases retire and
-report the warps whose table filled; the driver alone raises, drops or
-grow-retries them, for a launch run alone and one replayed from a
-fused program alike.
+*Overflow* (:meth:`LocalAssemblyKernel._settle`): the phases report the
+warps whose table filled; the driver alone raises, drops or grow-retries
+them. *Following* (:func:`run_ports`): ports that share an input share
+its prepare and one walk path, each checked against its own tables.
 """
 
 from __future__ import annotations
@@ -79,7 +72,7 @@ from repro.kernels.engine.schedule import (
     narrow_plans,
 )
 from repro.kernels.engine.tally import LaunchTally, charge, render
-from repro.kernels.engine.walk import WalkPhase
+from repro.kernels.engine.walk import WalkPhase, WalkTape
 from repro.kernels.vectortable import SLOT_BYTES, WarpHashTables
 from repro.resilience.policy import (
     OverflowPolicy,
@@ -92,8 +85,8 @@ from repro.simt.device import DeviceSpec
 
 @dataclass
 class _KRun:
-    """One k-run in flight: its instrumentation stack and what its
-    launches settle into (see :meth:`LocalAssemblyKernel._settle`)."""
+    """One kernel's k-run in flight: its instrumentation, its phases and
+    what its launches settle into (:meth:`LocalAssemblyKernel._settle`)."""
 
     k: int
     profile: KernelProfile
@@ -104,13 +97,16 @@ class _KRun:
     right: SideArrays
     left: SideArrays
     parallel_scale: float
+    kernel: "LocalAssemblyKernel"
+    construct: ConstructPhase
+    walker: WalkPhase
     degraded: set[int] = field(default_factory=set)
     retried: set[int] = field(default_factory=set)
 
-    def result(self, device: DeviceSpec) -> KernelRunResult:
+    def result(self) -> KernelRunResult:
         """The k-run's result, with whatever its bus collected."""
         return KernelRunResult.of_sides(
-            device, self.k, self.profile, self.right, self.left,
+            self.kernel.device, self.k, self.profile, self.right, self.left,
             degraded=sorted(self.degraded), retried=sorted(self.retried),
             replay=[] if self.replayer is None else self.replayer.launches,
             trace=[] if self.tracer is None else self.tracer.traces,
@@ -121,24 +117,22 @@ class _KRun:
 class _WalkGroup:
     """Consecutive launch attempts of a k-run that share one lockstep walk.
 
-    A member constructs exactly as its own launch does — its own
-    ``tables_cls(capacities, k)``, its own tally rows; its finished
-    tables then move in behind the group's
-    (:meth:`WarpHashTables.absorb <repro.kernels.vectortable.\
-WarpHashTables.absorb>`: one contiguous warp and slot range per member
-    of one table set) and die. One walk with the attribution log on then
-    covers them all.
+    A member constructs its own tables, as its own launch would; they
+    then move in behind the group's (:meth:`WarpHashTables.absorb
+    <repro.kernels.vectortable.WarpHashTables.absorb>`) and die. One walk
+    with the attribution log on covers them all.
     """
 
-    def __init__(self, kernel: "LocalAssemblyKernel", k: int, slots: int,
-                 construct, walker) -> None:
-        self.kernel = kernel
-        self.tables = kernel.tables_cls.reserve(slots, k)
-        self.construct = construct
-        self.walker = walker
+    def __init__(self, krun: _KRun, slots: int, members=()) -> None:
+        self.kernel = kernel = krun.kernel
+        self.tables = kernel.tables_cls.reserve(slots, krun.k)
+        self.construct = krun.construct
+        self.walker = krun.walker
         self.segments: list[Segment] = []
         self.construct_rows: list[list] = []
         self.construct_failed: list[int] = []   # fused warp ids, in order
+        for seg in members:
+            self.join(seg)
 
     def join(self, seg: Segment) -> None:
         tables = self.kernel.tables_cls(seg.sub.capacities, self.tables.k)
@@ -154,7 +148,8 @@ WarpHashTables.absorb>`: one contiguous warp and slot range per member
             seg.sub = seg.sub.walk_only()
 
     def walk(self, attempt: int) -> None:
-        """The members' one walk; an ``AttemptRecord`` lands on each."""
+        """The members' one walk; an ``AttemptRecord`` lands on each. The
+        walked tables die here."""
         fused, warp_base = concat_batches(
             [seg.sub.walk_only() for seg in self.segments])
         launch = LaunchRecord(warp_base)
@@ -163,6 +158,7 @@ WarpHashTables.absorb>`: one contiguous warp and slot range per member
             wres = self.walker.run(fused, self.tables, EventBus())
         finally:
             self.walker.log = None
+        self.tables = None
         launch.attribute()
         record_attempt(self.segments, launch, self.construct_failed, wres,
                        attempt, self.construct_rows)
@@ -180,36 +176,28 @@ class LocalAssemblyKernel:
         qual_threshold: phred cut separating hi/low-quality votes.
         seed: Murmur seed.
         load_factor: hash-table occupancy target for size estimation.
-        table_sizing: "upper_bound" (default) reserves per-contig capacity
-            from the k-independent read-volume bound, as the GPU
-            pre-processing must (Figure 3: tables are sized once, before
-            the k iterations run); "exact" sizes from the actual insertion
-            count (the ablation comparison).
+        table_sizing: "upper_bound" (default) sizes tables from the
+            k-independent read-volume bound (Figure 3: once, before the k
+            iterations); "exact" from the insertion count (the ablation).
         l2_churn: cache-model churn constant (see
             :class:`repro.simt.memory.AnalyticCacheModel`).
         memory_model: "analytic" (default) prices traffic with the
-            working-set model only; "trace" additionally streams every
-            table-slot access through the exact batched cache hierarchy
-            (:class:`~repro.kernels.engine.events.TraceReplaySubscriber`),
-            leaving per-launch exact measurements in the result's
-            ``replay`` for validating/recalibrating the analytic model.
-            Profile counters always come from the analytic model, so trace
-            mode changes no result — it adds exact measurements beside it.
-        sanitize: ``None`` (default, off) or a check selection for the
-            :class:`~repro.sanitize.Sanitizer` — ``"all"``,
-            ``"racecheck"``, ``"synccheck"``, ``"initcheck"``, a
-            comma-separated string, or an iterable. When set, the phases
-            emit slot-write / slot-read / barrier records (gated on
-            ``bus.wants``; off costs nothing) and the run's structured
-            findings land in the result's ``sanitizer_report``.
+            working-set model; "trace" also streams every slot access
+            through the exact cache hierarchy
+            (:class:`~repro.kernels.engine.events.TraceReplaySubscriber`)
+            into the result's ``replay`` — measurements beside the
+            unchanged analytic counters.
+        sanitize: ``None`` (off) or a check selection for the
+            :class:`~repro.sanitize.Sanitizer` (``"all"``, a check name,
+            a comma list, an iterable); its findings land in the
+            result's ``sanitizer_report``.
     """
 
     protocol: ProtocolCosts  # set by subclasses
 
-    #: Phase factories; the buggy sanitizer-demo backend swaps these for
-    #: subclasses that seed protocol violations (:mod:`repro.sanitize.demo`),
-    #: the parity oracle for its scalar references — which also overrides
-    #: :meth:`_scatter` and :meth:`_iterate_k_schedule`.
+    #: Phase factories (the sanitizer demo and the parity oracle swap
+    #: in their own; the oracle also overrides :meth:`_scatter` and
+    #: :meth:`_iterate_k_schedule`).
     construct_cls = ConstructPhase
     walk_cls = WalkPhase
     preparer_cls = BatchPreparer
@@ -217,20 +205,12 @@ class LocalAssemblyKernel:
 
     #: Table slots one *walk group* may hold (0 = nothing fuses: every
     #: launch walks alone and a wave runs its jobs solo — the parity
-    #: reference, whose phases do not log). A walk has one lane per
-    #: warp, so on Table II-shaped data (many contigs, 3-5 reads each) a
-    #: launch's walk is fixed NumPy call cost over a median of 18
-    #: walkers; while their tables fit this budget, consecutive launches
-    #: of a k-run share one walk instead (:class:`_WalkGroup`, DESIGN.md
-    #: decision 24) — a launch joins if two of its size would fit. Host
-    #: memory only: 13 B per slot + 32 B per key = 6.8 MB of tags plus
-    #: the votes. Measured on ``paper_grid`` (seed 7), walk steps / lookup
-    #: rounds / wall per iteration (min of 4, one process): 13,572 /
-    #: 53,231 / 5.2 s at 0; 6,036 / 29,929 / 4.3 s at ``1 << 18``; 4,185
-    #: / 24,797 / 3.8 s at ``1 << 19`` (the k = 33 run, 492,474 slots,
-    #: is one walk); 3,123 / 19,366 / 3.7 s at ``1 << 20``, which holds
-    #: twice the memory. Every ``deep_multik`` launch (2,094,592 slots)
-    #: exceeds it and runs as before.
+    #: reference, whose phases do not log). A walk has one lane per warp,
+    #: so on Table II-shaped data a launch's walk is fixed NumPy call cost
+    #: over a few walkers; while their tables fit this budget (a launch
+    #: joins if two of its size would fit), consecutive launches of a
+    #: k-run share one walk (:class:`_WalkGroup`). Host memory: 13 B per
+    #: slot + 32 B per key. Sized in DESIGN.md decision 24.
     walk_group_slots = 1 << 19
 
     def __init__(
@@ -269,15 +249,11 @@ class LocalAssemblyKernel:
         self.load_factor = load_factor
         self.table_sizing = table_sizing
         self.l2_churn = l2_churn
-        #: Future-work mode (paper Section VI): with independent thread
-        #: scheduling, every lane of a warp can run its own mer-walk, so
-        #: walk instructions stop wasting warp_size-1 issue lanes.
+        #: Future-work mode (Section VI): every lane runs its own mer-walk.
         self.lane_parallel_walks = lane_parallel_walks
-        #: What a table overflow does: raise (default), drop the contig
-        #: (the paper's ``*hashtable full*``), or grow-retry it.
+        #: A full table raises (default), drops the contig or grow-retries.
         self.overflow_policy = OverflowPolicy.parse(overflow_policy)
-        #: Optional :class:`repro.resilience.FaultInjector`; hooked
-        #: around every launch and subscribed to the event bus.
+        #: Optional :class:`repro.resilience.FaultInjector`, per launch.
         self.fault_injector = fault_injector
         self.grow_factor, self.max_grow_attempts = grow_budget(
             grow_factor, max_grow_attempts)
@@ -286,10 +262,8 @@ class LocalAssemblyKernel:
             seed=seed, qual_threshold=qual_threshold,
             load_factor=load_factor, table_sizing=table_sizing,
         )
-        #: When True, every table-slot access's byte address is recorded
-        #: into the result's ``trace`` (one array per launch) so the
-        #: analytic cache model can be validated against the exact trace
-        #: simulator.
+        #: Record every slot access's byte address into the result's
+        #: ``trace`` (one array per launch), to validate the cache model.
         self.record_trace = False
         self.memory_model = memory_model
         if sanitize:
@@ -298,8 +272,7 @@ class LocalAssemblyKernel:
             self.sanitize_checks = parse_checks(sanitize)
         else:
             self.sanitize_checks = ()
-        #: Extra event subscribers attached to every subsequent run —
-        #: the observability extension point.
+        #: Extra event subscribers attached to every subsequent run.
         self.extra_subscribers: list = []
 
     # ------------------------------------------------------------------
@@ -311,8 +284,7 @@ class LocalAssemblyKernel:
 
     def _build_bus(self) -> tuple[EventBus, TraceSubscriber | None,
                                   TraceReplaySubscriber | None, object | None]:
-        """Assemble the diagnostic subscribers of one run (the profile is
-        charged directly, :meth:`_end_launch`)."""
+        """Assemble the diagnostic subscribers of one run."""
         bus = EventBus()
         tracer = bus.subscribe(TraceSubscriber()) if self.record_trace else None
         replayer = (bus.subscribe(TraceReplaySubscriber(self.device))
@@ -326,17 +298,10 @@ class LocalAssemblyKernel:
         return bus, tracer, replayer, sanitizer
 
     def _fuses(self) -> bool:
-        """Whether launches of this kernel may share a lockstep program —
-        a walk group in :meth:`run`, a wave in
-        :func:`~repro.kernels.engine.coalesce.run_schedule_coalesced`.
-
-        A fused program carries counts only; evidence is numbered by one
-        launch's slots and warps. So a kernel does not fuse when a
-        subscriber of its run bus (:meth:`_build_bus`) wants an
-        ``EVIDENCE_EVENTS`` class: a tracer, the trace replayer, a
-        sanitizer, or an extra subscriber that asks for one — nor when
-        its :attr:`walk_group_slots` is 0.
-        """
+        """Whether launches of this kernel may share a lockstep program (a
+        walk group, a wave) — not when :attr:`walk_group_slots` is 0, nor
+        when a subscriber of its run bus wants an ``EVIDENCE_EVENTS``
+        class, which is numbered by one launch's slots and warps."""
         asked = EventBus()
         for sub in self.extra_subscribers:
             asked.subscribe(sub)
@@ -347,9 +312,7 @@ class LocalAssemblyKernel:
     def launch_config(self, depth_ratio: float = 2.0,
                       max_batch_insertions: int | None = None) -> LaunchConfig:
         """The launch policy's inputs for this kernel — the one place the
-        defaults live, so solo runs and coalesced waves plan identically
-        (any drift would break byte-identity for jobs that split bins).
-        """
+        defaults live, so every driver plans identically."""
         if max_batch_insertions is None:
             # reserve at most ~25% of HBM for tables in one launch
             max_batch_insertions = int(
@@ -360,21 +323,20 @@ class LocalAssemblyKernel:
                             load_factor=self.load_factor)
 
     # ------------------------------------------------------------------
-    # Launch bookkeeping, shared: ``run`` executes the phases, the
-    # coalescing driver replays attributed launches, and both account
-    # for every launch attempt through the methods below.
+    # Launch bookkeeping, shared by every driver.
 
-    def _begin_run(self, n_contigs: int, k: int,
-                   parallel_scale: float) -> _KRun:
-        """A fresh profile, instrumentation stack and sides for one k."""
+    def _begin_run(self, n_contigs: int, k: int, parallel_scale: float,
+                   flattens: int = 0) -> _KRun:
+        """A fresh k-run: profile, instrumentation, phases and sides;
+        ``flattens`` counts its prepares (a k-schedule's later k-runs)."""
         profile = KernelProfile(warp_size=self.warp_size)
         profile.walk_issue_width = (1 if self.lane_parallel_walks
                                     else self.warp_size)
         profile.contigs = n_contigs
+        profile.prep_cache_misses = flattens
         return _KRun(k, profile, *self._build_bus(),
-                     right=SideArrays.empty(n_contigs),
-                     left=SideArrays.empty(n_contigs),
-                     parallel_scale=parallel_scale)
+                     SideArrays.empty(n_contigs), SideArrays.empty(n_contigs),
+                     parallel_scale, self, *self._phases())
 
     def _start_launch(self, bus: EventBus, sub: Batch,
                       k: int) -> LaunchStarted:
@@ -411,10 +373,9 @@ class LocalAssemblyKernel:
 
     def _scatter(self, arr: SideArrays, end: End, sub: Batch, walk,
                  ok: np.ndarray) -> None:
-        """Scatter a launch's accepted walks (``ok`` warps) into ``arr``
-        in one batched decode + array assignment (left ends
-        reverse-complement as a matrix gather, not per string). ``walk``
-        carries ``base_codes`` / ``base_lens`` / ``state_codes``."""
+        """Scatter a launch's accepted walks (``ok`` warps; ``walk`` has
+        ``base_codes`` / ``base_lens`` / ``state_codes``) into ``arr``,
+        decoded in one batch."""
         cis = np.asarray(sub.contig_ids, dtype=np.int64)[ok]
         if not cis.size:
             return
@@ -430,18 +391,15 @@ class LocalAssemblyKernel:
                 construct_failed, walk_failed, attempt: int,
                 grown: np.ndarray | None) -> None:
         """Settle one finished launch attempt — the one place a full
-        table is answered (Figure 3's ``*hashtable full*``), for a launch
-        run alone and one replayed from a fused program alike.
+        table is answered (Figure 3's ``*hashtable full*``).
 
-        ``construct_failed`` / ``walk_failed`` name the warps that
-        overflowed (launch-local, in the order they did). Under the
-        RAISE policy the first of them — construction runs before the
-        walk — becomes the :class:`~repro.errors.HashTableFullError`.
-        Otherwise the walks of the other warps scatter, and the failed
-        ones are either retried — ``ContigRetried`` each, at the
-        ``grown`` capacities :meth:`_retry_capacities` gave the caller —
-        or, ``grown`` being ``None``, dropped: ``ContigDropped`` each,
-        the end blanked.
+        ``construct_failed`` / ``walk_failed`` name the overflowed warps
+        (launch-local, in overflow order). Under RAISE the first of them
+        (construction first) becomes the
+        :class:`~repro.errors.HashTableFullError`. Otherwise the other
+        warps' walks scatter, and the failed ones are retried at
+        ``grown`` (``ContigRetried`` each) or, ``grown`` being ``None``,
+        dropped (``ContigDropped`` each, the end blanked).
         """
         failed = sorted({*construct_failed, *walk_failed})
         k, bus = krun.k, krun.bus
@@ -485,10 +443,10 @@ class LocalAssemblyKernel:
                 self.walk_cls(self.policy, self.max_walk_len, self.seed))
 
     def _run_attempts(self, live: list[Segment], launch) -> None:
-        """Run ``launch(live, attempt)`` — one fused program that records
-        an attempt on every live segment — then again over the segments
-        that grow-retry, narrowed to their failing warps, until none do.
-        Each record keeps the grown capacities for :meth:`_settle`."""
+        """Run ``launch(live, attempt)`` — one fused program recording an
+        attempt on every live segment — then again over the segments that
+        grow-retry (their failing warps, at grown capacities) until none
+        do."""
         attempt = 0
         while live:
             launch(live, attempt)
@@ -504,10 +462,8 @@ class LocalAssemblyKernel:
             attempt += 1
 
     def _replay(self, krun: _KRun, segments: list[Segment]) -> None:
-        """Charge attributed launch attempts in solo order — all of a
-        plan's attempts, then the next plan's — and settle each as
-        :meth:`_launch` does (under the RAISE policy the first overflow
-        raises there, and nothing after it replays)."""
+        """Charge and settle attributed launch attempts in solo order —
+        a plan's attempts, then the next plan's (a RAISE ends it)."""
         bus, k = krun.bus, krun.k
         for seg in segments:
             for rec in seg.records:
@@ -517,8 +473,9 @@ class LocalAssemblyKernel:
                              rec.construct_failed, rec.walk_failed,
                              rec.attempt, rec.grown)
 
-    def _finish_group(self, krun: _KRun, group: _WalkGroup) -> None:
-        """Walk a group, re-launch what grow-retries, replay every launch."""
+    def _finish_group(self, krun: _KRun, group: _WalkGroup) -> bool:
+        """Walk a group, re-launch what grow-retries, replay every launch;
+        whether its first walk left a warp overflowed."""
         segments = group.segments
 
         def launch(live: list[Segment], attempt: int) -> None:
@@ -526,37 +483,48 @@ class LocalAssemblyKernel:
             if attempt:
                 # only the failing warps re-launch, so their grown tables
                 # get a room of exactly their size
-                members = _WalkGroup(
-                    self, krun.k,
-                    sum(int(seg.sub.capacities.sum()) for seg in live),
-                    group.construct, group.walker)
-                for seg in live:
-                    members.join(seg)
+                members = _WalkGroup(krun, sum(
+                    int(seg.sub.capacities.sum()) for seg in live), live)
             members.walk(attempt)
 
         self._run_attempts(segments, launch)
         self._replay(krun, segments)
+        return any(seg.records[0].failed for seg in segments)
 
-    def _launch(self, krun: _KRun, end: End, sub: Batch, attempt: int,
-                construct, walker) -> Batch | None:
-        """One launch attempt over ``sub``; returns the batch of its
-        grow-retry re-launch, ``None`` once every contig is settled.
-
-        The tables and the walk output — the bulk of a launch's memory —
-        die with this frame, before the next plan is prepared.
-        """
+    def _launch(self, krun: _KRun, end: End, sub: Batch) -> bool:
+        """Launch ``sub`` alone, then grow-retry the warps that overflowed
+        until every contig is settled; whether the first attempt
+        overflowed. An attempt's tables — the bulk of a launch's memory
+        — die as soon as it has walked."""
         k, bus = krun.k, krun.bus
-        tables = self.tables_cls(sub.capacities, k)
-        ctx = self._start_launch(bus, sub, k)
-        cres = construct.run(sub, tables, bus)
-        wres = walker.run(sub, tables, bus)
-        self._end_launch(krun, ctx,
-                         LaunchTally(wres.state_codes, cres.rows, wres.rows))
-        failed = sorted({*cres.overflowed, *wres.overflowed})
-        grown = self._retry_capacities(sub, failed, attempt)
-        self._settle(krun, end, sub, wres, cres.overflowed, wres.overflowed,
-                     attempt, grown)
-        return subset_batch(sub, failed, grown) if grown is not None else None
+        attempt = 0
+        while True:
+            tables = self.tables_cls(sub.capacities, k)
+            ctx = self._start_launch(bus, sub, k)
+            cres = krun.construct.run(sub, tables, bus)
+            wres = krun.walker.run(sub, tables, bus)
+            del tables
+            self._end_launch(krun, ctx, LaunchTally(
+                wres.state_codes, cres.rows, wres.rows))
+            failed = sorted({*cres.overflowed, *wres.overflowed})
+            grown = self._retry_capacities(sub, failed, attempt)
+            self._settle(krun, end, sub, wres, cres.overflowed,
+                         wres.overflowed, attempt, grown)
+            if not attempt:
+                overflowed = bool(failed)
+            if grown is None:
+                return overflowed
+            sub = subset_batch(sub, failed, grown)
+            attempt += 1
+
+    def _lead_key(self) -> tuple | None:
+        """What a follower shares with its lead (:func:`run_ports`): the
+        prepare and what a walk's path depends on; ``None`` under a fault
+        injector or without :meth:`_fuses` (it runs alone)."""
+        if self.fault_injector is not None or not self._fuses():
+            return None
+        return (type(self.preparer), vars(self.preparer), self.policy,
+                self.max_walk_len)
 
     # ------------------------------------------------------------------
 
@@ -569,64 +537,19 @@ class LocalAssemblyKernel:
         parallel_scale: float = 1.0,
         pending: dict[End, np.ndarray] | None = None,
     ) -> KernelRunResult:
-        """Execute the full local-assembly workflow (Figure 3) at one k.
+        """Execute the full local-assembly workflow (Figure 3) at one k:
+        extensions for both ends of every contig and the merged
+        :class:`KernelProfile` (times are the timing model's to fill).
 
-        ``parallel_scale`` declares what fraction of the paper-size
-        dataset ``contigs`` represents, so the cache model can apply
-        full-size concurrency pressure to a scaled run.
-        ``pending`` is how a k-schedule passes the contig ends that
+        ``parallel_scale`` is the fraction of the paper-size dataset
+        ``contigs`` represents (the cache model applies full-size
+        pressure). ``pending`` is how a k-schedule passes the ends that
         still fork (:func:`~repro.kernels.engine.schedule.pending_ends`):
-        only those are launched, every other end comes back unextended
-        (``("", MISSING)``), and the profile counts the k-run's flattens
-        (``prep_cache_misses``). Without it both ends of every contig
-        launch.
-
-        Returns functional extensions for both ends of every contig plus
-        the merged :class:`KernelProfile` (time left at zero — the timing
-        model in :mod:`repro.perfmodel.timing` fills it from the counters).
+        only those launch, the rest come back ``("", MISSING)``, and the
+        profile counts the k-run's flattens (``prep_cache_misses``).
         """
-        if parallel_scale <= 0 or parallel_scale > 1:
-            raise KernelError(f"parallel_scale must be in (0, 1], got {parallel_scale}")
-        plans = self.launch_policy.plan(contigs, k, self.launch_config(
-            depth_ratio, max_batch_insertions))
-        krun = self._begin_run(len(contigs), k, parallel_scale)
-        if pending is not None:
-            plans = narrow_plans(plans, contigs, pending)
-            krun.profile.prep_cache_misses = len(plans)
-        construct, walker = self._phases()
-        injector = self.fault_injector
-        # launch ordinals stay per launch: with an injector nothing groups
-        budget = (self.walk_group_slots
-                  if injector is None and self._fuses() else 0)
-        group: _WalkGroup | None = None
-        for plan in plans:
-            ordinal = injector.begin_launch() if injector is not None else -1
-            sub = self.preparer.prepare(contigs, plan.bin, plan.end, k)
-            if injector is not None:
-                injector.shape_batch(sub, ordinal)
-            slots = int(sub.capacities.sum())
-            # a launch shares a walk if two of its size would fit
-            shares = 2 * slots <= budget
-            if group is not None and not (
-                    shares and group.tables.total_slots + slots <= budget):
-                self._finish_group(krun, group)
-                group = None
-            if shares:
-                if group is None:
-                    group = _WalkGroup(self, k, budget, construct, walker)
-                group.join(Segment(plan, sub))
-                continue
-            attempt = 0
-            while sub is not None:
-                sub = self._launch(krun, plan.end, sub, attempt,
-                                   construct, walker)
-                attempt += 1
-        if group is not None:
-            self._finish_group(krun, group)
-        result = krun.result(self.device)
-        if injector is not None:
-            injector.degrade_result(result)
-        return result
+        return run_ports((self,), contigs, k, depth_ratio,
+                         max_batch_insertions, parallel_scale, pending)[0]
 
     def _iterate_k_schedule(self, run_one, n_contigs: int,
                             k_schedule: tuple[int, ...]) -> KSchedule:
@@ -642,20 +565,105 @@ class LocalAssemblyKernel:
     ) -> KernelRunResult:
         """Iterate the k schedule on-device (Figures 2 and 4).
 
-        Per contig end, the first *accepted* walk (anything but a fork)
-        at the smallest k wins, and forked ends retry at the next k,
-        keeping the longest extension if no k resolves the fork. The
-        first k launches every bin in both directions; a later k
-        launches only the contig ends that have not settled (their bins
-        narrowed, emptied bins dropped), so a settled end costs nothing
-        more and a table overflow at a later k cannot touch it. Every
-        launch flattens its own read stream and lets it go before the
-        next is prepared. Profiles of all launches merge; the result's
-        ``k`` reports the last k executed, and its diagnostics cover the
-        launches of every k (:class:`KSchedule`).
+        Per contig end the first *accepted* walk (anything but a fork) at
+        the smallest k wins; forked ends retry at the next k, which
+        launches only the ends not yet settled, keeping the longest
+        extension if no k resolves the fork. Profiles merge; the result's
+        ``k`` is the last k run, its diagnostics cover every k
+        (:class:`KSchedule`).
         """
         return self._iterate_k_schedule(
             lambda k, pending: self.run(contigs, k,
                                         parallel_scale=parallel_scale,
                                         pending=pending),
             len(contigs), k_schedule).result(self.device)
+
+
+def _lead_and_follow(kruns: list[_KRun], program) -> None:
+    """Run one launch or walk group on every port: ``program(krun)`` runs
+    it, with its re-launches, on one port and says whether its first
+    attempt overflowed; unless the lead's did, the followers follow it."""
+    lead, *followers = kruns
+    lead.walker.tape = tape = WalkTape() if followers else None
+    overflowed = program(lead)
+    for krun in followers:
+        krun.walker.tape = None if overflowed else tape
+        program(krun)
+
+
+def run_ports(kernels, contigs: list[Contig], k: int,
+              depth_ratio: float = 2.0,
+              max_batch_insertions: int | None = None,
+              parallel_scale: float = 1.0,
+              pending: dict[End, np.ndarray] | None = None,
+              ) -> list[KernelRunResult]:
+    """Run one k of one input on several ports: one result per kernel,
+    each equal to its own ``run`` (``run_ports((kernel,), ...)[0]``).
+
+    Each launch plan is prepared once. ``kernels[0]``, the *lead*, walks
+    and tapes each walk (:class:`~repro.kernels.engine.walk.WalkTape`);
+    each *follower* constructs its own tables in walk groups that mirror
+    the lead's and only looks the taped keys up in them (DESIGN.md
+    decision 34), unless the lead's program overflowed. Each kernel runs
+    alone if their plans or :meth:`~LocalAssemblyKernel._lead_key` differ.
+    """
+    if parallel_scale <= 0 or parallel_scale > 1:
+        raise KernelError(f"parallel_scale must be in (0, 1], got {parallel_scale}")
+    plans = [kern.launch_policy.plan(contigs, k, kern.launch_config(
+        depth_ratio, max_batch_insertions)) for kern in kernels]
+    if pending is not None:
+        plans = [narrow_plans(p, contigs, pending) for p in plans]
+    key = kernels[0]._lead_key()
+    if len(kernels) > 1 and (key is None or any(
+            p != plans[0] or kern._lead_key() != key
+            for kern, p in zip(kernels, plans))):
+        return [run_ports((kern,), contigs, k, depth_ratio,
+                          max_batch_insertions, parallel_scale, pending)[0]
+                for kern in kernels]
+    kruns = [kern._begin_run(len(contigs), k, parallel_scale,
+                             0 if pending is None else len(plans[0]))
+             for kern in kernels]
+    lead = kruns[0]
+    injector = lead.kernel.fault_injector
+    # launch ordinals stay per launch: with an injector nothing groups
+    budget = (lead.kernel.walk_group_slots
+              if injector is None and lead.kernel._fuses() else 0)
+    group: _WalkGroup | None = None
+    held: list[Segment] = []    # the group's full batches, for followers
+
+    def finish_group() -> None:
+        def program(krun: _KRun) -> bool:
+            own = group if krun is lead else _WalkGroup(
+                krun, budget, [Segment(seg.plan, seg.sub) for seg in held])
+            return krun.kernel._finish_group(krun, own)
+
+        _lead_and_follow(kruns, program)
+
+    for plan in plans[0]:
+        ordinal = injector.begin_launch() if injector is not None else -1
+        sub = lead.kernel.preparer.prepare(contigs, plan.bin, plan.end, k)
+        if injector is not None:
+            injector.shape_batch(sub, ordinal)
+        slots = int(sub.capacities.sum())
+        # a launch shares a walk if two of its size would fit
+        shares = 2 * slots <= budget
+        if group is not None and not (
+                shares and group.tables.total_slots + slots <= budget):
+            finish_group()
+            group, held = None, []
+        if shares:
+            if group is None:
+                group = _WalkGroup(lead, budget)
+            group.join(Segment(plan, sub))
+            if len(kruns) > 1:
+                held.append(Segment(plan, sub))
+            continue
+        _lead_and_follow(kruns, lambda krun, end=plan.end, sub=sub:
+                         krun.kernel._launch(krun, end, sub))
+        del sub     # the launch's batch dies before the next is prepared
+    if group is not None:
+        finish_group()
+    results = [krun.result() for krun in kruns]
+    if injector is not None:
+        injector.degrade_result(results[0])
+    return results

@@ -1,36 +1,30 @@
 """The walk phase: one lane per warp mer-walks from the contig-end seed.
 
 Algorithm 2, whose scalar telling is
-:func:`repro.core.reference.reference_walk` (what the ``scalar`` backend
-runs). The other lanes are predicated off while one lane walks; the
-terminal state is broadcast with a shuffle. Everything is vectorized across
-warps as one lockstep array program (DESIGN.md decision #14): per-warp
-loop-detection state lives in one matrix of the walkers' paths
-(:class:`VisitedFingerprintSet`), committed bases land in a
-preallocated ``(n_warps, max_walk_len)`` int8 matrix decoded once at
-the end, and terminal/advance bookkeeping is mask assignments — the
-Python-level loops are over walk steps and probe iterations, never
-over lanes or warps (lint rule REP006 enforces this). The pre-refactor
-per-warp code path survives verbatim as the parity oracle
-(:class:`repro.kernels.engine.oracle.ScalarOracleWalkPhase`).
+:func:`repro.core.reference.reference_walk`. The other lanes are
+predicated off while one lane walks; the terminal state is broadcast
+with a shuffle. Everything is one lockstep array program across warps
+(DESIGN.md decision #14): loop detection is one matrix of the walkers'
+paths (:class:`VisitedFingerprintSet`), committed bases land in a
+preallocated ``(n_warps, max_walk_len)`` matrix decoded once, and the
+Python-level loops are over walk steps and probe rounds, never lanes or
+warps (lint rule REP006). The pre-refactor per-warp path survives as the
+parity oracle (:class:`repro.kernels.engine.oracle.ScalarOracleWalkPhase`).
 
-What the phase counts leaves it as tally rows — one per lookup round and
-per walk step (:mod:`repro.kernels.engine.tally`), returned in
-:attr:`WalkOutput.rows`, or logged as arrays when a driver fuses
-launches; the phase never mutates a profile or traffic ledger. Evidence
-goes to the event bus, gated on ``bus.wants`` so a run nobody observes
-pays nothing: the :class:`~repro.kernels.engine.events.SlotAccess` of
-every probe, and :class:`~repro.kernels.engine.events.SlotRead` records
-where it resolves votes, so the initcheck sanitizer can flag reads of
-never-written slot value regions. The probe-miss bookkeeping is an
-overridable method — the deliberately-buggy demo backend
-(:mod:`repro.sanitize.demo`) overrides it to read votes from empty
-slots, the bug initcheck must catch.
+Counts leave the phase as tally rows (:mod:`repro.kernels.engine.tally`)
+in :attr:`WalkOutput.rows`, or logged as arrays when a driver fuses
+launches. Evidence goes to the event bus only where ``bus.wants`` it:
+the :class:`~repro.kernels.engine.events.SlotAccess` of every probe and
+the :class:`~repro.kernels.engine.events.SlotRead` of every vote read
+(the buggy demo backend overrides :meth:`WalkPhase._on_probe_miss` to
+read empty slots, the bug initcheck must catch). A walk's path is
+port-invariant, so one port's walk can be taped and the other ports'
+walks follow it (:class:`WalkTape`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +37,7 @@ from repro.core.extension import (
     WalkState,
     resolve_extension_batch,
 )
+from repro.errors import KernelError
 from repro.genomics.dna import decode_matrix, encode
 from repro.genomics.kmer import fingerprint_matrix, shift_fingerprints
 from repro.hashing.murmur import murmur2_batch
@@ -61,6 +56,7 @@ _END = WALK_STATE_CODES[WalkState.END]
 _LOOP = WALK_STATE_CODES[WalkState.LOOP]
 _MAX_LEN = WALK_STATE_CODES[WalkState.MAX_LEN]
 _MISSING = WALK_STATE_CODES[WalkState.MISSING]
+_DISAGREE = "this port's table disagrees with the lead's walk"
 
 
 class VisitedFingerprintSet:
@@ -70,19 +66,13 @@ class VisitedFingerprintSet:
     row ``r`` of ``_path`` holds one warp's fingerprints in visiting
     order, padded with its first one (a padding cell can only match what
     the row holds anyway), and a membership test is *one* comparison of
-    the callers' rows against their queries — whatever the paths hold,
-    where an open-addressed table costs one lockstep round per collision
-    depth of its slowest lane. The matrix is sized by what is inserted,
-    not by the worst walk: its width doubles when the longest path fills
-    it, and as soon as fewer than half of its rows take part in a call
-    the others are *shelved* — their fingerprints leave the matrix for
-    one small array per warp — so a walker that has stopped stops
-    costing width. A shelved warp that calls again gets its row back.
-    A step costs ``callers x width`` compares: 45 k per warp over a
-    300-step walk, a few hundred over the 15-30 steps of a mean one.
-
-    Within one call every warp appears at most once (a walking warp
-    queries exactly one next-k-mer fingerprint per step).
+    the callers' rows against their queries, where an open-addressed
+    table costs a lockstep round per collision depth of its slowest lane.
+    The width doubles when the longest path fills it; once fewer than
+    half of the rows take part in a call the others are *shelved* (one
+    small array per warp) until their warp calls again, so a stopped
+    walker stops costing width. A step costs ``callers x width``
+    compares. Within one call every warp appears at most once.
     """
 
     def __init__(self, n_warps: int) -> None:
@@ -168,15 +158,10 @@ class VisitedFingerprintSet:
 
 @dataclass
 class WalkOutput:
-    """Functional + serial-chain output of one launch's walk phase.
-
-    The lockstep representation is primary: committed bases live in the
-    preallocated ``(n_warps, max_walk_len)`` ``base_codes`` matrix
-    (left-aligned, ``base_lens`` valid columns per row) and terminal
-    states in the int8 ``state_codes`` array
-    (:data:`~repro.core.extension.WALK_STATE_CODES`). The string/enum
-    views the pre-refactor engine returned are derived on demand.
-    """
+    """Functional + serial-chain output of one launch's walk phase:
+    left-aligned ``base_codes`` rows of ``base_lens`` bases and int8
+    ``state_codes`` (:data:`~repro.core.extension.WALK_STATE_CODES`);
+    the string / enum views are derived on demand."""
 
     base_codes: np.ndarray      #: (n_warps, max_walk_len) committed bases
     base_lens: np.ndarray       #: valid base count per warp
@@ -221,6 +206,18 @@ class WalkOutput:
                    overflowed=tuple(overflowed), rows=rows)
 
 
+@dataclass
+class WalkTape:
+    """One port's walk, for the other ports of its input to follow: per
+    step its :func:`~repro.kernels.engine.tally.walk_entry` (walkers,
+    found mask, committed), the walkers' homes and fingerprints and the
+    ``votes_at`` rows read (``None``: none); :attr:`out` is its output.
+    """
+
+    steps: list = field(default_factory=list)
+    out: WalkOutput | None = None
+
+
 class WalkPhase:
     """Mer-walks every warp's seed in lockstep, tallying its rounds.
 
@@ -236,28 +233,28 @@ class WalkPhase:
         self.policy = policy
         self.max_walk_len = max_walk_len
         self.seed = seed
-        #: The launch's attribution log (``None`` = off; see
-        #: :class:`ConstructPhase`): one entry per lookup round and per
-        #: walk step, *instead of* a tally row — a logged walk covers
-        #: several launches, and its driver attributes each launch's
-        #: rows from the log.
+        #: The program's attribution log (``None`` = off; see
+        #: :class:`ConstructPhase`): an entry per lookup round and walk
+        #: step *instead of* a tally row.
         self.log: list | None = None
+        #: A :class:`WalkTape` the next :meth:`run` takes: an empty one
+        #: records that walk, a lead's is followed (:meth:`_follow`).
+        self.tape: WalkTape | None = None
 
     def _on_probe_miss(self, found_slot: np.ndarray, missing: np.ndarray,
                        u: np.ndarray, miss: np.ndarray,
                        slots: np.ndarray) -> None:
-        """An empty slot ends the lookup: the key is absent.
-
-        Overridable so the buggy demo backend can instead treat the empty
-        slot as found and read its (never-written) votes.
-        """
+        """An empty slot ends the lookup: the key is absent (the buggy
+        demo backend reads the empty slot's votes instead)."""
         missing[u[miss]] = True
 
     def _lookup(self, a: np.ndarray, homes: np.ndarray, fps: np.ndarray,
                 tables: WarpHashTables, bus: EventBus, emit_slots: bool,
                 overflowed: list[int],
-                rows: list) -> tuple[np.ndarray, np.ndarray, int]:
-        """Probe all walking warps for their current key, in lockstep.
+                tally) -> tuple[np.ndarray, np.ndarray, int]:
+        """Probe all walking warps for their current key, in lockstep;
+        ``tally(u, au, occupied)`` counts each round's pending lanes
+        ``u`` (their warps ``au``) and the slots they found occupied.
 
         Returns ``(found_slot, missing, iterations)`` over ``a``-aligned
         arrays. The pending set is kept *compacted*: ``u`` shrinks as
@@ -269,7 +266,6 @@ class WalkPhase:
         u = np.arange(a.size, dtype=np.int64)
         probe_u = np.zeros(a.size, dtype=np.int64)
         iterations = 0
-        log = self.log
         while u.size:
             au = a[u]
             over = probe_u >= tables.capacities[au]
@@ -291,11 +287,7 @@ class WalkPhase:
             if emit_slots:
                 bus.emit(SlotAccess(slots=slots))
             occupied, slot_fp = tables.inspect(slots)
-            if log is None:
-                rows.append(lookup_row(u.size,
-                                       int(np.count_nonzero(occupied))))
-            else:
-                log.append(lookup_entry(au, occupied))
+            tally(u, au, occupied)
             hit = occupied & (slot_fp == fps[u])
             found_slot[u[hit]] = slots[hit]
             miss = ~occupied
@@ -305,8 +297,63 @@ class WalkPhase:
             u = u[cont]
         return found_slot, missing, iterations
 
+    def _follow(self, tape: WalkTape, tables: WarpHashTables) -> WalkOutput:
+        """Walk a lead's path in ``tables``, this port's own (the bases,
+        states and step count are the lead's). Only lookups run: a walk
+        never writes its tables, so all taped steps' lookups run as one
+        lockstep lookup, and each probe round is cut by step into the
+        rows (or log entries) this port's own walk writes, beside the
+        lead's step entries. Raises :class:`~repro.errors.KernelError`
+        if a lookup wraps, or the found lanes or the vote rows read
+        differ from the lead's.
+        """
+        lead, rows, log = tape.out, [], self.log
+        if not tape.steps:
+            return replace(lead, iterations=0, rows=rows)
+        entries, homes, fps, reads = zip(*tape.steps)
+        a, found, homes, fps = (np.concatenate(part) for part in (
+            [entry[1] for entry in entries], [entry[2] for entry in entries],
+            homes, fps))
+        cuts = np.cumsum([0, *(entry[1].size for entry in entries)])
+        # per probe round: the pending lanes' warps, which of them read an
+        # occupied slot, and where each step's lanes start
+        rounds, overflowed = [], []
+        slot, missing, _ = self._lookup(
+            a, homes, fps, tables, EventBus(), False, overflowed,
+            lambda u, au, occupied: rounds.append(
+                (au, occupied, np.searchsorted(u, cuts).tolist())))
+        read = [r for r in reads if r is not None]
+        if overflowed or not np.array_equal(slot >= 0, found) \
+                or not np.array_equal(missing, ~found) or read and not all(
+                    np.array_equal(got, np.concatenate(want)) for got, want
+                    in zip(tables.votes_at(slot[found]), zip(*read))):
+            raise KernelError(_DISAGREE)
+        chain = 0
+        for s, entry in enumerate(entries):
+            for au, occupied, cut in rounds:
+                lo, hi = cut[s], cut[s + 1]
+                if lo == hi:    # a step's pending lanes only shrink
+                    break
+                chain += 1
+                if log is None:
+                    rows.append(lookup_row(
+                        hi - lo, int(np.count_nonzero(occupied[lo:hi]))))
+                else:
+                    log.append(lookup_entry(au[lo:hi], occupied[lo:hi]))
+            if log is None:
+                _, walkers, f, _, _, committed = entry
+                rows.append(step_row(walkers.size, int(np.count_nonzero(f)),
+                                     0 if committed is None
+                                     else committed.size))
+            else:
+                log.append(entry)
+        return replace(lead, iterations=chain, rows=rows)
+
     def run(self, batch: Batch, tables: WarpHashTables,
             bus: EventBus) -> WalkOutput:
+        tape, self.tape = self.tape, None
+        if tape is not None and tape.out is not None:
+            return self._follow(tape, tables)
         n_warps = batch.n_warps
         max_len = self.max_walk_len
         cur = batch.seeds.copy()
@@ -332,6 +379,12 @@ class WalkPhase:
         emit_slots = bus.wants(SlotAccess)
         emit_reads = bus.wants(SlotRead)
         log = self.log
+        if log is None:
+            def tally(u, au, occupied):
+                rows.append(lookup_row(u.size, int(np.count_nonzero(occupied))))
+        else:
+            def tally(u, au, occupied):
+                log.append(lookup_entry(au, occupied))
         for _step in range(max_len + 1):
             if not alive.any():
                 break
@@ -345,18 +398,19 @@ class WalkPhase:
 
             # probe for the key (or an empty slot = not present)
             found_slot, missing, iters = self._lookup(
-                a, homes, fps, tables, bus, emit_slots, overflowed, rows)
+                a, homes, fps, tables, bus, emit_slots, overflowed, tally)
             chain += iters
 
             # resolve extensions for found keys
             res_states = np.full(a.size, -2, dtype=np.int8)
             res_bases = np.full(a.size, -1, dtype=np.int8)
             f = found_slot >= 0
+            read = None
             if f.any():
                 if emit_reads:
                     bus.emit(SlotRead(phase="walk", kind="vote_read",
                                       slots=found_slot[f], warps=a[f]))
-                hi_rows, lo_rows = tables.votes_at(found_slot[f])
+                read = hi_rows, lo_rows = tables.votes_at(found_slot[f])
                 s, b = resolve_extension_batch(hi_rows, lo_rows, self.policy)
                 res_states[f] = s
                 res_bases[f] = b
@@ -392,13 +446,19 @@ class WalkPhase:
                     np.uint8)
                 base_lens[ok] += 1
                 bases_committed = int(ok.size)
+            entry = walk_entry(a, f, committed)
             if log is None:
                 rows.append(step_row(a.size, int(f.sum()), bases_committed))
             else:
-                log.append(walk_entry(a, f, committed))
+                log.append(entry)
+            if tape is not None:
+                tape.steps.append((entry, homes, fps, read))
             first_step[a] = False
             alive = next_alive
-        return WalkOutput(base_codes=base_codes, base_lens=base_lens,
-                          state_codes=state_codes, steps=steps_run,
-                          iterations=chain, overflowed=tuple(overflowed),
-                          rows=rows)
+        out = WalkOutput(base_codes=base_codes, base_lens=base_lens,
+                         state_codes=state_codes, steps=steps_run,
+                         iterations=chain, overflowed=tuple(overflowed),
+                         rows=rows)
+        if tape is not None:
+            tape.out = out
+        return out

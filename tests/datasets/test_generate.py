@@ -1,5 +1,7 @@
 """Tests for the Table II dataset generator."""
 
+import hashlib
+
 import pytest
 
 from repro.core.extension import PRODUCTION_POLICY
@@ -9,6 +11,8 @@ from repro.errors import DatasetError
 from repro.genomics.contig import End
 
 SCALE = 0.01
+#: See ``test_paper_grid_inputs_are_pinned``.
+PAPER_GRID_SHA256 = "4f30319254d82aad4f24820935a5932057443c5f7c389260596a50a599ab885a"
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +47,21 @@ class TestShapes:
         a = generate_paper_dataset(33, scale=SCALE, seed=5)
         b = generate_paper_dataset(33, scale=SCALE, seed=6)
         assert any(ca.sequence != cb.sequence for ca, cb in zip(a, b))
+
+    def test_paper_grid_inputs_are_pinned(self):
+        """sha256 over every contig's and read's name and codes, and every
+        read's qualities, of the twelve inputs the paper grid is measured
+        on (scale 0.1): a change to the generator's arithmetic must not
+        change a byte of them."""
+        digest = hashlib.sha256()
+        for k in (21, 33, 55, 77):
+            for seed in (5, 11, 2024):
+                for c in generate_paper_dataset(k, scale=0.1, seed=seed):
+                    digest.update(c.name.encode() + c.codes.tobytes())
+                    for r in c.reads:
+                        digest.update(str(r.name).encode() + r.codes.tobytes()
+                                      + r.quals.tobytes())
+        assert digest.hexdigest() == PAPER_GRID_SHA256
 
     def test_unknown_k_rejected(self):
         with pytest.raises(DatasetError):

@@ -281,3 +281,44 @@ def test_walk_state_is_sized_by_what_walks():
     assert fused.n_warps >= 800 and out.steps > 100
     assert peak < 2048 * fused.n_warps, \
         f"{peak / fused.n_warps:.0f} B of walk state per warp"
+
+
+# ----------------------------------------------------------------------
+# one input, three ports: what following a lead's walk may hold
+# ----------------------------------------------------------------------
+
+#: What the lead's tape holds per walker-step: walker, homes and
+#: fingerprint (8 + 4 + 8 B), the found mask (1 B), the committed index
+#: (8 B) and the vote row read (32 B), rounded up.
+TAPE_BYTES_PER_STEP = 64
+
+
+def test_three_ports_hold_one_table_set_and_the_tape():
+    """A three-port k-run may hold, beyond the lead's own run, its tape
+    (:data:`TAPE_BYTES_PER_STEP` per walker-step) and the full batches
+    of a walk group, which the followers construct from after the lead
+    has walked — never a second port's tables beside the lead's: the
+    tables of all three ports in one walk group took 31 % more peak RSS
+    on ``paper_grid``."""
+    from repro.kernels import HipLocalAssemblyKernel, SyclLocalAssemblyKernel
+    from repro.kernels.engine import run_ports
+    from repro.simt.device import MAX1550, MI250X
+
+    contigs, k = _table2_run()      # its 8 launches share one walk group
+    kern = CudaLocalAssemblyKernel(A100)
+    solo, _ = _traced(lambda: kern.run(contigs, k))
+    walker_steps = kern.run(contigs, k).profile.lookups
+    held = sum(
+        sum(a.nbytes for a in (b.codes, b.quals, b.ins_warp, b.ins_home,
+                               b.ins_fp, b.ins_ext, b.ins_hi))
+        for b in (kern.preparer.prepare(contigs, plan.bin, plan.end, k)
+                  for plan in kern.launch_policy.plan(
+                      contigs, k, kern.launch_config())))
+    three, _ = _traced(lambda: run_ports(
+        [CudaLocalAssemblyKernel(A100), HipLocalAssemblyKernel(MI250X),
+         SyclLocalAssemblyKernel(MAX1550)], contigs, k))
+    allowed = solo + TAPE_BYTES_PER_STEP * walker_steps + held
+    assert walker_steps > 20_000
+    assert three < allowed, \
+        f"{(three - solo) / 1e6:.1f} MB over the lead's peak, " \
+        f"{(allowed - solo) / 1e6:.1f} MB allowed"

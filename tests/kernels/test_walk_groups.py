@@ -8,7 +8,9 @@ not be observable. These tests run every scenario twice — with the
 default budget and with budget 0, where every launch walks alone — and
 require extensions, every profile field and the whole event stream
 (type and fields) to be equal; they also pin the visited set the shared
-walk relies on against per-warp Python sets.
+walk relies on against per-warp Python sets. ``run_ports`` — the three
+ports of one input, the lead walking, the others following its walk in
+their own tables — is held to each port's own ``run`` the same way.
 """
 
 import dataclasses
@@ -19,13 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.extension import PRODUCTION_POLICY
-from repro.errors import HashTableFullError
+from repro.datasets.generate import generate_paper_dataset
+from repro.errors import HashTableFullError, KernelError
+from repro.genomics.kmer import fingerprint_matrix
 from repro.genomics.contig import End
 from repro.kernels import (CudaLocalAssemblyKernel, HipLocalAssemblyKernel,
                            SyclLocalAssemblyKernel)
-from repro.kernels.engine import (BatchPreparer, ContigDropped,
-                                  ContigRetried, CountRecorder, LaunchDone,
-                                  VisitedFingerprintSet, oracle_kernel_cls,
+from repro.kernels.engine import (BatchPreparer, ConstructPhase,
+                                  ContigDropped, ContigRetried, CountRecorder,
+                                  LaunchDone, VisitedFingerprintSet,
+                                  oracle_kernel_cls, run_ports,
                                   run_schedule_coalesced)
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.simt.device import A100, MAX1550, MI250X
@@ -290,6 +295,144 @@ class TestGroupOverflow:
             overflow_policy="raise")
         assert "wrapped during walk lookup" in str(alone.error)
         assert grouped.walks == 1
+
+
+# ----------------------------------------------------------------------
+# one input, three ports: the lead walks, the followers follow
+# ----------------------------------------------------------------------
+
+
+def _ports(budget=None, preparer_cls=None, **opts):
+    """Fresh CUDA / HIP / SYCL kernels, each with a ``CountRecorder``."""
+    kernels = []
+    for cls, device in PORTS:
+        if preparer_cls is not None:
+            cls = type(cls.__name__, (cls,), {"preparer_cls": preparer_cls})
+        kern = cls(device, policy=PRODUCTION_POLICY, **opts)
+        if budget is not None:
+            kern.walk_group_slots = budget
+        kern.add_subscriber(CountRecorder())
+        kernels.append(kern)
+    return kernels
+
+
+def assert_shared_parity(contigs, k, budget=None, preparer_cls=None,
+                         **opts):
+    """Each port's result from one shared k-run equals its own ``run``:
+    extensions, overflow sets, every profile field and the events a
+    subscriber saw. Returns, per walk, whether it followed a lead."""
+    kernels = _ports(budget, preparer_cls, **opts)
+    walks = []
+    for kern in kernels:
+        class Counted(kern.walk_cls):
+            def run(self, batch, tables, bus):
+                walks.append(self.tape is not None
+                             and self.tape.out is not None)
+                return super().run(batch, tables, bus)
+
+        kern.walk_cls = Counted
+    shared = run_ports(kernels, contigs, k)
+    for kern, alone, got in zip(kernels, _ports(budget, preparer_cls, **opts),
+                                shared):
+        want = alone.run(contigs, k)
+        assert got == want
+        assert dataclasses.asdict(got.profile) \
+            == dataclasses.asdict(want.profile)
+        assert kern.extra_subscribers[0].events \
+            == alone.extra_subscribers[0].events
+    return walks
+
+
+class TestSharedKRun:
+    @pytest.mark.parametrize("k", [21, 33, 55, 77])
+    @pytest.mark.parametrize("budget", [0, 1 << 12, None])
+    def test_paper_shaped_inputs(self, k, budget):
+        """Table II shapes at every k, with no walk groups, small ones
+        (some launches walk alone) and the default budget."""
+        contigs = generate_paper_dataset(k, scale=0.005, seed=11)
+        walks = assert_shared_parity(contigs, k, budget)
+        # two followers per lead walk; budget 0 does not fuse, so every
+        # port walks on its own
+        assert sum(walks) == (0 if budget == 0 else 2 * walks.count(False))
+
+    @pytest.mark.parametrize("seed", [5, 2024])
+    def test_seeded_binned_inputs(self, seed):
+        walks = assert_shared_parity(_binned(seed, error_rate=0.01), K)
+        assert sum(walks) == 2 * walks.count(False) > 0
+
+    @pytest.mark.parametrize("policy", ["drop-contig", "grow-retry"])
+    @pytest.mark.parametrize("budget", [1 << 9, None])
+    def test_table_pressure_falls_back(self, policy, budget):
+        """A program whose lead overflowed — the ``tight`` contigs' walks
+        wrap, every left end's construct overflows — is walked by every
+        follower on its own; with launches walking alone, the other right
+        ends are still followed."""
+        contigs = _binned(seed=13) + _job(seed=1, n=3)
+        walks = assert_shared_parity(
+            contigs, K, budget, WalkThenConstructPreparer,
+            overflow_policy=policy, grow_factor=3.0)
+        assert not all(walks)
+        assert any(walks) == (budget is not None)
+
+    def test_ports_that_disagree_run_alone(self):
+        contigs = _binned(seed=3)
+        kernels = _ports()
+        kernels[2].policy = dataclasses.replace(PRODUCTION_POLICY,
+                                                min_depth=2)
+        shared = run_ports(kernels, contigs, K)
+        alone = _ports()[2]
+        alone.policy = kernels[2].policy
+        assert shared[2] == alone.run(contigs, K)
+
+    def test_a_follower_with_another_budget_follows_the_leads_groups(self):
+        """Grouping is not observable, so a follower walks in the lead's
+        groups whatever its own ``walk_group_slots``."""
+        contigs = _binned(seed=3)
+        kernels = _ports()
+        kernels[1].walk_group_slots = 1 << 9
+        walked = []
+
+        class Counted(kernels[1].walk_cls):
+            def run(self, batch, tables, bus):
+                walked.append(self.tape is not None)
+                return super().run(batch, tables, bus)
+
+        kernels[1].walk_cls = Counted
+        shared = run_ports(kernels, contigs, K)
+        alone = _ports()[1]
+        alone.walk_group_slots = 1 << 9
+        assert walked == [True] and shared[1] == alone.run(contigs, K)
+
+    def test_a_follower_table_that_differs_raises(self):
+        """A seeded mutant bumps one vote cell — of the key warp w's walk
+        reads first — in the HIP port's table: its own run just extends
+        differently, but following the lead it must raise, not count."""
+        contigs = _binned(seed=3)
+        rng = np.random.default_rng(7)
+
+        class BumpOneVote(ConstructPhase):
+            bumped = False
+
+            def run(self, batch, tables, bus):
+                out = super().run(batch, tables, bus)
+                if not BumpOneVote.bumped:
+                    w = int(rng.choice(np.flatnonzero(batch.seed_valid)))
+                    fp = fingerprint_matrix(batch.seeds[w:w + 1])[0]
+                    lo, hi = tables.offsets[w], tables.offsets[w + 1]
+                    slot = lo + np.flatnonzero(tables.occupied[lo:hi]
+                                               & (tables.fp[lo:hi] == fp))[0]
+                    tables.votes[tables.row[slot], rng.integers(8)] += 1
+                    BumpOneVote.bumped = True
+                return out
+
+        kernels = _ports()
+        kernels[1].construct_cls = BumpOneVote
+        with pytest.raises(KernelError, match="disagrees"):
+            run_ports(kernels, contigs, K)
+        BumpOneVote.bumped = False
+        mutant = _ports()[1]
+        mutant.construct_cls = BumpOneVote
+        mutant.run(contigs, K)
 
 
 # ----------------------------------------------------------------------

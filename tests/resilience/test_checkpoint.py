@@ -12,6 +12,7 @@ from repro.analysis.experiments import (
     ExperimentSuite,
     RunRecord,
 )
+from repro.core.extension import DEFAULT_POLICY, PRODUCTION_POLICY
 from repro.errors import CheckpointError
 from repro.resilience import (
     CheckpointStore,
@@ -309,6 +310,17 @@ class TestSuiteResume:
         n_resumed = sum(r["from_checkpoint"]
                         for r in resumed.resilience_summary())
         assert n_resumed == 1
+
+    def test_a_different_walk_policy_does_not_resume(self, tmp_path):
+        """The walk policy changes every extension, so a suite under one
+        policy must not restore the records of another."""
+        ExperimentSuite(ExperimentConfig(
+            **CFG, checkpoint_dir=str(tmp_path),
+            policy=PRODUCTION_POLICY)).run(A100, K)
+        other = ExperimentSuite(ExperimentConfig(
+            **CFG, checkpoint_dir=str(tmp_path), policy=DEFAULT_POLICY))
+        with pytest.raises(CheckpointError, match="different configuration"):
+            other.run(A100, K)
 
     def test_transient_failure_retried_in_place(self):
         sleeps = []
