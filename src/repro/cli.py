@@ -32,7 +32,7 @@ from repro.genomics.io import read_dat, write_dat, write_fasta
 from repro.kernels import available_backends, resolve_backend
 from repro.kernels.engine import replay_l2_hit_rate, replay_suggested_l2_churn
 from repro.resilience import OverflowPolicy
-from repro.sanitize import parse_checks  # also registers the buggy-demo backend
+from repro.sanitize import parse_checks
 from repro.simt.device import PLATFORMS, device_by_name
 
 #: CLI spellings of the overflow policies.

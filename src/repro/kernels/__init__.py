@@ -17,13 +17,13 @@ All three run on the staged execution engine in
 (extensions); they differ in measured iteration counts, instruction
 counts, synchronization counts, and predication statistics. Together
 with the scalar CPU reference
-(:class:`repro.kernels.engine.backend.ScalarReferenceBackend`) they
-register in the engine's backend registry, so callers select execution
-paths by name (:func:`repro.kernels.engine.create_backend`), by device
-(:func:`repro.kernels.engine.backend_for_device`), or — what every front
-door does — by either (:func:`repro.kernels.engine.resolve_backend`).
+(:class:`repro.kernels.engine.backend.ScalarReferenceBackend`) they make
+up :data:`BACKENDS`, so callers select execution paths by name
+(:func:`create_backend`), by device (:func:`backend_for_device`), or —
+what every front door does — by either (:func:`resolve_backend`).
 """
 
+from repro.errors import KernelError
 from repro.kernels.cuda_kernel import CudaLocalAssemblyKernel
 from repro.kernels.engine import (
     ExecutionBackend,
@@ -31,19 +31,15 @@ from repro.kernels.engine import (
     LocalAssemblyKernel,
     ProtocolCosts,
     ScalarReferenceBackend,
-    available_backends,
-    backend_for_device,
-    create_backend,
-    register_backend,
-    resolve_backend,
 )
-from repro.kernels.engine.backend import _REGISTRY
 from repro.kernels.hip_kernel import HipLocalAssemblyKernel
 from repro.kernels.sycl_kernel import SyclLocalAssemblyKernel
 from repro.kernels.vectortable import WarpHashTables
-from repro.simt.device import A100, MAX1550, MI250X
+from repro.simt.device import A100, MAX1550, MI250X, DeviceSpec
 
 __all__ = [
+    "BACKENDS",
+    "WAVE_BACKENDS",
     "ExecutionBackend",
     "KernelRunResult",
     "LocalAssemblyKernel",
@@ -57,41 +53,68 @@ __all__ = [
     "backend_for_device",
     "create_backend",
     "kernel_for_device",
-    "register_backend",
     "resolve_backend",
 ]
 
+#: Every execution backend by name (case-insensitive): its class and the
+#: device it runs on when the caller names none — each port's paper
+#: device (Table I); the scalar reference runs device-less.
+BACKENDS = {
+    "cuda": (CudaLocalAssemblyKernel, A100),
+    "hip": (HipLocalAssemblyKernel, MI250X),
+    "scalar": (ScalarReferenceBackend, None),
+    "sycl": (SyclLocalAssemblyKernel, MAX1550),
+}
 
-def _register_ports() -> None:
-    """Register the SIMT ports (idempotent; each with its paper device)."""
-    defaults = {
-        "cuda": (CudaLocalAssemblyKernel, A100),
-        "hip": (HipLocalAssemblyKernel, MI250X),
-        "sycl": (SyclLocalAssemblyKernel, MAX1550),
-    }
-    for name, (cls, default_device) in defaults.items():
-        if name in _REGISTRY:
-            continue
+#: Device programming model -> backend name (the paper's Table I).
+_MODEL_TO_BACKEND = {device.programming_model: name
+                     for name, (_, device) in BACKENDS.items()
+                     if device is not None}
 
-        def factory(device=None, *, _cls=cls, _default=default_device, **kw):
-            return _cls(device if device is not None else _default, **kw)
-
-        register_backend(name, factory)
-
-    if "buggy-demo" not in _REGISTRY:
-        # the sanitizer's self-test backend lives in repro.sanitize (which
-        # depends on this package); register it lazily so it is selectable
-        # by name regardless of import order, without a module-level cycle
-        def buggy_factory(device=None, **kw):
-            from repro.sanitize.demo import BuggyDemoKernel
-
-            return BuggyDemoKernel(device if device is not None else A100,
-                                   **kw)
-
-        register_backend("buggy-demo", buggy_factory)
+#: The names a coalesced wave can drive: ``"auto"`` and Table I's ports
+#: (the scalar reference has no launches to fuse).
+WAVE_BACKENDS = ("auto", *_MODEL_TO_BACKEND.values())
 
 
-_register_ports()
+def available_backends() -> tuple[str, ...]:
+    """Backend names, sorted."""
+    return tuple(sorted(BACKENDS))
+
+
+def create_backend(name: str, device: DeviceSpec | None = None,
+                   **kwargs) -> ExecutionBackend:
+    """Instantiate a backend by name, on ``device`` or its default one."""
+    try:
+        cls, default = BACKENDS[name.lower()]
+    except KeyError:
+        raise KernelError(
+            f"unknown backend {name!r}; available: {available_backends()}"
+        ) from None
+    return cls(device if device is not None else default, **kwargs)
+
+
+def backend_for_device(device: DeviceSpec, **kwargs) -> ExecutionBackend:
+    """The backend matching a device's programming model."""
+    name = _MODEL_TO_BACKEND.get(device.programming_model)
+    if name is None:
+        raise KernelError(
+            f"no backend for programming model {device.programming_model!r}"
+        )
+    return create_backend(name, device=device, **kwargs)
+
+
+def resolve_backend(name: str, device: DeviceSpec,
+                    **kwargs) -> ExecutionBackend:
+    """The backend a front door's ``--backend`` / ``"backend"`` names.
+
+    ``"auto"`` follows the device's programming model
+    (:func:`backend_for_device`); ``"scalar"`` has no device model and
+    runs device-less; any other name runs on ``device``.
+    """
+    if name == "auto":
+        return backend_for_device(device, **kwargs)
+    return create_backend(name, device=None if name == "scalar" else device,
+                          **kwargs)
 
 
 def kernel_for_device(device, **kwargs):

@@ -9,8 +9,7 @@ tally per launch (:mod:`~repro.kernels.engine.tally`) and observed through
 an event bus (:mod:`~repro.kernels.engine.events`). Execution paths
 (the three SIMT vendor ports plus the scalar CPU reference) implement the
 :class:`~repro.kernels.engine.backend.ExecutionBackend` protocol and are
-selected by name from the backend registry
-(:mod:`~repro.kernels.engine.backend`).
+selected by name from :data:`repro.kernels.BACKENDS`.
 """
 
 from repro.kernels.engine.backend import (
@@ -18,11 +17,6 @@ from repro.kernels.engine.backend import (
     KernelRunResult,
     ProtocolCosts,
     ScalarReferenceBackend,
-    available_backends,
-    backend_for_device,
-    create_backend,
-    register_backend,
-    resolve_backend,
 )
 from repro.kernels.engine.coalesce import (
     CoalescedJobResult,
@@ -91,16 +85,11 @@ from repro.kernels.engine.walk import (
 )
 
 __all__ = [
-    # backend protocol + registry
+    # backend protocol
     "ExecutionBackend",
     "KernelRunResult",
     "ProtocolCosts",
     "ScalarReferenceBackend",
-    "available_backends",
-    "backend_for_device",
-    "create_backend",
-    "register_backend",
-    "resolve_backend",
     # phases
     "ConstructPhase",
     "ConstructResult",

@@ -1,19 +1,19 @@
-"""Execution backends: the protocol, the registry, and the scalar port.
+"""Execution backends: the protocol and the scalar port.
 
 A *backend* is anything that can execute the local-assembly workflow —
 the three SIMT vendor ports (CUDA / HIP / SYCL, thin
 :class:`ProtocolCosts` + warp-size configurations over the shared
 engine) and the scalar CPU reference over :mod:`repro.core.reference`'s
 dict table and string walk — the one CPU local assembler. All of them
-implement :class:`ExecutionBackend` and register themselves in one
-registry, so the experiment suite, the CLI, the de novo assembler and
-the benchmarks select execution paths by name rather than by import.
+implement :class:`ExecutionBackend`; :data:`repro.kernels.BACKENDS`
+names the four, so the experiment suite, the CLI, the de novo assembler
+and the benchmarks select execution paths by name rather than by import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.core.construct import insertions_for
 from repro.core.extension import (
@@ -23,7 +23,7 @@ from repro.core.extension import (
     WalkState,
 )
 from repro.core.reference import reference_table, reference_walk
-from repro.errors import HashTableFullError, KernelError
+from repro.errors import HashTableFullError
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import reverse_complement
 from repro.genomics.reads import Read, ReadSet
@@ -70,75 +70,6 @@ class ExecutionBackend(Protocol):
                      k_schedule: tuple[int, ...] = (21, 33, 55, 77),
                      **kwargs) -> KernelRunResult:
         ...
-
-
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-
-_REGISTRY: dict[str, Callable[..., ExecutionBackend]] = {}
-
-#: Device programming model -> registry name (the paper's Table I).
-_MODEL_TO_BACKEND = {"CUDA": "cuda", "HIP": "hip", "SYCL": "sycl"}
-
-#: The names a coalesced wave can drive: ``"auto"`` and Table I's ports.
-#: Registered is not enough — the scalar reference has no launches to
-#: fuse and the sanitizer's demo kernel is wrong on purpose.
-WAVE_BACKENDS = ("auto", *_MODEL_TO_BACKEND.values())
-
-
-def register_backend(name: str, factory: Callable[..., ExecutionBackend],
-                     *, overwrite: bool = False) -> None:
-    """Register a backend factory under ``name`` (case-insensitive).
-
-    The factory is called as ``factory(device=..., **kwargs)``; ``device``
-    may be ``None`` for device-less backends (the scalar reference).
-    """
-    key = name.lower()
-    if key in _REGISTRY and not overwrite:
-        raise KernelError(f"backend {name!r} already registered")
-    _REGISTRY[key] = factory
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def create_backend(name: str, device: DeviceSpec | None = None,
-                   **kwargs) -> ExecutionBackend:
-    """Instantiate a registered backend by name."""
-    try:
-        factory = _REGISTRY[name.lower()]
-    except KeyError:
-        raise KernelError(
-            f"unknown backend {name!r}; available: {available_backends()}"
-        ) from None
-    return factory(device=device, **kwargs)
-
-
-def backend_for_device(device: DeviceSpec, **kwargs) -> ExecutionBackend:
-    """The backend matching a device's programming model."""
-    name = _MODEL_TO_BACKEND.get(device.programming_model)
-    if name is None:
-        raise KernelError(
-            f"no backend for programming model {device.programming_model!r}"
-        )
-    return create_backend(name, device=device, **kwargs)
-
-
-def resolve_backend(name: str, device: DeviceSpec,
-                    **kwargs) -> ExecutionBackend:
-    """The backend a front door's ``--backend`` / ``"backend"`` names.
-
-    ``"auto"`` follows the device's programming model
-    (:func:`backend_for_device`); ``"scalar"`` has no device model and
-    runs device-less; any other registered name runs on ``device``.
-    """
-    if name == "auto":
-        return backend_for_device(device, **kwargs)
-    return create_backend(name, device=None if name == "scalar" else device,
-                          **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +211,3 @@ class ScalarReferenceBackend:
             lambda k, pending: self.run(contigs, k, pending=pending),
             len(contigs), k_schedule).result(self.device)
 
-
-register_backend("scalar",
-                 lambda device=None, **kw: ScalarReferenceBackend(device=device,
-                                                                  **kw))

@@ -16,7 +16,7 @@ the :class:`~repro.kernels.engine.events.SlotAccess` of every probe and,
 for a sanitizer, :class:`~repro.kernels.engine.events.SlotWrite` /
 :class:`~repro.kernels.engine.events.BarrierSync` records at every slot
 commit and synchronization point — small overridable steps, where the
-buggy demo backend (:mod:`repro.sanitize.demo`) seeds its violations.
+sanitizer's test mutants seed their violations.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class ConstructPhase:
         self._final_slot: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    # slot-state commit hooks (overridden by the buggy demo backend)
+    # slot-state commit hooks (overridden by the sanitizer's test mutants)
 
     def _claim(self, tables: WarpHashTables, slots: np.ndarray,
                fps: np.ndarray, warps: np.ndarray,

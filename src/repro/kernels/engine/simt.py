@@ -195,9 +195,9 @@ class LocalAssemblyKernel:
 
     protocol: ProtocolCosts  # set by subclasses
 
-    #: Phase factories (the sanitizer demo and the parity oracle swap
-    #: in their own; the oracle also overrides :meth:`_scatter` and
-    #: :meth:`_iterate_k_schedule`).
+    #: Phase factories (the sanitizer's test mutants and the parity
+    #: oracle swap in their own; the oracle also overrides
+    #: :meth:`_scatter` and :meth:`_iterate_k_schedule`).
     construct_cls = ConstructPhase
     walk_cls = WalkPhase
     preparer_cls = BatchPreparer

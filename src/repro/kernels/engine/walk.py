@@ -16,8 +16,8 @@ in :attr:`WalkOutput.rows`, or logged as arrays when a driver fuses
 launches. Evidence goes to the event bus only where ``bus.wants`` it:
 the :class:`~repro.kernels.engine.events.SlotAccess` of every probe and
 the :class:`~repro.kernels.engine.events.SlotRead` of every vote read
-(the buggy demo backend overrides :meth:`WalkPhase._on_probe_miss` to
-read empty slots, the bug initcheck must catch). A walk's path is
+(the sanitizer's test mutants override :meth:`WalkPhase._on_probe_miss`
+to read empty slots, the bug initcheck must catch). A walk's path is
 port-invariant, so one port's walk can be taped and the other ports'
 walks follow it (:class:`WalkTape`).
 """
@@ -244,8 +244,8 @@ class WalkPhase:
     def _on_probe_miss(self, found_slot: np.ndarray, missing: np.ndarray,
                        u: np.ndarray, miss: np.ndarray,
                        slots: np.ndarray) -> None:
-        """An empty slot ends the lookup: the key is absent (the buggy
-        demo backend reads the empty slot's votes instead)."""
+        """An empty slot ends the lookup: the key is absent (the
+        sanitizer's test mutants read the empty slot's votes instead)."""
         missing[u[miss]] = True
 
     def _lookup(self, a: np.ndarray, homes: np.ndarray, fps: np.ndarray,

@@ -29,7 +29,7 @@ from repro.core.extension import PRODUCTION_POLICY, WalkPolicy
 from repro.errors import KmerError
 from repro.genomics.contig import Contig, ContigExtension, End
 from repro.genomics.reads import ReadSet
-from repro.kernels.engine import LocalAssemblyKernel, create_backend
+from repro.kernels import LocalAssemblyKernel, create_backend
 from repro.metahipmer.stages import (
     STAGE_ORDER,
     STAGES,

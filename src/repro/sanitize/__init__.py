@@ -6,9 +6,9 @@ Two prongs, modeled on the vendor tool split:
   subscriber shadowing hash-table slot state while a kernel runs
   (``compute-sanitizer``-style racecheck / synccheck / initcheck);
   enabled per run with ``LocalAssemblyKernel(..., sanitize="all")`` or
-  ``repro-locassm run --sanitize all``. The deliberately-buggy
-  ``buggy-demo`` backend (:mod:`~repro.sanitize.demo`) seeds one bug per
-  checker — the mutation-style self-test that proves each checker can
+  ``repro-locassm run --sanitize all``. The test suite's mutants
+  (``tests/sanitize``) seed one bug per checker into the CUDA port's
+  phases — the mutation-style self-test that proves each checker can
   actually catch its bug class.
 * **static** — :mod:`~repro.sanitize.lint`, an AST lint engine with
   per-file repo-invariant rules, plus :mod:`~repro.sanitize.semantic`,
@@ -18,16 +18,12 @@ Two prongs, modeled on the vendor tool split:
   ``repro-locassm lint``.
 """
 
-from repro.sanitize import demo as _demo  # noqa: F401  (registers buggy-demo)
 from repro.sanitize.checkers import MAX_FINDINGS_PER_BATCH, Sanitizer
-from repro.sanitize.demo import BUGS, BuggyDemoKernel
 from repro.sanitize.lint import (
     RULES,
     LintFinding,
     LintRule,
     expand_select,
-    lint_paths,
-    lint_source,
     render_json,
     render_text,
     select_rules,
@@ -47,8 +43,6 @@ from repro.sanitize.report import (
 
 __all__ = [
     # dynamic prong
-    "BUGS",
-    "BuggyDemoKernel",
     "CHECKS",
     "MAX_FINDINGS_PER_BATCH",
     "Sanitizer",
@@ -63,8 +57,6 @@ __all__ = [
     "SemanticRule",
     "analyze_paths",
     "expand_select",
-    "lint_paths",
-    "lint_source",
     "render_json",
     "render_sarif",
     "render_text",

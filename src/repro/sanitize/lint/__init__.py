@@ -9,9 +9,6 @@ from repro.sanitize.lint.engine import (
     LintFinding,
     LintRule,
     expand_select,
-    iter_python_files,
-    lint_paths,
-    lint_source,
     register_rule,
     render_json,
     render_text,
@@ -28,9 +25,6 @@ __all__ = [
     "LintFinding",
     "LintRule",
     "expand_select",
-    "iter_python_files",
-    "lint_paths",
-    "lint_source",
     "register_rule",
     "render_json",
     "render_text",

@@ -1,9 +1,10 @@
-"""The repo-invariant lint engine: AST rules, findings, and runners.
+"""The repo-invariant lint engine: AST rules, findings, and rendering.
 
 A :class:`LintRule` parses nothing itself — it visits an :mod:`ast` tree
-(one per file) and yields :class:`LintFinding` records. The engine
-(:func:`lint_source`, :func:`lint_paths`) handles file discovery,
-parsing, and rendering (``text`` / ``json``). Rules register in
+(one per file) and yields :class:`LintFinding` records; file discovery
+and parsing belong to the one runner,
+:func:`~repro.sanitize.semantic.analyzer.analyze_paths`, and this module
+renders (``text`` / ``json``). Rules register in
 :data:`RULES` keyed by their stable rule id (``REP0xx``), which is what
 ``repro lint --select`` and the finding output use.
 
@@ -20,7 +21,6 @@ import ast
 import json
 import re
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Iterable, Iterator
 
 
@@ -108,40 +108,8 @@ def select_rules(select: Iterable[str] | None = None) -> list[LintRule]:
     items (exact ids, ``REP0xx-REP0yy`` ranges, or ``REP0``-style
     prefixes — see :func:`expand_select`)."""
     if select is None:
-        return list(RULES.values())
+        return [RULES[r] for r in sorted(RULES)]
     return [RULES[s] for s in expand_select(select)]
-
-
-def lint_source(source: str, path: str = "<string>",
-                rules: Iterable[LintRule] | None = None) -> list[LintFinding]:
-    """Lint one source string; returns findings sorted by location."""
-    tree = ast.parse(source, filename=path)
-    findings: list[LintFinding] = []
-    for rule in (rules if rules is not None else select_rules()):
-        findings.extend(rule.check(tree, path))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
-    """Expand files/directories into ``.py`` files, sorted for stability."""
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            yield from sorted(p.rglob("*.py"))
-        else:
-            yield p
-
-
-def lint_paths(paths: Iterable[str | Path],
-               rules: Iterable[LintRule] | None = None) -> list[LintFinding]:
-    """Lint files and directories (recursively); returns all findings."""
-    rules = list(rules if rules is not None else select_rules())
-    findings: list[LintFinding] = []
-    for file in iter_python_files(paths):
-        findings.extend(
-            lint_source(file.read_text(encoding="utf-8"), str(file), rules))
-    return findings
 
 
 def render_text(findings: list[LintFinding]) -> str:

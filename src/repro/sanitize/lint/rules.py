@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.sanitize.lint.engine import LintFinding, LintRule, register_rule
+from repro.sanitize.semantic.summary import blocking_desc
 
 #: Module aliases accepted as "this is NumPy".
 _NUMPY_NAMES = ("np", "numpy")
@@ -304,34 +305,9 @@ class BlockingCallInServeRule(LintRule):
     rule_id = "REP007"
     description = "blocking call on the event loop in a serve coroutine"
 
-    #: ``module.name`` attribute calls that block the calling thread.
-    _BLOCKING_ATTRS = {
-        "time": frozenset({"sleep"}),
-        "os": frozenset({"fsync"}),
-        "subprocess": frozenset({"run", "call", "check_call",
-                                 "check_output"}),
-    }
-
-    #: Method names that do file I/O regardless of the receiver (Path).
-    _IO_METHODS = frozenset({"read_text", "write_text", "read_bytes",
-                             "write_bytes"})
-
     @staticmethod
     def _applies(path: str) -> bool:
         return "serve" in Path(path).parts
-
-    def _blocking_desc(self, call: ast.Call) -> str | None:
-        func = call.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            return "open()"
-        if not isinstance(func, ast.Attribute):
-            return None
-        if func.attr in self._IO_METHODS:
-            return f".{func.attr}()"
-        if isinstance(func.value, ast.Name):
-            if func.attr in self._BLOCKING_ATTRS.get(func.value.id, ()):
-                return f"{func.value.id}.{func.attr}()"
-        return None
 
     def _scan(self, fn: ast.AsyncFunctionDef,
               path: str) -> Iterator[LintFinding]:
@@ -343,7 +319,7 @@ class BlockingCallInServeRule(LintRule):
                     # coroutines get their own pass from check()
                     continue
                 if isinstance(child, ast.Call):
-                    desc = self._blocking_desc(child)
+                    desc = blocking_desc(child)
                     if desc is not None:
                         yield self.finding(
                             child, path,

@@ -5,9 +5,9 @@ Each rule subclasses :class:`SemanticRule`: it registers in the shared
 ``--explain`` treat the whole catalog uniformly) but its per-file
 ``check`` is a no-op — the real work happens in ``check_project``,
 which sees the :class:`~repro.sanitize.semantic.callgraph.Project`
-built from every file at once. ``repro lint`` runs both passes;
-:func:`~repro.sanitize.lint.engine.lint_source` (single string, no
-project) naturally runs only the syntactic catalog.
+built from every file at once. ``repro lint``
+(:func:`~repro.sanitize.semantic.analyzer.analyze_paths`) runs both
+passes.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from typing import Iterable
 #: Module aliases accepted as "this is NumPy".
 _NUMPY_NAMES = ("np", "numpy")
 
-#: ``module.attr`` calls that block the calling thread (REP007's set).
+#: ``module.attr`` calls that block the calling thread.
 BLOCKING_ATTRS = {
     "time": frozenset({"sleep"}),
     "os": frozenset({"fsync"}),
@@ -131,8 +131,11 @@ def _classify_call(call: ast.Call) -> tuple[str, str, str] | None:
     return None
 
 
-def _blocking_desc(call: ast.Call) -> str | None:
-    """REP007's direct-blocker detector, applied to any function."""
+def blocking_desc(call: ast.Call) -> str | None:
+    """What a call blocks on (``"open()"``, ``".read_text()"``,
+    ``"time.sleep()"``), or ``None`` — the one direct-blocker detector:
+    REP007 applies it to serve coroutines, the summaries to any
+    function."""
     func = call.func
     if isinstance(func, ast.Name) and func.id == "open":
         return "open()"
@@ -394,7 +397,7 @@ class _FunctionAnalyzer:
             kind, name, recv = site
             self.calls.append({"kind": kind, "name": name, "recv": recv,
                                "line": call.lineno, "col": call.col_offset})
-        desc = _blocking_desc(call)
+        desc = blocking_desc(call)
         if desc is not None:
             self.blocking.append({"desc": desc, "line": call.lineno,
                                   "col": call.col_offset})

@@ -23,6 +23,12 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 MAX_HEADER_LINES = 100
 MAX_HEADER_BYTES = 64 * 1024
 
+#: Seconds a message's headers and body may take to arrive once its
+#: start line has: a peer that stalls mid-message is refused instead of
+#: holding its connection task. The wait for the next start line (an
+#: idle keep-alive connection) is not bounded.
+MESSAGE_DEADLINE_S = 30.0
+
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
             409: "Conflict", 429: "Too Many Requests",
             503: "Service Unavailable"}
@@ -61,6 +67,17 @@ async def read_message(reader: asyncio.StreamReader,
     start_line = (await _read_line(reader)).strip()
     if not start_line:
         return None
+    try:
+        body = await asyncio.wait_for(_read_headers_and_body(reader),
+                                      MESSAGE_DEADLINE_S)
+    except asyncio.TimeoutError:
+        raise ProtocolError(
+            f"message incomplete {MESSAGE_DEADLINE_S} s after its start "
+            f"line") from None
+    return start_line, body
+
+
+async def _read_headers_and_body(reader: asyncio.StreamReader) -> bytes:
     length = lines = size = 0
     while (header := await _read_line(reader)).strip():
         lines, size = lines + 1, size + len(header)
@@ -77,8 +94,7 @@ async def read_message(reader: asyncio.StreamReader,
     if not 0 <= length <= MAX_BODY_BYTES:
         raise ProtocolError(
             f"Content-Length must be a number in 0..{MAX_BODY_BYTES}")
-    body = await reader.readexactly(length) if length else b""
-    return start_line, body
+    return await reader.readexactly(length) if length else b""
 
 
 async def read_request(reader: asyncio.StreamReader,
@@ -97,5 +113,5 @@ async def read_request(reader: asyncio.StreamReader,
 
 
 __all__ = ["MAX_BODY_BYTES", "MAX_HEADER_BYTES", "MAX_HEADER_LINES",
-           "frame_message", "read_message", "read_request",
-           "status_line"]
+           "MESSAGE_DEADLINE_S", "frame_message", "read_message",
+           "read_request", "status_line"]

@@ -30,8 +30,8 @@ from enum import Enum
 from repro.errors import DatasetError, ReproError
 from repro.genomics.contig import Contig
 from repro.genomics.io import loads_dat
+from repro.kernels import WAVE_BACKENDS
 from repro.kernels.engine import validate_k_schedule
-from repro.kernels.engine.backend import WAVE_BACKENDS
 from repro.resilience.checkpoint import profile_to_dict, result_to_dict
 from repro.resilience.policy import OverflowPolicy
 from repro.simt.device import device_by_name

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from repro.core.extension import PRODUCTION_POLICY
 from repro.errors import ReproError
-from repro.kernels.engine import resolve_backend, run_schedule_coalesced
+from repro.kernels import resolve_backend
+from repro.kernels.engine import run_schedule_coalesced
 from repro.serve.protocol import error_to_payload, parse_contigs, \
     result_to_payload, spec_from_dict
 from repro.simt.device import device_by_name

@@ -1,10 +1,10 @@
-"""Backend registry + cross-backend functional parity.
+"""Backend table + cross-backend functional parity.
 
 Every execution path — the three SIMT vendor ports and the scalar CPU
 reference — must produce *identical* extension bases and walk states on
 the same dataset; they may differ only in profile counters (warp width,
-instruction counts, memory traffic). The registry is the single place
-callers select paths by name or by device.
+instruction counts, memory traffic). ``repro.kernels.BACKENDS`` is the
+single place callers select paths by name or by device.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from repro.core.extension import PRODUCTION_POLICY
 from repro.errors import KernelError
 from repro.genomics.simulate import PERFECT_READS, ScenarioSpec, simulate_batch
 from repro.kernels import (
+    WAVE_BACKENDS,
     CudaLocalAssemblyKernel,
     HipLocalAssemblyKernel,
     ScalarReferenceBackend,
@@ -27,7 +28,6 @@ from repro.kernels import (
     resolve_backend,
 )
 from repro.kernels.engine import ExecutionBackend, run_schedule_coalesced
-from repro.kernels.engine.backend import WAVE_BACKENDS
 from repro.simt.device import A100, MAX1550, MI250X, PLATFORMS
 
 SPEC = ScenarioSpec(contig_length=200, flank_length=60, read_length=90,
@@ -46,7 +46,7 @@ def _contigs(n=5, seed=3, spec=SPEC):
 
 class TestRegistry:
     def test_all_four_paths_registered(self):
-        assert set(BACKENDS) <= set(available_backends())
+        assert available_backends() == tuple(sorted(BACKENDS))
 
     def test_create_by_name(self):
         assert isinstance(create_backend("cuda"), CudaLocalAssemblyKernel)

@@ -1,9 +1,8 @@
-"""A deliberately-buggy backend: the sanitizer's mutation-style self-test.
+"""Seeded warp-protocol bugs: the sanitizer's mutation-style self-test.
 
 A sanitizer you have never seen catch a bug is a sanitizer you cannot
-trust. ``BuggyDemoKernel`` runs the real staged engine but swaps in
-phase subclasses that each seed one classic warp-protocol bug — the
-mutations every checker must catch:
+trust. These phase subclasses each seed one classic warp-protocol bug
+into the real staged engine — the mutations every checker must catch:
 
 * ``"race"`` — the atomicCAS claim is replaced by a plain batched store
   (every colliding lane believes it won and installs its tag), and the
@@ -19,9 +18,10 @@ mutations every checker must catch:
 
 The bugs are *real* (the race genuinely drops votes; the init read
 genuinely feeds zeros into vote resolution), so functional output may
-deviate from the production ports — that deviation is the point.
-Registered as the ``buggy-demo`` backend so the CLI can demonstrate
-``--sanitize`` catching each one.
+deviate from the production ports — that deviation is the point. The
+phases default to all three bugs, so installing them as a kernel's
+``construct_cls`` / ``walk_cls`` seeds everything; :class:`MutantKernel`
+picks a subset.
 """
 
 from __future__ import annotations
@@ -30,20 +30,20 @@ from functools import partial
 
 import numpy as np
 
-from repro.kernels.engine.backend import ProtocolCosts, register_backend
-from repro.kernels.engine.construct import ConstructPhase
-from repro.kernels.engine.events import BarrierSync, EventBus, SlotWrite
-from repro.kernels.engine.simt import LocalAssemblyKernel
-from repro.kernels.engine.walk import WalkPhase
+from repro.kernels import CudaLocalAssemblyKernel
+from repro.kernels.engine import ConstructPhase, EventBus, WalkPhase
+from repro.kernels.engine.events import BarrierSync, SlotWrite
 from repro.kernels.vectortable import WarpHashTables
-from repro.simt.device import A100, DeviceSpec
+from repro.simt.device import A100
 from repro.simt.intrinsics import elect_one_per_slot
 
-#: The demo bugs, keyed by the checker that must catch each.
-BUGS = ("race", "sync", "init")
+#: The seeded bugs, and the checker that must catch each.
+BUG_TO_CHECKER = {"race": "racecheck", "sync": "synccheck",
+                  "init": "initcheck"}
+BUGS = tuple(BUG_TO_CHECKER)
 
 
-class BuggyConstructPhase(ConstructPhase):
+class MutantConstructPhase(ConstructPhase):
     """Construction with a non-atomic insert protocol and stale sync masks."""
 
     def __init__(self, protocol, warp_size: int,
@@ -94,7 +94,7 @@ class BuggyConstructPhase(ConstructPhase):
                              mask_lanes=stale, active_lanes=active_counts))
 
 
-class BuggyWalkPhase(WalkPhase):
+class MutantWalkPhase(WalkPhase):
     """A walk that resolves votes from never-written empty slots."""
 
     def __init__(self, *args, bugs: frozenset = frozenset(BUGS), **kwargs):
@@ -112,36 +112,11 @@ class BuggyWalkPhase(WalkPhase):
         found_slot[u[miss]] = slots[miss]
 
 
-class BuggyDemoKernel(LocalAssemblyKernel):
-    """CUDA-shaped kernel with selectable seeded protocol bugs.
+class MutantKernel(CudaLocalAssemblyKernel):
+    """The CUDA port with ``bugs`` (a subset of :data:`BUGS`) seeded."""
 
-    Args:
-        device: simulated GPU (defaults to the A100 when created through
-            the backend registry).
-        bugs: which of :data:`BUGS` to seed; defaults to all three.
-    """
-
-    protocol = ProtocolCosts(
-        name="BUGGY-DEMO",
-        iteration_intops=8,
-        iteration_syncs=2,
-        merges_in_iteration=True,
-    )
-
-    def __init__(self, device: DeviceSpec, *, bugs=BUGS, **kwargs) -> None:
+    def __init__(self, device=A100, *, bugs=BUGS, **kwargs) -> None:
         super().__init__(device, **kwargs)
-        unknown = [b for b in bugs if b not in BUGS]
-        if unknown:
-            raise ValueError(f"unknown demo bug(s) {unknown!r}; "
-                             f"choose from {BUGS}")
-        self.bugs = frozenset(bugs)
-        self.construct_cls = partial(BuggyConstructPhase, bugs=self.bugs)
-        self.walk_cls = partial(BuggyWalkPhase, bugs=self.bugs)
-
-
-register_backend(
-    "buggy-demo",
-    lambda device=None, **kw: BuggyDemoKernel(
-        device if device is not None else A100, **kw),
-    overwrite=True,  # replaces the lazy stub repro.kernels registers
-)
+        self.construct_cls = partial(MutantConstructPhase,
+                                     bugs=frozenset(bugs))
+        self.walk_cls = partial(MutantWalkPhase, bugs=frozenset(bugs))

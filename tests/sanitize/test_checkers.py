@@ -1,44 +1,43 @@
-"""Dynamic sanitizer: clean production backends, caught demo bugs.
+"""Dynamic sanitizer: clean production backends, caught seeded bugs.
 
 The two acceptance halves of a sanitizer:
 
 * **soundness on good code** — every production SIMT port runs with all
   checkers enabled and reports *zero* findings (their protocols really
   are atomic / correctly masked / initialized-before-read);
-* **power on bad code** — the ``buggy-demo`` backend seeds one bug per
-  checker and each checker must catch exactly its own bug class
-  (mutation-style self-test).
+* **power on bad code** — the test mutants (:mod:`.mutants`) seed one
+  bug per checker into the CUDA port and each checker must catch
+  exactly its own bug class (mutation-style self-test).
 """
 
 import numpy as np
 import pytest
 
 from repro.datasets.generate import generate_paper_dataset
-from repro.kernels import available_backends, create_backend
+from repro.kernels import CudaLocalAssemblyKernel, create_backend
 from repro.sanitize import (
-    BUGS,
     CHECKS,
-    BuggyDemoKernel,
     Sanitizer,
     SanitizerFinding,
     SanitizerReport,
     parse_checks,
 )
+from repro.simt.device import A100
+
+from .mutants import (
+    BUG_TO_CHECKER,
+    BUGS,
+    MutantConstructPhase,
+    MutantKernel,
+    MutantWalkPhase,
+)
 
 SIMT_BACKENDS = ["cuda", "hip", "sycl"]
-
-#: which checker must catch which seeded demo bug
-BUG_TO_CHECKER = {"race": "racecheck", "sync": "synccheck",
-                  "init": "initcheck"}
 
 
 @pytest.fixture(scope="module")
 def contigs():
     return generate_paper_dataset(21, scale=0.002, seed=7)
-
-
-def test_buggy_demo_backend_is_registered():
-    assert "buggy-demo" in available_backends()
 
 
 @pytest.mark.parametrize("backend", SIMT_BACKENDS)
@@ -54,8 +53,8 @@ def test_unsanitized_run_has_no_report(contigs):
     assert kernel.run(contigs, 21).sanitizer_report is None
 
 
-def test_buggy_demo_all_checkers_fire(contigs):
-    kernel = create_backend("buggy-demo", sanitize="all")
+def test_all_mutants_trip_every_checker(contigs):
+    kernel = MutantKernel(sanitize="all")
     report = kernel.run(contigs, 21).sanitizer_report
     for checker in CHECKS:
         assert report.count(checker) > 0, f"{checker} missed its bug"
@@ -63,7 +62,7 @@ def test_buggy_demo_all_checkers_fire(contigs):
 
 @pytest.mark.parametrize("bug", BUGS)
 def test_each_bug_caught_only_by_its_checker(bug, contigs):
-    kernel = create_backend("buggy-demo", sanitize="all", bugs=(bug,))
+    kernel = MutantKernel(sanitize="all", bugs=(bug,))
     report = kernel.run(contigs, 21).sanitizer_report
     expected = BUG_TO_CHECKER[bug]
     assert report.count(expected) > 0, \
@@ -77,7 +76,7 @@ def test_each_bug_caught_only_by_its_checker(bug, contigs):
 
 @pytest.mark.parametrize("check", CHECKS)
 def test_single_checker_selection_isolates(check, contigs):
-    kernel = create_backend("buggy-demo", sanitize=check)
+    kernel = MutantKernel(sanitize=check)
     report = kernel.run(contigs, 21).sanitizer_report
     assert report.count(check) > 0
     for other in CHECKS:
@@ -86,7 +85,7 @@ def test_single_checker_selection_isolates(check, contigs):
 
 
 def test_findings_carry_provenance(contigs):
-    kernel = create_backend("buggy-demo", sanitize="racecheck")
+    kernel = MutantKernel(sanitize="racecheck")
     finding = kernel.run(contigs, 21).sanitizer_report.findings[0]
     assert finding.checker == "racecheck"
     assert finding.phase == "construct"
@@ -101,7 +100,7 @@ def test_findings_carry_provenance(contigs):
 
 
 def test_run_schedule_merges_reports(contigs):
-    kernel = create_backend("buggy-demo", sanitize="all")
+    kernel = MutantKernel(sanitize="all")
     report = kernel.run_schedule(contigs, [21, 33]).sanitizer_report
     assert report is not None
     assert not report.ok
@@ -110,23 +109,17 @@ def test_run_schedule_merges_reports(contigs):
 
 
 def test_sanitize_option_via_kernel_kwarg(contigs):
-    # direct construction (not through the registry) also works
-    from repro.simt.device import A100
-
-    kernel = BuggyDemoKernel(A100, sanitize="all")
+    # a production kernel built directly, with the mutant phase classes
+    # (all bugs seeded by default) installed as its factories
+    kernel = CudaLocalAssemblyKernel(A100, sanitize="all")
+    kernel.construct_cls = MutantConstructPhase
+    kernel.walk_cls = MutantWalkPhase
     assert not kernel.run(contigs, 21).sanitizer_report.ok
 
 
 def test_unknown_check_rejected():
     with pytest.raises(ValueError, match="bogus"):
         create_backend("cuda", sanitize="bogus")
-
-
-def test_unknown_bug_rejected():
-    from repro.simt.device import A100
-
-    with pytest.raises(ValueError, match="typo"):
-        BuggyDemoKernel(A100, bugs=("typo",))
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.kernels import CudaLocalAssemblyKernel
+
+from .mutants import MutantConstructPhase, MutantWalkPhase
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +122,18 @@ def test_run_sanitize_clean_backend_exits_0(dat, tmp_path, capsys):
     assert "sanitizer: 0 findings" in capsys.readouterr().out
 
 
-def test_run_sanitize_buggy_backend_exits_1(dat, tmp_path, capsys):
+@pytest.fixture
+def mutant_cuda(monkeypatch):
+    """The CUDA port with every seeded bug installed (:mod:`.mutants`)."""
+    monkeypatch.setattr(CudaLocalAssemblyKernel, "construct_cls",
+                        MutantConstructPhase)
+    monkeypatch.setattr(CudaLocalAssemblyKernel, "walk_cls", MutantWalkPhase)
+
+
+def test_run_sanitize_buggy_backend_exits_1(dat, tmp_path, capsys,
+                                            mutant_cuda):
     out = tmp_path / "out.fa"
-    code = main(["run", dat, "21", str(out), "--backend", "buggy-demo",
+    code = main(["run", dat, "21", str(out), "--backend", "cuda",
                  "--sanitize", "all"])
     assert code == 1
     stdout = capsys.readouterr().out
@@ -129,9 +141,9 @@ def test_run_sanitize_buggy_backend_exits_1(dat, tmp_path, capsys):
         assert checker in stdout
 
 
-def test_run_sanitize_single_check(dat, tmp_path, capsys):
+def test_run_sanitize_single_check(dat, tmp_path, capsys, mutant_cuda):
     out = tmp_path / "out.fa"
-    code = main(["run", dat, "21", str(out), "--backend", "buggy-demo",
+    code = main(["run", dat, "21", str(out), "--backend", "cuda",
                  "--sanitize", "initcheck"])
     assert code == 1
     stdout = capsys.readouterr().out

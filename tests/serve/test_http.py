@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve import http
 from repro.serve.http import (
     MAX_BODY_BYTES,
     MAX_HEADER_BYTES,
@@ -254,3 +255,33 @@ class TestFuzzedFraming:
         how, what = drive([head + fat * (MAX_HEADER_BYTES // len(fat) + 1)
                            + b"\r\n"])
         assert how == "error" and "header block" in str(what)
+
+    @pytest.mark.parametrize("sent", [
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Le",                  # in headers
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 9\r\n\r\n{}",  # in body
+    ], ids=["headers", "body"])
+    def test_a_client_stalled_mid_message_is_refused(self, monkeypatch,
+                                                     sent):
+        monkeypatch.setattr(http, "MESSAGE_DEADLINE_S", 0.05)
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(sent)   # ...and then nothing, and no EOF
+            with pytest.raises(ProtocolError, match="incomplete"):
+                await read_request(reader)
+
+        asyncio.run(asyncio.wait_for(scenario(), DEADLINE_S))
+
+    def test_an_idle_keep_alive_connection_is_not_refused(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(http, "MESSAGE_DEADLINE_S", 0.05)
+
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_data(frame_message("GET / HTTP/1.1"))
+            assert await read_request(reader) == ("GET", "/", b"")
+            # no next start line yet: still waiting, well past the deadline
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(read_request(reader), 0.2)
+
+        asyncio.run(asyncio.wait_for(scenario(), DEADLINE_S))

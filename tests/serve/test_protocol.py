@@ -78,10 +78,10 @@ class TestParseJobRequest:
 
 
     @pytest.mark.parametrize("backend", [
-        "scalar",        # registered, but has no launches a wave can fuse
-        "buggy-demo",    # registered: the sanitizer's deliberately wrong kernel
-        "nope",          # not registered at all
-        "CUDA",          # the registry folds case; the coalescing key does not
+        "scalar",        # a backend, but has no launches a wave can fuse
+        "buggy-demo",    # not a backend (the sanitizer's mutants are tests)
+        "nope",          # not a backend
+        "CUDA",          # create_backend folds case; the coalescing key does not
         7,
     ])
     def test_rejects_backends_no_wave_can_run(self, backend):

@@ -443,7 +443,7 @@ class TestServiceEndToEnd:
     def test_backend_no_wave_can_run_is_a_400_that_costs_nothing(
             self, tmp_path, backend):
         """Was: 202, journalled, then the wave died inside the worker
-        (or, for buggy-demo, ran a deliberately wrong kernel)."""
+        (buggy-demo, once a deliberately wrong kernel, is now unknown)."""
         journal = tmp_path / "jobs.wal"
 
         async def scenario():
