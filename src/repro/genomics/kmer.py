@@ -128,37 +128,32 @@ def kmer_fingerprints(codes: np.ndarray, k: int) -> np.ndarray:
 def fingerprint_matrix(windows: np.ndarray) -> np.ndarray:
     """Fingerprints of a ``(n, k)`` window matrix (same formula as
     :func:`kmer_fingerprints`, for callers that already hold windows)."""
-    win = np.asarray(windows, dtype=np.uint64)
+    win = np.asarray(windows)
     if win.ndim != 2:
         raise KmerError(f"expected (n, k) window matrix, got shape {win.shape}")
     with np.errstate(over="ignore"):
-        win = win + _CODE_OFFSET
+        # eight columns converted at a time: no uint64 copy of the matrix
         acc = np.zeros(win.shape[0], dtype=np.uint64)
-        for j in range(win.shape[1]):
-            acc = acc * FINGERPRINT_BASE + win[:, j]
+        for lo in range(0, win.shape[1], 8):
+            block = win[:, lo:lo + 8].astype(np.uint64)
+            block += _CODE_OFFSET
+            for j in range(block.shape[1]):
+                acc *= FINGERPRINT_BASE
+                acc += block[:, j]
     return acc
 
 
-def shift_fingerprints(fps: np.ndarray, dropped: np.ndarray,
-                       appended: np.ndarray, k: int) -> np.ndarray:
-    """Advance k-window fingerprints by one base in O(n) total work.
-
-    For a window fingerprint ``fp = sum_j (c_j + OFFSET) * BASE^(k-1-j)``
-    sliding one base right (dropping ``dropped``, appending ``appended``):
-
-        ``fp' = (fp - (dropped + OFFSET) * BASE^(k-1)) * BASE
-                + (appended + OFFSET)     (mod 2^64)``
-
-    — exact under wrapping uint64 arithmetic, so the result is
-    bit-identical to re-evaluating :func:`fingerprint_matrix` on the
-    shifted windows. The walk phase uses this to follow each warp's
-    current k-mer without re-hashing k bases every step.
-    """
+def is_shift(fps: np.ndarray, next_fps: np.ndarray, appended: np.ndarray,
+             k: int) -> np.ndarray:
+    """Whether ``next_fps`` fingerprints the ``fps`` window slid one base
+    onto ``appended``: ``next = (fp - (d + OFFSET) * BASE^(k-1)) * BASE +
+    appended + OFFSET`` (mod 2^64) solved for a dropped base ``d``."""
     with np.errstate(over="ignore"):
-        top = ((np.asarray(dropped).astype(np.uint64) + _CODE_OFFSET)
-               * np.uint64(pow(0x9E3779B97F4A7C15, k - 1, 1 << 64)))
-        return ((np.asarray(fps, dtype=np.uint64) - top) * FINGERPRINT_BASE
-                + (np.asarray(appended).astype(np.uint64) + _CODE_OFFSET))
+        top = fps - (next_fps - (appended.astype(np.uint64) + _CODE_OFFSET)
+                     ) * _BASE_INV
+        dropped = top * np.uint64(pow(int(_BASE_INV), k - 1, 1 << 64)) \
+            - _CODE_OFFSET
+    return dropped < 4
 
 
 def fingerprint_prefix(codes: np.ndarray) -> np.ndarray:

@@ -78,7 +78,6 @@ from repro.kernels.engine.tally import (
     charge,
 )
 from repro.kernels.engine.walk import (
-    VisitedFingerprintSet,
     WalkOutput,
     WalkPhase,
     WalkTape,
@@ -93,7 +92,6 @@ __all__ = [
     # phases
     "ConstructPhase",
     "ConstructResult",
-    "VisitedFingerprintSet",
     "WalkOutput",
     "WalkPhase",
     "WalkTape",

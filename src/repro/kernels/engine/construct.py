@@ -168,15 +168,19 @@ class ConstructPhase:
                 overflowed.extend(wave_overflowed)
                 dead[wave_overflowed] = True
         self._final_slot = None
-        # ``ins_ext`` / ``ins_hi`` are aligned to ``final_slot`` as they
-        # stand; only lanes that never retired (an overflow took their
-        # warp first) have to be left out.
+        # ``ins_*`` align with ``final_slot``; lanes that never retired (an
+        # overflow took their warp first) are left out, cutting their read
         voted = final_slot >= 0
-        if voted.all():
-            tables.vote(final_slot, batch.ins_ext, batch.ins_hi)
-        else:
-            tables.vote(final_slot[voted], batch.ins_ext[voted],
-                        batch.ins_hi[voted])
+        slots, exts, his, ends = (final_slot, batch.ins_ext, batch.ins_hi,
+                                  batch.ins_end)
+        if not voted.all():
+            cut = np.zeros(voted.size, dtype=bool)
+            cut[ends] = True
+            cut[:-1] |= ~voted[1:]
+            slots, exts, his, ends = (slots[voted], exts[voted], his[voted],
+                                      np.flatnonzero(cut[voted]))
+        tables.vote(slots, exts, his)
+        tables.link_reads(slots, exts, ends)    # what the walk follows
         return ConstructResult(waves=waves_run, iterations=chain,
                                overflowed=tuple(overflowed), rows=rows)
 

@@ -440,7 +440,9 @@ class OracleBatchPreparer(BatchPreparer):
         return Batch(
             contig_ids=list(flat.contig_ids), codes=codes, quals=quals,
             ins_warp=ins_warp, ins_home=ins_home, ins_fp=ins_fp,
-            ins_ext=ins_ext, ins_hi=ins_hi, seeds=seeds, seed_valid=seed_valid,
+            ins_ext=ins_ext, ins_hi=ins_hi,
+            ins_end=np.cumsum(n_ins_per_read)[n_ins_per_read > 0] - 1,
+            seeds=seeds, seed_valid=seed_valid,
             capacities=capacities, read_bytes_per_warp=flat.read_bytes_per_warp,
         )
 

@@ -82,6 +82,7 @@ class Batch:
     ins_fp: np.ndarray          # key fingerprint per insertion
     ins_ext: np.ndarray         # extension base code per insertion
     ins_hi: np.ndarray          # high-quality vote flag per insertion
+    ins_end: np.ndarray         # insertions that end their reads, ascending
     seeds: np.ndarray           # (n_warps, k) seed k-mers
     seed_valid: np.ndarray      # warps whose contig admits a seed
     capacities: np.ndarray      # table slots per warp
@@ -97,7 +98,7 @@ class Batch:
         return replace(self, **{
             name: getattr(self, name)[:0].copy()
             for name in ("ins_warp", "ins_home", "ins_fp", "ins_ext",
-                         "ins_hi")})
+                         "ins_hi", "ins_end")})
 
 
 def subset_batch(batch: Batch, warp_ids, capacities=None) -> Batch:
@@ -145,6 +146,7 @@ def subset_batch(batch: Batch, warp_ids, capacities=None) -> Batch:
         ins_warp=remap[batch.ins_warp[keep]],
         ins_home=batch.ins_home[keep], ins_fp=batch.ins_fp[keep],
         ins_ext=batch.ins_ext[keep], ins_hi=batch.ins_hi[keep],
+        ins_end=(np.cumsum(keep) - 1)[batch.ins_end[keep[batch.ins_end]]],
         seeds=batch.seeds[ids].copy(), seed_valid=batch.seed_valid[ids].copy(),
         capacities=caps,
         read_bytes_per_warp=batch.read_bytes_per_warp[ids].copy(),
@@ -189,6 +191,8 @@ def concat_batches(batches: list[Batch]) -> tuple[Batch, np.ndarray]:
         ins_fp=np.concatenate([b.ins_fp for b in batches]),
         ins_ext=np.concatenate([b.ins_ext for b in batches]),
         ins_hi=np.concatenate([b.ins_hi for b in batches]),
+        ins_end=np.concatenate([b.ins_end + off for b, off in zip(
+            batches, np.cumsum([0] + [b.ins_warp.size for b in batches]))]),
         seeds=np.concatenate([b.seeds for b in batches], axis=0),
         seed_valid=np.concatenate([b.seed_valid for b in batches]),
         capacities=np.concatenate([b.capacities for b in batches]),
@@ -371,7 +375,9 @@ class BatchPreparer:
         return Batch(
             contig_ids=list(flat.contig_ids), codes=codes, quals=quals,
             ins_warp=ins_warp, ins_home=ins_home, ins_fp=ins_fp,
-            ins_ext=ins_ext, ins_hi=ins_hi, seeds=seeds, seed_valid=seed_valid,
+            ins_ext=ins_ext, ins_hi=ins_hi,
+            ins_end=np.cumsum(n_ins_per_read)[n_ins_per_read > 0] - 1,
+            seeds=seeds, seed_valid=seed_valid,
             capacities=capacities, read_bytes_per_warp=flat.read_bytes_per_warp,
         )
 

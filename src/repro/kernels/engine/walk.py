@@ -1,25 +1,19 @@
 """The walk phase: one lane per warp mer-walks from the contig-end seed.
 
-Algorithm 2, whose scalar telling is
-:func:`repro.core.reference.reference_walk`. The other lanes are
-predicated off while one lane walks; the terminal state is broadcast
-with a shuffle. Everything is one lockstep array program across warps
-(DESIGN.md decision #14): loop detection is one matrix of the walkers'
-paths (:class:`VisitedFingerprintSet`), committed bases land in a
-preallocated ``(n_warps, max_walk_len)`` matrix decoded once, and the
-Python-level loops are over walk steps and probe rounds, never lanes or
-warps (lint rule REP006). The pre-refactor per-warp path survives as the
-parity oracle (:class:`repro.kernels.engine.oracle.ScalarOracleWalkPhase`).
-
-Counts leave the phase as tally rows (:mod:`repro.kernels.engine.tally`)
-in :attr:`WalkOutput.rows`, or logged as arrays when a driver fuses
-launches. Evidence goes to the event bus only where ``bus.wants`` it:
-the :class:`~repro.kernels.engine.events.SlotAccess` of every probe and
-the :class:`~repro.kernels.engine.events.SlotRead` of every vote read
-(the sanitizer's test mutants override :meth:`WalkPhase._on_probe_miss`
-to read empty slots, the bug initcheck must catch). A walk's path is
-port-invariant, so one port's walk can be taped and the other ports'
-walks follow it (:class:`WalkTape`).
+Algorithm 2 (scalar telling: :func:`repro.core.reference.reference_walk`)
+as one lockstep array program across warps, in two passes (DESIGN.md
+decision 35). **Discovery** follows each walker's read along the vote-row
+links construct draws, resolving up to :data:`FOLLOW_BLOCK` rows a
+round; only a walker that starts or leaves its read hashes and looks up.
+**Counting** looks every step's key up as the walk would and writes its
+tally rows or log entries (:mod:`repro.kernels.engine.tally`), overflow
+order and the evidence ``bus.wants`` — ``SlotAccess`` per probe,
+``SlotRead`` per vote read (the sanitizer's test mutants override
+:meth:`WalkPhase._on_probe_miss` to read empty slots). A walk is
+port-invariant, so counting is also how the other ports of an input
+follow a lead's (:class:`WalkTape`). The pre-refactor per-warp walk is
+the parity oracle (:class:`repro.kernels.engine.oracle.\
+ScalarOracleWalkPhase`).
 """
 
 from __future__ import annotations
@@ -27,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.extension import (
     CODE_TO_WALK_STATE,
@@ -39,10 +34,10 @@ from repro.core.extension import (
 )
 from repro.errors import KernelError
 from repro.genomics.dna import decode_matrix, encode
-from repro.genomics.kmer import fingerprint_matrix, shift_fingerprints
+from repro.genomics.kmer import fingerprint_matrix
 from repro.hashing.murmur import murmur2_batch
 from repro.kernels.engine.events import EventBus, SlotAccess, SlotRead
-from repro.kernels.engine.prepare import Batch
+from repro.kernels.engine.prepare import Batch, run_length_sorted
 from repro.kernels.engine.tally import (
     lookup_entry,
     lookup_row,
@@ -56,104 +51,19 @@ _END = WALK_STATE_CODES[WalkState.END]
 _LOOP = WALK_STATE_CODES[WalkState.LOOP]
 _MAX_LEN = WALK_STATE_CODES[WalkState.MAX_LEN]
 _MISSING = WALK_STATE_CODES[WalkState.MISSING]
-_DISAGREE = "this port's table disagrees with the lead's walk"
+_DISAGREE = "this port's table disagrees with the walk's lookups"
 
+#: Linked rows a walker resolves per discovery round. The walks of 35
+#: ``serve_steady`` jobs (1,839 steps; min of 3, 2-core host) took
+#: 0.132 / 0.149 / 0.093 / 0.104 s in 189 / 138 / 116 / 116 rounds at
+#: 16 / 32 / 64 / 128: past 64 the rounds are the walkers' departures.
+FOLLOW_BLOCK = 64
 
-class VisitedFingerprintSet:
-    """Per-warp sets of visited k-mer fingerprints — compared, not hashed.
-
-    A walking warp visits one new k-mer a step, so its set is its path:
-    row ``r`` of ``_path`` holds one warp's fingerprints in visiting
-    order, padded with its first one (a padding cell can only match what
-    the row holds anyway), and a membership test is *one* comparison of
-    the callers' rows against their queries, where an open-addressed
-    table costs a lockstep round per collision depth of its slowest lane.
-    The width doubles when the longest path fills it; once fewer than
-    half of the rows take part in a call the others are *shelved* (one
-    small array per warp) until their warp calls again, so a stopped
-    walker stops costing width. A step costs ``callers x width``
-    compares. Within one call every warp appears at most once.
-    """
-
-    def __init__(self, n_warps: int) -> None:
-        self._row = np.full(n_warps, -1, dtype=np.int64)    # warp -> row
-        self._warp = np.empty(0, dtype=np.int64)            # row -> warp
-        self._len = np.empty(0, dtype=np.int64)             # row -> keys held
-        self._path = np.empty((0, 8), dtype=np.uint64)
-        self._shelved: dict[int, np.ndarray] = {}
-
-    def _admit(self, warps: np.ndarray, fps: np.ndarray) -> np.ndarray:
-        """Append a row per warp, holding its fingerprint — or, for a warp
-        off the shelf, what it held. Returns the mask of the former."""
-        block = np.repeat(fps[:, None], self._path.shape[1], axis=1)
-        lens = np.ones(warps.size, dtype=np.int64)
-        fresh = np.ones(warps.size, dtype=bool)
-        if self._shelved:
-            for i, warp in enumerate(warps.tolist()):
-                held = self._shelved.pop(warp, None)
-                if held is not None:
-                    block[i] = held[0]
-                    block[i, :held.size] = held
-                    lens[i] = held.size
-                    fresh[i] = False
-        rows = self._warp.size
-        self._row[warps] = np.arange(rows, rows + warps.size)
-        self._warp = np.concatenate([self._warp, warps])
-        self._len = np.concatenate([self._len, lens])
-        self._path = np.concatenate([self._path, block])
-        return fresh
-
-    def _shelve_all_but(self, keep: np.ndarray) -> None:
-        """Shrink the matrix to rows ``keep``, in that order."""
-        gone = np.ones(self._warp.size, dtype=bool)
-        gone[keep] = False
-        lens = self._len[gone]
-        held = self._path[gone]
-        held = held[np.arange(held.shape[1]) < lens[:, None]]
-        self._shelved.update(zip(self._warp[gone].tolist(),
-                                 np.split(held, np.cumsum(lens)[:-1])))
-        self._row[self._warp[gone]] = -1
-        self._warp, self._len, self._path = (
-            self._warp[keep], self._len[keep], self._path[keep])
-        self._row[self._warp] = np.arange(keep.size)
-
-    def add(self, warps: np.ndarray, fps: np.ndarray) -> None:
-        """Insert fingerprints (duplicates are ignored)."""
-        self.seen_or_add(warps, fps)
-
-    def seen_or_add(self, warps: np.ndarray, fps: np.ndarray) -> np.ndarray:
-        """Membership mask; fingerprints not yet present are inserted.
-
-        Mirrors the oracle's ``if fp in visited[w]: ... else visited[w].add``
-        pair as a single lockstep operation: keys already present return
-        True and are left unchanged.
-        """
-        warps = np.asarray(warps, dtype=np.int64)
-        fps = np.asarray(fps, dtype=np.uint64)
-        rows = self._row[warps]
-        fresh = None
-        new = np.flatnonzero(rows < 0)
-        if new.size:
-            fresh = new[self._admit(warps[new], fps[new])]
-            rows = self._row[warps]
-        elif 2 * rows.size < self._warp.size:
-            self._shelve_all_but(rows)
-            rows = np.arange(rows.size)
-        seen = (self._path[rows] == fps[:, None]).any(axis=1)
-        add = np.flatnonzero(~seen)
-        if fresh is not None:
-            seen[fresh] = False     # it matched the row it was given
-        if add.size:
-            rows = rows[add]
-            at = self._len[rows]
-            width = self._path.shape[1]
-            if int(at.max()) == width:
-                self._path = np.concatenate(
-                    [self._path, np.repeat(self._path[:, :1], width, axis=1)],
-                    axis=1)
-            self._path[rows, at] = fps[add]
-            self._len[rows] = at + 1
-        return seen
+#: Rows one discovery round resolves, and lanes one counting stretch
+#: looks up, at most: each holds ~200 B while it runs. One walk over
+#: the 878 warps of the k = 33 grid dataset at scale 0.1 peaks at 1,646
+#: B per warp at ``1 << 12`` and 2,820 at ``1 << 13`` (2,048 allowed).
+WALK_STRETCH = 1 << 12
 
 
 @dataclass
@@ -172,6 +82,8 @@ class WalkOutput:
     overflowed: tuple[int, ...] = ()
     #: The launch's tally rows, in order (empty when the phase logged).
     rows: list = field(default_factory=list)
+    #: Host lockstep rounds that found the path (0: it was followed).
+    rounds: int = 0
     _bases: list[str] | None = field(default=None, repr=False)
 
     @property
@@ -188,33 +100,34 @@ class WalkOutput:
 
     @classmethod
     def from_scalar(cls, bases: list[str], states: list[WalkState],
-                    steps: int, iterations: int,
-                    overflowed: tuple[int, ...],
+                    steps: int, iterations: int, overflowed: tuple[int, ...],
                     max_walk_len: int, rows: list) -> "WalkOutput":
         """Pack per-warp Python results (the oracle's) into lockstep form."""
-        n = len(bases)
-        codes = np.zeros((n, max_walk_len), dtype=np.uint8)
-        lens = np.zeros(n, dtype=np.int64)
+        codes = np.zeros((len(bases), max_walk_len), dtype=np.uint8)
         for w, b in enumerate(bases):
-            lens[w] = len(b)
-            if b:
-                codes[w, :len(b)] = encode(b)
-        state_codes = np.asarray([WALK_STATE_CODES[s] for s in states],
-                                 dtype=np.int8)
-        return cls(base_codes=codes, base_lens=lens, state_codes=state_codes,
-                   steps=steps, iterations=iterations,
-                   overflowed=tuple(overflowed), rows=rows)
+            codes[w, :len(b)] = encode(b)
+        return cls(codes, np.array([len(b) for b in bases], dtype=np.int64),
+                   np.array([WALK_STATE_CODES[s] for s in states],
+                            dtype=np.int8),
+                   steps, iterations, tuple(overflowed), rows)
 
 
 @dataclass
 class WalkTape:
-    """One port's walk, for the other ports of its input to follow: per
-    step its :func:`~repro.kernels.engine.tally.walk_entry` (walkers,
-    found mask, committed), the walkers' homes and fingerprints and the
-    ``votes_at`` rows read (``None``: none); :attr:`out` is its output.
-    """
+    """One walk (:attr:`out`) as its lookups, step-major: lanes
+    ``cuts[s]:cuts[s + 1]`` are the ``warps`` looking up their step-``s``
+    keys, ``found`` those in the table. Discovery's tape holds the walks'
+    seed-and-bases ``codes``; a recorded one, which the other ports
+    follow, the keys' ``homes``, ``fps`` and the ``votes_at`` rows read
+    (hi, low). An empty tape given to :meth:`WalkPhase.run` records."""
 
-    steps: list = field(default_factory=list)
+    warps: np.ndarray | None = None
+    cuts: np.ndarray | None = None
+    found: np.ndarray | None = None
+    codes: np.ndarray | None = None
+    homes: np.ndarray | None = None
+    fps: np.ndarray | None = None
+    votes: np.ndarray | None = None
     out: WalkOutput | None = None
 
 
@@ -238,7 +151,7 @@ class WalkPhase:
         #: step *instead of* a tally row.
         self.log: list | None = None
         #: A :class:`WalkTape` the next :meth:`run` takes: an empty one
-        #: records that walk, a lead's is followed (:meth:`_follow`).
+        #: records that walk, a lead's is followed.
         self.tape: WalkTape | None = None
 
     def _on_probe_miss(self, found_slot: np.ndarray, missing: np.ndarray,
@@ -249,216 +162,262 @@ class WalkPhase:
         missing[u[miss]] = True
 
     def _lookup(self, a: np.ndarray, homes: np.ndarray, fps: np.ndarray,
-                tables: WarpHashTables, bus: EventBus, emit_slots: bool,
-                overflowed: list[int],
-                tally) -> tuple[np.ndarray, np.ndarray, int]:
-        """Probe all walking warps for their current key, in lockstep;
-        ``tally(u, au, occupied)`` counts each round's pending lanes
-        ``u`` (their warps ``au``) and the slots they found occupied.
-
-        Returns ``(found_slot, missing, iterations)`` over ``a``-aligned
-        arrays. The pending set is kept *compacted*: ``u`` shrinks as
-        lanes resolve instead of being re-derived from a full-size mask
-        every round, so late probe rounds touch only the stragglers.
-        """
+                tables: WarpHashTables, on_round=None,
+                ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Probe lanes ``a`` (warp ids) for their keys in lockstep (the
+        pending set compacted: late rounds touch only the stragglers);
+        ``on_round(u, au, occupied, slots)`` sees each round. Returns
+        ``a``-aligned ``(found_slot, missing)`` and, by round, the lanes
+        whose probe wrapped a full table (the key is absent)."""
         found_slot = np.full(a.size, -1, dtype=np.int64)
         missing = np.zeros(a.size, dtype=bool)
         u = np.arange(a.size, dtype=np.int64)
         probe_u = np.zeros(a.size, dtype=np.int64)
-        iterations = 0
+        wrapped = []
         while u.size:
             au = a[u]
             over = probe_u >= tables.capacities[au]
             if over.any():
-                # A wrapped probe means the table is completely full
-                # and the key absent; the open-addressing loop would
-                # never terminate.
-                bad = u[over]
-                overflowed.extend(np.asarray(a[bad]).tolist())
-                missing[bad] = True
-                keep = ~over
-                u = u[keep]
-                probe_u = probe_u[keep]
+                wrapped.append(u[over])
+                missing[u[over]] = True
+                u, probe_u, au = u[~over], probe_u[~over], au[~over]
                 if not u.size:
                     break
-                au = a[u]
-            iterations += 1
             slots = tables.slot_of(au, homes[u], probe_u)
-            if emit_slots:
-                bus.emit(SlotAccess(slots=slots))
             occupied, slot_fp = tables.inspect(slots)
-            tally(u, au, occupied)
+            if on_round is not None:
+                on_round(u, au, occupied, slots)
             hit = occupied & (slot_fp == fps[u])
             found_slot[u[hit]] = slots[hit]
-            miss = ~occupied
-            self._on_probe_miss(found_slot, missing, u, miss, slots)
+            self._on_probe_miss(found_slot, missing, u, ~occupied, slots)
             cont = occupied & ~hit
-            probe_u = probe_u[cont] + 1
-            u = u[cont]
-        return found_slot, missing, iterations
+            u, probe_u = u[cont], probe_u[cont] + 1
+        return found_slot, missing, wrapped
 
-    def _follow(self, tape: WalkTape, tables: WarpHashTables) -> WalkOutput:
-        """Walk a lead's path in ``tables``, this port's own (the bases,
-        states and step count are the lead's). Only lookups run: a walk
-        never writes its tables, so all taped steps' lookups run as one
-        lockstep lookup, and each probe round is cut by step into the
-        rows (or log entries) this port's own walk writes, beside the
-        lead's step entries. Raises :class:`~repro.errors.KernelError`
-        if a lookup wraps, or the found lanes or the vote rows read
-        differ from the lead's.
-        """
-        lead, rows, log = tape.out, [], self.log
-        if not tape.steps:
-            return replace(lead, iterations=0, rows=rows)
-        entries, homes, fps, reads = zip(*tape.steps)
-        a, found, homes, fps = (np.concatenate(part) for part in (
-            [entry[1] for entry in entries], [entry[2] for entry in entries],
-            homes, fps))
-        cuts = np.cumsum([0, *(entry[1].size for entry in entries)])
-        # per probe round: the pending lanes' warps, which of them read an
-        # occupied slot, and where each step's lanes start
-        rounds, overflowed = [], []
-        slot, missing, _ = self._lookup(
-            a, homes, fps, tables, EventBus(), False, overflowed,
-            lambda u, au, occupied: rounds.append(
-                (au, occupied, np.searchsorted(u, cuts).tolist())))
-        read = [r for r in reads if r is not None]
-        if overflowed or not np.array_equal(slot >= 0, found) \
-                or not np.array_equal(missing, ~found) or read and not all(
-                    np.array_equal(got, np.concatenate(want)) for got, want
-                    in zip(tables.votes_at(slot[found]), zip(*read))):
-            raise KernelError(_DISAGREE)
-        chain = 0
-        for s, entry in enumerate(entries):
-            for au, occupied, cut in rounds:
-                lo, hi = cut[s], cut[s + 1]
-                if lo == hi:    # a step's pending lanes only shrink
-                    break
-                chain += 1
+    # ------------------------------------------------------------------
+    # discovery
+
+    def _arrive(self, look: np.ndarray, walk: dict,
+                tables: WarpHashTables) -> np.ndarray:
+        """One batched real lookup of each ``look`` walker's seed, or the
+        key its tentative base leads to (``pending``): settles those that
+        end on it, returns those now on a found key's row (``row``)."""
+        lens, state = walk["lens"], walk["state"]
+        pending = walk["pending"][look]
+        keys = walk["keys"][look, lens[look] + pending]
+        slot, _, _ = self._lookup(look, murmur2_batch(keys, self.seed),
+                                  fingerprint_matrix(keys), tables)
+        found = slot >= 0
+        row = np.where(found, tables.row[slot], 0)
+        visited = walk["visited"]
+        looped = pending & visited[row]
+        state[look[looped]] = _LOOP
+        go = ~looped
+        lens[look[go & pending]] += 1       # the tentative base stands
+        full = go & (lens[look] == self.max_walk_len)
+        state[look[full]] = _MAX_LEN
+        ended = go & ~full & ~found
+        state[look[ended]] = np.where(pending[ended], _END, _MISSING)
+        walk["missed"][look[ended]] = True
+        arrive = go & ~full & found
+        walk["pending"][look] = False
+        visited[row[arrive]] = True
+        visited[0] = False      # the sentinel row (a mutant's empty slot)
+        walk["row"][look[arrive]] = row[arrive]
+        return look[arrive]
+
+    def _follow_reads(self, at: np.ndarray, walk: dict,
+                      tables: WarpHashTables) -> tuple[np.ndarray,
+                                                      np.ndarray]:
+        """One block for the walkers ``at`` (each on a key's row): resolve
+        the linked rows ahead in one batch and accept the prefix that
+        takes the links' bases, loops on no row and fits ``max_walk_len``.
+        Returns ``(still on a link, leaving their read)``, the latter with
+        their next base tentative (``pending``)."""
+        codes, lens, state = walk["codes"], walk["lens"], walk["state"]
+        link, visited = tables.link, walk["visited"]
+        block = max(1, min(FOLLOW_BLOCK, WALK_STRETCH // max(at.size, 1)))
+        ahead = np.empty((at.size, block + 1), dtype=link.dtype)
+        ahead[:, 0] = walk["row"][at]
+        for j in range(block):
+            np.right_shift(link[ahead[:, j]], 2, out=ahead[:, j + 1])
+        rows, nxt = ahead[:, :-1], ahead[:, 1:]
+        cells = rows > 0
+        cells[:, 0] = True      # a walker's own row (a mutant's may be 0)
+        votes = tables.votes[rows[cells]]
+        res_states = np.full(rows.shape, _END, dtype=np.int8)
+        res_bases = np.full(rows.shape, -1, dtype=np.int8)
+        res_states[cells], res_bases[cells] = resolve_extension_batch(
+            votes[:, 4:], votes[:, :4], self.policy)
+        along = ((res_states == _EXTEND) & (nxt > 0)
+                 & (res_bases == link[rows] & 3))
+        # a row met again — earlier in this block, or on an earlier
+        # round — is a loop
+        order = np.argsort(ahead, axis=1, kind="stable")
+        again = np.zeros(ahead.shape, dtype=bool)
+        srt = np.take_along_axis(ahead, order, axis=1)
+        np.put_along_axis(again, order[:, 1:], srt[:, 1:] == srt[:, :-1],
+                          axis=1)
+        loops = again[:, 1:] | visited[nxt]
+        room = self.max_walk_len - lens[at]
+        fits = np.arange(1, block + 1) < room[:, None]
+        go = along & ~loops & fits
+        stop = np.where(go.all(axis=1), block, np.argmin(go, axis=1))
+        ends = np.flatnonzero(stop < block)
+        j = stop[ends]
+        res = res_states[ends, j]
+        resolved = res != _EXTEND
+        followed = ~resolved & along[ends, j]
+        looped = followed & loops[ends, j]
+        full = followed & ~looped
+        leave = ~resolved & ~followed
+        w = at[ends]
+        state[w[resolved]] = res[resolved]
+        state[w[looped]] = _LOOP
+        state[w[full]] = _MAX_LEN
+        taken = stop.copy()
+        taken[ends[full]] += 1
+        wi, ji = np.nonzero(np.arange(block) < taken[:, None])
+        codes[at[wi], tables.k + lens[at[wi]] + ji] = res_bases[wi, ji]
+        lens[at] += taken
+        seen = (np.arange(1, block + 1) <= stop[:, None]) & (nxt > 0)
+        visited[nxt[seen]] = True
+        out = w[leave]
+        codes[out, tables.k + lens[out]] = res_bases[ends[leave], j[leave]]
+        walk["pending"][out] = True
+        stay = stop == block
+        walk["row"][at[stay]] = ahead[stay, -1]
+        return at[stay], out
+
+    def _discover(self, batch: Batch,
+                  tables: WarpHashTables) -> WalkTape:
+        """Every walker's bases and terminal state, and its lookups."""
+        n, k, max_len = batch.n_warps, batch.seeds.shape[1], self.max_walk_len
+        codes = np.zeros((n, k + max_len), dtype=np.uint8)
+        codes[:, :k] = batch.seeds
+        walk = {name: np.zeros(n, dtype=dtype) for name, dtype in (
+            ("lens", np.int64), ("missed", bool), ("pending", bool),
+            ("row", np.int64))}
+        walk.update(codes=codes, keys=sliding_window_view(codes, k, 1),
+                    state=np.full(n, _MISSING, dtype=np.int8),
+                    visited=np.zeros(tables.votes.shape[0], dtype=bool))
+        lens, state = walk["lens"], walk["state"]
+        look = np.flatnonzero(batch.seed_valid)
+        at = look[:0]
+        rounds = 0
+        while look.size or at.size:
+            rounds += 1
+            at = np.concatenate([at, self._arrive(look, walk, tables)])
+            at, look = self._follow_reads(at, walk, tables)
+        # a walker looks a key up on every step but the MAX_LEN cutoff,
+        # and only its last lookup can miss
+        valid = batch.seed_valid
+        cutoff = valid & (state == _MAX_LEN)
+        n_look = np.where(valid, lens + ~cutoff, 0)
+        depth = int(n_look.max(initial=0))
+        steps, warps = np.divmod(np.flatnonzero(
+            np.arange(depth)[:, None] < n_look), n)
+        return WalkTape(
+            warps=warps, cuts=np.searchsorted(steps, np.arange(depth + 1)),
+            found=~(walk["missed"][warps] & (steps == n_look[warps] - 1)),
+            codes=codes, out=WalkOutput(
+                base_codes=codes[:, k:], base_lens=lens, state_codes=state,
+                steps=int((n_look + cutoff).max(initial=0)), iterations=0,
+                rounds=rounds))
+
+    # ------------------------------------------------------------------
+    # counting
+
+    def _count(self, path: WalkTape, tables: WarpHashTables, bus: EventBus,
+               record: WalkTape | None) -> WalkOutput:
+        """Look ``path``'s keys up in ``tables`` and count the walk as it
+        runs step by step: per step a lookup row (or log entry) and a
+        ``SlotAccess`` (if wanted) per probe round, a ``SlotRead`` (if
+        wanted) and a step row; overflowed warps in step order. Lookups
+        run a stretch of whole steps at a time (a discovered path's keys
+        are hashed here: :data:`WALK_STRETCH` lanes, a taped path's all),
+        each probe round cut by step in one reduction. A taped path's
+        wraps, found lanes and vote rows are checked (``KernelError``);
+        ``record``, a lead's empty tape, receives it in recorded form."""
+        log, cuts, k, out = self.log, path.cuts, tables.k, path.out
+        emit_slots, emit_reads = bus.wants(SlotAccess), bus.wants(SlotRead)
+        taped = path.codes is None
+        stretch = max(int(cuts[-1]), 1) if taped else WALK_STRETCH
+        starts = run_length_sorted(np.searchsorted(cuts[:-1], np.arange(
+            0, cuts[-1], stretch), side="right") - 1)[0].tolist()
+        windows = None if taped else sliding_window_view(path.codes, k, 1)
+        rows, overflowed, kept = [], [], []
+        chain = read_at = 0
+        for s0, s1 in zip(starts, [*starts[1:], cuts.size - 1]):
+            lo, hi = int(cuts[s0]), int(cuts[s1])
+            a, local = path.warps[lo:hi], cuts[s0:s1 + 1] - lo
+            steps = np.repeat(np.arange(s0, s1), np.diff(local))
+            if taped:
+                homes, fps = path.homes[lo:hi], path.fps[lo:hi]
+            else:   # ``[w, t]``: warp ``w``'s key ``t`` bases on
+                keys = windows[a, steps]
+                homes, fps = (murmur2_batch(keys, self.seed),
+                              fingerprint_matrix(keys))
+            # per probe round, cut by step at once: where each step's
+            # pending lanes start, and the occupied slots before them
+            rounds = []
+            slot, missing, wrapped = self._lookup(
+                a, homes, fps, tables,
+                lambda u, au, occupied, slots, local=local: rounds.append((
+                    np.searchsorted(u, local).tolist(), None if log is not None
+                    else np.concatenate(([0], np.cumsum(occupied))),
+                    au, occupied, slots)))
+            found, committed = path.found[lo:hi], steps < out.base_lens[a]
+            hit = slot >= 0
+            overflowed += [int(a[lane]) for _, _, lane in sorted(
+                (steps[lane], r, lane) for r, lanes in enumerate(wrapped)
+                for lane in lanes.tolist())]   # by step, then wrap round
+            read = np.concatenate(tables.votes_at(slot[hit]), axis=1) \
+                if taped or record is not None else None
+            if taped:
+                want = path.votes[read_at:read_at + read.shape[0]]
+                read_at += read.shape[0]
+            if taped and (overflowed or not np.array_equal(read, want)) \
+                    or not np.array_equal(hit, found) \
+                    or not np.array_equal(missing, ~found):
+                raise KernelError(_DISAGREE)
+            if record is not None:
+                kept.append((homes, fps, read))
+            for s in range(s1 - s0):
+                for at, occ, au, occupied, slots in rounds:
+                    u0, u1 = at[s], at[s + 1]
+                    if u0 == u1:
+                        break   # a step's pending lanes only shrink
+                    chain += 1
+                    if log is None:
+                        rows.append(lookup_row(u1 - u0,
+                                               int(occ[u1] - occ[u0])))
+                    else:
+                        log.append(lookup_entry(au[u0:u1], occupied[u0:u1]))
+                    if emit_slots:
+                        bus.emit(SlotAccess(slots=slots[u0:u1]))
+                a0, a1 = int(local[s]), int(local[s + 1])
+                f, c = found[a0:a1], np.flatnonzero(committed[a0:a1])
+                if emit_reads and f.any():
+                    bus.emit(SlotRead(phase="walk", kind="vote_read",
+                                      slots=slot[a0:a1][f],
+                                      warps=a[a0:a1][f]))
                 if log is None:
-                    rows.append(lookup_row(
-                        hi - lo, int(np.count_nonzero(occupied[lo:hi]))))
+                    rows.append(step_row(a1 - a0, int(np.count_nonzero(f)),
+                                         c.size))
                 else:
-                    log.append(lookup_entry(au[lo:hi], occupied[lo:hi]))
-            if log is None:
-                _, walkers, f, _, _, committed = entry
-                rows.append(step_row(walkers.size, int(np.count_nonzero(f)),
-                                     0 if committed is None
-                                     else committed.size))
-            else:
-                log.append(entry)
-        return replace(lead, iterations=chain, rows=rows)
+                    log.append(walk_entry(a[a0:a1], f, c if c.size else None))
+        out = replace(out, iterations=chain, overflowed=tuple(overflowed),
+                      rows=rows)
+        if record is not None:
+            vars(record).update(vars(path), codes=None, out=out, **dict(zip(
+                ("homes", "fps", "votes"), map(np.concatenate, zip(*kept)))))
+        return out
 
     def run(self, batch: Batch, tables: WarpHashTables,
             bus: EventBus) -> WalkOutput:
         tape, self.tape = self.tape, None
         if tape is not None and tape.out is not None:
-            return self._follow(tape, tables)
-        n_warps = batch.n_warps
-        max_len = self.max_walk_len
-        cur = batch.seeds.copy()
-        alive = batch.seed_valid.copy()
-        base_codes = np.zeros((n_warps, max_len), dtype=np.uint8)
-        base_lens = np.zeros(n_warps, dtype=np.int64)
-        state_codes = np.full(n_warps, _MISSING, dtype=np.int8)
-        visited = VisitedFingerprintSet(n_warps)
-        first_step = np.ones(n_warps, dtype=bool)
-        live = np.nonzero(alive)[0]
-        # Current-k-mer fingerprints roll along with ``cur`` (one
-        # shift_fingerprints update per advance) instead of re-evaluating
-        # the k-wide polynomial every step.
-        k = int(cur.shape[1])
-        cur_fp = np.zeros(n_warps, dtype=np.uint64)
-        if live.size:
-            cur_fp[live] = fingerprint_matrix(cur[live])
-            visited.add(live, cur_fp[live])
-        chain = 0
-        steps_run = 0
-        overflowed: list[int] = []
-        rows: list = []
-        emit_slots = bus.wants(SlotAccess)
-        emit_reads = bus.wants(SlotRead)
-        log = self.log
-        if log is None:
-            def tally(u, au, occupied):
-                rows.append(lookup_row(u.size, int(np.count_nonzero(occupied))))
-        else:
-            def tally(u, au, occupied):
-                log.append(lookup_entry(au, occupied))
-        for _step in range(max_len + 1):
-            if not alive.any():
-                break
-            steps_run += 1
-            a = np.nonzero(alive)[0]
-            if _step == max_len:
-                state_codes[a] = _MAX_LEN
-                break
-            homes = murmur2_batch(cur[a], self.seed)
-            fps = cur_fp[a]
+            return replace(self._count(tape, tables, bus, None), rounds=0)
+        return self._count(self._discover(batch, tables), tables, bus, tape)
 
-            # probe for the key (or an empty slot = not present)
-            found_slot, missing, iters = self._lookup(
-                a, homes, fps, tables, bus, emit_slots, overflowed, tally)
-            chain += iters
-
-            # resolve extensions for found keys
-            res_states = np.full(a.size, -2, dtype=np.int8)
-            res_bases = np.full(a.size, -1, dtype=np.int8)
-            f = found_slot >= 0
-            read = None
-            if f.any():
-                if emit_reads:
-                    bus.emit(SlotRead(phase="walk", kind="vote_read",
-                                      slots=found_slot[f], warps=a[f]))
-                read = hi_rows, lo_rows = tables.votes_at(found_slot[f])
-                s, b = resolve_extension_batch(hi_rows, lo_rows, self.policy)
-                res_states[f] = s
-                res_bases[f] = b
-
-            bases_committed = 0
-            committed = None
-            next_alive = alive.copy()
-            advancing = ~missing & (res_states == _EXTEND)
-            # terminal warps leave the walk as one mask assignment: a
-            # missing key is MISSING on the first step and END after it,
-            # any other non-advancing resolution keeps its resolver code
-            terminal = a[missing]
-            state_codes[terminal] = np.where(first_step[terminal],
-                                             _MISSING, _END).astype(np.int8)
-            resolved = ~missing & ~advancing
-            state_codes[a[resolved]] = res_states[resolved]
-            next_alive[a[missing | resolved]] = False
-            if advancing.any():
-                adv = np.nonzero(advancing)[0]
-                aw = a[adv]
-                dropped = cur[aw, 0]
-                cur[aw, :-1] = cur[aw, 1:]
-                cur[aw, -1] = res_bases[adv]
-                cur_fp[aw] = shift_fingerprints(cur_fp[aw], dropped,
-                                                res_bases[adv], k)
-                seen = visited.seen_or_add(aw, cur_fp[aw])
-                looped = aw[seen]
-                state_codes[looped] = _LOOP
-                next_alive[looped] = False
-                committed = adv[~seen]
-                ok = a[committed]
-                base_codes[ok, base_lens[ok]] = res_bases[committed].astype(
-                    np.uint8)
-                base_lens[ok] += 1
-                bases_committed = int(ok.size)
-            entry = walk_entry(a, f, committed)
-            if log is None:
-                rows.append(step_row(a.size, int(f.sum()), bases_committed))
-            else:
-                log.append(entry)
-            if tape is not None:
-                tape.steps.append((entry, homes, fps, read))
-            first_step[a] = False
-            alive = next_alive
-        out = WalkOutput(base_codes=base_codes, base_lens=base_lens,
-                         state_codes=state_codes, steps=steps_run,
-                         iterations=chain, overflowed=tuple(overflowed),
-                         rows=rows)
-        if tape is not None:
-            tape.out = out
-        return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import HashTableFullError, KernelError
+from repro.genomics.kmer import is_shift
 from repro.simt.intrinsics import elect_one_per_slot
 
 #: Bytes of the slot struct read by a probe (key tag: ptr + length).
@@ -76,6 +77,7 @@ class WarpHashTables:
         # one reads as no votes.
         self.row = np.zeros(total, dtype=_row_dtype(total))
         self.votes = np.zeros((1, 8), dtype=np.int32)
+        self.link = np.zeros(1, dtype=self.row.dtype)   # ``link_reads``
 
     @classmethod
     def reserve(cls, slots: int, k: int) -> "WarpHashTables":
@@ -97,6 +99,7 @@ class WarpHashTables:
                       np.empty(slots, dtype=_row_dtype(slots)))
         self.fp, self.occupied, self.row = (a[:0] for a in self._room)
         self.votes = np.zeros((1, 8), dtype=np.int32)
+        self.link = np.zeros(1, dtype=self.row.dtype)
         return self
 
     def absorb(self, other: "WarpHashTables") -> None:
@@ -117,6 +120,9 @@ class WarpHashTables:
         row = self.row[lo:]
         np.add(other.row, self.votes.shape[0] - 1, out=row, casting="unsafe")
         row *= other.row > 0    # a slot without a row keeps the sentinel
+        link = other.link[1:].astype(self.link.dtype)
+        link[link > 0] += (self.votes.shape[0] - 1) << 2
+        self.link = np.concatenate([self.link, link])
         self.votes = np.concatenate([self.votes, other.votes[1:]])
         self.capacities = np.concatenate([self.capacities, other.capacities])
         self.offsets = np.concatenate([self.offsets, other.offsets[1:] + lo])
@@ -156,9 +162,12 @@ class WarpHashTables:
         """atomicCAS claim of empty slots; returns the winner mask.
 
         Callers pass only slots observed empty this iteration. Exactly one
-        lane per distinct slot wins; winners' fingerprints are installed.
+        lane per distinct slot wins — all, unsorted, when the slots ascend,
+        as when each is its warp's only claim; winners' tags are installed.
         """
-        winners = elect_one_per_slot(slots)
+        winners = (np.ones(slots.size, dtype=bool)
+                   if (slots[1:] > slots[:-1]).all()
+                   else elect_one_per_slot(slots))
         ws = slots[winners]
         self.occupied[ws] = True
         self.fp[ws] = fps[winners]
@@ -200,6 +209,33 @@ class WarpHashTables:
             add = np.bincount(cell)
             window = cells[base:base + add.size]
             np.add(window, add, out=window, casting="unsafe")
+        self.link = np.pad(self.link, (0, len(self.votes) - len(self.link)))
+
+    def link_reads(self, slots: np.ndarray, exts: np.ndarray,
+                   ends: np.ndarray) -> None:
+        """Set each row's :attr:`link`: of consecutive insertions (``slots``,
+        ``exts``; ``ends``: positions ending their reads) the last on it,
+        ``i``, not ending its read links it to ``row(i + 1) << 2 |
+        exts[i]`` if the two rows' keys slide that way (so whichever read
+        a walk came by); else 0."""
+        tag = np.empty(len(self.votes), dtype=np.uint64)
+        tag[self.row] = self.fp     # each row's key (row 0: any)
+        link = np.zeros(len(self.votes), dtype=self.link.dtype)
+        for lo in range(0, slots.size, VOTE_STRETCH):
+            rows = self.row[slots[lo:lo + VOTE_STRETCH + 1]]
+            src = rows[:-1].copy()
+            at = np.searchsorted(ends, [lo, lo + src.size])
+            src[ends[at[0]:at[1]] - lo] = 0     # row 0 links nowhere
+            nxt = rows[1:].astype(link.dtype)
+            nxt <<= 2
+            nxt |= exts[lo:lo + src.size]
+            link[src] = nxt     # the last insertion on a row wins
+        link[0] = 0
+        for lo in range(0, link.size, VOTE_STRETCH):
+            part = link[lo:lo + VOTE_STRETCH]
+            part *= is_shift(tag[lo:lo + part.size], tag[part >> 2],
+                             (part & 3).astype(np.uint8), self.k)
+        self.link = link
 
     def votes_at(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gather (hi_q, low_q) count rows for walk-step resolution."""

@@ -292,9 +292,9 @@ class BlockingCallInServeRule(LintRule):
     """REP007: serve coroutines must never block the event loop.
 
     The assembly service's contract (DESIGN.md decision #15) is that the
-    request path stays fully async — one stalled coroutine freezes every
-    connected client AND the coalescing window timers, turning a
-    latency-bounding feature into a latency cliff. Synchronous file,
+    request path stays fully async — one stalled coroutine stalls every
+    connected client AND the lane hand-off that dispatches the next
+    wave, so every queued job waits on it. Synchronous file,
     process, and sleep calls therefore may only run through
     ``run_in_executor``. The rule flags the known blockers when called
     directly inside an ``async def`` of :mod:`repro.serve`; sync helper

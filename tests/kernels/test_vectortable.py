@@ -114,6 +114,29 @@ class TestOperations:
             assert winners[first]
             assert t.fp[s] == fps[first]
 
+    @settings(max_examples=60)
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_ascending_claims_skip_the_election(self, n_warps, per_warp,
+                                                seed):
+        """Warp-grouped claims as construct issues them (warps ascending,
+        up to ``per_warp`` lanes each, slots in the warp's range): the
+        winners and installed tags equal the stable-sort election's,
+        whether every lane is its warp's only claim (no sort) or not."""
+        from repro.simt.intrinsics import elect_one_per_slot
+
+        rng = np.random.default_rng(seed)
+        caps = rng.integers(1, 6, size=n_warps)
+        t = WarpHashTables(caps, 4)
+        lanes = rng.integers(1, per_warp + 1, size=n_warps)
+        warps = np.repeat(np.arange(n_warps), lanes)
+        slots = t.offsets[warps] + rng.integers(0, caps[warps])
+        fps = rng.integers(1, 2**63, size=slots.size).astype(np.uint64)
+        want = elect_one_per_slot(slots)
+        np.testing.assert_array_equal(t.claim(slots, fps), want)
+        np.testing.assert_array_equal(t.fp[slots[want]], fps[want])
+        if (lanes == 1).all():
+            assert want.all()
+
 
 #: One claim or vote call: (is_claim, [(slot, ext, high-quality tier)]).
 _CALLS = st.lists(

@@ -7,8 +7,7 @@ profile see; how many lockstep programs the host ran to get there must
 not be observable. These tests run every scenario twice — with the
 default budget and with budget 0, where every launch walks alone — and
 require extensions, every profile field and the whole event stream
-(type and fields) to be equal; they also pin the visited set the shared
-walk relies on against per-warp Python sets. ``run_ports`` — the three
+(type and fields) to be equal. ``run_ports`` — the three
 ports of one input, the lead walking, the others following its walk in
 their own tables — is held to each port's own ``run`` the same way.
 """
@@ -29,7 +28,7 @@ from repro.kernels import (CudaLocalAssemblyKernel, HipLocalAssemblyKernel,
                            SyclLocalAssemblyKernel)
 from repro.kernels.engine import (BatchPreparer, ConstructPhase,
                                   ContigDropped, ContigRetried, CountRecorder,
-                                  LaunchDone, VisitedFingerprintSet,
+                                  LaunchDone,
                                   oracle_kernel_cls, run_ports,
                                   run_schedule_coalesced)
 from repro.resilience.faults import FaultInjector, FaultPlan
@@ -433,75 +432,3 @@ class TestSharedKRun:
         mutant = _ports()[1]
         mutant.construct_cls = BumpOneVote
         mutant.run(contigs, K)
-
-
-# ----------------------------------------------------------------------
-# the visited set
-# ----------------------------------------------------------------------
-
-
-#: Few distinct fingerprints, so that re-adds and cross-warp duplicates
-#: are the rule, plus the extremes of the dtype.
-_FPS = st.sampled_from([0, 1, 2, 3, 5, 8, 13, 2**63, 2**64 - 1]) \
-    | st.integers(0, 2**64 - 1)
-
-
-@st.composite
-def _calls(draw):
-    n_warps = draw(st.integers(1, 12))
-    calls = draw(st.lists(st.dictionaries(
-        st.integers(0, n_warps - 1), _FPS, max_size=n_warps), max_size=30))
-    return n_warps, calls
-
-
-class TestVisitedFingerprintSet:
-    @settings(max_examples=200, deadline=None)
-    @given(_calls())
-    def test_answers_like_per_warp_python_sets(self, case):
-        """Any call sequence — re-adds, the same fingerprint in several
-        warps, warps that sit calls out (their rows are shelved) and come
-        back, a warp that never inserts."""
-        n_warps, calls = case
-        visited = VisitedFingerprintSet(n_warps)
-        model = [set() for _ in range(n_warps)]
-        for call in calls:
-            warps = np.array(sorted(call), dtype=np.int64)
-            fps = np.array([call[w] for w in warps.tolist()],
-                           dtype=np.uint64)
-            want = [int(f) in model[w] for w, f in zip(warps.tolist(),
-                                                       fps.tolist())]
-            assert visited.seen_or_add(warps, fps).tolist() == want
-            for w, f in zip(warps.tolist(), fps.tolist()):
-                model[w].add(int(f))
-
-    def test_growth_across_several_doublings(self):
-        """Forty distinct keys a warp (the width doubles three times)
-        while the walkers thin out (the rest is shelved), then every key
-        of every warp — shelved ones included — reads as seen."""
-        rng = np.random.default_rng(0)
-        n_warps, steps = 64, 40
-        visited = VisitedFingerprintSet(n_warps)
-        keys = rng.integers(0, 2**64, size=(steps, n_warps), dtype=np.uint64)
-        stops = rng.integers(1, steps + 1, size=n_warps)
-        stops[:2] = steps, 0        # one walks to the end, one never starts
-        for t in range(steps):
-            warps = np.flatnonzero(stops > t)
-            assert not visited.seen_or_add(warps, keys[t, warps]).any()
-        rows, width = visited._path.shape
-        assert width == 64 and rows <= 2 * np.count_nonzero(stops == steps)
-        assert rows + len(visited._shelved) == n_warps - 1
-        for t in range(steps):
-            warps = np.flatnonzero(stops > t)
-            assert visited.seen_or_add(warps, keys[t, warps]).all()
-        never = np.array([1])
-        assert not visited.seen_or_add(never, keys[0, never]).any()
-
-    def test_add_ignores_duplicates(self):
-        visited = VisitedFingerprintSet(3)
-        warps = np.arange(3)
-        visited.add(warps, np.array([7, 7, 9], dtype=np.uint64))
-        visited.add(warps, np.array([7, 7, 9], dtype=np.uint64))
-        assert visited._len.tolist() == [1, 1, 1]
-        assert visited.seen_or_add(
-            warps, np.array([9, 7, 9], dtype=np.uint64)).tolist() \
-            == [False, True, True]

@@ -112,6 +112,15 @@ class TestWalkLookupOverflow:
         assert out.states[seedless] is WalkState.MISSING
         assert out.states[walked] is WalkState.END
 
+    def test_warps_wrapping_in_one_step_report_in_wrap_order(self):
+        """Both seeds are absent, so both warps wrap on the first step;
+        warp 1's smaller table wraps rounds earlier and is reported (and,
+        under the raise policy, named) first."""
+        batch, tables = _constructed([_absent_seed(c) for c in _job(seed=1)])
+        assert tables.capacities[1] < tables.capacities[0]
+        out = WalkPhase(PRODUCTION_POLICY).run(batch, tables, EventBus())
+        assert out.overflowed == (1, 0)
+
     def test_coalesced_raise_rebuilds_the_solo_error(self):
         """The tight job's error equals its solo error field for field;
         the roomy co-tenant of the same launch is byte-identical to solo."""
