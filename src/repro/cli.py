@@ -266,19 +266,20 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     import inspect
-    from pathlib import Path
 
-    from repro.sanitize.lint import RULES, render_json, render_text
+    from repro.sanitize.lint import (
+        RULES,
+        expand_select,
+        render_json,
+        render_text,
+    )
     from repro.sanitize.semantic import (
         UNUSED_SUPPRESSION_EXPLANATION,
         UNUSED_SUPPRESSION_ID,
         analyze_paths,
-        render_sarif,
-        write_baseline,
     )
 
     if args.explain:
-        from repro.sanitize.lint import expand_select
         ids = [s.strip() for s in args.explain.split(",")]
         special = [i for i in ids if i == UNUSED_SUPPRESSION_ID]
         try:
@@ -300,31 +301,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     select = ([s.strip() for s in args.select.split(",")]
               if args.select else None)
-    baseline = args.baseline
-    if baseline is None and Path("LINT_BASELINE.json").exists():
-        baseline = "LINT_BASELINE.json"
     try:
-        result = analyze_paths(args.paths, select=select,
-                               cache_path=args.cache,
-                               baseline_path=baseline)
-    except ValueError as exc:
+        result = analyze_paths(args.paths, select=select)
+    except ValueError as exc:  # an unknown --select id, an unparsable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        target = Path(baseline or "LINT_BASELINE.json")
-        write_baseline(target, result.all_findings)
-        n = sum(1 for f in result.all_findings
-                if f.rule != UNUSED_SUPPRESSION_ID)
-        print(f"wrote {n} baseline finding(s) to {target}", file=sys.stderr)
-        return 0
-    if args.format == "json":
-        print(render_json(result.findings))
-    elif args.format == "sarif":
-        print(render_sarif(result.findings))
-    else:
-        print(render_text(result.findings))
-    print(f"{result.files} file(s), {result.reused} cached, "
-          f"{result.suppressed} suppressed, {result.baselined} baselined",
+    render = render_json if args.format == "json" else render_text
+    print(render(result.findings))
+    print(f"{result.files} file(s), {result.suppressed} suppressed",
           file=sys.stderr)
     return result.exit_code
 
@@ -611,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("paths", nargs="*", default=["src"],
                         help="files/directories to lint (default: src)")
     p_lint.add_argument("--format", default="text",
-                        choices=("text", "json", "sarif"))
+                        choices=("text", "json"))
     p_lint.add_argument("--select", default=None, metavar="IDS",
                         help="comma-separated rule ids, ranges, or "
                              "prefixes, e.g. REP003,REP009-REP013,REP0 "
@@ -619,15 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--explain", default=None, metavar="ID",
                         help="print the rule docstring(s) for the given "
                              "id(s) and exit")
-    p_lint.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline file of grandfathered findings "
-                             "(default: LINT_BASELINE.json if present)")
-    p_lint.add_argument("--write-baseline", action="store_true",
-                        help="write the current findings to the baseline "
-                             "file and exit 0")
-    p_lint.add_argument("--cache", default=None, metavar="PATH",
-                        help="incremental analysis cache keyed by file "
-                             "content hash (off unless given)")
     p_lint.set_defaults(func=_cmd_lint)
     return ap
 

@@ -12,13 +12,20 @@ Two prongs, modeled on the vendor tool split:
   actually catch its bug class.
 * **static** — :mod:`~repro.sanitize.lint`, an AST lint engine with
   per-file repo-invariant rules, plus :mod:`~repro.sanitize.semantic`,
-  the whole-program pass (symbol table, call graph, interprocedural
-  rules with noqa pragmas / baseline / SARIF / incremental cache).
-  Together they form the catalog REP001–REP013, run as
-  ``repro-locassm lint``.
+  the whole-program half (symbol table, call graph, interprocedural
+  rules). Together they form the catalog REP001–REP013, run in one
+  pass as ``repro-locassm lint``; ``# repro: noqa`` pragmas are the
+  one way to suppress a finding.
 """
 
 from repro.sanitize.checkers import MAX_FINDINGS_PER_BATCH, Sanitizer
+# semantic before lint: the lint catalog imports the semantic rules, and
+# the semantic package's analyzer imports the catalog
+from repro.sanitize.semantic import (
+    AnalysisResult,
+    SemanticRule,
+    analyze_paths,
+)
 from repro.sanitize.lint import (
     RULES,
     LintFinding,
@@ -27,12 +34,6 @@ from repro.sanitize.lint import (
     render_json,
     render_text,
     select_rules,
-)
-from repro.sanitize.semantic import (
-    AnalysisResult,
-    SemanticRule,
-    analyze_paths,
-    render_sarif,
 )
 from repro.sanitize.report import (
     CHECKS,
@@ -58,14 +59,13 @@ __all__ = [
     "analyze_paths",
     "expand_select",
     "render_json",
-    "render_sarif",
     "render_text",
     "select_rules",
 ]
 
-# The docstring names the catalog span; assert it against the registered
-# rules so the text cannot drift again when REP014 lands (the REP001–
-# REP005 staleness this guards against was a real bug).
+# The docstring names the catalog span; assert it against the catalog
+# so the text cannot drift again when REP014 lands (the REP001–REP005
+# staleness this guards against was a real bug).
 _SPAN = f"{min(RULES)}–{max(RULES)}"
 assert _SPAN in __doc__, (
     f"stale sanitize docstring: catalog is {_SPAN}, docstring says "

@@ -1,31 +1,19 @@
-"""Static prong of repro.sanitize: the repo-invariant lint engine.
-
-Importing the package loads the rule catalog (rules register themselves
-into :data:`~repro.sanitize.lint.engine.RULES` at import time).
-"""
+"""Static prong of repro.sanitize: the lint engine and the rule catalog
+(:data:`~repro.sanitize.lint.catalog.RULES`, REP001–REP013)."""
 
 from repro.sanitize.lint.engine import (
-    RULES,
     LintFinding,
     LintRule,
-    expand_select,
-    register_rule,
     render_json,
     render_text,
-    select_rules,
 )
-from repro.sanitize.lint import rules as _rules  # noqa: F401  (registers REP00x)
-# The semantic rules live one package over but share this catalog; load
-# them here so RULES is always the complete REP001–REP013 set no matter
-# which sanitize entry point gets imported first.
-from repro.sanitize.semantic import rules as _semantic  # noqa: F401
+from repro.sanitize.lint.catalog import RULES, expand_select, select_rules
 
 __all__ = [
     "RULES",
     "LintFinding",
     "LintRule",
     "expand_select",
-    "register_rule",
     "render_json",
     "render_text",
     "select_rules",

@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 from typing import Iterator
 
-from repro.sanitize.lint.engine import LintFinding, LintRule, register_rule
+from repro.sanitize.lint.engine import LintFinding, LintRule
 from repro.sanitize.semantic.summary import blocking_desc
 
 #: Module aliases accepted as "this is NumPy".
@@ -25,7 +25,6 @@ def _is_np_random_attr(node: ast.AST) -> bool:
             and node.value.id in _NUMPY_NAMES)
 
 
-@register_rule
 class UnseededRandomRule(LintRule):
     """REP001: randomness must be seeded (reproducibility is the product).
 
@@ -69,7 +68,6 @@ class UnseededRandomRule(LintRule):
                     f"np.random.default_rng(seed) Generator instead")
 
 
-@register_rule
 class IncompleteBackendRule(LintRule):
     """REP002: a backend must implement the full ExecutionBackend protocol.
 
@@ -106,7 +104,6 @@ class IncompleteBackendRule(LintRule):
                     f"protocol")
 
 
-@register_rule
 class UndeclaredHandledEventRule(LintRule):
     """REP003: events a subscriber handles must be declared.
 
@@ -173,7 +170,6 @@ class UndeclaredHandledEventRule(LintRule):
                             f"events would silently never arrive")
 
 
-@register_rule
 class FloatInIntopPathRule(LintRule):
     """REP005: INTOP-counted paths must stay in integer arithmetic.
 
@@ -225,7 +221,6 @@ class FloatInIntopPathRule(LintRule):
                 yield from self._scan(node, path, seen)
 
 
-@register_rule
 class ScalarLoopInHotPhaseRule(LintRule):
     """REP006: engine phase hot paths must stay lockstep NumPy.
 
@@ -287,7 +282,6 @@ class ScalarLoopInHotPhaseRule(LintRule):
                         f"path to repro.kernels.engine.oracle")
 
 
-@register_rule
 class BlockingCallInServeRule(LintRule):
     """REP007: serve coroutines must never block the event loop.
 
@@ -337,7 +331,6 @@ class BlockingCallInServeRule(LintRule):
                 yield from self._scan(fn, path)
 
 
-@register_rule
 class SilentFailureHandlingRule(LintRule):
     """REP008: fault-tolerance paths must not hide or hammer failures.
 

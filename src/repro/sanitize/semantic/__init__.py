@@ -1,17 +1,13 @@
 """Whole-program semantic analysis: call graph + interprocedural rules.
 
-The per-file lint catalog (:mod:`repro.sanitize.lint`) cannot see a
+The per-file lint rules (:mod:`repro.sanitize.lint.rules`) cannot see a
 blocking call two frames below a coroutine or an event emitted in one
 module and handled in another. This package adds the cross-file half:
 per-module fact extraction (:mod:`~repro.sanitize.semantic.summary`),
 a project symbol table + call graph over those facts
 (:mod:`~repro.sanitize.semantic.callgraph`), rules REP009–REP013
-(:mod:`~repro.sanitize.semantic.rules`), and the analyzer pipeline with
-noqa pragmas, baseline, SARIF output, and the content-hash incremental
-cache (:mod:`~repro.sanitize.semantic.analyzer`).
-
-Importing the package registers REP009–REP013 into the shared
-:data:`~repro.sanitize.lint.engine.RULES` catalog.
+(:mod:`~repro.sanitize.semantic.rules`), and the one ``repro lint``
+pass with its noqa pragmas (:mod:`~repro.sanitize.semantic.analyzer`).
 """
 
 from repro.sanitize.semantic.analyzer import (
@@ -20,13 +16,9 @@ from repro.sanitize.semantic.analyzer import (
     AnalysisResult,
     analyze_paths,
     extract_pragmas,
-    load_baseline,
-    render_sarif,
-    rules_fingerprint,
-    write_baseline,
 )
 from repro.sanitize.semantic.callgraph import Project
-from repro.sanitize.semantic.rules import SemanticRule, is_semantic
+from repro.sanitize.semantic.rules import SemanticRule
 from repro.sanitize.semantic.summary import extract_summary
 
 __all__ = [
@@ -38,9 +30,4 @@ __all__ = [
     "analyze_paths",
     "extract_pragmas",
     "extract_summary",
-    "is_semantic",
-    "load_baseline",
-    "render_sarif",
-    "rules_fingerprint",
-    "write_baseline",
 ]

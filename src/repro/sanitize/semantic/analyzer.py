@@ -1,49 +1,35 @@
-"""The analysis pipeline: cache, suppressions, baseline, and output.
+"""The one ``repro lint`` pass: parse, check, suppress.
 
-:func:`analyze_paths` is the one entry point ``repro lint`` uses. It
-runs the syntactic catalog per file and the semantic catalog over the
-whole-program :class:`~repro.sanitize.semantic.callgraph.Project`, then
-applies the two escape hatches in order:
-
-1. ``# repro: noqa [REP0xx[,REP0yy]]`` pragmas suppress findings on
-   their line; a pragma that suppresses nothing is itself reported as
-   :data:`UNUSED_SUPPRESSION_ID` (``REP000``) so dead suppressions
-   cannot accumulate.
-2. A committed baseline file (``LINT_BASELINE.json``) grandfathers
-   known findings by ``(rule, path, message)`` — new code must ship
-   clean while pre-existing debt stays visible in the file, not in CI.
-
-The incremental cache stores, per file content hash, the syntactic
-findings (for the *whole* catalog, filtered at query time so one cache
-serves any ``--select``) plus the module summary and pragma table. Warm
-runs re-parse only changed files; the semantic pass always re-runs over
-the (cheap) summaries, so cold and warm runs are byte-identical by
-construction. The cache key also folds in the rule sources — editing
-any rule or the extractor invalidates every entry.
+:func:`analyze_paths` parses each file once, runs the selected per-file
+rules on its tree and extracts its module summary; the selected
+semantic rules then check the whole-program
+:class:`~repro.sanitize.semantic.callgraph.Project` built from those
+summaries. ``# repro: noqa [REP0xx[,REP0yy]]`` pragmas are the one way
+to suppress a finding: a pragma suppresses findings on its own line,
+and a pragma that suppresses nothing is itself reported as
+:data:`UNUSED_SUPPRESSION_ID` (``REP000``), so dead suppressions cannot
+accumulate.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import re
 import tokenize
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.sanitize.lint.engine import (
-    RULES, LintFinding, select_rules,
-)
+from repro.sanitize.lint.catalog import select_rules
+from repro.sanitize.lint.engine import LintFinding
 from repro.sanitize.semantic.callgraph import Project
-from repro.sanitize.semantic.rules import is_semantic
+from repro.sanitize.semantic.rules import SemanticRule
 from repro.sanitize.semantic.summary import extract_summary, module_name_for
 
-#: Pseudo-rule id for "this noqa pragma suppressed nothing". Engine-
-#: generated rather than registered: it has no checker to run, cannot be
-#: selected, and must never count toward the documented catalog.
+#: Pseudo-rule id for "this noqa pragma suppressed nothing". Made by the
+#: analyzer rather than listed in the catalog: it has no checker to run,
+#: cannot be selected, and must never count toward the documented rules.
 UNUSED_SUPPRESSION_ID = "REP000"
 
 UNUSED_SUPPRESSION_EXPLANATION = (
@@ -55,8 +41,6 @@ UNUSED_SUPPRESSION_EXPLANATION = (
 
 _PRAGMA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\s+(?P<rules>REP\d{3}(?:\s*,\s*REP\d{3})*))?")
-
-_CACHE_VERSION = 3
 
 
 def extract_pragmas(source: str) -> list[dict]:
@@ -85,116 +69,44 @@ def extract_pragmas(source: str) -> list[dict]:
     return pragmas
 
 
-def rules_fingerprint() -> str:
-    """Hash of the catalog ids plus the rule/extractor sources — any
-    edit to what the analyzer *means* invalidates every cache entry."""
-    import repro.sanitize.lint.rules as lint_rules
-    import repro.sanitize.semantic.callgraph as cg
-    import repro.sanitize.semantic.rules as sem_rules
-    import repro.sanitize.semantic.summary as summ
-    h = hashlib.sha256()
-    h.update(f"v{_CACHE_VERSION}|{','.join(sorted(RULES))}|".encode())
-    for mod in (lint_rules, sem_rules, summ, cg):
-        h.update(Path(mod.__file__).read_bytes())
-    return h.hexdigest()[:16]
-
-
-def iter_files_with_roots(paths: Iterable[str | Path]) \
-        -> Iterator[tuple[Path, Path]]:
-    """``(root, file)`` pairs; module names derive from ``root``."""
-    for p in paths:
-        p = Path(p)
+def _iter_files(paths: Iterable[str | Path]) -> Iterator[tuple[Path, str]]:
+    """``(file, module name)`` pairs; a directory's files are named
+    relative to it, a file given by itself by its stem."""
+    for p in map(Path, paths):
         if p.is_dir():
             for file in sorted(p.rglob("*.py")):
-                yield (p, file)
+                yield file, module_name_for(file.relative_to(p).parts)
         else:
-            yield (p.parent, p)
+            yield p, module_name_for((p.name,))
+
+
+def _parse(file: Path) -> tuple[str, ast.Module]:
+    """Source and tree of one file, or ``ValueError("<path>: <reason>")``
+    when it cannot be read, decoded or parsed."""
+    try:
+        source = file.read_bytes().decode("utf-8")
+        return source, ast.parse(source, filename=str(file))
+    except OSError as exc:
+        reason = exc.strerror
+    except SyntaxError as exc:
+        reason = (exc.msg if exc.lineno is None
+                  else f"{exc.msg} (line {exc.lineno})")
+    except ValueError as exc:  # not UTF-8, or a null byte on Python 3.10
+        reason = str(exc)
+    raise ValueError(f"{file}: {reason}")
 
 
 @dataclass
 class AnalysisResult:
-    """Everything one ``repro lint`` invocation produced."""
+    """What one ``repro lint`` pass found."""
 
-    findings: list[LintFinding]          #: post-suppression, post-baseline
-    files: int = 0                       #: files analyzed
-    reused: int = 0                      #: files served from the cache
-    suppressed: int = 0                  #: findings eaten by noqa pragmas
-    baselined: int = 0                   #: findings eaten by the baseline
-    all_findings: list[LintFinding] = field(default_factory=list)
-    project: Project | None = None
+    findings: list[LintFinding]   #: after noqa pragmas, REP000 included
+    files: int = 0                #: files analyzed
+    suppressed: int = 0           #: findings eaten by noqa pragmas
 
     @property
     def exit_code(self) -> int:
         return 1 if self.findings else 0
-
-
-def _load_cache(path: Path | None, fingerprint: str) -> dict:
-    if path is None or not path.exists():
-        return {}
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, OSError):
-        return {}
-    if data.get("fingerprint") != fingerprint:
-        return {}
-    files = data.get("files")
-    return files if isinstance(files, dict) else {}
-
-
-def _save_cache(path: Path | None, fingerprint: str, files: dict) -> None:
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"version": _CACHE_VERSION, "fingerprint": fingerprint,
-               "files": files}
-    path.write_text(json.dumps(payload, sort_keys=True),
-                    encoding="utf-8")
-
-
-def _analyze_file(root: Path, file: Path) -> dict:
-    source = file.read_bytes().decode("utf-8")
-    tree = ast.parse(source, filename=str(file))
-    try:
-        rel_parts = file.relative_to(root).parts
-    except ValueError:
-        rel_parts = (file.name,)
-    module = module_name_for(rel_parts)
-    findings: list[LintFinding] = []
-    for rule in RULES.values():
-        if not is_semantic(rule):
-            findings.extend(rule.check(tree, str(file)))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return {
-        "findings": [asdict(f) for f in findings],
-        "summary": extract_summary(tree, str(file), module),
-        "pragmas": extract_pragmas(source),
-    }
-
-
-def load_baseline(path: Path | None) -> set[tuple[str, str, str]]:
-    """Grandfathered findings as ``(rule, path, message)`` triples."""
-    if path is None or not path.exists():
-        return set()
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return {(f["rule"], f["path"], f["message"])
-            for f in data.get("findings", [])}
-
-
-def write_baseline(path: Path, findings: list[LintFinding]) -> None:
-    """Commit the current findings as the accepted debt set."""
-    payload = {
-        "version": 1,
-        "comment": ("Grandfathered repro-lint findings. Entries match on "
-                    "(rule, path, message); remove them as the debt is "
-                    "paid down. New findings never belong here without a "
-                    "written justification in the PR."),
-        "findings": [{"rule": f.rule, "path": f.path, "message": f.message}
-                     for f in sorted(findings,
-                                     key=lambda f: (f.path, f.line, f.col,
-                                                    f.rule))
-                     if f.rule != UNUSED_SUPPRESSION_ID],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _apply_suppressions(findings: list[LintFinding],
@@ -238,101 +150,32 @@ def _apply_suppressions(findings: list[LintFinding],
 
 
 def analyze_paths(paths: Iterable[str | Path], *,
-                  select: Iterable[str] | None = None,
-                  cache_path: str | Path | None = None,
-                  baseline_path: str | Path | None = None) -> AnalysisResult:
-    """Run the full analysis over files and directories."""
+                  select: Iterable[str] | None = None) -> AnalysisResult:
+    """Run the selected rules (default: all) over files and directories.
+
+    Raises ``ValueError`` for an unknown ``select`` item and for a file
+    that cannot be read or parsed.
+    """
     rules = select_rules(select)
-    selected_ids = {r.rule_id for r in rules}
-    semantic_rules = [r for r in rules if is_semantic(r)]
+    findings: list[LintFinding] = []
+    summaries: list[dict] = []
+    pragmas_by_path: dict[str, list[dict]] = {}
+    for file, module in _iter_files(paths):
+        path = str(file)
+        source, tree = _parse(file)
+        for rule in rules:
+            findings.extend(rule.check(tree, path))
+        summaries.append(extract_summary(tree, path, module))
+        pragmas = extract_pragmas(source)
+        if pragmas:
+            pragmas_by_path[path] = pragmas
+    project = Project(summaries)
+    for rule in rules:
+        if isinstance(rule, SemanticRule):
+            findings.extend(rule.check_project(project))
 
-    cache_file = Path(cache_path) if cache_path is not None else None
-    fingerprint = rules_fingerprint()
-    cached = _load_cache(cache_file, fingerprint)
-    fresh: dict[str, dict] = {}
-
-    records: list[tuple[str, dict]] = []
-    reused = 0
-    for root, file in iter_files_with_roots(paths):
-        key = str(file)
-        digest = hashlib.sha256(file.read_bytes()).hexdigest()
-        entry = cached.get(key)
-        if entry is not None and entry.get("hash") == digest:
-            record = entry["record"]
-            reused += 1
-        else:
-            record = _analyze_file(root, file)
-        fresh[key] = {"hash": digest, "record": record}
-        records.append((key, record))
-    _save_cache(cache_file, fingerprint, {**cached, **fresh})
-
-    findings = [LintFinding(**f) for _, record in records
-                for f in record["findings"] if f["rule"] in selected_ids]
-    project = Project([record["summary"] for _, record in records])
-    for rule in semantic_rules:
-        findings.extend(rule.check_project(project))
-
-    pragmas_by_path = {key: record["pragmas"] for key, record in records
-                       if record["pragmas"]}
     kept, unused, suppressed = _apply_suppressions(findings, pragmas_by_path)
-    all_findings = kept + unused
-
-    baseline = load_baseline(
-        Path(baseline_path) if baseline_path is not None else None)
-    baselined = [f for f in all_findings
-                 if (f.rule, f.path, f.message) in baseline]
-    final = [f for f in all_findings
-             if (f.rule, f.path, f.message) not in baseline]
+    final = kept + unused
     final.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
-    all_findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule,
-                                     f.message))
-    return AnalysisResult(findings=final, files=len(records), reused=reused,
-                          suppressed=suppressed, baselined=len(baselined),
-                          all_findings=all_findings, project=project)
-
-
-# ----------------------------------------------------------------------
-# SARIF rendering
-# ----------------------------------------------------------------------
-
-_SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                 "master/Schemata/sarif-schema-2.1.0.json")
-
-
-def render_sarif(findings: list[LintFinding]) -> str:
-    """SARIF 2.1.0 for code-scanning upload; deterministic output."""
-    rule_ids = sorted({f.rule for f in findings} | set(RULES))
-    rules = []
-    for rule_id in rule_ids:
-        rule = RULES.get(rule_id)
-        desc = (rule.description if rule is not None
-                else "unused '# repro: noqa' suppression pragma")
-        rules.append({"id": rule_id,
-                      "shortDescription": {"text": desc}})
-    results = [{
-        "ruleId": f.rule,
-        "ruleIndex": rule_ids.index(f.rule),
-        "level": "error",
-        "message": {"text": f.message},
-        "locations": [{
-            "physicalLocation": {
-                "artifactLocation": {"uri": f.path.replace("\\", "/")},
-                "region": {"startLine": max(f.line, 1),
-                           "startColumn": f.col + 1},
-            },
-        }],
-    } for f in findings]
-    doc = {
-        "$schema": _SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "repro-lint",
-                "informationUri":
-                    "https://example.invalid/repro/API.md#repro-sanitize",
-                "rules": rules,
-            }},
-            "results": results,
-        }],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return AnalysisResult(findings=final, files=len(summaries),
+                          suppressed=suppressed)

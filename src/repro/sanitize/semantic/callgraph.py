@@ -2,8 +2,8 @@
 
 A :class:`Project` is built purely from per-file module summaries
 (:func:`repro.sanitize.semantic.summary.extract_summary`) — it never
-re-opens source files, which is what lets the incremental cache feed it
-from disk. It indexes every function/method/coroutine under a stable
+re-opens source files: every fact a rule asks for is in the summaries.
+It indexes every function/method/coroutine under a stable
 key ``module:qualname``, resolves call sites between them, and answers
 the interprocedural questions the REP009–REP013 rules ask (transitive
 blocking reachability, nondeterministic return taint).

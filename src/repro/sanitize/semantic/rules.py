@@ -1,7 +1,7 @@
 """Interprocedural rules REP009–REP013 over the project model.
 
-Each rule subclasses :class:`SemanticRule`: it registers in the shared
-:data:`~repro.sanitize.lint.engine.RULES` catalog (so ``--select`` /
+Each rule subclasses :class:`SemanticRule`: it sits in the one
+:data:`~repro.sanitize.lint.catalog.RULES` table (so ``--select`` /
 ``--explain`` treat the whole catalog uniformly) but its per-file
 ``check`` is a no-op — the real work happens in ``check_project``,
 which sees the :class:`~repro.sanitize.semantic.callgraph.Project`
@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.sanitize.lint.engine import LintFinding, LintRule, register_rule
+from repro.sanitize.lint.engine import LintFinding, LintRule
 from repro.sanitize.semantic.callgraph import Project
 
 
@@ -35,11 +35,6 @@ class SemanticRule(LintRule):
                            message=message)
 
 
-def is_semantic(rule: LintRule) -> bool:
-    return isinstance(rule, SemanticRule)
-
-
-@register_rule
 class TransitiveBlockingRule(SemanticRule):
     """REP009: no coroutine may reach a blocking call through any chain.
 
@@ -74,7 +69,6 @@ class TransitiveBlockingRule(SemanticRule):
                 f"{hops}; move the blocking leaf behind run_in_executor")
 
 
-@register_rule
 class DeterminismTaintRule(SemanticRule):
     """REP010: nondeterministic values must not reach identity sinks.
 
@@ -109,7 +103,6 @@ class DeterminismTaintRule(SemanticRule):
                     f"payloads from seeded/input state only")
 
 
-@register_rule
 class EventContractRule(SemanticRule):
     """REP011: every emitted event is handled, every handled event real.
 
@@ -157,7 +150,6 @@ class EventContractRule(SemanticRule):
                 f"in the tree ever emits it (dead subscription)")
 
 
-@register_rule
 class DtypeWidthRule(SemanticRule):
     """REP012: fingerprint arithmetic stays on the 64-bit contract.
 
@@ -187,7 +179,6 @@ class DtypeWidthRule(SemanticRule):
                     f"64-bit or guard with np.errstate(over='ignore')")
 
 
-@register_rule
 class CheckpointCodecRule(SemanticRule):
     """REP013: checkpoint codec halves must agree on their key sets.
 

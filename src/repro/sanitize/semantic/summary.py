@@ -8,13 +8,9 @@ determinism-taint facts, event emissions and ``handled_events``
 declarations, payload codec key sets, and narrow-dtype arithmetic in
 fingerprint paths.
 
-Summaries are deliberately JSON-serializable (dicts, lists, strings,
-ints only): the incremental analysis cache
-(:mod:`repro.sanitize.semantic.analyzer`) persists them keyed by file
-content hash, so a warm run rebuilds the project model from cached
-summaries without re-parsing unchanged files. Nothing in this module
-looks across files — that is :mod:`repro.sanitize.semantic.callgraph`'s
-job, operating purely on these summaries.
+Nothing in this module looks across files — that is
+:mod:`repro.sanitize.semantic.callgraph`'s job, operating purely on
+these summaries.
 """
 
 from __future__ import annotations
@@ -642,7 +638,7 @@ def _collect_codecs(tree: ast.Module, codecs: list[dict]) -> None:
 
 
 def extract_summary(tree: ast.Module, path: str, module: str) -> dict:
-    """Extract one module's whole-program facts (JSON-serializable)."""
+    """Extract one module's whole-program facts as plain data."""
     fingerprint_module = module.split(".")[-1] in ("murmur", "kmer")
     emits: list[dict] = []
     declared: list[dict] = []
@@ -696,10 +692,9 @@ def extract_summary(tree: ast.Module, path: str, module: str) -> dict:
                            attr_tags)
             bases = [b.id if isinstance(b, ast.Name)
                      else getattr(b, "attr", "") for b in node.bases]
-            classes.append({"name": node.name, "line": node.lineno,
+            classes.append({"name": node.name,
                             "bases": [b for b in bases if b],
-                            "attr_types": dict(sorted(attr_types.items())),
-                            "methods": sorted(m.name for m in methods)})
+                            "attr_types": dict(sorted(attr_types.items()))})
 
     return {
         "path": path,

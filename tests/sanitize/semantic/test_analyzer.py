@@ -1,26 +1,12 @@
-"""Analyzer pipeline: pragmas, baseline, SARIF, and the incremental
-cache's byte-identity contract."""
+"""Analyzer pass: noqa pragmas, the one way to suppress a finding."""
 
-import json
 import textwrap
 
-from repro.sanitize.lint import render_json
 from repro.sanitize.semantic import (
     UNUSED_SUPPRESSION_ID,
     analyze_paths,
     extract_pragmas,
-    load_baseline,
-    render_sarif,
-    write_baseline,
 )
-
-MURMUR_BUG = """
-    import numpy as np
-
-    def murmur_mix(h):
-        h = np.uint32(h)
-        return h * np.uint32(3)
-    """
 
 
 def write_tree(tmp_path, files):
@@ -99,137 +85,3 @@ def test_pragma_text_inside_a_docstring_is_not_a_suppression():
             return 1  # repro: noqa REP010
         '''))
     assert pragmas == [{"line": 4, "rules": ["REP010"]}]
-
-
-# ----------------------------------------------------------------------
-# baseline
-
-
-def test_baseline_grandfathers_existing_findings(tmp_path):
-    root = write_tree(tmp_path / "tree", {"pkg/murmur.py": MURMUR_BUG})
-    dirty = analyze_paths([root])
-    assert len(dirty.findings) == 1
-    baseline = tmp_path / "LINT_BASELINE.json"
-    write_baseline(baseline, dirty.findings)
-    assert load_baseline(baseline)
-
-    clean = analyze_paths([root], baseline_path=baseline)
-    assert clean.findings == []
-    assert clean.baselined == 1
-    assert clean.exit_code == 0
-    # the debt stays visible in all_findings even while CI passes
-    assert [f.rule for f in clean.all_findings] == ["REP012"]
-
-
-def test_new_findings_are_not_covered_by_an_old_baseline(tmp_path):
-    root = write_tree(tmp_path / "tree", {"pkg/murmur.py": MURMUR_BUG})
-    baseline = tmp_path / "LINT_BASELINE.json"
-    write_baseline(baseline, analyze_paths([root]).findings)
-    # a second, different bug lands after the baseline was cut
-    write_tree(root, {"pkg/murmur.py": MURMUR_BUG + """
-    def murmur_mix2(h):
-        h = np.uint32(h)
-        return h + np.uint32(7)
-    """})
-    result = analyze_paths([root], baseline_path=baseline)
-    assert result.baselined == 1
-    assert len(result.findings) == 1
-    assert "murmur_mix2" in result.findings[0].message
-
-
-# ----------------------------------------------------------------------
-# SARIF
-
-
-def test_sarif_is_valid_and_complete(tmp_path):
-    root = write_tree(tmp_path, {"pkg/murmur.py": MURMUR_BUG})
-    result = analyze_paths([root])
-    doc = json.loads(render_sarif(result.findings))
-    assert doc["version"] == "2.1.0"
-    (run,) = doc["runs"]
-    rules = run["tool"]["driver"]["rules"]
-    rule_ids = [r["id"] for r in rules]
-    # the whole catalog is advertised, findings reference it by index
-    assert "REP001" in rule_ids and "REP013" in rule_ids
-    (res,) = run["results"]
-    assert res["ruleId"] == "REP012"
-    assert rules[res["ruleIndex"]]["id"] == "REP012"
-    loc = res["locations"][0]["physicalLocation"]
-    assert loc["artifactLocation"]["uri"].endswith("pkg/murmur.py")
-    assert loc["region"]["startLine"] >= 1
-    assert loc["region"]["startColumn"] >= 1
-
-
-# ----------------------------------------------------------------------
-# incremental cache
-
-
-def test_warm_cache_output_is_byte_identical(tmp_path):
-    root = write_tree(tmp_path / "tree", {
-        "pkg/murmur.py": MURMUR_BUG,
-        "pkg/clean.py": "def fine():\n    return 1\n",
-    })
-    cache = tmp_path / "cache.json"
-    cold = analyze_paths([root], cache_path=cache)
-    assert (cold.files, cold.reused) == (2, 0)
-    warm = analyze_paths([root], cache_path=cache)
-    assert (warm.files, warm.reused) == (2, 2)
-    assert render_json(warm.findings) == render_json(cold.findings)
-    assert render_sarif(warm.findings) == render_sarif(cold.findings)
-
-
-def test_cache_reanalyzes_only_changed_files(tmp_path):
-    root = write_tree(tmp_path / "tree", {
-        "pkg/murmur.py": MURMUR_BUG,
-        "pkg/clean.py": "def fine():\n    return 1\n",
-    })
-    cache = tmp_path / "cache.json"
-    analyze_paths([root], cache_path=cache)
-    # fix the bug; only murmur.py should miss the cache
-    write_tree(root, {"pkg/murmur.py": """
-        import numpy as np
-
-        def murmur_mix(h):
-            h = np.uint64(h)
-            return h * np.uint64(3)
-        """})
-    warm = analyze_paths([root], cache_path=cache)
-    assert (warm.files, warm.reused) == (2, 1)
-    assert warm.findings == []
-
-
-def test_semantic_findings_survive_a_fully_cached_run(tmp_path):
-    # the cross-module pass runs over cached summaries, so a 100%-warm
-    # run must still see the multi-file REP009 chain
-    root = write_tree(tmp_path / "tree", {
-        "pkg/a.py": """
-            from pkg.b import helper
-
-            async def serve_loop():
-                helper()
-            """,
-        "pkg/b.py": """
-            import time
-
-            def helper():
-                time.sleep(0.1)
-            """,
-    })
-    cache = tmp_path / "cache.json"
-    cold = analyze_paths([root], cache_path=cache, select=["REP009"])
-    warm = analyze_paths([root], cache_path=cache, select=["REP009"])
-    assert warm.reused == warm.files == 2
-    assert render_json(warm.findings) == render_json(cold.findings)
-    assert [f.rule for f in warm.findings] == ["REP009"]
-
-
-def test_cache_serves_any_selection(tmp_path):
-    # cached records hold the full syntactic catalog, filtered at query
-    # time — a cache written under one --select must not leak or hide
-    # findings under another
-    root = write_tree(tmp_path / "tree", {"pkg/murmur.py": MURMUR_BUG})
-    cache = tmp_path / "cache.json"
-    analyze_paths([root], cache_path=cache, select=["REP001"])
-    warm = analyze_paths([root], cache_path=cache)
-    assert warm.reused == 1
-    assert [f.rule for f in warm.findings] == ["REP012"]

@@ -73,41 +73,33 @@ def test_lint_explain_prints_the_rule_docstring(capsys):
     assert "unknown lint rule id(s)" in capsys.readouterr().err
 
 
-def test_lint_sarif_format(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import numpy as np\nrng = np.random.default_rng()\n")
-    assert main(["lint", str(bad), "--format", "sarif"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["version"] == "2.1.0"
-    assert doc["runs"][0]["results"][0]["ruleId"] == "REP001"
-
-
-def test_lint_cache_is_transparent(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import numpy as np\nrng = np.random.default_rng()\n")
-    cache = tmp_path / "cache.json"
-    assert main(["lint", str(bad), "--format", "json",
-                 "--cache", str(cache)]) == 1
-    cold = capsys.readouterr().out
-    assert cache.exists()
-    assert main(["lint", str(bad), "--format", "json",
-                 "--cache", str(cache)]) == 1
+def test_lint_unparsable_file_is_an_error_not_a_finding(tmp_path, capsys):
+    bad = tmp_path / "broken.py"
+    bad.write_text("def f(:\n")
+    assert main(["lint", str(bad)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == cold
-    assert "1 cached" in captured.err
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {bad}: ") and "(line 1)" in line
 
 
-def test_lint_write_baseline_then_clean_run(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import numpy as np\nrng = np.random.default_rng()\n")
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", str(bad), "--baseline", str(baseline),
-                 "--write-baseline"]) == 0
-    assert "wrote 1 baseline finding(s)" in capsys.readouterr().err
-    assert main(["lint", str(bad), "--baseline", str(baseline)]) == 0
+def test_lint_missing_path_is_an_error_not_a_finding(tmp_path, capsys):
+    missing = tmp_path / "missing.py"
+    assert main(["lint", str(missing)]) == 2
     captured = capsys.readouterr()
-    assert "0 finding(s)" in captured.out
-    assert "1 baselined" in captured.err
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {missing}: No such file or directory"]
+
+
+@pytest.mark.parametrize("removed", [
+    ["--cache", "cache.json"], ["--baseline", "baseline.json"],
+    ["--write-baseline"], ["--format", "sarif"]],
+    ids=["cache", "baseline", "write-baseline", "sarif"])
+def test_lint_rejects_removed_options(removed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", "src", *removed])
+    assert exc.value.code == 2
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from repro.sanitize.lint import (
     RULES,
+    LintRule,
     render_json,
     render_text,
     select_rules,
@@ -374,6 +375,22 @@ def test_rule_catalog_is_the_documented_twelve():
     for rule_id, rule in RULES.items():
         assert rule.rule_id == rule_id
         assert rule.description
+
+
+def test_every_rule_class_is_in_the_catalog_once():
+    # RULES is one literal table: a rule class left out of it would
+    # never run, and nothing else would notice
+    from repro.sanitize.lint import rules as lint_rules
+    from repro.sanitize.semantic import rules as semantic_rules
+
+    classes = [cls for mod in (lint_rules, semantic_rules)
+               for cls in vars(mod).values()
+               if isinstance(cls, type) and issubclass(cls, LintRule)
+               and cls.__module__ == mod.__name__ and cls.rule_id]
+    assert len(classes) == len(RULES)
+    for cls in classes:
+        assert [r for r in RULES.values() if type(r) is cls] \
+            == [RULES[cls.rule_id]]
 
 
 def test_sanitize_docstring_tracks_the_catalog_span():
