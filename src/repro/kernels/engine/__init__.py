@@ -77,11 +77,7 @@ from repro.kernels.engine.tally import (
     LaunchTally,
     charge,
 )
-from repro.kernels.engine.walk import (
-    WalkOutput,
-    WalkPhase,
-    WalkTape,
-)
+from repro.kernels.engine.walk import WalkOutput, WalkPhase, WalkTape
 
 __all__ = [
     # backend protocol

@@ -1,65 +1,44 @@
 """Multi-tenant megabatch coalescing: fuse N jobs into one launch wave.
 
-The serving tier (:mod:`repro.serve`) needs to run many *small* jobs —
-each a handful of contigs with its own k-schedule run — without paying
-full per-launch lockstep overhead per job. Warps are fully independent
-in this engine (each owns a disjoint slot region of the fused
-:class:`~repro.kernels.vectortable.WarpHashTables`, and every phase
-decision is warp-local), so the per-warp behaviour of a fused launch is
-*bit-identical* to the same warp running solo. That fusion invariance is
-what this module exploits:
+The serving tier (:mod:`repro.serve`) runs many *small* jobs, each a
+few contigs with its own k schedule. Warps are independent (each owns a
+disjoint slot range of the fused tables; every phase decision is
+warp-local), so a warp of a fused launch behaves bit for bit as it does
+solo. So:
 
 1. **Execute fused**: per k, every active job is planned with the
-   kernel's own launch policy (per-job binning is preserved), narrowed
-   to the job's contig ends that have not settled — what its solo
-   schedule launches — and *all* resulting segments — every bin, both
-   extension directions, every tenant — are concatenated with
-   :func:`~repro.kernels.engine.prepare.concat_batches` and run through
-   construct + walk **once**: one lockstep program per k. Inside the
-   launch the phases only *log*: they append references to the
-   per-iteration arrays they already hold to the list the driver
-   installs as their ``log`` (entry layout:
-   :mod:`repro.kernels.engine.tally`); nothing is counted in the probe
-   loops, and the bus they are handed has no subscriber.
-2. **Attribute after the fact**: once per launch, one vectorized pass
-   (:meth:`LaunchRecord.attribute <repro.kernels.engine.attribution.\
-LaunchRecord.attribute>`: a single ``searchsorted`` of the
-   log's concatenated warps against the segment boundaries, then
-   ``bincount`` over ``segment x entry`` keys) turns the log into every
-   segment's tally rows — one per (segment, entry) pair in which the
-   segment had lanes, i.e. exactly the rows its solo run tallies. The
-   log itself is cleared at launch end.
-3. **Charge per job**: each job's launch tallies are charged to its
-   profile in solo launch order (:mod:`repro.kernels.engine.attribution`,
-   shared with the solo driver's walk groups) by the fold a solo launch
-   ends in (:func:`~repro.kernels.engine.tally.charge`), so profiles and
-   traffic are byte-identical to a one-at-a-time run *by construction* —
-   the hypothesis parity tests in ``tests/kernels/test_coalesce_parity.py``
-   are the drift guard. Count events are rendered from the same tallies
-   for a subscriber that asks.
+   kernel's own launch policy and narrowed to the contig ends its solo
+   schedule launches at that k; *all* resulting segments — every bin,
+   both ends, every tenant — are concatenated
+   (:func:`~repro.kernels.engine.prepare.concat_batches`) and run
+   through construct and walk **once**. Construct only *logs* the
+   arrays behind each iteration (entry layout:
+   :mod:`repro.kernels.engine.tally`); the walk writes each segment's
+   rows itself (:attr:`WalkPhase.warp_base
+   <repro.kernels.engine.walk.WalkPhase.warp_base>`); the bus has no
+   subscriber.
+2. **Attribute**: one vectorized pass
+   (:func:`~repro.kernels.engine.attribution.attribute`) turns
+   the log into every segment's construct rows — exactly its solo
+   run's — and clears it.
+3. **Charge per job**: each job's launch tallies are charged in solo
+   launch order by the fold a solo launch ends in
+   (:func:`~repro.kernels.engine.tally.charge`), so profiles and
+   traffic are a one-at-a-time run's by construction (drift guard:
+   ``tests/kernels/test_coalesce_parity.py``).
 
-A fused program carries counts only. A kernel that does not fuse
-(:meth:`LocalAssemblyKernel._fuses`: a tracer, the trace replayer or a
-sanitizer wants slot-numbered evidence) runs every job of the wave
-through its own ``run_schedule`` — solo, so trivially identical to solo.
-
-Overflow is settled where a solo run settles it, by the kernel's
-``_settle`` during replay: ``drop-contig`` and ``grow-retry`` emit the
-per-job drop/retry event sequences (fused retry launches re-fuse only
-the failing segments); ``raise`` raises the solo
-:class:`~repro.errors.HashTableFullError`, which becomes the job's
-:attr:`CoalescedJobResult.error` — an erroring job yields its error
-instead of a result, while its co-tenants are unaffected.
-
-Fault injection is supported for the *wave-scoped, fingerprint-scoped*
-kinds only (``worker-crash``, ``wave-stall``, ``launch-failure``):
-faults attributed to a job fingerprint fire identically no matter how
-the wave was fused, bisected, or re-dispatched, so chaos runs stay
-replayable. Kinds that mutate a prepared batch or a finished profile
-(``table-pressure``, ``read-corruption``, ``degenerate-profile``) and
-launch-ordinal-scoped specs are rejected with a clear
-:class:`~repro.errors.KernelError` — fusion changes launch ordinals and
-batch layouts, so those faults could not replay deterministically.
+A kernel that does not fuse (:meth:`LocalAssemblyKernel._fuses`: a
+subscriber wants slot-numbered evidence) runs every job of the wave
+through its own ``run_schedule``. Overflow is settled during replay by
+the kernel's ``_settle``, as solo: retries re-fuse only the failing
+segments, and under ``raise`` the solo
+:class:`~repro.errors.HashTableFullError` becomes the job's
+:attr:`CoalescedJobResult.error`, its co-tenants unaffected. Fault
+injection takes the fingerprint-scoped wave kinds only
+(``worker-crash``, ``wave-stall``, ``launch-failure``); kinds that
+mutate a batch or a profile, and launch-ordinal scopes, are rejected
+with a :class:`~repro.errors.KernelError`: fusion changes both, so
+they could not replay deterministically.
 """
 
 from __future__ import annotations
@@ -69,7 +48,7 @@ from dataclasses import dataclass
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig
 from repro.kernels.engine.attribution import (
-    LaunchRecord,
+    attribute,
     Segment,
     record_attempt,
 )
@@ -117,21 +96,6 @@ class _Job(KSchedule):
 # ----------------------------------------------------------------------
 
 
-def _launch(kernel, subs: list[Batch], k: int, construct, walker) -> tuple:
-    """One lockstep program over ``subs``: ``(launch, cres, wres)``.
-
-    The fused batch and its tables — the bulk of a wave's memory — die
-    with this frame, before the log is reduced.
-    """
-    fused, warp_base = concat_batches(subs)
-    tables = kernel.tables_cls(fused.capacities, k)
-    launch = LaunchRecord(warp_base)
-    construct.log = walker.log = launch.log
-    bus = EventBus()    # nobody listens: a fused program carries counts only
-    return (launch, construct.run(fused, tables, bus),
-            walker.run(fused, tables, bus))
-
-
 def _run_fused_group(kernel, group: list[Segment], k: int,
                      construct, walker) -> None:
     """Run one fused launch (plus grow-retry re-launches) over ``group``.
@@ -141,10 +105,16 @@ def _run_fused_group(kernel, group: list[Segment], k: int,
     slices, failures) lands in ``segment.records`` for the replay pass.
     """
     def launch_live(live: list[Segment], attempt: int) -> None:
-        launch, cres, wres = _launch(kernel, [seg.sub for seg in live], k,
-                                     construct, walker)
-        launch.attribute()
-        record_attempt(live, launch, cres.overflowed, wres, attempt)
+        fused, warp_base = concat_batches([seg.sub for seg in live])
+        tables = kernel.tables_cls(fused.capacities, k)
+        construct.log, walker.warp_base = [], warp_base
+        bus = EventBus()    # nobody listens: a fused program counts only
+        cres = construct.run(fused, tables, bus)
+        wres = walker.run(fused, tables, bus)
+        # the bulk of a wave's memory dies before the log is reduced
+        del fused, tables
+        record_attempt(live, warp_base, attribute(construct.log, warp_base),
+                       cres.overflowed, wres, attempt)
 
     kernel._run_attempts(group, launch_live)
 

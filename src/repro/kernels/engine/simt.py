@@ -40,11 +40,7 @@ from repro.genomics.contig import Contig, End
 from repro.genomics.dna import decode_matrix, reverse_complement_matrix
 from repro.genomics.reads import DEFAULT_QUAL_THRESHOLD
 from repro.hashing.opcount import hash_intops
-from repro.kernels.engine.attribution import (
-    LaunchRecord,
-    Segment,
-    record_attempt,
-)
+from repro.kernels.engine.attribution import Segment, record_attempt
 from repro.kernels.engine.backend import ProtocolCosts
 from repro.kernels.engine.construct import ConstructPhase
 from repro.kernels.engine.events import (
@@ -120,7 +116,7 @@ class _WalkGroup:
     A member constructs its own tables, as its own launch would; they
     then move in behind the group's (:meth:`WarpHashTables.absorb
     <repro.kernels.vectortable.WarpHashTables.absorb>`) and die. One walk
-    with the attribution log on covers them all.
+    covers them all and counts each member's rows.
     """
 
     def __init__(self, krun: _KRun, slots: int, members=()) -> None:
@@ -152,16 +148,11 @@ class _WalkGroup:
         walked tables die here."""
         fused, warp_base = concat_batches(
             [seg.sub.walk_only() for seg in self.segments])
-        launch = LaunchRecord(warp_base)
-        self.walker.log = launch.log
-        try:
-            wres = self.walker.run(fused, self.tables, EventBus())
-        finally:
-            self.walker.log = None
+        self.walker.warp_base = warp_base
+        wres = self.walker.run(fused, self.tables, EventBus())
         self.tables = None
-        launch.attribute()
-        record_attempt(self.segments, launch, self.construct_failed, wres,
-                       attempt, self.construct_rows)
+        record_attempt(self.segments, warp_base, self.construct_rows,
+                       self.construct_failed, wres, attempt)
 
 
 class LocalAssemblyKernel:
@@ -600,17 +591,21 @@ def run_ports(kernels, contigs: list[Contig], k: int,
     """Run one k of one input on several ports: one result per kernel,
     each equal to its own ``run`` (``run_ports((kernel,), ...)[0]``).
 
-    Each launch plan is prepared once. ``kernels[0]``, the *lead*, walks
-    and tapes each walk (:class:`~repro.kernels.engine.walk.WalkTape`);
-    each *follower* constructs its own tables in walk groups that mirror
-    the lead's and only looks the taped keys up in them (DESIGN.md
-    decision 34), unless the lead's program overflowed. Each kernel runs
-    alone if their plans or :meth:`~LocalAssemblyKernel._lead_key` differ.
+    Each distinct launch config is planned once, each plan prepared
+    once. ``kernels[0]``, the *lead*, walks and tapes each walk
+    (:class:`~repro.kernels.engine.walk.WalkTape`); each *follower*
+    constructs its own tables in walk groups that mirror the lead's and
+    only counts the taped walk in them (DESIGN.md decisions 34 and 36),
+    unless the lead's program overflowed. Each kernel runs alone if
+    their plans or :meth:`~LocalAssemblyKernel._lead_key` differ.
     """
     if parallel_scale <= 0 or parallel_scale > 1:
         raise KernelError(f"parallel_scale must be in (0, 1], got {parallel_scale}")
-    plans = [kern.launch_policy.plan(contigs, k, kern.launch_config(
+    keys = [(type(kern.launch_policy), kern.launch_config(
         depth_ratio, max_batch_insertions)) for kern in kernels]
+    planned = {key: kern.launch_policy.plan(contigs, k, key[1])
+               for key, kern in dict(zip(keys, kernels)).items()}
+    plans = [planned[key] for key in keys]
     if pending is not None:
         plans = [narrow_plans(p, contigs, pending) for p in plans]
     key = kernels[0]._lead_key()
@@ -623,6 +618,8 @@ def run_ports(kernels, contigs: list[Contig], k: int,
     kruns = [kern._begin_run(len(contigs), k, parallel_scale,
                              0 if pending is None else len(plans[0]))
              for kern in kernels]
+    for krun in kruns:      # what a lead tapes, and its followers find
+        krun.construct.record_claims = len(kruns) > 1
     lead = kruns[0]
     injector = lead.kernel.fault_injector
     # launch ordinals stay per launch: with an injector nothing groups

@@ -287,10 +287,9 @@ def test_walk_state_is_sized_by_what_walks():
 # one input, three ports: what following a lead's walk may hold
 # ----------------------------------------------------------------------
 
-#: What the lead's tape holds per walker-step: walker, homes and
-#: fingerprint (8 + 4 + 8 B), the found mask (1 B), the committed index
-#: (8 B) and the vote row read (32 B), rounded up.
-TAPE_BYTES_PER_STEP = 64
+#: What the lead's tape holds per walker-step: the insertion that claimed
+#: the key (4 B) and a check of the vote row read (8 B).
+TAPE_BYTES_PER_STEP = 12
 
 
 def test_three_ports_hold_one_table_set_and_the_tape():
