@@ -402,12 +402,10 @@ class TestSharedKRun:
         alone.walk_group_slots = 1 << 9
         assert walked == [True] and shared[1] == alone.run(contigs, K)
 
-    def test_a_follower_table_that_differs_raises(self):
-        """A seeded mutant bumps one vote cell — of the key warp w's walk
-        reads first — in the HIP port's table: its own run just extends
-        differently, but following the lead it must raise, not count."""
-        contigs = _binned(seed=3)
-        rng = np.random.default_rng(7)
+    @staticmethod
+    def _bumping(rng, bump):
+        """A construct that, once, hands ``bump`` the vote row of the key
+        a random walker's walk reads first, to change in place."""
 
         class BumpOneVote(ConstructPhase):
             bumped = False
@@ -420,10 +418,23 @@ class TestSharedKRun:
                     lo, hi = tables.offsets[w], tables.offsets[w + 1]
                     slot = lo + np.flatnonzero(tables.occupied[lo:hi]
                                                & (tables.fp[lo:hi] == fp))[0]
-                    tables.votes[tables.row[slot], rng.integers(8)] += 1
+                    bump(tables.votes[tables.row[slot]])
                     BumpOneVote.bumped = True
                 return out
 
+        return BumpOneVote
+
+    def test_a_follower_table_that_differs_raises(self):
+        """A seeded mutant bumps one vote cell — of the key warp w's walk
+        reads first — in the HIP port's table: its own run just extends
+        differently, but following the lead it must raise, not count."""
+        contigs = _binned(seed=3)
+        rng = np.random.default_rng(7)
+
+        def bump(row):
+            row[rng.integers(8)] += 1
+
+        BumpOneVote = self._bumping(rng, bump)
         kernels = _ports()
         kernels[1].construct_cls = BumpOneVote
         with pytest.raises(KernelError, match="disagrees"):
@@ -432,3 +443,18 @@ class TestSharedKRun:
         mutant = _ports()[1]
         mutant.construct_cls = BumpOneVote
         mutant.run(contigs, K)
+
+    def test_compensating_vote_changes_still_raise(self):
+        """Two cells of one vote row changed so that they cancel in a
+        weighted sum of the row's 64-bit words (+3 in cell 1 and -1 in
+        cell 3, the high halves of words weighted 1 and 3; modulo 2**64
+        whatever the counts): the follower must still raise."""
+        def bump(row):
+            row[1] += 3
+            row[3] -= 1
+
+        kernels = _ports()
+        kernels[1].construct_cls = self._bumping(np.random.default_rng(7),
+                                                 bump)
+        with pytest.raises(KernelError, match="disagrees"):
+            run_ports(kernels, _binned(seed=3), K)
