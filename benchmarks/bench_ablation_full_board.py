@@ -10,13 +10,13 @@ from conftest import BENCH_SCALE, banner
 
 from repro.analysis.report import render_table
 from repro.core.extension import PRODUCTION_POLICY
-from repro.kernels import kernel_for_device
+from repro.kernels import backend_for_device
 from repro.perfmodel.timing import extrapolate_profile
 from repro.simt.device import A100, MAX1550, MI250X, full_board
 
 
 def _time(device, contigs, k):
-    kern = kernel_for_device(device, policy=PRODUCTION_POLICY)
+    kern = backend_for_device(device, policy=PRODUCTION_POLICY)
     res = kern.run(contigs, k, parallel_scale=BENCH_SCALE)
     return extrapolate_profile(res.profile, device, BENCH_SCALE).seconds
 

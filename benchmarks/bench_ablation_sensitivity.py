@@ -12,7 +12,7 @@ from conftest import BENCH_SCALE, banner
 
 from repro.analysis.report import render_table
 from repro.core.extension import PRODUCTION_POLICY
-from repro.kernels import kernel_for_device
+from repro.kernels import backend_for_device
 from repro.perfmodel.timing import extrapolate_profile
 from repro.simt.device import PLATFORMS
 
@@ -22,8 +22,8 @@ K = 77
 def _profiles(suite, l2_churn):
     out = {}
     for device in PLATFORMS:
-        kern = kernel_for_device(device, policy=PRODUCTION_POLICY,
-                                 l2_churn=l2_churn)
+        kern = backend_for_device(device, policy=PRODUCTION_POLICY,
+                                  l2_churn=l2_churn)
         res = kern.run(suite.dataset(K), K, parallel_scale=BENCH_SCALE)
         out[device.name] = extrapolate_profile(res.profile, device,
                                                BENCH_SCALE)

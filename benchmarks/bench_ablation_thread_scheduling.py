@@ -12,14 +12,14 @@ from conftest import BENCH_SCALE, banner
 
 from repro.analysis.report import render_table
 from repro.core.extension import PRODUCTION_POLICY
-from repro.kernels import kernel_for_device
+from repro.kernels import backend_for_device
 from repro.perfmodel.timing import extrapolate_profile
 from repro.simt.device import PLATFORMS, MI250X
 
 
 def _time(device, contigs, k, lane_parallel):
-    kern = kernel_for_device(device, policy=PRODUCTION_POLICY,
-                             lane_parallel_walks=lane_parallel)
+    kern = backend_for_device(device, policy=PRODUCTION_POLICY,
+                              lane_parallel_walks=lane_parallel)
     res = kern.run(contigs, k, parallel_scale=BENCH_SCALE)
     return extrapolate_profile(res.profile, device, BENCH_SCALE).seconds
 

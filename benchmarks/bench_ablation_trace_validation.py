@@ -22,7 +22,7 @@ from conftest import banner
 from repro.analysis.report import render_table
 from repro.core.extension import PRODUCTION_POLICY
 from repro.datasets.generate import generate_paper_dataset
-from repro.kernels import kernel_for_device
+from repro.kernels import backend_for_device
 from repro.kernels.vectortable import SLOT_BYTES
 from repro.simt.device import A100, MI250X
 from repro.simt.memory import AccessCategory, AnalyticCacheModel, CacheSim
@@ -43,7 +43,7 @@ def _replay_hit_rate(device, trace, batched=True):
 
 
 def _measure(device, contigs, k):
-    kern = kernel_for_device(device, policy=PRODUCTION_POLICY)
+    kern = backend_for_device(device, policy=PRODUCTION_POLICY)
     kern.record_trace = True
     res = kern.run(contigs, k)  # parallel_scale=1: model the batch as-is
     trace = np.concatenate(res.trace)

@@ -14,14 +14,14 @@ from conftest import BENCH_SCALE, banner
 
 from repro.analysis.report import render_dict_table
 from repro.core.extension import PRODUCTION_POLICY
-from repro.kernels import kernel_for_device
+from repro.kernels import backend_for_device
 from repro.simt.device import PLATFORMS
 
 
 @pytest.mark.parametrize("device", PLATFORMS, ids=[d.name for d in PLATFORMS])
 def test_fig5_kernel_run(suite, benchmark, device):
     contigs = suite.dataset(21)
-    kern = kernel_for_device(device, policy=PRODUCTION_POLICY)
+    kern = backend_for_device(device, policy=PRODUCTION_POLICY)
     benchmark.pedantic(
         lambda: kern.run(contigs, 21, parallel_scale=BENCH_SCALE),
         rounds=1, iterations=1,

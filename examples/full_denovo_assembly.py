@@ -18,7 +18,7 @@ from repro.analysis.report import render_table
 from repro.genomics.dna import decode, reverse_complement
 from repro.genomics.reads import ReadSet
 from repro.genomics.simulate import ErrorProfile, sequence_read, simulate_genome
-from repro.kernels import kernel_for_device
+from repro.kernels import backend_for_device
 from repro.metahipmer import DeNovoAssembler, n50
 
 rng = np.random.default_rng(7)
@@ -43,7 +43,7 @@ print(f"sample: {len(ORGANISMS)} organisms, {len(reads)} reads "
       f"({reads.total_bases} bases)")
 
 # --- assemble, with local assembly running on the simulated A100 -------
-kernel = kernel_for_device(A100, policy=PRODUCTION_POLICY)
+kernel = backend_for_device(A100, policy=PRODUCTION_POLICY)
 assembler = DeNovoAssembler(k_schedule=(21, 33), kernel=kernel)
 result = assembler.assemble(reads)
 

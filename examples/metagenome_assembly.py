@@ -15,7 +15,7 @@ from repro import PRODUCTION_POLICY, A100
 from repro.core.binning import bin_contigs, binning_imbalance
 from repro.datasets import generate_paper_dataset, measure_characteristics
 from repro.genomics.io import write_fasta
-from repro.kernels import kernel_for_device
+from repro.kernels import backend_for_device
 
 K = 21
 SCALE = 0.02  # 2% of the paper's dataset; all per-contig shapes preserved
@@ -36,7 +36,7 @@ print(f"  binned into {len(bins)} launches "
       f"{binning_imbalance(contigs, [type(bins[0])(contig_indices=list(range(len(contigs))))], K):.2f}x)")
 
 print(f"running the CUDA port on the simulated {A100.name} ...")
-kernel = kernel_for_device(A100, policy=PRODUCTION_POLICY)
+kernel = backend_for_device(A100, policy=PRODUCTION_POLICY)
 result = kernel.run(contigs, K, parallel_scale=SCALE)
 
 states = Counter(s.value for _, s in result.right)

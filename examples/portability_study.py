@@ -12,7 +12,7 @@ Run:  python examples/portability_study.py
 from repro import PLATFORMS, PRODUCTION_POLICY
 from repro.analysis.report import render_table
 from repro.datasets import generate_paper_dataset
-from repro.kernels import kernel_for_device
+from repro.kernels import backend_for_device
 from repro.perfmodel.efficiency import algorithm_efficiency, architectural_efficiency
 from repro.perfmodel.portability import pennycook
 from repro.perfmodel.timing import extrapolate_profile
@@ -23,7 +23,7 @@ K_VALUES = (21, 33, 55, 77)
 datasets = {k: generate_paper_dataset(k, scale=SCALE) for k in K_VALUES}
 profiles = {}
 for device in PLATFORMS:
-    kernel = kernel_for_device(device, policy=PRODUCTION_POLICY)
+    kernel = backend_for_device(device, policy=PRODUCTION_POLICY)
     for k in K_VALUES:
         print(f"  {device.programming_model:5s} port on {device.name} k={k} ...")
         result = kernel.run(datasets[k], k, parallel_scale=SCALE)

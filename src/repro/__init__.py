@@ -39,7 +39,6 @@ from repro.kernels import (
     available_backends,
     backend_for_device,
     create_backend,
-    kernel_for_device,
 )
 from repro.simt.device import A100, MAX1550, MI250X, PLATFORMS
 
@@ -62,7 +61,6 @@ __all__ = [
     "available_backends",
     "backend_for_device",
     "create_backend",
-    "kernel_for_device",
     "A100",
     "MI250X",
     "MAX1550",

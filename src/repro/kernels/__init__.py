@@ -52,7 +52,6 @@ __all__ = [
     "available_backends",
     "backend_for_device",
     "create_backend",
-    "kernel_for_device",
     "resolve_backend",
 ]
 
@@ -115,8 +114,3 @@ def resolve_backend(name: str, device: DeviceSpec,
         return backend_for_device(device, **kwargs)
     return create_backend(name, device=None if name == "scalar" else device,
                           **kwargs)
-
-
-def kernel_for_device(device, **kwargs):
-    """The kernel variant matching a device's programming model."""
-    return backend_for_device(device, **kwargs)

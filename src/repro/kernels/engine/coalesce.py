@@ -53,7 +53,7 @@ from repro.kernels.engine.attribution import (
     record_attempt,
 )
 from repro.kernels.engine.events import EventBus
-from repro.kernels.engine.prepare import Batch, concat_batches
+from repro.kernels.engine.prepare import concat_batches
 from repro.kernels.engine.schedule import (
     KernelRunResult,
     KSchedule,
@@ -61,6 +61,7 @@ from repro.kernels.engine.schedule import (
     validate_k_schedule,
 )
 from repro.kernels.engine.simt import LocalAssemblyKernel
+from repro.resilience.faults import WAVE_FAULT_KINDS
 
 
 @dataclass
@@ -157,25 +158,16 @@ def _run_solo(kernel, contigs: list[Contig], k_schedule: tuple[int, ...],
         return CoalescedJobResult(result=None, error=error)
 
 
-#: Fault kinds whose effects depend on launch ordinals or batch layout —
-#: both change under fusion, so these cannot replay deterministically.
-_COALESCE_UNSUPPORTED_FAULTS = frozenset({
-    "table-pressure", "read-corruption", "degenerate-profile",
-})
-
-
 def _validate_coalesced_injector(injector, n_jobs: int,
                                  fingerprints: list[str] | None) -> None:
     """Reject fault plans that cannot fire deterministically under fusion."""
-    unsupported = sorted({
-        spec.kind.value for spec in injector.plan.faults
-        if spec.kind.value in _COALESCE_UNSUPPORTED_FAULTS})
-    if unsupported:
+    never = sorted({spec.kind.value for spec in injector.plan.faults
+                    if spec.kind not in WAVE_FAULT_KINDS})
+    if never:
         raise KernelError(
-            "coalesced execution does not support fault kinds "
-            f"{unsupported}: they mutate batch layouts or profiles that "
-            "fusion rearranges; scope chaos by job fingerprint with "
-            "worker-crash / wave-stall / launch-failure instead")
+            f"fault kinds {never} never fire in a coalesced wave; a wave "
+            f"takes {sorted(kind.value for kind in WAVE_FAULT_KINDS)}, "
+            "scoped by job fingerprint")
     if any(spec.launch is not None for spec in injector.plan.faults):
         raise KernelError(
             "launch-ordinal-scoped faults are not replayable under "
@@ -204,8 +196,9 @@ def run_schedule_coalesced(
     ``fingerprints`` optionally names each job (the
     serve tier passes request fingerprints) so a seeded
     :class:`~repro.resilience.FaultInjector` on the kernel can attribute
-    wave-scoped faults per job; an injector whose plan contains kinds
-    that cannot replay under fusion is rejected up front.
+    wave-scoped faults per job; an injector whose plan names a kind
+    outside :data:`~repro.resilience.WAVE_FAULT_KINDS` is rejected up
+    front.
     """
     if not isinstance(kernel, LocalAssemblyKernel):
         # fusion drives the kernel's phases, bus and launch policy

@@ -42,6 +42,7 @@ from repro.core.extension import (
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import decode_matrix, reverse_complement
 from repro.genomics.kmer import fingerprint_matrix
+from repro.genomics.reads import DEFAULT_QUAL_THRESHOLD
 from repro.hashing.murmur import murmur2_batch
 from repro.kernels.engine.construct import ConstructPhase
 from repro.kernels.engine.events import (
@@ -438,7 +439,7 @@ class OracleBatchPreparer(BatchPreparer):
             ins_fp[lo:hi] = fingerprint_matrix(win)
             ext_pos = starts[lo:hi] + k
             ins_ext[lo:hi] = codes[ext_pos]
-            ins_hi[lo:hi] = quals[ext_pos] >= self.qual_threshold
+            ins_hi[lo:hi] = quals[ext_pos] >= DEFAULT_QUAL_THRESHOLD
         return Batch(
             contig_ids=list(flat.contig_ids), codes=codes, quals=quals,
             ins_warp=ins_warp, ins_home=ins_home, ins_fp=ins_fp,

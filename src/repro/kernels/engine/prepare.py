@@ -238,7 +238,6 @@ class BatchPreparer:
 
     Args:
         seed: Murmur seed for the insertion pre-hashing.
-        qual_threshold: phred cut separating hi/low-quality votes.
         load_factor: hash-table occupancy target for size estimation.
         table_sizing: "upper_bound" reserves per-contig capacity from the
             k-independent read-volume bound (Figure 3: tables are sized
@@ -247,13 +246,11 @@ class BatchPreparer:
     """
 
     def __init__(self, *, seed: int = 0,
-                 qual_threshold: int = DEFAULT_QUAL_THRESHOLD,
                  load_factor: float = DEFAULT_LOAD_FACTOR,
                  table_sizing: str = "upper_bound") -> None:
         if table_sizing not in ("upper_bound", "exact"):
             raise KernelError(f"unknown table_sizing {table_sizing!r}")
         self.seed = seed
-        self.qual_threshold = qual_threshold
         self.load_factor = load_factor
         self.table_sizing = table_sizing
 
@@ -366,7 +363,7 @@ class BatchPreparer:
                                           prefix=flat.fp_prefix)[starts]
             ext_pos = starts + k
             ins_ext = codes[ext_pos]
-            ins_hi = quals[ext_pos] >= self.qual_threshold
+            ins_hi = quals[ext_pos] >= DEFAULT_QUAL_THRESHOLD
         else:
             ins_home = np.empty(0, dtype=np.uint32)
             ins_fp = np.empty(0, dtype=np.uint64)

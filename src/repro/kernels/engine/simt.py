@@ -38,7 +38,6 @@ from repro.core.extension import (
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import decode_matrix, reverse_complement_matrix
-from repro.genomics.reads import DEFAULT_QUAL_THRESHOLD
 from repro.hashing.opcount import hash_intops
 from repro.kernels.engine.attribution import Segment, record_attempt
 from repro.kernels.engine.backend import ProtocolCosts
@@ -164,7 +163,6 @@ class LocalAssemblyKernel:
             (the SYCL port exposes this as the sub-group size).
         policy: walk vote-resolution thresholds.
         max_walk_len: extension length cap.
-        qual_threshold: phred cut separating hi/low-quality votes.
         seed: Murmur seed.
         load_factor: hash-table occupancy target for size estimation.
         table_sizing: "upper_bound" (default) sizes tables from the
@@ -210,7 +208,6 @@ class LocalAssemblyKernel:
         warp_size: int | None = None,
         policy: WalkPolicy = DEFAULT_POLICY,
         max_walk_len: int = DEFAULT_MAX_WALK_LEN,
-        qual_threshold: int = DEFAULT_QUAL_THRESHOLD,
         seed: int = 0,
         load_factor: float = DEFAULT_LOAD_FACTOR,
         table_sizing: str = "upper_bound",
@@ -235,7 +232,6 @@ class LocalAssemblyKernel:
             raise KernelError(f"warp_size must be positive, got {self.warp_size}")
         self.policy = policy
         self.max_walk_len = max_walk_len
-        self.qual_threshold = qual_threshold
         self.seed = seed
         self.load_factor = load_factor
         self.table_sizing = table_sizing
@@ -250,8 +246,7 @@ class LocalAssemblyKernel:
             grow_factor, max_grow_attempts)
         self.launch_policy = BinnedLaunchPolicy()
         self.preparer = self.preparer_cls(
-            seed=seed, qual_threshold=qual_threshold,
-            load_factor=load_factor, table_sizing=table_sizing,
+            seed=seed, load_factor=load_factor, table_sizing=table_sizing,
         )
         #: Record every slot access's byte address into the result's
         #: ``trace`` (one array per launch), to validate the cache model.

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.errors import HashTableFullError, KernelError
 from repro.genomics.kmer import is_shift
-from repro.simt.intrinsics import elect_one_per_slot
 
 #: Bytes of the slot struct read by a probe (key tag: ptr + length).
 SLOT_TAG_BYTES = 16
@@ -51,6 +50,26 @@ def _row_dtype(total_slots: int) -> type:
     """int32 while every vote cell index ``row * 8 + column`` fits."""
     narrow = (total_slots + 1) * 8 <= np.iinfo(np.int32).max
     return np.int32 if narrow else np.int64
+
+
+def elect_one_per_slot(slot_ids: np.ndarray) -> np.ndarray:
+    """``atomicCAS`` winner election: one winner per distinct slot.
+
+    Among lanes claiming the same (globally unique) slot id exactly one
+    wins, the first in lane order. Returns a boolean winner mask.
+    """
+    slot_ids = np.asarray(slot_ids)
+    n = slot_ids.size
+    if n == 0:
+        return np.empty(0, dtype=bool)
+    # a stable sort keeps lane order among ties: the first lane wins
+    order = np.argsort(slot_ids, kind="stable")
+    sorted_slots = slot_ids[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = sorted_slots[1:] != sorted_slots[:-1]
+    winners = np.empty(n, dtype=bool)
+    winners[order] = first
+    return winners
 
 
 class WarpHashTables:

@@ -188,23 +188,8 @@ def _ext_from_payload(data: dict | None) -> ContigExtension | None:
 
 
 # ----------------------------------------------------------------------
-# the stage registry
+# the stages
 # ----------------------------------------------------------------------
-
-#: name -> stage singleton, in no particular order (see STAGE_ORDER).
-STAGES: dict[str, "PipelineStage"] = {}
-
-#: Execution order of one pipeline round.
-STAGE_ORDER: tuple[str, ...] = ()
-
-
-def register_stage(cls: type) -> type:
-    """Class decorator: instantiate and append to the registry."""
-    global STAGE_ORDER
-    stage = cls()
-    STAGES[stage.name] = stage
-    STAGE_ORDER = STAGE_ORDER + (stage.name,)
-    return cls
 
 
 class PipelineStage:
@@ -220,7 +205,6 @@ class PipelineStage:
         raise NotImplementedError
 
 
-@register_stage
 class KmerAnalysisStage(PipelineStage):
     """Error-filtered canonical k-mer counting over reads + carried contigs."""
 
@@ -235,7 +219,6 @@ class KmerAnalysisStage(PipelineStage):
         state.spectrum = _spectrum_from_payload(payload["spectrum"])
 
 
-@register_stage
 class ContigGenerationStage(PipelineStage):
     """Global de Bruijn graph construction and unitig emission."""
 
@@ -255,7 +238,6 @@ class ContigGenerationStage(PipelineStage):
         state.contigs = _contigs_from_payload(payload["contigs"])
 
 
-@register_stage
 class AlignmentStage(PipelineStage):
     """Read-to-contig alignment; assigns raw reads to contig ends."""
 
@@ -280,7 +262,6 @@ class AlignmentStage(PipelineStage):
             c.read_end_hints = [End(e) for e in entry["hints"]]
 
 
-@register_stage
 class LocalAssemblyStage(PipelineStage):
     """The paper's kernel: mer-walk both ends of every contig."""
 
@@ -302,7 +283,6 @@ class LocalAssemblyStage(PipelineStage):
             c.right_extension = _ext_from_payload(entry["right"])
 
 
-@register_stage
 class MergeStage(PipelineStage):
     """Fold accepted extensions into the sequence; record round stats.
 
@@ -335,6 +315,15 @@ class MergeStage(PipelineStage):
     def restore(self, asm, state, payload):
         state.merged = _contigs_from_payload(payload["merged"])
         state.stats = AssemblyStats(**payload["stats"])
+
+
+#: name -> stage, in the execution order of one round.
+STAGES: dict[str, PipelineStage] = {stage.name: stage for stage in (
+    KmerAnalysisStage(), ContigGenerationStage(), AlignmentStage(),
+    LocalAssemblyStage(), MergeStage())}
+
+#: Execution order of one pipeline round.
+STAGE_ORDER: tuple[str, ...] = tuple(STAGES)
 
 
 #: Signature of the per-stage progress callback accepted by

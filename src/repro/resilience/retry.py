@@ -65,17 +65,13 @@ def retry_transient(
     *,
     retries: int = DEFAULT_RETRIES,
     backoff: float = DEFAULT_BACKOFF,
-    jitter: float = 0.0,
-    rng: np.random.Generator | None = None,
     sleep: Callable[[float], None] = time.sleep,
-    on_retry: Callable[[int, TransientError], None] | None = None,
 ) -> T:
     """Call ``fn``, retrying up to ``retries`` times on transient errors.
 
-    Backoff follows :func:`backoff_delay` (geometric, optionally
-    jittered by a seeded ``rng``). ``on_retry(attempt, exc)`` is invoked
-    before each sleep, for logging. The final transient failure — and
-    any non-transient exception — propagates to the caller.
+    Backoff follows :func:`backoff_delay`'s geometric schedule. The
+    final transient failure — and any non-transient exception —
+    propagates to the caller.
     """
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
@@ -83,12 +79,9 @@ def retry_transient(
     while True:
         try:
             return fn()
-        except TransientError as exc:
+        except TransientError:
             if attempt >= retries:
                 raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
             if backoff > 0:
-                sleep(backoff_delay(attempt, backoff=backoff,
-                                    jitter=jitter, rng=rng))
+                sleep(backoff_delay(attempt, backoff=backoff))
             attempt += 1

@@ -70,10 +70,7 @@ from repro.serve.protocol import JobSpec, JobStatus, ProtocolError, \
     parse_job_request, spec_from_dict, spec_to_dict
 from repro.serve.queue import DEFAULT_MAX_IN_FLIGHT, AdmissionControl
 from repro.serve.supervisor import (
-    DEFAULT_BREAKER_COOLDOWN_S,
-    DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_DEADLINE_S,
-    CircuitBreaker,
     LoadShedder,
     WaveSupervisor,
 )
@@ -119,7 +116,6 @@ class AssemblyService:
         default_deadline_s: per-job deadline when a submission has none.
         wave_retries: transient re-attempts per wave before bisection.
         drain_timeout_s: default bound on :meth:`stop`'s drain phase.
-        breaker_threshold / breaker_cooldown_s: circuit breaker tuning.
         fault_plan: optional seeded chaos plan; wave- and
             checkpoint-scoped faults fire in the service process. A
             plan with any other kind, or a spec scoped by launch
@@ -137,8 +133,6 @@ class AssemblyService:
                  default_deadline_s: float = DEFAULT_DEADLINE_S,
                  wave_retries: int = 2,
                  drain_timeout_s: float | None = None,
-                 breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-                 breaker_cooldown_s: float = DEFAULT_BREAKER_COOLDOWN_S,
                  fault_plan: FaultPlan | None = None,
                  seed: int = 0,
                  journal_fsync: bool = True) -> None:
@@ -164,8 +158,6 @@ class AssemblyService:
             default_deadline_s=default_deadline_s,
             retries=wave_retries,
             seed=seed,
-            breaker=CircuitBreaker(threshold=breaker_threshold,
-                                   cooldown_s=breaker_cooldown_s),
             injector=(FaultInjector(fault_plan)
                       if fault_plan is not None else None))
         self.batcher = CoalescingBatcher(

@@ -1,4 +1,4 @@
-"""SIMT GPU simulator: devices, warps, intrinsics, caches, counters.
+"""SIMT GPU simulator: devices, caches, counters.
 
 This subpackage stands in for the three physical GPUs of the paper
 (NVIDIA A100, AMD MI250X, Intel Max 1550). It executes real warp-level

@@ -24,7 +24,6 @@ from repro.kernels import (
     available_backends,
     backend_for_device,
     create_backend,
-    kernel_for_device,
     resolve_backend,
 )
 from repro.kernels.engine import ExecutionBackend, run_schedule_coalesced
@@ -93,11 +92,6 @@ class TestRegistry:
         with pytest.raises(KernelError, match="LocalAssemblyKernel"):
             run_schedule_coalesced(resolve_backend("scalar", A100),
                                    [_contigs(1)], (21,))
-
-    def test_kernel_for_device_still_works(self):
-        kern = kernel_for_device(A100)
-        assert isinstance(kern, CudaLocalAssemblyKernel)
-        assert kern.device is A100
 
     def test_default_devices_are_the_paper_platforms(self):
         assert create_backend("cuda").device is A100

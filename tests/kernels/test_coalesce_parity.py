@@ -423,6 +423,16 @@ class TestCoalesceValidation:
         with pytest.raises(KernelError, match="table-pressure"):
             run_schedule_coalesced(kern, _jobs((1, 2)), (21, 33))
 
+    @pytest.mark.parametrize("kind", ["SUITE_CRASH", "CHECKPOINT_CORRUPTION",
+                                      "SLOW_DISK"])
+    def test_rejects_kinds_that_never_fire_in_a_wave(self, kind):
+        from repro.resilience import (FaultInjector, FaultKind, FaultPlan,
+                                      FaultSpec)
+        inj = FaultInjector(FaultPlan(faults=(FaultSpec(FaultKind[kind]),)))
+        kern = CudaLocalAssemblyKernel(A100, fault_injector=inj)
+        with pytest.raises(KernelError, match=FaultKind[kind].value):
+            run_schedule_coalesced(kern, _jobs((1, 2)), (21, 33))
+
     def test_rejects_launch_ordinal_scoped_faults(self):
         from repro.resilience import (FaultInjector, FaultKind, FaultPlan,
                                       FaultSpec)

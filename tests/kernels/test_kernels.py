@@ -14,7 +14,6 @@ from repro.kernels import (
     HipLocalAssemblyKernel,
     SyclLocalAssemblyKernel,
     create_backend,
-    kernel_for_device,
 )
 from repro.simt.device import A100, MAX1550, MI250X
 
@@ -137,11 +136,6 @@ class TestConfiguration:
     def test_sycl_subgroup_property(self):
         assert SyclLocalAssemblyKernel(MAX1550).sub_group_size == 16
         assert SyclLocalAssemblyKernel(MAX1550, sub_group_size=32).sub_group_size == 32
-
-    def test_kernel_for_device(self):
-        assert isinstance(kernel_for_device(A100), CudaLocalAssemblyKernel)
-        assert isinstance(kernel_for_device(MI250X), HipLocalAssemblyKernel)
-        assert isinstance(kernel_for_device(MAX1550), SyclLocalAssemblyKernel)
 
     def test_bad_table_sizing(self):
         with pytest.raises(KernelError):
