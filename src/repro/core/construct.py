@@ -40,21 +40,3 @@ def estimate_table_slots(
         raise ValueError(f"load_factor must be in (0, 1], got {load_factor}")
     return max(16, math.ceil(n_insertions / load_factor))
 
-
-def estimate_table_slots_upper_bound(
-    reads: ReadSet, load_factor: float = DEFAULT_LOAD_FACTOR
-) -> int:
-    """K-independent capacity upper bound, as the GPU pre-processing uses.
-
-    The number of k-mers a read set can produce never exceeds its total
-    base count, so the GPU workflow (Figure 3) reserves
-    ``total_bases / load_factor`` slots per contig *before* knowing which
-    k iteration will run — tables must be sized once, up front, for the
-    worst case. The consequence the paper observes: at large k the tables
-    are generously sized (short probe chains) but their aggregate
-    footprint stays read-volume-proportional, which is what interacts
-    with each GPU's L2 capacity.
-    """
-    if not 0.0 < load_factor <= 1.0:
-        raise ValueError(f"load_factor must be in (0, 1], got {load_factor}")
-    return max(16, math.ceil(reads.total_bases / load_factor))

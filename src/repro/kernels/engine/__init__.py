@@ -23,12 +23,6 @@ from repro.kernels.engine.coalesce import (
     run_schedule_coalesced,
 )
 from repro.kernels.engine.construct import ConstructPhase, ConstructResult
-from repro.kernels.engine.oracle import (
-    ScalarOracleConstructPhase,
-    ScalarOracleWalkPhase,
-    iterate_k_schedule_scalar,
-    oracle_kernel_cls,
-)
 from repro.kernels.engine.events import (
     BarrierSync,
     ContigDropped,
@@ -91,11 +85,6 @@ __all__ = [
     "WalkOutput",
     "WalkPhase",
     "WalkTape",
-    # scalar parity oracles
-    "ScalarOracleConstructPhase",
-    "ScalarOracleWalkPhase",
-    "iterate_k_schedule_scalar",
-    "oracle_kernel_cls",
     # the count channel
     "ITERATION_BASE_INSTRS",
     "WALK_STEP_INTOPS",

@@ -278,9 +278,8 @@ class BatchPreparer:
             reads_per_warp[w] = len(read_lens) - base
             total_bases = sum(read_lens[base:])
             # The k-independent capacity bound is total_bases/load_factor
-            # (a read's k-mer count never exceeds its base count), i.e.
-            # ``estimate_table_slots_upper_bound`` evaluated on the base
-            # total we already tallied — same formula, one pass.
+            # (a read's k-mer count never exceeds its base count, so the
+            # table is sized once for every k, as in Figure 3).
             upper[w] = estimate_table_slots(total_bases, self.load_factor)
             read_bytes[w] = 2 * total_bases
             oriented = (contig.codes if end is End.RIGHT

@@ -14,9 +14,7 @@ leaves the schedule — as the paper's warp leaves its mer-size loop — so
 a later k launches only the ends that still fork: every schedule driver
 plans a k through :func:`narrow_plans`. The settle/merge decisions run
 as NumPy mask assignments over :class:`SideArrays`, the lockstep
-per-contig result representation every backend's ``run`` fills. The
-pre-refactor per-contig merge loop survives as
-:func:`repro.kernels.engine.oracle.iterate_k_schedule_scalar`.
+per-contig result representation every backend's ``run`` fills.
 """
 
 from __future__ import annotations

@@ -60,7 +60,6 @@ from repro.kernels.engine.prepare import (
 from repro.kernels.engine.schedule import (
     BinnedLaunchPolicy,
     KernelRunResult,
-    KSchedule,
     LaunchConfig,
     SideArrays,
     iterate_k_schedule,
@@ -184,17 +183,16 @@ class LocalAssemblyKernel:
 
     protocol: ProtocolCosts  # set by subclasses
 
-    #: Phase factories (the sanitizer's test mutants and the parity
-    #: oracle swap in their own; the oracle also overrides
-    #: :meth:`_scatter` and :meth:`_iterate_k_schedule`).
+    #: Phase factories (the sanitizer's test mutants and tests' reference
+    #: stores swap in their own).
     construct_cls = ConstructPhase
     walk_cls = WalkPhase
     preparer_cls = BatchPreparer
     tables_cls = WarpHashTables
 
     #: Table slots one *walk group* may hold (0 = nothing fuses: every
-    #: launch walks alone and a wave runs its jobs solo — the parity
-    #: reference, whose phases do not log). A walk has one lane per warp,
+    #: launch walks alone and a wave runs its jobs solo — the reference
+    #: grouped walks are held to). A walk has one lane per warp,
     #: so on Table II-shaped data a launch's walk is fixed NumPy call cost
     #: over a few walkers; while their tables fit this budget (a launch
     #: joins if two of its size would fit), consecutive launches of a
@@ -537,12 +535,6 @@ class LocalAssemblyKernel:
         return run_ports((self,), contigs, k, depth_ratio,
                          max_batch_insertions, parallel_scale, pending)[0]
 
-    def _iterate_k_schedule(self, run_one, n_contigs: int,
-                            k_schedule: tuple[int, ...]) -> KSchedule:
-        """The k-schedule fold :meth:`run_schedule` drives (a seam: the
-        oracle kernel substitutes the per-contig scalar fold)."""
-        return iterate_k_schedule(run_one, n_contigs, k_schedule)
-
     def run_schedule(
         self,
         contigs: list[Contig],
@@ -556,9 +548,9 @@ class LocalAssemblyKernel:
         launches only the ends not yet settled, keeping the longest
         extension if no k resolves the fork. Profiles merge; the result's
         ``k`` is the last k run, its diagnostics cover every k
-        (:class:`KSchedule`).
+        (:class:`~repro.kernels.engine.schedule.KSchedule`).
         """
-        return self._iterate_k_schedule(
+        return iterate_k_schedule(
             lambda k, pending: self.run(contigs, k,
                                         parallel_scale=parallel_scale,
                                         pending=pending),

@@ -11,8 +11,8 @@ linear probing never deletes, so a found key costs its row's
 is port-invariant, so the other ports of an input follow a lead's
 (:class:`WalkTape`). Evidence (``SlotAccess``, ``SlotRead``; the
 sanitizer's test mutants override :meth:`WalkPhase._on_probe_miss`)
-comes from the real probe loop. The parity oracle is the pre-refactor
-per-warp walk (:class:`repro.kernels.engine.oracle.ScalarOracleWalkPhase`).
+comes from the real probe loop. Outputs are held to the scalar telling;
+counts and events to ``tests/kernels/walk_pinned.json``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.core.extension import (
     resolve_extension_batch,
 )
 from repro.errors import KernelError
-from repro.genomics.dna import decode_matrix, encode
+from repro.genomics.dna import decode_matrix
 from repro.genomics.kmer import fingerprint_matrix
 from repro.hashing.murmur import murmur2_batch
 from repro.kernels.engine.events import EventBus, SlotAccess, SlotRead
@@ -107,19 +107,6 @@ class WalkOutput:
     def states(self) -> list[WalkState]:
         """Terminal :class:`WalkState` per warp (derived view)."""
         return [CODE_TO_WALK_STATE[int(c)] for c in self.state_codes]
-
-    @classmethod
-    def from_scalar(cls, bases: list[str], states: list[WalkState],
-                    steps: int, iterations: int, overflowed: tuple[int, ...],
-                    max_walk_len: int, rows: list) -> "WalkOutput":
-        """Pack per-warp Python results (the oracle's) into lockstep form."""
-        codes = np.zeros((len(bases), max_walk_len), dtype=np.uint8)
-        for w, b in enumerate(bases):
-            codes[w, :len(b)] = encode(b)
-        return cls(codes, np.array([len(b) for b in bases], dtype=np.int64),
-                   np.array([WALK_STATE_CODES[s] for s in states],
-                            dtype=np.int8),
-                   steps, iterations, tuple(overflowed), rows)
 
 
 @dataclass

@@ -231,8 +231,8 @@ class ScalarLoopInHotPhaseRule(LintRule):
     comprehension / generator expression) iterating anything else inside
     those methods reintroduces the O(warps) Python costs the refactor
     removed, and regresses silently: results stay correct while the
-    engine drops back to scalar speed. Per-warp Python belongs in the
-    scalar parity oracle (:mod:`repro.kernels.engine.oracle`), which
+    engine drops back to scalar speed. The one scalar telling of the
+    kernel, one lane at a time, is :mod:`repro.core.reference`, which
     this rule deliberately does not cover.
     """
 
@@ -268,8 +268,7 @@ class ScalarLoopInHotPhaseRule(LintRule):
                     yield self.finding(
                         node, path,
                         f"per-element for loop in hot {fn.name}(): "
-                        f"vectorize over the array, or move the scalar "
-                        f"path to repro.kernels.engine.oracle")
+                        f"vectorize over the array")
                 elif isinstance(node, (ast.ListComp, ast.SetComp,
                                        ast.DictComp, ast.GeneratorExp)):
                     if all(self._is_range_call(g.iter)
@@ -278,8 +277,7 @@ class ScalarLoopInHotPhaseRule(LintRule):
                     yield self.finding(
                         node, path,
                         f"per-element comprehension in hot {fn.name}(): "
-                        f"vectorize over the array, or move the scalar "
-                        f"path to repro.kernels.engine.oracle")
+                        f"vectorize over the array")
 
 
 class BlockingCallInServeRule(LintRule):

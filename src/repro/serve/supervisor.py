@@ -187,8 +187,8 @@ class WaveSupervisor:
         default_deadline_s: per-job deadline when a submission has none.
         retries: in-place re-attempts for transient failures per wave.
         backoff_s: base of the geometric retry backoff.
-        jitter: jitter fraction on the backoff (seeded, deterministic).
-        seed: seeds the jitter generator.
+        seed: seeds the generator of the backoff's jitter
+            (:data:`~repro.resilience.retry.DEFAULT_JITTER`).
         breaker: shared :class:`CircuitBreaker` (one per service).
         injector: optional seeded :class:`~repro.resilience.FaultInjector`
             whose wave-scoped faults fire here, in the service process —
@@ -201,7 +201,6 @@ class WaveSupervisor:
                  default_deadline_s: float = DEFAULT_DEADLINE_S,
                  retries: int = DEFAULT_RETRIES,
                  backoff_s: float = DEFAULT_BACKOFF,
-                 jitter: float = DEFAULT_JITTER,
                  seed: int = 0,
                  breaker: CircuitBreaker | None = None,
                  injector: FaultInjector | None = None) -> None:
@@ -212,7 +211,6 @@ class WaveSupervisor:
         self.default_deadline_s = default_deadline_s
         self.retries = retries
         self.backoff_s = backoff_s
-        self.jitter = jitter
         self.rng = np.random.default_rng(seed)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.injector = injector
@@ -280,7 +278,7 @@ class WaveSupervisor:
                 if attempt < self.retries:
                     self.transient_retries += 1
                     delay = backoff_delay(attempt, backoff=self.backoff_s,
-                                          jitter=self.jitter, rng=self.rng)
+                                          jitter=DEFAULT_JITTER, rng=self.rng)
                     if delay > 0:
                         await asyncio.sleep(delay)
                     attempt += 1

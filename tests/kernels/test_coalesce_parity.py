@@ -31,7 +31,7 @@ from repro.kernels.engine import (BatchPreparer, ContigDropped,
                                   ContigRetried, LaunchDone, LaunchStarted,
                                   MemoryTrafficResolved, ProbeIteration,
                                   WalkStep, WaveExecuted, coalesce,
-                                  oracle_kernel_cls, run_schedule_coalesced)
+                                  run_schedule_coalesced)
 from repro.resilience.checkpoint import profile_to_dict
 from repro.simt.device import A100, MAX1550, MI250X
 
@@ -340,12 +340,12 @@ class TestCoalesceParity:
                        and c.result.sanitizer_report is not None
                        for c in fused)
 
-    def test_oracle_kernel_wave(self):
-        """The scalar reference phases do not log, so the oracle kernel
-        (``walk_group_slots = 0``) fuses nothing: its wave is its solo
-        runs, on its own table engine."""
-        assert_coalesce_parity(oracle_kernel_cls(CudaLocalAssemblyKernel),
-                               A100, _jobs((11, 12)), (21, 33),
+    def test_ungrouped_kernel_wave(self):
+        """A kernel with ``walk_group_slots = 0`` fuses nothing: its wave
+        is its solo runs."""
+        ungrouped = type("Ungrouped", (CudaLocalAssemblyKernel,),
+                         {"walk_group_slots": 0})
+        assert_coalesce_parity(ungrouped, A100, _jobs((11, 12)), (21, 33),
                                overflow_policy="drop-contig")
 
 

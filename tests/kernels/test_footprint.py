@@ -18,6 +18,8 @@ from repro.kernels.engine import ConstructPhase, EventBus
 from repro.kernels.vectortable import WarpHashTables
 from repro.simt.device import A100
 
+from .test_vectortable import PerSlotVotes
+
 K = 21
 #: What one slot cost when votes were per slot: hi_q + low_q + count.
 PER_SLOT_VOTE_BYTES = 4 * 4 + 4 * 4 + 4
@@ -171,7 +173,6 @@ def test_vote_windows_equal_the_per_slot_oracle():
     targets in shuffled order (every window is the whole matrix), every
     target on one key (a one-row window), and warps that straddle the
     stretch boundaries all equal the per-slot ``np.add.at`` store."""
-    from repro.kernels.engine.oracle import OracleWarpHashTables
     from repro.kernels.vectortable import VOTE_STRETCH
 
     rng = np.random.default_rng(2)
@@ -182,16 +183,16 @@ def test_vote_windows_equal_the_per_slot_oracle():
                         ("shuffled", rng.permutation(pick)),
                         ("one row", np.full(n, pick[n // 2]))):
         dense, claimed = _claimed(WarpHashTables, caps, 600)
-        oracle, _ = _claimed(OracleWarpHashTables, caps, 600)
+        ref, _ = _claimed(PerSlotVotes, caps, 600)
         targets = claimed.ravel()[order]
         exts = rng.integers(0, 4, size=n).astype(np.uint8)
         hi = rng.random(n) < 0.5
-        for tables in (dense, oracle):
+        for tables in (dense, ref):
             tables.vote(targets, exts, hi)
         every = np.arange(dense.total_slots)
-        for got, want in zip(dense.votes_at(every), oracle.votes_at(every)):
+        for got, want in zip(dense.votes_at(every), ref.votes_at(every)):
             np.testing.assert_array_equal(got, want, err_msg=name)
-        np.testing.assert_array_equal(dense.count, oracle.count)
+        np.testing.assert_array_equal(dense.count, ref.count)
 
 
 # ----------------------------------------------------------------------

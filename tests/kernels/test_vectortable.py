@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import HashTableFullError, KernelError
-from repro.kernels.engine.oracle import OracleWarpHashTables
 from repro.kernels.vectortable import (SLOT_BYTES, WarpHashTables,
                                        elect_one_per_slot)
 
@@ -176,6 +175,29 @@ class TestOperations:
             assert want.all()
 
 
+class PerSlotVotes(WarpHashTables):
+    """The vote store the dense per-key one replaced (DESIGN.md decision
+    23), kept as its reference: one ``hi_q`` / ``low_q`` / ``count``
+    entry per *slot*, filled by ``np.add.at``."""
+
+    def __init__(self, capacities: np.ndarray, k: int) -> None:
+        super().__init__(capacities, k)
+        self.hi_q = np.zeros((self.total_slots, 4), dtype=np.int32)
+        self.low_q = np.zeros((self.total_slots, 4), dtype=np.int32)
+        self._count = np.zeros(self.total_slots, dtype=np.int32)
+
+    count = property(lambda self: self._count)
+
+    def vote(self, slots, exts, hi_mask) -> None:
+        exts = exts.astype(np.int64)
+        np.add.at(self.hi_q, (slots[hi_mask], exts[hi_mask]), 1)
+        np.add.at(self.low_q, (slots[~hi_mask], exts[~hi_mask]), 1)
+        np.add.at(self._count, slots, 1)
+
+    def votes_at(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.hi_q[slots], self.low_q[slots]
+
+
 #: One claim or vote call: (is_claim, [(slot, ext, high-quality tier)]).
 _CALLS = st.lists(
     st.tuples(st.booleans(),
@@ -191,10 +213,10 @@ class TestAgainstPerSlotOracle:
         """Property: any interleaving of ``claim`` and ``vote`` — duplicate
         (slot, ext, tier) targets, several flushes with claims between
         them, empty votes, a warp (the third) that never claims — reads
-        back, slot by slot, like the oracle's per-slot ``np.add.at``
-        arrays fed the same calls."""
+        back, slot by slot, like :class:`PerSlotVotes` fed the same
+        calls."""
         caps = np.array([8, 16, 4])
-        dense, oracle = WarpHashTables(caps, 4), OracleWarpHashTables(caps, 4)
+        dense, per_slot = WarpHashTables(caps, 4), PerSlotVotes(caps, 4)
         everything = np.arange(caps.sum())
         next_fp = 1
         for is_claim, targets in [(False, [])] + calls:
@@ -202,7 +224,7 @@ class TestAgainstPerSlotOracle:
             # callers claim slots they saw empty and vote on claimed ones
             keep = dense.occupied[slots] != is_claim
             slots = slots[keep]
-            for t in (dense, oracle):
+            for t in (dense, per_slot):
                 if is_claim:
                     t.claim(slots, np.arange(next_fp, next_fp + slots.size,
                                              dtype=np.uint64))
@@ -212,9 +234,9 @@ class TestAgainstPerSlotOracle:
                            np.array([x[2] for x in targets], bool)[keep])
             next_fp += slots.size
             for got, want in zip(dense.votes_at(everything),
-                                 oracle.votes_at(everything)):
+                                 per_slot.votes_at(everything)):
                 np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(dense.count, oracle.count)
-        np.testing.assert_array_equal(dense.fp, oracle.fp)
+            np.testing.assert_array_equal(dense.count, per_slot.count)
+        np.testing.assert_array_equal(dense.fp, per_slot.fp)
         assert dense.keys_per_warp()[2] == 0
         assert dense.votes.shape[0] <= 1 + dense.occupied.sum()

@@ -28,8 +28,7 @@ from repro.kernels import (CudaLocalAssemblyKernel, HipLocalAssemblyKernel,
                            SyclLocalAssemblyKernel)
 from repro.kernels.engine import (BatchPreparer, ConstructPhase,
                                   ContigDropped, ContigRetried, CountRecorder,
-                                  LaunchDone,
-                                  oracle_kernel_cls, run_ports,
+                                  LaunchDone, run_ports,
                                   run_schedule_coalesced)
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.simt.device import A100, MAX1550, MI250X
@@ -134,19 +133,6 @@ class TestGroupParity:
             *port, lambda k: k.run(contigs, K),
             warp_size=warp_size, lane_parallel_walks=lane_parallel_walks)
         assert grouped.walks < alone.walks
-
-    def test_oracle_kernel_walks_alone_and_agrees(self):
-        """The scalar oracle keeps one walk per launch (budget 0) and is
-        what the grouped production kernel must still equal."""
-        contigs = _binned(seed=11)
-        oracle = _run(oracle_kernel_cls(CudaLocalAssemblyKernel), A100, None,
-                      lambda k: k.run(contigs, K))
-        grouped = _run(CudaLocalAssemblyKernel, A100, None,
-                       lambda k: k.run(contigs, K))
-        assert oracle.walks == oracle.launches > grouped.walks
-        assert grouped.events == oracle.events
-        assert (grouped.result.right, grouped.result.left) \
-            == (oracle.result.right, oracle.result.left)
 
     def test_run_schedule_over_four_k(self):
         contigs = _binned(seed=5, read_length=110)

@@ -213,7 +213,7 @@ def test_rep006_scoped_to_engine_phase_modules():
                 visit(w)
         """
     assert findings_for("REP006", source,
-                        path=f"{ENGINE}/oracle.py") == []
+                        path=f"{ENGINE}/schedule.py") == []
     assert findings_for("REP006", source,
                         path="src/repro/analysis/walk.py") == []
 
