@@ -42,7 +42,7 @@ from repro.kernels.engine.tally import (
     wave_entry,
     wave_row,
 )
-from repro.kernels.vectortable import WarpHashTables
+from repro.kernels.vectortable import FAR_PROBES, WarpHashTables
 
 
 @dataclass(frozen=True)
@@ -71,19 +71,18 @@ class ConstructPhase:
     def __init__(self, protocol, warp_size: int) -> None:
         self.protocol = protocol
         self.warp_size = warp_size
-        #: The launch's attribution log (``None`` = off): the arrays
-        #: behind every wave and probe iteration, appended by reference
-        #: *instead of* a tally row (entry layout:
-        #: :mod:`repro.kernels.engine.tally`), so a multi-tenant
-        #: megabatch can be decomposed per job after the launch. The
-        #: coalescing driver installs one per fused program.
+        #: The launch's attribution log (``None`` = off): the arrays behind
+        #: every wave and probe iteration, appended by reference *instead
+        #: of* tally rows (layout: :mod:`repro.kernels.engine.tally`), so a
+        #: fused program can be cut per job. The coalescing driver sets it.
         self.log: list | None = None
-        # The running launch's slot per insertion (see :meth:`_vote`);
-        # -1 = that lane has not retired.
+        # the running launch's slot per insertion (-1: not retired)
         self._final_slot: np.ndarray | None = None
-        #: Record each key's claiming insertion (``WarpHashTables.first``),
-        #: which a walk other ports follow tapes.
+        #: Record each key's claimer (``WarpHashTables.first``) for a tape.
         self.record_claims = False
+        self._claims: list | None = None    # its (slots, insertions) so far
+        #: Draw the read links the walk follows (a follower's does not).
+        self.links = True
 
     # ------------------------------------------------------------------
     # slot-state commit hooks (overridden by the sanitizer's test mutants)
@@ -104,13 +103,10 @@ class ConstructPhase:
               emit_writes: bool) -> None:
         """atomicAdd vote accumulation on the slot value region.
 
-        Construction never reads the vote counters back (only the walk
-        does, after the phase completes), and integer atomicAdd commutes —
-        so a retiring lane only records the slot its insertion ``ins``
-        (an index into the batch's ``ins_*`` arrays) landed on, and
-        :meth:`run` applies the whole launch in one
-        :meth:`~repro.kernels.vectortable.WarpHashTables.vote` call. An
-        insertion that never gets here casts no vote. Slot-write events
+        Construction never reads the votes back and integer atomicAdd
+        commutes, so a retiring lane only records the slot its insertion
+        ``ins`` landed on; :meth:`run` flushes the launch's votes at once
+        (an insertion that never gets here casts none). Slot-write events
         still fire per iteration, in order.
         """
         if emit_writes:
@@ -132,21 +128,18 @@ class ConstructPhase:
         W = self.warp_size
         n_warps = batch.n_warps
         ins_off = np.searchsorted(batch.ins_warp, np.arange(n_warps + 1))
-        n_ins_w = np.diff(ins_off)
-        max_waves = int(np.ceil(n_ins_w.max() / W)) if n_ins_w.size and n_ins_w.max() else 0
-        chain = 0
-        waves_run = 0
+        max_waves = -(-int(np.diff(ins_off).max(initial=0)) // W)  # ceil
+        chain = waves_run = 0
         dead = np.zeros(n_warps, dtype=bool)
         overflowed: list[int] = []
         want_lanes = bus.wants(SlotWrite)
         log = self.log
         rows: list = []
+        claims = self._claims = [] if self.record_claims else None
         final_slot = self._final_slot = np.full(batch.ins_warp.size, -1,
-                                                dtype=np.int64)
-        tables.probes, tables.first, tables.inserted = (  # vote fills them
+                                                dtype=tables.row.dtype)
+        tables.probes, tables.first, tables.inserted = (  # filled below
             np.empty(0, np.uint8), np.empty(0, np.int32), batch.ins_warp.size)
-        if self.record_claims:      # ``first`` from the claimers
-            tables.claimer = np.zeros(tables.total_slots, dtype=np.int32)
         for t in range(max_waves):
             lo = ins_off[:-1] + t * W
             hi = np.minimum(lo + W, ins_off[1:])
@@ -174,7 +167,7 @@ class ConstructPhase:
             if wave_overflowed:
                 overflowed.extend(wave_overflowed)
                 dead[wave_overflowed] = True
-        self._final_slot = None
+        self._final_slot = self._claims = None
         # ``ins_*`` align with ``final_slot``; lanes that never retired (an
         # overflow took their warp first) are left out, cutting their read
         voted = final_slot >= 0
@@ -187,7 +180,12 @@ class ConstructPhase:
             slots, exts, his, ends = (slots[voted], exts[voted], his[voted],
                                       np.flatnonzero(cut[voted]))
         tables.vote(slots, exts, his)
-        tables.link_reads(slots, exts, ends)    # what the walk follows
+        if claims:
+            at, ins = map(np.concatenate, zip(*claims))
+            tables.first = np.empty(len(tables.votes) - 1, dtype=np.int32)
+            tables.first[tables.row[at] - 1] = ins
+        if self.links:
+            tables.link_reads(slots, exts, ends)
         return ConstructResult(waves=waves_run, iterations=chain,
                                overflowed=tuple(overflowed), rows=rows)
 
@@ -286,10 +284,10 @@ class ConstructPhase:
                 win = e[winners_local]
                 sel = p[win]
                 off = probe_p[win]
-                if off.any():   # claims past their home: the rounds their
-                    tables.row[slots[win]] = ~off   # lookups take, till vote
-                if tables.claimer is not None:
-                    tables.claimer[slots[win]] = idx[sel]
+                if off.any():   # claims past their home: their lookups' rounds
+                    tables.rounds[slots[win]] = np.minimum(off + 1, FAR_PROBES)
+                if self._claims is not None:
+                    self._claims.append((slots[win], idx[sel]))
                 self._vote(tables, slots[win], idx[sel], wp[win],
                            lane_of(sel), bus, emit_writes)
                 votes_claimed = win.size

@@ -138,7 +138,7 @@ def subset_batch(batch: Batch, warp_ids, capacities=None) -> Batch:
         caps = caps[order].copy()
     ids = sorted_ids
     keep = np.isin(batch.ins_warp, ids)
-    remap = np.zeros(batch.n_warps, dtype=np.int64)
+    remap = np.zeros(batch.n_warps, dtype=np.int32)
     remap[ids] = np.arange(ids.size)
     return Batch(
         contig_ids=[batch.contig_ids[int(w)] for w in ids],
@@ -186,7 +186,7 @@ def concat_batches(batches: list[Batch]) -> tuple[Batch, np.ndarray]:
         contig_ids=[ci for b in batches for ci in b.contig_ids],
         codes=np.empty(0, np.uint8), quals=np.empty(0, np.uint8),
         ins_warp=np.concatenate(
-            [b.ins_warp + off for b, off in zip(batches, warp_base[:-1])]),
+            [b.ins_warp + int(off) for b, off in zip(batches, warp_base)]),
         ins_home=np.concatenate([b.ins_home for b in batches]),
         ins_fp=np.concatenate([b.ins_fp for b in batches]),
         ins_ext=np.concatenate([b.ins_ext for b in batches]),
@@ -289,7 +289,7 @@ class BatchPreparer:
         codes = np.concatenate(code_parts) if code_parts else np.empty(0, np.uint8)
         quals = np.concatenate(qual_parts) if qual_parts else np.empty(0, np.uint8)
         lens = np.asarray(read_lens, dtype=np.int64)
-        read_warps = np.repeat(np.arange(len(contig_ids), dtype=np.int64),
+        read_warps = np.repeat(np.arange(len(contig_ids), dtype=np.int32),
                                reads_per_warp)
         offsets = np.zeros(lens.size + 1, dtype=np.int64)
         np.cumsum(lens, out=offsets[1:])

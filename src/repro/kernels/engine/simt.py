@@ -196,8 +196,8 @@ class LocalAssemblyKernel:
     #: so on Table II-shaped data a launch's walk is fixed NumPy call cost
     #: over a few walkers; while their tables fit this budget (a launch
     #: joins if two of its size would fit), consecutive launches of a
-    #: k-run share one walk (:class:`_WalkGroup`). Host memory: 13 B per
-    #: slot + 32 B per key. Sized in DESIGN.md decision 24.
+    #: k-run share one walk (:class:`_WalkGroup`). Host memory: 4 B per
+    #: slot + 45 B per key. Sized in DESIGN.md decision 24.
     walk_group_slots = 1 << 19
 
     def __init__(
@@ -220,8 +220,6 @@ class LocalAssemblyKernel:
     ) -> None:
         if not hasattr(self, "protocol"):
             raise KernelError("use a concrete kernel subclass, not the base")
-        if table_sizing not in ("upper_bound", "exact"):
-            raise KernelError(f"unknown table_sizing {table_sizing!r}")
         if memory_model not in ("analytic", "trace"):
             raise KernelError(f"unknown memory_model {memory_model!r}")
         self.device = device
@@ -564,8 +562,9 @@ def _lead_and_follow(kruns: list[_KRun], program) -> None:
     lead, *followers = kruns
     lead.walker.tape = tape = WalkTape() if followers else None
     overflowed = program(lead)
-    for krun in followers:
+    for krun in followers:      # a walk that counts a tape reads no link
         krun.walker.tape = None if overflowed else tape
+        krun.construct.links = overflowed
         program(krun)
 
 

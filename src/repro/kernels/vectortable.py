@@ -2,10 +2,8 @@
 
 Every warp of a launch owns one open-addressing table; all tables live in
 flat structure-of-arrays storage so that one NumPy operation services a
-probe iteration across *every* pending lane of *every* warp — the
-warp-synchronous vectorized execution style DESIGN.md decision #1 calls
-out (per the HPC-Python guides: the hot loop is over probe iterations,
-never over lanes).
+probe iteration across *every* pending lane of *every* warp (DESIGN.md
+decision #1: the hot loop is over probe iterations, never over lanes).
 
 Keys are identified by 64-bit fingerprints (see
 :mod:`repro.genomics.kmer`); byte-level key comparison cost is still
@@ -60,8 +58,6 @@ def elect_one_per_slot(slot_ids: np.ndarray) -> np.ndarray:
     """
     slot_ids = np.asarray(slot_ids)
     n = slot_ids.size
-    if n == 0:
-        return np.empty(0, dtype=bool)
     # a stable sort keeps lane order among ties: the first lane wins
     order = np.argsort(slot_ids, kind="stable")
     sorted_slots = slot_ids[order]
@@ -73,20 +69,26 @@ def elect_one_per_slot(slot_ids: np.ndarray) -> np.ndarray:
 
 
 class WarpHashTables:
-    """All per-warp hash tables of one kernel launch.
+    """All per-warp tables of one launch, in two forms (DESIGN.md decision 38).
+
+    While construct claims, a slot holds its key's fingerprint (``fp``)
+    and ``rounds`` (0: empty, else its claim's probe rounds, at most
+    :data:`FAR_PROBES`). The first :meth:`vote` flushes them: each key
+    gets a row of the ``votes`` matrix (column = tier * 4 + ext, tier 1 =
+    high quality), named by ``row[slot]``, and its tag ``tag[row]``.
+    Row 0, all-zero, is every slot's without a key (all, till the flush).
 
     Args:
         capacities: per-warp slot counts (int array, one per warp).
         k: key length in bases.
     """
 
-    #: Row ``r``'s key, at ``r - 1``, as :meth:`vote` numbers it: its
+    #: Row ``r``'s key, at ``r - 1``, as the flush numbers it: its
     #: lookup's probe rounds (``None``: construct did not record them)
-    #: and, if construct recorded a ``claimer`` per slot, the insertion,
-    #: of ``inserted``, that claimed it (else ``first`` stays empty).
+    #: and the insertion, of ``inserted``, that claimed it (empty where
+    #: construct did not record claims).
     probes: np.ndarray | None = None
     first: np.ndarray | None = None
-    claimer: np.ndarray | None = None
     inserted = 0
 
     def __init__(self, capacities: np.ndarray, k: int) -> None:
@@ -101,67 +103,59 @@ class WarpHashTables:
         np.cumsum(capacities, out=self.offsets[1:])
         total = int(self.offsets[-1])
         self.fp = np.zeros(total, dtype=np.uint64)
-        self.occupied = np.zeros(total, dtype=bool)
-        # Tags are per slot, votes per *claimed key*: ``row[slot]`` names
-        # the key's row of the dense ``votes`` matrix (column = tier * 4 +
-        # ext, tier 1 = high quality). Rows are handed out by ``vote``;
-        # row 0 is never handed out and stays all-zero, so a slot without
-        # one reads as no votes.
-        self.row = np.zeros(total, dtype=_row_dtype(total))
-        self.votes = np.zeros((1, 8), dtype=np.int32)
-        self.link = np.zeros(1, dtype=self.row.dtype)   # ``link_reads``
+        self.rounds = np.zeros(total, dtype=np.uint8)
+        self._rows(np.broadcast_to(_row_dtype(total)(0), total),  # no bytes
+                   np.zeros(1, dtype=np.uint64))
 
     @classmethod
     def reserve(cls, slots: int, k: int) -> "WarpHashTables":
-        """Tables of no warp yet, with room for ``slots`` slots.
+        """Flushed tables of no warp yet, with room for ``slots`` slots.
 
         Finished launches move in one behind the other (:meth:`absorb`)
         so that one walk can cover them all. Deliberately not an
-        ``__init__``: every slot here is first allocated — and counted —
-        by the launch that constructs it. ``fp`` / ``occupied`` / ``row``
-        are views of exactly the slots moved in; the rest of the room is
-        uninitialized.
+        ``__init__``: every slot is allocated, and counted, by the launch
+        that constructs it. ``row`` views the slots moved in.
         """
         self = cls.__new__(cls)
         self.k = int(k)
         self.capacities = np.empty(0, dtype=np.int64)
         self.offsets = np.zeros(1, dtype=np.int64)
-        self._room = (np.empty(slots, dtype=np.uint64),
-                      np.empty(slots, dtype=bool),
-                      np.empty(slots, dtype=_row_dtype(slots)))
-        self.fp, self.occupied, self.row = (a[:0] for a in self._room)
-        self.votes = np.zeros((1, 8), dtype=np.int32)
-        self.link = np.zeros(1, dtype=self.row.dtype)
+        self._room = np.empty(slots, dtype=_row_dtype(slots))
+        self.fp = self.rounds = None
+        self._rows(self._room[:0], np.zeros(1, dtype=np.uint64))
         self.probes, self.first = np.empty(0, np.uint8), np.empty(0, np.int32)
         return self
 
     def absorb(self, other: "WarpHashTables") -> None:
-        """Append ``other``'s warps — one contiguous warp and slot range —
-        copying its slots into the reserved room; its vote rows and
-        insertions are renumbered behind the ones held (row 0 stays the
-        shared sentinel). ``other`` is left as it was: once the caller
-        drops it, no slot is stored twice."""
-        lo = self.total_slots
-        hi = lo + other.total_slots
-        if hi > self._room[0].size:
+        """Append flushed ``other``'s warps, copying its slots into the
+        room; its rows and insertions are renumbered behind the ones held
+        (row 0 stays the shared sentinel). ``other`` is left as it was:
+        once the caller drops it, no slot is stored twice."""
+        lo, hi = self.total_slots, self.total_slots + other.total_slots
+        if hi > self._room.size:
             raise KernelError(
                 f"{other.total_slots} slots do not fit the "
-                f"{self._room[0].size - lo} left of the reserved room")
-        self.fp, self.occupied, self.row = (a[:hi] for a in self._room)
-        self.fp[lo:] = other.fp
-        self.occupied[lo:] = other.occupied
+                f"{self._room.size - lo} left of the reserved room")
+        self.row = self._room[:hi]
         row = self.row[lo:]
         np.add(other.row, self.votes.shape[0] - 1, out=row, casting="unsafe")
         row *= other.row > 0    # a slot without a row keeps the sentinel
         link = other.link[1:].astype(self.link.dtype)
         link[link > 0] += (self.votes.shape[0] - 1) << 2
         self.link = np.concatenate([self.link, link])
+        self.tag = np.concatenate([self.tag, other.tag[1:]])
         self.votes = np.concatenate([self.votes, other.votes[1:]])
         self.probes = np.concatenate([self.probes, other.probes])
         self.first = np.concatenate([self.first, other.first + self.inserted])
         self.inserted += other.inserted
         self.capacities = np.concatenate([self.capacities, other.capacities])
         self.offsets = np.concatenate([self.offsets, other.offsets[1:] + lo])
+
+    def _rows(self, row: np.ndarray, tag: np.ndarray) -> None:
+        """``row`` per slot, ``tag`` per row; zeroed votes and links."""
+        self.row, self.tag = row, tag
+        self.votes = np.zeros((tag.size, 8), dtype=np.int32)
+        self.link = np.zeros(tag.size, dtype=row.dtype)
 
     @property
     def n_warps(self) -> int:
@@ -190,30 +184,49 @@ class WarpHashTables:
             )
         return self.offsets[warps] + (homes.astype(np.int64) + probes) % caps
 
+    @property
+    def occupied(self) -> np.ndarray:
+        """Whether each slot holds a key (read-only)."""
+        out = (self.rounds if self.fp is not None else self.row) > 0
+        out.flags.writeable = False
+        return out
+
     def inspect(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Read (occupied, fingerprint) for each slot — one probe load."""
-        return self.occupied[slots], self.fp[slots]
+        if self.fp is None:     # flushed: a key's tag is its row's
+            row = self.row[slots]
+            return row > 0, self.tag[row]
+        return self.rounds[slots] > 0, self.fp[slots]
 
     def claim(self, slots: np.ndarray, fps: np.ndarray) -> np.ndarray:
         """atomicCAS claim of empty slots; returns the winner mask.
 
         Callers pass only slots observed empty this iteration. Exactly one
         lane per distinct slot wins — all, unsorted, when the slots ascend,
-        as when each is its warp's only claim; winners' tags are installed.
+        as when each is its warp's only claim. A winner's tag goes in as a
+        claim at home (construct records farther ``rounds``) or, after the
+        flush, as a row whose lookups probe for real.
         """
         winners = (np.ones(slots.size, dtype=bool)
                    if (slots[1:] > slots[:-1]).all()
                    else elect_one_per_slot(slots))
         ws = slots[winners]
-        self.occupied[ws] = True
-        self.fp[ws] = fps[winners]
+        if self.fp is not None:
+            self.rounds[ws] = 1
+            self.fp[ws] = fps[winners]
+            return winners
+        self.row[ws] = np.arange(self.tag.size, self.tag.size + ws.size)
+        self.tag = np.concatenate([self.tag, fps[winners]])
+        self.votes = np.pad(self.votes, ((0, ws.size), (0, 0)))
+        self.link = np.pad(self.link, (0, ws.size))
+        self.probes = None
         return winners
 
     def vote(self, slots: np.ndarray, exts: np.ndarray, hi_mask: np.ndarray) -> None:
-        """Atomic vote accumulation (atomicAdd on the value region).
-
-        New keys get rows in slot order; a claim past its key's home left
-        ``-rounds`` in ``row`` (one at home takes 1) for :attr:`probes`.
+        """Atomic vote accumulation (atomicAdd on the value region). The
+        first call, even of nothing, flushes: keys get rows in slot order,
+        fingerprints and rounds move to them, and ``fp`` and ``rounds`` go
+        before ``row`` and the vote matrix are allocated.
 
         The targets are counted a stretch (:data:`VOTE_STRETCH`) at a
         time: one ``bincount`` over the stretch's cell indices ``row * 8
@@ -225,22 +238,15 @@ class WarpHashTables:
         vote on an unclaimed slot raises with the earlier stretches
         already counted.
         """
-        if slots.size == 0:
-            return
-        held = self.votes.shape[0]
-        if np.count_nonzero(self.occupied) >= held:
-            # keys claimed since the last call: a zeroed row for each
-            fresh = np.flatnonzero(self.occupied & (self.row <= 0))
+        if self.fp is not None:
+            keys = np.flatnonzero(self.occupied)
+            tag = np.concatenate([self.tag, self.fp[keys]])
             if self.probes is not None:
-                self.probes = np.concatenate([self.probes, np.clip(
-                    -self.row[fresh], 1, FAR_PROBES).astype(np.uint8)])
-            if self.claimer is not None:
-                self.first = np.concatenate([self.first, self.claimer[fresh]])
-                self.claimer = None
-            self.row[fresh] = np.arange(held, held + fresh.size)
-            votes = np.zeros((held + fresh.size, 8), dtype=np.int32)
-            votes[:held] = self.votes
-            self.votes = votes
+                self.probes = self.rounds[keys]
+            self.fp = self.rounds = None
+            row = np.zeros(self.total_slots, dtype=self.row.dtype)
+            row[keys] = np.arange(1, keys.size + 1)
+            self._rows(row, tag)
         cells = self.votes.reshape(-1)
         for lo in range(0, slots.size, VOTE_STRETCH):
             hi = lo + VOTE_STRETCH
@@ -254,7 +260,6 @@ class WarpHashTables:
             add = np.bincount(cell)
             window = cells[base:base + add.size]
             np.add(window, add, out=window, casting="unsafe")
-        self.link = np.pad(self.link, (0, len(self.votes) - len(self.link)))
 
     def link_reads(self, slots: np.ndarray, exts: np.ndarray,
                    ends: np.ndarray) -> None:
@@ -263,8 +268,6 @@ class WarpHashTables:
         ``i``, not ending its read links it to ``row(i + 1) << 2 |
         exts[i]`` if the two rows' keys slide that way (so whichever read
         a walk came by); else 0."""
-        tag = np.empty(len(self.votes), dtype=np.uint64)
-        tag[self.row] = self.fp     # each row's key (row 0: any)
         link = np.zeros(len(self.votes), dtype=self.link.dtype)
         for lo in range(0, slots.size, VOTE_STRETCH):
             rows = self.row[slots[lo:lo + VOTE_STRETCH + 1]]
@@ -278,7 +281,7 @@ class WarpHashTables:
         link[0] = 0
         for lo in range(0, link.size, VOTE_STRETCH):
             part = link[lo:lo + VOTE_STRETCH]
-            part *= is_shift(tag[lo:lo + part.size], tag[part >> 2],
+            part *= is_shift(self.tag[lo:lo + part.size], self.tag[part >> 2],
                              (part & 3).astype(np.uint8), self.k)
         self.link = link
 

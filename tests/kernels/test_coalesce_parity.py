@@ -267,6 +267,27 @@ class TestCoalesceParity:
         assert_coalesce_parity(CudaLocalAssemblyKernel, A100, [[bare]],
                                (21, 33), overflow_policy="drop-contig")
 
+    def test_launch_without_insertions_still_flushes(self):
+        """The readless contig launched on its own: construct votes on
+        nothing, yet the tables it hands the walk are flushed — no
+        per-slot fingerprint left, every slot on the empty row 0."""
+        bare = Contig.from_string("bare", "ACGTACGTAC")
+        kern = CudaLocalAssemblyKernel(A100)
+        kern.walk_group_slots = 0       # each launch walks its own tables
+        walked = []
+
+        class Seen(kern.walk_cls):
+            def run(self, batch, tables, bus):
+                walked.append(tables)
+                return super().run(batch, tables, bus)
+
+        kern.walk_cls = Seen
+        kern.run([bare], 21)
+        assert walked
+        for tables in walked:
+            assert tables.fp is None and tables.rounds is None
+            assert not tables.row.any() and tables.votes.shape == (1, 8)
+
     def test_overflow_drop_parity(self):
         jobs = _jobs((5, 6, 7), error_rate=0.02, depth=8)
         fused = assert_coalesce_parity(StarvedCudaKernel, A100, jobs,

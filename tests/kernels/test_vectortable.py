@@ -237,6 +237,35 @@ class TestAgainstPerSlotOracle:
                                  per_slot.votes_at(everything)):
                 np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(dense.count, per_slot.count)
-        np.testing.assert_array_equal(dense.fp, per_slot.fp)
+        np.testing.assert_array_equal(dense.tag[dense.row], per_slot.fp)
         assert dense.keys_per_warp()[2] == 0
         assert dense.votes.shape[0] <= 1 + dense.occupied.sum()
+
+    def test_repeated_flushes_keep_one_row_index_a_slot(self):
+        """The first vote, even of nothing, flushes: ``fp`` and ``rounds``
+        (9 B a slot) go and a slot keeps its 4 B row index, its key's
+        tag moving to the row. Later votes count into the same rows, and
+        a key claimed between them takes its row and tag at once."""
+        t = _tables((8, 4))
+        t.claim(np.array([2, 9]), np.array([5, 6], dtype=np.uint64))
+        assert t.fp.nbytes + t.rounds.nbytes == 12 * 9
+        nothing = (np.empty(0, np.int64), np.empty(0, np.uint8),
+                   np.empty(0, bool))
+        for _ in range(2):
+            t.vote(*nothing)
+            assert t.fp is None and t.rounds is None
+            assert t.row.nbytes == 12 * 4 and t.tag.tolist() == [0, 5, 6]
+        t.vote(np.array([9, 2, 9]), np.array([1, 0, 1], np.uint8),
+               np.array([True, False, True]))
+        t.claim(np.array([4]), np.array([7], dtype=np.uint64))
+        t.vote(np.array([4, 9]), np.array([3, 1], np.uint8),
+               np.array([False, True]))
+        t.vote(*nothing)
+        np.testing.assert_array_equal(t.count,
+                                      [0, 0, 1, 0, 1, 0, 0, 0, 0, 3, 0, 0])
+        hi, lo = t.votes_at(np.array([9, 2, 4]))
+        assert hi[0, 1] == 3 and lo[1, 0] == 1 and lo[2, 3] == 1
+        occupied, fp = t.inspect(np.array([2, 4, 9, 3]))
+        assert occupied.tolist() == [True, True, True, False]
+        assert fp.tolist() == [5, 7, 6, 0]
+        np.testing.assert_array_equal(t.keys_per_warp(), [2, 1])

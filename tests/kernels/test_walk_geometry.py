@@ -92,7 +92,7 @@ def test_construct_indexes_every_row_by_its_lookup_rounds(full):
     _, firsts = np.unique(np.stack([batch.ins_warp.astype(np.uint64),
                                     batch.ins_fp]), axis=1, return_index=True)
     assert sorted(ins.tolist()) == sorted(firsts.tolist())
-    assert (batch.ins_fp[ins] == tables.fp[slots]).all()
+    assert (batch.ins_fp[ins] == tables.tag[rows]).all()
     found, _, rounds, _ = _lookup(tables, batch.ins_warp[ins],
                                   batch.ins_home[ins], batch.ins_fp[ins])
     assert (found == slots).all()

@@ -359,6 +359,39 @@ class TestSharedKRun:
         assert not all(walks)
         assert any(walks) == (budget is not None)
 
+    def test_only_a_walk_that_counts_a_tape_goes_without_links(self):
+        """Construct draws the read links for every walk that finds its
+        own path — the lead's, and a follower's whose lead overflowed —
+        and for none that counts the lead's tape (which reads no link)."""
+        contigs = _binned(seed=13) + _job(seed=1, n=3)
+        kernels = _ports(1 << 9, WalkThenConstructPreparer,
+                         overflow_policy="drop-contig")
+        seen = []     # ("construct", links) / ("walk", follows), in order
+        for kern in kernels:
+            class Construct(kern.construct_cls):
+                def run(self, batch, tables, bus):
+                    seen.append(("construct", self.links))
+                    return super().run(batch, tables, bus)
+
+            class Walk(kern.walk_cls):
+                def run(self, batch, tables, bus):
+                    seen.append(("walk", self.tape is not None
+                                  and self.tape.out is not None))
+                    return super().run(batch, tables, bus)
+
+            kern.construct_cls, kern.walk_cls = Construct, Walk
+        run_ports(kernels, contigs, K)
+        built = []
+        for what, flag in seen:
+            if what == "construct":
+                built.append(flag)
+            else:   # the walk of every table constructed since the last
+                assert built and set(built) == {not flag}, seen
+                built = []
+        follows = [flag for what, flag in seen if what == "walk"]
+        # followers that follow, and followers that walk for real
+        assert follows.count(True) and follows.count(False) > len(follows) / 3
+
     def test_ports_that_disagree_run_alone(self):
         contigs = _binned(seed=3)
         kernels = _ports()
@@ -402,9 +435,9 @@ class TestSharedKRun:
                     w = int(rng.choice(np.flatnonzero(batch.seed_valid)))
                     fp = fingerprint_matrix(batch.seeds[w:w + 1])[0]
                     lo, hi = tables.offsets[w], tables.offsets[w + 1]
-                    slot = lo + np.flatnonzero(tables.occupied[lo:hi]
-                                               & (tables.fp[lo:hi] == fp))[0]
-                    bump(tables.votes[tables.row[slot]])
+                    rows = tables.row[lo:hi]
+                    bump(tables.votes[rows[(rows > 0)
+                                           & (tables.tag[rows] == fp)][0]])
                     BumpOneVote.bumped = True
                 return out
 

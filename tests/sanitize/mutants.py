@@ -61,7 +61,7 @@ class MutantConstructPhase(ConstructPhase):
                                warps=warps, lanes=lanes, atomic=False))
         # BUG: plain store instead of atomicCAS — no winner election.
         # Every colliding lane overwrites the tag and believes it won.
-        tables.occupied[slots] = True
+        tables.rounds[slots] = 1
         tables.fp[slots] = fps
         return np.ones(slots.size, dtype=bool)
 
