@@ -156,30 +156,7 @@ def is_shift(fps: np.ndarray, next_fps: np.ndarray, appended: np.ndarray,
     return dropped < 4
 
 
-def fingerprint_prefix(codes: np.ndarray) -> np.ndarray:
-    """The k-independent prefix-sum stream behind :func:`rolling_fingerprints`.
-
-    ``prefix[i] = sum_{t<i} (codes[t] + OFFSET) * BASE^-t  (mod 2^64)`` —
-    computable once per code stream and reusable for every k of a
-    k-schedule (the batch preparer caches it on the flattened bin).
-    """
-    codes = np.asarray(codes)
-    n = codes.size
-    with np.errstate(over="ignore"):
-        inv_pow = np.empty(n, dtype=np.uint64)
-        if n:
-            inv_pow[0] = 1
-            inv_pow[1:] = _BASE_INV
-            np.multiply.accumulate(inv_pow, out=inv_pow)
-        terms = (codes.astype(np.uint64) + _CODE_OFFSET) * inv_pow
-        prefix = np.empty(n + 1, dtype=np.uint64)
-        prefix[0] = 0
-        np.cumsum(terms, out=prefix[1:])
-    return prefix
-
-
-def rolling_fingerprints(codes: np.ndarray, k: int,
-                         prefix: np.ndarray | None = None) -> np.ndarray:
+def rolling_fingerprints(codes: np.ndarray, k: int) -> np.ndarray:
     """Fingerprints of every k-window of ``codes`` in O(n) total work.
 
     Bit-identical to ``fingerprint_matrix(kmer_matrix(codes, k))`` but
@@ -191,27 +168,28 @@ def rolling_fingerprints(codes: np.ndarray, k: int,
 
     — every operation wraps mod 2^64, so the values match the windowed
     polynomial exactly. This is what the batch preparer runs over each
-    flat read stream; callers that already hold window matrices (the walk
-    phase's current k-mers) keep using :func:`fingerprint_matrix`.
-
-    ``prefix`` accepts a precomputed :func:`fingerprint_prefix` of the
-    same codes (k-independent, so reusable across a k-schedule).
+    stretch of a flat read stream; callers that already hold window
+    matrices (the walk phase's current k-mers) keep using
+    :func:`fingerprint_matrix`.
     """
     codes = np.asarray(codes)
     n = codes.size
     _check_k(n, k)
-    if prefix is None:
-        prefix = fingerprint_prefix(codes)
-    elif prefix.size != n + 1:
-        raise KmerError(f"prefix size {prefix.size} does not match "
-                        f"{n}-base code stream")
     with np.errstate(over="ignore"):
+        terms = np.empty(n, dtype=np.uint64)     # Binv^t, then the terms
+        terms[0] = 1
+        terms[1:] = _BASE_INV
+        np.multiply.accumulate(terms, out=terms)
+        terms *= codes.astype(np.uint64) + _CODE_OFFSET
+        prefix = np.zeros(n + 1, dtype=np.uint64)
+        np.cumsum(terms, out=prefix[1:])
         m = n - k + 1
-        scale = np.empty(m, dtype=np.uint64)
+        scale = terms[:m]       # the terms are summed: BASE^(i+k-1) now
         scale[0] = np.uint64(pow(0x9E3779B97F4A7C15, k - 1, 1 << 64))
         scale[1:] = FINGERPRINT_BASE
         np.multiply.accumulate(scale, out=scale)
-        return (prefix[k:] - prefix[:m]) * scale
+        scale *= prefix[k:] - prefix[:m]
+    return scale
 
 
 def fingerprint_of(kmer: str) -> int:

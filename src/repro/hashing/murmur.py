@@ -18,7 +18,7 @@ tail handling) in three forms:
   gathering each window and calling :func:`murmur2_batch`, but the word
   loads gather one pre-mixed word at a time straight from the stream, so
   the ``(n, length)`` window matrix is never materialized — the form the
-  batch preparer uses on its concatenated read streams.
+  batch preparer uses on stretches of its concatenated read streams.
 
 All arithmetic is modulo 2**32 (uint32 wraparound), matching C.
 """
@@ -71,13 +71,8 @@ def murmur2(data: bytes | np.ndarray, seed: int = 0) -> int:
 
 
 def murmur2_words(stream: np.ndarray) -> np.ndarray:
-    """Little-endian 4-byte word assembly over a whole byte stream.
-
-    ``murmur2_words(s)[i]`` is the word MurmurHash2 would read at offset
-    ``i`` — the length-independent half of :func:`murmur2_stream`, so a
-    k-schedule can assemble the words once per stream and reuse them for
-    every window length.
-    """
+    """Little-endian 4-byte word assembly over a whole byte stream:
+    ``murmur2_words(s)[i]`` is the word MurmurHash2 reads at offset ``i``."""
     stream = np.ascontiguousarray(stream, dtype=np.uint8)
     if stream.size < 4:
         return np.empty(0, dtype=np.uint32)
@@ -89,37 +84,16 @@ def murmur2_words(stream: np.ndarray) -> np.ndarray:
     )
 
 
-def _mix_words(k: np.ndarray) -> np.ndarray:
-    """MurmurHash2's word mix, in place: ``k *= m; k ^= k >> r; k *= m``."""
-    m = np.uint32(MURMUR_M)
-    with np.errstate(over="ignore"):
-        k *= m
-        k ^= k >> np.uint32(MURMUR_R)
-        k *= m
-    return k
-
-
-def murmur2_mixed_words(stream: np.ndarray) -> np.ndarray:
-    """:func:`murmur2_words` of ``stream`` with MurmurHash2's word mix
-    applied. The mix depends only on the word, never on the running
-    ``h``, so like the words it is length-independent: a k-schedule mixes
-    a stream once and reuses it for every window length.
-    """
-    return _mix_words(murmur2_words(stream))
-
-
 def murmur2_stream(stream: np.ndarray, starts: np.ndarray, length: int,
-                   seed: int = 0, words: np.ndarray | None = None,
-                   mixed: np.ndarray | None = None) -> np.ndarray:
+                   seed: int = 0) -> np.ndarray:
     """MurmurHash2 of ``stream[s : s + length]`` for every ``s`` in ``starts``.
 
     Equivalent to ``murmur2_batch(stream[starts[:, None] + arange(length)],
     seed)`` — same word assembly, same mix order, same tail handling —
     without building the window matrix: little-endian words are
-    pre-assembled and mixed once over the whole stream, then each of the
-    ``length // 4`` word rounds folds one gather into ``h``. ``words``
-    accepts a precomputed :func:`murmur2_words` of the same stream,
-    ``mixed`` a precomputed :func:`murmur2_mixed_words`.
+    assembled and mixed once over the whole stream (the mix never depends
+    on the running ``h``), then each of the ``length // 4`` word rounds
+    folds one gather into ``h``. Neither input is modified.
     """
     stream = np.ascontiguousarray(stream, dtype=np.uint8)
     starts = np.asarray(starts, dtype=np.int64)
@@ -133,9 +107,11 @@ def murmur2_stream(stream: np.ndarray, starts: np.ndarray, length: int,
     with np.errstate(over="ignore"):
         nwords = length // 4
         if nwords and starts.size:
-            if mixed is None:
-                mixed = (_mix_words(words.copy()) if words is not None
-                         else murmur2_mixed_words(stream))
+            # MurmurHash2's word mix: k *= m; k ^= k >> r; k *= m
+            mixed = murmur2_words(stream)
+            mixed *= m
+            mixed ^= mixed >> np.uint32(MURMUR_R)
+            mixed *= m
             at = starts.copy()
             for _ in range(nwords):
                 h *= m

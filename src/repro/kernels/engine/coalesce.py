@@ -229,6 +229,7 @@ def run_schedule_coalesced(
 
     wave = [_Job(contigs, k_schedule) for contigs in jobs]
     construct, walker = kernel._phases()
+    construct.frees_keys = True     # a fused batch is built per launch
     config = kernel.launch_config()
 
     for k in k_schedule:
@@ -238,7 +239,7 @@ def run_schedule_coalesced(
         for job in active:
             job.segments = [
                 Segment(plan, kernel.preparer.prepare(
-                    job.contigs, plan.bin, plan.end, k))
+                    job.contigs, plan.bin, plan.end, k).without_reads())
                 for plan in narrow_plans(
                     kernel.launch_policy.plan(job.contigs, k, config),
                     job.contigs, job.pending())]

@@ -76,13 +76,20 @@ class ConstructPhase:
         #: of* tally rows (layout: :mod:`repro.kernels.engine.tally`), so a
         #: fused program can be cut per job. The coalescing driver sets it.
         self.log: list | None = None
-        # the running launch's slot per insertion (-1: not retired)
+        # the running launch's slot per insertion (-1: cast no vote)
         self._final_slot: np.ndarray | None = None
+        self._unvoted = 0       # its insertions that have cast none
         #: Record each key's claimer (``WarpHashTables.first``) for a tape.
         self.record_claims = False
         self._claims: list | None = None    # its (slots, insertions) so far
+        # claims past their home so far: (slots, their lookups' rounds)
+        self._far: list | None = None
         #: Draw the read links the walk follows (a follower's does not).
         self.links = True
+        #: Free the batch's probe-loop inputs (``ins_warp``, ``ins_home``,
+        #: ``ins_fp``) before the vote flush: ``run_ports`` and a wave set
+        #: it where nothing constructs from the batch again.
+        self.frees_keys = False
 
     # ------------------------------------------------------------------
     # slot-state commit hooks (overridden by the sanitizer's test mutants)
@@ -91,7 +98,8 @@ class ConstructPhase:
                fps: np.ndarray, warps: np.ndarray,
                lanes: np.ndarray | None, bus: EventBus,
                emit_writes: bool) -> np.ndarray:
-        """atomicCAS tag claim; exactly one winner per distinct slot."""
+        """atomicCAS tag claim; exactly one winner per distinct slot.
+        ``warps`` and ``lanes`` are ``None`` unless ``emit_writes``."""
         if emit_writes:
             bus.emit(SlotWrite(phase="construct", kind="claim", slots=slots,
                                warps=warps, lanes=lanes, atomic=True))
@@ -113,6 +121,7 @@ class ConstructPhase:
             bus.emit(SlotWrite(phase="construct", kind="vote", slots=slots,
                                warps=warps, lanes=lanes, atomic=True))
         self._final_slot[ins] = slots
+        self._unvoted -= ins.size
 
     def _barrier(self, warps: np.ndarray, active_counts: np.ndarray,
                  bus: EventBus) -> None:
@@ -136,10 +145,12 @@ class ConstructPhase:
         log = self.log
         rows: list = []
         claims = self._claims = [] if self.record_claims else None
+        far = self._far = []
         final_slot = self._final_slot = np.full(batch.ins_warp.size, -1,
                                                 dtype=tables.row.dtype)
-        tables.probes, tables.first, tables.inserted = (  # filled below
-            np.empty(0, np.uint8), np.empty(0, np.int32), batch.ins_warp.size)
+        self._unvoted = final_slot.size
+        tables.first, tables.inserted = (  # filled below
+            np.empty(0, np.int32), batch.ins_warp.size)
         for t in range(max_waves):
             lo = ins_off[:-1] + t * W
             hi = np.minimum(lo + W, ins_off[1:])
@@ -167,19 +178,28 @@ class ConstructPhase:
             if wave_overflowed:
                 overflowed.extend(wave_overflowed)
                 dead[wave_overflowed] = True
-        self._final_slot = self._claims = None
-        # ``ins_*`` align with ``final_slot``; lanes that never retired (an
+        self._final_slot = self._claims = self._far = None
+        if self.frees_keys:
+            batch.ins_warp, batch.ins_home, batch.ins_fp = (
+                batch.ins_warp[:0].copy(), batch.ins_home[:0].copy(),
+                batch.ins_fp[:0].copy())
+        # ``ins_*`` align with ``final_slot``; lanes that cast no vote (an
         # overflow took their warp first) are left out, cutting their read
-        voted = final_slot >= 0
         slots, exts, his, ends = (final_slot, batch.ins_ext, batch.ins_hi,
                                   batch.ins_end)
-        if not voted.all():
+        if self._unvoted:
+            voted = final_slot >= 0
             cut = np.zeros(voted.size, dtype=bool)
             cut[ends] = True
             cut[:-1] |= ~voted[1:]
             slots, exts, his, ends = (slots[voted], exts[voted], his[voted],
                                       np.flatnonzero(cut[voted]))
         tables.vote(slots, exts, his)
+        # a key's lookup takes 1 round, or what its claim past home logged
+        tables.probes = np.ones(len(tables.votes) - 1, dtype=np.uint8)
+        if far:
+            at, rounds = map(np.concatenate, zip(*far))
+            tables.probes[tables.row[at] - 1] = rounds
         if claims:
             at, ins = map(np.concatenate, zip(*claims))
             tables.first = np.empty(len(tables.votes) - 1, dtype=np.int32)
@@ -232,8 +252,10 @@ class ConstructPhase:
         # a wrap is actually reachable.
         min_cap = int(caps_p.min()) if caps_p.size else 0
 
-        def lane_of(sel: np.ndarray) -> np.ndarray | None:
-            return lanes[sel] if lanes is not None else None
+        def writers(at: np.ndarray) -> tuple:   # a SlotWrite's provenance
+            if not emit_writes:
+                return None, None
+            return wp[at], lanes[p[at]] if lanes is not None else None
 
         while p.size:
             if iterations >= min_cap and (probe_p >= caps_p).any():
@@ -266,9 +288,8 @@ class ConstructPhase:
             done = match
             midx = np.nonzero(match)[0]
             if midx.size:
-                sel = p[midx]
-                self._vote(tables, slots[midx], idx[sel], wp[midx],
-                           lane_of(sel), bus, emit_writes)
+                self._vote(tables, slots[midx], idx[p[midx]],
+                           *writers(midx), bus, emit_writes)
                 votes_matched = midx.size
 
             cas_attempts = 0
@@ -276,20 +297,20 @@ class ConstructPhase:
             votes_merged = 0
             if key_compares < p.size:  # some slot observed empty
                 e = np.nonzero(~occupied)[0]
-                sel = p[e]
                 winners_local = self._claim(tables, slots[e], fpp[e],
-                                            wp[e], lane_of(sel), bus,
-                                            emit_writes)
+                                            *writers(e), bus, emit_writes)
                 cas_attempts = e.size  # every empty observer issues a CAS
                 win = e[winners_local]
                 sel = p[win]
                 off = probe_p[win]
                 if off.any():   # claims past their home: their lookups' rounds
-                    tables.rounds[slots[win]] = np.minimum(off + 1, FAR_PROBES)
+                    past = win[off > 0]
+                    self._far.append((slots[past], np.minimum(
+                        probe_p[past] + 1, FAR_PROBES).astype(np.uint8)))
                 if self._claims is not None:
                     self._claims.append((slots[win], idx[sel]))
-                self._vote(tables, slots[win], idx[sel], wp[win],
-                           lane_of(sel), bus, emit_writes)
+                self._vote(tables, slots[win], idx[sel], *writers(win), bus,
+                           emit_writes)
                 votes_claimed = win.size
                 done = done.copy()
                 done[win] = True
@@ -301,9 +322,8 @@ class ConstructPhase:
                     same = now_fp == fpp[losers]
                     m = losers[same]
                     if m.size:
-                        sel = p[m]
-                        self._vote(tables, slots[m], idx[sel], wp[m],
-                                   lane_of(sel), bus, emit_writes)
+                        self._vote(tables, slots[m], idx[p[m]],
+                                   *writers(m), bus, emit_writes)
                         votes_merged = m.size
                         done[m] = True
                 # HIP/SYCL losers retry next iteration at the same probe.

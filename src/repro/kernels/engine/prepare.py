@@ -8,15 +8,15 @@ Preparation splits into two stages:
    the k-independent table-capacity upper bound. This is the expensive
    concatenation work.
 2. **Finish** (per-k): window the flat code stream into k-mers, hash and
-   fingerprint them, gather extension bases and quality flags, extract
-   the per-contig seed k-mers, and size the tables.
+   fingerprint them a stretch of whole reads at a time, gather extension
+   bases and quality flags, extract the per-contig seed k-mers, and size
+   the tables.
 
 A flatten lives for one :meth:`BatchPreparer.prepare` call. A settled
 contig end leaves the k-schedule, so a later k's bins are narrower than
 the bins flattened before it and a kept flatten is almost never asked
-for again — while keeping one holds a whole end's read stream, its
-fingerprint prefix and its word mix through the next launch (DESIGN.md
-decision 26).
+for again — while keeping one holds a whole end's read stream through
+the next launch (DESIGN.md decisions 26 and 39).
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from repro.errors import KernelError
 from repro.genomics.contig import Contig, End
 from repro.genomics.dna import reverse_complement
 from repro.genomics.dna import complement
-from repro.genomics.kmer import fingerprint_prefix, rolling_fingerprints
+from repro.genomics.kmer import rolling_fingerprints
 from repro.genomics.reads import DEFAULT_QUAL_THRESHOLD
-from repro.hashing.murmur import murmur2_mixed_words, murmur2_stream
+from repro.hashing.murmur import murmur2_stream
+from repro.kernels.vectortable import VOTE_STRETCH
 
 
 def segmented_arange(counts: np.ndarray) -> np.ndarray:
@@ -91,6 +92,14 @@ class Batch:
     @property
     def n_warps(self) -> int:
         return len(self.contig_ids)
+
+    def without_reads(self) -> "Batch":
+        """This batch with its read streams reduced to their sizes
+        (zero-stride views): once prepared, no phase reads their bases,
+        and a launch's bookkeeping only their length."""
+        return replace(self, **{
+            name: np.broadcast_to(np.uint8(0), getattr(self, name).size)
+            for name in ("codes", "quals")})
 
     def walk_only(self) -> "Batch":
         """This batch without its insertions: all a walk, and a launch's
@@ -225,8 +234,6 @@ class FlattenedBin:
     ctg_codes: np.ndarray       # oriented contig codes, concatenated
     ctg_offsets: np.ndarray     # per-contig start offsets (n_warps+1)
     ctg_lens: np.ndarray        # contig length per warp
-    fp_prefix: np.ndarray       # fingerprint_prefix(codes), k-independent
-    mixed_words: np.ndarray     # murmur2 word mix of codes, k-independent
 
     @property
     def n_warps(self) -> int:
@@ -312,8 +319,6 @@ class BatchPreparer:
             read_lens=lens, offsets=offsets, read_bytes_per_warp=read_bytes,
             upper_capacities=upper, ctg_codes=ctg_codes,
             ctg_offsets=ctg_offsets, ctg_lens=ctg_lens,
-            fp_prefix=fingerprint_prefix(codes),
-            mixed_words=murmur2_mixed_words(codes),
         )
 
     # -- stage 2: per-k ------------------------------------------------
@@ -323,9 +328,6 @@ class BatchPreparer:
         """Run the per-k hashing/fingerprint pass over a flattened bin."""
         n_warps = flat.n_warps
         n_ins_per_read = np.maximum(flat.read_lens - k, 0)
-        starts = np.repeat(flat.offsets[:-1], n_ins_per_read) + segmented_arange(
-            n_ins_per_read
-        )
         ins_warp = np.repeat(flat.read_warps, n_ins_per_read)
 
         if self.table_sizing == "upper_bound":
@@ -349,30 +351,40 @@ class BatchPreparer:
             seeds[valid] = flat.ctg_codes[
                 (seg_ends - k)[:, None] + np.arange(k, dtype=np.int64)]
 
-        # Hash and fingerprint straight off the flat stream: k-mer
-        # windows never cross a read boundary (each read contributes
-        # ``len - k`` insertions), so stream-addressed digests equal the
-        # old per-window gather bit for bit — without materializing the
-        # (n, k) window matrix at all.
-        codes, quals = flat.codes, flat.quals
-        if starts.size:
-            ins_home = murmur2_stream(codes, starts, k, self.seed,
-                                      mixed=flat.mixed_words)
-            ins_fp = rolling_fingerprints(codes, k,
-                                          prefix=flat.fp_prefix)[starts]
-            ext_pos = starts + k
-            ins_ext = codes[ext_pos]
-            ins_hi = quals[ext_pos] >= DEFAULT_QUAL_THRESHOLD
-        else:
-            ins_home = np.empty(0, dtype=np.uint32)
-            ins_fp = np.empty(0, dtype=np.uint64)
-            ins_ext = np.empty(0, dtype=np.uint8)
-            ins_hi = np.empty(0, dtype=bool)
+        # Hash and fingerprint off the flat stream a stretch of whole reads
+        # (VOTE_STRETCH bases, or one read) at a time: no k-mer window
+        # crosses a read, so a stretch's digests are the whole stream's,
+        # and the word mix, prefix sums and window starts live for one.
+        codes, quals, offsets = flat.codes, flat.quals, flat.offsets
+        ins_off = np.concatenate(([0], np.cumsum(n_ins_per_read)))
+        n = int(ins_off[-1])
+        ins_home = np.empty(n, dtype=np.uint32)
+        ins_fp = np.empty(n, dtype=np.uint64)
+        ins_ext = np.empty(n, dtype=np.uint8)
+        ins_hi = np.empty(n, dtype=bool)
+        r = 0
+        while r < n_ins_per_read.size:
+            nxt = max(r + 1, int(np.searchsorted(
+                offsets, offsets[r] + VOTE_STRETCH, side="right")) - 1)
+            lo, hi = ins_off[r], ins_off[nxt]
+            if hi > lo:
+                base = offsets[r]
+                part = codes[base:offsets[nxt]]
+                # a window starts wherever it ends before its read's last base
+                starts = np.flatnonzero(np.arange(part.size) < np.repeat(
+                    offsets[r + 1:nxt + 1] - (base + k), flat.read_lens[r:nxt]))
+                ins_home[lo:hi] = murmur2_stream(part, starts, k, self.seed)
+                ins_fp[lo:hi] = rolling_fingerprints(part, k)[starts]
+                starts += base + k
+                ins_ext[lo:hi] = codes[starts]
+                np.greater_equal(quals[starts], DEFAULT_QUAL_THRESHOLD,
+                                 out=ins_hi[lo:hi])
+            r = nxt
         return Batch(
             contig_ids=list(flat.contig_ids), codes=codes, quals=quals,
             ins_warp=ins_warp, ins_home=ins_home, ins_fp=ins_fp,
             ins_ext=ins_ext, ins_hi=ins_hi,
-            ins_end=np.cumsum(n_ins_per_read)[n_ins_per_read > 0] - 1,
+            ins_end=ins_off[1:][n_ins_per_read > 0] - 1,
             seeds=seeds, seed_valid=seed_valid,
             capacities=capacities, read_bytes_per_warp=flat.read_bytes_per_warp,
         )

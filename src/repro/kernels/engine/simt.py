@@ -133,13 +133,13 @@ class _WalkGroup:
         base = self.tables.n_warps
         # nobody listens: a walk group forms only when nothing wants evidence
         cres = self.construct.run(seg.sub, tables, EventBus())
+        if self.kernel.overflow_policy is not OverflowPolicy.GROW_RETRY:
+            # nothing re-launches: the insertions have served
+            seg.sub = seg.sub.walk_only()
         self.tables.absorb(tables)
         self.construct_failed.extend(w + base for w in cres.overflowed)
         self.segments.append(seg)
         self.construct_rows.append(cres.rows)
-        if self.kernel.overflow_policy is not OverflowPolicy.GROW_RETRY:
-            # nothing re-launches: the insertions have served
-            seg.sub = seg.sub.walk_only()
 
     def walk(self, attempt: int) -> None:
         """The members' one walk; an ``AttemptRecord`` lands on each. The
@@ -606,6 +606,11 @@ def run_ports(kernels, contigs: list[Contig], k: int,
              for kern in kernels]
     for krun in kruns:      # what a lead tapes, and its followers find
         krun.construct.record_claims = len(kruns) > 1
+    # the last port to construct from a batch frees its probe loop's
+    # inputs, unless a grow-retry subsets the batch again
+    last = kruns[-1]
+    last.construct.frees_keys = (last.kernel.overflow_policy
+                                 is not OverflowPolicy.GROW_RETRY)
     lead = kruns[0]
     injector = lead.kernel.fault_injector
     # launch ordinals stay per launch: with an injector nothing groups
@@ -616,15 +621,20 @@ def run_ports(kernels, contigs: list[Contig], k: int,
 
     def finish_group() -> None:
         def program(krun: _KRun) -> bool:
-            own = group if krun is lead else _WalkGroup(
-                krun, budget, [Segment(seg.plan, seg.sub) for seg in held])
+            nonlocal group
+            if krun is lead:    # replayed on return, it dies before followers
+                own, group = group, None
+            else:
+                own = _WalkGroup(krun, budget, [Segment(seg.plan, seg.sub)
+                                                for seg in held])
             return krun.kernel._finish_group(krun, own)
 
         _lead_and_follow(kruns, program)
 
     for plan in plans[0]:
         ordinal = injector.begin_launch() if injector is not None else -1
-        sub = lead.kernel.preparer.prepare(contigs, plan.bin, plan.end, k)
+        sub = lead.kernel.preparer.prepare(contigs, plan.bin, plan.end,
+                                           k).without_reads()
         if injector is not None:
             injector.shape_batch(sub, ordinal)
         slots = int(sub.capacities.sum())
@@ -637,9 +647,11 @@ def run_ports(kernels, contigs: list[Contig], k: int,
         if shares:
             if group is None:
                 group = _WalkGroup(lead, budget)
-            group.join(Segment(plan, sub))
             if len(kruns) > 1:
                 held.append(Segment(plan, sub))
+            seg = Segment(plan, sub)
+            del sub     # what the group's walk reads of it is all it keeps
+            group.join(seg)
             continue
         _lead_and_follow(kruns, lambda krun, end=plan.end, sub=sub:
                          krun.kernel._launch(krun, end, sub))

@@ -72,10 +72,9 @@ class WarpHashTables:
     """All per-warp tables of one launch, in two forms (DESIGN.md decision 38).
 
     While construct claims, a slot holds its key's fingerprint (``fp``)
-    and ``rounds`` (0: empty, else its claim's probe rounds, at most
-    :data:`FAR_PROBES`). The first :meth:`vote` flushes them: each key
-    gets a row of the ``votes`` matrix (column = tier * 4 + ext, tier 1 =
-    high quality), named by ``row[slot]``, and its tag ``tag[row]``.
+    and whether it is ``taken``. The first :meth:`vote` flushes them: each
+    key gets a row of the ``votes`` matrix (column = tier * 4 + ext, tier
+    1 = high quality), named by ``row[slot]``, and its tag ``tag[row]``.
     Row 0, all-zero, is every slot's without a key (all, till the flush).
 
     Args:
@@ -84,9 +83,9 @@ class WarpHashTables:
     """
 
     #: Row ``r``'s key, at ``r - 1``, as the flush numbers it: its
-    #: lookup's probe rounds (``None``: construct did not record them)
-    #: and the insertion, of ``inserted``, that claimed it (empty where
-    #: construct did not record claims).
+    #: lookup's probe rounds, at most :data:`FAR_PROBES` (``None``: no
+    #: construct recorded them) and the insertion, of ``inserted``, that
+    #: claimed it (empty where construct did not record claims).
     probes: np.ndarray | None = None
     first: np.ndarray | None = None
     inserted = 0
@@ -103,7 +102,7 @@ class WarpHashTables:
         np.cumsum(capacities, out=self.offsets[1:])
         total = int(self.offsets[-1])
         self.fp = np.zeros(total, dtype=np.uint64)
-        self.rounds = np.zeros(total, dtype=np.uint8)
+        self.taken = np.zeros(total, dtype=bool)
         self._rows(np.broadcast_to(_row_dtype(total)(0), total),  # no bytes
                    np.zeros(1, dtype=np.uint64))
 
@@ -121,7 +120,7 @@ class WarpHashTables:
         self.capacities = np.empty(0, dtype=np.int64)
         self.offsets = np.zeros(1, dtype=np.int64)
         self._room = np.empty(slots, dtype=_row_dtype(slots))
-        self.fp = self.rounds = None
+        self.fp = self.taken = None
         self._rows(self._room[:0], np.zeros(1, dtype=np.uint64))
         self.probes, self.first = np.empty(0, np.uint8), np.empty(0, np.int32)
         return self
@@ -187,7 +186,7 @@ class WarpHashTables:
     @property
     def occupied(self) -> np.ndarray:
         """Whether each slot holds a key (read-only)."""
-        out = (self.rounds if self.fp is not None else self.row) > 0
+        out = self.taken.view() if self.fp is not None else self.row > 0
         out.flags.writeable = False
         return out
 
@@ -196,23 +195,23 @@ class WarpHashTables:
         if self.fp is None:     # flushed: a key's tag is its row's
             row = self.row[slots]
             return row > 0, self.tag[row]
-        return self.rounds[slots] > 0, self.fp[slots]
+        return self.taken[slots], self.fp[slots]
 
     def claim(self, slots: np.ndarray, fps: np.ndarray) -> np.ndarray:
         """atomicCAS claim of empty slots; returns the winner mask.
 
         Callers pass only slots observed empty this iteration. Exactly one
         lane per distinct slot wins — all, unsorted, when the slots ascend,
-        as when each is its warp's only claim. A winner's tag goes in as a
-        claim at home (construct records farther ``rounds``) or, after the
-        flush, as a row whose lookups probe for real.
+        as when each is its warp's only claim. A winner's tag goes in
+        beside ``taken`` or, after the flush, as a row whose lookups probe
+        for real.
         """
         winners = (np.ones(slots.size, dtype=bool)
                    if (slots[1:] > slots[:-1]).all()
                    else elect_one_per_slot(slots))
         ws = slots[winners]
         if self.fp is not None:
-            self.rounds[ws] = 1
+            self.taken[ws] = True
             self.fp[ws] = fps[winners]
             return winners
         self.row[ws] = np.arange(self.tag.size, self.tag.size + ws.size)
@@ -225,8 +224,8 @@ class WarpHashTables:
     def vote(self, slots: np.ndarray, exts: np.ndarray, hi_mask: np.ndarray) -> None:
         """Atomic vote accumulation (atomicAdd on the value region). The
         first call, even of nothing, flushes: keys get rows in slot order,
-        fingerprints and rounds move to them, and ``fp`` and ``rounds`` go
-        before ``row`` and the vote matrix are allocated.
+        fingerprints move to them, and ``fp``, ``taken`` and the key list
+        go before the vote matrix is allocated.
 
         The targets are counted a stretch (:data:`VOTE_STRETCH`) at a
         time: one ``bincount`` over the stretch's cell indices ``row * 8
@@ -239,13 +238,12 @@ class WarpHashTables:
         already counted.
         """
         if self.fp is not None:
-            keys = np.flatnonzero(self.occupied)
+            keys = np.flatnonzero(self.taken)
             tag = np.concatenate([self.tag, self.fp[keys]])
-            if self.probes is not None:
-                self.probes = self.rounds[keys]
-            self.fp = self.rounds = None
+            self.fp = self.taken = None
             row = np.zeros(self.total_slots, dtype=self.row.dtype)
             row[keys] = np.arange(1, keys.size + 1)
+            del keys
             self._rows(row, tag)
         cells = self.votes.reshape(-1)
         for lo in range(0, slots.size, VOTE_STRETCH):

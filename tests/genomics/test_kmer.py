@@ -150,20 +150,16 @@ class TestRollingFingerprints:
         np.testing.assert_array_equal(rolled, windowed)
         assert rolled.dtype == np.uint64
 
-    def test_prefix_reusable_across_k(self):
+    def test_stretch_matches_whole_stream(self):
+        """Fingerprints rolled over one stretch of a stream (as the batch
+        preparer rolls them) equal the whole stream's at those windows."""
         rng = np.random.default_rng(9)
         codes = rng.integers(0, 4, size=200, dtype=np.uint8)
-        prefix = kmer.fingerprint_prefix(codes)
-        assert prefix.shape == (codes.size + 1,)
         for k in (21, 33, 55):
+            whole = kmer.rolling_fingerprints(codes, k)
             np.testing.assert_array_equal(
-                kmer.rolling_fingerprints(codes, k, prefix=prefix),
-                kmer.rolling_fingerprints(codes, k))
-
-    def test_prefix_size_validated(self):
-        codes = np.zeros(10, dtype=np.uint8)
-        with pytest.raises(KmerError):
-            kmer.rolling_fingerprints(codes, 3, prefix=np.zeros(5, np.uint64))
+                kmer.rolling_fingerprints(codes[60:170], k),
+                whole[60:170 - k + 1])
 
     def test_k_validation(self):
         codes = np.zeros(5, dtype=np.uint8)

@@ -118,38 +118,29 @@ class TestStream:
             murmur.murmur2_stream(stream, starts, length, seed=hseed),
             murmur.murmur2_batch(windows, seed=hseed))
 
-    def test_precomputed_words_identical(self):
-        rng = np.random.default_rng(2)
-        stream = rng.integers(0, 256, size=300, dtype=np.uint8)
-        starts = np.arange(0, 260, 7, dtype=np.int64)
-        words = murmur.murmur2_words(stream)
-        np.testing.assert_array_equal(
-            murmur.murmur2_stream(stream, starts, 33, words=words),
-            murmur.murmur2_stream(stream, starts, 33))
-
     @pytest.mark.parametrize("length", [21, 22, 33, 55, 77, 3, 4])
     def test_precomputed_mixed_words_identical(self, length):
-        """Tails of 1, 2, 1, 3, 1 bytes, no whole word, no tail: the
-        cached word mix folds to the digests of the plain call."""
+        """Tails of 1, 2, 1, 3, 1 bytes, no whole word, no tail: a word
+        mix computed over one stretch of the stream — all a streamed
+        prepare mixes at once — folds to the whole stream's digests."""
         rng = np.random.default_rng(length)
         stream = rng.integers(0, 4, size=400, dtype=np.uint8)
         starts = np.arange(0, 400 - length, 3, dtype=np.int64)
-        mixed = murmur.murmur2_mixed_words(stream)
-        assert mixed.dtype == np.uint32 and mixed.size == stream.size - 3
-        want = murmur.murmur2_batch(
-            stream[starts[:, None] + np.arange(length)], seed=7)
-        for kwargs in (dict(mixed=mixed),
-                       dict(words=murmur.murmur2_words(stream)), {}):
-            np.testing.assert_array_equal(
-                murmur.murmur2_stream(stream, starts, length, seed=7,
-                                      **kwargs), want)
+        whole = murmur.murmur2_stream(stream, starts, length, seed=7)
+        np.testing.assert_array_equal(whole, murmur.murmur2_batch(
+            stream[starts[:, None] + np.arange(length)], seed=7))
+        lo, hi = 90, 300        # the windows inside [lo, hi)
+        inside = (starts >= lo) & (starts + length <= hi)
+        np.testing.assert_array_equal(
+            murmur.murmur2_stream(stream[lo:hi], starts[inside] - lo,
+                                  length, seed=7), whole[inside])
 
-    def test_precomputed_words_are_not_mutated(self):
+    def test_inputs_are_not_mutated(self):
         stream = np.arange(40, dtype=np.uint8)
-        words = murmur.murmur2_words(stream)
-        kept = words.copy()
-        murmur.murmur2_stream(stream, np.array([0, 5]), 21, words=words)
-        np.testing.assert_array_equal(words, kept)
+        starts = np.array([0, 5, 19])
+        murmur.murmur2_stream(stream, starts, 21)
+        np.testing.assert_array_equal(stream, np.arange(40))
+        assert starts.tolist() == [0, 5, 19]
 
     def test_words_are_little_endian(self):
         stream = np.array([1, 2, 3, 4, 5], dtype=np.uint8)

@@ -285,7 +285,7 @@ class TestCoalesceParity:
         kern.run([bare], 21)
         assert walked
         for tables in walked:
-            assert tables.fp is None and tables.rounds is None
+            assert tables.fp is None and tables.taken is None
             assert not tables.row.any() and tables.votes.shape == (1, 8)
 
     def test_overflow_drop_parity(self):

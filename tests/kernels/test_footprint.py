@@ -2,8 +2,8 @@
 
 The tables are sized once from the read-volume upper bound (Figure 3),
 so most slots stay empty; the host may only pay *per slot* for what a
-probe reads. While construct claims that is the fingerprint and the
-claim's probe rounds; from the vote flush on, the slot's vote-row index
+probe reads. While construct claims that is the fingerprint and
+whether the slot is taken; from the vote flush on, the slot's vote-row index
 alone, the key's tag moving to its row. These tests are the guard
 against per-slot vote storage, or per-slot tags, coming back.
 """
@@ -25,7 +25,7 @@ from .test_vectortable import PerSlotVotes
 K = 21
 #: What one slot cost when votes were per slot: hi_q + low_q + count.
 PER_SLOT_VOTE_BYTES = 4 * 4 + 4 * 4 + 4
-#: What one slot may cost while construct claims: fingerprint + rounds.
+#: What one slot may cost while construct claims: fingerprint + taken byte.
 CLAIM_SLOT_BYTES = 8 + 1
 #: What one slot may cost after the vote flush (its vote-row index), and
 #: what its key's row adds beside the votes (the tag).
@@ -95,7 +95,7 @@ def test_votes_follow_keys_and_rows_follow_capacity():
 def test_construct_claims_in_nine_bytes_a_slot():
     """While construct claims — recording each key's claimer, as ports
     that share a walk do — every array of the tables as long as the
-    slots adds up to the fingerprint and the rounds byte; the vote-row
+    slots adds up to the fingerprint and the taken byte; the vote-row
     index does not exist yet."""
     from repro.kernels import HipLocalAssemblyKernel
     from repro.kernels.engine import run_ports
@@ -114,15 +114,15 @@ def test_construct_claims_in_nine_bytes_a_slot():
     run_ports(kernels, _contigs(), K)
     assert seen and all(recorded for recorded, _ in seen)
     for _, held in seen:
-        assert set(held) == {"fp", "rounds"}
-        assert sum(held.values()) == CLAIM_SLOT_BYTES * held["rounds"]
+        assert set(held) == {"fp", "taken"}
+        assert sum(held.values()) == CLAIM_SLOT_BYTES * held["taken"]
 
 
 def test_no_per_slot_fingerprint_survives_construct():
     """Once ``ConstructPhase.run`` returns, the fingerprints live per key
     (``tag``); a slot keeps its row index only."""
     tables = _constructed(_contigs(), 0.2)
-    assert tables.fp is None and tables.rounds is None
+    assert tables.fp is None and tables.taken is None
     assert set(_slot_bytes(tables)) == {"row"}
     rows = tables.row[tables.occupied]      # a row and a tag per key
     assert np.unique(rows).size == rows.size == tables.tag.size - 1
@@ -385,3 +385,122 @@ def test_three_ports_hold_one_table_set_and_the_tape():
     assert three < allowed, \
         f"{(three - solo) / 1e6:.1f} MB over the lead's peak, " \
         f"{(allowed - solo) / 1e6:.1f} MB allowed"
+
+
+# ----------------------------------------------------------------------
+# prepare and construct: what a launch holds while it runs
+# ----------------------------------------------------------------------
+
+
+def _deep_contigs(n=64, seed=31):
+    """The ``deep_multik`` shape: 150 bp reads at depth 10."""
+    spec = ScenarioSpec(contig_length=220, flank_length=90, read_length=150,
+                        depth=10, seed_window=60)
+    return [sc.contig for sc in simulate_batch(
+        n, spec, np.random.default_rng(seed),
+        ErrorProfile(error_rate=0.005, lo_quality_fraction=0.1))]
+
+
+def test_finish_holds_its_outputs_and_one_stretch():
+    """``finish`` over a read stream many stretches long peaks at its
+    outputs plus one stretch's temporaries (word mix, prefix sums, window
+    starts: well under 64 B a base of :data:`VOTE_STRETCH`). Rolled over
+    the whole stream at once they took 24 B a base, and the window
+    starts 32 B an insertion."""
+    from repro.core.binning import Bin
+    from repro.kernels.engine import BatchPreparer
+    from repro.kernels.vectortable import VOTE_STRETCH
+
+    contigs = _deep_contigs()
+    prep = BatchPreparer()
+    flat = prep.flatten(contigs, Bin(list(range(len(contigs)))), End.RIGHT)
+    assert flat.codes.size > 8 * VOTE_STRETCH
+    out = []
+    peak, kept = _traced(
+        lambda: out.append(prep.finish(flat, contigs, End.RIGHT, K)))
+    batch, = out
+    outputs = sum(a.nbytes for a in (
+        batch.ins_warp, batch.ins_home, batch.ins_fp, batch.ins_ext,
+        batch.ins_hi, batch.ins_end, batch.seeds, batch.seed_valid,
+        batch.capacities))
+    assert outputs <= kept < outputs + 64 * 1024
+    assert peak - kept < 64 * VOTE_STRETCH, \
+        f"{(peak - kept) / 1e6:.1f} MB of finish temporaries"
+
+
+def _left_by_construct(kernels, run):
+    """Run ``run()`` with every kernel's construct recording, at each vote
+    flush, its warp width (the port), whether the batch still held its
+    probe loop's inputs, and whether it held the flush's."""
+    left = []
+
+    class Recorded(ConstructPhase):
+        def run(self, batch, tables, bus):
+            vote = tables.vote
+
+            def flush(*targets):
+                keys = {batch.ins_warp.size, batch.ins_home.size,
+                        batch.ins_fp.size}
+                assert len(keys) == 1, "a partly freed batch"
+                left.append((self.warp_size, keys.pop() > 0,
+                             batch.ins_ext.size > 0))
+                return vote(*targets)
+
+            tables.vote = flush
+            return super().run(batch, tables, bus)
+
+    for kern in kernels:
+        kern.construct_cls = Recorded
+    run()
+    assert left and all(ext for _, _, ext in left)
+    return left
+
+
+def test_a_launch_frees_its_keys_before_the_flush_when_none_rereads():
+    """One port under RAISE, launching alone or in a walk group: every
+    batch has dropped ``ins_warp`` / ``ins_home`` / ``ins_fp`` when the
+    vote flush starts (it reads none of them); under grow-retry, which
+    may subset the batch again, every batch keeps them."""
+    contigs = _deep_contigs(n=12)
+    for budget in (0, CudaLocalAssemblyKernel.walk_group_slots):
+        for policy, kept in (("raise", False), ("grow-retry", True)):
+            kern = CudaLocalAssemblyKernel(A100, overflow_policy=policy)
+            kern.walk_group_slots = budget
+            left = _left_by_construct(
+                [kern], lambda: kern.run_schedule(contigs, (K, 33)))
+            assert {keys for _, keys, _ in left} == {kept}, (budget, policy)
+
+
+def test_a_coalesced_wave_frees_its_fused_keys():
+    """A fused batch is the wave's own: construct drops its probe loop's
+    inputs before the flush, grow-retry or not (a retry re-fuses from
+    the members' batches)."""
+    from repro.kernels.engine import run_schedule_coalesced
+
+    contigs = _deep_contigs(n=12)
+    for policy in ("raise", "grow-retry"):
+        kern = CudaLocalAssemblyKernel(A100, overflow_policy=policy)
+        left = _left_by_construct([kern], lambda: run_schedule_coalesced(
+            kern, [contigs[:5], contigs[5:]], (K, 33)))
+        assert not any(keys for _, keys, _ in left), policy
+
+
+def test_only_the_last_port_frees_the_keys_it_shares():
+    """Three ports over one input construct from the same batches: the
+    lead and the middle follower keep the probe loop's inputs, the last
+    port frees them."""
+    from repro.kernels import HipLocalAssemblyKernel, SyclLocalAssemblyKernel
+    from repro.kernels.engine import run_ports
+    from repro.simt.device import MAX1550, MI250X
+
+    contigs = _deep_contigs(n=12)
+    kernels = [CudaLocalAssemblyKernel(A100), HipLocalAssemblyKernel(MI250X),
+               SyclLocalAssemblyKernel(MAX1550)]
+    left = _left_by_construct(kernels,
+                              lambda: run_ports(kernels, contigs, K))
+    kept = {}
+    for port, keys, _ in left:
+        kept.setdefault(port, set()).add(keys)
+    widths = [kern.warp_size for kern in kernels]
+    assert len(set(widths)) == 3
+    assert [kept[width] for width in widths] == [{True}, {True}, {False}]

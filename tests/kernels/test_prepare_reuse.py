@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.binning import bin_contigs
+from repro.core.binning import Bin, bin_contigs
 from repro.genomics.contig import End
 from repro.genomics.simulate import PERFECT_READS, ScenarioSpec, simulate_batch
 from repro.kernels import CudaLocalAssemblyKernel
@@ -90,6 +92,64 @@ class TestPrepareSplit:
         b21 = prep.prepare(contigs, bins[0], End.RIGHT, 21)
         b33 = prep.prepare(contigs, bins[0], End.RIGHT, 33)
         np.testing.assert_array_equal(b21.capacities, b33.capacities)
+
+
+class TestStreamedHashing:
+    """``finish`` hashes a stretch of whole reads at a time; what it
+    writes equals hashing every window on its own."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.sampled_from([21, 33, 55, 77]),
+           # read length minus k, per read per contig: <= 0 inserts nothing
+           offsets=st.lists(st.lists(st.integers(-25, 60), max_size=5),
+                            min_size=1, max_size=4),
+           end=st.sampled_from([End.RIGHT, End.LEFT]),
+           sizing=st.sampled_from(["upper_bound", "exact"]),
+           stretch=st.sampled_from([1, 50, 200, 1 << 15]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stretches_equal_explicit_windows(self, k, offsets, end, sizing,
+                                              stretch, seed):
+        from repro.genomics.contig import Contig
+        from repro.genomics.dna import reverse_complement
+        from repro.genomics.kmer import fingerprint_matrix
+        from repro.genomics.reads import DEFAULT_QUAL_THRESHOLD, Read, ReadSet
+        from repro.hashing.murmur import murmur2_batch
+        from repro.kernels.engine import prepare
+
+        rng = np.random.default_rng(seed)
+        contigs, windows, exts, his, warps = [], [], [], [], []
+        for c, lens in enumerate(offsets):
+            reads = ReadSet()
+            for i, d in enumerate(lens):
+                n = max(1, k + d)
+                codes = rng.integers(0, 4, size=n).astype(np.uint8)
+                quals = rng.integers(2, 41, size=n).astype(np.uint8)
+                reads.append(Read(f"r{c}.{i}", codes, quals))
+                if end is End.LEFT:     # the launch walks the mirrored read
+                    codes, quals = reverse_complement(codes), quals[::-1]
+                for s in range(n - k):
+                    windows.append(codes[s:s + k])
+                    exts.append(codes[s + k])
+                    his.append(quals[s + k] >= DEFAULT_QUAL_THRESHOLD)
+                    warps.append(c)
+            contig = Contig("c", rng.integers(0, 4, size=40).astype(np.uint8),
+                            reads)
+            contigs.append(contig)
+        prep = BatchPreparer(seed=seed % 97, table_sizing=sizing)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prepare, "VOTE_STRETCH", stretch)
+            batch = prep.prepare(contigs, Bin(list(range(len(contigs)))),
+                                 end, k)
+        want = np.asarray(windows, dtype=np.uint8).reshape(-1, k)
+        np.testing.assert_array_equal(batch.ins_home,
+                                      murmur2_batch(want, seed=seed % 97))
+        np.testing.assert_array_equal(batch.ins_fp, fingerprint_matrix(want))
+        np.testing.assert_array_equal(batch.ins_ext,
+                                      np.asarray(exts, dtype=np.uint8))
+        np.testing.assert_array_equal(batch.ins_hi, np.asarray(his, bool))
+        np.testing.assert_array_equal(batch.ins_warp, warps)
+        assert batch.ins_home.dtype == np.uint32
+        assert batch.ins_fp.dtype == np.uint64
 
 
 class TestScheduleFlattens:

@@ -242,18 +242,18 @@ class TestAgainstPerSlotOracle:
         assert dense.votes.shape[0] <= 1 + dense.occupied.sum()
 
     def test_repeated_flushes_keep_one_row_index_a_slot(self):
-        """The first vote, even of nothing, flushes: ``fp`` and ``rounds``
+        """The first vote, even of nothing, flushes: ``fp`` and ``taken``
         (9 B a slot) go and a slot keeps its 4 B row index, its key's
         tag moving to the row. Later votes count into the same rows, and
         a key claimed between them takes its row and tag at once."""
         t = _tables((8, 4))
         t.claim(np.array([2, 9]), np.array([5, 6], dtype=np.uint64))
-        assert t.fp.nbytes + t.rounds.nbytes == 12 * 9
+        assert t.fp.nbytes + t.taken.nbytes == 12 * 9
         nothing = (np.empty(0, np.int64), np.empty(0, np.uint8),
                    np.empty(0, bool))
         for _ in range(2):
             t.vote(*nothing)
-            assert t.fp is None and t.rounds is None
+            assert t.fp is None and t.taken is None
             assert t.row.nbytes == 12 * 4 and t.tag.tolist() == [0, 5, 6]
         t.vote(np.array([9, 2, 9]), np.array([1, 0, 1], np.uint8),
                np.array([True, False, True]))

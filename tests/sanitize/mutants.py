@@ -61,7 +61,7 @@ class MutantConstructPhase(ConstructPhase):
                                warps=warps, lanes=lanes, atomic=False))
         # BUG: plain store instead of atomicCAS — no winner election.
         # Every colliding lane overwrites the tag and believes it won.
-        tables.rounds[slots] = 1
+        tables.taken[slots] = True
         tables.fp[slots] = fps
         return np.ones(slots.size, dtype=bool)
 
@@ -78,8 +78,8 @@ class MutantConstructPhase(ConstructPhase):
         # that hit one slot in the same step only one increment lands;
         # the others' insertions never cast their vote.
         lands = elect_one_per_slot(slots)
-        super()._vote(tables, slots[lands], ins[lands], warps[lands], None,
-                      bus, False)
+        super()._vote(tables, slots[lands], ins[lands], None, None, bus,
+                      False)
 
     def _barrier(self, warps: np.ndarray, active_counts: np.ndarray,
                  bus: EventBus) -> None:
