@@ -81,7 +81,6 @@ class ConstructPhase:
         self._unvoted = 0       # its insertions that have cast none
         #: Record each key's claimer (``WarpHashTables.first``) for a tape.
         self.record_claims = False
-        self._claims: list | None = None    # its (slots, insertions) so far
         # claims past their home so far: (slots, their lookups' rounds)
         self._far: list | None = None
         #: Draw the read links the walk follows (a follower's does not).
@@ -95,15 +94,15 @@ class ConstructPhase:
     # slot-state commit hooks (overridden by the sanitizer's test mutants)
 
     def _claim(self, tables: WarpHashTables, slots: np.ndarray,
-               fps: np.ndarray, warps: np.ndarray,
+               ins: np.ndarray, warps: np.ndarray,
                lanes: np.ndarray | None, bus: EventBus,
                emit_writes: bool) -> np.ndarray:
-        """atomicCAS tag claim; exactly one winner per distinct slot.
-        ``warps`` and ``lanes`` are ``None`` unless ``emit_writes``."""
+        """atomicCAS claim by insertions ``ins``; one winner per distinct
+        slot. ``warps`` and ``lanes`` are ``None`` unless ``emit_writes``."""
         if emit_writes:
             bus.emit(SlotWrite(phase="construct", kind="claim", slots=slots,
                                warps=warps, lanes=lanes, atomic=True))
-        return tables.claim(slots, fps)
+        return tables.claim(slots, ins)
 
     def _vote(self, tables: WarpHashTables, slots: np.ndarray,
               ins: np.ndarray, warps: np.ndarray,
@@ -136,7 +135,9 @@ class ConstructPhase:
             bus: EventBus) -> ConstructResult:
         W = self.warp_size
         n_warps = batch.n_warps
-        ins_off = np.searchsorted(batch.ins_warp, np.arange(n_warps + 1))
+        # in ``ins_warp``'s dtype: a wider needle casts the whole haystack
+        ins_off = np.searchsorted(batch.ins_warp, np.arange(
+            n_warps + 1, dtype=batch.ins_warp.dtype))
         max_waves = -(-int(np.diff(ins_off).max(initial=0)) // W)  # ceil
         chain = waves_run = 0
         dead = np.zeros(n_warps, dtype=bool)
@@ -144,13 +145,12 @@ class ConstructPhase:
         want_lanes = bus.wants(SlotWrite)
         log = self.log
         rows: list = []
-        claims = self._claims = [] if self.record_claims else None
         far = self._far = []
+        tables.keys = batch.ins_fp      # what the claimers index
         final_slot = self._final_slot = np.full(batch.ins_warp.size, -1,
                                                 dtype=tables.row.dtype)
         self._unvoted = final_slot.size
-        tables.first, tables.inserted = (  # filled below
-            np.empty(0, np.int32), batch.ins_warp.size)
+        tables.inserted = batch.ins_warp.size
         for t in range(max_waves):
             lo = ins_off[:-1] + t * W
             hi = np.minimum(lo + W, ins_off[1:])
@@ -178,7 +178,7 @@ class ConstructPhase:
             if wave_overflowed:
                 overflowed.extend(wave_overflowed)
                 dead[wave_overflowed] = True
-        self._final_slot = self._claims = self._far = None
+        self._final_slot = self._far = None
         if self.frees_keys:
             batch.ins_warp, batch.ins_home, batch.ins_fp = (
                 batch.ins_warp[:0].copy(), batch.ins_home[:0].copy(),
@@ -194,16 +194,14 @@ class ConstructPhase:
             cut[:-1] |= ~voted[1:]
             slots, exts, his, ends = (slots[voted], exts[voted], his[voted],
                                       np.flatnonzero(cut[voted]))
-        tables.vote(slots, exts, his)
+        tables.vote(slots, exts, his)   # frees ``ins_fp`` once it has the tags
+        if not self.record_claims:      # the flush kept each key's claimer
+            tables.first = np.empty(0, np.int32)
         # a key's lookup takes 1 round, or what its claim past home logged
         tables.probes = np.ones(len(tables.votes) - 1, dtype=np.uint8)
         if far:
             at, rounds = map(np.concatenate, zip(*far))
             tables.probes[tables.row[at] - 1] = rounds
-        if claims:
-            at, ins = map(np.concatenate, zip(*claims))
-            tables.first = np.empty(len(tables.votes) - 1, dtype=np.int32)
-            tables.first[tables.row[at] - 1] = ins
         if self.links:
             tables.link_reads(slots, exts, ends)
         return ConstructResult(waves=waves_run, iterations=chain,
@@ -297,20 +295,18 @@ class ConstructPhase:
             votes_merged = 0
             if key_compares < p.size:  # some slot observed empty
                 e = np.nonzero(~occupied)[0]
-                winners_local = self._claim(tables, slots[e], fpp[e],
+                ins = idx[p[e]]
+                winners_local = self._claim(tables, slots[e], ins,
                                             *writers(e), bus, emit_writes)
                 cas_attempts = e.size  # every empty observer issues a CAS
                 win = e[winners_local]
-                sel = p[win]
                 off = probe_p[win]
                 if off.any():   # claims past their home: their lookups' rounds
                     past = win[off > 0]
                     self._far.append((slots[past], np.minimum(
                         probe_p[past] + 1, FAR_PROBES).astype(np.uint8)))
-                if self._claims is not None:
-                    self._claims.append((slots[win], idx[sel]))
-                self._vote(tables, slots[win], idx[sel], *writers(win), bus,
-                           emit_writes)
+                self._vote(tables, slots[win], ins[winners_local],
+                           *writers(win), bus, emit_writes)
                 votes_claimed = win.size
                 done = done.copy()
                 done[win] = True
@@ -318,8 +314,7 @@ class ConstructPhase:
                 if proto.merges_in_iteration and losers.size:
                     # __match_any_sync: losers whose key equals the fresh
                     # winner's key merge their vote in this same iteration.
-                    now_fp = tables.fp[slots[losers]]
-                    same = now_fp == fpp[losers]
+                    same = tables.inspect(slots[losers])[1] == fpp[losers]
                     m = losers[same]
                     if m.size:
                         self._vote(tables, slots[m], idx[p[m]],

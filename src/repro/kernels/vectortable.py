@@ -69,10 +69,11 @@ def elect_one_per_slot(slot_ids: np.ndarray) -> np.ndarray:
 
 
 class WarpHashTables:
-    """All per-warp tables of one launch, in two forms (DESIGN.md decision 38).
+    """All per-warp tables of one launch, in two forms (DESIGN.md decision 40).
 
-    While construct claims, a slot holds its key's fingerprint (``fp``)
-    and whether it is ``taken``. The first :meth:`vote` flushes them: each
+    While construct claims, a slot holds the index, into ``keys`` (the
+    launch's insertion fingerprints), of the insertion that claimed it
+    (``claimer``; -1: empty). The first :meth:`vote` flushes them: each
     key gets a row of the ``votes`` matrix (column = tier * 4 + ext, tier
     1 = high quality), named by ``row[slot]``, and its tag ``tag[row]``.
     Row 0, all-zero, is every slot's without a key (all, till the flush).
@@ -101,8 +102,9 @@ class WarpHashTables:
         self.offsets = np.zeros(capacities.size + 1, dtype=np.int64)
         np.cumsum(capacities, out=self.offsets[1:])
         total = int(self.offsets[-1])
-        self.fp = np.zeros(total, dtype=np.uint64)
-        self.taken = np.zeros(total, dtype=bool)
+        self.keys = np.empty(0, np.uint64)     # construct binds its batch's
+        # renumbered in place into ``row`` by the flush
+        self.claimer = np.full(total, -1, dtype=_row_dtype(total))
         self._rows(np.broadcast_to(_row_dtype(total)(0), total),  # no bytes
                    np.zeros(1, dtype=np.uint64))
 
@@ -120,7 +122,7 @@ class WarpHashTables:
         self.capacities = np.empty(0, dtype=np.int64)
         self.offsets = np.zeros(1, dtype=np.int64)
         self._room = np.empty(slots, dtype=_row_dtype(slots))
-        self.fp = self.taken = None
+        self.claimer = self.keys = None
         self._rows(self._room[:0], np.zeros(1, dtype=np.uint64))
         self.probes, self.first = np.empty(0, np.uint8), np.empty(0, np.int32)
         return self
@@ -186,46 +188,41 @@ class WarpHashTables:
     @property
     def occupied(self) -> np.ndarray:
         """Whether each slot holds a key (read-only)."""
-        out = self.taken.view() if self.fp is not None else self.row > 0
+        out = self.row > 0 if self.claimer is None else self.claimer >= 0
         out.flags.writeable = False
         return out
 
     def inspect(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Read (occupied, fingerprint) for each slot — one probe load."""
-        if self.fp is None:     # flushed: a key's tag is its row's
+        if self.claimer is None:    # flushed: a key's tag is its row's
             row = self.row[slots]
             return row > 0, self.tag[row]
-        return self.taken[slots], self.fp[slots]
+        # ``take`` reads an empty slot's -1 as the last key: meaningless
+        claimer = self.claimer[slots]
+        return claimer >= 0, self.keys.take(claimer)
 
-    def claim(self, slots: np.ndarray, fps: np.ndarray) -> np.ndarray:
-        """atomicCAS claim of empty slots; returns the winner mask.
+    def claim(self, slots: np.ndarray, ins: np.ndarray) -> np.ndarray:
+        """atomicCAS claim of empty slots by insertions ``ins`` (indices
+        into ``keys``); returns the winner mask.
 
         Callers pass only slots observed empty this iteration. Exactly one
         lane per distinct slot wins — all, unsorted, when the slots ascend,
-        as when each is its warp's only claim. A winner's tag goes in
-        beside ``taken`` or, after the flush, as a row whose lookups probe
-        for real.
+        as when each is its warp's only claim. Claims end at the flush.
         """
+        if self.claimer is None:
+            raise KernelError("a claim after the vote flush")
         winners = (np.ones(slots.size, dtype=bool)
                    if (slots[1:] > slots[:-1]).all()
                    else elect_one_per_slot(slots))
-        ws = slots[winners]
-        if self.fp is not None:
-            self.taken[ws] = True
-            self.fp[ws] = fps[winners]
-            return winners
-        self.row[ws] = np.arange(self.tag.size, self.tag.size + ws.size)
-        self.tag = np.concatenate([self.tag, fps[winners]])
-        self.votes = np.pad(self.votes, ((0, ws.size), (0, 0)))
-        self.link = np.pad(self.link, (0, ws.size))
-        self.probes = None
+        self.claimer[slots[winners]] = ins[winners]
         return winners
 
     def vote(self, slots: np.ndarray, exts: np.ndarray, hi_mask: np.ndarray) -> None:
         """Atomic vote accumulation (atomicAdd on the value region). The
         first call, even of nothing, flushes: keys get rows in slot order,
-        fingerprints move to them, and ``fp``, ``taken`` and the key list
-        go before the vote matrix is allocated.
+        their claimers as ``first`` and the claimers' fingerprints as tags,
+        ``keys`` is dropped, and ``claimer`` is renumbered in place into
+        ``row``.
 
         The targets are counted a stretch (:data:`VOTE_STRETCH`) at a
         time: one ``bincount`` over the stretch's cell indices ``row * 8
@@ -237,13 +234,17 @@ class WarpHashTables:
         vote on an unclaimed slot raises with the earlier stretches
         already counted.
         """
-        if self.fp is not None:
-            keys = np.flatnonzero(self.taken)
-            tag = np.concatenate([self.tag, self.fp[keys]])
-            self.fp = self.taken = None
-            row = np.zeros(self.total_slots, dtype=self.row.dtype)
-            row[keys] = np.arange(1, keys.size + 1)
-            del keys
+        if self.claimer is not None:
+            row, self.claimer = self.claimer, None
+            at = np.flatnonzero(row >= 0)
+            self.first = row[at]
+            tag = np.zeros(at.size + 1, dtype=np.uint64)
+            # "clip" writes ``out`` unbuffered; every index is a key's
+            self.keys.take(self.first, out=tag[1:], mode="clip")
+            self.keys = None
+            row[at] = np.arange(1, at.size + 1, dtype=row.dtype)
+            del at
+            np.maximum(row, 0, out=row)
             self._rows(row, tag)
         cells = self.votes.reshape(-1)
         for lo in range(0, slots.size, VOTE_STRETCH):

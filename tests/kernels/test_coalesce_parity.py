@@ -270,7 +270,7 @@ class TestCoalesceParity:
     def test_launch_without_insertions_still_flushes(self):
         """The readless contig launched on its own: construct votes on
         nothing, yet the tables it hands the walk are flushed — no
-        per-slot fingerprint left, every slot on the empty row 0."""
+        claimer or key array left, every slot on the empty row 0."""
         bare = Contig.from_string("bare", "ACGTACGTAC")
         kern = CudaLocalAssemblyKernel(A100)
         kern.walk_group_slots = 0       # each launch walks its own tables
@@ -285,7 +285,7 @@ class TestCoalesceParity:
         kern.run([bare], 21)
         assert walked
         for tables in walked:
-            assert tables.fp is None and tables.taken is None
+            assert tables.claimer is None and tables.keys is None
             assert not tables.row.any() and tables.votes.shape == (1, 8)
 
     def test_overflow_drop_parity(self):

@@ -5,7 +5,8 @@ schedule, a k-run's profile must satisfy identities that hold by
 construction of the local-assembly kernel (ROADMAP 7(a)): every read
 contributes one insertion per k-mer that has a base after it, a walk
 step commits one base, every walk looks a key up on each step but the
-``max_walk_len`` cutoff, and a lookup reads at least one slot.
+``max_walk_len`` cutoff, and a lookup reads at least one slot. Every
+insertion and every lookup hashes its key once, at Table V's cost.
 
 In construct, a pending lane compares an occupied slot's key or CASes
 an empty slot, and every insertion votes once: on a key found, as a CAS
@@ -24,13 +25,20 @@ from repro.kernels import (
     HipLocalAssemblyKernel,
     SyclLocalAssemblyKernel,
 )
-from repro.kernels.engine import ProbeIteration, run_ports
+from repro.kernels.engine import (
+    ITERATION_BASE_INSTRS,
+    WALK_STEP_INTOPS,
+    ProbeIteration,
+    run_ports,
+)
 from repro.simt.device import A100, MAX1550, MI250X
 
 from .test_coalesce_parity import EventCollector, _contigs
 
 PORTS = [(CudaLocalAssemblyKernel, A100), (HipLocalAssemblyKernel, MI250X),
          (SyclLocalAssemblyKernel, MAX1550)]
+#: INTOPs of one k-base hash (the paper's Table V, total row).
+TABLE_V = {21: 215, 33: 305, 55: 457, 77: 635}
 
 
 @pytest.mark.parametrize("k", [21, 33, 55, 77])
@@ -39,8 +47,8 @@ def test_profile_counts_obey_the_kernels_identities(k):
     kmers = sum(max(0, len(read) - k)
                 for contig in contigs for end in (End.RIGHT, End.LEFT)
                 for read in contig.reads_for_end(end))
-    for result in run_ports([cls(device) for cls, device in PORTS],
-                            contigs, k):
+    kernels = [cls(device) for cls, device in PORTS]
+    for kern, result in zip(kernels, run_ports(kernels, contigs, k)):
         p = result.profile
         uncut = sum(state is not WalkState.MAX_LEN
                     for _, state in result.right + result.left)
@@ -48,6 +56,14 @@ def test_profile_counts_obey_the_kernels_identities(k):
         assert p.walk_steps == p.extension_bases > 0
         assert p.lookups == p.extension_bases + uncut
         assert p.lookup_probe_iterations >= p.lookups
+        # hash INTOPs: what each phase charges beyond its probe rounds
+        probing = ITERATION_BASE_INSTRS + kern.protocol.iteration_intops
+        assert (p.construct_intops - p.insert_probe_iterations * probing
+                == p.inserts * TABLE_V[k])
+        assert (p.walk_intops - p.lookup_probe_iterations
+                * ITERATION_BASE_INSTRS - p.lookups * WALK_STEP_INTOPS
+                == p.lookups * TABLE_V[k])
+        assert p.intops == p.construct_intops + p.walk_intops
 
 
 def assert_construct_identities(kernel_cls, device, contigs):

@@ -33,12 +33,12 @@ class TestOverflow:
         # every k-mer is distinct; duplicates make it fit. Build a true
         # overflow with the raw table instead:
         tables = WarpHashTables(np.array([4]), k=4)
-        fps = np.arange(1, 6, dtype=np.uint64)
+        tables.keys = np.arange(1, 6, dtype=np.uint64)
         with pytest.raises(HashTableFullError):
             for i in range(5):
                 slot = tables.slot_of(np.array([0]), np.array([0]),
                                       np.array([i]))
-                tables.claim(slot, fps[i : i + 1])
+                tables.claim(slot, np.array([i]))
         # the kernel path stays functional
         res = kern.run(contigs, 21)
         assert len(res.right) == len(contigs)

@@ -2,9 +2,9 @@
 
 The tables are sized once from the read-volume upper bound (Figure 3),
 so most slots stay empty; the host may only pay *per slot* for what a
-probe reads. While construct claims that is the fingerprint and
-whether the slot is taken; from the vote flush on, the slot's vote-row index
-alone, the key's tag moving to its row. These tests are the guard
+probe reads. While construct claims that is the index of the insertion
+that claimed the slot (its key is read through it); from the vote flush
+on, the slot's vote-row index alone, the key's tag moving to its row. These tests are the guard
 against per-slot vote storage, or per-slot tags, coming back.
 """
 
@@ -25,8 +25,8 @@ from .test_vectortable import PerSlotVotes
 K = 21
 #: What one slot cost when votes were per slot: hi_q + low_q + count.
 PER_SLOT_VOTE_BYTES = 4 * 4 + 4 * 4 + 4
-#: What one slot may cost while construct claims: fingerprint + taken byte.
-CLAIM_SLOT_BYTES = 8 + 1
+#: What one slot may cost while construct claims: its claimer's index.
+CLAIM_SLOT_BYTES = 4
 #: What one slot may cost after the vote flush (its vote-row index), and
 #: what its key's row adds beside the votes (the tag).
 ROW_SLOT_BYTES = 4
@@ -92,11 +92,11 @@ def test_votes_follow_keys_and_rows_follow_capacity():
         assert tables.count.sum() == tables.votes.sum()
 
 
-def test_construct_claims_in_nine_bytes_a_slot():
+def test_construct_claims_in_four_bytes_a_slot():
     """While construct claims — recording each key's claimer, as ports
-    that share a walk do — every array of the tables as long as the
-    slots adds up to the fingerprint and the taken byte; the vote-row
-    index does not exist yet."""
+    that share a walk do — the one array of the tables as long as the
+    slots is the claimer's index; the vote-row index does not exist
+    yet."""
     from repro.kernels import HipLocalAssemblyKernel
     from repro.kernels.engine import run_ports
     from repro.simt.device import MI250X
@@ -105,24 +105,24 @@ def test_construct_claims_in_nine_bytes_a_slot():
 
     class Watched(ConstructPhase):
         def _insert_wave(self, batch, tables, idx, bus, rows, lanes=None):
-            seen.append((self.record_claims, _slot_bytes(tables)))
+            seen.append((self.record_claims, tables.total_slots,
+                         _slot_bytes(tables)))
             return super()._insert_wave(batch, tables, idx, bus, rows, lanes)
 
     kernels = [CudaLocalAssemblyKernel(A100), HipLocalAssemblyKernel(MI250X)]
     for kern in kernels:
         kern.construct_cls = Watched
     run_ports(kernels, _contigs(), K)
-    assert seen and all(recorded for recorded, _ in seen)
-    for _, held in seen:
-        assert set(held) == {"fp", "taken"}
-        assert sum(held.values()) == CLAIM_SLOT_BYTES * held["taken"]
+    assert seen and all(recorded for recorded, _, _ in seen)
+    for _, slots, held in seen:
+        assert held == {"claimer": CLAIM_SLOT_BYTES * slots}
 
 
 def test_no_per_slot_fingerprint_survives_construct():
     """Once ``ConstructPhase.run`` returns, the fingerprints live per key
     (``tag``); a slot keeps its row index only."""
     tables = _constructed(_contigs(), 0.2)
-    assert tables.fp is None and tables.taken is None
+    assert tables.claimer is None and tables.keys is None
     assert set(_slot_bytes(tables)) == {"row"}
     rows = tables.row[tables.occupied]      # a row and a tag per key
     assert np.unique(rows).size == rows.size == tables.tag.size - 1
@@ -195,7 +195,8 @@ def _claimed(tables_cls, capacities, keys_per_warp, seed=0):
     slots = np.concatenate([
         lo + rng.choice(cap, size=keys_per_warp, replace=False)
         for lo, cap in zip(tables.offsets[:-1], capacities)])
-    assert tables.claim(slots, slots.astype(np.uint64)).all()
+    tables.keys = slots.astype(np.uint64)       # as construct binds them
+    assert tables.claim(slots, np.arange(slots.size)).all()
     return tables, slots.reshape(len(capacities), keys_per_warp)
 
 
@@ -426,6 +427,54 @@ def test_finish_holds_its_outputs_and_one_stretch():
     assert outputs <= kept < outputs + 64 * 1024
     assert peak - kept < 64 * VOTE_STRETCH, \
         f"{(peak - kept) / 1e6:.1f} MB of finish temporaries"
+
+
+#: What the probe loop holds per insertion beside the batch: the slot it
+#: voted on (``final_slot``).
+FINAL_SLOT_INSERTION_BYTES = 4
+#: What the loop may hold beyond that, per insertion: the tally rows and
+#: the log of claims past their home (9 B a claim) built so far, and one
+#: wave's temporaries.
+LOOP_ALLOWANCE_INSERTION_BYTES = 3
+
+
+def test_probe_loop_holds_the_batch_a_claimer_a_slot_and_final_slot():
+    """A deep-shaped launch (the ``deep_multik`` k = 21 shape), traced
+    from the prepared batch on: through every wave the probe loop peaks
+    at most at the batch, :data:`CLAIM_SLOT_BYTES` a slot,
+    ``final_slot`` and the allowance. A fingerprint and a taken byte a
+    slot (9 B) were 5 B a slot over, and counting the waves' insertions
+    with an int64 needle cast ``ins_warp`` whole (8 B an insertion)."""
+    contigs = _deep_contigs()
+    kern = CudaLocalAssemblyKernel(A100)
+    plan, = [p for p in kern.launch_policy.plan(contigs, K,
+                                                kern.launch_config())
+             if p.end is End.RIGHT]
+    peaks = []
+
+    class Watched(ConstructPhase):
+        def _insert_wave(self, *args, **kwargs):
+            out = super()._insert_wave(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+    tracemalloc.start()
+    try:
+        batch = kern.preparer.prepare(contigs, plan.bin, plan.end, K)
+        held = tracemalloc.get_traced_memory()[0]   # the batch
+        tracemalloc.reset_peak()
+        tables = WarpHashTables(batch.capacities, K)
+        Watched(kern.protocol, kern.warp_size).run(batch, tables,
+                                                   EventBus())
+    finally:
+        tracemalloc.stop()
+    inserted = batch.ins_ext.size
+    assert inserted > 250_000 and tables.total_slots > inserted
+    allowed = (held + CLAIM_SLOT_BYTES * tables.total_slots
+               + (FINAL_SLOT_INSERTION_BYTES
+                  + LOOP_ALLOWANCE_INSERTION_BYTES) * inserted)
+    assert peaks and max(peaks) <= allowed, \
+        f"{(max(peaks) - allowed) / tables.total_slots:.1f} B a slot over"
 
 
 def _left_by_construct(kernels, run):

@@ -10,8 +10,12 @@ from repro.kernels.vectortable import (SLOT_BYTES, WarpHashTables,
                                        elect_one_per_slot)
 
 
-def _tables(caps=(8, 16), k=4):
-    return WarpHashTables(np.array(caps, dtype=np.int64), k)
+def _tables(caps=(8, 16), k=4, keys=()):
+    """Tables whose claims index ``keys`` (fingerprints), bound as
+    construct binds its batch's."""
+    t = WarpHashTables(np.array(caps, dtype=np.int64), k)
+    t.keys = np.array(keys, dtype=np.uint64)
+    return t
 
 
 class TestElect:
@@ -84,16 +88,18 @@ class TestLayout:
 
 class TestOperations:
     def test_claim_and_inspect(self):
-        t = _tables((8,))
-        winners = t.claim(np.array([3, 3, 5]), np.array([11, 12, 13], dtype=np.uint64))
+        """A slot holds its claimer; ``inspect`` reads the key through it."""
+        t = _tables((8,), keys=[11, 12, 13])
+        winners = t.claim(np.array([3, 3, 5]), np.arange(3))
         np.testing.assert_array_equal(winners, [True, False, True])
+        assert t.claimer[[3, 5, 0]].tolist() == [0, 2, -1]
         occ, fp = t.inspect(np.array([3, 5, 0]))
         np.testing.assert_array_equal(occ, [True, True, False])
         assert fp[0] == 11 and fp[1] == 13
 
     def test_vote_accumulates(self):
-        t = _tables((8,))
-        t.claim(np.array([2]), np.array([9], dtype=np.uint64))
+        t = _tables((8,), keys=[9])
+        t.claim(np.array([2]), np.array([0]))
         t.vote(np.array([2, 2, 2]), np.array([0, 0, 3], dtype=np.uint8),
                np.array([True, False, True]))
         hi, lo = t.votes_at(np.array([2]))
@@ -107,15 +113,15 @@ class TestOperations:
 
     def test_never_claimed_slot_reads_zero(self):
         """An empty slot has no vote row of its own: it reads as zeros —
-        before any flush, beside voted keys, and when keys claimed after
-        the last flush have not been voted on yet."""
-        t = _tables((8,))
+        before any flush, and beside voted keys; so does a key claimed
+        but never voted on."""
+        t = _tables((8,), keys=[9, 10, 11])
         everything = np.arange(8)
         assert not np.any(t.votes_at(everything))
-        t.claim(np.array([2, 5]), np.array([9, 10], dtype=np.uint64))
+        t.claim(np.array([2, 5, 7]), np.arange(3))
+        assert not np.any(t.votes_at(everything))
         t.vote(np.array([2, 5, 5]), np.array([1, 3, 3], dtype=np.uint8),
                np.array([True, False, False]))
-        t.claim(np.array([7]), np.array([11], dtype=np.uint64))
         hi, lo = t.votes_at(everything)
         assert hi[2, 1] == 1 and lo[5, 3] == 2
         assert hi.sum() + lo.sum() == 3  # slots 0, 1, 3, 4, 6 and 7: zeros
@@ -123,35 +129,35 @@ class TestOperations:
 
     def test_vote_on_unclaimed_slot_rejected(self):
         """It would land in the row every empty slot reads."""
-        t = _tables((8,))
-        t.claim(np.array([2]), np.array([9], dtype=np.uint64))
+        t = _tables((8,), keys=[9])
+        t.claim(np.array([2]), np.array([0]))
         with pytest.raises(KernelError, match="no lane has claimed"):
             t.vote(np.array([2, 3]), np.array([0, 0], dtype=np.uint8),
                    np.array([True, True]))
 
     def test_occupancy(self):
-        t = _tables((4,))
+        t = _tables((4,), keys=[1, 2])
         assert t.occupancy() == 0.0
-        t.claim(np.array([0, 1]), np.array([1, 2], dtype=np.uint64))
+        t.claim(np.array([0, 1]), np.arange(2))
         assert t.occupancy() == pytest.approx(0.5)
 
     def test_keys_per_warp(self):
-        t = _tables((4, 4))
-        t.claim(np.array([0, 1, 5]), np.array([1, 2, 3], dtype=np.uint64))
+        t = _tables((4, 4), keys=[1, 2, 3])
+        t.claim(np.array([0, 1, 5]), np.arange(3))
         np.testing.assert_array_equal(t.keys_per_warp(), [2, 1])
 
     @settings(max_examples=20)
     @given(st.lists(st.integers(0, 7), min_size=1, max_size=30))
     def test_claims_are_exclusive(self, slots):
         """Property: a slot is claimed exactly once, first claimer wins."""
-        t = _tables((8,))
-        arr = np.array(slots)
         fps = np.arange(1, len(slots) + 1, dtype=np.uint64)
-        winners = t.claim(arr, fps)
+        t = _tables((8,), keys=fps)
+        winners = t.claim(np.array(slots), np.arange(len(slots)))
         for s in set(slots):
             first = slots.index(s)
             assert winners[first]
-            assert t.fp[s] == fps[first]
+            assert t.claimer[s] == first
+            assert t.inspect(np.array([s]))[1][0] == fps[first]
 
     @settings(max_examples=60)
     @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -163,14 +169,15 @@ class TestOperations:
         whether every lane is its warp's only claim (no sort) or not."""
         rng = np.random.default_rng(seed)
         caps = rng.integers(1, 6, size=n_warps)
-        t = WarpHashTables(caps, 4)
         lanes = rng.integers(1, per_warp + 1, size=n_warps)
         warps = np.repeat(np.arange(n_warps), lanes)
+        fps = rng.integers(1, 2**63, size=warps.size).astype(np.uint64)
+        t = _tables(caps, keys=fps)
         slots = t.offsets[warps] + rng.integers(0, caps[warps])
-        fps = rng.integers(1, 2**63, size=slots.size).astype(np.uint64)
         want = elect_one_per_slot(slots)
-        np.testing.assert_array_equal(t.claim(slots, fps), want)
-        np.testing.assert_array_equal(t.fp[slots[want]], fps[want])
+        np.testing.assert_array_equal(t.claim(slots, np.arange(slots.size)),
+                                      want)
+        np.testing.assert_array_equal(t.inspect(slots[want])[1], fps[want])
         if (lanes == 1).all():
             assert want.all()
 
@@ -209,55 +216,67 @@ _CALLS = st.lists(
 class TestAgainstPerSlotOracle:
     @settings(max_examples=60, deadline=None)
     @given(_CALLS)
-    def test_interleaved_claims_and_votes(self, calls):
-        """Property: any interleaving of ``claim`` and ``vote`` — duplicate
-        (slot, ext, tier) targets, several flushes with claims between
-        them, empty votes, a warp (the third) that never claims — reads
-        back, slot by slot, like :class:`PerSlotVotes` fed the same
-        calls."""
+    def test_claims_then_votes(self, calls):
+        """Property: the drawn ``claim`` calls, then a flush, then the
+        ``vote`` calls — duplicate (slot, ext, tier) targets, several
+        votes after the flush, empty votes, a warp (the third) that never
+        claims — read back, slot by slot, like :class:`PerSlotVotes` fed
+        the same calls; a claim after the flush raises."""
         caps = np.array([8, 16, 4])
+        keys = np.arange(1, 2 + sum(len(t) for _, t in calls),
+                         dtype=np.uint64)
         dense, per_slot = WarpHashTables(caps, 4), PerSlotVotes(caps, 4)
+        dense.keys = per_slot.keys = keys
         everything = np.arange(caps.sum())
-        next_fp = 1
-        for is_claim, targets in [(False, [])] + calls:
+        next_ins = 0
+        claims = [call for call in calls if call[0]]
+        votes = [call for call in calls if not call[0]]
+        for is_claim, targets in claims + [(False, [])] + votes:
             slots = np.array([t[0] for t in targets], dtype=np.int64)
             # callers claim slots they saw empty and vote on claimed ones
             keep = dense.occupied[slots] != is_claim
             slots = slots[keep]
             for t in (dense, per_slot):
                 if is_claim:
-                    t.claim(slots, np.arange(next_fp, next_fp + slots.size,
-                                             dtype=np.uint64))
+                    t.claim(slots, np.arange(next_ins, next_ins + slots.size))
                 else:
                     t.vote(slots,
                            np.array([x[1] for x in targets], np.uint8)[keep],
                            np.array([x[2] for x in targets], bool)[keep])
-            next_fp += slots.size
+            next_ins += slots.size
             for got, want in zip(dense.votes_at(everything),
                                  per_slot.votes_at(everything)):
                 np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(dense.count, per_slot.count)
-        np.testing.assert_array_equal(dense.tag[dense.row], per_slot.fp)
+        occupied, fp = per_slot.inspect(everything)
+        np.testing.assert_array_equal(dense.tag[dense.row],
+                                      np.where(occupied, fp, 0))
         assert dense.keys_per_warp()[2] == 0
         assert dense.votes.shape[0] <= 1 + dense.occupied.sum()
+        with pytest.raises(KernelError, match="after the vote flush"):
+            dense.claim(np.array([3]), np.array([0]))
 
     def test_repeated_flushes_keep_one_row_index_a_slot(self):
-        """The first vote, even of nothing, flushes: ``fp`` and ``taken``
-        (9 B a slot) go and a slot keeps its 4 B row index, its key's
-        tag moving to the row. Later votes count into the same rows, and
-        a key claimed between them takes its row and tag at once."""
-        t = _tables((8, 4))
-        t.claim(np.array([2, 9]), np.array([5, 6], dtype=np.uint64))
-        assert t.fp.nbytes + t.taken.nbytes == 12 * 9
+        """The first vote, even of nothing, flushes: the claimers (4 B a
+        slot) are renumbered in place into rows in slot order, the keys'
+        fingerprints move to the rows' tags and ``keys`` is dropped. Later
+        votes count into the same rows; a claim after the flush raises."""
+        t = _tables((8, 4), keys=[5, 6, 7])
+        t.claim(np.array([2, 9, 4]), np.arange(3))
+        claimer = t.claimer
+        assert claimer.nbytes == 12 * 4
         nothing = (np.empty(0, np.int64), np.empty(0, np.uint8),
                    np.empty(0, bool))
         for _ in range(2):
             t.vote(*nothing)
-            assert t.fp is None and t.taken is None
-            assert t.row.nbytes == 12 * 4 and t.tag.tolist() == [0, 5, 6]
+            assert t.claimer is None and t.keys is None
+            assert t.row is claimer and t.tag.tolist() == [0, 5, 7, 6]
+        assert t.row.tolist() == [0, 0, 1, 0, 2, 0, 0, 0, 0, 3, 0, 0]
+        assert t.first.tolist() == [0, 2, 1]
+        with pytest.raises(KernelError, match="after the vote flush"):
+            t.claim(np.array([6]), np.array([0]))
         t.vote(np.array([9, 2, 9]), np.array([1, 0, 1], np.uint8),
                np.array([True, False, True]))
-        t.claim(np.array([4]), np.array([7], dtype=np.uint64))
         t.vote(np.array([4, 9]), np.array([3, 1], np.uint8),
                np.array([False, True]))
         t.vote(*nothing)
@@ -269,3 +288,57 @@ class TestAgainstPerSlotOracle:
         assert occupied.tolist() == [True, True, True, False]
         assert fp.tolist() == [5, 7, 6, 0]
         np.testing.assert_array_equal(t.keys_per_warp(), [2, 1])
+
+
+#: Claim rounds: per round, its lanes' (slot, key) with keys from a small
+#: set, so lanes of one round collide on slots and on keys.
+_ROUNDS = st.lists(st.lists(st.tuples(st.integers(0, 27), st.integers(0, 4)),
+                            max_size=16), min_size=1, max_size=8)
+
+
+class TestClaimerAgainstDict:
+    @settings(max_examples=80, deadline=None)
+    @example([[]])
+    @example([[(3, 1), (3, 2), (3, 1)], [(3, 2), (0, 0)]])
+    @given(_ROUNDS)
+    def test_claimers_read_through_to_their_keys(self, rounds):
+        """Property: claim rounds into claiming-form tables, each lane an
+        insertion and its slot observed empty, against a dict reference
+        ``slot -> claiming insertion``. After every round ``inspect``
+        reads each claimed slot's claimer's fingerprint, and a round's
+        losers read their winner's key (what CUDA's merge compares). The
+        flush numbers rows in slot order with those fingerprints as tags,
+        and ``first[row - 1]`` is the claiming insertion."""
+        lanes = [lane for lanes in rounds for lane in lanes]
+        keys = np.array([1 + 10 * key for _, key in lanes] + [0], np.uint64)
+        t = _tables((8, 16, 4), keys=keys)
+        everything = np.arange(t.total_slots)
+        claimed: dict[int, int] = {}
+        ins = 0
+        for lanes in rounds:
+            at = np.arange(ins, ins + len(lanes))
+            ins += len(lanes)
+            slots = np.array([slot for slot, _ in lanes], dtype=np.int64)
+            empty = np.array([slot not in claimed for slot in slots.tolist()],
+                             dtype=bool)
+            slots, at = slots[empty], at[empty]
+            winners = t.claim(slots, at)
+            for slot, i, won in zip(slots.tolist(), at.tolist(), winners):
+                assert won == (slot not in claimed)
+                claimed.setdefault(slot, i)
+            losers = slots[~winners]
+            np.testing.assert_array_equal(
+                t.inspect(losers)[1],
+                keys[[claimed[slot] for slot in losers.tolist()]])
+            occupied, fp = t.inspect(everything)
+            assert np.flatnonzero(occupied).tolist() == sorted(claimed)
+            assert fp[occupied].tolist() == [
+                int(keys[claimed[slot]]) for slot in sorted(claimed)]
+        t.vote(np.empty(0, np.int64), np.empty(0, np.uint8),
+               np.empty(0, bool))
+        order = sorted(claimed)
+        assert t.row[order].tolist() == list(range(1, len(order) + 1))
+        assert t.tag[1:].tolist() == [int(keys[claimed[s]]) for s in order]
+        assert t.first[t.row[order] - 1].tolist() == [
+            claimed[s] for s in order]
+        assert t.row.sum() == sum(range(len(order) + 1))

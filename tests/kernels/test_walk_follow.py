@@ -86,6 +86,7 @@ def _hand_built(batch, k):
     """Tables filled one insertion at a time — claim or match along the
     probe sequence, then one vote flush — with no links."""
     tables = WarpHashTables(batch.capacities, k)
+    tables.keys = batch.ins_fp      # as construct binds them
     slots = np.empty(batch.ins_warp.size, dtype=np.int64)
     for i, (w, home, fp) in enumerate(zip(batch.ins_warp.tolist(),
                                           batch.ins_home.tolist(),
@@ -95,8 +96,8 @@ def _hand_built(batch, k):
             slot = int(tables.slot_of(np.array([w]), np.array([home]),
                                       np.array([probe]))[0])
             if not tables.occupied[slot]:
-                tables.claim(np.array([slot]), np.array([fp], np.uint64))
-            if tables.fp[slot] == fp:
+                tables.claim(np.array([slot]), np.array([i]))
+            if tables.inspect(np.array([slot]))[1][0] == fp:
                 break
             probe += 1
         slots[i] = slot

@@ -37,16 +37,19 @@ def _lookup(tables, warps, homes, fps):
        seed=st.integers(0, 2**16))
 def test_lookup_rounds_are_slot_distances(caps, fill, seed):
     rng = np.random.default_rng(seed)
+    keys = (rng.choice(2**40, size=2 * sum(caps), replace=False)
+            + 1).astype(np.uint64)
     tables = WarpHashTables(np.array(caps), 21)
-    fps = iter(rng.choice(2**40, size=2 * sum(caps), replace=False) + 1)
+    tables.keys = keys          # what the claims below index
+    fps = iter(enumerate(keys.tolist()))
     present = []        # (warp, home, fp, slot)
     for w, cap in enumerate(caps):
         for _ in range(round(fill * cap)):
-            home, fp, probe = int(rng.integers(2**32)), next(fps), 0
+            (i, fp), home, probe = next(fps), int(rng.integers(2**32)), 0
             while tables.occupied[tables.offsets[w] + (home + probe) % cap]:
                 probe += 1
             slot = tables.offsets[w] + (home + probe) % cap
-            tables.claim(np.array([slot]), np.array([fp], dtype=np.uint64))
+            tables.claim(np.array([slot]), np.array([i]))
             present.append((w, home, fp, slot))
     if present:
         w, home, fp, slot = map(np.array, zip(*present))
@@ -58,7 +61,7 @@ def test_lookup_rounds_are_slot_distances(caps, fill, seed):
     for w, cap in enumerate(caps):
         home = int(rng.integers(2**32))
         found, missing, rounds, ended = _lookup(tables, [w], [home],
-                                                [next(fps)])
+                                                [next(fps)[1]])
         assert found[0] == -1 and missing[0]
         lo = tables.offsets[w]
         empty = np.flatnonzero(~tables.occupied[lo:lo + cap])

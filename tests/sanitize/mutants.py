@@ -51,18 +51,17 @@ class MutantConstructPhase(ConstructPhase):
         self.bugs = bugs
 
     def _claim(self, tables: WarpHashTables, slots: np.ndarray,
-               fps: np.ndarray, warps: np.ndarray, lanes, bus: EventBus,
+               ins: np.ndarray, warps: np.ndarray, lanes, bus: EventBus,
                emit_writes: bool) -> np.ndarray:
         if "race" not in self.bugs:
-            return super()._claim(tables, slots, fps, warps, lanes, bus,
+            return super()._claim(tables, slots, ins, warps, lanes, bus,
                                   emit_writes)
         if emit_writes:
             bus.emit(SlotWrite(phase="construct", kind="claim", slots=slots,
                                warps=warps, lanes=lanes, atomic=False))
         # BUG: plain store instead of atomicCAS — no winner election.
-        # Every colliding lane overwrites the tag and believes it won.
-        tables.taken[slots] = True
-        tables.fp[slots] = fps
+        # Every colliding lane overwrites the claimer and believes it won.
+        tables.claimer[slots] = ins
         return np.ones(slots.size, dtype=bool)
 
     def _vote(self, tables: WarpHashTables, slots: np.ndarray,
