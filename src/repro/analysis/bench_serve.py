@@ -247,11 +247,7 @@ def run_serve_scale(scale: ServeScale, repeats: int = 2) -> dict:
     fingerprints = {key: _payload_fingerprint(payload)
                     for key, payload in sorted(coalesced_payloads.items())}
     for key, fp in fingerprints.items():
-        # _measure returns timing and payloads in one tuple, so the taint
-        # pass sees perf_counter reaching this fingerprint; the payloads
-        # themselves are deterministic job results (this very parity
-        # check is what would catch any drift).
-        solo_fp = _payload_fingerprint(solo_payloads[key])  # repro: noqa REP010
+        solo_fp = _payload_fingerprint(solo_payloads[key])
         if fp != solo_fp:
             raise ReproError(
                 f"multi-tenant parity violated at scale {scale.name!r}: "

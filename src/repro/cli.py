@@ -269,22 +269,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     from repro.sanitize.lint import (
         RULES,
-        expand_select,
-        render_json,
-        render_text,
-    )
-    from repro.sanitize.semantic import (
         UNUSED_SUPPRESSION_EXPLANATION,
         UNUSED_SUPPRESSION_ID,
         analyze_paths,
+        render_json,
+        render_text,
+        select_rules,
     )
 
     if args.explain:
         ids = [s.strip() for s in args.explain.split(",")]
-        special = [i for i in ids if i == UNUSED_SUPPRESSION_ID]
         try:
-            ids = special + expand_select(
-                [i for i in ids if i != UNUSED_SUPPRESSION_ID])
+            select_rules([i for i in ids if i != UNUSED_SUPPRESSION_ID])
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -597,9 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--format", default="text",
                         choices=("text", "json"))
     p_lint.add_argument("--select", default=None, metavar="IDS",
-                        help="comma-separated rule ids, ranges, or "
-                             "prefixes, e.g. REP003,REP009-REP013,REP0 "
-                             "(default: all rules)")
+                        help="comma-separated rule ids, e.g. "
+                             "REP003,REP007 (default: all rules)")
     p_lint.add_argument("--explain", default=None, metavar="ID",
                         help="print the rule docstring(s) for the given "
                              "id(s) and exit")

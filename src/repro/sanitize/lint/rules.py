@@ -1,4 +1,4 @@
-"""The repo-invariant rule catalog (REP001–REP008).
+"""The repo-invariant rules (REP001–REP008).
 
 Each rule guards a property this reproduction's correctness or
 reproducibility depends on; the ids are stable and documented in API.md
@@ -12,10 +12,36 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.sanitize.lint.engine import LintFinding, LintRule
-from repro.sanitize.semantic.summary import blocking_desc
 
 #: Module aliases accepted as "this is NumPy".
 _NUMPY_NAMES = ("np", "numpy")
+
+#: ``module.attr`` calls that block the calling thread.
+BLOCKING_ATTRS = {
+    "time": frozenset({"sleep"}),
+    "os": frozenset({"fsync"}),
+    "subprocess": frozenset({"run", "call", "check_call", "check_output"}),
+}
+
+#: Method names that do file I/O regardless of the receiver (Path).
+BLOCKING_IO_METHODS = frozenset({"read_text", "write_text", "read_bytes",
+                                 "write_bytes"})
+
+
+def blocking_desc(call: ast.Call) -> str | None:
+    """What a call blocks on (``"open()"``, ``".read_text()"``,
+    ``"time.sleep()"``), or ``None``."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        return "open()"
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr in BLOCKING_IO_METHODS:
+        return f".{func.attr}()"
+    if isinstance(func.value, ast.Name):
+        if func.attr in BLOCKING_ATTRS.get(func.value.id, ()):
+            return f"{func.value.id}.{func.attr}()"
+    return None
 
 
 def _is_np_random_attr(node: ast.AST) -> bool:
@@ -66,42 +92,6 @@ class UnseededRandomRule(LintRule):
                     node, path,
                     f"legacy global np.random.{func.attr}(): use a seeded "
                     f"np.random.default_rng(seed) Generator instead")
-
-
-class IncompleteBackendRule(LintRule):
-    """REP002: a backend must implement the full ExecutionBackend protocol.
-
-    A root class (no bases to inherit from) named ``*Backend`` or
-    ``*Kernel`` that defines one of ``run`` / ``run_schedule`` but not
-    the other would register fine and fail only when the suite calls the
-    missing half.
-    """
-
-    rule_id = "REP002"
-    description = ("backend class implements only part of the "
-                   "ExecutionBackend protocol (run / run_schedule)")
-
-    def check(self, tree: ast.Module, path: str) -> Iterator[LintFinding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not node.name.endswith(("Backend", "Kernel")):
-                continue
-            bases = [b.id if isinstance(b, ast.Name)
-                     else getattr(b, "attr", "") for b in node.bases]
-            if any(b not in ("object", "Protocol") for b in bases):
-                continue  # inherits — give the subclass benefit of the doubt
-            methods = {n.name for n in node.body
-                       if isinstance(n, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef))}
-            have = methods & {"run", "run_schedule"}
-            if len(have) == 1:
-                missing = ({"run", "run_schedule"} - have).pop()
-                yield self.finding(
-                    node, path,
-                    f"class {node.name} defines {have.pop()!r} but not "
-                    f"{missing!r}; implement the full ExecutionBackend "
-                    f"protocol")
 
 
 class UndeclaredHandledEventRule(LintRule):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import KmerError
 from repro.genomics import kmer
-from repro.genomics.dna import encode
+from repro.genomics.dna import decode, encode
 
 dna_strings = st.text(alphabet="ACGT", min_size=1, max_size=120)
 
@@ -107,6 +107,15 @@ class TestCountKmers:
         assert counts["AA"] == 2 and counts["AT"] == 1
 
 
+def reference_fingerprint(codes) -> int:
+    """The k-mer fingerprint in Python ints: ``sum((c + OFFSET) *
+    BASE^(k-1-j)) mod 2^64``."""
+    fp = 0
+    for c in codes:
+        fp = (fp * 0x9E3779B97F4A7C15 + int(c) + 0x100000001B3) % (1 << 64)
+    return fp
+
+
 class TestFingerprints:
     def test_matches_scalar(self):
         codes = encode("GATTACAGATTACACCGT")
@@ -143,12 +152,18 @@ class TestRollingFingerprints:
     @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 21, 33, 77]))
     def test_matches_fingerprint_matrix(self, seed, k):
+        """Every fingerprint producer equals the Python-int polynomial,
+        as a uint64 array: a narrower accumulator wraps off it."""
         rng = np.random.default_rng(seed)
         codes = rng.integers(0, 4, size=max(k, 120), dtype=np.uint8)
-        rolled = kmer.rolling_fingerprints(codes, k)
-        windowed = kmer.fingerprint_matrix(kmer.kmer_matrix(codes, k))
-        np.testing.assert_array_equal(rolled, windowed)
-        assert rolled.dtype == np.uint64
+        want = [reference_fingerprint(codes[i:i + k])
+                for i in range(codes.size - k + 1)]
+        for fps in (kmer.rolling_fingerprints(codes, k),
+                    kmer.fingerprint_matrix(kmer.kmer_matrix(codes, k)),
+                    kmer.kmer_fingerprints(codes, k)):
+            assert fps.dtype == np.uint64
+            assert fps.tolist() == want
+        assert kmer.fingerprint_of(decode(codes[:k])) == want[0]
 
     def test_stretch_matches_whole_stream(self):
         """Fingerprints rolled over one stretch of a stream (as the batch

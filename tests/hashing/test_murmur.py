@@ -91,8 +91,9 @@ class TestBatch:
         rng = np.random.default_rng(seed)
         keys = rng.integers(0, 256, size=(n, length), dtype=np.uint8)
         digests = murmur.murmur2_batch(keys, seed=seed)
-        assert int(digests[0]) == murmur.murmur2(keys[0].tobytes(), seed=seed)
-        assert int(digests[-1]) == murmur.murmur2(keys[-1].tobytes(), seed=seed)
+        assert digests.dtype == np.uint32
+        assert digests.tolist() == [_reference_murmur2(key.tobytes(), seed)
+                                    for key in keys]
 
     def test_distribution_roughly_uniform(self):
         rng = np.random.default_rng(3)
@@ -114,9 +115,12 @@ class TestStream:
         stream = rng.integers(0, 256, size=length + 60, dtype=np.uint8)
         starts = np.arange(stream.size - length + 1, dtype=np.int64)
         windows = stream[starts[:, None] + np.arange(length)]
+        digests = murmur.murmur2_stream(stream, starts, length, seed=hseed)
         np.testing.assert_array_equal(
-            murmur.murmur2_stream(stream, starts, length, seed=hseed),
-            murmur.murmur2_batch(windows, seed=hseed))
+            digests, murmur.murmur2_batch(windows, seed=hseed))
+        assert digests.dtype == np.uint32
+        assert digests.tolist() == [_reference_murmur2(w.tobytes(), hseed)
+                                    for w in windows]
 
     @pytest.mark.parametrize("length", [21, 22, 33, 55, 77, 3, 4])
     def test_precomputed_mixed_words_identical(self, length):

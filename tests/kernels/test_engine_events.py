@@ -1,10 +1,14 @@
 """The instrumentation-hook layer: event bus, subscribers, extensibility."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro
 from repro.genomics.simulate import PERFECT_READS, ScenarioSpec, simulate_batch
-from repro.kernels import CudaLocalAssemblyKernel
+from repro.kernels import BACKENDS, CudaLocalAssemblyKernel
 from repro.kernels.engine import (
     EventBus,
     LaunchDone,
@@ -17,6 +21,7 @@ from repro.kernels.engine import (
     run_schedule_coalesced,
 )
 from repro.kernels.vectortable import SLOT_BYTES
+from repro.resilience import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.simt.device import A100
 
 SPEC = ScenarioSpec(contig_length=200, flank_length=60, read_length=90,
@@ -195,3 +200,48 @@ class TestCountEventsOnDemand:
         assert all(built.values())
         assert sum(built.values()) == sum(
             isinstance(e, COUNT_EVENTS) for e in rec.events)
+
+
+def _declared_events() -> set:
+    """Every event class some subscriber class of ``repro`` declares in
+    a ``handled_events`` tuple, found by importing every module."""
+    declared = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":   # importing it runs the CLI
+            continue
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                events = obj.__dict__.get("handled_events")
+                if isinstance(events, tuple):
+                    declared.update(events)
+    return declared
+
+
+class TestEventContract:
+    """What the ports emit is what ``repro``'s subscribers declare: an
+    emitted type nobody declares is never delivered to a declaring
+    subscriber, and a declared type nothing emits is dead wiring."""
+
+    def test_emitted_types_equal_the_declared_ones(self):
+        def starved():
+            return FaultInjector(FaultPlan(faults=(FaultSpec(
+                FaultKind.TABLE_PRESSURE, launch=0, warps=(0,),
+                capacity=4),)))
+
+        everything = _Recorder()   # declares nothing: gets every type
+        emitted = set()
+        runs = [(cls, device, {}) for cls, device in BACKENDS.values()
+                if device is not None]
+        runs += [(CudaLocalAssemblyKernel, A100, opts) for opts in (
+            {"sanitize": "all"}, {"memory_model": "trace"},
+            {"overflow_policy": "drop-contig", "fault_injector": starved()},
+            {"overflow_policy": "grow-retry", "fault_injector": starved()})]
+        contigs = _contigs(n=3, seed=5)
+        for cls, device, opts in runs:
+            kern = cls(device, **opts)
+            kern.add_subscriber(everything)
+            kern.run_schedule(contigs, (21, 33))
+            emitted.update(map(type, everything.events))
+            everything.events.clear()
+        assert emitted == _declared_events()

@@ -12,6 +12,9 @@ from repro.kernels import CudaLocalAssemblyKernel
 from repro.kernels.engine import BatchPreparer
 from repro.simt.device import A100
 
+from ..genomics.test_kmer import reference_fingerprint
+from ..hashing.test_murmur import _reference_murmur2
+
 SPEC = ScenarioSpec(contig_length=200, flank_length=60, read_length=90,
                     depth=8, seed_window=50)
 
@@ -111,9 +114,7 @@ class TestStreamedHashing:
                                               stretch, seed):
         from repro.genomics.contig import Contig
         from repro.genomics.dna import reverse_complement
-        from repro.genomics.kmer import fingerprint_matrix
         from repro.genomics.reads import DEFAULT_QUAL_THRESHOLD, Read, ReadSet
-        from repro.hashing.murmur import murmur2_batch
         from repro.kernels.engine import prepare
 
         rng = np.random.default_rng(seed)
@@ -140,10 +141,10 @@ class TestStreamedHashing:
             mp.setattr(prepare, "VOTE_STRETCH", stretch)
             batch = prep.prepare(contigs, Bin(list(range(len(contigs)))),
                                  end, k)
-        want = np.asarray(windows, dtype=np.uint8).reshape(-1, k)
-        np.testing.assert_array_equal(batch.ins_home,
-                                      murmur2_batch(want, seed=seed % 97))
-        np.testing.assert_array_equal(batch.ins_fp, fingerprint_matrix(want))
+        assert batch.ins_home.tolist() == [
+            _reference_murmur2(w.tobytes(), seed % 97) for w in windows]
+        assert batch.ins_fp.tolist() == list(map(reference_fingerprint,
+                                                 windows))
         np.testing.assert_array_equal(batch.ins_ext,
                                       np.asarray(exts, dtype=np.uint8))
         np.testing.assert_array_equal(batch.ins_hi, np.asarray(his, bool))

@@ -62,6 +62,12 @@ class TestBloomFilter:
         bloom = BloomFilter(n_bits=max(256, len(values) * 16))
         bloom.add(np.array(values, dtype=np.uint64))
         assert all(v in bloom for v in values)
+        # double hashing in Python ints, wrapped at 2^64 like the uint64s
+        pos = bloom._bit_positions(np.array(values, dtype=np.uint64))
+        assert pos.dtype == np.uint64
+        assert pos.tolist() == [
+            [((v & 0xFFFFFFFF) + i * ((v >> 32) | 1)) % (1 << 64)
+             % bloom.n_bits for i in range(bloom.n_hashes)] for v in values]
 
 
 class TestCountKmersFiltered:

@@ -2,6 +2,7 @@
 kernel/CPU local-assembly parity, and n50 properties."""
 
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from repro.metahipmer.stages import (
     carry_forward_reads,
     n50,
 )
+
+from ..codec_keys import assert_reads_every_key
 
 
 def _reads(rng, genome, read_len=70, step=12):
@@ -75,7 +78,8 @@ class TestCarryForward:
 
 
 class TestPayloadRoundTrips:
-    """run() on one state, restore() into a fresh one: equal results.
+    """run() on one state, restore() into a fresh one: equal results,
+    and each restore reads every key its run wrote, and no other.
 
     Payloads also survive JSON (what CheckpointStore actually persists).
     """
@@ -99,7 +103,9 @@ class TestPayloadRoundTrips:
 
         restored = RoundState(k=21, reads=reads)
         for name in STAGE_ORDER:
-            STAGES[name].restore(asm, restored, payloads[name])
+            assert_reads_every_key(
+                functools.partial(STAGES[name].restore, asm, restored),
+                payloads[name])
 
         assert restored.spectrum.counts == computed.spectrum.counts
         assert restored.spectrum.singletons_dropped == \

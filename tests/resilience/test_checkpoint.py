@@ -6,14 +6,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.experiments import (
     ExperimentConfig,
     ExperimentSuite,
     RunRecord,
 )
-from repro.core.extension import DEFAULT_POLICY, PRODUCTION_POLICY
+from repro.core.extension import DEFAULT_POLICY, PRODUCTION_POLICY, WalkState
 from repro.errors import CheckpointError
+from repro.kernels.engine import KernelRunResult
 from repro.resilience import (
     CheckpointStore,
     FaultInjector,
@@ -26,8 +29,10 @@ from repro.resilience import (
     result_from_dict,
     result_to_dict,
 )
+from repro.simt.counters import KernelProfile
 from repro.simt.device import A100, PLATFORMS
 
+from ..codec_keys import assert_reads_every_key
 from .conftest import K, SCALE, SEED
 
 pytestmark = pytest.mark.resilience
@@ -82,6 +87,46 @@ class TestRoundTrip:
         store.save("A100", K, DATA)
         store.clear()
         assert store.completed() == set()
+
+
+profiles = st.builds(KernelProfile, **{
+    f.name: (st.integers(0, 2**53) if isinstance(f.default, int)
+             else st.floats(0, 1e15, allow_nan=False))
+    for f in dataclasses.fields(KernelProfile)})
+ends = st.lists(st.tuples(st.text("ACGT", max_size=12),
+                          st.sampled_from(WalkState)), max_size=4)
+indices = st.lists(st.integers(0, 10**4), unique=True, max_size=4).map(sorted)
+results = st.builds(KernelRunResult, device=st.sampled_from(PLATFORMS),
+                    k=st.integers(1, 127), profile=profiles, right=ends,
+                    left=ends, degraded=indices, retried=indices)
+
+
+class TestCodecs:
+    """``profile_*``, ``_ends_*``, ``result_*`` and ``RunRecord``: what
+    a writer emits survives JSON, and its reader reads every key of it
+    and no other."""
+
+    @settings(max_examples=40)
+    @given(results)
+    def test_result_round_trips(self, result):
+        data = json.loads(json.dumps(result_to_dict(result)))
+        assert result_from_dict(data, result.device) == result
+        assert_reads_every_key(
+            lambda d: result_from_dict(d, result.device), data)
+
+    @settings(max_examples=20)
+    @given(results, profiles)
+    def test_run_record_round_trips(self, result, full):
+        device = result.device
+        rec = RunRecord(device=device, k=result.k, result=result,
+                        full_profile=full)
+        data = json.loads(json.dumps(rec.to_dict()))
+        back = RunRecord.from_dict(device, data, from_checkpoint=True)
+        assert (back.k, back.result, back.full_profile) == (result.k,
+                                                            result, full)
+        assert_reads_every_key(
+            lambda d: RunRecord.from_dict(device, d, from_checkpoint=True),
+            data)
 
 
 class TestValidation:

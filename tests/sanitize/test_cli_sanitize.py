@@ -50,22 +50,18 @@ def test_lint_select_filters_rules(tmp_path, capsys):
     assert main(["lint", str(bad), "--select", "REP999"]) == 2
 
 
-def test_lint_select_accepts_ranges_and_prefixes(tmp_path, capsys):
+def test_lint_select_rejects_ranges_and_prefixes(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import numpy as np\nrng = np.random.default_rng()\n")
-    # REP001 is outside the semantic range, inside the REP0 prefix
-    assert main(["lint", str(bad), "--select", "REP009-REP013"]) == 0
-    capsys.readouterr()
-    assert main(["lint", str(bad), "--select", "REP0"]) == 1
-    assert "REP001" in capsys.readouterr().out
-    assert main(["lint", str(bad), "--select", "REP42-REP99"]) == 2
-    assert "unknown lint rule id(s)" in capsys.readouterr().err
+    for item in ("REP001-REP003", "REP0"):
+        assert main(["lint", str(bad), "--select", item]) == 2
+        assert "unknown lint rule id(s)" in capsys.readouterr().err
 
 
 def test_lint_explain_prints_the_rule_docstring(capsys):
-    assert main(["lint", "--explain", "REP009"]) == 0
+    assert main(["lint", "--explain", "REP007"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("REP009:")
+    assert out.startswith("REP007:")
     assert "run_in_executor" in out
     assert main(["lint", "--explain", "REP000"]) == 0
     assert "unused suppression" in capsys.readouterr().out

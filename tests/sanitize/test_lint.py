@@ -9,7 +9,10 @@ import pytest
 
 from repro.sanitize.lint import (
     RULES,
+    UNUSED_SUPPRESSION_ID,
     LintRule,
+    analyze_paths,
+    extract_pragmas,
     render_json,
     render_text,
     select_rules,
@@ -60,35 +63,6 @@ def test_rep001_allows_seeded_rng():
         a = np.random.default_rng(2024)
         b = default_rng(seed=7)
         c = np.random.Generator(np.random.PCG64(1))
-        """)
-    assert fs == []
-
-
-# ----------------------------------------------------------------------
-# REP002 — incomplete backend protocol
-
-
-def test_rep002_flags_half_a_backend():
-    fs = findings_for("REP002", """
-        class HalfBackend:
-            def run(self, contigs, k):
-                return None
-        """)
-    assert [f.rule for f in fs] == ["REP002"]
-    assert "run_schedule" in fs[0].message
-
-
-def test_rep002_allows_full_protocol_and_subclasses():
-    fs = findings_for("REP002", """
-        class FullBackend:
-            def run(self, contigs, k): ...
-            def run_schedule(self, contigs, ks): ...
-
-        class DerivedKernel(FullBackend):
-            def run(self, contigs, k): ...
-
-        class NotABackendThing:
-            def run(self): ...
         """)
     assert fs == []
 
@@ -369,9 +343,11 @@ def test_rep008_nested_def_resets_loop_scope():
 # engine mechanics
 
 
-def test_rule_catalog_is_the_documented_twelve():
-    # REP004 (SlotAccess kind=) is retired; its id is not reused
-    assert sorted(RULES) == [f"REP{n:03d}" for n in range(1, 14) if n != 4]
+def test_rule_catalog_is_the_documented_six():
+    # REP002, REP004 and REP009-REP013 are retired; their ids are not
+    # reused (the runtime tests that replaced them: DESIGN.md decision 41)
+    assert sorted(RULES) == ["REP001", "REP003", "REP005", "REP006",
+                             "REP007", "REP008"]
     for rule_id, rule in RULES.items():
         assert rule.rule_id == rule_id
         assert rule.description
@@ -381,12 +357,10 @@ def test_every_rule_class_is_in_the_catalog_once():
     # RULES is one literal table: a rule class left out of it would
     # never run, and nothing else would notice
     from repro.sanitize.lint import rules as lint_rules
-    from repro.sanitize.semantic import rules as semantic_rules
 
-    classes = [cls for mod in (lint_rules, semantic_rules)
-               for cls in vars(mod).values()
+    classes = [cls for cls in vars(lint_rules).values()
                if isinstance(cls, type) and issubclass(cls, LintRule)
-               and cls.__module__ == mod.__name__ and cls.rule_id]
+               and cls.__module__ == lint_rules.__name__ and cls.rule_id]
     assert len(classes) == len(RULES)
     for cls in classes:
         assert [r for r in RULES.values() if type(r) is cls] \
@@ -394,11 +368,10 @@ def test_every_rule_class_is_in_the_catalog_once():
 
 
 def test_sanitize_docstring_tracks_the_catalog_span():
-    # satellite of PR 10: the package docstring asserts its own rule
-    # span at import time, so this can only fail if someone weakens the
-    # assert itself
-    import repro.sanitize as sanitize
-    assert f"{min(RULES)}–{max(RULES)}" in sanitize.__doc__
+    # the lint package docstring asserts its own rule span at import
+    # time, so this can only fail if someone weakens the assert itself
+    import repro.sanitize.lint as lint
+    assert f"{min(RULES)}–{max(RULES)}" in lint.__doc__
 
 
 def test_select_rules_rejects_unknown_ids():
@@ -431,30 +404,98 @@ def test_render_text_and_json():
 
 
 def test_shipped_source_tree_is_clean():
-    findings = [f for file in sorted(SRC.rglob("*.py"))
-                for f in lint_source(file.read_text(encoding="utf-8"),
-                                     str(file), select_rules())]
-    assert findings == [], render_text(findings)
+    # every rule comes back empty on src once pragmas are applied
+    result = analyze_paths([SRC])
+    found = [f for f in result.findings if f.rule != UNUSED_SUPPRESSION_ID]
+    assert found == [], render_text(found)
 
 
 def test_shipped_source_tree_is_semantically_clean():
-    # the whole-program pass (REP009-REP013 + suppression hygiene) must
-    # also come back empty on src — pragma-suppressed false positives
-    # are fine, unbaselined findings are not
-    from repro.sanitize.semantic import analyze_paths
-
+    # suppression hygiene on src: a pragma that suppresses nothing is
+    # itself a finding (REP000), so dead pragmas cannot pile up
     result = analyze_paths([SRC])
-    assert result.findings == [], render_text(result.findings)
+    unused = [f for f in result.findings if f.rule == UNUSED_SUPPRESSION_ID]
+    assert unused == [], render_text(unused)
 
 
-def test_select_rules_accepts_ranges_and_prefixes():
-    ids = [r.rule_id for r in select_rules(["REP009-REP013"])]
-    assert ids == ["REP009", "REP010", "REP011", "REP012", "REP013"]
-    ids = [r.rule_id for r in select_rules(["REP0"])]
-    assert ids == sorted(RULES)
-    # order preserved, duplicates dropped, exact ids mix in
-    ids = [r.rule_id for r in select_rules(["REP006", "REP001-REP002",
-                                            "REP006"])]
-    assert ids == ["REP006", "REP001", "REP002"]
-    with pytest.raises(ValueError, match="REP42-REP99"):
-        select_rules(["REP42-REP99"])
+def test_select_rules_rejects_ranges_and_prefixes():
+    # exact ids only; order is kept and duplicates drop
+    ids = [r.rule_id for r in select_rules(["REP006", "REP001", "REP006"])]
+    assert ids == ["REP006", "REP001"]
+    for item in ("REP001-REP003", "REP0"):
+        with pytest.raises(ValueError, match="unknown lint rule id"):
+            select_rules([item])
+
+
+# ----------------------------------------------------------------------
+# suppression pragmas: the one way to suppress a finding
+
+
+def write_tree(tmp_path, files):
+    for rel, src in files.items():
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(textwrap.dedent(src), encoding="utf-8")
+    return tmp_path
+
+
+def test_noqa_suppresses_exactly_its_line_and_rule(tmp_path):
+    write_tree(tmp_path, {"pkg/sample.py": """
+        import numpy as np
+
+        def draw():
+            return np.random.rand(3)  # repro: noqa REP001
+
+        def draw2():
+            return np.random.rand(4)
+        """})
+    result = analyze_paths([tmp_path], select=["REP001"])
+    assert result.suppressed == 1
+    assert [f.rule for f in result.findings] == ["REP001"]
+    assert result.findings[0].line == 8
+
+
+def test_blanket_noqa_suppresses_any_rule_on_the_line(tmp_path):
+    write_tree(tmp_path, {"pkg/sample.py": """
+        import numpy as np
+
+        def draw():
+            return np.random.rand(3)  # repro: noqa
+        """})
+    result = analyze_paths([tmp_path], select=["REP001"])
+    assert result.findings == []
+    assert result.suppressed == 1
+
+
+def test_unused_suppression_is_itself_a_finding(tmp_path):
+    write_tree(tmp_path, {"pkg/clean.py": """
+        def fine():
+            return 1  # repro: noqa REP001
+        """})
+    result = analyze_paths([tmp_path])
+    assert [f.rule for f in result.findings] == [UNUSED_SUPPRESSION_ID]
+    assert "REP001" in result.findings[0].message
+    assert result.exit_code == 1
+
+
+def test_partially_used_pragma_reports_the_idle_ids(tmp_path):
+    write_tree(tmp_path, {"pkg/sample.py": """
+        import numpy as np
+
+        def draw():
+            return np.random.rand(3)  # repro: noqa REP001,REP005
+        """})
+    result = analyze_paths([tmp_path])
+    assert result.suppressed == 1
+    (f,) = result.findings
+    assert f.rule == UNUSED_SUPPRESSION_ID
+    assert "REP005" in f.message and "REP001" not in f.message
+
+
+def test_pragma_text_inside_a_docstring_is_not_a_suppression():
+    pragmas = extract_pragmas(textwrap.dedent('''
+        def doc():
+            """mentions # repro: noqa REP001 in prose"""
+            return 1  # repro: noqa REP005
+        '''))
+    assert pragmas == [{"line": 4, "rules": ["REP005"]}]

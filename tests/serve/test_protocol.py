@@ -21,6 +21,8 @@ from repro.serve.protocol import (
     spec_to_dict,
 )
 
+from ..codec_keys import assert_reads_every_key
+
 
 def make_dat(n_contigs=2, seed=7) -> str:
     spec = ScenarioSpec(contig_length=120, flank_length=50, read_length=70,
@@ -121,11 +123,13 @@ class TestJobRecord:
     @given(options_strategy)
     def test_options_round_trip(self, options):
         assert JobOptions.from_dict(options.to_dict()) == options
+        assert_reads_every_key(JobOptions.from_dict, options.to_dict())
 
     @given(spec_strategy)
     def test_spec_round_trips_through_json(self, spec):
         record = json.loads(json.dumps(spec_to_dict(spec)))
         assert spec_from_dict(record) == spec
+        assert_reads_every_key(spec_from_dict, record)
 
     def test_record_is_flat_json_with_job_id_on_top(self):
         # the journal addresses records by their top-level "job_id", and
