@@ -50,7 +50,6 @@ from repro.kernels.engine.prepare import (
     FlattenedBin,
     concat_batches,
     run_length_sorted,
-    segmented_arange,
     subset_batch,
 )
 from repro.kernels.engine.schedule import (
@@ -116,7 +115,6 @@ __all__ = [
     "FlattenedBin",
     "concat_batches",
     "run_length_sorted",
-    "segmented_arange",
     "subset_batch",
     # multi-tenant coalescing
     "CoalescedJobResult",

@@ -31,18 +31,18 @@ from repro.kernels.engine.events import (
     SlotAccess,
     SlotWrite,
 )
-from repro.kernels.engine.prepare import (
-    Batch,
-    run_length_sorted,
-    segmented_arange,
-)
+from repro.kernels.engine.prepare import Batch, run_length_sorted
 from repro.kernels.engine.tally import (
     insert_entry,
     insert_row,
     wave_entry,
     wave_row,
 )
-from repro.kernels.vectortable import FAR_PROBES, WarpHashTables
+from repro.kernels.vectortable import (
+    FAR_PROBES,
+    VOTE_STRETCH,
+    WarpHashTables,
+)
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,6 @@ class ConstructPhase:
         self._unvoted = 0       # its insertions that have cast none
         #: Record each key's claimer (``WarpHashTables.first``) for a tape.
         self.record_claims = False
-        # claims past their home so far: (slots, their lookups' rounds)
-        self._far: list | None = None
         #: Draw the read links the walk follows (a follower's does not).
         self.links = True
         #: Free the batch's probe-loop inputs (``ins_warp``, ``ins_home``,
@@ -138,47 +136,47 @@ class ConstructPhase:
         # in ``ins_warp``'s dtype: a wider needle casts the whole haystack
         ins_off = np.searchsorted(batch.ins_warp, np.arange(
             n_warps + 1, dtype=batch.ins_warp.dtype))
-        max_waves = -(-int(np.diff(ins_off).max(initial=0)) // W)  # ceil
+        # The lane grid: a row per warp with insertions left, holding its
+        # next wave's first insertion and its end. Rows go as their warps
+        # run out or overflow, so the next wave's lanes are the grid's
+        # cells below their row's end, warp-major and ascending.
+        warp = np.flatnonzero(np.diff(ins_off))
+        start, end = ins_off[warp], ins_off[warp + 1]
+        lane = np.arange(W)
         chain = waves_run = 0
-        dead = np.zeros(n_warps, dtype=bool)
         overflowed: list[int] = []
         want_lanes = bus.wants(SlotWrite)
         log = self.log
         rows: list = []
-        far = self._far = []
         tables.keys = batch.ins_fp      # what the claimers index
         final_slot = self._final_slot = np.full(batch.ins_warp.size, -1,
                                                 dtype=tables.row.dtype)
         self._unvoted = final_slot.size
         tables.inserted = batch.ins_warp.size
-        for t in range(max_waves):
-            lo = ins_off[:-1] + t * W
-            hi = np.minimum(lo + W, ins_off[1:])
-            take = np.maximum(hi - lo, 0)
-            idx = np.repeat(lo, take) + segmented_arange(take)
-            if idx.size == 0:
-                break
-            if overflowed:
-                idx = idx[~dead[batch.ins_warp[idx]]]
-                if idx.size == 0:
-                    continue
+        while warp.size:
+            grid = start[:, None] + lane
+            inside = grid < end[:, None]
+            idx = grid[inside]
             if log is not None:
                 log.append(wave_entry(batch.ins_warp[idx]))
-            elif overflowed:
-                rows.append(wave_row(idx.size, int(
-                    run_length_sorted(batch.ins_warp[idx])[0].size)))
             else:
-                rows.append(wave_row(idx.size, int(np.count_nonzero(take))))
+                rows.append(wave_row(idx.size, warp.size))
             waves_run += 1
             # lane id within the warp's wave, for sanitizer provenance
-            lanes = (idx - lo[batch.ins_warp[idx]]) if want_lanes else None
+            lanes = (np.broadcast_to(lane, grid.shape)[inside]
+                     if want_lanes else None)
             iters, wave_overflowed = self._insert_wave(batch, tables, idx,
                                                        bus, rows, lanes)
             chain += iters
+            start += W
+            live = start < end
             if wave_overflowed:
                 overflowed.extend(wave_overflowed)
-                dead[wave_overflowed] = True
-        self._final_slot = self._far = None
+                live &= ~np.isin(warp, wave_overflowed)
+            if not live.all():
+                warp, start, end = warp[live], start[live], end[live]
+        self._final_slot = None
+        tables.probes = probe_rounds(tables, batch.ins_warp, batch.ins_home)
         if self.frees_keys:
             batch.ins_warp, batch.ins_home, batch.ins_fp = (
                 batch.ins_warp[:0].copy(), batch.ins_home[:0].copy(),
@@ -197,11 +195,6 @@ class ConstructPhase:
         tables.vote(slots, exts, his)   # frees ``ins_fp`` once it has the tags
         if not self.record_claims:      # the flush kept each key's claimer
             tables.first = np.empty(0, np.int32)
-        # a key's lookup takes 1 round, or what its claim past home logged
-        tables.probes = np.ones(len(tables.votes) - 1, dtype=np.uint8)
-        if far:
-            at, rounds = map(np.concatenate, zip(*far))
-            tables.probes[tables.row[at] - 1] = rounds
         if self.links:
             tables.link_reads(slots, exts, ends)
         return ConstructResult(waves=waves_run, iterations=chain,
@@ -300,11 +293,6 @@ class ConstructPhase:
                                             *writers(e), bus, emit_writes)
                 cas_attempts = e.size  # every empty observer issues a CAS
                 win = e[winners_local]
-                off = probe_p[win]
-                if off.any():   # claims past their home: their lookups' rounds
-                    past = win[off > 0]
-                    self._far.append((slots[past], np.minimum(
-                        probe_p[past] + 1, FAR_PROBES).astype(np.uint8)))
                 self._vote(tables, slots[win], ins[winners_local],
                            *writers(win), bus, emit_writes)
                 votes_claimed = win.size
@@ -346,3 +334,28 @@ class ConstructPhase:
                 wp, hp, fpp = wp[live], hp[live], fpp[live]
                 caps_p, offs_p = caps_p[live], offs_p[live]
         return iterations, overflowed
+
+
+def probe_rounds(tables: WarpHashTables, ins_warp: np.ndarray,
+                 ins_home: np.ndarray) -> np.ndarray:
+    """Each claimed key's lookup rounds, in slot order (the flush's row
+    order), at most :data:`~repro.kernels.vectortable.FAR_PROBES`.
+
+    Linear probing never deletes, so the key a claiming table holds at
+    slot ``s`` of warp ``w``, claimed by insertion ``c``, is found in
+    ``(s - offsets[w] - ins_home[c]) mod capacities[w] + 1`` rounds: its
+    claim's probe offset, plus one. Counted a stretch of slots
+    (:data:`~repro.kernels.vectortable.VOTE_STRETCH`) at a time.
+    """
+    parts = []
+    for lo in range(0, tables.total_slots, VOTE_STRETCH):
+        claimer = tables.claimer[lo:lo + VOTE_STRETCH]
+        at = np.flatnonzero(claimer >= 0)
+        c = claimer[at]
+        w = ins_warp[c]
+        at += lo - tables.offsets[w]
+        at -= ins_home[c]
+        at %= tables.capacities[w]
+        at += 1
+        parts.append(np.minimum(at, FAR_PROBES).astype(np.uint8))
+    return np.concatenate(parts)

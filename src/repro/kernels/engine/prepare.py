@@ -40,16 +40,6 @@ from repro.hashing.murmur import murmur2_stream
 from repro.kernels.vectortable import VOTE_STRETCH
 
 
-def segmented_arange(counts: np.ndarray) -> np.ndarray:
-    """``[0..c0), [0..c1), ...`` concatenated, vectorized."""
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.arange(total, dtype=np.int64) - starts
-
-
 def run_length_sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(uniques, counts)`` of an already-sorted array.
 

@@ -50,24 +50,6 @@ def _row_dtype(total_slots: int) -> type:
     return np.int32 if narrow else np.int64
 
 
-def elect_one_per_slot(slot_ids: np.ndarray) -> np.ndarray:
-    """``atomicCAS`` winner election: one winner per distinct slot.
-
-    Among lanes claiming the same (globally unique) slot id exactly one
-    wins, the first in lane order. Returns a boolean winner mask.
-    """
-    slot_ids = np.asarray(slot_ids)
-    n = slot_ids.size
-    # a stable sort keeps lane order among ties: the first lane wins
-    order = np.argsort(slot_ids, kind="stable")
-    sorted_slots = slot_ids[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = sorted_slots[1:] != sorted_slots[:-1]
-    winners = np.empty(n, dtype=bool)
-    winners[order] = first
-    return winners
-
-
 class WarpHashTables:
     """All per-warp tables of one launch, in two forms (DESIGN.md decision 40).
 
@@ -205,17 +187,21 @@ class WarpHashTables:
         """atomicCAS claim of empty slots by insertions ``ins`` (indices
         into ``keys``); returns the winner mask.
 
-        Callers pass only slots observed empty this iteration. Exactly one
-        lane per distinct slot wins — all, unsorted, when the slots ascend,
-        as when each is its warp's only claim. Claims end at the flush.
+        Callers pass only slots observed empty this iteration, ``ins``
+        ascending in lane order. The slot word referees, as on the
+        device: the slots take a sentinel above every insertion, each
+        lane scatters its insertion with ``minimum.at``, and a lane won
+        if the slot holds its own — per distinct slot, the first lane.
+        Claims end at the flush.
         """
         if self.claimer is None:
             raise KernelError("a claim after the vote flush")
-        winners = (np.ones(slots.size, dtype=bool)
-                   if (slots[1:] > slots[:-1]).all()
-                   else elect_one_per_slot(slots))
-        self.claimer[slots[winners]] = ins[winners]
-        return winners
+        claimer = self.claimer
+        # in the table's dtype: a wider ``ins`` drops ``at``'s fast path
+        ins = ins.astype(claimer.dtype, copy=False)
+        claimer[slots] = np.iinfo(claimer.dtype).max
+        np.minimum.at(claimer, slots, ins)
+        return claimer[slots] == ins
 
     def vote(self, slots: np.ndarray, exts: np.ndarray, hi_mask: np.ndarray) -> None:
         """Atomic vote accumulation (atomicAdd on the value region). The

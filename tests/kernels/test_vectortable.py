@@ -6,8 +6,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import HashTableFullError, KernelError
-from repro.kernels.vectortable import (SLOT_BYTES, WarpHashTables,
-                                       elect_one_per_slot)
+from repro.kernels.vectortable import SLOT_BYTES, WarpHashTables
+
+
+def elect_one_per_slot(slot_ids: np.ndarray) -> np.ndarray:
+    """The ``atomicCAS`` election :meth:`WarpHashTables.claim` must hold
+    to, by a stable sort: of the lanes claiming one slot id, the first in
+    lane order wins. Returns a boolean winner mask."""
+    slot_ids = np.asarray(slot_ids)
+    order = np.argsort(slot_ids, kind="stable")
+    sorted_slots = slot_ids[order]
+    first = np.ones(slot_ids.size, dtype=bool)
+    first[1:] = sorted_slots[1:] != sorted_slots[:-1]
+    winners = np.empty(slot_ids.size, dtype=bool)
+    winners[order] = first
+    return winners
 
 
 def _tables(caps=(8, 16), k=4, keys=()):
@@ -55,6 +68,33 @@ class TestElectProperty:
         want = [s not in seen and not seen.add(s) for s in slots]
         np.testing.assert_array_equal(
             elect_one_per_slot(np.array(slots, dtype=np.int64)), want)
+
+
+class TestClaimAgainstReference:
+    """``claim``'s scatter-min election against the stable-sort one."""
+
+    @settings(max_examples=80, deadline=None)
+    @example([], np.int64)
+    @example([5] * 32, np.int64)        # every lane on one slot
+    @example(list(range(31, -1, -1)), np.int64)     # all distinct
+    @example([3, 9, 3, 0, 9, 3], np.int64)
+    @example([3, 9, 3, 0, 9, 3], np.int32)
+    @given(st.lists(st.integers(0, 39), max_size=64),
+           st.sampled_from([np.int64, np.int32]))
+    def test_winners_and_claimers_match_the_sort(self, slots, ins_dtype):
+        """Property: for a multiset of slots claimed by ascending
+        insertions (int64 ones too, into the int32 table), the winner
+        mask is the reference's, each winner's slot holds its insertion
+        and every other slot stays empty."""
+        slots = np.array(slots, dtype=np.int64)
+        t = _tables((8, 32), keys=np.arange(1, slots.size + 1))
+        assert t.claimer.dtype == np.int32
+        ins = np.arange(slots.size, dtype=ins_dtype)
+        want = elect_one_per_slot(slots)
+        np.testing.assert_array_equal(t.claim(slots, ins), want)
+        claimer = np.full(t.total_slots, -1)
+        claimer[slots[want]] = ins[want]
+        np.testing.assert_array_equal(t.claimer, claimer)
 
 
 class TestLayout:
@@ -166,7 +206,7 @@ class TestOperations:
         """Warp-grouped claims as construct issues them (warps ascending,
         up to ``per_warp`` lanes each, slots in the warp's range): the
         winners and installed tags equal the stable-sort election's,
-        whether every lane is its warp's only claim (no sort) or not."""
+        whether every lane is its warp's only claim or not."""
         rng = np.random.default_rng(seed)
         caps = rng.integers(1, 6, size=n_warps)
         lanes = rng.integers(1, per_warp + 1, size=n_warps)

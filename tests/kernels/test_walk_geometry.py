@@ -18,11 +18,16 @@ from hypothesis import strategies as st
 
 from repro.core.extension import PRODUCTION_POLICY, WalkState
 from repro.datasets.generate import generate_paper_dataset
-from repro.kernels import CudaLocalAssemblyKernel
-from repro.kernels.engine import ConstructPhase, EventBus, WalkPhase
+from repro.kernels import (
+    CudaLocalAssemblyKernel,
+    HipLocalAssemblyKernel,
+    SyclLocalAssemblyKernel,
+)
+from repro.kernels.engine import ConstructPhase, EventBus, WalkPhase, run_ports
 from repro.kernels.vectortable import FAR_PROBES, WarpHashTables
-from repro.simt.device import A100
+from repro.simt.device import A100, MAX1550, MI250X
 from tests.kernels.test_walk_follow import _contigs, _exact_fit
+from tests.kernels.test_walk_pinned import starved_tables
 
 
 def _lookup(tables, warps, homes, fps):
@@ -103,6 +108,118 @@ def test_construct_indexes_every_row_by_its_lookup_rounds(full):
     assert tables.occupancy() == 1.0 or not full
 
 
+def _probes_are_lookup_rounds(tables, ins_warp, ins_home, ins_fp) -> int:
+    """Hold every stored key's row ``probes`` to the rounds the walk's
+    probe loop takes to find it (at most :data:`FAR_PROBES`); every
+    insertion of a key in a warp has the key's home. Returns how many
+    keys sit past their home."""
+    slots = np.flatnonzero(tables.occupied)
+    rows = tables.row[slots]
+    warps = np.searchsorted(tables.offsets, slots, side="right") - 1
+    home = dict(zip(zip(ins_warp.tolist(), ins_fp.tolist()),
+                    ins_home.tolist()))
+    homes = [home[key] for key in zip(warps.tolist(),
+                                      tables.tag[rows].tolist())]
+    found, _, rounds, _ = _lookup(tables, warps, homes, tables.tag[rows])
+    assert (found == slots).all()
+    assert (np.minimum(rounds, FAR_PROBES) == tables.probes[rows - 1]).all()
+    return int((rounds > 1).sum())
+
+
+def _checked(seen: list):
+    """A construct phase that, after each launch it runs, holds its keys'
+    probe rounds to their lookups' and logs ``(keys past home, lanes that
+    lost a claim, overflowed warps, whether it drew read links)`` onto
+    ``seen``."""
+    class Checked(ConstructPhase):
+        lost = 0
+
+        def _claim(self, tables, slots, *args):
+            winners = super()._claim(tables, slots, *args)
+            self.lost += int(slots.size - winners.sum())
+            return winners
+
+        def run(self, batch, tables, bus):
+            ins = (batch.ins_warp.copy(), batch.ins_home.copy(),
+                   batch.ins_fp.copy())     # ``frees_keys`` drops them
+            self.lost = 0
+            result = super().run(batch, tables, bus)
+            seen.append((_probes_are_lookup_rounds(tables, *ins), self.lost,
+                         result.overflowed, self.links))
+            return result
+    return Checked
+
+
+PORTS = [(CudaLocalAssemblyKernel, A100), (HipLocalAssemblyKernel, MI250X),
+         (SyclLocalAssemblyKernel, MAX1550)]
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("port", PORTS, ids=["cuda", "hip", "sycl"])
+def test_probes_are_lookup_rounds_on_every_protocol(port, full):
+    """CUDA's losers merge in their round, HIP's and SYCL's retry at the
+    same probe: on each, in tables sized as planned and in full ones,
+    every key's ``probes`` are its lookup's rounds — and lanes did lose
+    claims, and keys do sit past their home."""
+    cls, device = port
+    kern = cls(device)
+    seen: list = []
+    construct = _checked(seen)(kern.protocol, kern.warp_size)
+    contigs = generate_paper_dataset(33, scale=0.005, seed=4)
+    for plan in kern.launch_policy.plan(contigs, 33, kern.launch_config()):
+        batch = kern.preparer.prepare(contigs, plan.bin, plan.end, 33)
+        if full:
+            batch.capacities = _exact_fit(batch)
+        construct.run(batch, WarpHashTables(batch.capacities, 33),
+                      EventBus())
+    far, lost, overflowed, _ = zip(*seen)
+    assert sum(far) > 0 and sum(lost) > 0 and not any(overflowed)
+
+
+def test_probes_are_lookup_rounds_in_an_overflowed_warp():
+    """Warp 0's table holds fewer slots than its keys: it overflows and
+    retires, and the keys it did store, like every other warp's, still
+    read their lookups' rounds."""
+    kern = CudaLocalAssemblyKernel(A100)
+    contigs = generate_paper_dataset(33, scale=0.005, seed=4)
+    plan = kern.launch_policy.plan(contigs, 33, kern.launch_config())[0]
+    batch = kern.preparer.prepare(contigs, plan.bin, plan.end, 33)
+    batch.capacities = _exact_fit(batch)
+    batch.capacities[0] -= 1
+    seen: list = []
+    _checked(seen)(kern.protocol, kern.warp_size).run(
+        batch, WarpHashTables(batch.capacities, 33), EventBus())
+    [(far, _, overflowed, _)] = seen
+    assert overflowed == (0,) and far > 0
+
+
+def test_probes_are_lookup_rounds_through_a_grow_retry():
+    """A starved launch overflows and is launched again with grown
+    tables: both launches' keys read their lookups' rounds."""
+    kern = CudaLocalAssemblyKernel(A100, overflow_policy="grow-retry",
+                                   fault_injector=starved_tables())
+    seen: list = []
+    kern.construct_cls = _checked(seen)
+    kern.run(generate_paper_dataset(33, scale=0.005, seed=4), 33)
+    overflowed = [o for _, _, o, _ in seen if o]
+    assert overflowed and len(seen) > len(overflowed)
+
+
+def test_probes_are_lookup_rounds_on_a_follower():
+    """Three ports, the lead walking and two following its tape: each
+    follower constructs its own tables (drawing no read links), and their
+    keys read their lookups' rounds too."""
+    kernels = [cls(device, policy=PRODUCTION_POLICY)
+               for cls, device in PORTS]
+    seen = [[] for _ in kernels]
+    for kern, log in zip(kernels, seen):
+        kern.construct_cls = _checked(log)
+    run_ports(kernels, generate_paper_dataset(33, scale=0.01, seed=5), 33)
+    assert all(sum(far for far, *_ in log) > 0 for log in seen)
+    assert [{links for *_, links in log} for log in seen] \
+        == [{True}, {False}, {False}]
+
+
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize("kind, seed", [("plain", 3), ("tandem", 5)])
 def test_counts_from_geometry_equal_the_probe_loop(kind, seed, full):
@@ -138,10 +255,6 @@ def test_only_discovery_and_missing_keys_probe():
     two following it — the probe loop runs for discovery's seeds and
     departures (the lead only) and, per port, for the keys its walks
     missed: a walk that ends ``END`` or ``MISSING`` missed its last."""
-    from repro.kernels import HipLocalAssemblyKernel, SyclLocalAssemblyKernel
-    from repro.kernels.engine import run_ports
-    from repro.simt.device import MAX1550, MI250X
-
     discovered, probed = [], []
 
     class Counted(WalkPhase):
@@ -153,9 +266,7 @@ def test_only_discovery_and_missing_keys_probe():
             probed.append(lanes.size)
             return super()._probe(batch, out, lanes, *args)
 
-    kernels = [cls(device, policy=PRODUCTION_POLICY) for cls, device in (
-        (CudaLocalAssemblyKernel, A100), (HipLocalAssemblyKernel, MI250X),
-        (SyclLocalAssemblyKernel, MAX1550))]
+    kernels = [cls(device, policy=PRODUCTION_POLICY) for cls, device in PORTS]
     for kern in kernels:
         kern.walk_cls = Counted
     contigs = generate_paper_dataset(33, scale=0.02, seed=5)

@@ -33,8 +33,9 @@ import numpy as np
 from repro.kernels import CudaLocalAssemblyKernel
 from repro.kernels.engine import ConstructPhase, EventBus, WalkPhase
 from repro.kernels.engine.events import BarrierSync, SlotWrite
-from repro.kernels.vectortable import WarpHashTables, elect_one_per_slot
+from repro.kernels.vectortable import WarpHashTables
 from repro.simt.device import A100
+from tests.kernels.test_vectortable import elect_one_per_slot
 
 #: The seeded bugs, and the checker that must catch each.
 BUG_TO_CHECKER = {"race": "racecheck", "sync": "synccheck",

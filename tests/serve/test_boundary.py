@@ -290,7 +290,9 @@ class TestJournalFailure:
     def test_failed_finish_record_still_finishes_the_wave(self, tmp_path):
         """Every job of the wave is finished in memory (its slot back,
         its result served) though no ``finish`` record could be written;
-        the journal still lists them for ``--recover``."""
+        the journal still lists them for ``--recover``. A job reads done
+        before its wave awaits the ``finish`` append, so the failed
+        appends are counted once ``stop`` has drained the wave tasks."""
         async def scenario():
             service = AssemblyService(journal_path=tmp_path / "j.wal")
             await service.start()
@@ -308,9 +310,9 @@ class TestJournalFailure:
                     body = await finished(service, job_id)
                     assert body["status"] == "done", body
                 assert service.admission.stats()["in_flight"] == 0
-                assert service.stats()["journal"]["write_errors"] == 3
             finally:
                 await service.stop()
+            assert service.stats()["journal"]["write_errors"] == 3
 
         asyncio.run(scenario())
 
