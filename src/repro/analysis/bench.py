@@ -14,8 +14,8 @@ regression hunting), and writes ``BENCH_engine.json`` at the repo root:
   clock of an uninstrumented ``run_schedule`` and its contig
   throughput. The gate is a relative one (default: fail when
   throughput drops more than 25% below the baseline), sized so machine
-  jitter passes but an accidental de-vectorization — the failure mode
-  lint rule REP006 guards statically — also fails dynamically.
+  jitter passes but an accidental de-vectorization also fails here (the
+  exact check is ``tests/kernels/test_lockstep_lines.py``).
 * **peak_rss_kb** — ``ru_maxrss`` after the runs, recording the memory
   cost of the preallocated megabatch state.
 

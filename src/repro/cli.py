@@ -11,7 +11,6 @@ Sub-commands::
     experiment  regenerate a paper table or figure (table1..table7,
                 fig5..fig9, all)
     export      write every table/figure as TSV + summary.json
-    lint        run the repo-invariant static lint rules (REP001..)
     bench       run the pinned-scale engine benchmarks and gate against
                 the committed BENCH_engine.json baseline
 """
@@ -262,51 +261,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if summary:
         print(render_resilience_summary(summary))
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    import inspect
-
-    from repro.sanitize.lint import (
-        RULES,
-        UNUSED_SUPPRESSION_EXPLANATION,
-        UNUSED_SUPPRESSION_ID,
-        analyze_paths,
-        render_json,
-        render_text,
-        select_rules,
-    )
-
-    if args.explain:
-        ids = [s.strip() for s in args.explain.split(",")]
-        try:
-            select_rules([i for i in ids if i != UNUSED_SUPPRESSION_ID])
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        chunks = []
-        for rule_id in ids:
-            if rule_id == UNUSED_SUPPRESSION_ID:
-                chunks.append(UNUSED_SUPPRESSION_EXPLANATION)
-                continue
-            rule = RULES[rule_id]
-            doc = inspect.cleandoc(rule.__doc__ or rule.description)
-            chunks.append(f"{rule_id}: {rule.description}\n\n{doc}")
-        print("\n\n".join(chunks))
-        return 0
-
-    select = ([s.strip() for s in args.select.split(",")]
-              if args.select else None)
-    try:
-        result = analyze_paths(args.paths, select=select)
-    except ValueError as exc:  # an unknown --select id, an unparsable file
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    render = render_json if args.format == "json" else render_text
-    print(render(result.findings))
-    print(f"{result.files} file(s), {result.suppressed} suppressed",
-          file=sys.stderr)
-    return result.exit_code
 
 
 #: ``repro bench --suite`` name -> the module whose ``SUITE`` record
@@ -586,19 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "wave supervisor (testing only)")
     p_serve.set_defaults(func=_cmd_serve)
 
-    p_lint = sub.add_parser(
-        "lint", help="run the repo-invariant static lint rules")
-    p_lint.add_argument("paths", nargs="*", default=["src"],
-                        help="files/directories to lint (default: src)")
-    p_lint.add_argument("--format", default="text",
-                        choices=("text", "json"))
-    p_lint.add_argument("--select", default=None, metavar="IDS",
-                        help="comma-separated rule ids, e.g. "
-                             "REP003,REP007 (default: all rules)")
-    p_lint.add_argument("--explain", default=None, metavar="ID",
-                        help="print the rule docstring(s) for the given "
-                             "id(s) and exit")
-    p_lint.set_defaults(func=_cmd_lint)
     return ap
 
 

@@ -229,7 +229,9 @@ class EventBus:
     Subscribers may declare the event types they handle in a
     ``handled_events`` class attribute (a tuple of event classes);
     omitting it means "wants everything". :meth:`wants` lets hot loops skip constructing events no
-    subscriber would consume.
+    subscriber would consume. :meth:`emit` hands every built event to
+    every subscriber, so a declaring subscriber ignores the types it did
+    not declare: what it keeps must not depend on who else listens.
     """
 
     def __init__(self) -> None:
@@ -284,7 +286,8 @@ class CountRecorder:
         self.events: list = []
 
     def handle(self, event, bus) -> None:
-        self.events.append(event)
+        if isinstance(event, self.handled_events):
+            self.events.append(event)
 
 
 class TraceSubscriber:

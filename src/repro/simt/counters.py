@@ -33,7 +33,8 @@ class KernelProfile:
         warp_size: lane width used for the run (for the fraction above).
         inserts / insert_probe_iterations: construction work, measured.
         lookups / lookup_probe_iterations: walk work, measured.
-        walk_steps: bases appended + terminal lookups across all walks.
+        walk_steps: bases committed across all walks (a walk's terminal
+            lookup counts in ``lookups`` only).
         sync_ops: warp/sub-group synchronization operations executed.
         atomics: atomic operations executed (CAS + vote updates).
         serial_depth: longest per-warp chain of dependent memory accesses

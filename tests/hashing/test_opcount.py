@@ -1,11 +1,14 @@
 """The cost model must reproduce paper Table V exactly."""
 
+import inspect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
 from repro.hashing import opcount
+from repro.perfmodel.theoretical import intops_per_loop_cycle
 
 # Table V of the paper.
 TABLE_V = {
@@ -53,3 +56,21 @@ def test_key_handling_formula():
     assert opcount.key_handling_intops(33) == 41
     assert opcount.key_handling_intops(55) == 68
     assert opcount.key_handling_intops(77) == 96
+
+
+#: Every public function of the cost model.
+COUNTERS = [fn for name, fn in vars(opcount).items()
+            if inspect.isfunction(fn) and fn.__module__ == opcount.__name__
+            and not name.startswith("_")]
+
+
+@given(st.integers(1, 500))
+def test_every_count_is_an_exact_int(k):
+    # Table V counts integer operations: a float constant or a true
+    # division anywhere in the model turns a count into a float
+    assert COUNTERS
+    for fn in COUNTERS:
+        value = fn(k)
+        for count in (value.values() if isinstance(value, dict) else [value]):
+            assert type(count) is int, (fn.__name__, count)
+    assert type(intops_per_loop_cycle(k)) is int

@@ -1,5 +1,6 @@
 """The instrumentation-hook layer: event bus, subscribers, extensibility."""
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -10,18 +11,22 @@ import repro
 from repro.genomics.simulate import PERFECT_READS, ScenarioSpec, simulate_batch
 from repro.kernels import BACKENDS, CudaLocalAssemblyKernel
 from repro.kernels.engine import (
+    CountRecorder,
     EventBus,
     LaunchDone,
     LaunchStarted,
     MemoryTrafficResolved,
     ProbeIteration,
     SlotAccess,
+    TraceReplaySubscriber,
+    TraceSubscriber,
     WalkStep,
     WaveExecuted,
     run_schedule_coalesced,
 )
 from repro.kernels.vectortable import SLOT_BYTES
 from repro.resilience import FaultInjector, FaultKind, FaultPlan, FaultSpec
+from repro.sanitize import Sanitizer
 from repro.simt.device import A100
 
 SPEC = ScenarioSpec(contig_length=200, flank_length=60, read_length=90,
@@ -202,20 +207,52 @@ class TestCountEventsOnDemand:
             isinstance(e, COUNT_EVENTS) for e in rec.events)
 
 
-def _declared_events() -> set:
-    """Every event class some subscriber class of ``repro`` declares in
-    a ``handled_events`` tuple, found by importing every module."""
-    declared = set()
+def _declaring_subscribers() -> set:
+    """Every class of ``repro`` with a ``handled_events`` tuple, found by
+    importing every module."""
+    found = set()
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         if info.name == "repro.__main__":   # importing it runs the CLI
             continue
         module = importlib.import_module(info.name)
         for obj in vars(module).values():
-            if isinstance(obj, type) and obj.__module__ == module.__name__:
-                events = obj.__dict__.get("handled_events")
-                if isinstance(events, tuple):
-                    declared.update(events)
-    return declared
+            if (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and isinstance(obj.__dict__.get("handled_events"),
+                                   tuple)):
+                found.add(obj)
+    return found
+
+
+def _declared_events() -> set:
+    """Every event class some subscriber class of ``repro`` declares."""
+    return {event for cls in _declaring_subscribers()
+            for event in cls.handled_events}
+
+
+#: Each declaring subscriber of ``repro``, built for a device.
+SUBSCRIBERS = {
+    CountRecorder: lambda device: CountRecorder(),
+    TraceSubscriber: lambda device: TraceSubscriber(),
+    TraceReplaySubscriber: TraceReplaySubscriber,
+    Sanitizer: lambda device: Sanitizer(),
+}
+
+
+def _state(obj):
+    """``obj``'s attributes, recursively, as values ``==`` can compare
+    (arrays by dtype, shape and bytes)."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, dict):
+        return tuple((key, _state(value)) for key, value in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return tuple(map(_state, obj))
+    if dataclasses.is_dataclass(obj):
+        return type(obj), _state({f.name: getattr(obj, f.name)
+                                  for f in dataclasses.fields(obj)})
+    if hasattr(obj, "__dict__") and not isinstance(obj, type):
+        return type(obj), _state(vars(obj))
+    return obj
 
 
 class TestEventContract:
@@ -245,3 +282,24 @@ class TestEventContract:
             emitted.update(map(type, everything.events))
             everything.events.clear()
         assert emitted == _declared_events()
+
+    def test_a_subscriber_keeps_what_it_declares_whoever_listens(self):
+        # the bus hands every built event to every subscriber, so one
+        # that reacts to a type it did not declare sees it only when
+        # someone else asks for it: its state then depends on who listens
+        assert set(SUBSCRIBERS) == _declaring_subscribers()
+        contigs = _contigs(n=3, seed=5)
+        for cls, device in BACKENDS.values():
+            if device is None:
+                continue
+            for make in SUBSCRIBERS.values():
+                states = []
+                for beside_a_catch_all in (False, True):
+                    kern = cls(device)
+                    sub = kern.add_subscriber(make(device))
+                    if beside_a_catch_all:
+                        kern.add_subscriber(_Recorder())
+                    kern.run_schedule(contigs, (21, 33))
+                    states.append(_state(sub))
+                alone, observed = states
+                assert alone == observed, (cls.__name__, type(sub).__name__)

@@ -5,13 +5,22 @@ relations of the execution model — these catch accounting bugs that
 functional tests cannot see.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.extension import PRODUCTION_POLICY
 from repro.genomics.simulate import ErrorProfile, ScenarioSpec, simulate_batch
-from repro.kernels import CudaLocalAssemblyKernel, HipLocalAssemblyKernel
+from repro.kernels import (
+    BACKENDS,
+    CudaLocalAssemblyKernel,
+    HipLocalAssemblyKernel,
+    create_backend,
+)
+from repro.simt.counters import KernelProfile
 from repro.simt.device import A100, MI250X
 
 
@@ -23,6 +32,24 @@ def _run(seed, kern_cls=CudaLocalAssemblyKernel, device=A100, n=3):
                simulate_batch(n, spec, rng, ErrorProfile(error_rate=0.003))]
     kern = kern_cls(device, policy=PRODUCTION_POLICY)
     return kern.run(contigs, 21)
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_integer_counters_stay_exact_ints(backend):
+    # a float reaching an INTOP path (a true division, a 0.5) shows as a
+    # float in the field that sums it
+    rng = np.random.default_rng(11)
+    spec = ScenarioSpec(contig_length=150, flank_length=50, read_length=70,
+                        depth=6, seed_window=40)
+    contigs = [sc.contig for sc in
+               simulate_batch(3, spec, rng, ErrorProfile(error_rate=0.003))]
+    p = create_backend(backend).run_schedule(contigs, (21, 33)).profile
+    fields = [f.name for f in dataclasses.fields(KernelProfile)
+              if f.type in (int, "int")]
+    assert "intops" in fields and "construct_intops" in fields
+    assert p.inserts > 0
+    for name in fields:
+        assert type(getattr(p, name)) is int, (name, getattr(p, name))
 
 
 @settings(max_examples=8, deadline=None)

@@ -1,7 +1,7 @@
 """A blocking call that ``repro`` makes on a running event loop fails
 the serve test that made it happen.
 
-The wrapped set is lint rule REP007's: ``time.sleep``, ``os.fsync``,
+The wrapped set is :data:`BLOCKING`: ``time.sleep``, ``os.fsync``,
 ``open()``, synchronous ``Path`` I/O and ``subprocess.*``. A call is a
 violation when its thread has a running event loop and a ``repro``
 frame is on its stack, however deep: executor threads run no loop, so
@@ -13,24 +13,26 @@ slower than ``slow_callback_duration``).
 
 import asyncio
 import builtins
-import importlib
 import os
 import pathlib
+import subprocess
 import sys
+import time
 
 import pytest
 
 import repro
-from repro.sanitize.lint.rules import BLOCKING_ATTRS, BLOCKING_IO_METHODS
 
 _REPRO = os.path.dirname(repro.__file__) + os.sep
 
-#: owner -> attributes that block the calling thread: REP007's tables.
+#: owner -> attributes that block the calling thread; a service
+#: coroutine hands them to ``run_in_executor`` (or uses ``asyncio.sleep``).
 BLOCKING = {
-    **{importlib.import_module(module): names
-       for module, names in BLOCKING_ATTRS.items()},
+    time: ("sleep",),
+    os: ("fsync",),
+    subprocess: ("run", "call", "check_call", "check_output"),
     builtins: ("open",),
-    pathlib.Path: BLOCKING_IO_METHODS,
+    pathlib.Path: ("read_text", "write_text", "read_bytes", "write_bytes"),
 }
 
 

@@ -316,6 +316,28 @@ class TestJournalFailure:
 
         asyncio.run(scenario())
 
+    def test_failed_dispatch_record_fails_the_wave(self, tmp_path):
+        """A wave whose ``dispatch`` record cannot be written does not
+        run; its jobs fail with the write's error, visibly, and give
+        their slots back (a swallowed error would leave them RUNNING)."""
+        async def scenario():
+            service = AssemblyService(journal_path=tmp_path / "j.wal")
+            await service.start()
+            try:
+                self._full_disk(service, {"dispatch"})
+                status, body = await exchange(
+                    service, "POST", "/v1/jobs",
+                    {"dat": GOOD, "k_schedule": [21]})
+                assert status == 202, body
+                body = await finished(service, body["job_id"])
+                assert body["status"] == "failed", body
+                assert "No space left" in body["error"]
+                assert service.admission.stats()["in_flight"] == 0
+            finally:
+                await service.stop()
+
+        asyncio.run(scenario())
+
 
 class TestCheckpointBoundary:
     """A job's checkpoint is its result body, as served: written once,

@@ -2,9 +2,11 @@
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.errors import BackendLaunchError, ReproError
+from repro.resilience import DEFAULT_JITTER, backoff_delay
 from repro.serve import CircuitBreaker, LoadShedder, WaveSupervisor
 from repro.serve.protocol import JobOptions, JobSpec
 
@@ -59,6 +61,33 @@ class TestSupervisor:
         payloads = asyncio.run(sup.run(KEY, [job(1), job(2)]))
         assert all(p["ok"] for p in payloads)
         assert sup.transient_retries == 2 and sup.bisections == 0
+
+    def test_transient_retries_sleep_on_the_jittered_schedule(
+            self, monkeypatch):
+        # a hot retry loop re-launches a failed wave in lockstep with
+        # every other one: each retry waits its seeded backoff first
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def recorded(delay, *args, **kwargs):
+            sleeps.append(delay)
+            await real_sleep(0)
+
+        monkeypatch.setattr(asyncio, "sleep", recorded)
+        attempts = {"n": 0}
+
+        async def execute(jobs):
+            attempts["n"] += 1
+            if attempts["n"] <= 3:
+                raise BackendLaunchError("flaky launch")
+            return ok_payloads(jobs)
+
+        sup = WaveSupervisor(execute, retries=3, backoff_s=0.2, seed=11)
+        payloads = asyncio.run(sup.run(KEY, [job(1), job(2)]))
+        assert all(p["ok"] for p in payloads)
+        rng = np.random.default_rng(11)
+        assert sleeps == [backoff_delay(a, backoff=0.2, jitter=DEFAULT_JITTER,
+                                        rng=rng) for a in range(3)]
 
     def test_exhausted_transient_budget_falls_back_to_bisection(self):
         async def execute(jobs):
