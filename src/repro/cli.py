@@ -11,8 +11,6 @@ Sub-commands::
     experiment  regenerate a paper table or figure (table1..table7,
                 fig5..fig9, all)
     export      write every table/figure as TSV + summary.json
-    bench       run the pinned-scale engine benchmarks and gate against
-                the committed BENCH_engine.json baseline
 """
 
 from __future__ import annotations
@@ -263,67 +261,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``repro bench --suite`` name -> the module whose ``SUITE`` record
-#: (collector, gates, summary line) runs it; imported on use.
-_BENCH_SUITES = {"engine": "repro.analysis.bench",
-                 "serve": "repro.analysis.bench_serve"}
-
-
-def _bench_one_suite(name: str, args: argparse.Namespace) -> int:
-    """Run one bench suite (engine or serve) and gate it; 0 = pass."""
-    import importlib
-    import os
-
-    suite = importlib.import_module(_BENCH_SUITES[name]).SUITE
-    output = args.output or suite.default_path
-    baseline_path = (args.baseline if args.baseline is not None
-                     else suite.default_path)
-    baseline = None
-    if baseline_path and os.path.exists(baseline_path):
-        with open(baseline_path) as fh:
-            baseline = json.load(fh)
-    current = suite.collect(smoke_only=args.smoke, repeats=args.repeats)
-    written = current
-    if baseline is not None and baseline.get("schema") == current.get("schema"):
-        # A --smoke run must not drop the baseline's other scales.
-        written = dict(baseline)
-        written["scales"] = {**baseline.get("scales", {}),
-                             **current["scales"]}
-    with open(output, "w") as fh:
-        json.dump(written, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for scale_name, scale in current["scales"].items():
-        print(f"{scale_name}: {suite.describe(scale)}")
-    print(f"wrote {output}")
-    problems = list(suite.floor(current))
-    if baseline is None:
-        print("no baseline to compare against; commit the output to gate "
-              "future runs")
-    else:
-        problems += suite.compare(baseline, current,
-                                  max_regression=args.max_regression)
-    if problems:
-        for problem in problems:
-            print(f"FAIL {problem}", file=sys.stderr)
-        return 1
-    if baseline is not None:
-        print(f"baseline {baseline_path}: identity match, throughput "
-              f"within {args.max_regression:.0%}")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    suites = tuple(_BENCH_SUITES) if args.suite == "all" else (args.suite,)
-    if len(suites) > 1 and (args.output or args.baseline):
-        print("error: --output/--baseline need a single --suite",
-              file=sys.stderr)
-        return 2
-    worst = 0
-    for suite in suites:
-        worst = max(worst, _bench_one_suite(suite, args))
-    return worst
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -482,28 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="processes for the (device, k) grid; "
                                   "results are identical to --workers 1, "
                                   "only faster")
-
-    p_bench = sub.add_parser(
-        "bench", help="run the pinned-scale benchmarks (engine and serve)")
-    p_bench.add_argument("--suite", default="engine",
-                         choices=(*_BENCH_SUITES, "all"),
-                         help="which bench suite to run (default: engine)")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="run only the CI-fast smoke scale")
-    p_bench.add_argument("--output", default=None,
-                         help="where to write the measured document "
-                              "(default: BENCH_engine.json / "
-                              "BENCH_serve.json per suite)")
-    p_bench.add_argument("--baseline", default=None,
-                         help="committed baseline to gate against "
-                              "(default: the suite's BENCH file; skipped "
-                              "when it does not exist)")
-    p_bench.add_argument("--max-regression", type=float, default=0.25,
-                         help="fail when throughput drops more than this "
-                              "fraction below the baseline (default 0.25)")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="timing repeats per scale; best is reported")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_serve = sub.add_parser(
         "serve", help="run the coalescing assembly service")

@@ -2,7 +2,7 @@
 
 One message is a start line, headers (only ``Content-Length`` matters)
 and a body of exactly that many bytes, framed the same way in both
-directions: the service and the bench client share these functions, and
+directions: the service and the tests' client share these functions, and
 what a start line *means* stays with the caller. Anything else a peer
 can put on the wire raises :class:`~repro.serve.protocol.ProtocolError`,
 after which the stream cannot be re-framed: answer once and close.

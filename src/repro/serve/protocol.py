@@ -137,12 +137,19 @@ def parse_job_request(body: dict, job_id: str) -> JobSpec:
     if not contigs:
         raise ProtocolError("job payload contains no contigs")
     ks = body.get("k_schedule", list(DEFAULT_K_SCHEDULE))
-    try:
-        ks = tuple(int(k) for k in ks)
-        validate_k_schedule(ks)
-    except (TypeError, ValueError, ReproError) as exc:
-        raise ProtocolError(f"bad k_schedule: {exc}") from None
     device = body.get("device", "A100")
+    # int() would run k = 21.9 as 21, and any error but ProtocolError
+    # leaves the client without a response
+    if not isinstance(ks, list) or any(type(k) is not int for k in ks):
+        raise ProtocolError(f"bad k_schedule: want a list of integers, "
+                            f"got {ks!r}")
+    if not isinstance(device, str):
+        raise ProtocolError(f"device must be a string, got {device!r}")
+    try:
+        ks = tuple(ks)
+        validate_k_schedule(ks)
+    except ReproError as exc:
+        raise ProtocolError(f"bad k_schedule: {exc}") from None
     try:
         device_by_name(device)
     except ReproError as exc:

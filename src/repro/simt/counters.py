@@ -73,8 +73,8 @@ class KernelProfile:
     contigs_dropped: int = 0
     #: Grow-retry re-launches performed after table overflows.
     overflow_retries: int = 0
-    #: Schema: result fingerprints, checkpoints and the committed bench
-    #: baselines carry all three, named for a flatten cache that is gone.
+    #: Schema: result fingerprints, checkpoints and the pinned profiles
+    #: of the tests carry all three, named for a flatten cache that is gone.
     #: ``misses`` counts the flattens of a k-schedule (one per launch
     #: plan per k; a bare ``run`` leaves it 0), the other two stay 0.
     prep_cache_hits: int = 0

@@ -15,7 +15,10 @@ fixture (``walk_pinned.json``) written from an earlier engine:
 It also holds what whole schedules (:data:`SCHEDULES`) report, as the
 per-warp engine of DESIGN.md decision 37 once did: extensions (a
 digest), profile, event counts by type, ``k``, the degraded and retried
-sets and the sanitizer's finding count.
+sets and the sanitizer's finding count. Two of them are the engine
+bench's old shapes (DESIGN.md decision 44): ``bench-smoke`` and
+``bench-full``, whose 256 contigs over k = 21…77 are the ledger's
+``deep_multik`` input.
 
 Streams and traces are kept as SHA-256 digests (one per launch for the
 traces) beside their lengths, so the fixture stays small; the replay
@@ -53,9 +56,12 @@ SEEDS = (3, 8)
 K_SCHEDULE = (21, 33)
 
 #: Whole schedules by fixture key: the seed of their simulated contigs
-#: and ``port`` (kernel, device), ``reads`` (contigs, error rate,
-#: depth), ``ks``, ``starved`` (:func:`starved_tables`) and options.
+#: and ``port`` (kernel, device), ``reads`` (contigs, error rate, and
+#: depth or a whole ``ScenarioSpec``), ``ks``, ``starved``
+#: (:func:`starved_tables`) and options.
 _STARVED = dict(reads=(5, 0.02, 10), starved=True)
+_BENCH_FULL = ScenarioSpec(contig_length=220, flank_length=90,
+                           read_length=150, depth=10, seed_window=60)
 SCHEDULES = {
     **{f"cuda-{seed}-{err}": (seed, dict(reads=(seed + 2, err, 6)))
        for seed in (1, 2, 3) for err in (0.0, 0.01, 0.03)},
@@ -73,6 +79,9 @@ SCHEDULES = {
                                      max_grow_attempts=1)),
     "trace-sanitize": (23, dict(reads=(3, 0.01, 6), memory_model="trace",
                                 sanitize="all")),
+    "bench-smoke": (2024, dict(reads=(32, 0.005, 6))),
+    "bench-full": (2024, dict(reads=(256, 0.005, _BENCH_FULL),
+                              ks=(21, 33, 55, 77))),
 }
 CASES = {**{str(seed): (seed, None) for seed in SEEDS}, **SCHEDULES}
 
@@ -159,9 +168,14 @@ def _schedule_outcome(seed: int, reads: tuple,
         opts["fault_injector"] = starved_tables()
     kern = kernel_cls(device, policy=PRODUCTION_POLICY, **opts)
     events = kern.add_subscriber(EventCounter(handled_events=None))
-    n, error_rate, depth = reads
-    res = kern.run_schedule(
-        _simulated(n, seed, error_rate=error_rate, depth=depth), ks)
+    n, error_rate, shape = reads
+    if isinstance(shape, ScenarioSpec):
+        errors = ErrorProfile(error_rate=error_rate, lo_quality_fraction=0.1)
+        contigs = [sc.contig for sc in simulate_batch(
+            n, shape, np.random.default_rng(seed), errors)]
+    else:
+        contigs = _simulated(n, seed, error_rate=error_rate, depth=shape)
+    res = kern.run_schedule(contigs, ks)
     report = res.sanitizer_report
     ends = [[bases, state.name] for bases, state in res.right + res.left]
     return {"extensions": _digest(ends), "k": res.k,

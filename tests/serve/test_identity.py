@@ -1,9 +1,9 @@
 """Identities do not depend on the clock, the hash seed or the pid.
 
 Fingerprints, checkpoint files, journal records and profile counters are
-compared byte for byte across runs (resume, the bench gates, recovery),
-so a wall-clock read, an unseeded draw or a process id that reaches one
-breaks them only on some later run. Here the same job flow
+compared byte for byte across runs (resume, the pinned payload digest,
+recovery), so a wall-clock read, an unseeded draw or a process id that
+reaches one breaks them only on some later run. Here the same job flow
 (``identity_flow.py``) runs in two processes that differ in pid and
 ``PYTHONHASHSEED``, the second with every clock shifted by 10^6 s, and
 everything they persist must be equal. The one exception is the journal

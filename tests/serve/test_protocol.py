@@ -71,9 +71,17 @@ class TestParseJobRequest:
         with pytest.raises(ProtocolError, match="k_schedule"):
             parse_job_request({"dat": dat, "k_schedule": "soon"},
                               job_id="j1")
+        for k_schedule in ([21.9], [21, "33"], [True, 33], 21):
+            with pytest.raises(ProtocolError, match="k_schedule"):
+                parse_job_request({"dat": dat, "k_schedule": k_schedule},
+                                  job_id="j1")
         with pytest.raises(ProtocolError):
             parse_job_request({"dat": dat, "device": "TPU9000"},
                               job_id="j1")
+        for device in (["A100"], 7, None):
+            with pytest.raises(ProtocolError, match="device"):
+                parse_job_request({"dat": dat, "device": device},
+                                  job_id="j1")
         with pytest.raises(ProtocolError, match="overflow_policy"):
             parse_job_request({"dat": dat, "overflow_policy": "explode"},
                               job_id="j1")

@@ -1,6 +1,7 @@
 """End-to-end tests of the assembly service over its real HTTP socket."""
 
 import asyncio
+import hashlib
 import json
 
 import numpy as np
@@ -32,28 +33,33 @@ def make_dat(n_contigs=2, seed=7) -> str:
                       simulate_batch(n_contigs, spec, rng, errors)])
 
 
-async def request(port, method, path, payload=None):
-    """One request on its own connection; ``payload`` is JSON-encoded
+async def exchange(reader, writer, method, path, payload=None):
+    """One request on an open connection; ``payload`` is JSON-encoded
     unless it is already ``bytes`` (for bodies no encoder would emit)."""
+    body = (payload if isinstance(payload, bytes)
+            else json.dumps(payload).encode() if payload is not None
+            else b"")
+    writer.write(f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
+                 f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
+    await writer.drain()
+    status = int((await reader.readline()).split()[1])
+    length = 0
+    while True:
+        header = await reader.readline()
+        if header in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = header.decode().partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value.strip())
+    data = await reader.readexactly(length) if length else b""
+    return status, json.loads(data or b"{}")
+
+
+async def request(port, method, path, payload=None):
+    """One request on its own connection (see :func:`exchange`)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
-        body = (payload if isinstance(payload, bytes)
-                else json.dumps(payload).encode() if payload is not None
-                else b"")
-        writer.write(f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
-                     f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
-        await writer.drain()
-        status = int((await reader.readline()).split()[1])
-        length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode().partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        data = await reader.readexactly(length) if length else b""
-        return status, json.loads(data or b"{}")
+        return await exchange(reader, writer, method, path, payload)
     finally:
         writer.close()
         try:
@@ -114,6 +120,10 @@ async def submit_ok(port, dat, k_schedule=(21,)) -> str:
 
 class TestLaneAwareWaves:
     def test_jobs_behind_a_busy_lane_fuse_into_one_wave(self):
+        """The coalescing check (DESIGN.md decision 44): with the lane
+        held, ten jobs wait in one bucket and run as one wave, each
+        result equal to its solo run. A batcher that stops coalescing
+        fails here, whatever the host's speed."""
         dats = [make_dat(n_contigs=1 + s % 3, seed=20 + s) for s in range(11)]
 
         async def scenario():
@@ -466,6 +476,39 @@ class TestServiceEndToEnd:
         assert in_flight == 0 and journal_untouched
         assert stats["jobs"]["known"] == 0 and stats["batcher"]["waves"] == 0
 
+    def test_mistyped_options_are_a_400_on_a_connection_that_stays_open(
+            self):
+        """Was: ``"device": ["A100"]`` raised ``AttributeError`` in the
+        connection task, which died without a response; ``"k_schedule":
+        [21.9]`` ran as k = 21."""
+        bad = [({"device": ["A100"]}, "device"), ({"device": 7}, "device"),
+               ({"k_schedule": [21.9]}, "k_schedule")]
+
+        async def scenario():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context))
+            service = AssemblyService()
+            port = await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port)
+                answers = [await exchange(reader, writer, "POST", "/v1/jobs",
+                                          {"dat": make_dat(), **options})
+                           for options, _ in [*bad, ({}, None)]]
+                writer.close()
+                await writer.wait_closed()
+                await poll_done(port, answers[-1][1]["job_id"])
+            finally:
+                await service.stop()
+            return answers, loop_errors
+
+        answers, loop_errors = asyncio.run(scenario())
+        for (status, body), (_, field) in zip(answers, bad):
+            assert status == 400 and field in body["error"]
+        assert answers[-1][0] == 202  # the same connection, still in frame
+        assert loop_errors == []
+
     @pytest.mark.parametrize("wire", [
         b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
         b"POST /v1/jobs HTTP/1.1\r\nX-Junk: \xff\xfe\r\n\r\n",
@@ -556,12 +599,21 @@ class TestRunWave:
         assert all(p["ok"] for p in payloads)
         assert payloads[0]["result"]["right"] != payloads[1]["result"]["right"]
 
+    #: sha256 of the serialized payloads: what a tenant is sent, byte
+    #: for byte (the serve bench's result fingerprints, DESIGN.md
+    #: decision 44)
+    PAYLOAD_SHA256 = (
+        "3f53cd378438f80104304279a4f1be8ef243d0dc5c1dbd615b53799d7d7b448f")
+
     def test_rerunning_a_wave_is_byte_identical_and_equals_solo(self):
         """A retry, a bisection half or a re-dispatch must reproduce the
-        first run's payloads (the worker keeps nothing between waves)."""
+        first run's payloads (the worker keeps nothing between waves),
+        and those payloads are pinned."""
         first, again = run_wave(self.WAVE), run_wave(self.WAVE)
-        assert json.dumps(first, sort_keys=True) == \
-            json.dumps(again, sort_keys=True)
+        wire = json.dumps(first, sort_keys=True)
+        assert wire == json.dumps(again, sort_keys=True)
+        assert hashlib.sha256(wire.encode()).hexdigest() == \
+            self.PAYLOAD_SHA256
         for job, payload in zip(self.WAVE["jobs"], again):
             assert payload["result"] == solo_result(job["dat"], (21, 33))
 

@@ -1,10 +1,12 @@
-"""Every DESIGN.md decision that code, tests, CI or the ROADMAP cite exists.
+"""Every DESIGN.md decision that code, tests, CI or the ROADMAP cite
+exists, and every benchmark is run by a CI step.
 
 The decisions in DESIGN.md §5 are numbered, and the tree points at them
 by number ("DESIGN.md decision 24", "decision #15", "DESIGN.md decisions
 23, 24 and 26"). Cutting or renumbering the prose must not strand one.
 """
 
+import fnmatch
 import re
 from pathlib import Path
 
@@ -64,3 +66,17 @@ def test_every_cited_decision_exists():
                      for n in sorted(cited - have)]
     assert seen >= 20, "the citation pattern stopped matching"
     assert not stranded, stranded
+
+
+def test_every_benchmark_is_run_by_ci():
+    """A bench that no CI step names fails unseen (ROADMAP item 21(b))."""
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    steps = "\n".join(line for line in ci.splitlines()
+                      if not line.lstrip().startswith("#"))
+    named = set(re.findall(r"benchmarks/[\w*?\[\]-]+\.py", steps))
+    assert named, "the benchmark path pattern stopped matching"
+    unrun = [path.name
+             for path in sorted((ROOT / "benchmarks").glob("bench_*.py"))
+             if not any(fnmatch.fnmatchcase(f"benchmarks/{path.name}", glob)
+                        for glob in named)]
+    assert not unrun, f"no CI step runs {unrun}"
